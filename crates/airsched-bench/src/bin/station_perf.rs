@@ -33,8 +33,8 @@
 //! corrected CRC rewritten per frame) — with a byte-lockstep gate pinning
 //! the template stream to the fresh one. *Full-slot* rows then measure
 //! what a deployed station does every slot (serve **and** encode), with
-//! the templated [`SlotBroadcaster`] against the fresh encoder, per scale
-//! and parallelism setting, and a template gate drives broadcaster
+//! the templated [`SlotBroadcaster`] against the fresh encoder, per scale,
+//! and a template gate drives broadcaster
 //! encoding through full chaos — degradations, restores, a mid-run
 //! snapshot/restore onto a fresh broadcaster — byte-comparing every slot.
 //!
@@ -43,14 +43,9 @@
 //! Options (beyond the common `--seed`): `--channels` (8), `--cycle`
 //! (1024), `--pages` (1680), `--slots` (4096, serving-loop slots timed per
 //! rep), `--scales` (`10000,100000,1000000`, comma-separated subscriber
-//! scales), `--max-subs` (1000000, caps the subscriber matrix), `--par`
-//! (`1,2,4,auto`, comma-separated drain settings: integers are fixed
-//! worker counts, `auto` is a 4-thread pool behind the
-//! [`Station::parallelism_auto`] crossover that drains small ticks
-//! serially; every lockstep gate runs at each setting and the serving
-//! loop is timed at each — `1` is always included so the serial baseline
-//! row exists), `--reps` (3) and `--out <path>` for the JSON file
-//! (default `BENCH_station.json` in the working directory).
+//! scales), `--max-subs` (1000000, caps the subscriber matrix), `--reps`
+//! (3) and `--out <path>` for the JSON file (default `BENCH_station.json`
+//! in the working directory).
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -79,52 +74,6 @@ static PAYLOAD: [u8; 64] = [0x5A; 64];
 
 fn fixed_payloads() -> FixedPayloads {
     FixedPayloads::new(Bytes::from_static(&PAYLOAD))
-}
-
-/// Worker count behind `--par auto`: a real pool, big enough that the
-/// crossover (not luck) has to keep small ticks off it.
-const AUTO_WORKERS: u32 = 4;
-
-/// One `--par` entry: a fixed drain worker count, or the auto crossover.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum ParSetting {
-    Fixed(u32),
-    Auto(u32),
-}
-
-impl ParSetting {
-    fn apply(self, s: &mut Station) {
-        match self {
-            Self::Fixed(k) => {
-                s.parallelism(k);
-            }
-            Self::Auto(k) => {
-                s.parallelism_auto(k, Station::AUTO_DRAIN_THRESHOLD);
-            }
-        }
-    }
-
-    /// Human label: the count, or `auto`.
-    fn label(self) -> String {
-        match self {
-            Self::Fixed(k) => k.to_string(),
-            Self::Auto(_) => "auto".to_string(),
-        }
-    }
-
-    /// JSON value: a number for fixed counts, the string `"auto"`.
-    fn json(self) -> String {
-        match self {
-            Self::Fixed(k) => k.to_string(),
-            Self::Auto(_) => "\"auto\"".to_string(),
-        }
-    }
-}
-
-impl std::fmt::Display for ParSetting {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.label())
-    }
 }
 
 fn json_f(v: f64) -> String {
@@ -470,15 +419,14 @@ impl SeedStation {
 // ---------------------------------------------------------------------------
 
 /// Drives two identically-configured stations in lockstep — one through
-/// `tick_into` at shard count `par`, one through the retained
+/// `tick_into`, one through the retained
 /// `tick_reference` — under full chaos with continuous subscription
 /// churn, recording any divergence in outcomes or statistics. This is
 /// the bit-identical gate.
-fn reference_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut Vec<String>) {
+fn reference_gate(cfg: &Config, faulted: bool, divergences: &mut Vec<String>) {
     let plan = cfg.chaos_plan();
     let plan = faulted.then_some(&plan);
     let mut fast = build_station(cfg, plan);
-    par.apply(&mut fast);
     let mut reference = build_station(cfg, plan);
     let mut buf = TickBuf::new();
     let gate_slots = cfg.slots.min(1024).max(2 * cfg.cycle);
@@ -494,7 +442,7 @@ fn reference_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mu
         if buf.to_outcome() != want {
             divergences.push(format!(
                 "tick_into diverges from tick_reference at slot {t} \
-                 (faulted={faulted}, parallelism={par})"
+                 (faulted={faulted})"
             ));
             return;
         }
@@ -502,7 +450,7 @@ fn reference_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mu
     if fast.stats() != reference.stats() {
         divergences.push(format!(
             "stats diverge from tick_reference after {gate_slots}-slot lockstep \
-             (faulted={faulted}, parallelism={par})"
+             (faulted={faulted})"
         ));
     }
 }
@@ -511,11 +459,10 @@ fn reference_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mu
 /// comparing everything the replica can observe (the replica mints its own
 /// client ids, so deliveries compare by display name, page, wait and
 /// deadline — order included).
-fn seed_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut Vec<String>) {
+fn seed_gate(cfg: &Config, faulted: bool, divergences: &mut Vec<String>) {
     let plan = cfg.chaos_plan();
     let plan = faulted.then_some(&plan);
     let mut fast = build_station(cfg, plan);
-    par.apply(&mut fast);
     let mut seed = SeedStation::build(cfg, plan);
     let mut buf = TickBuf::new();
     let gate_slots = cfg.slots.min(1024).max(2 * cfg.cycle);
@@ -542,7 +489,7 @@ fn seed_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut Vec
         if !same {
             divergences.push(format!(
                 "tick_into diverges from the seed replica at slot {t} \
-                 (faulted={faulted}, parallelism={par})"
+                 (faulted={faulted})"
             ));
             return;
         }
@@ -560,7 +507,7 @@ fn seed_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut Vec
     if !same_stats {
         divergences.push(format!(
             "stats diverge from the seed replica after {gate_slots}-slot lockstep \
-             (faulted={faulted}, parallelism={par})"
+             (faulted={faulted})"
         ));
     }
 }
@@ -569,16 +516,12 @@ fn seed_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut Vec
 /// attached (metrics registry + flight recorder) in lockstep under full
 /// chaos. Instrumentation is read-only: every tick outcome and the final
 /// statistics must be bit-identical, and the registry counters must
-/// mirror the station's own stats exactly. The instrumented station runs
-/// its drains at shard count `par` while the plain twin stays serial, so
-/// one gate proves both that instrumentation observes without perturbing
-/// and that the obs mirrors stay single-writer under sharding.
-fn obs_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut Vec<String>) {
+/// mirror the station's own stats exactly.
+fn obs_gate(cfg: &Config, faulted: bool, divergences: &mut Vec<String>) {
     let plan = cfg.chaos_plan();
     let plan = faulted.then_some(&plan);
     let mut plain = build_station(cfg, plan);
     let mut instrumented = build_station(cfg, plan);
-    par.apply(&mut instrumented);
     let obs = Obs::with_recorder_capacity(4096);
     instrumented.attach_obs(&obs);
     let mut buf_plain = TickBuf::new();
@@ -596,7 +539,7 @@ fn obs_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut Vec<
         if buf_plain.to_outcome() != buf_obs.to_outcome() {
             divergences.push(format!(
                 "instrumented station diverges from plain at slot {t} \
-                 (faulted={faulted}, parallelism={par})"
+                 (faulted={faulted})"
             ));
             return;
         }
@@ -605,7 +548,7 @@ fn obs_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut Vec<
     if stats != instrumented.stats() {
         divergences.push(format!(
             "instrumented stats diverge from plain after {gate_slots}-slot lockstep \
-             (faulted={faulted}, parallelism={par})"
+             (faulted={faulted})"
         ));
     }
     let snapshot = obs.snapshot();
@@ -624,7 +567,7 @@ fn obs_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut Vec<
         if got != want {
             divergences.push(format!(
                 "registry counter {name} = {got} but station stats say {want} \
-                 (faulted={faulted}, parallelism={par})"
+                 (faulted={faulted})"
             ));
         }
     }
@@ -634,16 +577,12 @@ fn obs_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut Vec<
 /// attached at sampling 1/1 — every slot captures a full span tree, the
 /// most invasive setting the tracer has — in lockstep under full chaos.
 /// Tracing is observation-only: every tick outcome and the final
-/// statistics must be bit-identical. The traced station drains at shard
-/// count `par` while the plain twin stays serial, so the gate also
-/// proves the chunk-timing plumb through the drain pool does not
-/// perturb pooled execution.
-fn trace_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut Vec<String>) {
+/// statistics must be bit-identical.
+fn trace_gate(cfg: &Config, faulted: bool, divergences: &mut Vec<String>) {
     let plan = cfg.chaos_plan();
     let plan = faulted.then_some(&plan);
     let mut plain = build_station(cfg, plan);
     let mut traced = build_station(cfg, plan);
-    par.apply(&mut traced);
     let trace = airsched_trace::Trace::new(airsched_trace::TraceConfig {
         sample_every: 1,
         ring_capacity: 64,
@@ -665,7 +604,7 @@ fn trace_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut Ve
         if buf_plain.to_outcome() != buf_trace.to_outcome() {
             divergences.push(format!(
                 "traced station diverges from plain at slot {t} \
-                 (faulted={faulted}, parallelism={par})"
+                 (faulted={faulted})"
             ));
             return;
         }
@@ -673,14 +612,14 @@ fn trace_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut Ve
     if plain.stats() != traced.stats() {
         divergences.push(format!(
             "traced stats diverge from plain after {gate_slots}-slot lockstep \
-             (faulted={faulted}, parallelism={par})"
+             (faulted={faulted})"
         ));
     }
     let snap = trace.snapshot();
     if snap.sampled != gate_slots {
         divergences.push(format!(
             "trace at sampling 1/1 captured {} of {gate_slots} slots \
-             (faulted={faulted}, parallelism={par})",
+             (faulted={faulted})",
             snap.sampled
         ));
     }
@@ -690,12 +629,8 @@ fn trace_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut Ve
 /// state directory, and drives the continuation in lockstep against a
 /// never-crashed twin: every post-recovery `TickOutcome` and the final
 /// statistics must be bit-identical. This is the restore-after-crash
-/// gate the `airsched-recover` determinism contract is held to. The
-/// twin and the crashed process tick at shard count `par` while the
-/// resumed process deliberately runs at a *different* count — bit-equal
-/// continuation across the crash then proves the checkpoint format does
-/// not leak the partition count.
-fn recovery_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut Vec<String>) {
+/// gate the `airsched-recover` determinism contract is held to.
+fn recovery_gate(cfg: &Config, faulted: bool, divergences: &mut Vec<String>) {
     use airsched_recover::{CrashInjector, RecoverError, RecoverableStation, RecoveryOptions};
 
     let plan = faulted.then(|| cfg.chaos_plan());
@@ -704,16 +639,8 @@ fn recovery_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut
     // the checkpoint restore and a non-empty journal replay.
     let crash_at = gate_slots / 2 + 3;
     let every = (cfg.cycle / 4).max(8);
-    // Resume under a DIFFERENT drain setting than the crashed twin ran
-    // with: recovery must be bit-identical across serial, pooled, and
-    // adaptive execution.
-    let resumed_par = match par {
-        ParSetting::Fixed(1) => ParSetting::Auto(2),
-        _ => ParSetting::Fixed(1),
-    };
 
     let mut twin = build_station(cfg, plan.as_ref());
-    par.apply(&mut twin);
     let mut want = Vec::with_capacity(usize::try_from(gate_slots).expect("fits"));
     for t in 0..gate_slots {
         for k in 0..8u64 {
@@ -724,20 +651,19 @@ fn recovery_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut
     }
 
     let dir = std::env::temp_dir().join(format!(
-        "airsched-perf-recovery-{}-{faulted}-{par}",
+        "airsched-perf-recovery-{}-{faulted}",
         std::process::id()
     ));
     let opts = RecoveryOptions::new()
         .checkpoint_every(every)
         .with_crash(CrashInjector::at_slot(crash_at));
-    let mut doomed = build_station(cfg, plan.as_ref());
-    par.apply(&mut doomed);
+    let doomed = build_station(cfg, plan.as_ref());
     let run = RecoverableStation::create(&dir, doomed, plan, opts);
     let mut run = match run {
         Ok(r) => r,
         Err(e) => {
             divergences.push(format!(
-                "recovery gate: create failed (faulted={faulted}, parallelism={par}): {e}"
+                "recovery gate: create failed (faulted={faulted}): {e}"
             ));
             return;
         }
@@ -753,7 +679,7 @@ fn recovery_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut
                 if got != want[usize::try_from(t).expect("fits")] {
                     divergences.push(format!(
                         "journaled station diverges from its twin at slot {t} \
-                         before the crash (faulted={faulted}, parallelism={par})"
+                         before the crash (faulted={faulted})"
                     ));
                     std::fs::remove_dir_all(&dir).ok();
                     return;
@@ -766,7 +692,7 @@ fn recovery_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut
             }
             Err(e) => {
                 divergences.push(format!(
-                    "recovery gate: tick failed (faulted={faulted}, parallelism={par}): {e}"
+                    "recovery gate: tick failed (faulted={faulted}): {e}"
                 ));
                 std::fs::remove_dir_all(&dir).ok();
                 return;
@@ -781,24 +707,16 @@ fn recovery_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut
         Ok(pair) => pair,
         Err(e) => {
             divergences.push(format!(
-                "recovery gate: resume failed (faulted={faulted}, parallelism={par}): {e}"
+                "recovery gate: resume failed (faulted={faulted}): {e}"
             ));
             std::fs::remove_dir_all(&dir).ok();
             return;
         }
     };
-    match resumed_par {
-        ParSetting::Fixed(k) => {
-            resumed.parallelism(k);
-        }
-        ParSetting::Auto(k) => {
-            resumed.parallelism_auto(k, Station::AUTO_DRAIN_THRESHOLD);
-        }
-    }
     if report.resumed_at != crash_at || resumed.now() != crash_at {
         divergences.push(format!(
             "recovery resumed at slot {} instead of the crash slot {crash_at} \
-             (faulted={faulted}, parallelism={par})",
+             (faulted={faulted})",
             resumed.now()
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -820,8 +738,7 @@ fn recovery_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut
                 if got != want[usize::try_from(t).expect("fits")] {
                     divergences.push(format!(
                         "recovered station diverges from its never-crashed twin at \
-                         slot {t} (crash at {crash_at}, faulted={faulted}, \
-                         parallelism {par} -> {resumed_par})"
+                         slot {t} (crash at {crash_at}, faulted={faulted})"
                     ));
                     std::fs::remove_dir_all(&dir).ok();
                     return;
@@ -830,7 +747,7 @@ fn recovery_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut
             Err(e) => {
                 divergences.push(format!(
                     "recovery gate: post-recovery tick failed \
-                     (faulted={faulted}, parallelism={par}): {e}"
+                     (faulted={faulted}): {e}"
                 ));
                 std::fs::remove_dir_all(&dir).ok();
                 return;
@@ -840,7 +757,7 @@ fn recovery_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut
     if resumed.stats() != twin.stats() {
         divergences.push(format!(
             "recovered station's final stats diverge from its never-crashed twin \
-             (crash at {crash_at}, faulted={faulted}, parallelism {par} -> {resumed_par})"
+             (crash at {crash_at}, faulted={faulted})"
         ));
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -854,11 +771,10 @@ fn recovery_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut
 /// snapshotted and restored onto a *fresh* broadcaster which must
 /// rebuild from the recovered plan and keep the stream byte-identical —
 /// the template cache's recovery discipline.
-fn template_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut Vec<String>) {
+fn template_gate(cfg: &Config, faulted: bool, divergences: &mut Vec<String>) {
     let plan = cfg.chaos_plan();
     let plan = faulted.then_some(&plan);
     let mut station = build_station(cfg, plan);
-    par.apply(&mut station);
     let mut tx = SlotBroadcaster::new(fixed_payloads());
     let mut fresh_src = fixed_payloads();
     let mut buf = TickBuf::new();
@@ -876,12 +792,11 @@ fn template_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut
                 Err(e) => {
                     divergences.push(format!(
                         "template gate: snapshot restore failed at slot {t} \
-                         (faulted={faulted}, parallelism={par}): {e}"
+                         (faulted={faulted}): {e}"
                     ));
                     return;
                 }
             };
-            par.apply(&mut station);
             tx = SlotBroadcaster::new(fixed_payloads());
         }
         for k in 0..8u64 {
@@ -896,7 +811,7 @@ fn template_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut
             Err(e) => {
                 divergences.push(format!(
                     "template gate: slot {t} failed to encode \
-                     (faulted={faulted}, parallelism={par}): {e}"
+                     (faulted={faulted}): {e}"
                 ));
                 return;
             }
@@ -907,7 +822,7 @@ fn template_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut
         if written != wire.len() || wire[..] != fresh[..] {
             divergences.push(format!(
                 "template-encoded slot {t} diverges from fresh encoding \
-                 (faulted={faulted}, parallelism={par}, restored={})",
+                 (faulted={faulted}, restored={})",
                 t >= restore_at
             ));
             return;
@@ -916,7 +831,7 @@ fn template_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut
     if faulted && tx.rebuilds() < 2 {
         divergences.push(format!(
             "template gate ran {gate_slots} chaos slots but rebuilt only {} time(s) — \
-             the ladder never exercised invalidation (parallelism={par})",
+             the ladder never exercised invalidation",
             tx.rebuilds()
         ));
     }
@@ -929,9 +844,6 @@ fn template_gate(cfg: &Config, faulted: bool, par: ParSetting, divergences: &mut
 struct ScaleResult {
     subscribers: u64,
     faulted: bool,
-    /// Drain setting the optimized loop ran at; the seed and reference
-    /// baselines are inherently serial and shared across all settings.
-    parallelism: ParSetting,
     delivered: u64,
     /// Serving-loop slots per second (subscribe churn + tick, deliveries
     /// consumed) through each implementation.
@@ -942,14 +854,11 @@ struct ScaleResult {
     seed_dps: f64,
     /// Full broadcast slots per second — serve *and* encode, the work a
     /// deployed station does every slot: `tick_into` plus the templated
-    /// [`SlotBroadcaster`], at this row's drain setting.
+    /// [`SlotBroadcaster`].
     full_slot_tps: f64,
-    /// The same loop with the fresh encoder instead of templates, serial
-    /// (the pre-PR wire shape), shared across the scale's rows.
+    /// The same loop with the fresh encoder instead of templates (the
+    /// pre-PR wire shape).
     full_slot_fresh_tps: f64,
-    /// `(pooled, serial)` tick counts from [`Station::drain_crossover`]
-    /// over the full-slot run; `None` for rows without a pool.
-    crossover: Option<(u64, u64)>,
 }
 
 impl ScaleResult {
@@ -967,19 +876,16 @@ impl ScaleResult {
 /// Times the full serving loop at one subscriber scale: every tick admits
 /// `subscribers / slots` new clients (round-robin over the catalogue) and
 /// transmits one slot; deliveries stream out as they happen. The optimized
-/// loop holds one `TickBuf` and counts deliveries through `tick_into`,
-/// timed once per shard count in `pars`; the reference loop drives
-/// `tick_reference`; the seed loop drives the pre-PR replica — both
-/// baselines materialize every delivery into one growing list, as the
-/// seed `run()` did, and being serial are timed once and shared across
-/// every parallelism row.
+/// loop holds one `TickBuf` and counts deliveries through `tick_into`;
+/// the reference loop drives `tick_reference`; the seed loop drives the
+/// pre-PR replica — both baselines materialize every delivery into one
+/// growing list, as the seed `run()` did.
 fn time_scale(
     cfg: &Config,
     faulted: bool,
     scale: u64,
-    pars: &[ParSetting],
     divergences: &mut Vec<String>,
-) -> Vec<ScaleResult> {
+) -> ScaleResult {
     let plan = cfg.perf_plan();
     let plan = faulted.then_some(&plan);
     let per_tick = scale.div_ceil(cfg.slots).max(1);
@@ -1049,91 +955,78 @@ fn time_scale(
         fresh_slot_best = fresh_slot_best.min(t0.elapsed().as_secs_f64());
     }
 
-    let mut rows = Vec::with_capacity(pars.len());
-    for &par in pars {
-        let mut opt_best = f64::INFINITY;
-        let mut opt_delivered = 0u64;
-        for _ in 0..cfg.reps {
-            let mut s = base.clone();
-            par.apply(&mut s);
-            let mut buf = TickBuf::new();
-            let mut count = 0u64;
-            let t0 = Instant::now();
-            for t in 0..cfg.slots {
-                for k in 0..per_tick {
-                    s.subscribe(page_for(cfg, t * per_tick + k))
-                        .expect("page is published");
-                }
-                s.tick_into(&mut buf);
-                count += buf.deliveries().len() as u64;
+    let mut opt_best = f64::INFINITY;
+    let mut opt_delivered = 0u64;
+    for _ in 0..cfg.reps {
+        let mut s = base.clone();
+        let mut buf = TickBuf::new();
+        let mut count = 0u64;
+        let t0 = Instant::now();
+        for t in 0..cfg.slots {
+            for k in 0..per_tick {
+                s.subscribe(page_for(cfg, t * per_tick + k))
+                    .expect("page is published");
             }
-            opt_best = opt_best.min(t0.elapsed().as_secs_f64());
-            opt_delivered = count;
+            s.tick_into(&mut buf);
+            count += buf.deliveries().len() as u64;
         }
-        if opt_delivered != seed_delivered {
-            divergences.push(format!(
-                "delivery counts diverge at {subscribers} subscribers \
-                 (faulted={faulted}, parallelism={par}): \
-                 optimized {opt_delivered}, seed {seed_delivered}"
-            ));
-        }
-
-        // Full broadcast slot: same serving loop plus template-patched
-        // encoding through the broadcaster.
-        let mut slot_best = f64::INFINITY;
-        let mut crossover = None;
-        for _ in 0..cfg.reps {
-            let mut s = base.clone();
-            par.apply(&mut s);
-            let mut tx = SlotBroadcaster::new(fixed_payloads());
-            let mut buf = TickBuf::new();
-            let mut wire = BytesMut::with_capacity(8 * 1024);
-            let mut bytes = 0u64;
-            // Build the template cache before the clock starts: a deployed
-            // station pays that cost at plan-swap time, not per slot. An
-            // all-idle column touches no plan cell, so the warmup cannot
-            // drift however the plan looks. Mid-run invalidations (the
-            // faulted rows' fail/restore) still rebuild inside the timed
-            // region — that cost is real.
-            let idle_col = vec![None; usize::try_from(cfg.channels).expect("channel count fits")];
-            tx.encode_slot(&s, &idle_col, s.now(), &mut wire)
-                .expect("warmup slot encodes");
-            wire.clear();
-            let t0 = Instant::now();
-            for t in 0..cfg.slots {
-                for k in 0..per_tick {
-                    s.subscribe(page_for(cfg, t * per_tick + k))
-                        .expect("page is published");
-                }
-                s.tick_into(&mut buf);
-                wire.clear();
-                bytes += tx
-                    .encode_slot(&s, buf.on_air(), buf.time(), &mut wire)
-                    .expect("frames encode") as u64;
-            }
-            std::hint::black_box(bytes);
-            slot_best = slot_best.min(t0.elapsed().as_secs_f64());
-            if matches!(par, ParSetting::Auto(_)) {
-                crossover = Some(s.drain_crossover());
-            }
-        }
-
-        rows.push(ScaleResult {
-            subscribers,
-            faulted,
-            parallelism: par,
-            delivered: opt_delivered,
-            opt_tps: cfg.slots as f64 / opt_best,
-            ref_tps: cfg.slots as f64 / ref_best,
-            seed_tps: cfg.slots as f64 / seed_best,
-            opt_dps: opt_delivered as f64 / opt_best,
-            seed_dps: seed_delivered as f64 / seed_best,
-            full_slot_tps: cfg.slots as f64 / slot_best,
-            full_slot_fresh_tps: cfg.slots as f64 / fresh_slot_best,
-            crossover,
-        });
+        opt_best = opt_best.min(t0.elapsed().as_secs_f64());
+        opt_delivered = count;
     }
-    rows
+    if opt_delivered != seed_delivered {
+        divergences.push(format!(
+            "delivery counts diverge at {subscribers} subscribers (faulted={faulted}): \
+             optimized {opt_delivered}, seed {seed_delivered}"
+        ));
+    }
+
+    // Full broadcast slot: same serving loop plus template-patched
+    // encoding through the broadcaster.
+    let mut slot_best = f64::INFINITY;
+    for _ in 0..cfg.reps {
+        let mut s = base.clone();
+        let mut tx = SlotBroadcaster::new(fixed_payloads());
+        let mut buf = TickBuf::new();
+        let mut wire = BytesMut::with_capacity(8 * 1024);
+        let mut bytes = 0u64;
+        // Build the template cache before the clock starts: a deployed
+        // station pays that cost at plan-swap time, not per slot. An
+        // all-idle column touches no plan cell, so the warmup cannot
+        // drift however the plan looks. Mid-run invalidations (the
+        // faulted rows' fail/restore) still rebuild inside the timed
+        // region — that cost is real.
+        let idle_col = vec![None; usize::try_from(cfg.channels).expect("channel count fits")];
+        tx.encode_slot(&s, &idle_col, s.now(), &mut wire)
+            .expect("warmup slot encodes");
+        wire.clear();
+        let t0 = Instant::now();
+        for t in 0..cfg.slots {
+            for k in 0..per_tick {
+                s.subscribe(page_for(cfg, t * per_tick + k))
+                    .expect("page is published");
+            }
+            s.tick_into(&mut buf);
+            wire.clear();
+            bytes += tx
+                .encode_slot(&s, buf.on_air(), buf.time(), &mut wire)
+                .expect("frames encode") as u64;
+        }
+        std::hint::black_box(bytes);
+        slot_best = slot_best.min(t0.elapsed().as_secs_f64());
+    }
+
+    ScaleResult {
+        subscribers,
+        faulted,
+        delivered: opt_delivered,
+        opt_tps: cfg.slots as f64 / opt_best,
+        ref_tps: cfg.slots as f64 / ref_best,
+        seed_tps: cfg.slots as f64 / seed_best,
+        opt_dps: opt_delivered as f64 / opt_best,
+        seed_dps: seed_delivered as f64 / seed_best,
+        full_slot_tps: cfg.slots as f64 / slot_best,
+        full_slot_fresh_tps: cfg.slots as f64 / fresh_slot_best,
+    }
 }
 
 struct ObsOverhead {
@@ -1532,76 +1425,41 @@ fn main() {
     if scales.is_empty() {
         scales.push(max_subs.max(1));
     }
-    // Drain settings to exercise. `1` is always present: the lockstep
-    // gates sweep it as the base case and the serial timing row anchors
-    // the before/after curve. `auto` is a pool behind the crossover.
-    let mut pars: Vec<ParSetting> = extra
-        .iter()
-        .find(|(k, _)| k == "par")
-        .map_or("1,2,4,auto", |(_, v)| v.as_str())
-        .split(',')
-        .map(|s| {
-            let s = s.trim();
-            if s.eq_ignore_ascii_case("auto") {
-                ParSetting::Auto(AUTO_WORKERS)
-            } else {
-                ParSetting::Fixed(
-                    s.parse()
-                        .unwrap_or_else(|_| panic!("--par: bad value '{s}'")),
-                )
-            }
-        })
-        .collect();
-    if !pars.contains(&ParSetting::Fixed(1)) {
-        pars.push(ParSetting::Fixed(1));
-    }
-    pars.sort_unstable();
-    pars.dedup();
-
     let mut divergences: Vec<String> = Vec::new();
-    let par_labels = pars.iter().map(|p| p.label()).collect::<Vec<_>>().join(",");
     println!(
         "station_perf: {} channels, cycle {}, {} pages, {} serving slots, \
-         subscriber scales {scales:?}, drain settings [{par_labels}]\n",
+         subscriber scales {scales:?}\n",
         cfg.channels, cfg.cycle, cfg.pages, cfg.slots
     );
 
     let mut results: Vec<ScaleResult> = Vec::new();
     for faulted in [false, true] {
-        for &par in &pars {
-            reference_gate(&cfg, faulted, par, &mut divergences);
-            seed_gate(&cfg, faulted, par, &mut divergences);
-            obs_gate(&cfg, faulted, par, &mut divergences);
-            trace_gate(&cfg, faulted, par, &mut divergences);
-            recovery_gate(&cfg, faulted, par, &mut divergences);
-            template_gate(&cfg, faulted, par, &mut divergences);
-        }
+        reference_gate(&cfg, faulted, &mut divergences);
+        seed_gate(&cfg, faulted, &mut divergences);
+        obs_gate(&cfg, faulted, &mut divergences);
+        trace_gate(&cfg, faulted, &mut divergences);
+        recovery_gate(&cfg, faulted, &mut divergences);
+        template_gate(&cfg, faulted, &mut divergences);
         for &scale in &scales {
-            for r in time_scale(&cfg, faulted, scale, &pars, &mut divergences) {
-                println!(
-                    "{} subscribers ({}, par {}): {:.0} ticks/s vs seed {:.0} \
-                     ({:.1}x, reference {:.0}), {:.0} vs {:.0} deliveries/s, {} delivered; \
-                     full slot {:.0}/s vs fresh {:.0}/s ({:.1}x){}",
-                    r.subscribers,
-                    if faulted { "faulted" } else { "clean" },
-                    r.parallelism,
-                    r.opt_tps,
-                    r.seed_tps,
-                    r.speedup_vs_seed(),
-                    r.ref_tps,
-                    r.opt_dps,
-                    r.seed_dps,
-                    r.delivered,
-                    r.full_slot_tps,
-                    r.full_slot_fresh_tps,
-                    r.full_slot_speedup(),
-                    r.crossover
-                        .map_or(String::new(), |(pooled, serial)| format!(
-                            ", crossover {pooled} pooled / {serial} serial"
-                        ))
-                );
-                results.push(r);
-            }
+            let r = time_scale(&cfg, faulted, scale, &mut divergences);
+            println!(
+                "{} subscribers ({}): {:.0} ticks/s vs seed {:.0} \
+                 ({:.1}x, reference {:.0}), {:.0} vs {:.0} deliveries/s, {} delivered; \
+                 full slot {:.0}/s vs fresh {:.0}/s ({:.1}x)",
+                r.subscribers,
+                if faulted { "faulted" } else { "clean" },
+                r.opt_tps,
+                r.seed_tps,
+                r.speedup_vs_seed(),
+                r.ref_tps,
+                r.opt_dps,
+                r.seed_dps,
+                r.delivered,
+                r.full_slot_tps,
+                r.full_slot_fresh_tps,
+                r.full_slot_speedup(),
+            );
+            results.push(r);
         }
         println!();
     }
@@ -1697,13 +1555,11 @@ fn main() {
         encode.templates
     );
 
-    // Headline: the un-faulted serial serving-loop ratio at the largest
-    // scale up to 100k subscribers (the acceptance operating point) —
-    // pinned to parallelism 1 so the number stays comparable across runs
-    // regardless of the --par sweep.
+    // Headline: the un-faulted serving-loop ratio at the largest scale up
+    // to 100k subscribers (the acceptance operating point).
     let headline = results
         .iter()
-        .rfind(|r| !r.faulted && r.parallelism == ParSetting::Fixed(1) && r.subscribers <= 110_000)
+        .rfind(|r| !r.faulted && r.subscribers <= 110_000)
         .map_or(f64::NAN, ScaleResult::speedup_vs_seed);
     println!("headline serving-loop speedup vs seed: {headline:.1}x");
 
@@ -1713,18 +1569,16 @@ fn main() {
             format!(
                 concat!(
                     "    {{\"subscribers\": {subs}, \"faulted\": {faulted}, ",
-                    "\"parallelism\": {par}, ",
                     "\"optimized_ticks_per_sec\": {o_tps}, \"seed_ticks_per_sec\": {s_tps}, ",
                     "\"reference_ticks_per_sec\": {r_tps}, \"speedup_vs_seed\": {speed}, ",
                     "\"optimized_deliveries_per_sec\": {o_dps}, ",
                     "\"seed_deliveries_per_sec\": {s_dps}, \"delivered\": {n}, ",
                     "\"full_slot_ticks_per_sec\": {fs_tps}, ",
                     "\"full_slot_fresh_ticks_per_sec\": {fs_fresh}, ",
-                    "\"full_slot_speedup\": {fs_x}, \"crossover\": {cross}}}"
+                    "\"full_slot_speedup\": {fs_x}}}"
                 ),
                 subs = r.subscribers,
                 faulted = r.faulted,
-                par = r.parallelism.json(),
                 o_tps = json_f(r.opt_tps),
                 s_tps = json_f(r.seed_tps),
                 r_tps = json_f(r.ref_tps),
@@ -1735,9 +1589,6 @@ fn main() {
                 fs_tps = json_f(r.full_slot_tps),
                 fs_fresh = json_f(r.full_slot_fresh_tps),
                 fs_x = json_f(r.full_slot_speedup()),
-                cross = r.crossover.map_or("null".to_string(), |(pooled, serial)| {
-                    format!("{{\"pooled\": {pooled}, \"serial\": {serial}}}")
-                }),
             )
         })
         .collect::<Vec<_>>()
@@ -1747,8 +1598,7 @@ fn main() {
             "{{\n",
             "  \"bench\": \"station_perf\",\n",
             "  \"config\": {{\"channels\": {ch}, \"cycle\": {cy}, \"pages\": {pg}, ",
-            "\"serving_slots\": {sl}, \"reps\": {reps}, \"seed\": {seed}, ",
-            "\"parallelism\": {pars}}},\n",
+            "\"serving_slots\": {sl}, \"reps\": {reps}, \"seed\": {seed}}},\n",
             "  \"scales\": [\n{entries}\n  ],\n",
             "  \"encode\": {{\"slots\": {e_n}, \"bytes_per_slot\": {e_b}, ",
             "\"channels\": {e_ch}, \"payload_bytes\": {e_pb}, \"templates\": {e_t}, ",
@@ -1767,10 +1617,6 @@ fn main() {
         sl = cfg.slots,
         reps = cfg.reps,
         seed = cfg.seed,
-        pars = format!(
-            "[{}]",
-            pars.iter().map(|p| p.json()).collect::<Vec<_>>().join(", ")
-        ),
         entries = entries,
         e_n = encode.slots,
         e_b = encode.bytes_per_slot,

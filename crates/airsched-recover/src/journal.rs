@@ -225,6 +225,24 @@ impl JournalRecord {
         out.extend_from_slice(&crc.to_le_bytes());
         out
     }
+
+    /// Decodes the framed entry at the front of `bytes`, returning the
+    /// record and the frame's length. `None` when the front is not one
+    /// whole, CRC-valid, well-formed frame — a torn or corrupt tail, or a
+    /// CRC-valid body of an unknown shape.
+    #[must_use]
+    pub fn decode_framed(bytes: &[u8]) -> Option<(Self, usize)> {
+        let len_bytes: [u8; 2] = bytes.get(..2)?.try_into().ok()?;
+        let len = usize::from(u16::from_le_bytes(len_bytes));
+        let frame = bytes.get(..len + 4)?;
+        let body = &frame[2..2 + len];
+        let stored = u16::from_le_bytes([frame[len + 2], frame[len + 3]]);
+        if crc16(&len_bytes, body) != stored {
+            return None;
+        }
+        let record = Self::decode_body(body).ok()?;
+        Some((record, frame.len()))
+    }
 }
 
 /// Append handle over a journal file. Records are written unbuffered so
@@ -314,28 +332,13 @@ pub fn read_journal(path: &Path) -> Result<JournalReadOutcome, RecoverError> {
         }
         Err(e) => return Err(RecoverError::Io(e)),
     };
+    // Stop at the first torn, corrupt or alien frame: the journal
+    // recovers to the last valid record.
     let mut records = Vec::new();
     let mut pos = 0usize;
-    while bytes.len() - pos >= 2 {
-        let len_bytes: [u8; 2] = bytes[pos..pos + 2].try_into().expect("2 bytes");
-        let len = u16::from_le_bytes(len_bytes) as usize;
-        let Some(frame_end) = pos.checked_add(2 + len + 2) else {
-            break;
-        };
-        if frame_end > bytes.len() {
-            break; // torn final frame
-        }
-        let body = &bytes[pos + 2..pos + 2 + len];
-        let stored =
-            u16::from_le_bytes(bytes[pos + 2 + len..frame_end].try_into().expect("2 bytes"));
-        if crc16(&len_bytes, body) != stored {
-            break; // corrupt frame: stop at the last valid record
-        }
-        let Ok(record) = JournalRecord::decode_body(body) else {
-            break; // CRC-valid but semantically alien: same policy
-        };
+    while let Some((record, used)) = JournalRecord::decode_framed(&bytes[pos..]) {
         records.push(record);
-        pos = frame_end;
+        pos += used;
     }
     Ok(JournalReadOutcome {
         records,

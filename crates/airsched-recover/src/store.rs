@@ -469,25 +469,6 @@ impl RecoverableStation {
         &self.station
     }
 
-    /// Sets the tick parallelism of the wrapped station (see
-    /// [`Station::parallelism`]). Pure execution configuration: it is
-    /// neither journaled nor checkpointed, ticks stay bit-identical for
-    /// every setting, and a resumed process picks its own value
-    /// independently of whatever the crashed process ran with.
-    pub fn parallelism(&mut self, k: u32) -> &mut Self {
-        self.station.parallelism(k);
-        self
-    }
-
-    /// Sets adaptive tick parallelism on the wrapped station (see
-    /// [`Station::parallelism_auto`]). Like [`Self::parallelism`] this is
-    /// pure execution configuration: never journaled or checkpointed, and
-    /// bit-identical to every other setting.
-    pub fn parallelism_auto(&mut self, k: u32, threshold: u64) -> &mut Self {
-        self.station.parallelism_auto(k, threshold);
-        self
-    }
-
     /// Current station clock.
     #[must_use]
     pub fn now(&self) -> u64 {

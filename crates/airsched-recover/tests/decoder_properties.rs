@@ -1,0 +1,325 @@
+//! Property tests for the durability decoders against hostile bytes:
+//! [`Checkpoint::decode`], journal frame decoding
+//! ([`JournalRecord::decode_framed`]) and [`read_journal`] on arbitrary
+//! file contents. Each decoder is held to three properties:
+//!
+//! 1. it never panics, whatever the bytes;
+//! 2. it never sizes an allocation from an untrusted length field — a
+//!    sequence length must fit in the bytes actually present (the
+//!    [`ByteReader::seq_len`] guard). A length field inflated towards
+//!    `u32::MAX` would otherwise ask for tens of gigabytes and abort the
+//!    test process;
+//! 3. any input it accepts re-encodes to exactly the same bytes.
+//!
+//! Checkpoints and journal records are CRC-framed, so random bytes almost
+//! never reach the body parsers. The mutation tests therefore re-frame
+//! every mutated body with a correct length and CRC before decoding it.
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+
+use proptest::prelude::*;
+
+use airsched_core::types::{ChannelId, PageId};
+use airsched_proto::crc16;
+use airsched_recover::codec::ByteReader;
+use airsched_recover::{read_journal, Checkpoint, JournalRecord};
+use airsched_server::faults::{FaultEvent, FaultPlan};
+use airsched_server::station::Mode;
+use airsched_server::Station;
+
+/// Checkpoint header: magic (4), version (2), body length (4).
+const HEADER_LEN: usize = 10;
+
+/// A real checkpoint that exercises every section of the format: a fault
+/// plan with a script, a degraded plan, parked waiters, health windows
+/// and a pending channel event.
+fn valid_checkpoint() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let plan = FaultPlan::seeded(12)
+            .with_outage(0.05)
+            .with_recovery(0.2)
+            .with_stalls(0.02)
+            .with_corruption(0.08)
+            .with_script(vec![FaultEvent::Down {
+                at: 10,
+                channel: ChannelId::new(0),
+            }]);
+        let mut s = Station::with_faults(3, 8, &plan).expect("station builds");
+        for (page, expected) in [(0, 2), (1, 4), (2, 8), (3, 8)] {
+            s.publish(PageId::new(page), expected).expect("publishes");
+        }
+        for t in 0..40u32 {
+            s.subscribe(PageId::new(t % 4)).expect("subscribes");
+            s.tick();
+        }
+        s.subscribe(PageId::new(3)).expect("subscribes");
+        s.fail_channel(ChannelId::new(2));
+        Checkpoint {
+            journal_skip: 17,
+            snapshot: s.snapshot(),
+            fault_plan: Some(plan),
+        }
+        .encode()
+    })
+}
+
+/// Wraps `body` in a checkpoint frame with a correct length and CRC, so
+/// the body parser — not the frame check — sees the bytes.
+fn frame_checkpoint(body: &[u8]) -> Vec<u8> {
+    let mut out = valid_checkpoint()[..6].to_vec();
+    out.extend_from_slice(&u32::try_from(body.len()).expect("small").to_le_bytes());
+    out.extend_from_slice(body);
+    let crc = crc16(&out[..HEADER_LEN], body);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// Wraps `body` in a journal frame with a correct length and CRC.
+fn frame_record(body: &[u8]) -> Vec<u8> {
+    let len = u16::try_from(body.len()).expect("small").to_le_bytes();
+    let mut out = len.to_vec();
+    out.extend_from_slice(body);
+    out.extend_from_slice(&crc16(&len, body).to_le_bytes());
+    out
+}
+
+/// Decodes a checkpoint frame; an accepted one must re-encode exactly.
+fn check_checkpoint(bytes: &[u8]) {
+    if let Ok(ck) = Checkpoint::decode(bytes) {
+        assert_eq!(
+            ck.encode(),
+            bytes,
+            "accepted checkpoint re-encodes differently"
+        );
+    }
+}
+
+/// Decodes a journal frame; an accepted one must re-encode exactly.
+fn check_record(bytes: &[u8]) {
+    if let Some((record, used)) = JournalRecord::decode_framed(bytes) {
+        assert_eq!(
+            record.encode_framed(),
+            &bytes[..used],
+            "accepted record re-encodes differently"
+        );
+    }
+}
+
+/// One in-place edit of a byte string.
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    /// XOR one byte with a non-zero mask.
+    Flip(prop::sample::Index, u8),
+    /// Overwrite up to four bytes with a little-endian `u32`.
+    Overwrite(prop::sample::Index, u32),
+    /// Insert one byte.
+    Insert(prop::sample::Index, u8),
+    /// Delete one byte.
+    Delete(prop::sample::Index),
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        (any::<prop::sample::Index>(), 1u8..=255).prop_map(|(i, m)| Mutation::Flip(i, m)),
+        (any::<prop::sample::Index>(), any::<u32>()).prop_map(|(i, v)| Mutation::Overwrite(i, v)),
+        (any::<prop::sample::Index>(), any::<u8>()).prop_map(|(i, b)| Mutation::Insert(i, b)),
+        any::<prop::sample::Index>().prop_map(Mutation::Delete),
+    ]
+}
+
+fn mutate(bytes: &mut Vec<u8>, mutation: Mutation) {
+    if bytes.is_empty() {
+        if let Mutation::Insert(_, b) = mutation {
+            bytes.push(b);
+        }
+        return;
+    }
+    match mutation {
+        Mutation::Flip(i, mask) => {
+            let at = i.index(bytes.len());
+            bytes[at] ^= mask;
+        }
+        Mutation::Overwrite(i, v) => {
+            let at = i.index(bytes.len());
+            overwrite(bytes, at, v);
+        }
+        Mutation::Insert(i, b) => {
+            let at = i.index(bytes.len() + 1);
+            bytes.insert(at, b);
+        }
+        Mutation::Delete(i) => {
+            let at = i.index(bytes.len());
+            bytes.remove(at);
+        }
+    }
+}
+
+/// Overwrites up to four bytes from `at` with `v`, little endian.
+fn overwrite(bytes: &mut [u8], at: usize, v: u32) {
+    for (dst, src) in bytes[at..].iter_mut().zip(v.to_le_bytes()) {
+        *dst = src;
+    }
+}
+
+fn mode(byte: u8) -> Mode {
+    [Mode::Valid, Mode::Repacked, Mode::BestEffort, Mode::Offline][usize::from(byte % 4)]
+}
+
+fn arb_record() -> impl Strategy<Value = JournalRecord> {
+    prop_oneof![
+        (any::<u32>(), any::<u64>())
+            .prop_map(|(page, client)| JournalRecord::Subscribe { page, client }),
+        (any::<u32>(), any::<u64>())
+            .prop_map(|(page, expected)| JournalRecord::Publish { page, expected }),
+        any::<u32>().prop_map(|page| JournalRecord::Expire { page }),
+        any::<u32>().prop_map(|channel| JournalRecord::FailChannel { channel }),
+        any::<u32>().prop_map(|channel| JournalRecord::RestoreChannel { channel }),
+        any::<u64>().prop_map(|slot| JournalRecord::Tick { slot }),
+        (any::<u64>(), any::<u8>())
+            .prop_map(|(slot, m)| JournalRecord::ModeChange { slot, to: mode(m) }),
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
+            |(slot, delivered, on_time, total_wait)| JournalRecord::DeliveryDrain {
+                slot,
+                delivered,
+                on_time,
+                total_wait,
+            }
+        ),
+        (any::<u64>(), any::<u8>()).prop_map(|(slot, m)| JournalRecord::PlanSwap {
+            slot,
+            mode: mode(m)
+        }),
+    ]
+}
+
+/// A fresh path per call, so proptest cases never share a file.
+fn temp_journal() -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "airsched-decoder-props-{}-{}.bin",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
+/// Every 4-byte window of a real checkpoint body, overwritten with a
+/// length near `u32::MAX`: whichever windows hold sequence lengths, the
+/// guard must refuse them from the bytes present instead of reserving
+/// gigabytes, and nothing may panic.
+#[test]
+fn every_inflated_length_field_is_refused_without_allocating() {
+    let valid = valid_checkpoint();
+    let body = &valid[HEADER_LEN..valid.len() - 2];
+    assert_eq!(frame_checkpoint(body), valid, "re-framing is exact");
+    for at in 0..body.len() {
+        for huge in [u32::MAX, 0x8000_0000, 0x0100_0000] {
+            let mut inflated = body.to_vec();
+            overwrite(&mut inflated, at, huge);
+            check_checkpoint(&frame_checkpoint(&inflated));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The guard itself: a sequence length is only granted when that
+    /// many items of the stated minimum width fit in the bytes left.
+    #[test]
+    fn seq_len_never_promises_more_than_the_bytes_left(
+        bytes in prop::collection::vec(any::<u8>(), 0..64),
+        min_item in 0usize..32,
+    ) {
+        let mut r = ByteReader::new(&bytes);
+        if let Ok(len) = r.seq_len(min_item) {
+            prop_assert!(len * min_item.max(1) <= r.remaining());
+        }
+    }
+
+    /// Arbitrary bytes, raw and wrapped in a valid frame, never panic the
+    /// checkpoint decoder, and anything accepted re-encodes exactly.
+    #[test]
+    fn checkpoint_decode_survives_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        check_checkpoint(&bytes);
+        check_checkpoint(&frame_checkpoint(&bytes));
+    }
+
+    /// A real checkpoint body with a handful of flips, overwrites,
+    /// insertions and deletions, re-framed so the body parser sees it.
+    #[test]
+    fn mutated_checkpoints_fail_closed_or_round_trip(
+        mutations in prop::collection::vec(arb_mutation(), 1..6),
+    ) {
+        let valid = valid_checkpoint();
+        let mut body = valid[HEADER_LEN..valid.len() - 2].to_vec();
+        for m in mutations {
+            mutate(&mut body, m);
+        }
+        check_checkpoint(&frame_checkpoint(&body));
+    }
+
+    /// Arbitrary bytes never panic the journal frame decoder; CRC-valid
+    /// frames around arbitrary bodies reach the record parser, and every
+    /// accepted frame re-encodes exactly.
+    #[test]
+    fn journal_frames_survive_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..64),
+        kind in 0u8..10,
+        body in prop::collection::vec(any::<u8>(), 0..40),
+    ) {
+        check_record(&bytes);
+        let mut tagged = vec![kind];
+        tagged.extend_from_slice(&body);
+        check_record(&frame_record(&tagged));
+        check_record(&frame_record(&body));
+    }
+
+    /// Valid records with mutated bodies, re-framed with a correct CRC.
+    #[test]
+    fn mutated_journal_records_fail_closed_or_round_trip(
+        record in arb_record(),
+        mutations in prop::collection::vec(arb_mutation(), 1..4),
+    ) {
+        let framed = record.encode_framed();
+        prop_assert_eq!(
+            JournalRecord::decode_framed(&framed),
+            Some((record, framed.len()))
+        );
+        let mut body = framed[2..framed.len() - 2].to_vec();
+        for m in mutations {
+            mutate(&mut body, m);
+        }
+        check_record(&frame_record(&body));
+    }
+
+    /// `read_journal` over a valid prefix followed by arbitrary garbage:
+    /// no panic, the prefix survives, the split between valid and
+    /// dropped bytes covers the file, and the valid part re-encodes to
+    /// exactly the bytes it was read from.
+    #[test]
+    fn read_journal_survives_arbitrary_files(
+        prefix in prop::collection::vec(arb_record(), 0..6),
+        garbage in prop::collection::vec(any::<u8>(), 0..128),
+    ) {
+        let mut file = Vec::new();
+        for r in &prefix {
+            file.extend_from_slice(&r.encode_framed());
+        }
+        let prefix_bytes = file.len();
+        file.extend_from_slice(&garbage);
+        let path = temp_journal();
+        std::fs::write(&path, &file).expect("write journal");
+        let out = read_journal(&path).expect("a readable file never errors");
+        std::fs::remove_file(&path).ok();
+        prop_assert_eq!(&out.records[..prefix.len()], &prefix[..]);
+        prop_assert!(out.valid_bytes as usize >= prefix_bytes);
+        prop_assert_eq!(out.valid_bytes + out.dropped_bytes, file.len() as u64);
+        let reencoded: Vec<u8> = out.records.iter().flat_map(JournalRecord::encode_framed).collect();
+        prop_assert_eq!(&reencoded[..], &file[..out.valid_bytes as usize]);
+    }
+}

@@ -53,7 +53,6 @@
 
 pub mod faults;
 pub mod health;
-mod pool;
 pub mod station;
 pub mod transmit;
 mod waiting;

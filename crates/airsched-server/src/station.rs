@@ -73,7 +73,6 @@
 //! for the metric schema).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use airsched_core::bound::minimum_channels_for_times;
@@ -95,8 +94,7 @@ use crate::health::{
 };
 use airsched_trace::{Phase, SloTracker, SlotTrace, SpanKind, SpanRec, Trace};
 
-use crate::pool::{ChunkDrainTime, DrainPool};
-use crate::waiting::{DrainDelta, DrainReq, WaitingSet, SHARD_COUNT};
+use crate::waiting::{DrainDelta, WaitingSet};
 
 /// A hook that mutates replan candidates before the lint gate sees them —
 /// the chaos-engineering analogue of the [`FaultInjector`]: it simulates a
@@ -524,9 +522,6 @@ const STAGE_REPACK: usize = 0;
 const STAGE_PAMAD: usize = 1;
 const STAGE_SOLVE: usize = 2;
 
-/// Drain path labels for `airsched_station_drain_ticks_total`.
-const DRAIN_PATH_NAMES: [&str; 2] = ["pooled", "serial"];
-
 /// Health-transition labels indexed by [`transition_index`].
 const TRANSITION_NAMES: [&str; 4] = ["down", "up", "degraded", "healthy"];
 
@@ -571,9 +566,6 @@ struct StationObs {
     /// Re-pack candidates the difference-constraint solver rejected
     /// under deep verify.
     solve_rejections: Counter,
-    /// Ticks through the parallel drain by path taken at the crossover:
-    /// `[pooled, serial]`, mirrored from [`Station`]'s crossover tallies.
-    drain_ticks: [Counter; 2],
     /// Waiting-set shard compactions, summed across shards.
     compactions: Counter,
     /// Bytes held by the waiting-set deadline arenas.
@@ -631,12 +623,6 @@ impl StationObs {
                 reg.counter("airsched_replan_evals_total", &[("stage", STAGE_NAMES[i])])
             }),
             solve_rejections: reg.counter("airsched_station_solve_rejections_total", &[]),
-            drain_ticks: core::array::from_fn(|i| {
-                reg.counter(
-                    "airsched_station_drain_ticks_total",
-                    &[("path", DRAIN_PATH_NAMES[i])],
-                )
-            }),
             compactions: reg.counter("airsched_waiting_compactions_total", &[]),
             arena_bytes: reg.gauge("airsched_waiting_arena_bytes", &[]),
             waiting: reg.gauge("airsched_station_waiting", &[]),
@@ -689,13 +675,11 @@ impl StationObs {
     }
 
     /// Mirrors the auxiliary single-writer series that live outside
-    /// [`StationStats`]: the drain crossover tallies, waiting-set shard
-    /// compactions, and arena footprint. Same relaxed-store discipline as
+    /// [`StationStats`]: waiting-set shard compactions and arena
+    /// footprint. Same relaxed-store discipline as
     /// [`StationObs::sync_tick`]; split out so the stats-only callers
     /// keep their signature.
-    fn sync_aux(&self, crossover: (u64, u64), compactions: u64, arena_bytes: u64) {
-        self.drain_ticks[0].store(crossover.0);
-        self.drain_ticks[1].store(crossover.1);
+    fn sync_aux(&self, compactions: u64, arena_bytes: u64) {
         self.compactions.store(compactions);
         self.arena_bytes.set(arena_bytes);
     }
@@ -737,8 +721,6 @@ struct StationTrace {
     /// `mem::take` at tick start so the borrow of `self` stays free;
     /// empty on unsampled ticks.
     marks: Vec<Instant>,
-    /// Per-chunk drain times collected from the pool on sampled ticks.
-    chunks: Vec<ChunkDrainTime>,
 }
 
 impl StationTrace {
@@ -747,7 +729,6 @@ impl StationTrace {
             trace: trace.clone(),
             slo: SloTracker::new(trace.config().slo),
             marks: Vec::with_capacity(8),
-            chunks: Vec::new(),
         }
     }
 }
@@ -786,33 +767,11 @@ pub struct Station {
     /// DESIGN.md §12). Spans are emptied in place rather than freed, so
     /// steady-state ticking reuses their capacity.
     waits: WaitingSet,
-    /// Shard workers `tick_into`'s drain phase fans out to; 1 = serial.
-    /// Execution configuration, not serving state: never snapshotted,
-    /// and the output stream is bit-identical at every setting.
-    parallelism: u32,
-    /// Persistent parked workers backing `parallelism >= 2`; `None`
-    /// while serial. Clones of a parallel station share the pool (its
-    /// submit lock serializes their drains). Execution configuration
-    /// like `parallelism`: never snapshotted.
-    pool: Option<Arc<DrainPool>>,
-    /// When set, each tick estimates its drain work and takes the
-    /// serial path below `par_threshold` instead of paying the pool
-    /// handoff.
-    par_auto: bool,
-    /// Minimum [`WaitingSet::pending_for`] estimate that justifies the
-    /// pool handoff under `par_auto`.
-    par_threshold: u64,
-    /// `(pooled, serial)` tick counts under the crossover. Diagnostics
-    /// only — deliberately outside [`StationStats`], which the
-    /// bit-identity gates compare across parallelism settings.
-    crossover: (u64, u64),
     /// Bumped whenever the effective on-air grid may change (publish,
     /// expire, any ladder re-evaluation); frame-template caches key
     /// their validity on it. Not snapshotted: a restored station
     /// restarts at 0 with a fresh [`crate::SlotBroadcaster`].
     plan_epoch: u64,
-    /// Reusable request buffer for the parallel drain path.
-    drain_reqs: Vec<DrainReq>,
     next_client: u64,
     stats: StationStats,
     /// Physical channel up/down state; length is the configured count.
@@ -829,14 +788,14 @@ pub struct Station {
     corruptor: Option<PlanCorruptor>,
     /// When on, every re-pack candidate is additionally certified by the
     /// difference-constraint solver (see the pre-swap gate docs above).
-    /// Execution configuration like `parallelism`: never snapshotted.
+    /// Execution configuration, not serving state: never snapshotted.
     deep_verify: bool,
     /// Optional observability wiring; `None` keeps the exact
     /// uninstrumented behavior.
     obs: Option<StationObs>,
     /// Optional intra-slot tracing wiring; `None` skips even the dormant
     /// phase-boundary branches. Execution configuration like
-    /// `parallelism`: never snapshotted.
+    /// `deep_verify`: never snapshotted.
     trace: Option<StationTrace>,
 }
 
@@ -852,13 +811,7 @@ impl Station {
             scheduler: OnlineScheduler::new(channels, cycle)?,
             time: 0,
             waits: WaitingSet::new(),
-            parallelism: 1,
-            pool: None,
-            par_auto: false,
-            par_threshold: Self::AUTO_DRAIN_THRESHOLD,
-            crossover: (0, 0),
             plan_epoch: 0,
-            drain_reqs: Vec::new(),
             next_client: 0,
             stats: StationStats::default(),
             channel_up: vec![true; channels as usize],
@@ -895,11 +848,7 @@ impl Station {
         wired.base_wait = self.stats.total_wait;
         wired.mode.set(self.mode.index() as u64);
         wired.sync_full(&self.stats, u64::from(self.channels_up()));
-        wired.sync_aux(
-            self.crossover,
-            self.waits.compactions(),
-            self.waits.arena_bytes(),
-        );
+        wired.sync_aux(self.waits.compactions(), self.waits.arena_bytes());
         self.obs = Some(wired);
     }
 
@@ -1140,73 +1089,6 @@ impl Station {
         self.next_client += 1;
         self.stats.waiting += 1;
         Ok(id)
-    }
-
-    /// Default [`Station::parallelism_auto`] crossover: ticks whose
-    /// estimated drain work (the waiting-entry count on the pages
-    /// actually draining) is below this many entries drain serially
-    /// instead of paying the pool handoff.
-    pub const AUTO_DRAIN_THRESHOLD: u64 = 4096;
-
-    /// Sets how many threads the drain phase of [`Station::tick_into`]
-    /// fans out to. `k = 1` (the default) drains serially on the calling
-    /// thread and tears down any worker pool; `2 ≤ k ≤ 16` builds a
-    /// persistent pool of `k - 1` condvar-parked workers (the calling
-    /// thread is the `k`th), reused every tick — the thread cost is paid
-    /// here, once, not per slot. Values are clamped to that range, and
-    /// re-setting the same `k` keeps the existing pool.
-    ///
-    /// The produced [`TickOutcome`] stream, every statistic, and every
-    /// subsequent [`Station::snapshot`] are **bit-identical** for every
-    /// setting — `k` trades latency for cores, never behavior — and the
-    /// setting itself is execution configuration: it is not captured in
-    /// snapshots, and a restored station starts back at 1.
-    pub fn parallelism(&mut self, k: u32) -> &mut Self {
-        let k = k.clamp(1, SHARD_COUNT as u32);
-        self.parallelism = k;
-        self.par_auto = false;
-        if k >= 2 {
-            let rebuild = match &self.pool {
-                Some(pool) => pool.k() != k as usize,
-                None => true,
-            };
-            if rebuild {
-                self.pool = Some(Arc::new(DrainPool::new(k as usize)));
-            }
-        } else {
-            self.pool = None;
-        }
-        self
-    }
-
-    /// Like [`Station::parallelism`], but with a per-tick crossover:
-    /// each tick estimates its drain work (the waiting-entry count on
-    /// the pages draining) and only routes through the pool when the
-    /// estimate reaches `threshold` waiting entries — below it the
-    /// tick drains serially on the calling thread, so small-backlog
-    /// stations never pay the handoff that made every fixed `--par > 1`
-    /// setting a regression at small scale. The output stream is
-    /// bit-identical either way; [`Station::drain_crossover`] reports
-    /// which side each tick took. `k = 1` disables both the pool and the
-    /// crossover.
-    pub fn parallelism_auto(&mut self, k: u32, threshold: u64) -> &mut Self {
-        self.parallelism(k);
-        if self.parallelism >= 2 {
-            self.par_auto = true;
-            self.par_threshold = threshold;
-        }
-        self
-    }
-
-    /// `(pooled, serial)` tick counts since the last parallelism change:
-    /// how many ticks routed the drain through the pool vs. stayed
-    /// serial (under [`Station::parallelism_auto`]'s crossover, or
-    /// `k = 1`). Diagnostics only — deliberately outside
-    /// [`StationStats`] so stats stay comparable across parallelism
-    /// settings.
-    #[must_use]
-    pub fn drain_crossover(&self) -> (u64, u64) {
-        self.crossover
     }
 
     /// A counter that moves whenever the effective on-air grid may have
@@ -1580,17 +1462,14 @@ impl Station {
         // Intra-slot tracing: `trace_epoch` is `Some` only on sampled
         // slots, and only then do the boundary marks below read the
         // clock — an unsampled tick pays one dormant branch per
-        // boundary. The scratch vectors are taken out of the tracer so
-        // the rest of the tick can borrow `self` freely; they are handed
-        // back (capacity intact) when the tree is committed.
+        // boundary. The scratch vector is taken out of the tracer so the
+        // rest of the tick can borrow `self` freely; it is handed back
+        // (capacity intact) when the tree is committed.
         let mut trace_marks = Vec::new();
-        let mut trace_chunks = Vec::new();
         let trace_epoch = match &mut self.trace {
             Some(t) if t.trace.sample_due(self.time) => {
                 trace_marks = std::mem::take(&mut t.marks);
-                trace_chunks = std::mem::take(&mut t.chunks);
                 trace_marks.clear();
-                trace_chunks.clear();
                 trace_marks.push(Instant::now());
                 Some(t.trace.epoch())
             }
@@ -1724,69 +1603,19 @@ impl Station {
         // (client, since) columns and reports one `DrainDelta` per page
         // instead of six stat read-modify-writes per waiter; spans are
         // emptied in place so their capacity is reused.
-        let delta = if self.parallelism >= 2 {
-            // Pooled drain: requests in ascending channel order, results
-            // merged back in that same order — bit-identical to serial.
-            // The request buffer is owned by the station so steady-state
-            // ticks reuse its capacity.
-            self.drain_reqs.clear();
-            for ch in 0..configured {
-                if buf.corrupted[ch] {
-                    continue;
-                }
-                if let Some(page) = buf.on_air[ch] {
-                    self.drain_reqs.push(DrainReq {
-                        page,
-                        idx: page.index() as usize,
-                    });
-                }
+        let mut delta = DrainDelta::default();
+        for ch in 0..configured {
+            if buf.corrupted[ch] {
+                continue;
             }
-            let pooled =
-                !self.par_auto || self.waits.pending_for(&self.drain_reqs) >= self.par_threshold;
-            if pooled {
-                self.crossover.0 += 1;
-                let pool = self.pool.clone().expect("parallelism >= 2 keeps a pool");
-                let times = trace_epoch.map(|epoch| (epoch, &mut trace_chunks));
-                self.waits.drain_pooled(
-                    &mut self.drain_reqs,
-                    self.time,
-                    &pool,
-                    &mut buf.deliveries,
-                    times,
-                )
-            } else {
-                // Below the crossover the handoff would cost more than it
-                // buys: drain the same requests serially, in the same
-                // order — the two sides are bit-identical by the pooled
-                // lockstep tests.
-                self.crossover.1 += 1;
-                let mut delta = DrainDelta::default();
-                for req in &self.drain_reqs {
-                    delta.merge(self.waits.drain_page(
-                        req.idx,
-                        req.page,
-                        self.time,
-                        &mut buf.deliveries,
-                    ));
-                }
-                delta
-            }
-        } else {
-            let mut delta = DrainDelta::default();
-            for ch in 0..configured {
-                if buf.corrupted[ch] {
-                    continue;
-                }
-                let Some(page) = buf.on_air[ch] else { continue };
-                delta.merge(self.waits.drain_page(
-                    page.index() as usize,
-                    page,
-                    self.time,
-                    &mut buf.deliveries,
-                ));
-            }
-            delta
-        };
+            let Some(page) = buf.on_air[ch] else { continue };
+            delta.merge(self.waits.drain_page(
+                page.index() as usize,
+                page,
+                self.time,
+                &mut buf.deliveries,
+            ));
+        }
         if trace_epoch.is_some() {
             trace_marks.push(Instant::now()); // drain end
         }
@@ -1870,21 +1699,16 @@ impl Station {
                 self.mode.index(),
                 self.channel_up.iter().filter(|&&u| u).count() as u64,
             );
-            o.sync_aux(
-                self.crossover,
-                self.waits.compactions(),
-                self.waits.arena_bytes(),
-            );
+            o.sync_aux(self.waits.compactions(), self.waits.arena_bytes());
         }
 
         // Sampled slot: close the pipeline, assemble the preorder span
-        // tree (chunk spans nest under the drain phase), and fold it
-        // into the tracer — one lock for the whole slot.
+        // tree, and fold it into the tracer — one lock for the whole slot.
         if let Some(epoch) = trace_epoch {
             trace_marks.push(Instant::now()); // sync end
             let ns = |i: Instant| i.duration_since(epoch).as_nanos() as u64;
             let slot = buf.time;
-            let mut spans = Vec::with_capacity(6 + trace_chunks.len());
+            let mut spans = Vec::with_capacity(6);
             spans.push(SpanRec {
                 kind: SpanKind::Slot(slot),
                 depth: 0,
@@ -1905,19 +1729,10 @@ impl Station {
                     start_ns: ns(trace_marks[i]),
                     dur_ns: ns(trace_marks[i + 1]) - ns(trace_marks[i]),
                 });
-                if phase == Phase::Drain {
-                    spans.extend(trace_chunks.iter().map(|c| SpanRec {
-                        kind: SpanKind::Chunk(c.chunk),
-                        depth: 2,
-                        start_ns: c.start_ns,
-                        dur_ns: c.dur_ns,
-                    }));
-                }
             }
             let t = self.trace.as_mut().expect("sampled tick keeps its tracer");
             t.trace.commit_slot(SlotTrace { slot, spans });
             t.marks = trace_marks;
-            t.chunks = trace_chunks;
         }
     }
 
@@ -2175,13 +1990,7 @@ impl Station {
             scheduler: OnlineScheduler::from_snapshot(&snapshot.scheduler)?,
             time: snapshot.time,
             waits: WaitingSet::restore(&snapshot.expected, &snapshot.waiting),
-            parallelism: 1,
-            pool: None,
-            par_auto: false,
-            par_threshold: Self::AUTO_DRAIN_THRESHOLD,
-            crossover: (0, 0),
             plan_epoch: 0,
-            drain_reqs: Vec::new(),
             next_client: snapshot.next_client,
             stats: snapshot.stats,
             channel_up: snapshot.channel_up.clone(),
@@ -3093,10 +2902,6 @@ mod tests {
         original.publish(PageId::new(0), 2).unwrap();
         original.publish(PageId::new(1), 4).unwrap();
         original.publish(PageId::new(2), 8).unwrap();
-        // The original drains on 4 scoped workers; the snapshot it takes
-        // must not remember that (parallelism is execution configuration,
-        // never state).
-        original.parallelism(4);
         // Drive it into the interesting regime: mid-chaos, clients
         // waiting, health windows partially filled.
         for t in 0..150u64 {
@@ -3108,17 +2913,13 @@ mod tests {
             original.tick();
         }
         let snap = original.snapshot();
-        // The twin restores at the default serial setting and later
-        // re-shards differently — the continuation must stay bit-identical
-        // through all of it, including fresh subscriptions on both sides.
+        // The continuation must stay bit-identical, including fresh
+        // subscriptions on both sides.
         let mut restored = Station::from_snapshot(&snap, Some(&plan)).unwrap();
         assert_eq!(restored.stats(), original.stats());
         assert_eq!(restored.mode(), original.mode());
         assert_eq!(restored.now(), original.now());
         for t in 150..400u64 {
-            if t == 260 {
-                restored.parallelism(7);
-            }
             if t % 4 == 0 {
                 let page = PageId::new(u32::try_from(t % 3).unwrap());
                 assert_eq!(
@@ -3171,15 +2972,14 @@ mod tests {
     }
 
     #[test]
-    fn trace_samples_span_trees_and_chunks() {
+    fn trace_samples_span_trees() {
         // Demand 1.5 channels keeps both transmitters busy, so the drain
-        // sees >= 2 requests per slot and the pooled path splits chunks.
+        // sees >= 2 requests per slot.
         let mut s = Station::new(2, 8).unwrap();
         s.publish(PageId::new(0), 2).unwrap();
         s.publish(PageId::new(1), 2).unwrap();
         s.publish(PageId::new(2), 4).unwrap();
         s.publish(PageId::new(3), 4).unwrap();
-        s.parallelism(4);
         let trace = every_slot_trace();
         s.attach_trace(&trace);
         assert!(s.trace().is_some());
@@ -3206,12 +3006,8 @@ mod tests {
                 phase.name()
             );
         }
-        assert!(
-            !snap.chunks.is_empty(),
-            "pooled drain must record chunk spans"
-        );
         let doc = trace.render_chrome(false);
-        for name in ["\"slot\"", "\"drain\"", "\"drain-chunk\""] {
+        for name in ["\"slot\"", "\"drain\""] {
             assert!(doc.contains(name), "chrome doc missing {name}: {doc}");
         }
     }

@@ -1,7 +1,7 @@
 //! Snapshot types and renderers for the `airsched top` dashboard.
 //!
 //! [`TraceSnapshot`] is a point-in-time copy of everything the tracer
-//! knows (phase histograms, chunk drains, SLO burn state); pairing it
+//! knows (phase histograms, SLO burn state); pairing it
 //! with a [`DashContext`] (station-level counters the tracer does not
 //! own) yields either an ANSI text frame or a JSON object for scripting.
 //! Rendering is pure — live-refresh escape codes are the caller's job.
@@ -27,31 +27,6 @@ pub struct PhaseSnap {
     pub recent: Vec<u64>,
 }
 
-/// Last sampled drain time for one pool chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkSnap {
-    /// Chunk index within the pool split.
-    pub chunk: u32,
-    /// Duration of its most recent sampled drain, nanoseconds.
-    pub last_ns: u64,
-}
-
-/// Shard-imbalance aggregate for one parallelism level.
-///
-/// Imbalance is `max / mean` of the per-chunk drain times within one
-/// sampled slot, in milli (1000 = perfectly balanced).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImbalanceSnap {
-    /// Number of chunks the drain split into (the parallelism level).
-    pub k: u32,
-    /// Imbalance of the most recent sampled slot at this level (milli).
-    pub last_milli: u64,
-    /// Worst imbalance seen at this level (milli).
-    pub max_milli: u64,
-    /// Sampled slots aggregated at this level.
-    pub samples: u64,
-}
-
 /// Point-in-time copy of the tracer's state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSnapshot {
@@ -73,10 +48,6 @@ pub struct TraceSnapshot {
     pub slo_burns: u64,
     /// Per-phase timing stats (only phases with data).
     pub phases: Vec<PhaseSnap>,
-    /// Last sampled per-chunk drain times, ascending chunk index.
-    pub chunks: Vec<ChunkSnap>,
-    /// Shard-imbalance aggregates, ascending parallelism.
-    pub imbalance: Vec<ImbalanceSnap>,
 }
 
 /// Station-level context the dashboard shows alongside the trace.
@@ -216,28 +187,6 @@ pub fn render_text(snap: &TraceSnapshot, ctx: &DashContext, color: bool) -> Stri
         ));
     }
 
-    if !snap.chunks.is_empty() {
-        let max = snap.chunks.iter().map(|c| c.last_ns).max().unwrap_or(1);
-        out.push_str("drain chunks (last sampled slot)\n");
-        for c in &snap.chunks {
-            out.push_str(&format!(
-                "  chunk {:<2} {:>8}  {}\n",
-                c.chunk,
-                fmt_ns(c.last_ns),
-                bar(c.last_ns, max, 16)
-            ));
-        }
-    }
-    for im in &snap.imbalance {
-        out.push_str(&format!(
-            "imbalance k={}  last {}  max {}  ({} samples)\n",
-            im.k,
-            burn(im.last_milli),
-            burn(im.max_milli),
-            im.samples
-        ));
-    }
-
     if !ctx.mode_tail.is_empty() {
         out.push_str("mode changes\n");
         for line in &ctx.mode_tail {
@@ -300,26 +249,6 @@ pub fn render_json(snap: &TraceSnapshot, ctx: &DashContext) -> String {
             p.max_ns
         ));
     }
-    out.push_str("],\"chunks\":[");
-    for (i, c) in snap.chunks.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"chunk\":{},\"last_ns\":{}}}",
-            c.chunk, c.last_ns
-        ));
-    }
-    out.push_str("],\"imbalance\":[");
-    for (i, im) in snap.imbalance.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"k\":{},\"last_milli\":{},\"max_milli\":{},\"samples\":{}}}",
-            im.k, im.last_milli, im.max_milli, im.samples
-        ));
-    }
     out.push_str("],\"mode_tail\":[");
     for (i, line) in ctx.mode_tail.iter().enumerate() {
         if i > 0 {
@@ -353,22 +282,6 @@ mod tests {
                 p95_ns: 2400,
                 max_ns: 9000,
                 recent: vec![1, 5, 3, 9],
-            }],
-            chunks: vec![
-                ChunkSnap {
-                    chunk: 0,
-                    last_ns: 800,
-                },
-                ChunkSnap {
-                    chunk: 1,
-                    last_ns: 400,
-                },
-            ],
-            imbalance: vec![ImbalanceSnap {
-                k: 2,
-                last_milli: 1330,
-                max_milli: 2100,
-                samples: 20,
             }],
         }
     }
@@ -415,8 +328,6 @@ mod tests {
             "slo",
             "burns 1",
             "drain",
-            "chunk 0",
-            "imbalance k=2",
             "mode changes",
         ] {
             assert!(frame.contains(needle), "missing {needle} in:\n{frame}");
@@ -433,8 +344,6 @@ mod tests {
             "\"mode\":\"Normal\"",
             "\"slo\":{\"fast_hit_milli\":996",
             "\"phases\":[{\"name\":\"drain\"",
-            "\"chunks\":[{\"chunk\":0",
-            "\"imbalance\":[{\"k\":2",
             "\"mode_tail\":[",
         ] {
             assert!(doc.contains(needle), "missing {needle} in {doc}");

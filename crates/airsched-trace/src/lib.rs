@@ -36,16 +36,14 @@ pub mod phase;
 pub mod slo;
 pub mod span;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use airsched_obs::hist::LogHistogram;
 
-pub use dash::{
-    render_json, render_text, ChunkSnap, DashContext, ImbalanceSnap, PhaseSnap, TraceSnapshot,
-};
+pub use dash::{render_json, render_text, DashContext, PhaseSnap, TraceSnapshot};
 pub use phase::{Phase, PHASE_COUNT};
 pub use slo::{SloBurnAlert, SloConfig, SloTracker};
 pub use span::{SlotRing, SlotTrace, SpanKind, SpanRec};
@@ -81,10 +79,6 @@ struct TraceState {
     phase_hist: Vec<LogHistogram>,
     phase_recent: Vec<VecDeque<u64>>,
     ring: SlotRing,
-    /// Per-chunk drain time of the most recent sampled pooled slot.
-    chunk_last: Vec<(u32, u64)>,
-    /// Per-parallelism imbalance: k -> (last_milli, max_milli, samples).
-    imbalance: BTreeMap<u32, (u64, u64, u64)>,
 }
 
 #[derive(Debug)]
@@ -129,8 +123,6 @@ impl Trace {
             phase_hist: vec![LogHistogram::new(); PHASE_COUNT],
             phase_recent: vec![VecDeque::with_capacity(RECENT_CAP); PHASE_COUNT],
             ring: SlotRing::new(config.ring_capacity),
-            chunk_last: Vec::new(),
-            imbalance: BTreeMap::new(),
         };
         Trace {
             inner: Arc::new(TraceInner {
@@ -168,47 +160,21 @@ impl Trace {
     }
 
     /// The instant span timestamps are measured from. Instrumented code
-    /// that clocks work on another thread (e.g. pooled drain chunks)
-    /// anchors its `Instant` reads here so the offsets line up with
-    /// [`Trace::now_ns`].
+    /// that reads its own `Instant`s anchors them here so the offsets
+    /// line up with [`Trace::now_ns`].
     #[must_use]
     pub fn epoch(&self) -> Instant {
         self.inner.epoch
     }
 
-    /// Folds a captured span tree into the histograms, chunk gauges,
-    /// imbalance aggregates, and ring.  One lock per sampled slot.
+    /// Folds a captured span tree into the phase histograms and the
+    /// ring.  One lock per sampled slot.
     pub fn commit_slot(&self, tree: SlotTrace) {
         let mut state = self.lock();
-        let mut chunk_sum = 0u64;
-        let mut chunk_max = 0u64;
-        let mut chunks = 0u32;
-        let mut chunk_scratch: Vec<(u32, u64)> = Vec::new();
         for span in &tree.spans {
-            match span.kind {
-                SpanKind::Phase(p) => {
-                    Self::note_phase(&mut state, p, span.dur_ns);
-                }
-                SpanKind::Chunk(c) => {
-                    chunk_sum += span.dur_ns;
-                    chunk_max = chunk_max.max(span.dur_ns);
-                    chunks += 1;
-                    chunk_scratch.push((c, span.dur_ns));
-                }
-                SpanKind::Slot(_) => {}
+            if let SpanKind::Phase(p) = span.kind {
+                Self::note_phase(&mut state, p, span.dur_ns);
             }
-        }
-        if chunks >= 2 {
-            let mean = (chunk_sum / u64::from(chunks)).max(1);
-            let imb = chunk_max * 1000 / mean;
-            let entry = state.imbalance.entry(chunks).or_insert((0, 0, 0));
-            entry.0 = imb;
-            entry.1 = entry.1.max(imb);
-            entry.2 += 1;
-        }
-        if !chunk_scratch.is_empty() {
-            chunk_scratch.sort_unstable_by_key(|&(c, _)| c);
-            state.chunk_last = chunk_scratch;
         }
         state.ring.push(tree);
         drop(state);
@@ -280,21 +246,6 @@ impl Trace {
                 })
             })
             .collect();
-        let chunks = state
-            .chunk_last
-            .iter()
-            .map(|&(chunk, last_ns)| ChunkSnap { chunk, last_ns })
-            .collect();
-        let imbalance = state
-            .imbalance
-            .iter()
-            .map(|(&k, &(last_milli, max_milli, samples))| ImbalanceSnap {
-                k,
-                last_milli,
-                max_milli,
-                samples,
-            })
-            .collect();
         drop(state);
         let i = &self.inner;
         // Ratios are derived here, on the read side, from the mirrored
@@ -326,8 +277,6 @@ impl Trace {
             slow_burn_milli: burn(slow_hit),
             slo_burns: i.burns.load(Ordering::Relaxed),
             phases,
-            chunks,
-            imbalance,
         }
     }
 
@@ -354,8 +303,8 @@ impl Trace {
 mod tests {
     use super::*;
 
-    fn tree(slot: u64, drain_ns: u64, chunks: &[u64]) -> SlotTrace {
-        let mut spans = vec![
+    fn tree(slot: u64, drain_ns: u64) -> SlotTrace {
+        let spans = vec![
             SpanRec {
                 kind: SpanKind::Slot(slot),
                 depth: 0,
@@ -369,14 +318,6 @@ mod tests {
                 dur_ns: drain_ns,
             },
         ];
-        for (i, &d) in chunks.iter().enumerate() {
-            spans.push(SpanRec {
-                kind: SpanKind::Chunk(i as u32),
-                depth: 2,
-                start_ns: 10,
-                dur_ns: d,
-            });
-        }
         SlotTrace { slot, spans }
     }
 
@@ -397,10 +338,10 @@ mod tests {
     }
 
     #[test]
-    fn commit_updates_histograms_and_imbalance() {
+    fn commit_updates_phase_histograms() {
         let t = Trace::default();
-        t.commit_slot(tree(0, 1000, &[300, 900]));
-        t.commit_slot(tree(32, 2000, &[500, 500]));
+        t.commit_slot(tree(0, 1000));
+        t.commit_slot(tree(32, 2000));
         let snap = t.snapshot();
         assert_eq!(snap.sampled, 2);
         let drain = snap
@@ -411,19 +352,12 @@ mod tests {
         assert_eq!(drain.count, 2);
         assert_eq!(drain.max_ns, 2000);
         assert_eq!(drain.recent, vec![1000, 2000]);
-        let im = &snap.imbalance[0];
-        assert_eq!(im.k, 2);
-        // First slot: mean 600, max 900 -> 1500 milli; second balanced.
-        assert_eq!(im.max_milli, 1500);
-        assert_eq!(im.last_milli, 1000);
-        assert_eq!(im.samples, 2);
-        assert_eq!(snap.chunks.len(), 2);
     }
 
     #[test]
     fn record_phase_reaches_ring_and_histogram() {
         let t = Trace::default();
-        t.commit_slot(tree(0, 500, &[]));
+        t.commit_slot(tree(0, 500));
         t.record_phase(0, Phase::Journal, 600, 50);
         t.record_phase(64, Phase::Checkpoint, 700, 90);
         let doc = t.render_chrome(true);

@@ -17,7 +17,7 @@ pub enum Phase {
     Faults = 0,
     /// On-air column materialization plus stall/corruption health scan.
     Air = 1,
-    /// Waiting-set drain (serial or pooled across shards).
+    /// Waiting-set drain of the slot's on-air pages.
     Drain = 2,
     /// Per-delivery deadline batch: wait histogram + miss events.
     Deadline = 3,

@@ -27,8 +27,6 @@ pub enum SpanKind {
     Slot(u64),
     /// One pipeline phase.
     Phase(Phase),
-    /// One `DrainPool` chunk drain (carries the chunk index).
-    Chunk(u32),
 }
 
 impl SpanKind {
@@ -38,18 +36,6 @@ impl SpanKind {
         match self {
             SpanKind::Slot(_) => "slot",
             SpanKind::Phase(p) => p.name(),
-            SpanKind::Chunk(_) => "drain-chunk",
-        }
-    }
-
-    /// The trace-event thread id: the slot pipeline runs on tid 1, each
-    /// drain chunk gets its own lane at `10 + chunk` so overlapping chunk
-    /// spans never interleave `B`/`E` pairs on one thread track.
-    #[must_use]
-    pub fn tid(self) -> u32 {
-        match self {
-            SpanKind::Slot(_) | SpanKind::Phase(_) => 1,
-            SpanKind::Chunk(c) => 10 + c,
         }
     }
 }
@@ -152,27 +138,16 @@ fn format_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
-fn push_event(
-    out: &mut String,
-    first: &mut bool,
-    name: &str,
-    ph: char,
-    ts_ns: u64,
-    tid: u32,
-    args: Option<(&str, u64)>,
-) {
-    if !*first {
-        out.push_str(",\n");
-    }
-    *first = false;
-    out.push_str("{\"name\":\"");
+/// Appends one event on the pipeline lane, after a separator (the
+/// thread-name metadata event always comes first).
+fn push_event(out: &mut String, name: &str, ph: char, ts_ns: u64, args: Option<(&str, u64)>) {
+    out.push_str(",\n{\"name\":\"");
     out.push_str(name);
     out.push_str("\",\"cat\":\"airsched\",\"ph\":\"");
     out.push(ph);
     out.push_str("\",\"ts\":");
     out.push_str(&format_us(ts_ns));
-    out.push_str(",\"pid\":1,\"tid\":");
-    out.push_str(&tid.to_string());
+    out.push_str(",\"pid\":1,\"tid\":1");
     if let Some((key, value)) = args {
         out.push_str(",\"args\":{\"");
         out.push_str(key);
@@ -217,7 +192,6 @@ fn span_args(kind: SpanKind) -> Option<(&'static str, u64)> {
     match kind {
         SpanKind::Slot(slot) => Some(("slot", slot)),
         SpanKind::Phase(_) => None,
-        SpanKind::Chunk(c) => Some(("chunk", u64::from(c))),
     }
 }
 
@@ -225,7 +199,6 @@ fn span_args(kind: SpanKind) -> Option<(&'static str, u64)> {
 /// index one past the emitted subtree run.
 fn emit_spans(
     out: &mut String,
-    first: &mut bool,
     spans: &[SpanRec],
     times: &[(u64, u64)],
     mut i: usize,
@@ -233,25 +206,9 @@ fn emit_spans(
 ) -> usize {
     while i < spans.len() && spans[i].depth == depth {
         let span = spans[i];
-        push_event(
-            out,
-            first,
-            span.kind.name(),
-            'B',
-            times[i].0,
-            span.kind.tid(),
-            span_args(span.kind),
-        );
-        let next = emit_spans(out, first, spans, times, i + 1, depth + 1);
-        push_event(
-            out,
-            first,
-            span.kind.name(),
-            'E',
-            times[i].1,
-            span.kind.tid(),
-            None,
-        );
+        push_event(out, span.kind.name(), 'B', times[i].0, span_args(span.kind));
+        let next = emit_spans(out, spans, times, i + 1, depth + 1);
+        push_event(out, span.kind.name(), 'E', times[i].1, None);
         i = next;
     }
     i
@@ -266,36 +223,10 @@ fn emit_spans(
 pub fn render_chrome(slots: &[SlotTrace], sample_every: u64, normalize: bool) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\"traceEvents\":[\n");
-    let mut first = true;
 
-    // Thread-name metadata: the pipeline lane plus one lane per chunk
-    // tid seen anywhere in the capture, in ascending tid order.
-    let mut tids: Vec<u32> = vec![1];
-    for tree in slots {
-        for span in &tree.spans {
-            let tid = span.kind.tid();
-            if !tids.contains(&tid) {
-                tids.push(tid);
-            }
-        }
-    }
-    tids.sort_unstable();
-    for tid in tids {
-        let label = if tid == 1 {
-            "slot-pipeline".to_string()
-        } else {
-            format!("drain-chunk-{}", tid - 10)
-        };
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
-        out.push_str(&tid.to_string());
-        out.push_str(",\"args\":{\"name\":\"");
-        out.push_str(&label);
-        out.push_str("\"}}");
-    }
+    // Every span runs on one lane, tid 1, named here.
+    out.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,");
+    out.push_str("\"args\":{\"name\":\"slot-pipeline\"}}");
 
     let mut counter = 0u64;
     for tree in slots {
@@ -303,7 +234,7 @@ pub fn render_chrome(slots: &[SlotTrace], sample_every: u64, normalize: bool) ->
         // A tree normally roots at depth 0, but a slot that only saw
         // out-of-station producers starts at depth 1 — emit from there.
         let base_depth = tree.spans.first().map_or(0, |s| s.depth);
-        emit_spans(&mut out, &mut first, &tree.spans, &times, 0, base_depth);
+        emit_spans(&mut out, &tree.spans, &times, 0, base_depth);
     }
 
     out.push_str("\n],\"displayTimeUnit\":\"ns\",\"otherData\":{\"sampleEvery\":");
@@ -335,7 +266,7 @@ mod tests {
                     dur_ns: 300,
                 },
                 SpanRec {
-                    kind: SpanKind::Chunk(0),
+                    kind: SpanKind::Phase(Phase::Deadline),
                     depth: 2,
                     start_ns: 160,
                     dur_ns: 100,
@@ -393,18 +324,18 @@ mod tests {
     #[test]
     fn chrome_events_balance_per_tid() {
         let doc = render_chrome(&[sample_tree(0), sample_tree(32)], 32, false);
-        for tid in ["\"tid\":1", "\"tid\":10"] {
-            let b = doc
-                .lines()
-                .filter(|l| l.contains("\"ph\":\"B\"") && l.contains(tid))
-                .count();
-            let e = doc
-                .lines()
-                .filter(|l| l.contains("\"ph\":\"E\"") && l.contains(tid))
-                .count();
-            assert_eq!(b, e, "unbalanced B/E on {tid}");
-            assert!(b > 0);
-        }
+        let count = |ph: &str| {
+            doc.lines()
+                .filter(|l| l.contains(ph) && l.contains("\"tid\":1"))
+                .count()
+        };
+        let b = count("\"ph\":\"B\"");
+        assert_eq!(
+            b,
+            count("\"ph\":\"E\""),
+            "unbalanced B/E on the pipeline lane"
+        );
+        assert_eq!(b, 8, "two trees of four spans each");
         assert!(doc.contains("\"displayTimeUnit\":\"ns\""));
     }
 
@@ -426,7 +357,8 @@ mod tests {
         let tree = sample_tree(0);
         let mut counter = 0;
         let times = span_times(&tree.spans, true, &mut counter);
-        // Root covers all descendants; chunk closes before drain.
+        // Root covers all descendants; a depth-2 child closes before its
+        // depth-1 parent.
         assert!(times[0].1 > times[3].1 - 1000);
         assert!(times[2].1 < times[1].1);
         assert!(times[1].1 < times[3].0);

@@ -135,50 +135,46 @@ fn crash_at_every_slot_recovers_bit_identically() {
     }
 }
 
-/// A station draining on scoped workers persists exactly the bytes its
-/// serial twin does — checkpoint and journal formats carry no trace of
-/// the shard count — and its crashed state resumes bit-identical to the
-/// never-crashed serial twin even when the resumed process picks yet
-/// another shard count. `Station::parallelism` is execution
-/// configuration, invisible to the durability layer.
+/// The persisted state is a pure function of the serving history: two
+/// independent runs of the same history, crashed at the same slot, leave
+/// byte-identical checkpoint and journal files — the 16-shard waiting-set
+/// layout and arena history never reach the disk — and the crashed state
+/// resumes bit-identical to the never-crashed twin.
 #[test]
 fn partitioned_station_checkpoints_and_recovers_like_its_serial_twin() {
     let (twin, twin_stats) = twin_outcomes();
     // Off the 8-slot checkpoint cadence so recovery replays a non-empty
     // journal tail on top of the slot-40 checkpoint.
     let crash_at = 43;
-    let doomed_run = |tag: &str, par: u32| {
-        let dir = state_dir(&format!("par-{tag}"));
+    let doomed_run = |tag: &str| {
+        let dir = state_dir(&format!("rerun-{tag}"));
         let opts = RecoveryOptions::new()
             .checkpoint_every(8)
             .with_crash(CrashInjector::at_slot(crash_at));
-        let mut station = fresh_station();
-        station.parallelism(par);
-        let mut run =
-            RecoverableStation::create(&dir, station, Some(plan()), opts).expect("create succeeds");
+        let mut run = RecoverableStation::create(&dir, fresh_station(), Some(plan()), opts)
+            .expect("create succeeds");
         assert_eq!(run_until_crash(&mut run), crash_at);
         drop(run); // the "process" dies; only the state directory survives
         dir
     };
-    let serial_dir = doomed_run("serial", 1);
-    let sharded_dir = doomed_run("sharded", 4);
+    let first_dir = doomed_run("first");
+    let second_dir = doomed_run("second");
 
     for file in [CHECKPOINT_FILE, JOURNAL_FILE] {
         assert_eq!(
-            fs::read(serial_dir.join(file)).expect("serial state file"),
-            fs::read(sharded_dir.join(file)).expect("sharded state file"),
-            "{file} differs between a serial and a sharded run"
+            fs::read(first_dir.join(file)).expect("first state file"),
+            fs::read(second_dir.join(file)).expect("second state file"),
+            "{file} differs between two runs of the same history"
         );
     }
 
     let (mut resumed, report) = RecoverableStation::resume(
-        &sharded_dir,
+        &second_dir,
         RecoveryOptions::new().checkpoint_every(8),
         None,
     )
     .expect("resume succeeds");
     assert_eq!(report.resumed_at, crash_at);
-    resumed.parallelism(3);
     for t in crash_at..SLOTS {
         // As in the crash sweep: slot `crash_at`'s subscription was
         // journaled before the crash, so replay already applied it.
@@ -191,12 +187,12 @@ fn partitioned_station_checkpoints_and_recovers_like_its_serial_twin() {
         assert_eq!(
             got,
             twin[usize::try_from(t).expect("small")],
-            "sharded recovery diverged from the serial twin at slot {t}"
+            "recovery diverged from the never-crashed twin at slot {t}"
         );
     }
     assert_eq!(resumed.stats(), twin_stats);
-    fs::remove_dir_all(&serial_dir).ok();
-    fs::remove_dir_all(&sharded_dir).ok();
+    fs::remove_dir_all(&first_dir).ok();
+    fs::remove_dir_all(&second_dir).ok();
 }
 
 #[test]

@@ -10,11 +10,7 @@
 //! * [`Station::tick_into`] driving one reused [`TickBuf`] must produce
 //!   exactly the same outcome stream, deliveries, events and statistics
 //!   as the allocating [`Station::tick`] and the retained seed-shaped
-//!   [`Station::tick_reference`], across randomized chaos fault scripts;
-//! * sharded drains behind [`Station::parallelism`] are execution
-//!   configuration, not behavior: across a shard-count sweep
-//!   `k ∈ {1, 2, 4, 7}` under the same chaos scripts, every count yields
-//!   the serial outcome stream bit-identically.
+//!   [`Station::tick_reference`], across randomized chaos fault scripts.
 
 use airsched_core::group::GroupLadder;
 use airsched_core::program::{BroadcastProgram, Occurrences};
@@ -236,52 +232,5 @@ proptest! {
         prop_assert_eq!(fresh.stats(), seed_shaped.stats());
         prop_assert_eq!(fresh.mode(), reused.mode());
         prop_assert_eq!(fresh.mode(), seed_shaped.mode());
-    }
-
-    /// Partitioned-SoA ticks are bit-identical across the shard-count
-    /// sweep: under the same chaos script and churn, a station draining
-    /// on `k` scoped workers produces exactly the serial outcome stream
-    /// — and the retained `tick_reference` agrees — for every `k`, with
-    /// final statistics and ladder mode to match. `parallelism` trades
-    /// latency for cores, never behavior.
-    #[test]
-    fn sharded_tick_matches_serial_for_every_k(chaos in arb_chaos()) {
-        let mut serial = chaos_station(&chaos);
-        serial.parallelism(1);
-        let mut seed_shaped = chaos_station(&chaos);
-        let mut sharded: Vec<(u32, Station, TickBuf)> = [2u32, 4, 7]
-            .into_iter()
-            .map(|k| {
-                let mut s = chaos_station(&chaos);
-                s.parallelism(k);
-                (k, s, TickBuf::new())
-            })
-            .collect();
-        let mut buf = TickBuf::new();
-        for t in 0..260u64 {
-            if t % chaos.churn == 0 {
-                let page = PageId::new(u32::try_from(t % 6).unwrap());
-                let a = serial.subscribe(page).unwrap();
-                prop_assert_eq!(a, seed_shaped.subscribe(page).unwrap());
-                for (_, s, _) in &mut sharded {
-                    prop_assert_eq!(a, s.subscribe(page).unwrap());
-                }
-            }
-            serial.tick_into(&mut buf);
-            let want = buf.to_outcome();
-            prop_assert_eq!(
-                &seed_shaped.tick_reference(), &want,
-                "tick_reference diverges at slot {}", t
-            );
-            for (k, s, kbuf) in &mut sharded {
-                s.tick_into(kbuf);
-                prop_assert_eq!(&kbuf.to_outcome(), &want, "k={} slot {}", k, t);
-            }
-        }
-        for (k, s, _) in &sharded {
-            prop_assert_eq!(serial.stats(), s.stats(), "stats diverge at k={}", k);
-            prop_assert_eq!(serial.mode(), s.mode(), "mode diverges at k={}", k);
-        }
-        prop_assert_eq!(serial.stats(), seed_shaped.stats());
     }
 }

@@ -97,7 +97,7 @@ fn traced_chaos_run_matches_plain_run() {
 }
 
 /// The rendered Chrome trace is structurally sound: every span that
-/// opens closes, pipeline and drain-chunk lanes are named, and the
+/// opens closes, the pipeline lane is named, and the
 /// metadata footer echoes the sampling period.
 #[test]
 fn chrome_trace_is_well_formed() {
