@@ -1,9 +1,8 @@
 //! Serving-path performance: drives faulted and un-faulted stations at
 //! 10k/100k/1M subscribers through the allocation-free
-//! [`Station::tick_into`] serving loop and two baselines — the retained
-//! bit-identical [`Station::tick_reference`], and a faithful replica of
-//! the pre-PR seed station (`BTreeMap`-keyed waiting lists, `BTreeMap`
-//! subscribe, allocating tick) rebuilt here from public APIs. It also
+//! [`Station::tick_into`] serving loop and one baseline, the seed replica
+//! in [`airsched_bench::seed`] (`BTreeMap`-keyed waiting lists, `BTreeMap`
+//! subscribe, allocating tick, rebuilt from public APIs). It also
 //! times table-driven frame encoding into one reused buffer against
 //! per-frame encoding, and measures the observability tax: an
 //! instrumented station (metrics registry + flight recorder attached) in
@@ -21,7 +20,7 @@
 //! an A/A noise floor, at 1.02x. Emits machine-readable `BENCH_station.json`
 //! (ticks/sec, deliveries/sec, bytes encoded/sec, obs and trace
 //! overhead) and **exits non-zero** if the optimized path diverges
-//! from either baseline — or the instrumented station from the plain
+//! from the seed replica — or the instrumented station from the plain
 //! one, the traced station from the plain one, or the recovered station
 //! from its twin — in any outcome, delivery or statistic, or if a
 //! tracing tax exceeds its ceiling. CI runs it as a correctness gate.
@@ -47,13 +46,10 @@
 //! (3) and `--out <path>` for the JSON file (default `BENCH_station.json`
 //! in the working directory).
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
+use airsched_bench::seed::SeedStation;
 use airsched_bench::{extra_num, parse_common_args};
-use airsched_core::bound::minimum_channels_for_times;
-use airsched_core::degrade;
-use airsched_core::dynamic::OnlineScheduler;
 use airsched_core::group::GroupLadder;
 use airsched_core::program::BroadcastProgram;
 use airsched_core::susc;
@@ -61,10 +57,9 @@ use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex};
 use airsched_obs::Obs;
 use airsched_proto::template::FrameTemplateCache;
 use airsched_proto::transmitter::{encode_slot_into, frames_for_slot, FixedPayloads};
-use airsched_server::faults::{FaultInjector, FaultPlan};
-use airsched_server::health::{ChannelEvent, HealthMonitor, HealthThresholds, SlotObservation};
+use airsched_server::faults::FaultPlan;
 use airsched_server::station::{Station, TickBuf};
-use airsched_server::{Mode, SlotBroadcaster};
+use airsched_server::SlotBroadcaster;
 use bytes::{Bytes, BytesMut};
 
 /// Constant payload for the encode phases: [`FixedPayloads`] serves it by
@@ -113,23 +108,32 @@ impl Config {
             .with_corruption(0.02)
     }
 
-    fn expected_time(&self, page: u32) -> u64 {
-        [self.cycle / 4, self.cycle / 2, self.cycle][(page % 3) as usize]
+    /// A three-band catalogue (expected times cycle/4, cycle/2, cycle
+    /// round-robin) sized well inside the channel budget.
+    fn catalogue(&self) -> Vec<(PageId, u64)> {
+        let bands = [self.cycle / 4, self.cycle / 2, self.cycle];
+        (0..self.pages)
+            .map(|i| (PageId::new(i), bands[(i % 3) as usize]))
+            .collect()
     }
 }
 
-/// A station with a three-band catalogue (expected times cycle/4, cycle/2,
-/// cycle round-robin) sized well inside the channel budget.
+/// A station serving [`Config::catalogue`].
 fn build_station(cfg: &Config, plan: Option<&FaultPlan>) -> Station {
     let mut s = match plan {
         Some(p) => Station::with_faults(cfg.channels, cfg.cycle, p).expect("station builds"),
         None => Station::new(cfg.channels, cfg.cycle).expect("station builds"),
     };
-    for i in 0..cfg.pages {
-        s.publish(PageId::new(i), cfg.expected_time(i))
+    for (page, expected) in cfg.catalogue() {
+        s.publish(page, expected)
             .expect("catalogue fits the channel budget");
     }
     s
+}
+
+/// The seed replica serving the same catalogue.
+fn build_seed(cfg: &Config, plan: Option<&FaultPlan>) -> SeedStation {
+    SeedStation::new(cfg.channels, cfg.cycle, &cfg.catalogue(), plan)
 }
 
 fn page_for(cfg: &Config, k: u64) -> PageId {
@@ -137,323 +141,8 @@ fn page_for(cfg: &Config, k: u64) -> PageId {
 }
 
 // ---------------------------------------------------------------------------
-// The pre-PR baseline: a faithful replica of the seed station's serving
-// loop, rebuilt from public APIs. Waiting lists live in a `BTreeMap` keyed
-// by `PageId`, `subscribe` walks that map, and every tick allocates its
-// buffers fresh — exactly the shape this PR's tentpole replaced.
-// ---------------------------------------------------------------------------
-
-enum SeedPlan {
-    Full,
-    Reduced(BroadcastProgram),
-    BestEffort(BroadcastProgram),
-    Offline,
-}
-
-struct SeedDelivery {
-    client: u64,
-    page: PageId,
-    wait: u64,
-    within_deadline: bool,
-}
-
-struct SeedOutcome {
-    mode: Mode,
-    on_air: Vec<Option<PageId>>,
-    corrupted: Vec<bool>,
-    deliveries: Vec<SeedDelivery>,
-    events: Vec<ChannelEvent>,
-}
-
-struct SeedStation {
-    scheduler: OnlineScheduler,
-    time: u64,
-    waiting: BTreeMap<PageId, Vec<(u64, u64)>>,
-    next_client: u64,
-    channel_up: Vec<bool>,
-    injector: Option<FaultInjector>,
-    health: HealthMonitor,
-    mode: Mode,
-    active: SeedPlan,
-    // The stats fields the equivalence check compares.
-    delivered: u64,
-    on_time: u64,
-    total_wait: u64,
-    waiting_count: u64,
-    failovers: u64,
-    repacks: u64,
-    recoveries: u64,
-    degraded_slots: u64,
-    slots_elapsed: u64,
-}
-
-impl SeedStation {
-    fn build(cfg: &Config, plan: Option<&FaultPlan>) -> Self {
-        let mut scheduler =
-            OnlineScheduler::new(cfg.channels, cfg.cycle).expect("scheduler builds");
-        for i in 0..cfg.pages {
-            scheduler
-                .add_page(PageId::new(i), cfg.expected_time(i))
-                .expect("catalogue fits the channel budget");
-        }
-        Self {
-            scheduler,
-            time: 0,
-            waiting: BTreeMap::new(),
-            next_client: 0,
-            channel_up: vec![true; cfg.channels as usize],
-            injector: plan.map(|p| FaultInjector::new(p, cfg.channels)),
-            health: HealthMonitor::new(cfg.channels, HealthThresholds::default()),
-            mode: Mode::Valid,
-            active: SeedPlan::Full,
-            delivered: 0,
-            on_time: 0,
-            total_wait: 0,
-            waiting_count: 0,
-            failovers: 0,
-            repacks: 0,
-            recoveries: 0,
-            degraded_slots: 0,
-            slots_elapsed: 0,
-        }
-    }
-
-    fn subscribe(&mut self, page: PageId) -> u64 {
-        assert!(
-            self.scheduler.pages().contains_key(&page),
-            "page is published"
-        );
-        let id = self.next_client;
-        self.next_client += 1;
-        self.waiting.entry(page).or_default().push((id, self.time));
-        self.waiting_count += 1;
-        id
-    }
-
-    fn channels_up(&self) -> u32 {
-        u32::try_from(self.channel_up.iter().filter(|&&u| u).count()).expect("fits in u32")
-    }
-
-    fn refresh_plan(&mut self) {
-        let configured = u32::try_from(self.channel_up.len()).expect("fits in u32");
-        let n_up = self.channels_up();
-        let (active, mode) = if n_up == 0 {
-            (SeedPlan::Offline, Mode::Offline)
-        } else if n_up == configured {
-            (SeedPlan::Full, Mode::Valid)
-        } else {
-            self.reduced_plan(n_up)
-        };
-        self.active = active;
-        if mode != self.mode {
-            match mode {
-                Mode::BestEffort => self.failovers += 1,
-                Mode::Repacked => self.repacks += 1,
-                Mode::Valid => self.recoveries += 1,
-                Mode::Offline => {}
-            }
-            self.mode = mode;
-        }
-    }
-
-    fn reduced_plan(&mut self, n_up: u32) -> (SeedPlan, Mode) {
-        let times: Vec<u64> = self.scheduler.pages().values().copied().collect();
-        let minimum = minimum_channels_for_times(&times).unwrap_or(u32::MAX);
-        if n_up >= minimum {
-            let mut probe = self.scheduler.clone();
-            if probe.rebuild_on_channels(n_up).is_ok() {
-                return (SeedPlan::Reduced(probe.program().clone()), Mode::Repacked);
-            }
-        }
-        let catalogue: Vec<(PageId, u64)> = self
-            .scheduler
-            .pages()
-            .iter()
-            .map(|(&p, &t)| (p, t))
-            .collect();
-        if let Ok(plan) = degrade::replan(&catalogue, n_up) {
-            return (SeedPlan::BestEffort(plan.into_program()), Mode::BestEffort);
-        }
-        (SeedPlan::Offline, Mode::Offline)
-    }
-
-    fn tick(&mut self) -> SeedOutcome {
-        let mut events = Vec::new();
-        let configured = self.channel_up.len();
-        let mut stalled = vec![false; configured];
-        let mut corrupt_wanted = vec![false; configured];
-
-        if let Some(injector) = self.injector.as_mut() {
-            let faults = injector.sample(self.time);
-            let mut changed = false;
-            for channel in faults.went_down {
-                let ch = channel.index() as usize;
-                if ch < configured && self.channel_up[ch] {
-                    self.channel_up[ch] = false;
-                    events.push(ChannelEvent::Down {
-                        channel,
-                        at: self.time,
-                    });
-                    changed = true;
-                }
-            }
-            for channel in faults.came_up {
-                let ch = channel.index() as usize;
-                if ch < configured && !self.channel_up[ch] {
-                    self.channel_up[ch] = true;
-                    self.health.reset(channel);
-                    events.push(ChannelEvent::Up {
-                        channel,
-                        at: self.time,
-                    });
-                    changed = true;
-                }
-            }
-            stalled = faults.stalled;
-            corrupt_wanted = faults.corrupted;
-            if changed {
-                self.refresh_plan();
-            }
-        }
-
-        let mut on_air: Vec<Option<PageId>> = vec![None; configured];
-        match &self.active {
-            SeedPlan::Full => {
-                let program = self.scheduler.program();
-                let column = self.time % program.cycle_len();
-                for (ch, slot) in on_air.iter_mut().enumerate() {
-                    if self.channel_up[ch] {
-                        let channel = ChannelId::new(u32::try_from(ch).expect("fits in u32"));
-                        *slot = program.page_at(GridPos::new(channel, SlotIndex::new(column)));
-                    }
-                }
-            }
-            SeedPlan::Reduced(program) | SeedPlan::BestEffort(program) => {
-                let column = self.time % program.cycle_len();
-                let mut row = 0u32;
-                for (ch, slot) in on_air.iter_mut().enumerate() {
-                    if self.channel_up[ch] && row < program.channels() {
-                        *slot = program
-                            .page_at(GridPos::new(ChannelId::new(row), SlotIndex::new(column)));
-                        row += 1;
-                    }
-                }
-            }
-            SeedPlan::Offline => {}
-        }
-
-        let mut corrupted = vec![false; configured];
-        for ch in 0..configured {
-            if !self.channel_up[ch] {
-                continue;
-            }
-            let channel = ChannelId::new(u32::try_from(ch).expect("fits in u32"));
-            if stalled[ch] {
-                if on_air[ch].take().is_some() {
-                    if let Some(e) =
-                        self.health
-                            .record(channel, SlotObservation::Stalled, self.time)
-                    {
-                        events.push(e);
-                    }
-                }
-            } else if on_air[ch].is_some() {
-                let observation = if corrupt_wanted[ch] {
-                    corrupted[ch] = true;
-                    SlotObservation::Corrupt
-                } else {
-                    SlotObservation::Clean
-                };
-                if let Some(e) = self.health.record(channel, observation, self.time) {
-                    events.push(e);
-                }
-            }
-        }
-
-        let mut deliveries = Vec::new();
-        for ch in 0..configured {
-            if corrupted[ch] {
-                continue;
-            }
-            let Some(page) = on_air[ch] else { continue };
-            if let Some(waiters) = self.waiting.remove(&page) {
-                let expected = self.scheduler.pages().get(&page).copied();
-                for (client, since) in waiters {
-                    let wait = self.time - since + 1;
-                    let within = expected.is_some_and(|t| wait <= t);
-                    deliveries.push(SeedDelivery {
-                        client,
-                        page,
-                        wait,
-                        within_deadline: within,
-                    });
-                    self.delivered += 1;
-                    self.total_wait += wait;
-                    self.waiting_count -= 1;
-                    if within {
-                        self.on_time += 1;
-                    }
-                }
-            }
-        }
-
-        if self.mode != Mode::Valid {
-            self.degraded_slots += 1;
-        }
-
-        let outcome = SeedOutcome {
-            mode: self.mode,
-            on_air,
-            corrupted,
-            deliveries,
-            events,
-        };
-        self.time += 1;
-        self.slots_elapsed += 1;
-        outcome
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Correctness gates
 // ---------------------------------------------------------------------------
-
-/// Drives two identically-configured stations in lockstep — one through
-/// `tick_into`, one through the retained
-/// `tick_reference` — under full chaos with continuous subscription
-/// churn, recording any divergence in outcomes or statistics. This is
-/// the bit-identical gate.
-fn reference_gate(cfg: &Config, faulted: bool, divergences: &mut Vec<String>) {
-    let plan = cfg.chaos_plan();
-    let plan = faulted.then_some(&plan);
-    let mut fast = build_station(cfg, plan);
-    let mut reference = build_station(cfg, plan);
-    let mut buf = TickBuf::new();
-    let gate_slots = cfg.slots.min(1024).max(2 * cfg.cycle);
-    for t in 0..gate_slots {
-        for k in 0..8u64 {
-            let page = page_for(cfg, t * 8 + k);
-            let a = fast.subscribe(page).expect("page is published");
-            let b = reference.subscribe(page).expect("page is published");
-            assert_eq!(a, b, "client ids drifted");
-        }
-        fast.tick_into(&mut buf);
-        let want = reference.tick_reference();
-        if buf.to_outcome() != want {
-            divergences.push(format!(
-                "tick_into diverges from tick_reference at slot {t} \
-                 (faulted={faulted})"
-            ));
-            return;
-        }
-    }
-    if fast.stats() != reference.stats() {
-        divergences.push(format!(
-            "stats diverge from tick_reference after {gate_slots}-slot lockstep \
-             (faulted={faulted})"
-        ));
-    }
-}
 
 /// Drives the optimized station against the seed replica in lockstep,
 /// comparing everything the replica can observe (the replica mints its own
@@ -463,7 +152,7 @@ fn seed_gate(cfg: &Config, faulted: bool, divergences: &mut Vec<String>) {
     let plan = cfg.chaos_plan();
     let plan = faulted.then_some(&plan);
     let mut fast = build_station(cfg, plan);
-    let mut seed = SeedStation::build(cfg, plan);
+    let mut seed = build_seed(cfg, plan);
     let mut buf = TickBuf::new();
     let gate_slots = cfg.slots.min(1024).max(2 * cfg.cycle);
     for t in 0..gate_slots {
@@ -848,7 +537,6 @@ struct ScaleResult {
     /// Serving-loop slots per second (subscribe churn + tick, deliveries
     /// consumed) through each implementation.
     opt_tps: f64,
-    ref_tps: f64,
     seed_tps: f64,
     opt_dps: f64,
     seed_dps: f64,
@@ -877,9 +565,8 @@ impl ScaleResult {
 /// `subscribers / slots` new clients (round-robin over the catalogue) and
 /// transmits one slot; deliveries stream out as they happen. The optimized
 /// loop holds one `TickBuf` and counts deliveries through `tick_into`;
-/// the reference loop drives `tick_reference`; the seed loop drives the
-/// pre-PR replica — both baselines materialize every delivery into one
-/// growing list, as the seed `run()` did.
+/// the seed loop drives the seed replica, which materializes every
+/// delivery into one growing list, as the seed `run()` did.
 fn time_scale(
     cfg: &Config,
     faulted: bool,
@@ -892,27 +579,10 @@ fn time_scale(
     let subscribers = per_tick * cfg.slots;
     let base = build_station(cfg, plan);
 
-    let mut ref_best = f64::INFINITY;
-    let mut ref_delivered = 0u64;
-    for _ in 0..cfg.reps {
-        let mut s = base.clone();
-        let mut all = Vec::new();
-        let t0 = Instant::now();
-        for t in 0..cfg.slots {
-            for k in 0..per_tick {
-                s.subscribe(page_for(cfg, t * per_tick + k))
-                    .expect("page is published");
-            }
-            all.extend(s.tick_reference().deliveries);
-        }
-        ref_best = ref_best.min(t0.elapsed().as_secs_f64());
-        ref_delivered = all.len() as u64;
-    }
-
     let mut seed_best = f64::INFINITY;
     let mut seed_delivered = 0u64;
     for _ in 0..cfg.reps {
-        let mut s = SeedStation::build(cfg, plan);
+        let mut s = build_seed(cfg, plan);
         let mut all = Vec::new();
         let t0 = Instant::now();
         for t in 0..cfg.slots {
@@ -924,13 +594,6 @@ fn time_scale(
         seed_best = seed_best.min(t0.elapsed().as_secs_f64());
         seed_delivered = all.len() as u64;
     }
-    if ref_delivered != seed_delivered {
-        divergences.push(format!(
-            "delivery counts diverge at {subscribers} subscribers (faulted={faulted}): \
-             reference {ref_delivered}, seed {seed_delivered}"
-        ));
-    }
-
     // The pre-PR wire shape: serial serve plus fresh per-slot encoding —
     // the full-slot baseline every templated row is judged against.
     let mut fresh_slot_best = f64::INFINITY;
@@ -1020,7 +683,6 @@ fn time_scale(
         faulted,
         delivered: opt_delivered,
         opt_tps: cfg.slots as f64 / opt_best,
-        ref_tps: cfg.slots as f64 / ref_best,
         seed_tps: cfg.slots as f64 / seed_best,
         opt_dps: opt_delivered as f64 / opt_best,
         seed_dps: seed_delivered as f64 / seed_best,
@@ -1434,7 +1096,6 @@ fn main() {
 
     let mut results: Vec<ScaleResult> = Vec::new();
     for faulted in [false, true] {
-        reference_gate(&cfg, faulted, &mut divergences);
         seed_gate(&cfg, faulted, &mut divergences);
         obs_gate(&cfg, faulted, &mut divergences);
         trace_gate(&cfg, faulted, &mut divergences);
@@ -1444,14 +1105,13 @@ fn main() {
             let r = time_scale(&cfg, faulted, scale, &mut divergences);
             println!(
                 "{} subscribers ({}): {:.0} ticks/s vs seed {:.0} \
-                 ({:.1}x, reference {:.0}), {:.0} vs {:.0} deliveries/s, {} delivered; \
+                 ({:.1}x), {:.0} vs {:.0} deliveries/s, {} delivered; \
                  full slot {:.0}/s vs fresh {:.0}/s ({:.1}x)",
                 r.subscribers,
                 if faulted { "faulted" } else { "clean" },
                 r.opt_tps,
                 r.seed_tps,
                 r.speedup_vs_seed(),
-                r.ref_tps,
                 r.opt_dps,
                 r.seed_dps,
                 r.delivered,
@@ -1570,7 +1230,7 @@ fn main() {
                 concat!(
                     "    {{\"subscribers\": {subs}, \"faulted\": {faulted}, ",
                     "\"optimized_ticks_per_sec\": {o_tps}, \"seed_ticks_per_sec\": {s_tps}, ",
-                    "\"reference_ticks_per_sec\": {r_tps}, \"speedup_vs_seed\": {speed}, ",
+                    "\"speedup_vs_seed\": {speed}, ",
                     "\"optimized_deliveries_per_sec\": {o_dps}, ",
                     "\"seed_deliveries_per_sec\": {s_dps}, \"delivered\": {n}, ",
                     "\"full_slot_ticks_per_sec\": {fs_tps}, ",
@@ -1581,7 +1241,6 @@ fn main() {
                 faulted = r.faulted,
                 o_tps = json_f(r.opt_tps),
                 s_tps = json_f(r.seed_tps),
-                r_tps = json_f(r.ref_tps),
                 speed = json_f(r.speedup_vs_seed()),
                 o_dps = json_f(r.opt_dps),
                 s_dps = json_f(r.seed_dps),

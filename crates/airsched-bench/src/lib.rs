@@ -29,10 +29,16 @@
 //! Run e.g. `cargo run --release -p airsched-bench --bin fig5 -- --dist all`.
 //! Every binary accepts `--requests`, `--seed` and prints deterministic
 //! output for fixed seeds.
+//!
+//! The [`seed`] module keeps a replica of the seed station's serving loop:
+//! the baseline `station_perf` times and the oracle the optimized station
+//! is checked against.
 
 use airsched_analysis::experiment::ExperimentConfig;
 use airsched_workload::distributions::GroupSizeDistribution;
 use airsched_workload::spec::WorkloadSpec;
+
+pub mod seed;
 
 /// Parses the common `--key value` options shared by the figure binaries.
 ///

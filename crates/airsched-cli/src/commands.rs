@@ -42,7 +42,7 @@ COMMANDS:
              flight-recorder observability attached
   obs        same scenario as run, printing the metrics snapshot table
   top        same scenario as run, rendered as a live dashboard: phase
-             timings, SLO burn gauges, shard drain bars, mode changes
+             timings, SLO burn gauges, mode changes
   checkpoint inspect the checkpoint + journal a crash-safe run left behind
   restore    recover a crashed run from its state directory and finish it
 

@@ -566,9 +566,9 @@ struct StationObs {
     /// Re-pack candidates the difference-constraint solver rejected
     /// under deep verify.
     solve_rejections: Counter,
-    /// Waiting-set shard compactions, summed across shards.
+    /// Waiting-set arena compactions.
     compactions: Counter,
-    /// Bytes held by the waiting-set deadline arenas.
+    /// Bytes held by the waiting-set arena.
     arena_bytes: Gauge,
     waiting: Gauge,
     channels_up: Gauge,
@@ -675,7 +675,7 @@ impl StationObs {
     }
 
     /// Mirrors the auxiliary single-writer series that live outside
-    /// [`StationStats`]: waiting-set shard compactions and arena
+    /// [`StationStats`]: waiting-set arena compactions and
     /// footprint. Same relaxed-store discipline as
     /// [`StationObs::sync_tick`]; split out so the stats-only callers
     /// keep their signature.
@@ -763,7 +763,7 @@ pub struct Station {
     scheduler: OnlineScheduler,
     time: u64,
     /// Waiting clients and the catalogue's dense expected-time mirror, in
-    /// partitioned struct-of-arrays form (see the `waiting` module and
+    /// struct-of-arrays form (see the `waiting` module and
     /// DESIGN.md §12). Spans are emptied in place rather than freed, so
     /// steady-state ticking reuses their capacity.
     waits: WaitingSet,
@@ -840,8 +840,7 @@ impl Station {
     /// The station must be the series' only writer: attach each station
     /// (and each clone of an instrumented station — clones share the
     /// handle) to its own `Obs`, or their absolute stores will clobber
-    /// one another. The retained seed path [`Station::tick_reference`]
-    /// stays uninstrumented by design.
+    /// one another.
     pub fn attach_obs(&mut self, obs: &Obs) {
         let mut wired = StationObs::new(obs);
         wired.base_delivered = self.stats.delivered;
@@ -871,7 +870,7 @@ impl Station {
     /// captures a postmortem on the obs handle.
     ///
     /// Like [`Station::attach_obs`], the station must be the handle's
-    /// only writer, and [`Station::tick_reference`] stays uninstrumented.
+    /// only writer.
     pub fn attach_trace(&mut self, trace: &Trace) {
         self.trace = Some(StationTrace::new(trace));
     }
@@ -1736,159 +1735,6 @@ impl Station {
         }
     }
 
-    /// The seed implementation of [`Station::tick`], retained verbatim as
-    /// a correctness reference: it allocates every buffer fresh and reads
-    /// expected times straight from the scheduler's catalogue instead of
-    /// the station's dense cache. The `station_perf` bench drives two
-    /// identically-configured stations — one through
-    /// [`Station::tick_into`], one through this — and exits non-zero on
-    /// any divergence.
-    ///
-    /// This path is **not** instrumented: with an [`Obs`] handle attached
-    /// it still updates [`StationStats`] (including `mode_changes`) and
-    /// the replan/gate instrumentation shared through `refresh_plan`, but
-    /// records no per-delivery metrics. Use [`Station::tick_into`] for
-    /// observed serving.
-    pub fn tick_reference(&mut self) -> TickOutcome {
-        let mut events = std::mem::take(&mut self.pending_events);
-        let configured = self.channel_up.len();
-        let mut stalled = vec![false; configured];
-        let mut corrupt_wanted = vec![false; configured];
-
-        if let Some(injector) = self.injector.as_mut() {
-            let faults = injector.sample(self.time);
-            let mut changed = false;
-            for channel in faults.went_down {
-                let ch = channel.index() as usize;
-                if ch < configured && self.channel_up[ch] {
-                    self.channel_up[ch] = false;
-                    events.push(ChannelEvent::Down {
-                        channel,
-                        at: self.time,
-                    });
-                    changed = true;
-                }
-            }
-            for channel in faults.came_up {
-                let ch = channel.index() as usize;
-                if ch < configured && !self.channel_up[ch] {
-                    self.channel_up[ch] = true;
-                    self.health.reset(channel);
-                    events.push(ChannelEvent::Up {
-                        channel,
-                        at: self.time,
-                    });
-                    changed = true;
-                }
-            }
-            stalled = faults.stalled;
-            corrupt_wanted = faults.corrupted;
-            if changed {
-                self.refresh_plan("fault");
-            }
-        }
-
-        let mut on_air: Vec<Option<PageId>> = vec![None; configured];
-        match &self.active {
-            ActivePlan::Full => {
-                let program = self.scheduler.program();
-                let column = self.time % program.cycle_len();
-                for (ch, slot) in on_air.iter_mut().enumerate() {
-                    if self.channel_up[ch] {
-                        let channel = ChannelId::new(u32::try_from(ch).expect("fits in u32"));
-                        *slot = program.page_at(GridPos::new(channel, SlotIndex::new(column)));
-                    }
-                }
-            }
-            ActivePlan::Reduced(program) | ActivePlan::BestEffort(program) => {
-                let column = self.time % program.cycle_len();
-                let mut row = 0u32;
-                for (ch, slot) in on_air.iter_mut().enumerate() {
-                    if self.channel_up[ch] && row < program.channels() {
-                        *slot = program
-                            .page_at(GridPos::new(ChannelId::new(row), SlotIndex::new(column)));
-                        row += 1;
-                    }
-                }
-            }
-            ActivePlan::Offline => {}
-        }
-
-        let mut corrupted = vec![false; configured];
-        for ch in 0..configured {
-            if !self.channel_up[ch] {
-                continue;
-            }
-            let channel = ChannelId::new(u32::try_from(ch).expect("fits in u32"));
-            if stalled[ch] {
-                if on_air[ch].take().is_some() {
-                    if let Some(e) =
-                        self.health
-                            .record(channel, SlotObservation::Stalled, self.time)
-                    {
-                        events.push(e);
-                    }
-                }
-            } else if on_air[ch].is_some() {
-                let observation = if corrupt_wanted[ch] {
-                    corrupted[ch] = true;
-                    SlotObservation::Corrupt
-                } else {
-                    SlotObservation::Clean
-                };
-                if let Some(e) = self.health.record(channel, observation, self.time) {
-                    events.push(e);
-                }
-            }
-        }
-
-        let mut deliveries = Vec::new();
-        for ch in 0..configured {
-            if corrupted[ch] {
-                continue;
-            }
-            let Some(page) = on_air[ch] else { continue };
-            let idx = page.index() as usize;
-            let waiters = self.waits.take_dense(idx);
-            let expected = self.scheduler.pages().get(&page).copied();
-            for (client, since) in waiters {
-                let wait = self.time - since + 1;
-                let within = expected.is_some_and(|t| wait <= t);
-                deliveries.push(Delivery {
-                    client,
-                    page,
-                    wait,
-                    within_deadline: within,
-                });
-                self.stats.delivered += 1;
-                self.stats.total_wait += wait;
-                self.stats.waiting -= 1;
-                let tally = &mut self.stats.per_mode[self.mode.index()];
-                tally.delivered += 1;
-                if within {
-                    self.stats.on_time += 1;
-                    tally.on_time += 1;
-                }
-            }
-        }
-
-        if self.mode != Mode::Valid {
-            self.stats.degraded_slots += 1;
-        }
-
-        let outcome = TickOutcome {
-            time: self.time,
-            mode: self.mode,
-            on_air,
-            corrupted,
-            deliveries,
-            events,
-        };
-        self.time += 1;
-        self.stats.slots_elapsed += 1;
-        outcome
-    }
-
     /// Ticks `slots` times, streaming every delivery through `sink` — the
     /// allocation-free way to drive a long run: one internal [`TickBuf`]
     /// serves the whole loop and no delivery list is ever materialized.
@@ -2499,50 +2345,6 @@ mod tests {
             assert_eq!(a.tick(), b.tick(), "streams diverged at slot {t}");
         }
         assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn tick_into_matches_the_reference_tick_across_chaos() {
-        let plan = FaultPlan::seeded(77)
-            .with_outage(0.05)
-            .with_recovery(0.25)
-            .with_stalls(0.03)
-            .with_corruption(0.08)
-            .with_script(vec![
-                FaultEvent::Down {
-                    at: 50,
-                    channel: ChannelId::new(0),
-                },
-                FaultEvent::Up {
-                    at: 120,
-                    channel: ChannelId::new(0),
-                },
-            ]);
-        let build = || {
-            let mut s = Station::with_faults(3, 8, &plan).unwrap();
-            s.publish(PageId::new(0), 2).unwrap();
-            s.publish(PageId::new(1), 4).unwrap();
-            s.publish(PageId::new(2), 8).unwrap();
-            s
-        };
-        let mut fast = build();
-        let mut reference = build();
-        let mut buf = TickBuf::new();
-        for t in 0..400u64 {
-            // Interleave subscriptions so the waiting buffers keep churning.
-            if t % 3 == 0 {
-                let page = PageId::new(u32::try_from(t % 3).unwrap());
-                assert_eq!(
-                    fast.subscribe(page).unwrap(),
-                    reference.subscribe(page).unwrap()
-                );
-            }
-            fast.tick_into(&mut buf);
-            let expected = reference.tick_reference();
-            assert_eq!(buf.to_outcome(), expected, "diverged at slot {t}");
-        }
-        assert_eq!(fast.stats(), reference.stats());
-        assert_eq!(fast.mode(), reference.mode());
     }
 
     #[test]

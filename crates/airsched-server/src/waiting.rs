@@ -1,15 +1,15 @@
-//! Partitioned struct-of-arrays storage for the station's waiting sets.
+//! Struct-of-arrays storage for the station's waiting sets.
 //!
 //! The seed layout — `Vec<Vec<(ClientId, u64)>>` indexed by dense page id —
 //! collapses past ~100k subscribers: every subscription chases a pointer to
 //! a separately-allocated per-page `Vec`, and the loads it must wait on
 //! (`expected[idx]`, the `Vec` header, the tail line) are scattered across
 //! megabytes, so the subscribe loop serializes on cache-miss latency. This
-//! module replaces it with a fixed set of [`SHARD_COUNT`] shards, each
-//! holding:
+//! module replaces it with:
 //!
 //! * a dense table of 12-byte [`PageMeta`] records (span offset / length /
-//!   capacity) — the only per-page metadata the hot paths touch;
+//!   capacity) indexed by dense page id — the only per-page metadata the
+//!   hot paths touch;
 //! * one **span arena** of `(client, since)` records, with each page
 //!   owning a contiguous offset range, so a tick's drain walks plain
 //!   slices and batches the deadline verdict branch-free.
@@ -20,18 +20,9 @@
 //! chase through `expected`, the outer `Vec` header, and a separately
 //! allocated per-page `Vec` before reaching the tail.
 //!
-//! ## Partition function
-//!
-//! Pages are distributed block-cyclically: [`BLOCK_PAGES`] consecutive
-//! dense indices share a shard, then the next block moves to the next
-//! shard. [`shard_of`]/[`local_of`] are a pure-arithmetic bijection (all
-//! constants are powers of two, so the divisions are shifts), blocks of
-//! metas stay cache-line aligned per shard, and any real catalogue
-//! spreads evenly across shards.
-//!
 //! ## Determinism
 //!
-//! Shard state evolves only through `subscribe`, `publish`, `expire`,
+//! The arena evolves only through `subscribe`, `publish`, `expire`,
 //! restore, and drains — all driven from the station's single thread.
 //! Drains only zero span lengths, and per-page FIFO (arrival) order is
 //! the only order that reaches any output, so the layout never shows in
@@ -41,15 +32,6 @@ use airsched_core::types::PageId;
 
 use crate::station::{ClientId, Delivery};
 
-/// Number of shards the waiting set is partitioned into. Fixed: the
-/// partition count is a layout constant, never persisted, so the
-/// checkpoint format cannot leak it.
-const SHARD_COUNT: usize = 16;
-
-/// Consecutive dense page indices that share a shard (one block of metas
-/// spans a few cache lines).
-const BLOCK_PAGES: usize = 32;
-
 /// Smallest span capacity handed to a page on publish; doubles on growth.
 const MIN_SPAN_CAP: u32 = 8;
 
@@ -57,24 +39,12 @@ const MIN_SPAN_CAP: u32 = 8;
 /// considered (small arenas are cheap to leave fragmented).
 const COMPACT_MIN_LEN: usize = 1024;
 
-/// Which shard owns dense page index `idx`.
-#[inline]
-fn shard_of(idx: usize) -> usize {
-    (idx / BLOCK_PAGES) % SHARD_COUNT
-}
-
-/// The page's slot inside its owning shard's meta table.
-#[inline]
-fn local_of(idx: usize) -> usize {
-    (idx / (BLOCK_PAGES * SHARD_COUNT)) * BLOCK_PAGES + (idx % BLOCK_PAGES)
-}
-
-/// Per-page record in a shard's meta table. Liveness is not here —
-/// deadline truth (and the publish/expire state) lives in
+/// Per-page record in the meta table. Liveness is not here — deadline
+/// truth (and the publish/expire state) lives in
 /// [`WaitingSet::deadlines`]; a meta only describes the page's span.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PageMeta {
-    /// Start of the page's span in the shard arena.
+    /// Start of the page's span in the arena.
     off: u32,
     /// Waiters currently in the span.
     len: u32,
@@ -105,29 +75,94 @@ impl DrainDelta {
     }
 }
 
-/// One shard: a meta table and a span arena of `(client, since)`
-/// records. Spans are reused across drains (`len` drops to 0, `cap`
-/// stays), grow by doubling — extending in place when the span sits at
-/// the arena tail, relocating otherwise — and the arena compacts once
-/// relocations strand more dead capacity than live.
+/// The station's waiting/expected state in struct-of-arrays form: a
+/// deadline table, a meta table and a span arena of `(client, since)`
+/// records, all indexed by dense page id. Spans are reused across drains
+/// (`len` drops to 0, `cap` stays), grow by doubling — extending in place
+/// when the span sits at the arena tail, relocating otherwise. The arena
+/// would compact once relocations strand more dead capacity than live,
+/// but doubling never lets that happen (DESIGN.md §12.1).
+///
+/// Publicly (through `Station`) it behaves exactly like the seed's
+/// `waiting: Vec<Vec<(ClientId, u64)>>` + `expected: Vec<Option<u64>>`
+/// pair, including snapshot shape: [`WaitingSet::snapshot_waiting`] /
+/// [`WaitingSet::snapshot_expected`] reproduce those dense vectors
+/// verbatim, so the checkpoint format carries no trace of the arena.
 #[derive(Debug, Clone, Default)]
-struct WaitShard {
+pub(crate) struct WaitingSet {
+    /// `deadlines[idx]` is the page's expected time, 0 when unpublished
+    /// (`publish` rejects a 0 expected time, so 0 is a safe sentinel).
+    /// Grows at publish, never shrinks — mirroring the seed's
+    /// `expected` length semantics. This is the only load on the
+    /// subscribe fast path.
+    deadlines: Vec<u64>,
     metas: Vec<PageMeta>,
     arena: Vec<(u64, u64)>,
     /// Arena records stranded by span relocation, reclaimed by `compact`.
     dead: usize,
-    /// Lifetime compaction count, summed by [`WaitingSet::compactions`].
+    /// Lifetime compaction count.
     compactions: u64,
+    /// Length the seed's `waiting` vector would have: the largest
+    /// subscribed dense index + 1 (or whatever a restore carried).
+    /// Reproduced in snapshots so restores round-trip byte-identically.
+    dense_len: usize,
 }
 
-impl WaitShard {
+impl WaitingSet {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The page's expected time, 0 when unpublished.
+    #[inline]
+    pub fn deadline(&self, idx: usize) -> u64 {
+        self.deadlines.get(idx).copied().unwrap_or(0)
+    }
+
+    /// Records a publish: sizes the deadline table and the page's meta
+    /// (and minimum span) so steady-state subscribes never resize.
+    pub fn publish(&mut self, idx: usize, expected: u64) {
+        debug_assert!(expected != 0, "publish validates a non-zero expected time");
+        if self.deadlines.len() <= idx {
+            self.deadlines.resize(idx + 1, 0);
+        }
+        self.deadlines[idx] = expected;
+        self.ensure_page(idx);
+    }
+
+    /// Records an expire: the deadline drops to the 0 sentinel, waiters
+    /// stay parked (served only if the page returns).
+    pub fn expire(&mut self, idx: usize) {
+        if let Some(d) = self.deadlines.get_mut(idx) {
+            *d = 0;
+        }
+    }
+
+    /// Appends one waiter. Returns `false` for an unpublished page.
+    ///
+    /// `publish` already sized the page's meta and minimum span, so the
+    /// steady-state path is one deadline load, one store to the span
+    /// tail, and one meta update — no resize branch and no pointer chase
+    /// through a per-page allocation.
+    #[inline]
+    pub fn subscribe(&mut self, idx: usize, client: u64, since: u64) -> bool {
+        if self.deadline(idx) == 0 {
+            return false;
+        }
+        self.append_direct(idx, client, since);
+        if idx >= self.dense_len {
+            self.dense_len = idx + 1;
+        }
+        true
+    }
+
     /// Sizes the page's meta slot and a minimum span so steady-state
     /// subscribes never resize. Called at publish and restore.
-    fn ensure_page(&mut self, local: usize) {
-        if self.metas.len() <= local {
-            self.metas.resize(local + 1, PageMeta::default());
+    fn ensure_page(&mut self, idx: usize) {
+        if self.metas.len() <= idx {
+            self.metas.resize(idx + 1, PageMeta::default());
         }
-        let m = &mut self.metas[local];
+        let m = &mut self.metas[idx];
         if m.cap == 0 {
             m.off = u32::try_from(self.arena.len()).expect("arena offset fits in u32");
             m.cap = MIN_SPAN_CAP;
@@ -136,20 +171,20 @@ impl WaitShard {
         }
     }
 
-    /// Appends one waiter to `local`'s span. Publish pre-sizes metas and
+    /// Appends one waiter to `idx`'s span. Publish pre-sizes metas and
     /// spans, so the resize and growth branches only fire on the restore
     /// path and on spans outgrowing their capacity.
     #[inline]
-    fn append_direct(&mut self, local: usize, client: u64, since: u64) {
-        if self.metas.len() <= local {
-            self.metas.resize(local + 1, PageMeta::default());
+    fn append_direct(&mut self, idx: usize, client: u64, since: u64) {
+        if self.metas.len() <= idx {
+            self.metas.resize(idx + 1, PageMeta::default());
         }
-        let m = self.metas[local];
+        let m = self.metas[idx];
         if m.len == m.cap {
-            self.grow_and_append(local, client, since);
+            self.grow_and_append(idx, client, since);
         } else {
             self.arena[(m.off + m.len) as usize] = (client, since);
-            self.metas[local].len = m.len + 1;
+            self.metas[idx].len = m.len + 1;
         }
     }
 
@@ -157,12 +192,12 @@ impl WaitShard {
     /// the span, extending in place when it already ends at the arena
     /// tail and relocating it there otherwise.
     #[inline(never)]
-    fn grow_and_append(&mut self, local: usize, client: u64, since: u64) {
-        let m = self.metas[local];
+    fn grow_and_append(&mut self, idx: usize, client: u64, since: u64) {
+        let m = self.metas[idx];
         let tail = self.arena.len();
         if m.cap == 0 {
             let off = u32::try_from(tail).expect("arena offset fits in u32");
-            self.metas[local] = PageMeta {
+            self.metas[idx] = PageMeta {
                 off,
                 len: 1,
                 cap: MIN_SPAN_CAP,
@@ -178,13 +213,13 @@ impl WaitShard {
             let off = m.off as usize;
             self.arena.extend_from_within(off..off + m.len as usize);
             self.arena.resize(tail + new_cap as usize, (0, 0));
-            self.metas[local].off = u32::try_from(tail).expect("arena offset fits in u32");
+            self.metas[idx].off = u32::try_from(tail).expect("arena offset fits in u32");
             self.dead += m.cap as usize;
         }
-        let grown = self.metas[local];
+        let grown = self.metas[idx];
         self.arena[(grown.off + grown.len) as usize] = (client, since);
-        self.metas[local].len = grown.len + 1;
-        self.metas[local].cap = new_cap;
+        self.metas[idx].len = grown.len + 1;
+        self.metas[idx].cap = new_cap;
         if self.dead * 2 > self.arena.len() && self.arena.len() >= COMPACT_MIN_LEN {
             self.compact();
         }
@@ -211,26 +246,26 @@ impl WaitShard {
         self.compactions += 1;
     }
 
-    /// Drains `local`'s span into `out`: the batched serving kernel.
-    /// The deadline verdict and wait
-    /// sums are computed branch-free over the span slice; `deadline == 0`
-    /// means "not published", which can never be within deadline
-    /// (matching the seed's `expected.is_some_and(..)`).
-    fn drain_into(
+    /// Drains one page's waiters into `out`: the batched serving kernel.
+    /// The deadline verdict and wait sums are computed branch-free over
+    /// the span slice; a deadline of 0 means "not published", which can
+    /// never be within deadline (matching the seed's
+    /// `expected.is_some_and(..)`).
+    pub fn drain_page(
         &mut self,
-        local: usize,
+        idx: usize,
         page: PageId,
-        deadline: u64,
         now: u64,
         out: &mut Vec<Delivery>,
     ) -> DrainDelta {
-        let Some(&m) = self.metas.get(local) else {
+        let Some(&m) = self.metas.get(idx) else {
             return DrainDelta::default();
         };
         let n = m.len as usize;
         if n == 0 {
             return DrainDelta::default();
         }
+        let deadline = self.deadline(idx);
         let off = m.off as usize;
         let received = now + 1;
         // A waiter is within deadline iff wait = received - since ≤
@@ -256,7 +291,7 @@ impl WaitShard {
                 within_deadline: within,
             });
         }
-        self.metas[local].len = 0;
+        self.metas[idx].len = 0;
         DrainDelta {
             delivered: n as u64,
             on_time,
@@ -264,148 +299,32 @@ impl WaitShard {
         }
     }
 
-    /// Removes and returns `local`'s waiters in FIFO order — the
-    /// allocating access path `tick_reference` keeps.
-    fn take(&mut self, local: usize) -> Vec<(ClientId, u64)> {
-        let Some(&m) = self.metas.get(local) else {
-            return Vec::new();
-        };
-        let off = m.off as usize;
-        let n = m.len as usize;
-        let out = self.arena[off..off + n]
-            .iter()
-            .map(|&(c, s)| (ClientId::from_raw(c), s))
-            .collect();
-        self.metas[local].len = 0;
-        out
-    }
-
-    /// The page's span content without draining: the snapshot read path,
-    /// which must work from `&self`.
-    fn peek(&self, local: usize) -> Vec<(u64, u64)> {
-        match self.metas.get(local) {
-            Some(&m) => self.arena[m.off as usize..(m.off + m.len) as usize].to_vec(),
-            None => Vec::new(),
-        }
-    }
-}
-
-/// The station's waiting/expected state in partitioned SoA form.
-///
-/// Publicly (through `Station`) it behaves exactly like the seed's
-/// `waiting: Vec<Vec<(ClientId, u64)>>` + `expected: Vec<Option<u64>>`
-/// pair, including snapshot shape: [`WaitingSet::snapshot_waiting`] /
-/// [`WaitingSet::snapshot_expected`] reproduce those dense vectors
-/// verbatim, so the checkpoint format is unchanged and carries no trace
-/// of the partition count.
-#[derive(Debug, Clone)]
-pub(crate) struct WaitingSet {
-    /// `deadlines[idx]` is the page's expected time, 0 when unpublished
-    /// (`publish` rejects a 0 expected time, so 0 is a safe sentinel).
-    /// Grows at publish, never shrinks — mirroring the seed's
-    /// `expected` length semantics. This is the only load on the
-    /// subscribe fast path.
-    deadlines: Vec<u64>,
-    shards: Vec<WaitShard>,
-    /// Length the seed's `waiting` vector would have: the largest
-    /// subscribed dense index + 1 (or whatever a restore carried).
-    /// Reproduced in snapshots so restores round-trip byte-identically.
-    dense_len: usize,
-}
-
-impl WaitingSet {
-    pub fn new() -> Self {
-        Self {
-            deadlines: Vec::new(),
-            shards: vec![WaitShard::default(); SHARD_COUNT],
-            dense_len: 0,
-        }
-    }
-
-    /// The page's expected time, 0 when unpublished.
-    #[inline]
-    pub fn deadline(&self, idx: usize) -> u64 {
-        self.deadlines.get(idx).copied().unwrap_or(0)
-    }
-
-    /// Records a publish: sizes the deadline table and the page's meta
-    /// (and minimum span) so steady-state subscribes never resize.
-    pub fn publish(&mut self, idx: usize, expected: u64) {
-        debug_assert!(expected != 0, "publish validates a non-zero expected time");
-        if self.deadlines.len() <= idx {
-            self.deadlines.resize(idx + 1, 0);
-        }
-        self.deadlines[idx] = expected;
-        self.shards[shard_of(idx)].ensure_page(local_of(idx));
-    }
-
-    /// Records an expire: the deadline drops to the 0 sentinel, waiters
-    /// stay parked (served only if the page returns).
-    pub fn expire(&mut self, idx: usize) {
-        if let Some(d) = self.deadlines.get_mut(idx) {
-            *d = 0;
-        }
-    }
-
-    /// Appends one waiter. Returns `false` for an unpublished page.
-    ///
-    /// `publish` already sized the page's meta and minimum span, so the
-    /// steady-state path is one deadline load, one store to the span
-    /// tail, and one meta update — no resize branch and no pointer chase
-    /// through a per-page allocation.
-    #[inline]
-    pub fn subscribe(&mut self, idx: usize, client: u64, since: u64) -> bool {
-        if self.deadline(idx) == 0 {
-            return false;
-        }
-        self.shards[shard_of(idx)].append_direct(local_of(idx), client, since);
-        if idx >= self.dense_len {
-            self.dense_len = idx + 1;
-        }
-        true
-    }
-
-    /// Drains one page's waiters into `out`.
-    pub fn drain_page(
-        &mut self,
-        idx: usize,
-        page: PageId,
-        now: u64,
-        out: &mut Vec<Delivery>,
-    ) -> DrainDelta {
-        let deadline = self.deadline(idx);
-        let shard = &mut self.shards[shard_of(idx)];
-        shard.drain_into(local_of(idx), page, deadline, now, out)
-    }
-
-    /// Total arena compactions across all shards since construction.
+    /// Arena compactions since construction.
     #[must_use]
     pub fn compactions(&self) -> u64 {
-        self.shards.iter().map(|s| s.compactions).sum()
+        self.compactions
     }
 
-    /// Bytes currently held by the shard arenas (arena length × record
-    /// size; length rather than capacity so the figure is deterministic
-    /// across allocator and std versions).
+    /// Bytes currently held by the arena (arena length × record size;
+    /// length rather than capacity so the figure is deterministic across
+    /// allocator and std versions).
     #[must_use]
     pub fn arena_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| (s.arena.len() * std::mem::size_of::<(u64, u64)>()) as u64)
-            .sum()
+        (self.arena.len() * std::mem::size_of::<(u64, u64)>()) as u64
     }
 
-    /// Removes and returns one page's waiters in FIFO order — used by
-    /// `tick_reference`, which keeps the seed's allocating shape.
-    pub fn take_dense(&mut self, idx: usize) -> Vec<(ClientId, u64)> {
-        let shard = &mut self.shards[shard_of(idx)];
-        shard.take(local_of(idx))
+    /// The page's span content without draining: the snapshot read path.
+    fn peek(&self, idx: usize) -> &[(u64, u64)] {
+        match self.metas.get(idx) {
+            Some(&m) => &self.arena[m.off as usize..(m.off + m.len) as usize],
+            None => &[],
+        }
     }
 
     /// The seed-shaped `waiting` vector for [`crate::StationSnapshot`].
     pub fn snapshot_waiting(&self) -> Vec<Vec<(u64, u64)>> {
         (0..self.dense_len)
-            .map(|idx| self.shards[shard_of(idx)].peek(local_of(idx)))
+            .map(|idx| self.peek(idx).to_vec())
             .collect()
     }
 
@@ -423,16 +342,14 @@ impl WaitingSet {
     pub fn restore(expected: &[Option<u64>], waiting: &[Vec<(u64, u64)>]) -> Self {
         let mut set = Self::new();
         set.deadlines = expected.iter().map(|e| e.unwrap_or(0)).collect();
-        for (idx, &d) in set.deadlines.iter().enumerate() {
-            if d != 0 {
-                set.shards[shard_of(idx)].ensure_page(local_of(idx));
+        for idx in 0..set.deadlines.len() {
+            if set.deadlines[idx] != 0 {
+                set.ensure_page(idx);
             }
         }
         for (idx, waiters) in waiting.iter().enumerate() {
-            let shard = &mut set.shards[shard_of(idx)];
-            let local = local_of(idx);
             for &(client, since) in waiters {
-                shard.append_direct(local, client, since);
+                set.append_direct(idx, client, since);
             }
         }
         set.dense_len = waiting.len();
@@ -444,16 +361,15 @@ impl WaitingSet {
 mod tests {
     use super::*;
 
-    #[test]
-    fn shard_local_mapping_is_a_bijection() {
-        let mut seen = std::collections::BTreeSet::new();
-        for idx in 0..10_000 {
-            let key = (shard_of(idx), local_of(idx));
-            assert!(seen.insert(key), "collision at idx {idx}: {key:?}");
-        }
-        // Block-cyclic: consecutive indices inside a block share a shard.
-        assert_eq!(shard_of(0), shard_of(BLOCK_PAGES - 1));
-        assert_ne!(shard_of(0), shard_of(BLOCK_PAGES));
+    use proptest::prelude::*;
+
+    /// Drains `idx` at slot 0 and returns the served clients' raw ids in
+    /// delivery order.
+    fn drain_clients(w: &mut WaitingSet, idx: usize) -> Vec<u64> {
+        let page = PageId::new(u32::try_from(idx).unwrap());
+        let mut out = Vec::new();
+        w.drain_page(idx, page, 0, &mut out);
+        out.iter().map(|d| d.client.raw()).collect()
     }
 
     #[test]
@@ -462,12 +378,17 @@ mod tests {
         assert!(!w.subscribe(5, 1, 0), "unpublished page accepted a waiter");
         w.publish(5, 4);
         for c in 0..20u64 {
-            assert!(w.subscribe(5, c, c));
+            assert!(w.subscribe(5, c, 0));
         }
-        let got = w.take_dense(5);
-        let raws: Vec<u64> = got.iter().map(|&(c, _)| c.raw()).collect();
-        assert_eq!(raws, (0..20).collect::<Vec<_>>(), "FIFO order lost");
-        assert!(w.take_dense(5).is_empty(), "take did not clear the span");
+        assert_eq!(
+            drain_clients(&mut w, 5),
+            (0..20).collect::<Vec<_>>(),
+            "FIFO order lost"
+        );
+        assert!(
+            drain_clients(&mut w, 5).is_empty(),
+            "drain did not clear the span"
+        );
     }
 
     #[test]
@@ -478,14 +399,13 @@ mod tests {
         for c in 0..n {
             assert!(w.subscribe(0, c, 0));
         }
-        let raws: Vec<u64> = w.take_dense(0).iter().map(|&(c, _)| c.raw()).collect();
-        assert_eq!(raws, (0..n).collect::<Vec<_>>());
+        assert_eq!(drain_clients(&mut w, 0), (0..n).collect::<Vec<_>>());
     }
 
     #[test]
     fn growth_relocation_keeps_other_spans_intact() {
         let mut w = WaitingSet::new();
-        // Two pages in the same shard (same block).
+        // Two adjacent spans: page 1's sits right after page 0's.
         w.publish(0, 4);
         w.publish(1, 4);
         for c in 0..4u64 {
@@ -497,10 +417,9 @@ mod tests {
         for c in 4..300u64 {
             assert!(w.subscribe(0, c, 0));
         }
-        let a: Vec<u64> = w.take_dense(0).iter().map(|&(c, _)| c.raw()).collect();
-        let b: Vec<u64> = w.take_dense(1).iter().map(|&(c, _)| c.raw()).collect();
-        assert_eq!(a, (0..300).collect::<Vec<_>>());
-        assert_eq!(b, (100..104).collect::<Vec<_>>());
+        assert!(w.dead > 0, "page 0 never relocated");
+        assert_eq!(drain_clients(&mut w, 0), (0..300).collect::<Vec<_>>());
+        assert_eq!(drain_clients(&mut w, 1), (100..104).collect::<Vec<_>>());
     }
 
     #[test]
@@ -517,7 +436,7 @@ mod tests {
             assert_eq!(out.len(), 8);
         }
         // 8 waiters fit the minimum span: no relocation ever happened.
-        assert_eq!(w.shards[shard_of(0)].dead, 0);
+        assert_eq!(w.dead, 0);
     }
 
     #[test]
@@ -587,5 +506,247 @@ mod tests {
         let restored = WaitingSet::restore(&expected, &waiting);
         assert_eq!(restored.snapshot_waiting(), waiting);
         assert_eq!(restored.snapshot_expected(), expected);
+    }
+
+    /// Dense page ids the model tests draw from: few enough that spans
+    /// sit next to each other and relocate around one another.
+    const MODEL_PAGES: usize = 12;
+
+    /// One step of a model-test script.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Publish {
+            idx: usize,
+            expected: u64,
+        },
+        Expire {
+            idx: usize,
+        },
+        /// A burst of `count` subscribes at the current slot: bursts are
+        /// what push spans past their capacity and make them relocate.
+        Subscribe {
+            idx: usize,
+            count: u64,
+        },
+        Drain {
+            idx: usize,
+        },
+        /// Moves the slot clock forward.
+        Advance {
+            slots: u64,
+        },
+        /// Snapshot → `restore`, replacing the set under test.
+        Restore,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let idx = 0..MODEL_PAGES;
+        prop_oneof![
+            (idx.clone(), 1u64..=32).prop_map(|(idx, expected)| Op::Publish { idx, expected }),
+            idx.clone().prop_map(|idx| Op::Expire { idx }),
+            // Listed twice so bursts outnumber drains and spans keep
+            // growing past their capacity.
+            (idx.clone(), 1u64..=160).prop_map(|(idx, count)| Op::Subscribe { idx, count }),
+            (idx.clone(), 1u64..=160).prop_map(|(idx, count)| Op::Subscribe { idx, count }),
+            idx.prop_map(|idx| Op::Drain { idx }),
+            (1u64..=40).prop_map(|slots| Op::Advance { slots }),
+            Just(Op::Restore),
+        ]
+    }
+
+    /// The obviously correct reference: the seed's dense vectors.
+    /// `waiting[idx]` holds `(client, since)` in arrival order and is as
+    /// long as the largest subscribed index + 1; `deadlines[idx]` is 0
+    /// while the page is unpublished.
+    #[derive(Debug, Default)]
+    struct Model {
+        waiting: Vec<Vec<(u64, u64)>>,
+        deadlines: Vec<u64>,
+        now: u64,
+        next_client: u64,
+    }
+
+    impl Model {
+        fn deadline(&self, idx: usize) -> u64 {
+            self.deadlines.get(idx).copied().unwrap_or(0)
+        }
+
+        /// Applies `op` to both the model and `w`, checking every value
+        /// the set returns along the way.
+        fn apply(&mut self, w: &mut WaitingSet, op: &Op) {
+            match *op {
+                Op::Publish { idx, expected } => {
+                    if self.deadlines.len() <= idx {
+                        self.deadlines.resize(idx + 1, 0);
+                    }
+                    self.deadlines[idx] = expected;
+                    w.publish(idx, expected);
+                }
+                Op::Expire { idx } => {
+                    if let Some(d) = self.deadlines.get_mut(idx) {
+                        *d = 0;
+                    }
+                    w.expire(idx);
+                }
+                Op::Subscribe { idx, count } => {
+                    for _ in 0..count {
+                        let client = self.next_client;
+                        self.next_client += 1;
+                        let accepted = self.deadline(idx) != 0;
+                        assert_eq!(w.subscribe(idx, client, self.now), accepted);
+                        if accepted {
+                            if self.waiting.len() <= idx {
+                                self.waiting.resize(idx + 1, Vec::new());
+                            }
+                            self.waiting[idx].push((client, self.now));
+                        }
+                    }
+                }
+                Op::Drain { idx } => {
+                    let page = PageId::new(u32::try_from(idx).unwrap());
+                    let deadline = self.deadline(idx);
+                    let waiters = self.waiting.get_mut(idx).map(std::mem::take);
+                    let mut want = Vec::new();
+                    let mut want_delta = DrainDelta::default();
+                    for (client, since) in waiters.unwrap_or_default() {
+                        let wait = self.now + 1 - since;
+                        let within = deadline != 0 && wait <= deadline;
+                        want.push(Delivery {
+                            client: ClientId::from_raw(client),
+                            page,
+                            wait,
+                            within_deadline: within,
+                        });
+                        want_delta.delivered += 1;
+                        want_delta.on_time += u64::from(within);
+                        want_delta.total_wait += wait;
+                    }
+                    let mut out = vec![Delivery {
+                        client: ClientId::from_raw(u64::MAX),
+                        page,
+                        wait: 0,
+                        within_deadline: false,
+                    }];
+                    let delta = w.drain_page(idx, page, self.now, &mut out);
+                    // Drains append: the sentinel stays in front.
+                    assert_eq!(out.remove(0).client.raw(), u64::MAX);
+                    assert_eq!(out, want, "drain of page {idx} at slot {}", self.now);
+                    assert_eq!(delta, want_delta, "delta of page {idx}");
+                }
+                Op::Advance { slots } => self.now += slots,
+                Op::Restore => {
+                    *w = WaitingSet::restore(&w.snapshot_expected(), &w.snapshot_waiting());
+                }
+            }
+        }
+
+        /// Checks the set's snapshot vectors against the model.
+        fn check(&self, w: &WaitingSet) {
+            assert_eq!(w.snapshot_waiting(), self.waiting);
+            let expected: Vec<Option<u64>> = self
+                .deadlines
+                .iter()
+                .map(|&d| (d != 0).then_some(d))
+                .collect();
+            assert_eq!(w.snapshot_expected(), expected);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random publish / expire / republish / subscribe-burst / drain /
+        /// restore scripts against the plain dense-vector model: every
+        /// drain returns the model's deliveries in per-page FIFO order
+        /// with the model's `DrainDelta`, and after every step both
+        /// snapshot vectors equal the model's. Bursts of up to 160
+        /// subscribes over 12 neighbouring spans make spans double and
+        /// relocate around each other many times per script. Should the
+        /// arena compact during a step, its footprint must shrink.
+        #[test]
+        fn waiting_set_matches_a_plain_model(
+            ops in prop::collection::vec(arb_op(), 1..=120),
+        ) {
+            let mut w = WaitingSet::new();
+            let mut model = Model::default();
+            for op in &ops {
+                let (compactions, bytes) = (w.compactions(), w.arena_bytes());
+                model.apply(&mut w, op);
+                if !matches!(op, Op::Restore) && w.compactions() > compactions {
+                    prop_assert!(w.arena_bytes() < bytes, "compaction grew the arena");
+                }
+                model.check(&w);
+            }
+        }
+
+        /// The same scripts with an explicit compaction after every step:
+        /// `compact` must drop exactly the stranded records, keep every
+        /// span's content and FIFO order, and leave a set that keeps
+        /// serving like the model.
+        #[test]
+        fn compaction_keeps_every_span_and_frees_the_dead(
+            ops in prop::collection::vec(arb_op(), 1..=120),
+        ) {
+            let mut w = WaitingSet::new();
+            let mut model = Model::default();
+            for op in &ops {
+                model.apply(&mut w, op);
+                let (compactions, bytes, dead) = (w.compactions(), w.arena_bytes(), w.dead);
+                w.compact();
+                prop_assert_eq!(w.compactions(), compactions + 1);
+                prop_assert_eq!(w.dead, 0);
+                let freed = (dead * std::mem::size_of::<(u64, u64)>()) as u64;
+                prop_assert_eq!(w.arena_bytes(), bytes - freed);
+                model.check(&w);
+            }
+        }
+    }
+
+    /// The automatic trigger compacts once stranded records outnumber
+    /// live ones (`dead * 2 > len`). A relocation doubles a span, so it
+    /// strands exactly as much as it adds live, and dead space can never
+    /// catch up with live capacity: this script relocates dozens of
+    /// spans yet never compacts on its own. An explicit `compact` then
+    /// reclaims every stranded record.
+    #[test]
+    fn relocations_never_strand_more_than_is_live() {
+        let mut w = WaitingSet::new();
+        for idx in 0..MODEL_PAGES {
+            w.publish(idx, 8);
+        }
+        let mut client = 0u64;
+        for round in 0..8u32 {
+            // Grow each span in turn: every page's growth relocates it
+            // past the span that moved to the tail just before.
+            for idx in 0..MODEL_PAGES {
+                for _ in 0..(8u64 << round) {
+                    assert!(w.subscribe(idx, client, 0));
+                    client += 1;
+                }
+                let live: usize = w.metas.iter().map(|m| m.cap as usize).sum();
+                assert_eq!(w.arena.len(), live + w.dead);
+                assert!(w.dead < live, "dead {} >= live {live}", w.dead);
+            }
+        }
+        assert!(w.arena.len() >= COMPACT_MIN_LEN);
+        assert!(w.dead > 0);
+        assert_eq!(w.compactions(), 0);
+
+        let before = w.snapshot_waiting();
+        let bytes = w.arena_bytes();
+        w.compact();
+        assert!(w.compactions() >= 1);
+        assert!(
+            w.arena_bytes() < bytes,
+            "compaction did not shrink the arena"
+        );
+        assert_eq!(w.snapshot_waiting(), before);
+        let mut served = 0;
+        for (idx, span) in before.iter().enumerate() {
+            let got = drain_clients(&mut w, idx);
+            assert_eq!(got, span.iter().map(|&(c, _)| c).collect::<Vec<_>>());
+            served += got.len() as u64;
+        }
+        assert_eq!(served, client);
     }
 }

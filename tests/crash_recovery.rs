@@ -137,11 +137,11 @@ fn crash_at_every_slot_recovers_bit_identically() {
 
 /// The persisted state is a pure function of the serving history: two
 /// independent runs of the same history, crashed at the same slot, leave
-/// byte-identical checkpoint and journal files — the 16-shard waiting-set
-/// layout and arena history never reach the disk — and the crashed state
-/// resumes bit-identical to the never-crashed twin.
+/// byte-identical checkpoint and journal files — the waiting-set arena
+/// layout and its growth history never reach the disk — and the crashed
+/// state resumes bit-identical to the never-crashed twin.
 #[test]
-fn partitioned_station_checkpoints_and_recovers_like_its_serial_twin() {
+fn state_files_are_a_function_of_the_serving_history_alone() {
     let (twin, twin_stats) = twin_outcomes();
     // Off the 8-slot checkpoint cadence so recovery replays a non-empty
     // journal tail on top of the slot-40 checkpoint.

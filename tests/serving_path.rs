@@ -9,14 +9,16 @@
 //!   hand-mutilated grids the schedulers would never emit;
 //! * [`Station::tick_into`] driving one reused [`TickBuf`] must produce
 //!   exactly the same outcome stream, deliveries, events and statistics
-//!   as the allocating [`Station::tick`] and the retained seed-shaped
-//!   [`Station::tick_reference`], across randomized chaos fault scripts.
+//!   as the allocating [`Station::tick`] and the seed station replica
+//!   [`SeedStation`] — which shares no serving code with the station —
+//!   across randomized chaos fault scripts.
 
+use airsched_bench::seed::SeedStation;
 use airsched_core::group::GroupLadder;
 use airsched_core::program::{BroadcastProgram, Occurrences};
 use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex};
 use airsched_core::{pamad, susc};
-use airsched_server::{FaultEvent, FaultPlan, Station, TickBuf};
+use airsched_server::{FaultEvent, FaultPlan, Mode, ModeTally, Station, TickBuf};
 
 use proptest::prelude::*;
 
@@ -98,9 +100,15 @@ fn arb_chaos() -> impl Strategy<Value = Chaos> {
         )
 }
 
-/// Four channels, 16-slot cycle, harmonic catalogue (as the chaos
-/// integration tests use) so every rung of the ladder is reachable.
-fn chaos_station(chaos: &Chaos) -> Station {
+/// Harmonic catalogue (as the chaos integration tests use) on four
+/// channels and a 16-slot cycle, so every rung of the ladder is reachable.
+const CATALOGUE: [(u32, u64); 6] = [(0, 2), (1, 4), (2, 8), (3, 16), (4, 4), (5, 8)];
+
+/// The ladder's modes in [`airsched_server::StationStats::mode_tallies`]
+/// order.
+const MODES: [Mode; 4] = [Mode::Valid, Mode::Repacked, Mode::BestEffort, Mode::Offline];
+
+fn chaos_plan(chaos: &Chaos) -> FaultPlan {
     let script = chaos
         .script
         .iter()
@@ -113,17 +121,28 @@ fn chaos_station(chaos: &Chaos) -> Station {
             }
         })
         .collect();
-    let plan = FaultPlan::seeded(chaos.seed)
+    FaultPlan::seeded(chaos.seed)
         .with_script(script)
         .with_outage(chaos.outage)
         .with_recovery(chaos.recovery)
         .with_stalls(chaos.stalls)
-        .with_corruption(chaos.corruption);
-    let mut station = Station::with_faults(4, 16, &plan).unwrap();
-    for (p, t) in [(0, 2), (1, 4), (2, 8), (3, 16), (4, 4), (5, 8)] {
+        .with_corruption(chaos.corruption)
+}
+
+fn chaos_station(chaos: &Chaos) -> Station {
+    let mut station = Station::with_faults(4, 16, &chaos_plan(chaos)).unwrap();
+    for (p, t) in CATALOGUE {
         station.publish(PageId::new(p), t).unwrap();
     }
     station
+}
+
+fn chaos_replica(chaos: &Chaos) -> SeedStation {
+    let catalogue: Vec<(PageId, u64)> = CATALOGUE
+        .iter()
+        .map(|&(p, t)| (PageId::new(p), t))
+        .collect();
+    SeedStation::new(4, 16, &catalogue, Some(&chaos_plan(chaos)))
 }
 
 proptest! {
@@ -203,34 +222,78 @@ proptest! {
     }
 
     /// One `TickBuf` reused across an entire chaos run yields exactly the
-    /// slot outcomes of the allocating `tick` and of the retained seed
-    /// reference — deliveries, events, modes and final statistics all
-    /// included. Subscription churn keeps waiting lists hot so delivery
-    /// batching, capacity reuse and the dense expected-time cache are all
-    /// on the line.
+    /// slot outcomes of the allocating `tick` and of the seed replica —
+    /// deliveries, events, modes and final statistics all included.
+    /// Subscription churn keeps waiting lists hot so delivery batching,
+    /// capacity reuse and the dense expected-time cache are all on the
+    /// line. The replica keeps nine of the station's stats; per-mode
+    /// tallies and mode changes are derived from its outcome stream.
     #[test]
     fn tick_into_matches_tick_under_chaos(chaos in arb_chaos()) {
         let mut fresh = chaos_station(&chaos);
         let mut reused = chaos_station(&chaos);
-        let mut seed_shaped = chaos_station(&chaos);
+        let mut replica = chaos_replica(&chaos);
         let mut buf = TickBuf::new();
+        let mut tallies = [ModeTally::default(); 4];
+        let mut mode = Mode::Valid;
+        let mut mode_changes = 0u64;
+        let mut last_mode_change_slot = None;
         for t in 0..260u64 {
             if t % chaos.churn == 0 {
                 let page = PageId::new(u32::try_from(t % 6).unwrap());
                 let a = fresh.subscribe(page).unwrap();
                 let b = reused.subscribe(page).unwrap();
-                let c = seed_shaped.subscribe(page).unwrap();
                 prop_assert_eq!(a, b);
-                prop_assert_eq!(a, c);
+                prop_assert_eq!(a.raw(), replica.subscribe(page));
             }
             let want = fresh.tick();
             reused.tick_into(&mut buf);
             prop_assert_eq!(&buf.to_outcome(), &want, "slot {}", t);
-            prop_assert_eq!(&seed_shaped.tick_reference(), &want, "slot {}", t);
+
+            let seed = replica.tick();
+            prop_assert_eq!(want.mode, seed.mode, "mode at slot {}", t);
+            prop_assert_eq!(&want.on_air, &seed.on_air, "on_air at slot {}", t);
+            prop_assert_eq!(&want.corrupted, &seed.corrupted, "corrupted at slot {}", t);
+            prop_assert_eq!(&want.events, &seed.events, "events at slot {}", t);
+            let got: Vec<_> = want
+                .deliveries
+                .iter()
+                .map(|d| (d.client.raw(), d.page, d.wait, d.within_deadline))
+                .collect();
+            let seed_got: Vec<_> = seed
+                .deliveries
+                .iter()
+                .map(|d| (d.client, d.page, d.wait, d.within_deadline))
+                .collect();
+            prop_assert_eq!(got, seed_got, "deliveries at slot {}", t);
+
+            if seed.mode != mode {
+                mode = seed.mode;
+                mode_changes += 1;
+                last_mode_change_slot = Some(t);
+            }
+            let tally = &mut tallies[MODES.iter().position(|&m| m == seed.mode).unwrap()];
+            tally.delivered += seed.deliveries.len() as u64;
+            tally.on_time += seed.deliveries.iter().filter(|d| d.within_deadline).count() as u64;
         }
-        prop_assert_eq!(fresh.stats(), reused.stats());
-        prop_assert_eq!(fresh.stats(), seed_shaped.stats());
+        let stats = fresh.stats();
+        prop_assert_eq!(stats, reused.stats());
         prop_assert_eq!(fresh.mode(), reused.mode());
-        prop_assert_eq!(fresh.mode(), seed_shaped.mode());
+        prop_assert_eq!(fresh.mode(), mode);
+        prop_assert_eq!(
+            (stats.delivered, stats.on_time, stats.total_wait, stats.waiting),
+            (replica.delivered, replica.on_time, replica.total_wait, replica.waiting_count)
+        );
+        prop_assert_eq!(
+            (stats.failovers, stats.repacks, stats.recoveries),
+            (replica.failovers, replica.repacks, replica.recoveries)
+        );
+        prop_assert_eq!(
+            (stats.degraded_slots, stats.slots_elapsed),
+            (replica.degraded_slots, replica.slots_elapsed)
+        );
+        prop_assert_eq!(stats.mode_tallies(), tallies);
+        prop_assert_eq!(stats.mode_changes, mode_changes);
+        prop_assert_eq!(stats.last_mode_change_slot, last_mode_change_slot);
     }
 }
