@@ -1,19 +1,19 @@
-//! Planner & measurement performance baseline: times the pruned/parallel
-//! OPT searches, the incremental PAMAD stage loop, the closed-form exact
-//! AvgD, sharded measurement, and the validity sweep at Figure-5 scale,
-//! and emits machine-readable `BENCH_planner.json` so later PRs have a
-//! trajectory to beat.
+//! Planner & measurement performance baseline: times the pruned OPT
+//! searches, the incremental PAMAD stage loop, the closed-form exact AvgD,
+//! request measurement, the validity sweep and the difference-constraint
+//! solver at Figure-5 scale, and emits machine-readable
+//! `BENCH_planner.json` so later PRs have a trajectory to beat.
 //!
 //! Run: `cargo run --release -p airsched-bench --bin planner_perf`
 //!
 //! Options (beyond the common `--dist/--n/--groups/--t1/--ratio/--requests/
-//! --seed`): `--threads <k>` to override the worker count (default: all
-//! available cores) and `--out <path>` for the JSON file (default
-//! `BENCH_planner.json` in the working directory).
+//! --seed`): `--epsilon <e>` for the PTAS and `--out <path>` for the JSON
+//! file (default `BENCH_planner.json` in the working directory).
 //!
 //! The binary **exits non-zero** if any optimized path diverges from its
-//! reference (parallel vs serial OPT, closed-form vs scanned AvgD,
-//! sharded vs serial measurement) — CI runs it as a correctness gate.
+//! reference (pruned vs unpruned OPT, B&B vs plain full search,
+//! closed-form vs scanned AvgD, solver vs validity, PTAS beyond its
+//! epsilon band) — CI runs it as a correctness gate.
 
 use std::time::Instant;
 
@@ -22,7 +22,7 @@ use airsched_core::bound::minimum_channels;
 use airsched_core::delay::Weighting;
 use airsched_core::group::GroupLadder;
 use airsched_core::{opt, pamad, validity};
-use airsched_sim::access::{self, Measurer};
+use airsched_sim::access;
 use airsched_workload::requests::{AccessPattern, RequestGenerator};
 
 /// Wall time of `f` in microseconds, best of `reps` runs (the searches are
@@ -50,11 +50,6 @@ fn main() {
     let (config, dists, extra) = parse_common_args();
     let config = config.with_distribution(dists[0]);
     let ladder = config.ladder().expect("workload builds");
-    let threads = extra_num(
-        &extra,
-        "threads",
-        std::thread::available_parallelism().map_or(4, std::num::NonZero::get),
-    );
     let out_path = extra
         .iter()
         .find(|(k, _)| k == "out")
@@ -63,7 +58,7 @@ fn main() {
     let n_min = minimum_channels(&ladder);
     let mut divergences: Vec<String> = Vec::new();
     println!(
-        "planner_perf on {} ({} pages, {} groups, t1={}, t_h={}) — N_min = {n_min}, {threads} threads\n",
+        "planner_perf on {} ({} pages, {} groups, t1={}, t_h={}) — N_min = {n_min}\n",
         dists[0],
         ladder.total_pages(),
         ladder.group_count(),
@@ -78,15 +73,10 @@ fn main() {
     let (serial, serial_us) = time_us(3, || {
         opt::search_r_structured(&ladder, n_min, Weighting::PaperEq2)
     });
-    let (parallel, parallel_us) = time_us(3, || {
-        opt::search_r_structured_parallel(&ladder, n_min, Weighting::PaperEq2, threads)
-    });
     let opt_identical = serial.frequencies() == unpruned.frequencies()
-        && serial.objective() == unpruned.objective()
-        && parallel.frequencies() == serial.frequencies()
-        && parallel.objective() == serial.objective();
+        && serial.objective() == unpruned.objective();
     if !opt_identical {
-        divergences.push("opt_r_structured: pruned/parallel diverge from reference".into());
+        divergences.push("opt_r_structured: pruned diverges from unpruned reference".into());
     }
     if serial.evaluated() >= unpruned.evaluated() {
         divergences.push(format!(
@@ -95,21 +85,18 @@ fn main() {
             unpruned.evaluated()
         ));
     }
-    // Headline: the seed paid the unpruned serial cost; the new planner
-    // pays the pruned (parallel where cores exist) cost.
-    let opt_speedup = unpruned_us / parallel_us.min(serial_us);
+    // Headline: the seed paid the unpruned cost; the planner pays the
+    // pruned one.
+    let opt_speedup = unpruned_us / serial_us;
     println!("OPT r-structured @ N={n_min}:");
     println!(
         "  unpruned serial  {unpruned_us:>10.1} µs  evaluated {}",
         unpruned.evaluated()
     );
     println!(
-        "  pruned serial    {serial_us:>10.1} µs  evaluated {} (cut {})",
+        "  pruned serial    {serial_us:>10.1} µs  evaluated {} (cut {})  speedup vs seed: {opt_speedup:.1}x\n",
         serial.evaluated(),
         serial.pruned()
-    );
-    println!(
-        "  pruned parallel  {parallel_us:>10.1} µs  ({threads} threads)  speedup vs seed: {opt_speedup:.1}x\n"
     );
 
     // --- Full branch-and-bound on a reduced ladder (its cap space at full
@@ -117,20 +104,23 @@ fn main() {
     let bnb_ladder = GroupLadder::geometric(2, 2, &[6, 8, 10, 4, 2]).expect("static ladder");
     let bnb_n = minimum_channels(&bnb_ladder);
     let bnb_config = opt::OptConfig::default();
-    let (bnb_serial, bnb_serial_us) =
-        time_us(3, || opt::search_full_bnb(&bnb_ladder, bnb_n, bnb_config));
-    let (bnb_parallel, bnb_parallel_us) = time_us(3, || {
-        opt::search_full_bnb_parallel(&bnb_ladder, bnb_n, bnb_config, threads)
-    });
-    let bnb_identical = bnb_parallel.frequencies() == bnb_serial.frequencies()
-        && bnb_parallel.objective() == bnb_serial.objective();
-    if !bnb_identical {
-        divergences.push("bnb: parallel diverges from serial".into());
+    let (bnb, bnb_us) = time_us(3, || opt::search_full_bnb(&bnb_ladder, bnb_n, bnb_config));
+    let plain = opt::search_full(&bnb_ladder, bnb_n, bnb_config).expect("reduced ladder fits");
+    // Objectives only: ties may settle on different vectors. Same
+    // tolerance as `bnb_matches_plain_full_search`.
+    let bnb_matches = (bnb.objective() - plain.objective()).abs() < 1e-12;
+    if !bnb_matches {
+        divergences.push(format!(
+            "bnb: objective {} != plain full search {}",
+            bnb.objective(),
+            plain.objective()
+        ));
     }
     println!(
-        "B&B (reduced ladder, N={bnb_n}): serial {bnb_serial_us:.1} µs, parallel {bnb_parallel_us:.1} µs, evaluated {} (cut {})\n",
-        bnb_serial.evaluated(),
-        bnb_serial.pruned()
+        "B&B (reduced ladder, N={bnb_n}): {bnb_us:.1} µs, evaluated {} (cut {}) vs plain {}\n",
+        bnb.evaluated(),
+        bnb.pruned(),
+        plain.evaluated()
     );
 
     // --- PAMAD stage loop (incremental, windowed trace). ---
@@ -161,23 +151,11 @@ fn main() {
         slow_us / fast_us
     );
 
-    // --- Measurement: serial vs sharded. ---
+    // --- Measurement of a sampled request batch. ---
     let requests = RequestGenerator::new(&ladder, AccessPattern::Uniform, config.seed)
         .take(config.requests, program.cycle_len());
-    let (serial_meas, meas_serial_us) =
-        time_us(3, || Measurer::new().measure(&program, &ladder, &requests));
-    let (parallel_meas, meas_parallel_us) = time_us(3, || {
-        Measurer::new()
-            .parallelism(threads)
-            .measure(&program, &ladder, &requests)
-    });
-    if serial_meas != parallel_meas {
-        divergences.push("measure: sharded summary diverges from serial".into());
-    }
-    println!(
-        "measure {} requests: serial {meas_serial_us:.1} µs, {threads}-way {meas_parallel_us:.1} µs\n",
-        requests.len()
-    );
+    let (_, meas_us) = time_us(3, || access::measure(&program, &ladder, &requests));
+    println!("measure {} requests: {meas_us:.1} µs\n", requests.len());
 
     // --- Validity sweep (allocation-free gap iterator). ---
     let (report, validity_us) = time_us(5, || validity::check(&program, &ladder));
@@ -262,17 +240,15 @@ fn main() {
             "  \"bench\": \"planner_perf\",\n",
             "  \"workload\": {{\"dist\": \"{dist}\", \"pages\": {pages}, \"groups\": {groups}, ",
             "\"t1\": {t1}, \"t_h\": {th}, \"n_min\": {n_min}}},\n",
-            "  \"threads\": {threads},\n",
             "  \"opt_r_structured\": {{\"unpruned_serial_us\": {o_u}, \"pruned_serial_us\": {o_s}, ",
-            "\"pruned_parallel_us\": {o_p}, \"evaluated_unpruned\": {e_u}, \"evaluated_pruned\": {e_p}, ",
+            "\"evaluated_unpruned\": {e_u}, \"evaluated_pruned\": {e_p}, ",
             "\"pruned_subtrees\": {cut}, \"speedup_vs_unpruned_serial\": {o_x}, \"identical\": {o_id}}},\n",
-            "  \"bnb\": {{\"serial_us\": {b_s}, \"parallel_us\": {b_p}, \"evaluated\": {b_e}, ",
-            "\"pruned_subtrees\": {b_c}, \"identical\": {b_id}}},\n",
+            "  \"bnb\": {{\"serial_us\": {b_s}, \"evaluated\": {b_e}, \"evaluated_plain\": {b_pe}, ",
+            "\"pruned_subtrees\": {b_c}, \"matches_plain\": {b_ok}}},\n",
             "  \"pamad\": {{\"derive_us\": {p_us}, \"stage_candidates\": {p_e}}},\n",
             "  \"exact_avg_delay\": {{\"closed_form_us\": {d_f}, \"scan_us\": {d_s}, ",
             "\"speedup\": {d_x}, \"identical\": {d_id}}},\n",
-            "  \"measure\": {{\"requests\": {m_n}, \"serial_us\": {m_s}, \"parallel_us\": {m_p}, ",
-            "\"identical\": {m_id}}},\n",
+            "  \"measure\": {{\"requests\": {m_n}, \"serial_us\": {m_s}}},\n",
             "  \"validity\": {{\"check_us\": {v_us}, \"valid\": {v_ok}}},\n",
             "  \"solve\": {{\"check_us\": {s_c}, \"synth_us\": {s_s}, \"ptas_us\": {s_p}, ",
             "\"ptas_epsilon\": {s_eps}, \"ptas_evaluated\": {s_ev}, \"ptas_ratio_vs_opt\": {s_r}, ",
@@ -286,20 +262,18 @@ fn main() {
         t1 = ladder.times()[0],
         th = ladder.max_time(),
         n_min = n_min,
-        threads = threads,
         o_u = json_f(unpruned_us),
         o_s = json_f(serial_us),
-        o_p = json_f(parallel_us),
         e_u = unpruned.evaluated(),
         e_p = serial.evaluated(),
         cut = serial.pruned(),
         o_x = json_f(opt_speedup),
         o_id = opt_identical,
-        b_s = json_f(bnb_serial_us),
-        b_p = json_f(bnb_parallel_us),
-        b_e = bnb_serial.evaluated(),
-        b_c = bnb_serial.pruned(),
-        b_id = bnb_identical,
+        b_s = json_f(bnb_us),
+        b_e = bnb.evaluated(),
+        b_pe = plain.evaluated(),
+        b_c = bnb.pruned(),
+        b_ok = bnb_matches,
         p_us = json_f(pamad_us),
         p_e = stage_evaluated,
         d_f = json_f(fast_us),
@@ -307,9 +281,7 @@ fn main() {
         d_x = json_f(slow_us / fast_us),
         d_id = fast == slow,
         m_n = requests.len(),
-        m_s = json_f(meas_serial_us),
-        m_p = json_f(meas_parallel_us),
-        m_id = serial_meas == parallel_meas,
+        m_s = json_f(meas_us),
         v_us = json_f(validity_us),
         v_ok = report.is_valid(),
         s_c = json_f(solve_check_us),

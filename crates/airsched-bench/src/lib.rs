@@ -1,7 +1,7 @@
 //! # airsched-bench
 //!
 //! The reproduction harness: one binary per table/figure of the paper plus
-//! Criterion micro-benchmarks.
+//! the planner and serving-path measurements.
 //!
 //! | Target | Reproduces |
 //! |---|---|

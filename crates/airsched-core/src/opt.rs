@@ -37,13 +37,6 @@
 //!   prefix obeys `F_{j+1} = r_j * F_j + P_{j+1}`, so extending a prefix is
 //!   `O(1)` instead of the `O(h^2)` per-node vector rebuild the seed
 //!   implementation paid.
-//! * **Scoped-thread fan-out.** [`search_r_structured_parallel`] and
-//!   [`search_full_bnb_parallel`] deal the top-level choices round-robin
-//!   over `std::thread::scope` workers (the build is offline and std-only —
-//!   no rayon). Each worker runs the serial pruned DFS over its share and
-//!   the results merge deterministically by objective, then the serial
-//!   tie-break, then top-level enumeration order, so the parallel result is
-//!   bit-identical to the serial one for any thread count.
 
 use crate::delay::{group_objective, Weighting};
 use crate::error::ScheduleError;
@@ -145,7 +138,7 @@ impl OptResult {
 /// ```
 #[must_use]
 pub fn search_r_structured(ladder: &GroupLadder, n_real: u32, weighting: Weighting) -> OptResult {
-    r_structured_impl(ladder, n_real, weighting, true, 1)
+    r_structured_impl(ladder, n_real, weighting, true)
 }
 
 /// The unpruned reference for [`search_r_structured`]: enumerates every
@@ -164,44 +157,7 @@ pub fn search_r_structured_unpruned(
     n_real: u32,
     weighting: Weighting,
 ) -> OptResult {
-    r_structured_impl(ladder, n_real, weighting, false, 1)
-}
-
-/// Parallel [`search_r_structured`]: fans the top-level ratio `r_1` out
-/// round-robin over `threads` scoped worker threads.
-///
-/// The merged result (frequencies and objective) is bit-identical to the
-/// serial pruned search for any `threads >= 1`; only the `evaluated` /
-/// `pruned` tallies may differ, because each worker prunes against its own
-/// incumbent rather than a globally shared one. `threads <= 1` runs the
-/// serial search.
-///
-/// # Panics
-///
-/// Panics if `n_real == 0`.
-///
-/// # Examples
-///
-/// ```
-/// use airsched_core::delay::Weighting;
-/// use airsched_core::group::GroupLadder;
-/// use airsched_core::opt;
-///
-/// let ladder = GroupLadder::new(vec![(2, 3), (4, 5), (8, 3)])?;
-/// let serial = opt::search_r_structured(&ladder, 2, Weighting::PaperEq2);
-/// let parallel = opt::search_r_structured_parallel(&ladder, 2, Weighting::PaperEq2, 4);
-/// assert_eq!(parallel.frequencies(), serial.frequencies());
-/// assert_eq!(parallel.objective(), serial.objective());
-/// # Ok::<(), airsched_core::error::ScheduleError>(())
-/// ```
-#[must_use]
-pub fn search_r_structured_parallel(
-    ladder: &GroupLadder,
-    n_real: u32,
-    weighting: Weighting,
-    threads: usize,
-) -> OptResult {
-    r_structured_impl(ladder, n_real, weighting, true, threads.max(1))
+    r_structured_impl(ladder, n_real, weighting, false)
 }
 
 fn r_structured_impl(
@@ -209,108 +165,34 @@ fn r_structured_impl(
     n_real: u32,
     weighting: Weighting,
     prune: bool,
-    threads: usize,
 ) -> OptResult {
     assert!(n_real > 0, "n_real must be non-zero");
     let h = ladder.group_count();
-    let times = ladder.times();
     let pages = ladder.page_counts();
-
-    if h == 1 {
-        return OptResult {
-            freqs: vec![1],
-            objective: group_objective(times, pages, &[1], n_real, weighting),
-            evaluated: 1,
-            pruned: 0,
-        };
-    }
-
     let bound_weights = bound_weights(pages, weighting);
-
-    // Top-level range for r_1 (position 0): F_0 = P_0.
-    let top_bound = ratio_bound(n_real, times[1], pages[1], pages[0]);
-
-    let worker = |top_values: &[u64]| -> RSearch<'_> {
-        let mut search = RSearch {
-            times,
-            pages,
-            n_real,
-            weighting,
-            prune,
-            bound_weights: bound_weights.as_deref(),
-            ratios: vec![1u64; h - 1],
-            best: None,
-            evaluated: 0,
-            pruned: 0,
-        };
-        for &r in top_values {
-            search.ratios[0] = r;
-            let f_child = r.saturating_mul(pages[0]).saturating_add(pages[1]);
-            if search.try_prune(1, f_child) {
-                continue;
-            }
-            search.descend(1, f_child);
-        }
-        search
+    let mut search = RSearch {
+        times: ladder.times(),
+        pages,
+        n_real,
+        weighting,
+        prune,
+        bound_weights: bound_weights.as_deref(),
+        ratios: vec![1u64; h - 1],
+        best: None,
+        evaluated: 0,
+        pruned: 0,
     };
-
-    let (best, evaluated, pruned) = if threads <= 1 || top_bound < 2 {
-        let all: Vec<u64> = (1..=top_bound).collect();
-        let search = worker(&all);
-        (search.best, search.evaluated, search.pruned)
-    } else {
-        // Deal r values round-robin so the (typically larger) low-r
-        // subtrees spread across workers.
-        let workers = threads.min(top_bound as usize);
-        let chunks: Vec<Vec<u64>> = (0..workers)
-            .map(|w| {
-                (1..=top_bound)
-                    .filter(|r| ((r - 1) as usize) % workers == w)
-                    .collect()
-            })
-            .collect();
-        let results: Vec<RSearch<'_>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| scope.spawn(|| worker(chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("search worker panicked"))
-                .collect()
-        });
-        // Deterministic merge: lowest objective wins; among exact ties the
-        // candidate found at the smallest top-level r (each r is owned by
-        // exactly one worker, and within a worker the DFS already keeps the
-        // first-found optimum) — exactly the serial enumeration order.
-        let mut best: Option<RBest> = None;
-        let mut evaluated = 0;
-        let mut pruned = 0;
-        for search in results {
-            evaluated += search.evaluated;
-            pruned += search.pruned;
-            if let Some(cand) = search.best {
-                let replace = match &best {
-                    None => true,
-                    Some(inc) => {
-                        cand.objective < inc.objective
-                            || (cand.objective == inc.objective && cand.top_r < inc.top_r)
-                    }
-                };
-                if replace {
-                    best = Some(cand);
-                }
-            }
-        }
-        (best, evaluated, pruned)
-    };
-
-    let best = best.expect("every top-level ratio leads to at least one leaf");
+    // The root prefix is group 0 alone: F_0 = P_0. A single-group ladder is
+    // already a leaf, evaluated once at frequency 1.
+    search.descend(0, pages[0]);
+    let best = search
+        .best
+        .expect("every ratio prefix leads to at least one leaf");
     OptResult {
         freqs: best.freqs,
         objective: best.objective,
-        evaluated,
-        pruned,
+        evaluated: search.evaluated,
+        pruned: search.pruned,
     }
 }
 
@@ -336,13 +218,10 @@ fn bound_weights(pages: &[u64], weighting: Weighting) -> Option<Vec<f64>> {
     }
 }
 
-/// The best leaf a search (or worker) has seen.
+/// The best leaf a search has seen.
 struct RBest {
     freqs: Vec<u64>,
     objective: f64,
-    /// The top-level ratio `r_1` under which the leaf was found — the merge
-    /// tie-break that reproduces serial enumeration order.
-    top_r: u64,
 }
 
 /// DFS over ratio vectors with *dynamic* Algorithm-3 stage bounds: the
@@ -453,7 +332,6 @@ impl RSearch<'_> {
                 self.best = Some(RBest {
                     freqs,
                     objective: obj,
-                    top_r: self.ratios[0],
                 });
             }
             return;
@@ -588,39 +466,71 @@ fn total_instances(freqs: &[u64], pages: &[u64]) -> u64 {
 /// ```
 #[must_use]
 pub fn search_full_bnb(ladder: &GroupLadder, n_real: u32, config: OptConfig) -> OptResult {
-    bnb_impl(ladder, n_real, config, 1)
+    assert!(n_real > 0, "n_real must be non-zero");
+    let h = ladder.group_count();
+    let times = ladder.times();
+    let pages = ladder.page_counts();
+    let th = ladder.max_time();
+
+    let caps: Vec<u64> = times
+        .iter()
+        .map(|&t| (config.max_freq_factor * (th / t)).max(1))
+        .collect();
+    // Suffix page sums: remaining_pages[j] = sum of P_k for k >= j.
+    let mut remaining_pages = vec![0u64; h + 1];
+    for j in (0..h).rev() {
+        remaining_pages[j] = remaining_pages[j + 1] + pages[j];
+    }
+    let n_pages: u64 = pages.iter().sum();
+    let zipf_masses = match config.weighting {
+        Weighting::ZipfAccess { theta } => Some(crate::delay::zipf_group_masses_for_bound(
+            pages, n_pages, theta,
+        )),
+        _ => None,
+    };
+
+    // Incumbent: the structured optimum (always within the cap space as
+    // long as its frequencies respect the caps; clamp defensively).
+    let seed = search_r_structured(ladder, n_real, config.weighting);
+    let seed_freqs: Vec<u64> = seed
+        .frequencies()
+        .iter()
+        .zip(&caps)
+        .map(|(&s, &cap)| s.min(cap))
+        .collect();
+    let mut bnb = Bnb {
+        times,
+        pages,
+        caps: &caps,
+        remaining_pages: &remaining_pages,
+        n_real,
+        weighting: config.weighting,
+        zipf_masses: zipf_masses.as_deref(),
+        n_pages,
+        freqs: vec![1u64; h],
+        best: BnbBest {
+            objective: group_objective(times, pages, &seed_freqs, n_real, config.weighting),
+            instances: total_instances(&seed_freqs, pages),
+            freqs: seed_freqs,
+        },
+        evaluated: 0,
+        pruned: 0,
+    };
+    bnb.dfs(0, 0);
+
+    OptResult {
+        freqs: bnb.best.freqs,
+        objective: bnb.best.objective,
+        evaluated: bnb.evaluated + seed.evaluated(),
+        pruned: bnb.pruned,
+    }
 }
 
-/// Parallel [`search_full_bnb`]: fans the top-level frequency `S_1` out
-/// round-robin over `threads` scoped worker threads, each seeded with the
-/// structured incumbent.
-///
-/// The merged frequencies and objective are bit-identical to the serial
-/// branch-and-bound for any `threads >= 1` (merge order: objective, then
-/// total slot instances, then top-level enumeration order — the serial
-/// replacement rule). `threads <= 1` runs the serial search.
-///
-/// # Panics
-///
-/// Panics if `n_real == 0`.
-#[must_use]
-pub fn search_full_bnb_parallel(
-    ladder: &GroupLadder,
-    n_real: u32,
-    config: OptConfig,
-    threads: usize,
-) -> OptResult {
-    bnb_impl(ladder, n_real, config, threads.max(1))
-}
-
-/// The best candidate a B&B worker has seen, with the serial tie-break key.
+/// The best candidate the B&B has seen, with its tie-break key.
 struct BnbBest {
     freqs: Vec<u64>,
     objective: f64,
     instances: u64,
-    /// Top-level `S_1` of the candidate (0 for the structured seed, which
-    /// serially precedes — and therefore wins ties against — every leaf).
-    top_s: u64,
 }
 
 struct Bnb<'a> {
@@ -677,7 +587,7 @@ impl Bnb<'_> {
     }
 
     /// Offers a fully assigned frequency vector to the incumbent under the
-    /// serial replacement rule.
+    /// replacement rule: lower objective, then fewer slot instances.
     fn offer_leaf(&mut self) {
         let obj = group_objective(
             self.times,
@@ -695,7 +605,6 @@ impl Bnb<'_> {
                 freqs: self.freqs.clone(),
                 objective: obj,
                 instances,
-                top_s: self.freqs[0],
             };
         }
     }
@@ -720,142 +629,6 @@ impl Bnb<'_> {
             self.dfs(j + 1, child_slots);
         }
         self.freqs[j] = 1;
-    }
-}
-
-fn bnb_impl(ladder: &GroupLadder, n_real: u32, config: OptConfig, threads: usize) -> OptResult {
-    assert!(n_real > 0, "n_real must be non-zero");
-    let h = ladder.group_count();
-    let times = ladder.times();
-    let pages = ladder.page_counts();
-    let th = ladder.max_time();
-
-    let caps: Vec<u64> = times
-        .iter()
-        .map(|&t| (config.max_freq_factor * (th / t)).max(1))
-        .collect();
-    // Suffix page sums: remaining_pages[j] = sum of P_k for k >= j.
-    let mut remaining_pages = vec![0u64; h + 1];
-    for j in (0..h).rev() {
-        remaining_pages[j] = remaining_pages[j + 1] + pages[j];
-    }
-    let n_pages: u64 = pages.iter().sum();
-    let zipf_masses = match config.weighting {
-        Weighting::ZipfAccess { theta } => Some(crate::delay::zipf_group_masses_for_bound(
-            pages, n_pages, theta,
-        )),
-        _ => None,
-    };
-
-    // Incumbent: the structured optimum (always within the cap space as
-    // long as its frequencies respect the caps; clamp defensively).
-    let seed = search_r_structured(ladder, n_real, config.weighting);
-    let seed_freqs: Vec<u64> = seed
-        .frequencies()
-        .iter()
-        .zip(&caps)
-        .map(|(&s, &cap)| s.min(cap))
-        .collect();
-    let seed_best = BnbBest {
-        objective: group_objective(times, pages, &seed_freqs, n_real, config.weighting),
-        instances: total_instances(&seed_freqs, pages),
-        freqs: seed_freqs,
-        top_s: 0,
-    };
-
-    let make_worker = |top_values: &[u64]| -> Bnb<'_> {
-        let mut bnb = Bnb {
-            times,
-            pages,
-            caps: &caps,
-            remaining_pages: &remaining_pages,
-            n_real,
-            weighting: config.weighting,
-            zipf_masses: zipf_masses.as_deref(),
-            n_pages,
-            freqs: vec![1u64; h],
-            best: BnbBest {
-                freqs: seed_best.freqs.clone(),
-                objective: seed_best.objective,
-                instances: seed_best.instances,
-                top_s: 0,
-            },
-            evaluated: 0,
-            pruned: 0,
-        };
-        for &s in top_values {
-            bnb.freqs[0] = s;
-            if h == 1 {
-                bnb.offer_leaf();
-                continue;
-            }
-            let child_slots = s * pages[0];
-            if bnb.lower_bound(1, child_slots) > bnb.best.objective {
-                bnb.pruned += 1;
-                continue;
-            }
-            bnb.dfs(1, child_slots);
-        }
-        bnb
-    };
-
-    let top_cap = caps[0];
-    let (best, evaluated, pruned) = if threads <= 1 || top_cap < 2 {
-        let all: Vec<u64> = (1..=top_cap).collect();
-        let bnb = make_worker(&all);
-        (bnb.best, bnb.evaluated, bnb.pruned)
-    } else {
-        let workers = threads.min(top_cap as usize);
-        let chunks: Vec<Vec<u64>> = (0..workers)
-            .map(|w| {
-                (1..=top_cap)
-                    .filter(|s| ((s - 1) as usize) % workers == w)
-                    .collect()
-            })
-            .collect();
-        let results: Vec<Bnb<'_>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| scope.spawn(|| make_worker(chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("B&B worker panicked"))
-                .collect()
-        });
-        // Deterministic merge reproducing the serial replacement rule:
-        // objective, then total instances, then top-level order (the seed's
-        // top_s of 0 precedes every real leaf).
-        let mut best = BnbBest {
-            freqs: seed_best.freqs.clone(),
-            objective: seed_best.objective,
-            instances: seed_best.instances,
-            top_s: 0,
-        };
-        let mut evaluated = 0;
-        let mut pruned = 0;
-        let mut candidates: Vec<BnbBest> = Vec::with_capacity(results.len());
-        for bnb in results {
-            evaluated += bnb.evaluated;
-            pruned += bnb.pruned;
-            candidates.push(bnb.best);
-        }
-        candidates.sort_by_key(|c| c.top_s);
-        for cand in candidates {
-            if cand.objective < best.objective
-                || (cand.objective == best.objective && cand.instances < best.instances)
-            {
-                best = cand;
-            }
-        }
-        (best, evaluated, pruned)
-    };
-
-    OptResult {
-        freqs: best.freqs,
-        objective: best.objective,
-        evaluated: evaluated + seed.evaluated(),
-        pruned,
     }
 }
 
@@ -921,30 +694,6 @@ mod tests {
             reference.evaluated()
         );
         assert!(pruned.pruned() > 0);
-    }
-
-    #[test]
-    fn parallel_matches_serial_bitwise() {
-        let ladders = [
-            fig2_ladder(),
-            GroupLadder::geometric(2, 2, &[10, 20, 15]).unwrap(),
-            GroupLadder::geometric(4, 2, &[5, 50, 20, 10]).unwrap(),
-        ];
-        for ladder in &ladders {
-            for n in 1..=5u32 {
-                let serial = search_r_structured(ladder, n, Weighting::PaperEq2);
-                for threads in [2usize, 3, 4, 8] {
-                    let parallel =
-                        search_r_structured_parallel(ladder, n, Weighting::PaperEq2, threads);
-                    assert_eq!(
-                        parallel.frequencies(),
-                        serial.frequencies(),
-                        "threads={threads}"
-                    );
-                    assert!(parallel.objective() == serial.objective());
-                }
-            }
-        }
     }
 
     #[test]
@@ -1024,8 +773,6 @@ mod tests {
         let best = search_r_structured(&ladder, 2, Weighting::PaperEq2);
         assert_eq!(best.frequencies(), &[1]);
         assert_eq!(best.evaluated(), 1);
-        let parallel = search_r_structured_parallel(&ladder, 2, Weighting::PaperEq2, 4);
-        assert_eq!(parallel.frequencies(), &[1]);
     }
 
     #[test]
@@ -1056,29 +803,6 @@ mod tests {
                         plain.objective(),
                         bnb.objective()
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bnb_parallel_matches_serial_bitwise() {
-        let ladders = [
-            fig2_ladder(),
-            GroupLadder::new(vec![(2, 8), (4, 4), (8, 6), (16, 2)]).unwrap(),
-        ];
-        for ladder in &ladders {
-            for n in 1..=3u32 {
-                let config = OptConfig::default();
-                let serial = search_full_bnb(ladder, n, config);
-                for threads in [2usize, 3, 7] {
-                    let parallel = search_full_bnb_parallel(ladder, n, config, threads);
-                    assert_eq!(
-                        parallel.frequencies(),
-                        serial.frequencies(),
-                        "threads={threads}"
-                    );
-                    assert!(parallel.objective() == serial.objective());
                 }
             }
         }

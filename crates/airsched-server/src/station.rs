@@ -566,9 +566,7 @@ struct StationObs {
     /// Re-pack candidates the difference-constraint solver rejected
     /// under deep verify.
     solve_rejections: Counter,
-    /// Waiting-set arena compactions.
-    compactions: Counter,
-    /// Bytes held by the waiting-set arena.
+    /// Bytes held by the waiting-set arena (outside [`StationStats`]).
     arena_bytes: Gauge,
     waiting: Gauge,
     channels_up: Gauge,
@@ -623,7 +621,6 @@ impl StationObs {
                 reg.counter("airsched_replan_evals_total", &[("stage", STAGE_NAMES[i])])
             }),
             solve_rejections: reg.counter("airsched_station_solve_rejections_total", &[]),
-            compactions: reg.counter("airsched_waiting_compactions_total", &[]),
             arena_bytes: reg.gauge("airsched_waiting_arena_bytes", &[]),
             waiting: reg.gauge("airsched_station_waiting", &[]),
             channels_up: reg.gauge("airsched_station_channels_up", &[]),
@@ -672,16 +669,6 @@ impl StationObs {
             stats.total_wait - self.base_wait,
             self.wait_max,
         );
-    }
-
-    /// Mirrors the auxiliary single-writer series that live outside
-    /// [`StationStats`]: waiting-set arena compactions and
-    /// footprint. Same relaxed-store discipline as
-    /// [`StationObs::sync_tick`]; split out so the stats-only callers
-    /// keep their signature.
-    fn sync_aux(&self, compactions: u64, arena_bytes: u64) {
-        self.compactions.store(compactions);
-        self.arena_bytes.set(arena_bytes);
     }
 
     /// Mirrors one health [`ChannelEvent`] into the counter and event
@@ -847,7 +834,7 @@ impl Station {
         wired.base_wait = self.stats.total_wait;
         wired.mode.set(self.mode.index() as u64);
         wired.sync_full(&self.stats, u64::from(self.channels_up()));
-        wired.sync_aux(self.waits.compactions(), self.waits.arena_bytes());
+        wired.arena_bytes.set(self.waits.arena_bytes());
         self.obs = Some(wired);
     }
 
@@ -1698,7 +1685,7 @@ impl Station {
                 self.mode.index(),
                 self.channel_up.iter().filter(|&&u| u).count() as u64,
             );
-            o.sync_aux(self.waits.compactions(), self.waits.arena_bytes());
+            o.arena_bytes.set(self.waits.arena_bytes());
         }
 
         // Sampled slot: close the pipeline, assemble the preorder span

@@ -35,10 +35,6 @@ use crate::station::{ClientId, Delivery};
 /// Smallest span capacity handed to a page on publish; doubles on growth.
 const MIN_SPAN_CAP: u32 = 8;
 
-/// Arena must be at least this large before dead-space compaction is
-/// considered (small arenas are cheap to leave fragmented).
-const COMPACT_MIN_LEN: usize = 1024;
-
 /// Per-page record in the meta table. Liveness is not here — deadline
 /// truth (and the publish/expire state) lives in
 /// [`WaitingSet::deadlines`]; a meta only describes the page's span.
@@ -79,9 +75,10 @@ impl DrainDelta {
 /// deadline table, a meta table and a span arena of `(client, since)`
 /// records, all indexed by dense page id. Spans are reused across drains
 /// (`len` drops to 0, `cap` stays), grow by doubling — extending in place
-/// when the span sits at the arena tail, relocating otherwise. The arena
-/// would compact once relocations strand more dead capacity than live,
-/// but doubling never lets that happen (DESIGN.md §12.1).
+/// when the span sits at the arena tail, relocating otherwise. A
+/// relocation strands the old span, but doubling keeps the stranded
+/// records below the live capacity, so the arena stays under twice what
+/// its spans hold and is never compacted (DESIGN.md §12.1).
 ///
 /// Publicly (through `Station`) it behaves exactly like the seed's
 /// `waiting: Vec<Vec<(ClientId, u64)>>` + `expected: Vec<Option<u64>>`
@@ -98,10 +95,6 @@ pub(crate) struct WaitingSet {
     deadlines: Vec<u64>,
     metas: Vec<PageMeta>,
     arena: Vec<(u64, u64)>,
-    /// Arena records stranded by span relocation, reclaimed by `compact`.
-    dead: usize,
-    /// Lifetime compaction count.
-    compactions: u64,
     /// Length the seed's `waiting` vector would have: the largest
     /// subscribed dense index + 1 (or whatever a restore carried).
     /// Reproduced in snapshots so restores round-trip byte-identically.
@@ -214,36 +207,11 @@ impl WaitingSet {
             self.arena.extend_from_within(off..off + m.len as usize);
             self.arena.resize(tail + new_cap as usize, (0, 0));
             self.metas[idx].off = u32::try_from(tail).expect("arena offset fits in u32");
-            self.dead += m.cap as usize;
         }
         let grown = self.metas[idx];
         self.arena[(grown.off + grown.len) as usize] = (client, since);
         self.metas[idx].len = grown.len + 1;
         self.metas[idx].cap = new_cap;
-        if self.dead * 2 > self.arena.len() && self.arena.len() >= COMPACT_MIN_LEN {
-            self.compact();
-        }
-    }
-
-    /// Rebuilds the arena with every span packed in meta order, dropping
-    /// all dead capacity. Deterministic: depends only on the current
-    /// metas and arena.
-    fn compact(&mut self) {
-        let live: usize = self.metas.iter().map(|m| m.cap as usize).sum();
-        let mut arena = Vec::with_capacity(live);
-        for m in &mut self.metas {
-            if m.cap == 0 {
-                continue;
-            }
-            let off = m.off as usize;
-            let len = m.len as usize;
-            m.off = u32::try_from(arena.len()).expect("arena offset fits in u32");
-            arena.extend_from_slice(&self.arena[off..off + len]);
-            arena.resize(arena.len() + (m.cap - m.len) as usize, (0, 0));
-        }
-        self.arena = arena;
-        self.dead = 0;
-        self.compactions += 1;
     }
 
     /// Drains one page's waiters into `out`: the batched serving kernel.
@@ -297,12 +265,6 @@ impl WaitingSet {
             on_time,
             total_wait: (n as u64).wrapping_mul(received).wrapping_sub(sum_since),
         }
-    }
-
-    /// Arena compactions since construction.
-    #[must_use]
-    pub fn compactions(&self) -> u64 {
-        self.compactions
     }
 
     /// Bytes currently held by the arena (arena length × record size;
@@ -363,6 +325,11 @@ mod tests {
 
     use proptest::prelude::*;
 
+    /// Records reserved by the set's spans: the arena minus stranded space.
+    fn live_cap(w: &WaitingSet) -> usize {
+        w.metas.iter().map(|m| m.cap as usize).sum()
+    }
+
     /// Drains `idx` at slot 0 and returns the served clients' raw ids in
     /// delivery order.
     fn drain_clients(w: &mut WaitingSet, idx: usize) -> Vec<u64> {
@@ -417,7 +384,7 @@ mod tests {
         for c in 4..300u64 {
             assert!(w.subscribe(0, c, 0));
         }
-        assert!(w.dead > 0, "page 0 never relocated");
+        assert!(w.arena.len() > live_cap(&w), "page 0 never relocated");
         assert_eq!(drain_clients(&mut w, 0), (0..300).collect::<Vec<_>>());
         assert_eq!(drain_clients(&mut w, 1), (100..104).collect::<Vec<_>>());
     }
@@ -435,8 +402,8 @@ mod tests {
             assert_eq!(delta.delivered, 8);
             assert_eq!(out.len(), 8);
         }
-        // 8 waiters fit the minimum span: no relocation ever happened.
-        assert_eq!(w.dead, 0);
+        // 8 waiters fit the minimum span: the arena never grew.
+        assert_eq!(w.arena.len(), MIN_SPAN_CAP as usize);
     }
 
     #[test]
@@ -661,8 +628,7 @@ mod tests {
         /// with the model's `DrainDelta`, and after every step both
         /// snapshot vectors equal the model's. Bursts of up to 160
         /// subscribes over 12 neighbouring spans make spans double and
-        /// relocate around each other many times per script. Should the
-        /// arena compact during a step, its footprint must shrink.
+        /// relocate around each other many times per script.
         #[test]
         fn waiting_set_matches_a_plain_model(
             ops in prop::collection::vec(arb_op(), 1..=120),
@@ -670,77 +636,42 @@ mod tests {
             let mut w = WaitingSet::new();
             let mut model = Model::default();
             for op in &ops {
-                let (compactions, bytes) = (w.compactions(), w.arena_bytes());
                 model.apply(&mut w, op);
-                if !matches!(op, Op::Restore) && w.compactions() > compactions {
-                    prop_assert!(w.arena_bytes() < bytes, "compaction grew the arena");
-                }
-                model.check(&w);
-            }
-        }
-
-        /// The same scripts with an explicit compaction after every step:
-        /// `compact` must drop exactly the stranded records, keep every
-        /// span's content and FIFO order, and leave a set that keeps
-        /// serving like the model.
-        #[test]
-        fn compaction_keeps_every_span_and_frees_the_dead(
-            ops in prop::collection::vec(arb_op(), 1..=120),
-        ) {
-            let mut w = WaitingSet::new();
-            let mut model = Model::default();
-            for op in &ops {
-                model.apply(&mut w, op);
-                let (compactions, bytes, dead) = (w.compactions(), w.arena_bytes(), w.dead);
-                w.compact();
-                prop_assert_eq!(w.compactions(), compactions + 1);
-                prop_assert_eq!(w.dead, 0);
-                let freed = (dead * std::mem::size_of::<(u64, u64)>()) as u64;
-                prop_assert_eq!(w.arena_bytes(), bytes - freed);
                 model.check(&w);
             }
         }
     }
 
-    /// The automatic trigger compacts once stranded records outnumber
-    /// live ones (`dead * 2 > len`). A relocation doubles a span, so it
-    /// strands exactly as much as it adds live, and dead space can never
-    /// catch up with live capacity: this script relocates dozens of
-    /// spans yet never compacts on its own. An explicit `compact` then
-    /// reclaims every stranded record.
+    /// The arena's memory bound, and the reason it is never compacted. A
+    /// relocation doubles a span and strands its old capacity, which is
+    /// more than everything the span stranded before it, so a page's
+    /// stranded records stay below its live capacity and the arena below
+    /// twice the summed capacity. Subscribing round-robin across pages
+    /// keeps some other span at the tail whenever a span fills, so every
+    /// growth relocates; growth that stopped doubling would strand more
+    /// than it adds and break the bound within a few growths per page.
     #[test]
-    fn relocations_never_strand_more_than_is_live() {
+    fn arena_stays_under_twice_the_live_capacity() {
         let mut w = WaitingSet::new();
         for idx in 0..MODEL_PAGES {
             w.publish(idx, 8);
         }
         let mut client = 0u64;
-        for round in 0..8u32 {
-            // Grow each span in turn: every page's growth relocates it
-            // past the span that moved to the tail just before.
+        for _ in 0..512 {
             for idx in 0..MODEL_PAGES {
-                for _ in 0..(8u64 << round) {
-                    assert!(w.subscribe(idx, client, 0));
-                    client += 1;
-                }
-                let live: usize = w.metas.iter().map(|m| m.cap as usize).sum();
-                assert_eq!(w.arena.len(), live + w.dead);
-                assert!(w.dead < live, "dead {} >= live {live}", w.dead);
+                assert!(w.subscribe(idx, client, 0));
+                client += 1;
+                let live = live_cap(&w);
+                assert!(
+                    w.arena.len() < 2 * live,
+                    "arena {} >= 2 x live {live}",
+                    w.arena.len()
+                );
             }
         }
-        assert!(w.arena.len() >= COMPACT_MIN_LEN);
-        assert!(w.dead > 0);
-        assert_eq!(w.compactions(), 0);
+        assert!(w.arena.len() > live_cap(&w), "no span ever relocated");
 
         let before = w.snapshot_waiting();
-        let bytes = w.arena_bytes();
-        w.compact();
-        assert!(w.compactions() >= 1);
-        assert!(
-            w.arena_bytes() < bytes,
-            "compaction did not shrink the arena"
-        );
-        assert_eq!(w.snapshot_waiting(), before);
         let mut served = 0;
         for (idx, span) in before.iter().enumerate() {
             let got = drain_clients(&mut w, idx);

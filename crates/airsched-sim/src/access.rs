@@ -91,130 +91,57 @@ impl MissStats {
     pub fn total(&self) -> u64 {
         self.unknown_page + self.never_broadcast
     }
-
-    /// Componentwise sum (shard merge).
-    fn absorb(&mut self, other: MissStats) {
-        self.unknown_page += other.unknown_page;
-        self.never_broadcast += other.never_broadcast;
-    }
 }
 
-/// The single place a request resolves to an outcome — both the serial and
-/// the sharded measurement paths go through this, so the miss policy
-/// documented on [`MissStats`] cannot drift between them.
-fn resolve_into<S: Occurrences + ?Sized>(
-    source: &S,
-    ladder: &GroupLadder,
-    req: Request,
-    acc: &mut DelayAccumulator,
-    misses: &mut MissStats,
-) {
-    let Some(group) = ladder.group_of(req.page) else {
-        misses.unknown_page += 1;
-        return;
-    };
-    match access_one(source, ladder, req) {
-        Some(a) => acc.record(group, a.wait, a.delay),
-        None => {
-            misses.never_broadcast += 1;
-            let t = ladder.time_of(group).slots();
-            acc.record(group, t + source.cycle_len(), source.cycle_len());
-        }
-    }
-}
-
-/// Configurable measurement: [`measure`] with a parallelism knob and the
-/// split miss accounting.
+/// Measures a request batch, producing the AvgD summary the paper reports
+/// plus the split miss statistics (see [`MissStats`] for the two miss kinds
+/// and what each records). [`measure`] is this with the misses totalled.
 ///
 /// # Examples
 ///
 /// ```
 /// use airsched_core::group::GroupLadder;
 /// use airsched_core::pamad;
-/// use airsched_sim::access::Measurer;
+/// use airsched_sim::access::measure_split;
 /// use airsched_workload::requests::{AccessPattern, RequestGenerator};
 ///
 /// let ladder = GroupLadder::new(vec![(2, 3), (4, 5), (8, 3)])?;
 /// let program = pamad::schedule(&ladder, 3)?.into_program();
 /// let mut gen = RequestGenerator::new(&ladder, AccessPattern::Uniform, 42);
 /// let requests = gen.take(3000, program.cycle_len());
-/// let (summary, misses) = Measurer::new().parallelism(4).measure(&program, &ladder, &requests);
+/// let (summary, misses) = measure_split(&program, &ladder, &requests);
 /// assert_eq!(misses.total(), 0);
 /// assert_eq!(summary.requests(), 3000);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Measurer {
-    parallelism: usize,
-}
-
-impl Measurer {
-    /// A serial measurer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Shards the request batch across up to `threads` scoped worker
-    /// threads (`0` and `1` both mean serial). Every summary statistic is
-    /// order-independent, so the result is identical to the serial path for
-    /// any thread count.
-    #[must_use]
-    pub fn parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = threads;
-        self
-    }
-
-    /// Measures a request batch, producing the AvgD summary the paper
-    /// reports plus the split miss statistics (see [`MissStats`] for the
-    /// two miss kinds and what each records).
-    #[must_use]
-    pub fn measure<S: Occurrences + Sync + ?Sized>(
-        &self,
-        source: &S,
-        ladder: &GroupLadder,
-        requests: &[Request],
-    ) -> (DelaySummary, MissStats) {
-        let threads = self.parallelism.max(1).min(requests.len().max(1));
-        let mut acc = DelayAccumulator::new();
-        let mut misses = MissStats::default();
-        if threads <= 1 {
-            for &req in requests {
-                resolve_into(source, ladder, req, &mut acc, &mut misses);
-            }
-        } else {
-            let chunk_len = requests.len().div_ceil(threads);
-            let shards: Vec<(DelayAccumulator, MissStats)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = requests
-                    .chunks(chunk_len)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            let mut acc = DelayAccumulator::new();
-                            let mut misses = MissStats::default();
-                            for &req in chunk {
-                                resolve_into(source, ladder, req, &mut acc, &mut misses);
-                            }
-                            (acc, misses)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("measurement shard panicked"))
-                    .collect()
-            });
-            for (shard_acc, shard_misses) in shards {
-                acc.merge(shard_acc);
-                misses.absorb(shard_misses);
+#[must_use]
+pub fn measure_split<S: Occurrences + ?Sized>(
+    source: &S,
+    ladder: &GroupLadder,
+    requests: &[Request],
+) -> (DelaySummary, MissStats) {
+    let mut acc = DelayAccumulator::new();
+    let mut misses = MissStats::default();
+    for &req in requests {
+        let Some(group) = ladder.group_of(req.page) else {
+            misses.unknown_page += 1;
+            continue;
+        };
+        match access_one(source, ladder, req) {
+            Some(a) => acc.record(group, a.wait, a.delay),
+            None => {
+                misses.never_broadcast += 1;
+                let t = ladder.time_of(group).slots();
+                acc.record(group, t + source.cycle_len(), source.cycle_len());
             }
         }
-        (acc.finish(), misses)
     }
+    (acc.finish(), misses)
 }
 
 /// Measures a request batch, producing the AvgD summary the paper reports
-/// and the total miss count (serial; see [`Measurer`] for the parallel
-/// variant and [`MissStats`] for what each miss kind records).
+/// and the total miss count (see [`measure_split`] for the split count and
+/// [`MissStats`] for what each miss kind records).
 ///
 /// With PAMAD/m-PB/SUSC programs every page airs, so the miss count is zero.
 ///
@@ -236,12 +163,12 @@ impl Measurer {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[must_use]
-pub fn measure<S: Occurrences + Sync + ?Sized>(
+pub fn measure<S: Occurrences + ?Sized>(
     source: &S,
     ladder: &GroupLadder,
     requests: &[Request],
 ) -> (DelaySummary, u64) {
-    let (summary, misses) = Measurer::new().measure(source, ladder, requests);
+    let (summary, misses) = measure_split(source, ladder, requests);
     (summary, misses.total())
 }
 
@@ -461,35 +388,11 @@ mod tests {
         // The split accounting separates the two miss kinds: the unknown
         // page is counted but not recorded, the never-broadcast page is
         // counted *and* recorded with the penalty sample.
-        let (split_summary, stats) = Measurer::new().measure(&program, &ladder, &requests);
+        let (split_summary, stats) = measure_split(&program, &ladder, &requests);
         assert_eq!(stats.unknown_page, 1);
         assert_eq!(stats.never_broadcast, 1);
         assert_eq!(stats.total(), 2);
         assert_eq!(split_summary, summary);
-    }
-
-    #[test]
-    fn parallel_measure_matches_serial() {
-        let ladder = fig2_ladder();
-        let program = pamad::schedule(&ladder, 1).unwrap().into_program();
-        let requests = RequestGenerator::new(&ladder, AccessPattern::Uniform, 7)
-            .take(5000, program.cycle_len());
-        let (serial, serial_miss) = Measurer::new().measure(&program, &ladder, &requests);
-        for threads in [2usize, 3, 4, 16] {
-            let (parallel, parallel_miss) = Measurer::new()
-                .parallelism(threads)
-                .measure(&program, &ladder, &requests);
-            assert_eq!(parallel, serial, "threads={threads}");
-            assert_eq!(parallel_miss, serial_miss);
-        }
-        // More shards than requests degrades gracefully.
-        let tiny = &requests[..3];
-        let (a, am) = Measurer::new()
-            .parallelism(64)
-            .measure(&program, &ladder, tiny);
-        let (b, bm) = Measurer::new().measure(&program, &ladder, tiny);
-        assert_eq!(a, b);
-        assert_eq!(am, bm);
     }
 
     #[test]
@@ -499,8 +402,8 @@ mod tests {
         let index = program.occurrence_index();
         let requests = RequestGenerator::new(&ladder, AccessPattern::Uniform, 11)
             .take(5000, program.cycle_len());
-        let from_program = Measurer::new().measure(&program, &ladder, &requests);
-        let from_index = Measurer::new().measure(&index, &ladder, &requests);
+        let from_program = measure_split(&program, &ladder, &requests);
+        let from_index = measure_split(&index, &ladder, &requests);
         assert_eq!(from_program, from_index);
         assert_eq!(
             exact_avg_delay(&program, &ladder),

@@ -45,7 +45,7 @@ pub mod server;
 pub mod sim;
 pub mod transition;
 
-pub use access::{access_one, exact_avg_delay, measure, Access, Measurer, MissStats};
+pub use access::{access_one, exact_avg_delay, measure, measure_split, Access, MissStats};
 pub use energy::{measure_energy, EnergySummary, TuningScheme};
 pub use lossy::{measure_lossy, InvalidLoss, LossModel};
 pub use metrics::{DelayAccumulator, DelaySummary, GroupDelay};

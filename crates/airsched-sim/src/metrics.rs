@@ -112,25 +112,6 @@ impl DelayAccumulator {
         self.requests == 0
     }
 
-    /// Absorbs another accumulator's samples (parallel measurement shards
-    /// merge through this). Every [`DelaySummary`] statistic is
-    /// order-independent — totals commute and the delay histogram merges
-    /// bucket-by-bucket — so the merged summary equals the single-shard
-    /// one.
-    pub fn merge(&mut self, other: DelayAccumulator) {
-        self.requests += other.requests;
-        self.hits += other.hits;
-        self.total_wait += other.total_wait;
-        self.total_delay += other.total_delay;
-        self.delays.merge(&other.delays);
-        for (group, theirs) in other.per_group {
-            let g = self.per_group.entry(group).or_default();
-            g.requests += theirs.requests;
-            g.hits += theirs.hits;
-            g.total_delay += theirs.total_delay;
-        }
-    }
-
     /// Finalizes into a summary.
     #[must_use]
     pub fn finish(self) -> DelaySummary {
@@ -302,29 +283,6 @@ mod tests {
     #[should_panic(expected = "no samples")]
     fn quantile_without_samples_panics() {
         let _ = DelayAccumulator::new().finish().delay_quantile(0.5);
-    }
-
-    #[test]
-    fn merged_shards_equal_the_single_shard_summary() {
-        let samples: Vec<(u32, u64, u64)> = (0..200)
-            .map(|i| (i % 3, u64::from(i) * 7 % 90, u64::from(i) * 13 % 70))
-            .collect();
-        let mut whole = DelayAccumulator::new();
-        for &(gr, w, d) in &samples {
-            whole.record(g(gr), w, d);
-        }
-        let mut left = DelayAccumulator::new();
-        let mut right = DelayAccumulator::new();
-        // Interleave to exercise order-independence, not just splitting.
-        for (i, &(gr, w, d)) in samples.iter().enumerate() {
-            if i % 2 == 0 {
-                left.record(g(gr), w, d);
-            } else {
-                right.record(g(gr), w, d);
-            }
-        }
-        right.merge(left);
-        assert_eq!(whole.finish(), right.finish());
     }
 
     /// A million samples cost constant memory (no per-sample storage) and

@@ -18,7 +18,7 @@
 //! candidates are scored under the same
 //! [`airsched_core::delay::group_objective`] the exact OPT search
 //! minimizes. The seed itself is always a candidate, so the result is
-//! never worse than PAMAD; benches and CI record the measured ratio
+//! never worse than PAMAD; `planner_perf` and CI record the measured ratio
 //! against OPT rather than trusting the analytical guarantee.
 
 use std::collections::HashSet;

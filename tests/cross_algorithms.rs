@@ -165,20 +165,6 @@ proptest! {
         }
     }
 
-    /// Determinism: the parallel OPT search returns bit-identical
-    /// frequencies and objective to the serial one for any thread count.
-    #[test]
-    fn parallel_and_serial_opt_agree(
-        ladder in arb_ladder(),
-        n in 1u32..6,
-        threads in 2usize..9,
-    ) {
-        let serial = opt::search_r_structured(&ladder, n, Weighting::PaperEq2);
-        let parallel = opt::search_r_structured_parallel(&ladder, n, Weighting::PaperEq2, threads);
-        prop_assert_eq!(parallel.frequencies(), serial.frequencies());
-        prop_assert!(parallel.objective() == serial.objective());
-    }
-
     /// Robustness: the station's failover rung is a SUSC re-pack of the
     /// live catalogue onto the survivors. For any ladder and any
     /// surviving-channel count at or above the Theorem 3.1 minimum, the
