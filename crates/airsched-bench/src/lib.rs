@@ -14,7 +14,7 @@
 //! | `ablation_opt` | structured vs full-exhaustive OPT gap |
 //! | `opt_perf` | OPT search cost vs channel count |
 //! | `planner_perf` | planner/measurement perf baseline → `BENCH_planner.json` |
-//! | `station_perf` | serving-path perf vs the seed station → `BENCH_station.json` |
+//! | `station_perf` | observability and tracing tax on the serving loop → `BENCH_station.json` |
 //! | `drop_vs_pamad` | §4 Solution 1 (drop pages) vs PAMAD, with on-demand congestion |
 //! | `fairness` | per-group normalized delay and Jain index (design-rationale ablation) |
 //! | `hybrid_split` | push/pull transceiver budget split (extension) |
@@ -31,8 +31,7 @@
 //! output for fixed seeds.
 //!
 //! The [`seed`] module keeps a replica of the seed station's serving loop:
-//! the baseline `station_perf` times and the oracle the optimized station
-//! is checked against.
+//! the oracle the optimized station is checked against.
 
 use airsched_analysis::experiment::ExperimentConfig;
 use airsched_workload::distributions::GroupSizeDistribution;

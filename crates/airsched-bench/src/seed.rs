@@ -6,10 +6,9 @@
 //! allocates its buffers fresh, and expected times are read from its own
 //! [`OnlineScheduler`]'s catalogue. Only the building blocks below the
 //! serving loop (scheduler, fault injector, health monitor, PAMAD
-//! replanner) are shared. `station_perf` times it as the seed baseline
-//! that `speedup_vs_seed` is measured against and drives it in lockstep
-//! with the optimized station; the `serving_path` property tests do the
-//! same under randomized chaos. It is deliberately left unoptimized.
+//! replanner) are shared. The `serving_path` property tests drive it in
+//! lockstep with the optimized station under randomized chaos. It is
+//! deliberately left unoptimized.
 //!
 //! The replica has no lint gate, deep verify or degradation policy, so it
 //! matches a station running with the defaults and no plan corruptor.

@@ -32,7 +32,8 @@
 //! `base_crc ^ delta(slot_time)` — 8 lookups instead of a full message
 //! scan, identical bit-for-bit to re-encoding (the fresh
 //! [`crate::transmitter::encode_slot_into`] stays as the reference, and
-//! the lockstep gates in `station_perf` compare the two byte-for-byte).
+//! this module's tests, `wire_properties` and `serving_path` compare the
+//! two byte-for-byte).
 //!
 //! # Invalidation
 //!

@@ -9,8 +9,8 @@
 //! atomically. After a crash, [`RecoverableStation::resume`] rebuilds
 //! the station from checkpoint + journal replay; the result's
 //! subsequent `TickOutcome` stream is bit-identical to the
-//! never-crashed twin's, which the `station_perf` lockstep gate and the
-//! crash-at-every-slot sweep test enforce.
+//! never-crashed twin's, which the crash-at-every-slot sweep test
+//! enforces.
 //!
 //! Crashes themselves are scripted with [`CrashInjector`] — the same
 //! idiom as the deterministic fault injector: the "process death" is a

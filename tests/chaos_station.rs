@@ -596,9 +596,19 @@ fn instrumented_chaos_run_is_bit_identical_to_plain() {
     assert_eq!(plain.stats(), observed.stats());
     assert_eq!(plain.mode(), observed.mode());
     // And the mirror still agrees with the (identical) stats.
-    assert_eq!(
-        obs.snapshot()
-            .scalar_total("airsched_station_delivered_total"),
-        plain.stats().delivered
-    );
+    let stats = plain.stats();
+    assert!(stats.degraded_slots > 0 && stats.mode_changes > 0);
+    let snapshot = obs.snapshot();
+    for (name, want) in [
+        ("airsched_station_slots_total", stats.slots_elapsed),
+        ("airsched_station_delivered_total", stats.delivered),
+        ("airsched_station_on_time_total", stats.on_time),
+        (
+            "airsched_station_degraded_slots_total",
+            stats.degraded_slots,
+        ),
+        ("airsched_station_mode_changes_total", stats.mode_changes),
+    ] {
+        assert_eq!(snapshot.scalar_total(name), want, "{name}");
+    }
 }

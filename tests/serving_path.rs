@@ -11,14 +11,17 @@
 //!   exactly the same outcome stream, deliveries, events and statistics
 //!   as the allocating [`Station::tick`] and the seed station replica
 //!   [`SeedStation`] — which shares no serving code with the station —
-//!   across randomized chaos fault scripts.
+//!   across randomized chaos fault scripts, and every slot's
+//!   [`SlotBroadcaster`] bytes must equal the fresh encoder's.
 
 use airsched_bench::seed::SeedStation;
 use airsched_core::group::GroupLadder;
 use airsched_core::program::{BroadcastProgram, Occurrences};
 use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex};
 use airsched_core::{pamad, susc};
-use airsched_server::{FaultEvent, FaultPlan, Mode, ModeTally, Station, TickBuf};
+use airsched_proto::transmitter::{encode_slot_into, FixedPayloads};
+use airsched_server::{FaultEvent, FaultPlan, Mode, ModeTally, SlotBroadcaster, Station, TickBuf};
+use bytes::{Bytes, BytesMut};
 
 use proptest::prelude::*;
 
@@ -228,12 +231,21 @@ proptest! {
     /// capacity reuse and the dense expected-time cache are all on the
     /// line. The replica keeps nine of the station's stats; per-mode
     /// tallies and mode changes are derived from its outcome stream.
+    /// Every slot is also encoded through a [`SlotBroadcaster`], whose
+    /// template-patched bytes must equal the fresh encoder's over the
+    /// same column without ever falling back to fresh encoding, while
+    /// outages and recoveries swap the plan under its cache.
     #[test]
     fn tick_into_matches_tick_under_chaos(chaos in arb_chaos()) {
         let mut fresh = chaos_station(&chaos);
         let mut reused = chaos_station(&chaos);
         let mut replica = chaos_replica(&chaos);
         let mut buf = TickBuf::new();
+        let payloads = FixedPayloads::new(Bytes::from_static(b"page body"));
+        let mut tx = SlotBroadcaster::new(payloads.clone());
+        let mut fresh_src = payloads;
+        let mut wire = BytesMut::new();
+        let mut fresh_wire = BytesMut::new();
         let mut tallies = [ModeTally::default(); 4];
         let mut mode = Mode::Valid;
         let mut mode_changes = 0u64;
@@ -249,6 +261,13 @@ proptest! {
             let want = fresh.tick();
             reused.tick_into(&mut buf);
             prop_assert_eq!(&buf.to_outcome(), &want, "slot {}", t);
+
+            wire.clear();
+            tx.encode_slot(&reused, buf.on_air(), buf.time(), &mut wire).unwrap();
+            fresh_wire.clear();
+            encode_slot_into(buf.on_air(), buf.time(), &mut fresh_src, &mut fresh_wire)
+                .unwrap();
+            prop_assert_eq!(&wire[..], &fresh_wire[..], "wire bytes at slot {}", t);
 
             let seed = replica.tick();
             prop_assert_eq!(want.mode, seed.mode, "mode at slot {}", t);
@@ -295,5 +314,6 @@ proptest! {
         prop_assert_eq!(stats.mode_tallies(), tallies);
         prop_assert_eq!(stats.mode_changes, mode_changes);
         prop_assert_eq!(stats.last_mode_change_slot, last_mode_change_slot);
+        prop_assert_eq!(tx.fresh_fallbacks(), 0);
     }
 }
