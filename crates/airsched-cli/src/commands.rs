@@ -878,7 +878,6 @@ fn trace_with_sample(sample_every: u64) -> airsched_trace::Trace {
 struct ScenarioDriver {
     sc: Scenario,
     station: airsched_server::Station,
-    trace: Option<airsched_trace::Trace>,
     tx: airsched_server::SlotBroadcaster<airsched_proto::FixedPayloads>,
     wire: bytes::BytesMut,
     tx_bytes: airsched_obs::metrics::Counter,
@@ -906,7 +905,6 @@ impl ScenarioDriver {
         Ok(Self {
             sc,
             station,
-            trace,
             tx,
             wire: bytes::BytesMut::with_capacity(4096),
             tx_bytes: obs.registry().counter("airsched_transmit_bytes_total", &[]),
@@ -933,8 +931,8 @@ impl ScenarioDriver {
         // Encode the slot onto the wire through the template cache, then
         // "send" it (account the bytes). Clocked only on sampled slots.
         let sampled = self
-            .trace
-            .as_ref()
+            .station
+            .trace()
             .filter(|tr| tr.sample_due(out.time))
             .cloned();
         self.wire.clear();
@@ -976,7 +974,12 @@ fn run_station_scenario(
     for t in 0..driver.sc.slots {
         driver.slot(t)?;
     }
-    Ok((obs, driver.trace, driver.station, driver.log))
+    Ok((
+        obs,
+        driver.station.trace().cloned(),
+        driver.station,
+        driver.log,
+    ))
 }
 
 /// Handles `--metrics-out` / `--events-out` for the obs-capable verbs.

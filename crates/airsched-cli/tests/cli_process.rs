@@ -114,3 +114,53 @@ fn simulate_smoke() {
     assert!(out.status.success());
     assert!(String::from_utf8(out.stdout).unwrap().contains("AvgD"));
 }
+
+/// Replaces every `"duration_us":<digits>` with `"duration_us":0` — the
+/// flight recorder's one wall-clock field.
+fn zero_durations(text: &str) -> String {
+    let key = "\"duration_us\":";
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(at) = rest.find(key) {
+        let tail = at + key.len();
+        out.push_str(&rest[..tail]);
+        out.push('0');
+        rest = rest[tail..].trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Pins the flight recorder's event order: the chaos scenario's event
+/// stream, durations zeroed, must equal the checked-in golden byte for
+/// byte. Regenerate with `airsched run --chaos --slots 300 --seed 7
+/// --events-out ev.jsonl` and `sed -E 's/"duration_us":[0-9]+/"duration_us":0/'
+/// ev.jsonl > tests/golden/obs_chaos_events.jsonl`.
+#[test]
+fn chaos_event_stream_matches_golden() {
+    let dir = std::env::temp_dir().join("airsched-cli-process-events");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("events.jsonl");
+    let out = airsched(&[
+        "run",
+        "--chaos",
+        "--slots",
+        "300",
+        "--seed",
+        "7",
+        "--events-out",
+        path.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let fresh = zero_durations(&std::fs::read_to_string(&path).unwrap());
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/obs_chaos_events.jsonl"
+    ))
+    .unwrap();
+    assert_eq!(
+        fresh, golden,
+        "event stream drifted from tests/golden/obs_chaos_events.jsonl"
+    );
+    std::fs::remove_file(&path).ok();
+}

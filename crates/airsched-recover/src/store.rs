@@ -305,10 +305,6 @@ pub struct RecoverableStation {
     checkpoints_written: u64,
     crash: Option<CrashInjector>,
     obs: Option<ObsHooks>,
-    /// Intra-slot tracing: shared with the wrapped station, plus
-    /// `journal` and `checkpoint` phase spans recorded here on sampled
-    /// slots. `None` keeps the wrapper clock-free.
-    trace: Option<Trace>,
 }
 
 impl RecoverableStation {
@@ -347,7 +343,6 @@ impl RecoverableStation {
             checkpoints_written: 0,
             crash: options.crash,
             obs: None,
-            trace: None,
         };
         this.checkpoint()?;
         Ok(this)
@@ -426,7 +421,6 @@ impl RecoverableStation {
             checkpoints_written: 0,
             crash: options.crash,
             obs: obs.map(ObsHooks::new),
-            trace: None,
         };
         if let Some(h) = &this.obs {
             h.journal_lag
@@ -459,7 +453,6 @@ impl RecoverableStation {
     /// [`Station::attach_trace`].
     pub fn attach_trace(&mut self, trace: &Trace) {
         self.station.attach_trace(trace);
-        self.trace = Some(trace.clone());
     }
 
     /// The wrapped station, read-only. Mutations must go through the
@@ -583,7 +576,7 @@ impl RecoverableStation {
         // `journal` phase. The station commits its tree during
         // `tick()`, so the wrapper's spans merge into the same ring
         // entry. Unsampled slots never read the clock.
-        let traced = self.trace.as_ref().filter(|t| t.sample_due(slot)).cloned();
+        let traced = self.station.trace().filter(|t| t.sample_due(slot)).cloned();
         let journal_from = traced.as_ref().map(Trace::now_ns);
         self.journal.append(&JournalRecord::Tick { slot })?;
         let mut journal_ns =
@@ -639,8 +632,8 @@ impl RecoverableStation {
         // Checkpoints run between slots; when the current slot is
         // sampled the write is clocked and appended to its span tree.
         let traced = self
-            .trace
-            .as_ref()
+            .station
+            .trace()
             .filter(|t| t.sample_due(self.station.now()))
             .cloned();
         let from = traced.as_ref().map(Trace::now_ns);

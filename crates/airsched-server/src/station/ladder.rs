@@ -1,0 +1,201 @@
+//! The degradation ladder and its pre-swap gate: re-deriving the on-air
+//! plan from channel state, catalogue and policy, and vetting every
+//! replan candidate before it reaches the air.
+//!
+//! What happens here is noted into the station's per-call record (replan
+//! stage costs, gate verdicts, mode changes); the observer, if any,
+//! consumes it at the end of the public call. The only instrumentation
+//! this module performs itself is reading the clock for stage costs, and
+//! only when an observer is attached.
+
+use std::time::Instant;
+
+use airsched_core::bound::minimum_channels_for_times;
+use airsched_core::degrade;
+use airsched_core::program::BroadcastProgram;
+use airsched_core::types::PageId;
+use airsched_lint::{lint, LintConfig, LintInput, LintReport, Severity};
+
+use super::observe::Stage;
+use super::{ActivePlan, Mode, Station};
+
+impl Station {
+    /// The deep-verify half of the pre-swap gate: asks the solver for a
+    /// feasibility verdict on `candidate` against the live catalogue.
+    fn certify_candidate(&mut self, candidate: &BroadcastProgram) -> bool {
+        let deadlines: Vec<(PageId, u64)> = self
+            .scheduler
+            .pages()
+            .iter()
+            .map(|(&p, &t)| (p, t))
+            .collect();
+        // The solver's wall time is noted like the repack/pamad stages
+        // (clocked only when observed).
+        let started = self.observer.is_some().then(Instant::now);
+        let verdict = airsched_solve::check_observed(candidate, &deadlines);
+        self.record
+            .replan(Stage::Solve, deadlines.len() as u64, started);
+        match verdict {
+            airsched_solve::Verdict::Feasible(_) => true,
+            airsched_solve::Verdict::Infeasible(_) => {
+                self.stats.solve_rejections += 1;
+                self.record.solve_refused();
+                false
+            }
+        }
+    }
+
+    /// Lints `candidate` against the live catalogue exactly as the
+    /// pre-swap gate does, without installing anything — the
+    /// operator-facing dry run. The gate itself uses
+    /// [`LintConfig::default`] for re-pack candidates (which claim full
+    /// validity) and [`LintConfig::structural`] for best-effort
+    /// candidates (whose deadline misses are the accepted cost of the
+    /// rung).
+    #[must_use]
+    pub fn propose_plan(&self, candidate: &BroadcastProgram, config: &LintConfig) -> LintReport {
+        let catalogue: Vec<(PageId, u64)> = self
+            .scheduler
+            .pages()
+            .iter()
+            .map(|(&p, &t)| (p, t))
+            .collect();
+        lint(&LintInput::for_catalogue(candidate, &catalogue), config)
+    }
+
+    /// The pre-swap gate: accepts or refuses one replan candidate,
+    /// recording the verdict in [`super::StationStats`].
+    fn gate_candidate(&mut self, candidate: &BroadcastProgram, config: &LintConfig) -> bool {
+        let report = self.propose_plan(candidate, config);
+        let warnings = report.count_at(Severity::Warn) as u64;
+        self.stats.plan_warnings += warnings;
+        let refused = report.has_deny();
+        if refused {
+            self.stats.plan_rejections += 1;
+        }
+        // The verdict carries the deny-level rule codes so a postmortem
+        // shows *why* the swap was blocked.
+        self.record.lint(
+            warnings,
+            report
+                .diagnostics()
+                .iter()
+                .filter(|d| d.severity == Severity::Deny)
+                .map(|d| d.rule.code()),
+        );
+        !refused
+    }
+
+    /// Applies the chaos corruptor (if any) to a replan candidate.
+    fn maybe_corrupt(&self, candidate: BroadcastProgram) -> BroadcastProgram {
+        match self.corruptor {
+            Some(corrupt) => corrupt(&candidate),
+            None => candidate,
+        }
+    }
+
+    /// Re-derives the on-air plan and ladder mode from the current
+    /// channel state, catalogue and policy. When the lint gate refuses
+    /// every replan candidate, the previous plan (and mode) stay in
+    /// force — a vetted stale program beats a fresh corrupt one.
+    ///
+    /// `cause` names what triggered the re-evaluation (`"channel_down"`,
+    /// `"channel_up"`, `"fault"`, `"catalogue"`, `"policy"`); it is
+    /// carried on the `ModeChange` flight-recorder event.
+    pub(super) fn refresh_plan(&mut self, cause: &'static str) {
+        // Even a refused swap can follow a channel_up change, which moves
+        // the logical-row → physical-channel mapping: any re-evaluation
+        // invalidates cached frame templates. Spurious bumps cost one
+        // rebuild, never correctness.
+        self.plan_epoch += 1;
+        let configured = u32::try_from(self.channel_up.len()).expect("channel count fits in u32");
+        let n_up = self.channels_up();
+        let decision = if n_up == 0 {
+            Some((ActivePlan::Offline, Mode::Offline))
+        } else if n_up == configured {
+            Some((ActivePlan::Full, Mode::Valid))
+        } else {
+            self.reduced_plan(n_up)
+        };
+        let Some((active, mode)) = decision else {
+            return;
+        };
+        self.active = active;
+        if mode != self.mode {
+            match mode {
+                Mode::BestEffort => self.stats.failovers += 1,
+                Mode::Repacked => self.stats.repacks += 1,
+                Mode::Valid => self.stats.recoveries += 1,
+                Mode::Offline => {}
+            }
+            self.stats.mode_changes += 1;
+            self.stats.last_mode_change_slot = Some(self.time);
+            self.record.mode_change(self.mode, mode, cause);
+            self.mode = mode;
+        }
+    }
+
+    /// The ladder decision for `0 < n_up < configured` survivors: a SUSC
+    /// re-pack while the survivors meet the catalogue's Theorem 3.1
+    /// minimum, PAMAD best-effort below it. Every candidate passes the
+    /// pre-swap lint gate; `None` means a candidate existed but was
+    /// refused, so the caller must keep the previous plan on the air.
+    fn reduced_plan(&mut self, n_up: u32) -> Option<(ActivePlan, Mode)> {
+        let times: Vec<u64> = self.scheduler.pages().values().copied().collect();
+        // An overflowing demand fraction cannot possibly be met by any
+        // physical channel count; treat it as insufficient.
+        let minimum = minimum_channels_for_times(&times).unwrap_or(u32::MAX);
+        let mut refused = false;
+        if self.policy.repack && n_up >= minimum {
+            // The Instant exists only when observed: wall-clock stays
+            // out of the unobserved path (and out of the registry, so
+            // metric exposition remains deterministic either way).
+            let started = self.observer.is_some().then(Instant::now);
+            let mut probe = self.scheduler.clone();
+            if probe.rebuild_on_channels(n_up).is_ok() {
+                let candidate = self.maybe_corrupt(probe.program().clone());
+                // SUSC places each page once: the sweep size is the
+                // catalogue.
+                self.record
+                    .replan(Stage::Repack, times.len() as u64, started);
+                // A re-pack claims full validity, so it must survive the
+                // complete deadline rule set — and, under deep-verify,
+                // the solver's independent certification as well. Both
+                // checks always run so their verdicts can be compared.
+                let lint_ok = self.gate_candidate(&candidate, &LintConfig::default());
+                let solve_ok = !self.deep_verify || self.certify_candidate(&candidate);
+                if lint_ok && solve_ok {
+                    return Some((ActivePlan::Reduced(candidate), Mode::Repacked));
+                }
+                refused = true;
+            }
+            // Sufficient in principle but the packer could not place this
+            // particular catalogue (non-harmonic times); fall through.
+        }
+        if self.policy.best_effort {
+            let started = self.observer.is_some().then(Instant::now);
+            let catalogue: Vec<(PageId, u64)> = self
+                .scheduler
+                .pages()
+                .iter()
+                .map(|(&p, &t)| (p, t))
+                .collect();
+            if let Ok(plan) = degrade::replan(&catalogue, n_up) {
+                let evals = plan.stage_evaluations();
+                let candidate = self.maybe_corrupt(plan.into_program());
+                self.record.replan(Stage::Pamad, evals, started);
+                // Best-effort misses deadlines by design; hold it to the
+                // structural rules only.
+                if self.gate_candidate(&candidate, &LintConfig::structural()) {
+                    return Some((ActivePlan::BestEffort(candidate), Mode::BestEffort));
+                }
+                refused = true;
+            }
+        }
+        if refused {
+            None
+        } else {
+            Some((ActivePlan::Offline, Mode::Offline))
+        }
+    }
+}

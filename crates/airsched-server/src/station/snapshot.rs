@@ -1,0 +1,243 @@
+//! Snapshot and restore: the station's complete serving state as plain
+//! data (the payload of a crash-recovery checkpoint), and the effective
+//! on-air grid handed to frame-template caches.
+
+use airsched_core::dynamic::{OnlineScheduler, SchedulerSnapshot};
+use airsched_core::program::BroadcastProgram;
+use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex};
+
+use crate::faults::{FaultInjector, FaultInjectorSnapshot, FaultPlan};
+use crate::health::{ChannelEvent, HealthMonitor, HealthSnapshot};
+use crate::waiting::WaitingSet;
+
+use super::{ActivePlan, DegradationPolicy, Mode, Station, StationError, StationStats};
+
+impl Station {
+    /// Captures the station's complete serving state as plain data — the
+    /// payload of a crash-recovery checkpoint.
+    ///
+    /// Two things are deliberately *not* captured, because they are not
+    /// data: the plan-corruptor chaos hook (a function pointer) and the
+    /// observability wiring. A restored station comes up with neither;
+    /// callers re-attach them (`set_plan_corruptor`, `attach_obs`) after
+    /// [`Station::from_snapshot`]. Neither influences the `TickOutcome`
+    /// stream, so the bit-identical replay contract is unaffected.
+    #[must_use]
+    pub fn snapshot(&self) -> StationSnapshot {
+        StationSnapshot {
+            scheduler: self.scheduler.snapshot(),
+            time: self.time,
+            waiting: self.waits.snapshot_waiting(),
+            expected: self.waits.snapshot_expected(),
+            next_client: self.next_client,
+            stats: self.stats,
+            channel_up: self.channel_up.clone(),
+            injector: self.injector.as_ref().map(FaultInjector::snapshot),
+            health: self.health.snapshot(),
+            policy: self.policy,
+            mode: self.mode,
+            active: match &self.active {
+                ActivePlan::Full => ActivePlanSnapshot::Full,
+                ActivePlan::Reduced(p) => ActivePlanSnapshot::Reduced(ProgramSnapshot::capture(p)),
+                ActivePlan::BestEffort(p) => {
+                    ActivePlanSnapshot::BestEffort(ProgramSnapshot::capture(p))
+                }
+                ActivePlan::Offline => ActivePlanSnapshot::Offline,
+            },
+            pending_events: self.pending_events.clone(),
+        }
+    }
+
+    /// Rebuilds a station from a snapshot taken by [`Station::snapshot`].
+    ///
+    /// `fault_plan` must be the plan the snapshotted station was running
+    /// under (the snapshot carries only the injector's evolving state;
+    /// the script and rates are rebuilt from the plan). Pass `None` for a
+    /// station that had no injector.
+    ///
+    /// The restored station's subsequent
+    /// [`TickOutcome`](super::TickOutcome) stream — and every stat — is
+    /// bit-identical to the snapshotted station's continuation, provided
+    /// both see the same post-snapshot inputs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StationError::CorruptSnapshot`] (or a schedule error) if
+    /// the snapshot is internally inconsistent or the fault plan is
+    /// missing while the snapshot carries injector state.
+    pub fn from_snapshot(
+        snapshot: &StationSnapshot,
+        fault_plan: Option<&FaultPlan>,
+    ) -> Result<Self, StationError> {
+        let injector = match (&snapshot.injector, fault_plan) {
+            (Some(inj), Some(plan)) => {
+                if inj.up.len() != snapshot.channel_up.len() {
+                    return Err(StationError::CorruptSnapshot {
+                        reason: "injector channel count disagrees with the station's",
+                    });
+                }
+                Some(FaultInjector::from_snapshot(plan, inj))
+            }
+            (Some(_), None) => {
+                return Err(StationError::CorruptSnapshot {
+                    reason: "snapshot carries fault-injector state but no fault plan was supplied",
+                })
+            }
+            (None, _) => None,
+        };
+        let active = match &snapshot.active {
+            ActivePlanSnapshot::Full => ActivePlan::Full,
+            ActivePlanSnapshot::Reduced(p) => ActivePlan::Reduced(p.rebuild()?),
+            ActivePlanSnapshot::BestEffort(p) => ActivePlan::BestEffort(p.rebuild()?),
+            ActivePlanSnapshot::Offline => ActivePlan::Offline,
+        };
+        // Everything not captured (plan epoch, chaos hook, deep verify,
+        // attachments) starts fresh, exactly as in `Station::new`.
+        Ok(Self {
+            time: snapshot.time,
+            waits: WaitingSet::restore(&snapshot.expected, &snapshot.waiting),
+            next_client: snapshot.next_client,
+            stats: snapshot.stats,
+            channel_up: snapshot.channel_up.clone(),
+            injector,
+            health: HealthMonitor::from_snapshot(&snapshot.health),
+            policy: snapshot.policy,
+            mode: snapshot.mode,
+            active,
+            pending_events: snapshot.pending_events.clone(),
+            ..Self::fresh(OnlineScheduler::from_snapshot(&snapshot.scheduler)?)
+        })
+    }
+}
+
+/// The effective on-air grid of a station at one instant, as physical
+/// cells: `cells[ch * cycle_len + col]` is the page a tick at column
+/// `col` (`= time % cycle_len`) would transmit on physical channel `ch`,
+/// `None` meaning an idle or down carrier. Produced by
+/// [`Station::plan_cells`] and consumed by frame-template caches; valid
+/// until [`Station::plan_epoch`] moves.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanCells {
+    /// Configured physical channel count (grid rows).
+    pub channels: u32,
+    /// Grid columns; tick `t` airs column `t % cycle_len`.
+    pub cycle_len: u64,
+    /// Channel-major cells (`ch * cycle_len + col`).
+    pub cells: Vec<Option<PageId>>,
+}
+
+/// Cell-exact capture of one [`BroadcastProgram`].
+///
+/// The degraded rungs' programs are persisted verbatim rather than
+/// re-derived on restore: the pre-swap lint gate may refuse a freshly
+/// derived candidate (keeping the previous plan on the air), so
+/// re-planning is not guaranteed to reproduce the program that was
+/// actually transmitting when the checkpoint was taken.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProgramSnapshot {
+    /// Channel count of the grid.
+    pub channels: u32,
+    /// Cycle length of the grid.
+    pub cycle: u64,
+    /// Every grid cell in channel-major order (`ch * cycle + slot`).
+    pub grid: Vec<Option<PageId>>,
+}
+
+impl ProgramSnapshot {
+    /// Serializes `program` cell by cell.
+    #[must_use]
+    pub fn capture(program: &BroadcastProgram) -> Self {
+        let channels = program.channels();
+        let cycle = program.cycle_len();
+        let mut grid = Vec::with_capacity((channels as usize) * (cycle as usize));
+        for ch in 0..channels {
+            for slot in 0..cycle {
+                grid.push(program.page_at(GridPos::new(ChannelId::new(ch), SlotIndex::new(slot))));
+            }
+        }
+        Self {
+            channels,
+            cycle,
+            grid,
+        }
+    }
+
+    /// Reconstructs the exact program.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StationError::CorruptSnapshot`] on malformed dimensions.
+    pub fn rebuild(&self) -> Result<BroadcastProgram, StationError> {
+        if self.channels == 0 || self.cycle == 0 {
+            return Err(StationError::CorruptSnapshot {
+                reason: "program snapshot has zero channels or cycle",
+            });
+        }
+        if self.grid.len() != (self.channels as usize) * (self.cycle as usize) {
+            return Err(StationError::CorruptSnapshot {
+                reason: "program snapshot grid length does not match its dimensions",
+            });
+        }
+        let mut program = BroadcastProgram::new(self.channels, self.cycle);
+        let mut cells = self.grid.iter();
+        for ch in 0..self.channels {
+            for slot in 0..self.cycle {
+                if let Some(page) = cells.next().copied().flatten() {
+                    program
+                        .place(GridPos::new(ChannelId::new(ch), SlotIndex::new(slot)), page)
+                        .expect("fresh grid cells are free");
+                }
+            }
+        }
+        Ok(program)
+    }
+}
+
+/// Which rung's program was on the air, with the program itself persisted
+/// cell-exactly for the degraded rungs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ActivePlanSnapshot {
+    /// The primary scheduler's program (already captured in
+    /// [`StationSnapshot::scheduler`]).
+    Full,
+    /// A valid SUSC re-pack onto the surviving channels.
+    Reduced(ProgramSnapshot),
+    /// A PAMAD best-effort plan onto the surviving channels.
+    BestEffort(ProgramSnapshot),
+    /// Nothing transmits.
+    Offline,
+}
+
+/// Plain-data capture of a [`Station`]'s complete serving state, produced
+/// by [`Station::snapshot`] and consumed by [`Station::from_snapshot`].
+/// The crash-recovery checkpoint format (`airsched-recover`) is a binary
+/// encoding of exactly this struct.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StationSnapshot {
+    /// The primary scheduler: grid and live catalogue.
+    pub scheduler: SchedulerSnapshot,
+    /// The slot clock.
+    pub time: u64,
+    /// Waiting clients per dense page index, as `(client id, since)`.
+    pub waiting: Vec<Vec<(u64, u64)>>,
+    /// Dense expected-time mirror of the catalogue.
+    pub expected: Vec<Option<u64>>,
+    /// The next client id to assign.
+    pub next_client: u64,
+    /// Aggregate statistics.
+    pub stats: StationStats,
+    /// Physical channel up/down state.
+    pub channel_up: Vec<bool>,
+    /// The fault injector's evolving state, if one was attached.
+    pub injector: Option<FaultInjectorSnapshot>,
+    /// Per-channel health windows.
+    pub health: HealthSnapshot,
+    /// The degradation policy.
+    pub policy: DegradationPolicy,
+    /// The ladder mode.
+    pub mode: Mode,
+    /// The plan on the air.
+    pub active: ActivePlanSnapshot,
+    /// Events produced outside `tick`, not yet surfaced.
+    pub pending_events: Vec<ChannelEvent>,
+}

@@ -1,0 +1,952 @@
+//! Unit tests of the station: serving, the degradation ladder and its
+//! gate, observability, and snapshot/restore.
+
+use super::*;
+use crate::faults::FaultEvent;
+use airsched_lint::LintConfig;
+use airsched_obs::events::{Event as ObsEvent, HealthTransition};
+use airsched_obs::Obs;
+use airsched_trace::{Phase, Trace};
+
+fn station_with_catalogue() -> Station {
+    let mut s = Station::new(2, 8).unwrap();
+    s.publish(PageId::new(0), 2).unwrap();
+    s.publish(PageId::new(1), 4).unwrap();
+    s.publish(PageId::new(2), 8).unwrap();
+    s
+}
+
+#[test]
+fn subscribers_are_served_within_deadline() {
+    let mut s = station_with_catalogue();
+    // Subscribe to everything at various instants; every delivery must
+    // be on time because the schedule is valid.
+    let mut pending = Vec::new();
+    for round in 0..16u64 {
+        let page = PageId::new(u32::try_from(round % 3).unwrap());
+        pending.push((s.subscribe(page).unwrap(), page));
+        let tick = s.tick();
+        for d in &tick.deliveries {
+            assert!(d.within_deadline, "{d:?}");
+        }
+    }
+    // Drain the rest.
+    s.run(16);
+    assert_eq!(s.stats().waiting, 0);
+    assert_eq!(s.stats().on_time, s.stats().delivered);
+    assert!(s.stats().mean_wait() >= 1.0);
+    assert_eq!(s.stats().on_time_rate(), 1.0);
+}
+
+#[test]
+fn unknown_page_subscription_is_rejected() {
+    let mut s = station_with_catalogue();
+    let err = s.subscribe(PageId::new(9)).unwrap_err();
+    assert!(matches!(err, StationError::UnknownPage { .. }));
+    assert!(err.to_string().contains("not in the catalogue"));
+}
+
+#[test]
+fn publish_duplicate_and_bad_times_error() {
+    let mut s = station_with_catalogue();
+    assert!(matches!(
+        s.publish(PageId::new(0), 4),
+        Err(StationError::Schedule(_))
+    ));
+    assert!(s.publish(PageId::new(9), 3).is_err()); // 3 does not divide 8
+    assert!(s.publish(PageId::new(9), 0).is_err());
+}
+
+#[test]
+fn expire_stops_transmission() {
+    let mut s = station_with_catalogue();
+    s.expire(PageId::new(0)).unwrap();
+    assert!(s.expire(PageId::new(0)).is_err());
+    for _ in 0..16 {
+        let tick = s.tick();
+        assert!(
+            !tick.on_air.contains(&Some(PageId::new(0))),
+            "expired page still on air"
+        );
+    }
+}
+
+#[test]
+fn capacity_exhaustion_reports() {
+    let mut s = Station::new(1, 2).unwrap();
+    s.publish(PageId::new(0), 2).unwrap();
+    s.publish(PageId::new(1), 2).unwrap();
+    let err = s.publish(PageId::new(2), 2).unwrap_err();
+    assert!(matches!(err, StationError::CapacityExhausted { .. }));
+    assert!(err.to_string().contains("channel budget"));
+}
+
+#[test]
+fn publish_compacts_through_fragmentation() {
+    // Same scenario as the OnlineScheduler fragmentation test, but via
+    // the station's publish, which must self-heal.
+    let mut s = Station::new(1, 4).unwrap();
+    for i in 0..4 {
+        s.publish(PageId::new(i), 4).unwrap();
+    }
+    s.expire(PageId::new(0)).unwrap();
+    s.expire(PageId::new(3)).unwrap();
+    s.publish(PageId::new(9), 2).unwrap(); // needs compaction
+    assert_eq!(s.catalogue().len(), 3);
+}
+
+#[test]
+fn clock_and_stats_advance() {
+    let mut s = station_with_catalogue();
+    assert_eq!(s.now(), 0);
+    s.run(10);
+    assert_eq!(s.now(), 10);
+    assert_eq!(s.stats().slots_elapsed, 10);
+}
+
+#[test]
+fn delivery_wait_is_exact() {
+    let mut s = Station::new(1, 4).unwrap();
+    s.publish(PageId::new(0), 4).unwrap(); // airs at slot 0 of each cycle
+                                           // Let one full cycle pass, subscribe at t=4 (the page's slot).
+    s.run(4);
+    let client = s.subscribe(PageId::new(0)).unwrap();
+    let tick = s.tick();
+    assert_eq!(tick.deliveries.len(), 1);
+    let d = tick.deliveries[0];
+    assert_eq!(d.client, client);
+    assert_eq!(d.wait, 1);
+    assert!(d.within_deadline);
+}
+
+#[test]
+fn multiple_waiters_served_together() {
+    let mut s = Station::new(1, 4).unwrap();
+    s.publish(PageId::new(0), 4).unwrap();
+    s.run(1); // move past the page's slot
+    let a = s.subscribe(PageId::new(0)).unwrap();
+    let b = s.subscribe(PageId::new(0)).unwrap();
+    assert_ne!(a, b);
+    let deliveries = s.run(4);
+    assert_eq!(deliveries.len(), 2);
+    assert!(deliveries.iter().all(|d| d.page == PageId::new(0)));
+}
+
+#[test]
+fn client_id_display() {
+    let mut s = station_with_catalogue();
+    let c = s.subscribe(PageId::new(0)).unwrap();
+    assert_eq!(c.to_string(), "client0");
+}
+
+// --- fault tolerance ---
+
+/// A 3-channel catalogue whose Theorem 3.1 minimum is 2: demand is
+/// 1/2 + 1/2 + 1/4 + 1/8 = 1.375.
+fn resilient_station() -> Station {
+    let mut s = Station::new(3, 8).unwrap();
+    s.publish(PageId::new(0), 2).unwrap();
+    s.publish(PageId::new(1), 2).unwrap();
+    s.publish(PageId::new(2), 4).unwrap();
+    s.publish(PageId::new(3), 8).unwrap();
+    s
+}
+
+#[test]
+fn ladder_walks_down_and_back_up() {
+    let mut s = resilient_station();
+    assert_eq!(s.mode(), Mode::Valid);
+    // 2 survivors >= minimum 2: a valid re-pack.
+    assert_eq!(s.fail_channel(ChannelId::new(2)), Mode::Repacked);
+    assert!(s.mode().is_valid());
+    // 1 survivor < 2: PAMAD best-effort.
+    assert_eq!(s.fail_channel(ChannelId::new(1)), Mode::BestEffort);
+    assert!(!s.mode().is_valid());
+    // 0 survivors: off the air.
+    assert_eq!(s.fail_channel(ChannelId::new(0)), Mode::Offline);
+    assert!(s.tick().on_air.iter().all(Option::is_none));
+    // Climb back up the same rungs.
+    assert_eq!(s.restore_channel(ChannelId::new(0)), Mode::BestEffort);
+    assert_eq!(s.restore_channel(ChannelId::new(1)), Mode::Repacked);
+    assert_eq!(s.restore_channel(ChannelId::new(2)), Mode::Valid);
+    let stats = s.stats();
+    assert_eq!(stats.failovers, 2); // entered best-effort going down AND up
+    assert_eq!(stats.repacks, 2); // down-walk and up-walk
+    assert_eq!(stats.recoveries, 1);
+    assert!(stats.degraded_slots >= 1);
+}
+
+#[test]
+fn repacked_mode_keeps_deadlines_and_subscriptions() {
+    let mut s = resilient_station();
+    let client = s.subscribe(PageId::new(2)).unwrap();
+    assert_eq!(s.fail_channel(ChannelId::new(2)), Mode::Repacked);
+    // Down channel airs nothing; survivors meet every deadline.
+    let mut served = false;
+    for _ in 0..8 {
+        let tick = s.tick();
+        assert_eq!(tick.mode, Mode::Repacked);
+        assert_eq!(tick.on_air[2], None);
+        for d in &tick.deliveries {
+            assert!(d.within_deadline, "{d:?}");
+            served |= d.client == client;
+        }
+    }
+    assert!(served, "subscription lost across the re-pack");
+    assert_eq!(s.stats().per_mode(Mode::Repacked).on_time_rate(), 1.0);
+}
+
+#[test]
+fn best_effort_mode_keeps_every_page_on_air() {
+    let mut s = resilient_station();
+    s.fail_channel(ChannelId::new(2));
+    s.fail_channel(ChannelId::new(1));
+    assert_eq!(s.mode(), Mode::BestEffort);
+    let mut seen = std::collections::BTreeSet::new();
+    for _ in 0..32 {
+        let tick = s.tick();
+        assert_eq!(tick.mode, Mode::BestEffort);
+        // Only channel 0 survives.
+        assert_eq!(tick.on_air[1], None);
+        assert_eq!(tick.on_air[2], None);
+        seen.extend(tick.on_air[0]);
+    }
+    // PAMAD keeps the whole catalogue broadcasting on the survivor.
+    assert_eq!(seen.len(), 4, "pages vanished in best-effort: {seen:?}");
+}
+
+#[test]
+fn corrupt_frames_do_not_deliver() {
+    let plan = FaultPlan::scripted(vec![FaultEvent::Corrupt {
+        at: 0,
+        channel: ChannelId::new(0),
+    }]);
+    let mut s = Station::with_faults(1, 4, &plan).unwrap();
+    s.publish(PageId::new(0), 4).unwrap(); // airs at slots 0, 4, 8...
+    let client = s.subscribe(PageId::new(0)).unwrap();
+    let tick = s.tick();
+    assert_eq!(tick.on_air[0], Some(PageId::new(0)));
+    assert_eq!(tick.corrupted, vec![true]);
+    assert!(tick.deliveries.is_empty(), "corrupt frame delivered");
+    // The client is served by the next intact occurrence — late.
+    let deliveries = s.run(4);
+    assert_eq!(deliveries.len(), 1);
+    assert_eq!(deliveries[0].client, client);
+    assert_eq!(deliveries[0].wait, 5);
+    assert!(!deliveries[0].within_deadline);
+}
+
+#[test]
+fn stalled_slot_airs_nothing() {
+    let plan = FaultPlan::scripted(vec![FaultEvent::Stall {
+        at: 0,
+        channel: ChannelId::new(0),
+    }]);
+    let mut s = Station::with_faults(1, 4, &plan).unwrap();
+    s.publish(PageId::new(0), 4).unwrap();
+    let tick = s.tick();
+    assert_eq!(tick.on_air, vec![None]);
+    assert_eq!(tick.corrupted, vec![false]);
+    // Next cycle transmits normally.
+    s.run(3);
+    let tick = s.tick();
+    assert_eq!(tick.on_air, vec![Some(PageId::new(0))]);
+}
+
+#[test]
+fn injector_outages_surface_as_events_and_modes() {
+    let plan = FaultPlan::scripted(vec![
+        FaultEvent::Down {
+            at: 2,
+            channel: ChannelId::new(2),
+        },
+        FaultEvent::Up {
+            at: 6,
+            channel: ChannelId::new(2),
+        },
+    ]);
+    let mut s = Station::with_faults(3, 8, &plan).unwrap();
+    s.publish(PageId::new(0), 2).unwrap();
+    s.publish(PageId::new(1), 2).unwrap();
+    s.publish(PageId::new(2), 4).unwrap();
+    s.publish(PageId::new(3), 8).unwrap();
+    assert_eq!(s.tick().mode, Mode::Valid);
+    assert_eq!(s.tick().mode, Mode::Valid);
+    let tick = s.tick(); // slot 2: outage applies before transmission
+    assert_eq!(tick.mode, Mode::Repacked);
+    assert_eq!(
+        tick.events,
+        vec![ChannelEvent::Down {
+            channel: ChannelId::new(2),
+            at: 2
+        }]
+    );
+    s.tick();
+    s.tick();
+    s.tick();
+    let tick = s.tick(); // slot 6: recovery
+    assert_eq!(tick.mode, Mode::Valid);
+    assert_eq!(
+        tick.events,
+        vec![ChannelEvent::Up {
+            channel: ChannelId::new(2),
+            at: 6
+        }]
+    );
+    assert_eq!(s.stats().recoveries, 1);
+}
+
+#[test]
+fn health_monitor_flags_a_noisy_channel() {
+    let plan = FaultPlan::seeded(3).with_corruption(1.0);
+    let mut s = Station::with_faults(1, 4, &plan).unwrap();
+    s.set_health_thresholds(HealthThresholds {
+        window: 4,
+        error_permille: 500,
+        stall_permille: 500,
+    });
+    s.publish(PageId::new(0), 1).unwrap(); // airs every slot
+    let mut degraded_events = 0;
+    for _ in 0..8 {
+        let tick = s.tick();
+        degraded_events += tick
+            .events
+            .iter()
+            .filter(|e| matches!(e, ChannelEvent::Degraded { .. }))
+            .count();
+    }
+    assert_eq!(degraded_events, 1, "exactly one degraded transition");
+    assert!(s.health().is_degraded(ChannelId::new(0)));
+}
+
+#[test]
+fn per_mode_tallies_attribute_deliveries() {
+    let mut s = resilient_station();
+    s.subscribe(PageId::new(0)).unwrap();
+    s.run(2); // served in valid mode
+    s.fail_channel(ChannelId::new(2));
+    s.fail_channel(ChannelId::new(1));
+    s.subscribe(PageId::new(0)).unwrap();
+    s.run(16); // served in best-effort mode
+    let stats = s.stats();
+    assert_eq!(stats.per_mode(Mode::Valid).delivered, 1);
+    assert!(stats.per_mode(Mode::BestEffort).delivered >= 1);
+    assert_eq!(
+        stats.delivered,
+        stats.per_mode(Mode::Valid).delivered
+            + stats.per_mode(Mode::Repacked).delivered
+            + stats.per_mode(Mode::BestEffort).delivered
+    );
+    assert_eq!(stats.per_mode(Mode::Offline).delivered, 0);
+}
+
+#[test]
+fn equal_seeds_give_identical_tick_streams() {
+    let plan = FaultPlan::seeded(99)
+        .with_outage(0.05)
+        .with_recovery(0.25)
+        .with_stalls(0.02)
+        .with_corruption(0.1);
+    let build = || {
+        let mut s = Station::with_faults(3, 8, &plan).unwrap();
+        s.publish(PageId::new(0), 2).unwrap();
+        s.publish(PageId::new(1), 4).unwrap();
+        s.publish(PageId::new(2), 8).unwrap();
+        s.subscribe(PageId::new(0)).unwrap();
+        s.subscribe(PageId::new(2)).unwrap();
+        s
+    };
+    let mut a = build();
+    let mut b = build();
+    for t in 0..400 {
+        assert_eq!(a.tick(), b.tick(), "streams diverged at slot {t}");
+    }
+    assert_eq!(a.stats(), b.stats());
+}
+
+#[test]
+fn run_with_streams_the_same_deliveries_as_run() {
+    let build = || {
+        let mut s = station_with_catalogue();
+        s.subscribe(PageId::new(0)).unwrap();
+        s.subscribe(PageId::new(1)).unwrap();
+        s.subscribe(PageId::new(2)).unwrap();
+        s
+    };
+    let mut collected = Vec::new();
+    build().run_with(16, |d| collected.push(*d));
+    assert_eq!(collected, build().run(16));
+    assert_eq!(collected.len(), 3);
+}
+
+#[test]
+fn expire_clears_the_dense_catalogue_cache() {
+    let mut s = station_with_catalogue();
+    s.subscribe(PageId::new(2)).unwrap();
+    s.expire(PageId::new(2)).unwrap();
+    // New subscriptions are rejected while the page is unpublished...
+    assert!(matches!(
+        s.subscribe(PageId::new(2)),
+        Err(StationError::UnknownPage { .. })
+    ));
+    s.run(16);
+    assert_eq!(s.stats().waiting, 1, "waiter lost with the expiry");
+    // ...and the in-flight waiter is served once it is re-published.
+    s.publish(PageId::new(2), 8).unwrap();
+    let deliveries = s.run(8);
+    assert!(deliveries.iter().any(|d| d.page == PageId::new(2)));
+    assert_eq!(s.stats().waiting, 0);
+}
+
+#[test]
+fn policy_can_disable_rungs() {
+    let mut s = resilient_station();
+    s.set_degradation_policy(DegradationPolicy {
+        repack: false,
+        best_effort: true,
+    });
+    // Without the re-pack rung, any loss goes straight to best-effort.
+    assert_eq!(s.fail_channel(ChannelId::new(2)), Mode::BestEffort);
+    s.set_degradation_policy(DegradationPolicy {
+        repack: true,
+        best_effort: false,
+    });
+    assert_eq!(s.mode(), Mode::Repacked);
+    // Without best-effort, dropping below the minimum goes offline.
+    assert_eq!(s.fail_channel(ChannelId::new(1)), Mode::Offline);
+    assert!(s.degradation_policy().repack);
+}
+
+// --- the pre-swap lint gate ---
+
+/// A corruptor that drops every occurrence of page 3 from the
+/// candidate: the gate must catch the now-missing page (AP03).
+fn drop_page3(program: &BroadcastProgram) -> BroadcastProgram {
+    let mut out = BroadcastProgram::new(program.channels(), program.cycle_len());
+    for ch in 0..program.channels() {
+        for slot in 0..program.cycle_len() {
+            let pos = GridPos::new(ChannelId::new(ch), SlotIndex::new(slot));
+            if let Some(page) = program.page_at(pos) {
+                if page != PageId::new(3) {
+                    out.place(pos, page).unwrap();
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn lint_gate_refuses_corrupted_replans_and_keeps_serving() {
+    let mut s = resilient_station();
+    s.set_plan_corruptor(Some(drop_page3));
+    // Both the re-pack and the best-effort candidates come out of the
+    // corrupted pipeline missing page 3; the gate refuses both, so the
+    // previous (full) plan stays on the air and the mode is unchanged.
+    assert_eq!(s.fail_channel(ChannelId::new(2)), Mode::Valid);
+    assert_eq!(s.stats().plan_rejections, 2);
+    assert_eq!(s.stats().failovers, 0);
+    assert_eq!(s.stats().repacks, 0);
+    // The survivors keep transmitting the vetted plan; the down
+    // channel airs nothing.
+    let mut aired = 0usize;
+    for _ in 0..8 {
+        let tick = s.tick();
+        assert_eq!(tick.on_air[2], None);
+        aired += tick.on_air[..2].iter().flatten().count();
+    }
+    assert!(aired > 0, "previous program stopped serving");
+    // Removing the corruptor and re-failing the ladder installs a
+    // clean re-pack again.
+    s.set_plan_corruptor(None);
+    s.restore_channel(ChannelId::new(2));
+    assert_eq!(s.fail_channel(ChannelId::new(2)), Mode::Repacked);
+    assert_eq!(s.stats().plan_rejections, 2, "clean candidate rejected");
+}
+
+#[test]
+fn deep_verify_certifies_clean_repacks_and_refuses_corrupted_ones() {
+    let mut s = resilient_station();
+    s.set_deep_verify(true);
+    assert!(s.deep_verify());
+    // A clean re-pack passes both the lint gate and the solver: the
+    // swap happens and no solve rejection is recorded.
+    assert_eq!(s.fail_channel(ChannelId::new(2)), Mode::Repacked);
+    assert_eq!(s.stats().solve_rejections, 0);
+    assert_eq!(s.stats().plan_rejections, 0);
+    s.restore_channel(ChannelId::new(2));
+    // A corrupted candidate is refused by the lint gate *and* by the
+    // solver — the two verdicts must agree, and both tallies move.
+    s.set_plan_corruptor(Some(drop_page3));
+    assert_ne!(s.fail_channel(ChannelId::new(2)), Mode::Repacked);
+    assert_eq!(s.stats().solve_rejections, 1, "solver must refuse too");
+    assert!(s.stats().plan_rejections >= 1);
+}
+
+#[test]
+fn propose_plan_is_the_gates_dry_run() {
+    use airsched_lint::rules::RuleId;
+    let s = resilient_station();
+    let own = s.scheduler.program().clone();
+    assert!(s.propose_plan(&own, &LintConfig::default()).is_clean());
+    let corrupted = drop_page3(&own);
+    let report = s.propose_plan(&corrupted, &LintConfig::default());
+    assert!(report.has_deny(), "{report}");
+    assert!(report.fired(RuleId::NeverBroadcast), "{report}");
+}
+
+#[test]
+fn publish_and_expire_refresh_a_degraded_plan() {
+    let mut s = Station::new(2, 8).unwrap();
+    s.publish(PageId::new(0), 4).unwrap();
+    s.publish(PageId::new(1), 8).unwrap();
+    // One survivor still meets the minimum (1/4 + 1/8 < 1).
+    assert_eq!(s.fail_channel(ChannelId::new(1)), Mode::Repacked);
+    // Raising demand past one channel must drop to best-effort.
+    s.publish(PageId::new(2), 2).unwrap();
+    s.publish(PageId::new(3), 2).unwrap();
+    s.publish(PageId::new(4), 4).unwrap();
+    assert_eq!(s.mode(), Mode::BestEffort);
+    // Shedding the load climbs back to a valid re-pack.
+    s.expire(PageId::new(2)).unwrap();
+    s.expire(PageId::new(3)).unwrap();
+    assert_eq!(s.mode(), Mode::Repacked);
+    // The new page is on the degraded plan's air.
+    let mut seen = std::collections::BTreeSet::new();
+    for _ in 0..8 {
+        seen.extend(s.tick().on_air[0]);
+    }
+    assert!(seen.contains(&PageId::new(4)));
+}
+
+// --- observability ---
+
+#[test]
+fn attached_obs_changes_nothing_and_mirrors_stats() {
+    let plan = FaultPlan::seeded(41)
+        .with_outage(0.05)
+        .with_recovery(0.2)
+        .with_stalls(0.02)
+        .with_corruption(0.1);
+    let build = || {
+        let mut s = Station::with_faults(3, 8, &plan).unwrap();
+        s.publish(PageId::new(0), 2).unwrap();
+        s.publish(PageId::new(1), 2).unwrap();
+        s.publish(PageId::new(2), 4).unwrap();
+        s.publish(PageId::new(3), 8).unwrap();
+        s
+    };
+    let mut plain = build();
+    let mut observed = build();
+    let obs = Obs::with_recorder_capacity(4096);
+    observed.attach_obs(&obs);
+    let mut a = TickBuf::new();
+    let mut b = TickBuf::new();
+    for t in 0..400u64 {
+        if t % 4 == 0 {
+            let page = PageId::new(u32::try_from(t % 4).unwrap());
+            assert_eq!(
+                plain.subscribe(page).unwrap(),
+                observed.subscribe(page).unwrap()
+            );
+        }
+        plain.tick_into(&mut a);
+        observed.tick_into(&mut b);
+        assert_eq!(a.to_outcome(), b.to_outcome(), "obs changed slot {t}");
+    }
+    // Bit-identical serving, identical stats.
+    assert_eq!(plain.stats(), observed.stats());
+    // Every counter family mirrors its stats twin exactly.
+    let stats = observed.stats();
+    let snap = obs.snapshot();
+    assert_eq!(
+        snap.scalar_total("airsched_station_delivered_total"),
+        stats.delivered
+    );
+    assert_eq!(
+        snap.scalar_total("airsched_station_on_time_total"),
+        stats.on_time
+    );
+    assert_eq!(
+        snap.scalar_total("airsched_station_deadline_miss_total"),
+        stats.delivered - stats.on_time
+    );
+    assert_eq!(
+        snap.scalar_total("airsched_station_slots_total"),
+        stats.slots_elapsed
+    );
+    assert_eq!(
+        snap.scalar_total("airsched_station_degraded_slots_total"),
+        stats.degraded_slots
+    );
+    assert_eq!(
+        snap.scalar_total("airsched_station_mode_changes_total"),
+        stats.mode_changes
+    );
+    assert_eq!(
+        snap.scalar_total("airsched_station_plan_rejections_total"),
+        stats.plan_rejections
+    );
+    assert_eq!(
+        snap.scalar_total("airsched_station_plan_warnings_total"),
+        stats.plan_warnings
+    );
+    // The wait histogram saw every delivery, and its sum is the total
+    // wait (both exact regardless of bucketing).
+    assert_eq!(
+        snap.scalar_total("airsched_station_wait_slots"),
+        stats.delivered
+    );
+    // The event stream agrees with the counters: one ModeChange event
+    // per stats.mode_changes, each consecutive pair chained
+    // (from == previous to), and the last one matching the live mode.
+    let changes: Vec<(String, String, u64)> = obs
+        .recent_events(4096)
+        .into_iter()
+        .filter_map(|e| match e {
+            ObsEvent::ModeChange { from, to, slot, .. } => Some((from, to, slot)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(changes.len() as u64, stats.mode_changes);
+    for pair in changes.windows(2) {
+        assert_eq!(pair[0].1, pair[1].0, "mode-change chain broken");
+    }
+    if let Some(last) = changes.last() {
+        assert_eq!(last.1, observed.mode().name());
+        assert_eq!(Some(last.2), stats.last_mode_change_slot);
+    }
+}
+
+#[test]
+fn mode_change_stats_track_transitions_without_obs() {
+    let mut s = resilient_station();
+    assert_eq!(s.stats().mode_changes, 0);
+    assert_eq!(s.stats().last_mode_change_slot, None);
+    s.fail_channel(ChannelId::new(2));
+    s.run(5);
+    s.fail_channel(ChannelId::new(1));
+    let stats = s.stats();
+    assert_eq!(stats.mode_changes, 2);
+    assert_eq!(stats.last_mode_change_slot, Some(5));
+    assert_eq!(
+        stats.mode_changes,
+        stats.failovers + stats.repacks + stats.recoveries
+    );
+}
+
+#[test]
+fn entering_best_effort_captures_a_causal_postmortem() {
+    let mut s = resilient_station();
+    let obs = Obs::new();
+    s.attach_obs(&obs);
+    // The rare-path series are exact after every mutator, before any
+    // tick has run.
+    let exact = |s: &Station, downs: u64| {
+        let reg = obs.registry();
+        let stats = s.stats();
+        assert_eq!(
+            reg.counter("airsched_station_mode_changes_total", &[])
+                .get(),
+            stats.mode_changes
+        );
+        assert_eq!(
+            reg.gauge("airsched_station_mode", &[]).get(),
+            s.mode().index() as u64
+        );
+        assert_eq!(
+            reg.counter(
+                "airsched_health_transitions_total",
+                &[("transition", "down")]
+            )
+            .get(),
+            downs
+        );
+        assert_eq!(
+            reg.counter("airsched_station_plan_rejections_total", &[])
+                .get(),
+            stats.plan_rejections
+        );
+    };
+    s.fail_channel(ChannelId::new(2));
+    exact(&s, 1);
+    s.fail_channel(ChannelId::new(1)); // drops onto best-effort
+    exact(&s, 2);
+    let dumps = obs.take_postmortems();
+    assert_eq!(dumps.len(), 1);
+    let pm = &dumps[0];
+    assert_eq!(pm.trigger, "best-effort");
+    assert!(!pm.events.is_empty());
+    // The triggering ModeChange is last; the causal Down transitions
+    // precede it.
+    let last = pm.events.last().unwrap();
+    assert!(
+        matches!(last, ObsEvent::ModeChange { to, .. } if to == "best-effort"),
+        "{last:?}"
+    );
+    let downs = pm
+        .events
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                ObsEvent::ChannelHealth {
+                    transition: HealthTransition::Down,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(downs, 2, "causal channel losses missing from the dump");
+}
+
+#[test]
+fn gate_refusals_record_rule_ids() {
+    let mut s = resilient_station();
+    let obs = Obs::new();
+    s.attach_obs(&obs);
+    s.set_plan_corruptor(Some(drop_page3));
+    // Both the re-pack and the best-effort candidates are refused
+    // (page 3 vanished: AP03 denies under both configs).
+    s.fail_channel(ChannelId::new(2));
+    let refusals: Vec<Vec<String>> = obs
+        .recent_events(64)
+        .into_iter()
+        .filter_map(|e| match e {
+            ObsEvent::PlanRejected { rule_ids, .. } => Some(rule_ids),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(refusals.len(), 2);
+    for ids in &refusals {
+        assert!(ids.contains(&"AP03".to_string()), "{ids:?}");
+    }
+    // Replan timings were recorded for both attempted stages.
+    let stages: Vec<String> = obs
+        .recent_events(64)
+        .into_iter()
+        .filter_map(|e| match e {
+            ObsEvent::ReplanTiming { stage, evals, .. } => {
+                assert!(evals > 0, "zero-cost replan recorded");
+                Some(stage)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(stages, vec!["repack".to_string(), "pamad".to_string()]);
+}
+
+#[test]
+fn snapshot_restores_a_bit_identical_twin_mid_chaos() {
+    let plan = FaultPlan::seeded(99)
+        .with_outage(0.05)
+        .with_recovery(0.25)
+        .with_stalls(0.02)
+        .with_corruption(0.1)
+        .with_script(vec![FaultEvent::Down {
+            at: 30,
+            channel: ChannelId::new(1),
+        }]);
+    let mut original = Station::with_faults(3, 8, &plan).unwrap();
+    original.publish(PageId::new(0), 2).unwrap();
+    original.publish(PageId::new(1), 4).unwrap();
+    original.publish(PageId::new(2), 8).unwrap();
+    // Drive it into the interesting regime: mid-chaos, clients
+    // waiting, health windows partially filled.
+    for t in 0..150u64 {
+        if t % 4 == 0 {
+            original
+                .subscribe(PageId::new(u32::try_from(t % 3).unwrap()))
+                .unwrap();
+        }
+        original.tick();
+    }
+    let snap = original.snapshot();
+    // The continuation must stay bit-identical, including fresh
+    // subscriptions on both sides.
+    let mut restored = Station::from_snapshot(&snap, Some(&plan)).unwrap();
+    assert_eq!(restored.stats(), original.stats());
+    assert_eq!(restored.mode(), original.mode());
+    assert_eq!(restored.now(), original.now());
+    for t in 150..400u64 {
+        if t % 4 == 0 {
+            let page = PageId::new(u32::try_from(t % 3).unwrap());
+            assert_eq!(
+                original.subscribe(page).unwrap(),
+                restored.subscribe(page).unwrap()
+            );
+        }
+        assert_eq!(original.tick(), restored.tick(), "diverged at slot {t}");
+    }
+    assert_eq!(original.stats(), restored.stats());
+}
+
+#[test]
+fn snapshot_restore_rejects_inconsistencies() {
+    let plan = FaultPlan::seeded(7).with_outage(0.1).with_recovery(0.2);
+    let mut s = Station::with_faults(2, 8, &plan).unwrap();
+    s.publish(PageId::new(0), 2).unwrap();
+    s.run(20);
+    let snap = s.snapshot();
+    // Injector state without the plan that explains it.
+    let err = Station::from_snapshot(&snap, None).unwrap_err();
+    assert!(matches!(err, StationError::CorruptSnapshot { .. }));
+    assert!(err.to_string().contains("cannot restore station snapshot"));
+    // Injector channel count out of step with the station's.
+    let mut bad = snap.clone();
+    bad.injector.as_mut().unwrap().up.push(true);
+    assert!(matches!(
+        Station::from_snapshot(&bad, Some(&plan)),
+        Err(StationError::CorruptSnapshot { .. })
+    ));
+    // A degraded-plan grid that lies about its dimensions.
+    let mut bad = snap;
+    bad.active = ActivePlanSnapshot::Reduced(ProgramSnapshot {
+        channels: 2,
+        cycle: 8,
+        grid: vec![None; 3],
+    });
+    assert!(matches!(
+        Station::from_snapshot(&bad, Some(&plan)),
+        Err(StationError::CorruptSnapshot { .. })
+    ));
+}
+
+fn every_slot_trace() -> Trace {
+    Trace::new(airsched_trace::TraceConfig {
+        sample_every: 1,
+        ring_capacity: 16,
+        slo: airsched_trace::SloConfig::default(),
+    })
+}
+
+#[test]
+fn trace_samples_span_trees() {
+    // Demand 1.5 channels keeps both transmitters busy, so the drain
+    // sees >= 2 requests per slot.
+    let mut s = Station::new(2, 8).unwrap();
+    s.publish(PageId::new(0), 2).unwrap();
+    s.publish(PageId::new(1), 2).unwrap();
+    s.publish(PageId::new(2), 4).unwrap();
+    s.publish(PageId::new(3), 4).unwrap();
+    let trace = every_slot_trace();
+    s.attach_trace(&trace);
+    assert!(s.trace().is_some());
+    for t in 0..32u64 {
+        let page = PageId::new(u32::try_from(t % 4).unwrap());
+        s.subscribe(page).unwrap();
+        s.tick();
+    }
+    let snap = trace.snapshot();
+    assert_eq!(snap.slots, 32, "SLO tracker must see every tick");
+    assert_eq!(snap.sampled, 32, "sample_every=1 captures every slot");
+    for phase in [
+        Phase::Faults,
+        Phase::Air,
+        Phase::Drain,
+        Phase::Deadline,
+        Phase::Sync,
+    ] {
+        assert!(
+            snap.phases
+                .iter()
+                .any(|p| p.phase == phase && p.count == 32),
+            "phase {} missing from snapshot",
+            phase.name()
+        );
+    }
+    let doc = trace.render_chrome(false);
+    for name in ["\"slot\"", "\"drain\""] {
+        assert!(doc.contains(name), "chrome doc missing {name}: {doc}");
+    }
+}
+
+#[test]
+fn unsampled_ticks_still_track_slo() {
+    let mut s = station_with_catalogue();
+    let trace = Trace::new(airsched_trace::TraceConfig {
+        sample_every: 0,
+        ring_capacity: 16,
+        slo: airsched_trace::SloConfig::default(),
+    });
+    s.attach_trace(&trace);
+    s.subscribe(PageId::new(0)).unwrap();
+    s.run(16);
+    let snap = trace.snapshot();
+    assert_eq!(snap.slots, 16);
+    assert_eq!(snap.sampled, 0, "sampling off must capture nothing");
+    assert!(snap.phases.is_empty());
+    assert_eq!(snap.slo_burns, 0);
+    assert_eq!(snap.fast_hit_milli, 1000, "valid schedule serves on time");
+}
+
+#[test]
+fn tracing_does_not_change_the_output_stream() {
+    let mut plain = station_with_catalogue();
+    let mut traced = station_with_catalogue();
+    let trace = every_slot_trace();
+    traced.attach_trace(&trace);
+    for t in 0..100u64 {
+        if t % 3 == 0 {
+            let page = PageId::new(u32::try_from(t % 3).unwrap());
+            assert_eq!(
+                plain.subscribe(page).unwrap(),
+                traced.subscribe(page).unwrap()
+            );
+        }
+        assert_eq!(plain.tick(), traced.tick(), "diverged at slot {t}");
+    }
+    assert_eq!(plain.stats(), traced.stats());
+}
+
+#[test]
+fn slo_burn_fires_on_late_deliveries_and_captures_postmortem() {
+    let mut s = station_with_catalogue();
+    let obs = Obs::new();
+    s.attach_obs(&obs);
+    let trace = every_slot_trace();
+    s.attach_trace(&trace);
+    // Park a crowd on the fastest page, then black out both channels
+    // long enough to fill the fast SLO window and blow the deadline.
+    for _ in 0..8 {
+        s.subscribe(PageId::new(0)).unwrap();
+    }
+    s.fail_channel(ChannelId::new(0));
+    s.fail_channel(ChannelId::new(1));
+    s.run(80);
+    assert_eq!(trace.snapshot().slo_burns, 0, "idle slots are not misses");
+    // Restoration serves the crowd far past its deadline: the slot's
+    // deliveries all miss, the fast and slow windows both burn, and
+    // the alert lands in the flight recorder with a postmortem.
+    s.restore_channel(ChannelId::new(0));
+    s.restore_channel(ChannelId::new(1));
+    s.run(8);
+    let snap = trace.snapshot();
+    assert!(snap.slo_burns >= 1, "burn alert must fire: {snap:?}");
+    let events = obs.recent_events(256);
+    let burn = events
+        .iter()
+        .find(|e| matches!(e, ObsEvent::SloBurn { .. }))
+        .expect("SloBurn event recorded");
+    if let ObsEvent::SloBurn {
+        fast_burn_milli,
+        threshold_milli,
+        ..
+    } = burn
+    {
+        assert!(fast_burn_milli >= threshold_milli);
+    }
+    // The burn lands ahead of its slot's deadline-miss batch, and the
+    // postmortem it cuts ends on the burn itself.
+    let at = events.iter().position(|e| e == burn).unwrap();
+    assert!(
+        matches!(events[at + 1], ObsEvent::DeadlineMiss { slot, .. } if slot == burn.slot()),
+        "{events:?}"
+    );
+    let pms = obs.take_postmortems();
+    let pm = pms
+        .iter()
+        .find(|p| p.trigger == "slo_burn")
+        .expect("postmortem captured for the burn");
+    assert_eq!(pm.events.last(), Some(burn));
+}

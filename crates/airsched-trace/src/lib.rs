@@ -9,8 +9,10 @@
 //!
 //! # Cost model (same discipline as `airsched-obs`)
 //!
-//! The serving loop runs at ~110 ns/tick, so a pair of `Instant::now`
-//! calls would be a measurable tax.  The contract is therefore:
+//! A tick costs a few hundred nanoseconds (the `trace` rows of
+//! `BENCH_station.json`, written by `station_perf`, give the plain rate
+//! and the tax of each state below), so a pair of `Instant::now` calls
+//! per phase would be a measurable tax.  The contract is therefore:
 //!
 //! - **Detached** (no [`Trace`] handle): instrumentation is a dormant
 //!   branch per phase boundary — no clocks, no allocation.

@@ -84,11 +84,17 @@ impl SlotRing {
     }
 
     /// Appends a captured tree, evicting the oldest when full.  A tree
-    /// for a slot already at the tail is merged (spans appended), so
-    /// late producers — journal, checkpoint — extend the station's tree.
-    pub fn push(&mut self, trace: SlotTrace) {
+    /// for a slot already at the tail is merged, so late producers —
+    /// journal, checkpoint — extend the station's tree.  Every tree
+    /// stays preorder with its root first: a rooted tree merging into
+    /// spans recorded ahead of it goes in front of them, and they
+    /// become children of its root.
+    pub fn push(&mut self, mut trace: SlotTrace) {
         if let Some(back) = self.entries.back_mut() {
             if back.slot == trace.slot {
+                if trace.spans.first().is_some_and(|s| s.depth == 0) {
+                    std::mem::swap(&mut back.spans, &mut trace.spans);
+                }
                 back.spans.extend(trace.spans);
                 return;
             }
@@ -319,6 +325,18 @@ mod tests {
         );
         assert_eq!(ring.len(), 1);
         assert_eq!(ring.iter().next().unwrap().slot, 7);
+
+        // The station's root lands after the early span, yet leads the
+        // tree, so the exporter still opens the slot.
+        ring.push(sample_tree(7));
+        let spans = &ring.iter().next().unwrap().spans;
+        assert_eq!(spans[0].kind, SpanKind::Slot(7));
+        assert_eq!(
+            spans.last().unwrap().kind,
+            SpanKind::Phase(Phase::Checkpoint)
+        );
+        let doc = render_chrome(&[ring.iter().next().unwrap().clone()], 1, true);
+        assert!(doc.contains("\"args\":{\"slot\":7}"), "{doc}");
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use airsched_core::types::{ChannelId, PageId};
 use airsched_obs::events::Event as ObsEvent;
 use airsched_obs::Obs;
+use airsched_recover::{RecoverableStation, RecoveryOptions};
 use airsched_server::{FaultPlan, Station};
 use airsched_trace::{SloConfig, Trace, TraceConfig};
 use proptest::prelude::*;
@@ -167,6 +168,67 @@ fn slo_burn_alert_reaches_the_flight_recorder() {
             .any(|p| p.trigger == "slo_burn"),
         "burn captures a postmortem"
     );
+}
+
+/// The slot numbers of every root span in a Chrome trace document, in
+/// export order.
+fn slot_roots(doc: &str) -> Vec<u64> {
+    doc.lines()
+        .filter(|l| l.contains("\"name\":\"slot\"") && l.contains("\"ph\":\"B\""))
+        .map(|l| {
+            let at = l
+                .find("\"args\":{\"slot\":")
+                .expect("root carries its slot")
+                + 15;
+            l[at..]
+                .trim_end_matches(['}', ','])
+                .parse()
+                .expect("slot number")
+        })
+        .collect()
+}
+
+/// A recoverable station records its `checkpoint` span under the slot
+/// it is about to serve, before the station commits that slot's root.
+/// The export must still carry every sampled slot's root: the traced
+/// recoverable run shows the same slot roots as the plain traced run.
+#[test]
+fn checkpoint_spans_keep_their_slot_roots() {
+    let plan = seeded_plan(7);
+    let slots = 200u64;
+    let mut plain = storm_station(&plan);
+    let plain_trace = tracer(32);
+    plain.attach_trace(&plain_trace);
+    for t in 0..slots {
+        if t % 5 == 0 {
+            plain.subscribe(page((t % 6) as u32)).unwrap();
+        }
+        plain.tick();
+    }
+
+    let dir = std::env::temp_dir().join(format!("airsched-trace-ckpt-{}", std::process::id()));
+    let options = RecoveryOptions::new().checkpoint_every(64);
+    let mut run =
+        RecoverableStation::create(&dir, storm_station(&plan), Some(plan.clone()), options)
+            .unwrap();
+    let run_trace = tracer(32);
+    run.attach_trace(&run_trace);
+    for t in 0..slots {
+        if t % 5 == 0 {
+            run.subscribe(page((t % 6) as u32)).unwrap();
+        }
+        run.tick().unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    let expected: Vec<u64> = (0..slots).step_by(32).collect();
+    assert_eq!(slot_roots(&plain_trace.render_chrome(true)), expected);
+    let doc = run_trace.render_chrome(true);
+    assert!(
+        doc.contains("\"name\":\"checkpoint\""),
+        "checkpoint spans exported"
+    );
+    assert_eq!(slot_roots(&doc), expected, "slot roots lost: {doc}");
 }
 
 proptest! {
