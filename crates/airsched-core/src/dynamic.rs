@@ -12,6 +12,20 @@
 //! structure; [`OnlineScheduler::rebuild`] compacts the program (a fresh
 //! SUSC pass over the live pages). This mirrors the classic
 //! allocate/fragment/compact lifecycle of any slotted resource manager.
+//!
+//! # Linear first-fit
+//!
+//! `add_page` places a page at the first `(channel, offset)` whose whole
+//! periodic family is free, scanning channel-major from `(0, 0)`. Scanning
+//! from `(0, 0)` every time makes a rebuild quadratic in the grid, so the
+//! scheduler keeps one *resume point* per expected time: the `(channel,
+//! offset)` where the last search for that period stopped. Between
+//! removals cells only fill, so every family before the resume point is
+//! still not free and the search lands exactly where a scan from `(0, 0)`
+//! would — the paper's §3.2 remark that the search "need not be always
+//! starting from the first slot of every channel", made exact for an
+//! online grid. `remove_page` frees cells, so it forgets every resume
+//! point; a rebuild starts a fresh grid without any.
 
 use std::collections::BTreeMap;
 
@@ -36,11 +50,23 @@ use crate::types::{ChannelId, GridPos, PageId, SlotIndex};
 /// assert_eq!(sched.program().frequency(PageId::new(0)), 0);
 /// # Ok::<(), airsched_core::error::ScheduleError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct OnlineScheduler {
     program: BroadcastProgram,
     /// Expected time of each live page.
     pages: BTreeMap<PageId, u64>,
+    /// First-fit resume point per expected time: where the last search
+    /// for that period stopped (see the module docs). A cache, valid only
+    /// until the next removal.
+    resume: BTreeMap<u64, (u32, u64)>,
+}
+
+/// Equality is the grid and the live pages; the resume points are a
+/// cache that never changes where a page lands.
+impl PartialEq for OnlineScheduler {
+    fn eq(&self, other: &Self) -> bool {
+        self.program == other.program && self.pages == other.pages
+    }
 }
 
 impl OnlineScheduler {
@@ -63,6 +89,7 @@ impl OnlineScheduler {
         Ok(Self {
             program: BroadcastProgram::new(channels, max_time),
             pages: BTreeMap::new(),
+            resume: BTreeMap::new(),
         })
     }
 
@@ -107,9 +134,13 @@ impl OnlineScheduler {
             });
         }
         let repeats = cycle / expected;
-        // Find a channel and offset whose whole periodic family is free.
-        for ch in 0..self.program.channels() {
-            'offset: for y in 0..expected {
+        let channels = self.program.channels();
+        // Find the first channel and offset whose whole periodic family is
+        // free, resuming where the last search for this period stopped.
+        let (first_ch, first_y) = self.resume.get(&expected).copied().unwrap_or((0, 0));
+        for ch in first_ch..channels {
+            let from = if ch == first_ch { first_y } else { 0 };
+            'offset: for y in from..expected {
                 for k in 0..repeats {
                     let pos = GridPos::new(ChannelId::new(ch), SlotIndex::new(y + k * expected));
                     if !self.program.is_free(pos) {
@@ -123,9 +154,11 @@ impl OnlineScheduler {
                         .expect("family was checked to be free");
                 }
                 self.pages.insert(page, expected);
+                self.resume.insert(expected, (ch, y));
                 return Ok(());
             }
         }
+        self.resume.insert(expected, (channels, 0));
         Err(ScheduleError::PlacementFailed { page })
     }
 
@@ -141,24 +174,9 @@ impl OnlineScheduler {
                 reason: "page is not scheduled",
             });
         }
-        // Rebuild the grid without this page (clearing cells in place is
-        // not supported by the write-once program; reconstruct in a single
-        // grid pass).
-        let mut fresh = BroadcastProgram::new(self.program.channels(), self.program.cycle_len());
-        for ch in 0..self.program.channels() {
-            for slot in 0..self.program.cycle_len() {
-                let pos = GridPos::new(ChannelId::new(ch), SlotIndex::new(slot));
-                match self.program.page_at(pos) {
-                    Some(p) if p != page => {
-                        fresh
-                            .place(pos, p)
-                            .expect("copying a disjoint layout cannot collide");
-                    }
-                    _ => {}
-                }
-            }
-        }
-        self.program = fresh;
+        self.program.clear_page(page);
+        // Freed cells can open families before any resume point.
+        self.resume.clear();
         Ok(())
     }
 
@@ -206,10 +224,17 @@ impl OnlineScheduler {
     /// * [`ScheduleError::NoChannels`] if `channels == 0`.
     /// * [`ScheduleError::PlacementFailed`] if the live pages do not fit.
     pub fn rebuild_on_channels(&mut self, channels: u32) -> Result<(), ScheduleError> {
-        if channels == 0 {
-            return Err(ScheduleError::NoChannels);
-        }
         self.rebuild_onto(channels, &[])
+    }
+
+    /// The program [`OnlineScheduler::rebuild_on_channels`] would install,
+    /// leaving this scheduler untouched — the ladder's repack probe.
+    ///
+    /// # Errors
+    ///
+    /// As [`OnlineScheduler::rebuild_on_channels`].
+    pub fn program_on_channels(&self, channels: u32) -> Result<BroadcastProgram, ScheduleError> {
+        Ok(self.repacked(channels, &[])?.program)
     }
 
     /// Captures the scheduler's exact state — the grid cell by cell plus
@@ -278,27 +303,32 @@ impl OnlineScheduler {
         Ok(Self {
             program,
             pages: snapshot.pages.iter().copied().collect(),
+            resume: BTreeMap::new(),
         })
     }
 
+    /// Installs a fresh packing of the live pages plus `pending`; on
+    /// failure `self` is untouched.
     fn rebuild_onto(
         &mut self,
         channels: u32,
         pending: &[(PageId, u64)],
     ) -> Result<(), ScheduleError> {
+        *self = self.repacked(channels, pending)?;
+        Ok(())
+    }
+
+    /// A fresh scheduler holding the live pages plus `pending` on
+    /// `channels`, placed tightest-first as SUSC does.
+    fn repacked(&self, channels: u32, pending: &[(PageId, u64)]) -> Result<Self, ScheduleError> {
         let mut order: Vec<(PageId, u64)> = self.pages.iter().map(|(p, t)| (*p, *t)).collect();
         order.extend_from_slice(pending);
         order.sort_by_key(|&(p, t)| (t, p));
-        let snapshot = self.clone();
-        self.program = BroadcastProgram::new(channels, self.program.cycle_len());
-        self.pages.clear();
+        let mut fresh = Self::new(channels, self.program.cycle_len())?;
         for (page, t) in order {
-            if let Err(e) = self.add_page(page, t) {
-                *self = snapshot;
-                return Err(e);
-            }
+            fresh.add_page(page, t)?;
         }
-        Ok(())
+        Ok(fresh)
     }
 }
 

@@ -399,6 +399,28 @@ impl BroadcastProgram {
         Ok(())
     }
 
+    /// Frees every cell holding `page`, at the cost of the page's own
+    /// cells. Crate-private so [`BroadcastProgram::place`] stays
+    /// write-once in the public API; the online scheduler's removal is the
+    /// one caller. The dense tables end trimmed to the highest page still
+    /// placed, exactly as placing the survivors alone would leave them.
+    pub(crate) fn clear_page(&mut self, page: PageId) {
+        let p = page.index() as usize;
+        let Some(cells) = self.cells.get_mut(p) else {
+            return;
+        };
+        for pos in std::mem::take(cells) {
+            let idx = self.cell_index(pos);
+            self.grid[idx] = None;
+            self.occupied -= 1;
+        }
+        self.columns[p].clear();
+        while self.columns.last().is_some_and(Vec::is_empty) {
+            self.columns.pop();
+            self.cells.pop();
+        }
+    }
+
     /// The sorted, deduplicated columns in which `page` appears (a page
     /// appearing on two channels in the same column counts once — a client
     /// only needs one of them).

@@ -6,8 +6,12 @@
 use proptest::prelude::*;
 
 use airsched_core::bound::{channel_demand, minimum_channels, minimum_channels_per_group};
+use std::collections::BTreeMap;
+
 use airsched_core::delay::{expected_program_delay, group_objective, major_cycle, Weighting};
+use airsched_core::dynamic::OnlineScheduler;
 use airsched_core::group::GroupLadder;
+use airsched_core::types::PageId;
 use airsched_core::{mpb, opt, pamad, susc, validity};
 
 /// A random harmonic ladder: 1-5 groups, base time 1-6, ratio 2-4,
@@ -33,6 +37,94 @@ fn arb_divisible_ladder() -> impl Strategy<Value = GroupLadder> {
             }
             GroupLadder::new(groups).expect("generated ladder is valid")
         })
+}
+
+/// One call on an [`OnlineScheduler`].
+#[derive(Debug, Clone)]
+enum Op {
+    Add(PageId, u64),
+    Remove(PageId),
+    Rebuild,
+    RebuildWith(Vec<(PageId, u64)>),
+    RebuildOnChannels(u32),
+}
+
+/// Cycle of the first-fit grids; every expected time is a power of two
+/// dividing it.
+const FIT_CYCLE: u64 = 16;
+
+fn arb_page_time() -> impl Strategy<Value = (PageId, u64)> {
+    (0u32..40, 0u32..=4).prop_map(|(p, e)| (PageId::new(p), 1u64 << e))
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        arb_page_time().prop_map(|(p, t)| Op::Add(p, t)),
+        arb_page_time().prop_map(|(p, t)| Op::Add(p, t)),
+        arb_page_time().prop_map(|(p, t)| Op::Add(p, t)),
+        (0u32..40).prop_map(|p| Op::Remove(PageId::new(p))),
+        Just(Op::Rebuild),
+        prop::collection::vec(arb_page_time(), 0..3).prop_map(Op::RebuildWith),
+        (1u32..=4).prop_map(Op::RebuildOnChannels),
+    ]
+}
+
+/// The first-fit reference: every search scans from `(0, 0)`.
+#[derive(Debug, Clone)]
+struct NaiveFirstFit {
+    channels: u32,
+    grid: Vec<Option<PageId>>,
+    pages: BTreeMap<PageId, u64>,
+}
+
+impl NaiveFirstFit {
+    fn new(channels: u32) -> Self {
+        let cells = channels as usize * FIT_CYCLE as usize;
+        Self {
+            channels,
+            grid: vec![None; cells],
+            pages: BTreeMap::new(),
+        }
+    }
+
+    fn add(&mut self, page: PageId, t: u64) -> bool {
+        if self.pages.contains_key(&page) {
+            return false;
+        }
+        let (cycle, t) = (FIT_CYCLE as usize, t as usize);
+        for ch in 0..self.channels as usize {
+            for y in 0..t {
+                let family = (y..cycle).step_by(t).map(|s| ch * cycle + s);
+                if family.clone().all(|i| self.grid[i].is_none()) {
+                    family.for_each(|i| self.grid[i] = Some(page));
+                    self.pages.insert(page, t as u64);
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    fn remove(&mut self, page: PageId) -> bool {
+        let live = self.pages.remove(&page).is_some();
+        self.grid
+            .iter_mut()
+            .filter(|c| **c == Some(page))
+            .for_each(|c| *c = None);
+        live
+    }
+
+    fn rebuild(&mut self, channels: u32, pending: &[(PageId, u64)]) -> bool {
+        let mut order: Vec<(PageId, u64)> = self.pages.iter().map(|(&p, &t)| (p, t)).collect();
+        order.extend_from_slice(pending);
+        order.sort_by_key(|&(p, t)| (t, p));
+        let mut fresh = Self::new(channels);
+        let fits = order.into_iter().all(|(p, t)| fresh.add(p, t));
+        if fits {
+            *self = fresh;
+        }
+        fits
+    }
 }
 
 proptest! {
@@ -99,6 +191,36 @@ proptest! {
             susc::schedule_fast(&ladder, n).expect("fast succeeds"),
             susc::schedule(&ladder, n).expect("plain succeeds")
         );
+    }
+
+    /// The online scheduler's resumed first-fit lands every page exactly
+    /// where a scan from `(0, 0)` would, through any mix of additions,
+    /// removals and rebuilds.
+    #[test]
+    fn online_first_fit_is_exact(
+        channels in 1u32..=4,
+        ops in prop::collection::vec(arb_op(), 1..60),
+    ) {
+        let mut sched = OnlineScheduler::new(channels, FIT_CYCLE).expect("valid dimensions");
+        let mut naive = NaiveFirstFit::new(channels);
+        for op in ops {
+            let (got, want) = match &op {
+                Op::Add(p, t) => (sched.add_page(*p, *t).is_ok(), naive.add(*p, *t)),
+                Op::Remove(p) => (sched.remove_page(*p).is_ok(), naive.remove(*p)),
+                Op::Rebuild => (sched.rebuild().is_ok(), naive.rebuild(naive.channels, &[])),
+                Op::RebuildWith(pending) => (
+                    sched.rebuild_with(pending).is_ok(),
+                    naive.rebuild(naive.channels, pending),
+                ),
+                Op::RebuildOnChannels(n) => {
+                    (sched.rebuild_on_channels(*n).is_ok(), naive.rebuild(*n, &[]))
+                }
+            };
+            prop_assert_eq!(got, want, "{:?}", op);
+            let snap = sched.snapshot();
+            prop_assert_eq!(snap.channels, naive.channels, "{:?}", op);
+            prop_assert_eq!(&snap.grid, &naive.grid, "{:?}", op);
+        }
     }
 
     /// SUSC with surplus channels is still valid.

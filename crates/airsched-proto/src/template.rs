@@ -3,12 +3,14 @@
 //! Broadcast programs are *periodic* — every channel repeats a fixed cycle
 //! of pages — so across the whole run a channel's slot differs from the
 //! same slot one cycle earlier in exactly one header field: the 8-byte
-//! `slot_time`. The fresh encoder still rebuilds the header, copies the
-//! payload, and re-scans every byte for the CRC each slot. This module
-//! hoists all of that to plan-publish time: [`FrameTemplateCache`]
-//! pre-encodes one wire image per `(channel, slot-in-cycle)` cell, and the
-//! per-slot work collapses to one `memcpy` of the image plus an 8-byte
-//! `slot_time` patch and an *incremental* CRC fix-up.
+//! `slot_time`; and a page's frame on one channel differs from its frame
+//! on another only in the 2-byte channel field. The fresh encoder still
+//! rebuilds the header, copies the payload, and re-scans every byte for
+//! the CRC each slot. This module hoists all of that to plan-publish time:
+//! [`FrameTemplateCache`] pre-encodes one wire image per page (plus one
+//! idle image), and the per-slot work collapses to one `memcpy` of the
+//! image plus a channel and `slot_time` patch and an *incremental* CRC
+//! fix-up.
 //!
 //! # Why the CRC can be patched without a re-scan
 //!
@@ -30,34 +32,39 @@
 //! follow the slot field ([`DeltaTable`]). Templates bake `slot_time = 0`,
 //! so the XOR of the fields *is* the new slot bytes, and the patched CRC is
 //! `base_crc ^ delta(slot_time)` — 8 lookups instead of a full message
-//! scan, identical bit-for-bit to re-encoding (the fresh
+//! scan. Templates also bake channel 0; the channel field sits just before
+//! the slot field, so its delta is positions 6–7 of the operator over
+//! `tail_len + 8`, precomputed per payload length and channel. The result
+//! is identical bit-for-bit to re-encoding (the fresh
 //! [`crate::transmitter::encode_slot_into`] stays as the reference, and
 //! this module's tests, `wire_properties` and `serving_path` compare the
 //! two byte-for-byte).
 //!
 //! # Invalidation
 //!
-//! The cache is a snapshot of one plan. Callers must rebuild it whenever
-//! the plan changes shape: plan swap/publish, a degradation-ladder repack
-//! (channel failure or recovery), or recovery `restore()`. Stalls need no
-//! rebuild — a stalled or down channel airs the cached per-channel idle
-//! template. [`FrameTemplateCache::encode_slot_into`] detects a stale
-//! cache (`on_air` naming a page the cached plan does not have in that
-//! cell) and returns [`TemplateError::PlanDrift`] instead of emitting
-//! wrong bytes.
-
-use std::collections::BTreeMap;
+//! The cache maps the cells of one plan to page templates. Callers must
+//! retarget it ([`FrameTemplateCache::retarget`]) whenever the plan
+//! changes shape: plan swap/publish, a degradation-ladder repack (channel
+//! failure or recovery), or recovery `restore()`. A retarget remaps the
+//! cells and encodes only pages new to the grid. Stalls need no retarget
+//! — a stalled or down channel airs the idle template.
+//! [`FrameTemplateCache::encode_slot_into`] detects a stale cache
+//! (`on_air` naming a page the cached plan does not have in that cell)
+//! and returns [`TemplateError::PlanDrift`] instead of emitting wrong
+//! bytes.
 
 use airsched_core::program::BroadcastProgram;
 use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex};
 use bytes::{Bytes, BytesMut};
 
 use crate::frame::{
-    crc16, crc16_advance_zero, EncodeError, CRC16_TABLE, FLAG_IDLE, HEADER_LEN, MAGIC, MAX_PAYLOAD,
-    VERSION,
+    crc16, crc16_advance_zero, EncodeError, CRC16_TABLE, FLAG_IDLE, HEADER_LEN, MAGIC,
+    MAX_CHANNEL_INDEX, MAX_PAYLOAD, VERSION,
 };
 use crate::transmitter::PayloadSource;
 
+/// Byte offset of the channel field in a frame header.
+const CHANNEL_OFFSET: usize = 6;
 /// Byte offset of the `slot_time` field in a frame header.
 const SLOT_TIME_OFFSET: usize = 8;
 /// Byte offset of the CRC field in a frame header.
@@ -74,6 +81,12 @@ const HEADER_TAIL: usize = CRC_OFFSET - (SLOT_TIME_OFFSET + 8);
 /// the paper's model — a page is one fixed unit of content rebroadcast
 /// periodically.) Use [`CyclicSource`] to drive the fresh encoder from the
 /// same payloads when comparing the two paths.
+///
+/// The payload must be a pure function of the page for the whole
+/// lifetime of the cache it feeds, not just of one plan: a template
+/// survives every [`FrameTemplateCache::retarget`] that keeps its page on
+/// the grid, so a supplier that changed a page's bytes between plans
+/// would see the old bytes keep airing.
 pub trait CyclicPayloads {
     /// Appends the payload for `page` to `out`.
     fn page_payload(&mut self, page: PageId, out: &mut BytesMut);
@@ -177,14 +190,84 @@ impl DeltaTable {
     }
 }
 
-/// One pre-encoded wire image (with `slot_time = 0` baked in).
+/// One pre-encoded wire image, with channel 0 and `slot_time = 0` baked
+/// in.
 #[derive(Debug, Clone)]
 struct Template {
     bytes: Box<[u8]>,
     base_crc: u16,
-    /// Index into the cache's [`DeltaTable`] list (one per distinct
-    /// payload length).
+    /// Index into the cache's [`LengthDeltas`] (one per distinct payload
+    /// length).
     table: u32,
+}
+
+/// The CRC delta operators for one frame length.
+#[derive(Debug, Clone)]
+struct LengthDeltas {
+    /// Bytes after the slot field: header tail plus payload.
+    tail_len: usize,
+    /// Patches the slot bytes.
+    slot: DeltaTable,
+    /// Patch for naming each channel instead of the baked channel 0; sized
+    /// to the cache's channel count on every retarget.
+    channel: Vec<u16>,
+}
+
+/// The CRC deltas of naming channels `0..channels` instead of the baked
+/// channel 0, for frames whose slot field is followed by `tail_len` bytes.
+/// The channel field sits just before the slot field, so it is positions
+/// 6–7 of the delta operator over `tail_len + 8`.
+fn channel_deltas(tail_len: usize, channels: u32) -> Vec<u16> {
+    let table = DeltaTable::new(tail_len + 8);
+    (0..channels)
+        .map(|ch| {
+            let [_, _, hi, lo] = ch.to_be_bytes();
+            table.entry(6, hi) ^ table.entry(7, lo)
+        })
+        .collect()
+}
+
+/// Pre-encodes one wire image for `page` (`None`: the idle frame) on
+/// channel 0 at `slot_time = 0`, so the XOR against any real frame is the
+/// channel and slot bytes themselves. Finds or adds the delta table for
+/// the frame's length in `tables`.
+fn encode_template(
+    tables: &mut Vec<LengthDeltas>,
+    page: Option<PageId>,
+    payload: &[u8],
+) -> Result<Template, EncodeError> {
+    if payload.len() > MAX_PAYLOAD {
+        return Err(EncodeError::PayloadTooLarge { len: payload.len() });
+    }
+    let tail_len = HEADER_TAIL + payload.len();
+    let table = match tables.iter().position(|t| t.tail_len == tail_len) {
+        Some(i) => i,
+        None => {
+            tables.push(LengthDeltas {
+                tail_len,
+                slot: DeltaTable::new(tail_len),
+                channel: Vec::new(),
+            });
+            tables.len() - 1
+        }
+    };
+    let mut img = Vec::with_capacity(HEADER_LEN + payload.len());
+    img.extend_from_slice(&MAGIC.to_be_bytes());
+    img.push(VERSION);
+    img.push(if page.is_none() { FLAG_IDLE } else { 0 });
+    img.extend_from_slice(&0u16.to_be_bytes());
+    img.extend_from_slice(&0u64.to_be_bytes());
+    img.extend_from_slice(&page.map_or(0, PageId::index).to_be_bytes());
+    let payload_len = u16::try_from(payload.len()).expect("length checked above");
+    img.extend_from_slice(&payload_len.to_be_bytes());
+    let base_crc = crc16(&img, payload);
+    img.extend_from_slice(&base_crc.to_be_bytes());
+    img.extend_from_slice(payload);
+    Ok(Template {
+        bytes: img.into_boxed_slice(),
+        base_crc,
+        table: u32::try_from(table).expect("table count fits in u32"),
+    })
 }
 
 /// Frame counters for the template emit path.
@@ -201,7 +284,7 @@ pub struct TemplateStats {
 #[non_exhaustive]
 pub enum TemplateError {
     /// The on-air column names a page the cached plan does not have in
-    /// that cell — the plan changed under the cache. Rebuild and retry.
+    /// that cell — the plan changed under the cache. Retarget and retry.
     PlanDrift {
         /// The channel whose cell disagreed.
         channel: u32,
@@ -245,9 +328,9 @@ impl core::fmt::Display for TemplateError {
 
 impl std::error::Error for TemplateError {}
 
-/// Pre-encoded wire images for every `(channel, slot-in-cycle)` cell of
-/// one broadcast plan, emitted per slot by patching `slot_time` and
-/// fixing the CRC incrementally (see the module docs for the argument).
+/// Pre-encoded wire images for every page of one broadcast plan, emitted
+/// per slot by patching the channel and `slot_time` and fixing the CRC
+/// incrementally (see the module docs for the argument).
 ///
 /// # Examples
 ///
@@ -281,22 +364,22 @@ impl std::error::Error for TemplateError {}
 pub struct FrameTemplateCache {
     channels: u32,
     cycle_len: u64,
-    templates: Vec<Template>,
-    tables: Vec<DeltaTable>,
-    /// Template index per cell, channel-major (`ch * cycle_len + column`);
-    /// idle cells point at the channel's idle template.
-    cells: Vec<u32>,
-    /// The plan's page per cell, for drift detection.
+    /// Data template per page, indexed densely by `PageId::index()`;
+    /// `None` for pages not on the grid.
+    templates: Vec<Option<Template>>,
+    /// The idle template, shared by every channel.
+    idle: Template,
+    tables: Vec<LengthDeltas>,
+    /// The plan's page per cell, channel-major (`ch * cycle_len +
+    /// column`): the template lookup and the drift check.
     pages: Vec<Option<PageId>>,
-    /// Idle template per channel.
-    idle: Vec<u32>,
     /// Per-table slot delta for the slot being emitted.
     delta_scratch: Vec<u16>,
     stats: TemplateStats,
 }
 
 impl FrameTemplateCache {
-    /// Pre-encodes every cell of `program`, pulling one payload per
+    /// Pre-encodes every page of `program`, pulling one payload per
     /// distinct page from `payloads`.
     ///
     /// # Errors
@@ -321,7 +404,8 @@ impl FrameTemplateCache {
 
     /// Pre-encodes an explicit channel-major grid (`cells[ch * cycle_len +
     /// column]`) — the entry point for a live station, whose effective grid
-    /// under degraded plans is not a [`BroadcastProgram`].
+    /// under degraded plans is not a [`BroadcastProgram`]. This is an empty
+    /// cache retargeted once ([`FrameTemplateCache::retarget`]).
     ///
     /// # Errors
     ///
@@ -338,6 +422,45 @@ impl FrameTemplateCache {
         cells: &[Option<PageId>],
         payloads: &mut P,
     ) -> Result<Self, EncodeError> {
+        let mut tables = Vec::new();
+        let idle = encode_template(&mut tables, None, &[]).expect("an idle frame always fits");
+        let mut cache = Self {
+            channels: 0,
+            cycle_len: 1,
+            templates: Vec::new(),
+            idle,
+            tables,
+            pages: Vec::new(),
+            delta_scratch: Vec::new(),
+            stats: TemplateStats::default(),
+        };
+        cache.retarget(channels, cycle_len, cells, payloads)?;
+        Ok(cache)
+    }
+
+    /// Points the cache at a new channel-major grid in place. It pulls and
+    /// encodes a payload only for pages that have no template yet and
+    /// drops the templates of pages no longer on the grid, so a repack
+    /// that only moves pages between cells and channels encodes nothing.
+    /// Templates outlive the plan they were built for, which is why a
+    /// [`CyclicPayloads`] must be a pure function of the page.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EncodeError`] when a channel index or payload does not
+    /// fit its wire field; the cache then stays on its previous plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle_len` is zero or `cells.len() != channels *
+    /// cycle_len`.
+    pub fn retarget<P: CyclicPayloads>(
+        &mut self,
+        channels: u32,
+        cycle_len: u64,
+        cells: &[Option<PageId>],
+        payloads: &mut P,
+    ) -> Result<(), EncodeError> {
         assert!(cycle_len > 0, "a plan cycle has at least one slot");
         let n = usize::try_from(u64::from(channels) * cycle_len).expect("grid fits in memory");
         assert_eq!(
@@ -345,95 +468,74 @@ impl FrameTemplateCache {
             n,
             "cells must be channel-major, channels x cycle_len"
         );
-        let mut cache = Self {
-            channels,
-            cycle_len,
-            templates: Vec::new(),
-            tables: Vec::new(),
-            cells: Vec::with_capacity(n),
-            pages: Vec::with_capacity(n),
-            idle: Vec::with_capacity(channels as usize),
-            delta_scratch: Vec::new(),
-            stats: TemplateStats::default(),
-        };
-        let mut tables_by_len: BTreeMap<usize, u32> = BTreeMap::new();
-        let mut by_key: BTreeMap<(u32, Option<u32>), u32> = BTreeMap::new();
-        let mut payload = BytesMut::new();
-        for ch in 0..channels {
-            let ti = cache.intern(ch, None, &[], &mut tables_by_len, &mut by_key)?;
-            cache.idle.push(ti);
+        if let Some(top) = channels.checked_sub(1).filter(|&c| c > MAX_CHANNEL_INDEX) {
+            return Err(EncodeError::ChannelOutOfRange {
+                channel: ChannelId::new(top),
+            });
         }
-        for ch in 0..channels {
-            for col in 0..cycle_len {
-                let page = cells[cache.cell_index(ch as usize, col)];
-                let ti = match page {
-                    None => cache.idle[ch as usize],
-                    Some(p) => {
-                        if let Some(&ti) = by_key.get(&(ch, Some(p.index()))) {
-                            ti
-                        } else {
-                            payload.clear();
-                            payloads.page_payload(p, &mut payload);
-                            cache.intern(ch, Some(p), &payload, &mut tables_by_len, &mut by_key)?
-                        }
-                    }
-                };
-                cache.cells.push(ti);
-                cache.pages.push(page);
+        // Encode the pages new to the grid before touching the plan, so a
+        // refused payload leaves the cache as it was.
+        let mut live = vec![false; self.templates.len()];
+        let mut payload = BytesMut::new();
+        for &page in cells.iter().flatten() {
+            let p = page.index() as usize;
+            if p >= live.len() {
+                live.resize(p + 1, false);
+                self.templates.resize_with(p + 1, || None);
+            }
+            if live[p] {
+                continue;
+            }
+            live[p] = true;
+            if self.templates[p].is_none() {
+                payload.clear();
+                payloads.page_payload(page, &mut payload);
+                self.templates[p] = Some(encode_template(&mut self.tables, Some(page), &payload)?);
             }
         }
-        Ok(cache)
+        for (template, live) in self.templates.iter_mut().zip(live) {
+            if !live {
+                *template = None;
+            }
+        }
+        while matches!(self.templates.last(), Some(None)) {
+            self.templates.pop();
+        }
+        self.drop_unused_tables();
+        for table in &mut self.tables {
+            if table.channel.len() != channels as usize {
+                table.channel = channel_deltas(table.tail_len, channels);
+            }
+        }
+        self.channels = channels;
+        self.cycle_len = cycle_len;
+        self.pages.clear();
+        self.pages.extend_from_slice(cells);
+        Ok(())
     }
 
-    /// Builds (or reuses) the template for `(ch, page)` and returns its
-    /// index. `page: None` builds the channel's idle template.
-    fn intern(
-        &mut self,
-        ch: u32,
-        page: Option<PageId>,
-        payload: &[u8],
-        tables_by_len: &mut BTreeMap<usize, u32>,
-        by_key: &mut BTreeMap<(u32, Option<u32>), u32>,
-    ) -> Result<u32, EncodeError> {
-        let key = (ch, page.map(PageId::index));
-        if let Some(&ti) = by_key.get(&key) {
-            return Ok(ti);
+    /// Drops the delta tables no template uses any more: payload lengths
+    /// that left the grid with their pages.
+    fn drop_unused_tables(&mut self) {
+        let mut used = vec![false; self.tables.len()];
+        for t in self.templates.iter().flatten().chain([&self.idle]) {
+            used[t.table as usize] = true;
         }
-        let Ok(wire_ch) = u16::try_from(ch) else {
-            return Err(EncodeError::ChannelOutOfRange {
-                channel: ChannelId::new(ch),
-            });
-        };
-        if payload.len() > MAX_PAYLOAD {
-            return Err(EncodeError::PayloadTooLarge { len: payload.len() });
+        if used.iter().all(|&u| u) {
+            return;
         }
-        let tail_len = HEADER_TAIL + payload.len();
-        let table = *tables_by_len.entry(tail_len).or_insert_with(|| {
-            self.tables.push(DeltaTable::new(tail_len));
-            u32::try_from(self.tables.len() - 1).expect("table count fits in u32")
-        });
-        // The wire image with slot_time = 0 baked in: the XOR against any
-        // real slot is then the slot bytes themselves.
-        let mut img = Vec::with_capacity(HEADER_LEN + payload.len());
-        img.extend_from_slice(&MAGIC.to_be_bytes());
-        img.push(VERSION);
-        img.push(if page.is_none() { FLAG_IDLE } else { 0 });
-        img.extend_from_slice(&wire_ch.to_be_bytes());
-        img.extend_from_slice(&0u64.to_be_bytes());
-        img.extend_from_slice(&page.map_or(0, PageId::index).to_be_bytes());
-        let payload_len = u16::try_from(payload.len()).expect("length checked above");
-        img.extend_from_slice(&payload_len.to_be_bytes());
-        let base_crc = crc16(&img, payload);
-        img.extend_from_slice(&base_crc.to_be_bytes());
-        img.extend_from_slice(payload);
-        let ti = u32::try_from(self.templates.len()).expect("template count fits in u32");
-        self.templates.push(Template {
-            bytes: img.into_boxed_slice(),
-            base_crc,
-            table,
-        });
-        by_key.insert(key, ti);
-        Ok(ti)
+        let mut remap = Vec::with_capacity(used.len());
+        let mut next = 0u32;
+        for &u in &used {
+            remap.push(next);
+            next += u32::from(u);
+        }
+        let mut keep = used.iter();
+        self.tables
+            .retain(|_| *keep.next().expect("one flag per table"));
+        for t in self.templates.iter_mut().flatten().chain([&mut self.idle]) {
+            t.table = remap[t.table as usize];
+        }
     }
 
     /// Channels the cache was built for.
@@ -448,10 +550,10 @@ impl FrameTemplateCache {
         self.cycle_len
     }
 
-    /// Distinct wire images held (idle templates included).
+    /// Wire images held: one per page on the grid plus the idle template.
     #[must_use]
     pub fn template_count(&self) -> usize {
-        self.templates.len()
+        self.templates.iter().flatten().count() + 1
     }
 
     /// Distinct delta tables held (one per distinct payload length).
@@ -484,18 +586,30 @@ impl FrameTemplateCache {
         let slot_bytes = slot_time.to_be_bytes();
         self.delta_scratch.clear();
         for table in &self.tables {
-            self.delta_scratch.push(table.delta(slot_bytes));
+            self.delta_scratch.push(table.slot.delta(slot_bytes));
         }
     }
 
-    /// Appends one template's image with `slot_time` and the CRC patched.
-    fn emit(&self, ti: u32, slot_bytes: [u8; 8], buf: &mut BytesMut) {
-        let t = &self.templates[ti as usize];
+    /// The template a cell airs: its page's, or the idle one.
+    fn template_of(&self, page: Option<PageId>) -> &Template {
+        page.map_or(&self.idle, |p| {
+            self.templates[p.index() as usize]
+                .as_ref()
+                .expect("every page on the grid has a template")
+        })
+    }
+
+    /// Appends one template's image on channel `ch` with `slot_time` and
+    /// the CRC patched.
+    fn emit(&self, t: &Template, ch: usize, slot_bytes: [u8; 8], buf: &mut BytesMut) {
         let at = buf.len();
         buf.extend_from_slice(&t.bytes);
         let out = &mut buf[at..];
+        let wire_ch = u16::try_from(ch).expect("retarget bounds the channel count");
+        out[CHANNEL_OFFSET..CHANNEL_OFFSET + 2].copy_from_slice(&wire_ch.to_be_bytes());
         out[SLOT_TIME_OFFSET..SLOT_TIME_OFFSET + 8].copy_from_slice(&slot_bytes);
-        let crc = t.base_crc ^ self.delta_scratch[t.table as usize];
+        let table = t.table as usize;
+        let crc = t.base_crc ^ self.delta_scratch[table] ^ self.tables[table].channel[ch];
         out[CRC_OFFSET..CRC_OFFSET + 2].copy_from_slice(&crc.to_be_bytes());
     }
 
@@ -504,15 +618,15 @@ impl FrameTemplateCache {
     /// included) to `buf`. Returns the bytes appended. Bit-identical to
     /// [`crate::transmitter::encode_slot_into`] over the same payloads.
     ///
-    /// A `None` cell airs the channel's idle template whatever the plan
-    /// holds there — that is exactly what a stalled or down channel
-    /// transmits — so stalls and outages need no cache rebuild.
+    /// A `None` cell airs the idle template whatever the plan holds there
+    /// — that is exactly what a stalled or down channel transmits — so
+    /// stalls and outages need no retarget.
     ///
     /// # Errors
     ///
     /// Returns [`TemplateError`] when `on_air` does not fit the cached
     /// plan (wrong width, or a page not in the cached cell — i.e. the
-    /// plan was swapped or repacked without a rebuild). On error nothing
+    /// plan was swapped or repacked without a retarget). On error nothing
     /// is appended.
     pub fn encode_slot_into(
         &mut self,
@@ -531,32 +645,24 @@ impl FrameTemplateCache {
         let col = slot_time % self.cycle_len;
         let start = buf.len();
         let mut data_frames = 0u64;
-        let mut idle_frames = 0u64;
         for (ch, &page) in on_air.iter().enumerate() {
-            let ti = match page {
-                None => {
-                    idle_frames += 1;
-                    self.idle[ch]
+            if let Some(p) = page {
+                let cell = self.cell_index(ch, col);
+                if self.pages[cell] != page {
+                    buf.truncate(start);
+                    return Err(TemplateError::PlanDrift {
+                        channel: u32::try_from(ch).expect("channel fits in u32"),
+                        slot_time,
+                        expected: self.pages[cell],
+                        found: p,
+                    });
                 }
-                Some(p) => {
-                    let cell = self.cell_index(ch, col);
-                    if self.pages[cell] != Some(p) {
-                        buf.truncate(start);
-                        return Err(TemplateError::PlanDrift {
-                            channel: u32::try_from(ch).expect("channel fits in u32"),
-                            slot_time,
-                            expected: self.pages[cell],
-                            found: p,
-                        });
-                    }
-                    data_frames += 1;
-                    self.cells[cell]
-                }
-            };
-            self.emit(ti, slot_bytes, buf);
+                data_frames += 1;
+            }
+            self.emit(self.template_of(page), ch, slot_bytes, buf);
         }
         self.stats.data_frames += data_frames;
-        self.stats.idle_frames += idle_frames;
+        self.stats.idle_frames += on_air.len() as u64 - data_frames;
         Ok(buf.len() - start)
     }
 
@@ -569,13 +675,13 @@ impl FrameTemplateCache {
         let col = slot_time % self.cycle_len;
         let start = buf.len();
         for ch in 0..self.channels as usize {
-            let cell = self.cell_index(ch, col);
-            if self.pages[cell].is_some() {
+            let page = self.pages[self.cell_index(ch, col)];
+            if page.is_some() {
                 self.stats.data_frames += 1;
             } else {
                 self.stats.idle_frames += 1;
             }
-            self.emit(self.cells[cell], slot_bytes, buf);
+            self.emit(self.template_of(page), ch, slot_bytes, buf);
         }
         buf.len() - start
     }
@@ -792,7 +898,7 @@ mod tests {
             assert_eq!(frame.channel, ChannelId::new(u32::try_from(ch).unwrap()));
         }
         assert_eq!(cache.stats().idle_frames, 3);
-        assert_eq!(cache.template_count(), 3); // idle templates only
+        assert_eq!(cache.template_count(), 1); // one idle template for all channels
         assert_eq!(cache.delta_table_count(), 1);
     }
 
@@ -800,21 +906,92 @@ mod tests {
     fn templates_are_deduped_across_the_cycle() {
         let p = program();
         let cache = FrameTemplateCache::build(&p, &mut TestPayloads).unwrap();
-        // One template per distinct (channel, page) pair plus one idle per
-        // channel — not one per cell.
-        let mut distinct = std::collections::BTreeSet::new();
-        for ch in 0..p.channels() {
-            for col in 0..p.cycle_len() {
-                if let Some(page) = p.page_at(GridPos::new(ChannelId::new(ch), SlotIndex::new(col)))
-                {
-                    distinct.insert((ch, page));
-                }
+        // One template per page plus one idle template — not one per cell
+        // or per channel.
+        assert_eq!(cache.template_count(), p.pages().count() + 1);
+    }
+
+    #[test]
+    fn retarget_encodes_only_new_pages_and_drops_stale_ones() {
+        struct Counted(u64);
+        impl CyclicPayloads for Counted {
+            fn page_payload(&mut self, page: PageId, out: &mut BytesMut) {
+                self.0 += 1;
+                TestPayloads.page_payload(page, out);
             }
         }
-        assert_eq!(
-            cache.template_count(),
-            distinct.len() + p.channels() as usize
+        let (a, b, c) = (
+            Some(PageId::new(1)),
+            Some(PageId::new(2)),
+            Some(PageId::new(3)),
         );
+        let mut payloads = Counted(0);
+        let mut cache = FrameTemplateCache::from_cells(2, 2, &[a, b, None, a], &mut payloads)
+            .expect("grid encodes");
+        assert_eq!((payloads.0, cache.template_count()), (2, 3));
+        // Pages trade channels and the grid narrows: nothing is encoded.
+        let moved = [b, None, a, a, None, b];
+        cache.retarget(3, 2, &moved, &mut payloads).unwrap();
+        assert_eq!((payloads.0, cache.template_count()), (2, 3));
+        // A new page is encoded once; a page that left is dropped, and the
+        // delta table of its payload length with it.
+        let swapped = [c, None, a, c, None, a];
+        cache.retarget(3, 2, &swapped, &mut payloads).unwrap();
+        assert_eq!((payloads.0, cache.template_count()), (3, 3));
+        assert_eq!(cache.delta_table_count(), 3);
+        let mut buf = BytesMut::new();
+        let mut fresh = BytesMut::new();
+        for slot_time in [0u64, 1, 1 << 40] {
+            let col = usize::try_from(slot_time % 2).unwrap();
+            let on_air: Vec<Option<PageId>> = (0..3).map(|ch| swapped[ch * 2 + col]).collect();
+            buf.clear();
+            cache
+                .encode_slot_into(&on_air, slot_time, &mut buf)
+                .unwrap();
+            fresh.clear();
+            encode_slot_into(
+                &on_air,
+                slot_time,
+                &mut CyclicSource::new(&mut TestPayloads),
+                &mut fresh,
+            )
+            .unwrap();
+            assert_eq!(&buf[..], &fresh[..], "slot {slot_time}");
+        }
+    }
+
+    #[test]
+    fn refused_retarget_keeps_the_previous_plan() {
+        struct HugeFor(u32);
+        impl CyclicPayloads for HugeFor {
+            fn page_payload(&mut self, page: PageId, out: &mut BytesMut) {
+                let len = if page.index() == self.0 {
+                    MAX_PAYLOAD + 1
+                } else {
+                    4
+                };
+                out.extend_from_slice(&vec![7u8; len]);
+            }
+        }
+        let mut payloads = HugeFor(9);
+        let cells = [Some(PageId::new(1)), None];
+        let mut cache = FrameTemplateCache::from_cells(1, 2, &cells, &mut payloads).unwrap();
+        let err = cache
+            .retarget(1, 1, &[Some(PageId::new(9))], &mut payloads)
+            .unwrap_err();
+        assert!(matches!(err, EncodeError::PayloadTooLarge { .. }));
+        assert_eq!((cache.cycle_len(), cache.page_at(0, 0)), (2, cells[0]));
+        let mut buf = BytesMut::new();
+        cache.encode_slot_into(&cells[..1], 0, &mut buf).unwrap();
+        let mut fresh = BytesMut::new();
+        encode_slot_into(
+            &cells[..1],
+            0,
+            &mut CyclicSource::new(&mut payloads),
+            &mut fresh,
+        )
+        .unwrap();
+        assert_eq!(&buf[..], &fresh[..]);
     }
 
     #[test]

@@ -135,10 +135,11 @@ proptest! {
 
     /// Template-patched frames are byte-identical to fresh encoding for
     /// arbitrary grids, payload lengths, slot times, and stall patterns
-    /// (stalled cells air idle frames on both paths).
+    /// (stalled cells air idle frames on both paths). Grids wider than 256
+    /// channels patch the channel field's high byte too.
     #[test]
     fn template_patching_matches_fresh_encoding(
-        channels in 1u32..4,
+        channels in prop_oneof![1u32..4, 256u32..=300],
         cycle_len in 1u64..5,
         cell_seed in prop::collection::vec(prop::option::of(0u32..6), 16),
         payload_lens in prop::collection::vec(0usize..300, 6),

@@ -151,9 +151,8 @@ impl Station {
             // out of the unobserved path (and out of the registry, so
             // metric exposition remains deterministic either way).
             let started = self.observer.is_some().then(Instant::now);
-            let mut probe = self.scheduler.clone();
-            if probe.rebuild_on_channels(n_up).is_ok() {
-                let candidate = self.maybe_corrupt(probe.program().clone());
+            if let Ok(program) = self.scheduler.program_on_channels(n_up) {
+                let candidate = self.maybe_corrupt(program);
                 // SUSC places each page once: the sweep size is the
                 // catalogue.
                 self.record

@@ -29,7 +29,7 @@
 //!   meet Theorem 3.1's minimum
 //!   ([`airsched_core::bound::minimum_channels_for_times`]); the
 //!   catalogue is re-packed into a *valid* program on the survivors via
-//!   SUSC ([`OnlineScheduler::rebuild_on_channels`]).
+//!   SUSC ([`OnlineScheduler::program_on_channels`]).
 //! * **[`Mode::BestEffort`]** — survivors fall below the minimum; no
 //!   valid program exists, so the station fails over to PAMAD
 //!   ([`airsched_core::degrade::replan`]) and spreads the unavoidable

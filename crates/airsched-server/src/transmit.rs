@@ -3,16 +3,17 @@
 //! [`SlotBroadcaster`] owns a [`FrameTemplateCache`] built from the
 //! station's effective on-air grid ([`Station::plan_cells`]) and keyed on
 //! [`Station::plan_epoch`]: in steady state each slot is emitted by
-//! memcpy-ing pre-encoded wire images and patching only the eight
-//! `slot_time` bytes plus an incrementally-corrected CRC, instead of
-//! re-walking header fields, payload bytes and the full CRC every tick
-//! (the "encode wall" — see DESIGN.md §13).
+//! memcpy-ing pre-encoded per-page wire images and patching only the
+//! channel and `slot_time` bytes plus an incrementally-corrected CRC,
+//! instead of re-walking header fields, payload bytes and the full CRC
+//! every tick (the "encode wall" — see DESIGN.md §13).
 //!
 //! Invalidation is epoch-driven, not guessed: every path that can change
 //! what a column puts on the air — publish, expire, manual fail/restore,
 //! a policy change, any in-tick ladder move — bumps the station's plan
-//! epoch, and the broadcaster rebuilds its cache on the next slot. Per
-//! slot stalls need no rebuild (a `None` carrier patches the channel's
+//! epoch, and the broadcaster rebuilds its cache on the next slot. A
+//! rebuild retargets the cache in place and encodes only pages new to the
+//! grid. Per slot stalls need no rebuild (a `None` carrier patches the
 //! idle template), and drift that slips through anyway (a column computed
 //! just before a swap) is caught by the cache's plan-drift check,
 //! answered with one rebuild-and-retry, and — if the column still
@@ -167,16 +168,23 @@ impl<P: CyclicPayloads> SlotBroadcaster<P> {
         )
     }
 
-    /// Rebuilds the template cache from the station's current effective
-    /// grid and records the epoch it captured.
+    /// Retargets the template cache onto the station's current effective
+    /// grid (building it on the first slot) and records the epoch it
+    /// captured. Only pages new to the grid are encoded.
     fn rebuild(&mut self, station: &Station) -> Result<(), EncodeError> {
         let plan = station.plan_cells();
-        self.cache = Some(FrameTemplateCache::from_cells(
-            plan.channels,
-            plan.cycle_len,
-            &plan.cells,
-            &mut self.payloads,
-        )?);
+        let (channels, cycle_len, cells) = (plan.channels, plan.cycle_len, &plan.cells);
+        match &mut self.cache {
+            Some(cache) => cache.retarget(channels, cycle_len, cells, &mut self.payloads)?,
+            None => {
+                self.cache = Some(FrameTemplateCache::from_cells(
+                    channels,
+                    cycle_len,
+                    cells,
+                    &mut self.payloads,
+                )?);
+            }
+        }
         self.built_epoch = Some(station.plan_epoch());
         self.rebuilds += 1;
         Ok(())
@@ -228,6 +236,19 @@ mod tests {
                     .map(|i| (i as u8) ^ (page.index() as u8).wrapping_mul(73))
                     .collect::<Vec<u8>>(),
             );
+        }
+    }
+
+    /// [`PagePayloads`] that counts how many payloads it was asked for.
+    #[derive(Debug, Default)]
+    struct CountedPayloads {
+        calls: u64,
+    }
+
+    impl CyclicPayloads for CountedPayloads {
+        fn page_payload(&mut self, page: PageId, out: &mut BytesMut) {
+            self.calls += 1;
+            PagePayloads.page_payload(page, out);
         }
     }
 
@@ -284,10 +305,10 @@ mod tests {
     #[test]
     fn template_slots_match_fresh_encoding_through_the_ladder() {
         let mut station = build_station();
-        let mut tx = SlotBroadcaster::new(PagePayloads);
+        let mut tx = SlotBroadcaster::new(CountedPayloads::default());
         let mut buf = TickBuf::default();
         let mut wire = BytesMut::new();
-        let mut check = |station: &mut Station, tx: &mut SlotBroadcaster<PagePayloads>| {
+        let mut check = |station: &mut Station, tx: &mut SlotBroadcaster<CountedPayloads>| {
             station.tick_into(&mut buf);
             wire.clear();
             let written = tx
@@ -305,22 +326,40 @@ mod tests {
             check(&mut station, &mut tx);
         }
         assert_eq!(tx.rebuilds(), 1, "a steady plan builds once");
+        assert_eq!(tx.payloads_mut().calls, 4, "one payload per page");
         // Walk down the ladder (repack, then best-effort) and back up,
-        // publishing mid-degradation; every slot must stay byte-exact.
+        // publishing mid-degradation; every slot must stay byte-exact, and
+        // only the published page is ever encoded again.
         station.fail_channel(ChannelId::new(2));
         for _ in 0..8 {
             check(&mut station, &mut tx);
         }
+        assert_eq!(tx.payloads_mut().calls, 4, "a repack encodes nothing");
         station.fail_channel(ChannelId::new(1));
+        for _ in 0..8 {
+            check(&mut station, &mut tx);
+        }
+        assert_eq!(
+            tx.payloads_mut().calls,
+            4,
+            "a best-effort plan encodes nothing"
+        );
         station.publish(PageId::new(9), 8).expect("publishes");
         for _ in 0..8 {
             check(&mut station, &mut tx);
         }
+        assert_eq!(
+            tx.payloads_mut().calls,
+            5,
+            "a publish encodes its page once"
+        );
         station.restore_channel(ChannelId::new(1));
         station.restore_channel(ChannelId::new(2));
         for _ in 0..8 {
             check(&mut station, &mut tx);
         }
+        assert_eq!(tx.payloads_mut().calls, 5, "a restore encodes nothing");
+        assert!(tx.rebuilds() > 1, "every ladder move retargeted the cache");
         assert_eq!(
             tx.fresh_fallbacks(),
             0,
