@@ -71,6 +71,11 @@ pub enum DecodeError {
         /// The value found.
         found: u8,
     },
+    /// A whole frame was followed by more bytes than it declared.
+    TrailingBytes {
+        /// Bytes left over after the frame.
+        extra: usize,
+    },
     /// The checksum does not match (corruption).
     BadChecksum,
     /// An idle frame carried a payload or page id.
@@ -85,6 +90,9 @@ impl core::fmt::Display for DecodeError {
             }
             Self::BadMagic { found } => write!(f, "bad magic {found:#010x}"),
             Self::BadVersion { found } => write!(f, "unsupported version {found}"),
+            Self::TrailingBytes { extra } => {
+                write!(f, "{extra} trailing byte(s) after the frame")
+            }
             Self::BadChecksum => write!(f, "checksum mismatch"),
             Self::MalformedIdle => write!(f, "idle frame carries data"),
         }
@@ -238,12 +246,13 @@ impl Frame {
     /// # Errors
     ///
     /// Returns [`DecodeError`] for truncation, bad magic/version, checksum
-    /// mismatch, or malformed idle frames.
+    /// mismatch, malformed idle frames, or bytes left over after the frame.
     pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
         let (frame, used) = Self::decode_prefix(bytes)?;
         if used != bytes.len() {
-            // Trailing garbage counts as corruption of this frame's framing.
-            return Err(DecodeError::Truncated { missing: 0 });
+            return Err(DecodeError::TrailingBytes {
+                extra: bytes.len() - used,
+            });
         }
         Ok(frame)
     }
@@ -326,8 +335,9 @@ pub fn decode_stream(bytes: &[u8]) -> (Vec<Frame>, usize) {
 
 /// Per-byte lookup table for CRC-16/CCITT-FALSE (polynomial `0x1021`),
 /// computed at compile time. Entry `i` is the CRC of the single byte `i`
-/// folded through the 8 bitwise steps, so the hot loop does one table hit
-/// per byte instead of eight shift/xor rounds.
+/// folded through the 8 bitwise steps, so one table hit replaces eight
+/// shift/xor rounds. It is row 0 of [`CRC16_SLICES`], and [`crc16`] uses it
+/// on its own for the bytes left over after the last 8-byte chunk.
 pub(crate) const CRC16_TABLE: [u16; 256] = {
     let mut table = [0u16; 256];
     let mut i = 0usize;
@@ -348,16 +358,67 @@ pub(crate) const CRC16_TABLE: [u16; 256] = {
     table
 };
 
-/// CRC-16/CCITT-FALSE over the header prefix and payload (table-driven; the
-/// bitwise original is retained as `crc16_bitwise` and pinned equal by the
-/// golden-vector tests).
+/// Slicing-by-8 tables for [`crc16`] (8 × 256 entries, 4 KiB), computed
+/// at compile time from [`CRC16_TABLE`]. Row `k` entry `x` is the CRC,
+/// from a zero state, of byte `x` followed by `k` zero bytes: `T_0 =
+/// CRC16_TABLE` and `T_k[x] = (T_{k-1}[x] << 8) ^ T_0[T_{k-1}[x] >> 8]`,
+/// one [`crc16_advance_zero`] step per row.
+///
+/// These are the `tail_len = 0` delta operator of the template path: row
+/// `pos` of [`DeltaTable::new(0)`](crate::template::DeltaTable::new) is
+/// row `7 - pos` here (a byte followed by `7 - pos` zero bytes), and a unit
+/// test pins the two equal.
+pub(crate) const CRC16_SLICES: [[u16; 256]; 8] = {
+    let mut slices = [[0u16; 256]; 8];
+    slices[0] = CRC16_TABLE;
+    let mut k = 1usize;
+    while k < 8 {
+        let mut x = 0usize;
+        while x < 256 {
+            slices[k][x] = crc16_advance_zero(slices[k - 1][x]);
+            x += 1;
+        }
+        k += 1;
+    }
+    slices
+};
+
+/// CRC-16/CCITT-FALSE (init `0xFFFF`, polynomial `0x1021`, no reflection)
+/// over the header prefix followed by the payload.
+///
+/// Slicing-by-8: each 8-byte chunk costs eight independent lookups in
+/// `CRC16_SLICES` (8 × 256 entries, 4 KiB) instead of eight dependent
+/// steps through one table. The bitwise original is retained as
+/// `crc16_bitwise`, and the golden-vector tests and a proptest over every
+/// chunk boundary pin the two equal.
 ///
 /// Public so other on-disk formats (the recovery subsystem's checkpoint
 /// and journal framing) share the exact same checksum as the wire.
 #[must_use]
 pub fn crc16(header: &[u8], payload: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &byte in header.iter().chain(payload) {
+    crc16_update(crc16_update(0xFFFF, header), payload)
+}
+
+/// Folds `bytes` into the CRC state `crc`.
+///
+/// The state enters an 8-byte chunk as if XORed into its first two bytes
+/// with the state reset to zero. From a zero state, byte `j` of the chunk
+/// contributes `CRC16_SLICES[7 - j]` of its value, since `7 - j` bytes
+/// follow it, and the eight contributions XOR together.
+fn crc16_update(mut crc: u16, bytes: &[u8]) -> u16 {
+    let (chunks, rest) = bytes.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in chunks {
+        let [hi, lo] = crc.to_be_bytes();
+        crc = CRC16_SLICES[7][usize::from(b0 ^ hi)]
+            ^ CRC16_SLICES[6][usize::from(b1 ^ lo)]
+            ^ CRC16_SLICES[5][usize::from(b2)]
+            ^ CRC16_SLICES[4][usize::from(b3)]
+            ^ CRC16_SLICES[3][usize::from(b4)]
+            ^ CRC16_SLICES[2][usize::from(b5)]
+            ^ CRC16_SLICES[1][usize::from(b6)]
+            ^ CRC16_SLICES[0][usize::from(b7)];
+    }
+    for &byte in rest {
         crc = (crc << 8) ^ CRC16_TABLE[usize::from((crc >> 8) as u8 ^ byte)];
     }
     crc
@@ -366,15 +427,15 @@ pub fn crc16(header: &[u8], payload: &[u8]) -> u16 {
 /// Advances a CRC state by one *zero* input byte: `s → (s << 8) ^
 /// T[s >> 8]`. This is the linear part `A` of the per-byte step `s' =
 /// A(s) ^ T[b]` (see [`crate::template::DeltaTable`] for why the step
-/// decomposes that way); the incremental-CRC delta tables are built by
-/// repeated application of it.
+/// decomposes that way); the slice tables and the incremental-CRC delta
+/// tables are built by repeated application of it.
 #[inline]
-pub(crate) fn crc16_advance_zero(state: u16) -> u16 {
-    (state << 8) ^ CRC16_TABLE[usize::from((state >> 8) as u8)]
+pub(crate) const fn crc16_advance_zero(state: u16) -> u16 {
+    (state << 8) ^ CRC16_TABLE[(state >> 8) as usize]
 }
 
 /// The seed's bit-at-a-time CRC-16/CCITT-FALSE, kept as the reference the
-/// table-driven [`crc16`] is verified against.
+/// sliced [`crc16`] is verified against.
 #[cfg(test)]
 fn crc16_bitwise(header: &[u8], payload: &[u8]) -> u16 {
     let mut crc: u16 = 0xFFFF;
@@ -490,6 +551,22 @@ mod tests {
         assert!(DecodeError::BadMagic { found: 0 }
             .to_string()
             .contains("magic"));
+        assert_eq!(
+            DecodeError::TrailingBytes { extra: 2 }.to_string(),
+            "2 trailing byte(s) after the frame"
+        );
+    }
+
+    #[test]
+    fn trailing_bytes_are_not_reported_as_truncation() {
+        // Regression: a frame followed by extra bytes used to decode as
+        // `Truncated { missing: 0 }` ("0 byte(s) missing").
+        let mut bytes = sample().encode().to_vec();
+        bytes.extend_from_slice(b"xyz");
+        assert_eq!(
+            Frame::decode(&bytes),
+            Err(DecodeError::TrailingBytes { extra: 3 })
+        );
     }
 
     #[test]
@@ -675,6 +752,18 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The sliced kernel equals the bitwise reference for every
+            /// split: header lengths 0..=40 and payloads up to 1,100 bytes
+            /// reach every remainder 0..8 on both halves, the frame's
+            /// 22-byte checksummed header among them.
+            #[test]
+            fn sliced_crc_matches_bitwise(
+                header in prop::collection::vec(any::<u8>(), 0..=40),
+                payload in arb_bytes(1101),
+            ) {
+                prop_assert_eq!(crc16(&header, &payload), crc16_bitwise(&header, &payload));
+            }
 
             /// Arbitrary byte soup never panics the decoder, never makes
             /// it hand back more payload than was offered, and anything

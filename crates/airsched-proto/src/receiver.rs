@@ -328,7 +328,9 @@ impl Receiver {
 
     fn track_slot(&mut self, slot_time: u64) {
         if let Some(last) = self.last_slot {
-            if slot_time > last + 1 {
+            // Saturating: a frame stamped `u64::MAX` must not overflow the
+            // next frame's gap check; nothing can follow it without a gap.
+            if slot_time > last.saturating_add(1) {
                 self.stats.gaps += 1;
                 if let Some(o) = &self.obs {
                     o.gaps.inc();
@@ -418,6 +420,19 @@ mod tests {
 
     fn data(slot: u64, page: u32) -> Frame {
         Frame::data(ChannelId::new(0), slot, PageId::new(page), Bytes::new())
+    }
+
+    #[test]
+    fn last_slot_at_u64_max_does_not_overflow_the_gap_check() {
+        // Regression: after a frame stamped `u64::MAX`, the next frame's
+        // gap check computed `u64::MAX + 1` and panicked in debug builds.
+        let mut rx = Receiver::new([]);
+        rx.consume(&Frame::idle(ChannelId::new(0), u64::MAX));
+        rx.consume(&Frame::idle(ChannelId::new(0), 3));
+        rx.consume_corrupt(&data(u64::MAX, 1));
+        rx.consume_corrupt(&data(7, 1));
+        assert_eq!(rx.stats().frames, 4);
+        assert_eq!(rx.stats().gaps, 0);
     }
 
     #[test]

@@ -130,6 +130,11 @@ impl<P: CyclicPayloads> PayloadSource for CyclicSource<'_, P> {
 /// `A^tail_len(T[v])`, and each earlier position is one more advance of
 /// the next. Linearity of `T` lets the base row be assembled from the 8
 /// single-bit columns instead of advancing all 256 entries.
+///
+/// `DeltaTable::new(0)` is the operator the sliced [`crc16`] folds each
+/// 8-byte chunk with: row `pos` is the CRC of a byte followed by `7 - pos`
+/// zero bytes, which is slice table `7 - pos` (a unit test pins them
+/// equal).
 #[derive(Debug, Clone)]
 pub struct DeltaTable {
     tbl: Box<[[u16; 256]; 8]>,
@@ -690,7 +695,7 @@ impl FrameTemplateCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::Frame;
+    use crate::frame::{Frame, CRC16_SLICES};
     use crate::transmitter::{encode_slot_into, FrameStream};
     use airsched_core::group::GroupLadder;
     use airsched_core::susc;
@@ -796,6 +801,22 @@ mod tests {
         // The zero XOR never changes a checksum.
         assert_eq!(t6.delta([0; 8]), 0);
         assert_eq!(t70.delta([0; 8]), 0);
+    }
+
+    #[test]
+    fn zero_tail_operator_is_the_crc_slice_tables() {
+        // Row `pos` is a byte followed by `7 - pos` zero bytes: the same
+        // operator the sliced `crc16` folds each 8-byte chunk with.
+        let table = DeltaTable::new(0);
+        for pos in 0..8 {
+            for v in 0..=255u8 {
+                assert_eq!(
+                    table.entry(pos, v),
+                    CRC16_SLICES[7 - pos][usize::from(v)],
+                    "pos {pos} value {v:#04x}"
+                );
+            }
+        }
     }
 
     #[test]

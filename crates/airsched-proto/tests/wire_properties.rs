@@ -6,8 +6,10 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use airsched_core::retry::RetryPolicy;
 use airsched_core::types::{ChannelId, PageId};
 use airsched_proto::frame::{decode_stream, Frame, HEADER_LEN};
+use airsched_proto::receiver::Receiver;
 use airsched_proto::template::{CyclicPayloads, CyclicSource, DeltaTable, FrameTemplateCache};
 use airsched_proto::transmitter::encode_slot_into;
 use bytes::{Bytes, BytesMut};
@@ -86,6 +88,43 @@ proptest! {
         prop_assume!(bytes.len() > HEADER_LEN || !frame.payload.is_empty() || bytes.len() > 1);
         let cut = cut.index(bytes.len().saturating_sub(1).max(1));
         prop_assert!(Frame::decode(&bytes[..cut]).is_err());
+    }
+
+    /// No frame sequence panics a receiver under a bounded retry policy,
+    /// however hostile its slot clock: slot times at and next to both ends
+    /// of `u64` mix with arbitrary ones, intact and corrupt, and every
+    /// call counts exactly one frame.
+    #[test]
+    fn receiver_survives_hostile_slot_times(
+        wanted in prop::collection::vec(0u32..8, 0..6),
+        attempts in 1u32..4,
+        tune_away in 1u32..4,
+        backoff in prop_oneof![Just(0u64), 1u64..8, Just(u64::MAX)],
+        frames in prop::collection::vec(
+            (
+                prop_oneof![Just(0u64), Just(1), Just(u64::MAX - 1), Just(u64::MAX), any::<u64>()],
+                prop::option::of(0u32..8),
+                any::<bool>(),
+            ),
+            1..48,
+        ),
+    ) {
+        let policy = RetryPolicy::new(attempts)
+            .and_then(|p| p.with_tune_away(tune_away, backoff))
+            .expect("bounded policy is valid");
+        let mut rx = Receiver::with_policy(wanted.into_iter().map(PageId::new), policy);
+        for (i, &(slot_time, page, corrupt)) in frames.iter().enumerate() {
+            let frame = match page {
+                Some(p) => Frame::data(ChannelId::new(0), slot_time, PageId::new(p), Bytes::new()),
+                None => Frame::idle(ChannelId::new(0), slot_time),
+            };
+            if corrupt {
+                rx.consume_corrupt(&frame);
+            } else {
+                rx.consume(&frame);
+            }
+            prop_assert_eq!(rx.stats().frames, i as u64 + 1);
+        }
     }
 }
 
