@@ -1119,7 +1119,7 @@ fn cmd_checkpoint(args: &Args) -> Result<String, ArgError> {
             .ok_or_else(|| ArgError("checkpoint requires --state-dir DIR".into()))?,
     );
     let ck = Checkpoint::read(&dir).map_err(|e| ArgError(e.to_string()))?;
-    let journal = read_journal(&dir.join(JOURNAL_FILE)).map_err(|e| ArgError(e.to_string()))?;
+    let journal = read_journal(&dir.join(JOURNAL_FILE), 0).map_err(|e| ArgError(e.to_string()))?;
     let records = u64::try_from(journal.records.len()).expect("record count fits in u64");
     let snap = &ck.snapshot;
     let waiting: usize = snap.waiting.iter().map(Vec::len).sum();
@@ -1138,9 +1138,10 @@ fn cmd_checkpoint(args: &Args) -> Result<String, ArgError> {
         slots = snap.stats.slots_elapsed,
     ));
     out.push_str(&format!(
-        "  journal: {records} valid record(s), cursor at {cursor} (lag {lag}), \
+        "  journal: {records} valid record(s), cursor at record {cursor} / byte {offset} (lag {lag}), \
          {dropped} corrupt tail byte(s)\n",
         cursor = ck.journal_skip,
+        offset = ck.journal_offset,
         lag = records.saturating_sub(ck.journal_skip),
         dropped = journal.dropped_bytes,
     ));
@@ -1155,21 +1156,13 @@ fn cmd_checkpoint(args: &Args) -> Result<String, ArgError> {
 /// behind (checkpoint + journal replay), then finish the scenario so the
 /// ending can be diffed against a never-crashed run's.
 fn cmd_restore(args: &Args) -> Result<String, ArgError> {
-    use airsched_recover::{
-        read_journal, JournalRecord, RecoverableStation, RecoveryOptions, JOURNAL_FILE,
-    };
+    use airsched_recover::{RecoverableStation, RecoveryOptions};
 
     let sc = scenario_from_args(args)?;
     let dir = std::path::PathBuf::from(
         args.get("state-dir")
             .ok_or_else(|| ArgError("restore requires --state-dir DIR".into()))?,
     );
-    // A crash fires *before* the slot's tick but *after* its
-    // subscription was journaled (and therefore replayed); the
-    // continuation must not subscribe that slot twice. The journal's
-    // valid tail says which case we are in.
-    let crash_slot_subscribed = read_journal(&dir.join(JOURNAL_FILE))
-        .is_ok_and(|j| matches!(j.records.last(), Some(JournalRecord::Subscribe { .. })));
     let every: u64 = args.num("checkpoint-every", 0)?;
     let mut opts = RecoveryOptions::new();
     if every > 0 {
@@ -1193,11 +1186,11 @@ fn cmd_restore(args: &Args) -> Result<String, ArgError> {
 
     let resumed_at = report.resumed_at;
     let mut mode = run.mode();
+    // A crash loses the unfinished slot's inputs with it, so the
+    // continuation re-issues the resumed slot's subscription too.
     for t in resumed_at..sc.slots {
-        if t != resumed_at || !crash_slot_subscribed {
-            if let Some(page) = sc.sub_page(t) {
-                run.subscribe(page).map_err(|e| ArgError(e.to_string()))?;
-            }
+        if let Some(page) = sc.sub_page(t) {
+            run.subscribe(page).map_err(|e| ArgError(e.to_string()))?;
         }
         let o = run.tick().map_err(|e| ArgError(e.to_string()))?;
         if o.mode != mode {

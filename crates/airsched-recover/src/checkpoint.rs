@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic 0x4153434B ("ASCK"), little endian
-//! 4       2     format version (currently 1)
+//! 4       2     format version (currently 3)
 //! 6       4     body length in bytes
 //! 10      n     body (see below)
 //! 10+n    2     CRC-16/CCITT-FALSE over bytes 0..10+n
@@ -15,10 +15,13 @@
 //! The CRC is the same table-driven CRC-16 the wire frames use
 //! ([`airsched_proto::crc16`]), covering header *and* body, so a torn or
 //! bit-rotted checkpoint is detected as a unit. The body serializes, in
-//! order: the journal cursor (`journal_skip` — how many journal records
-//! this checkpoint already covers), the full
+//! order: the journal cursor — `journal_skip`, how many journal records
+//! this checkpoint already covers, and `journal_offset`, the byte length
+//! of those records, where recovery seeks to — the full
 //! [`StationSnapshot`], and the optional [`FaultPlan`] (script, seed and
 //! rates) so a restored station can rebuild its deterministic injector.
+//! Version 3 added `journal_offset`; older files are refused as
+//! corrupt.
 //!
 //! ## Atomicity
 //!
@@ -54,7 +57,7 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 pub const CHECKPOINT_SHADOW: &str = "checkpoint.tmp";
 
 const MAGIC: u32 = 0x4153_434B; // "ASCK"
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 const HEADER_LEN: usize = 10;
 
 fn corrupt(reason: Reason) -> RecoverError {
@@ -74,6 +77,10 @@ pub struct Checkpoint {
     /// checkpoint, so there is no crash window between "new checkpoint"
     /// and "shortened journal".
     pub journal_skip: u64,
+    /// Byte length of those `journal_skip` records: recovery seeks here
+    /// and decodes only the tail, so its cost is bounded by the
+    /// checkpoint cadence rather than by uptime.
+    pub journal_offset: u64,
     /// The full station state.
     pub snapshot: StationSnapshot,
     /// The fault plan the station was running under, if any. The plan's
@@ -89,6 +96,7 @@ impl Checkpoint {
     pub fn encode(&self) -> Vec<u8> {
         let mut body = ByteWriter::new();
         body.u64(self.journal_skip);
+        body.u64(self.journal_offset);
         put_station_snapshot(&mut body, &self.snapshot);
         match &self.fault_plan {
             Some(plan) => {
@@ -148,6 +156,7 @@ impl Checkpoint {
         let mut r = ByteReader::new(body);
         let parsed = (|| -> Result<Self, Reason> {
             let journal_skip = r.u64()?;
+            let journal_offset = r.u64()?;
             let snapshot = get_station_snapshot(&mut r)?;
             let fault_plan = if r.bool()? {
                 Some(get_fault_plan(&mut r)?)
@@ -157,6 +166,7 @@ impl Checkpoint {
             r.finish()?;
             Ok(Self {
                 journal_skip,
+                journal_offset,
                 snapshot,
                 fault_plan,
             })
@@ -650,6 +660,7 @@ mod tests {
         (
             Checkpoint {
                 journal_skip: 17,
+                journal_offset: 340,
                 snapshot: s.snapshot(),
                 fault_plan: Some(plan.clone()),
             },
@@ -684,6 +695,23 @@ mod tests {
         for cut in [0, 1, 9, bytes.len() / 2, bytes.len() - 1] {
             assert!(Checkpoint::decode(&bytes[..cut]).is_err());
         }
+    }
+
+    #[test]
+    fn an_older_format_version_is_refused_as_corrupt() {
+        let (ck, _) = checkpointed_station();
+        let mut bytes = ck.encode();
+        bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+        let body_end = bytes.len() - 2;
+        let crc = crc16(&bytes[..HEADER_LEN], &bytes[HEADER_LEN..body_end]);
+        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            Checkpoint::decode(&bytes),
+            Err(RecoverError::Corrupt {
+                what: "checkpoint",
+                reason: "unknown format version"
+            })
+        ));
     }
 
     #[test]

@@ -22,13 +22,20 @@ impl ByteWriter {
         Self::default()
     }
 
+    /// A writer that appends to `buf`, keeping the bytes already in it
+    /// (and its capacity).
+    #[must_use]
+    pub fn over(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+
     /// Consumes the writer, yielding the encoded bytes.
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
-    /// Bytes written so far.
+    /// Bytes in the buffer.
     #[must_use]
     pub fn len(&self) -> usize {
         self.buf.len()

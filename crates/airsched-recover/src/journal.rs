@@ -7,6 +7,16 @@
 //! because the station's only other input (the fault injector) is
 //! deterministic given the state the checkpoint restored.
 //!
+//! ## Group commit
+//!
+//! Records are buffered per slot and committed with one `write` at the
+//! end of the slot's tick ([`JournalWriter`]). A process crash therefore
+//! loses the inputs of an unfinished slot together, never in part; a
+//! completed tick has handed the whole slot to the OS. The journal is
+//! fsynced only at checkpoints. Batching changes when bytes reach the
+//! file, never which bytes: the file is the same concatenation of
+//! frames a record-at-a-time writer would leave.
+//!
 //! ## Record framing
 //!
 //! ```text
@@ -30,7 +40,7 @@
 //! divergence into a typed [`RecoverError::Divergence`].
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, ErrorKind, Write as _};
+use std::io::{self, ErrorKind, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 
 use airsched_proto::crc16;
@@ -122,8 +132,7 @@ impl JournalRecord {
         )
     }
 
-    fn encode_body(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+    fn encode_body(&self, w: &mut ByteWriter) {
         match self {
             Self::Subscribe { page, client } => {
                 w.u8(0);
@@ -174,7 +183,6 @@ impl JournalRecord {
                 w.u8(mode_to_u8(*mode));
             }
         }
-        w.into_bytes()
     }
 
     fn decode_body(body: &[u8]) -> Result<Self, Reason> {
@@ -215,15 +223,26 @@ impl JournalRecord {
     /// Encodes the record as one framed entry (length, body, CRC).
     #[must_use]
     pub fn encode_framed(&self) -> Vec<u8> {
-        let body = self.encode_body();
-        let len = u16::try_from(body.len()).expect("journal record bodies are tiny");
-        let len_bytes = len.to_le_bytes();
-        let crc = crc16(&len_bytes, &body);
-        let mut out = Vec::with_capacity(body.len() + 4);
-        out.extend_from_slice(&len_bytes);
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&crc.to_le_bytes());
+        let mut out = Vec::new();
+        self.encode_framed_into(&mut out);
         out
+    }
+
+    /// Appends the record's framed entry (length, body, CRC) to `out`,
+    /// encoding the body in place behind a length placeholder that is
+    /// patched once the body is written.
+    pub fn encode_framed_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        let mut w = ByteWriter::over(std::mem::take(out));
+        w.u16(0);
+        self.encode_body(&mut w);
+        let mut buf = w.into_bytes();
+        let len = u16::try_from(buf.len() - start - 2).expect("journal record bodies are tiny");
+        let len_bytes = len.to_le_bytes();
+        buf[start..start + 2].copy_from_slice(&len_bytes);
+        let crc = crc16(&len_bytes, &buf[start + 2..]);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        *out = buf;
     }
 
     /// Decodes the framed entry at the front of `bytes`, returning the
@@ -245,58 +264,118 @@ impl JournalRecord {
     }
 }
 
-/// Append handle over a journal file. Records are written unbuffered so
-/// a process crash (the failure mode the recovery suite simulates)
-/// loses at most the record being written; [`JournalWriter::sync`]
-/// additionally fsyncs for machine-crash durability and is called at
-/// every checkpoint.
+/// Append handle over a journal file, committed once per slot.
+///
+/// [`JournalWriter::append`] only encodes the record into a reusable
+/// pending buffer; [`JournalWriter::commit`] hands every pending byte
+/// to the OS in one `write`, and [`RecoverableStation`] commits once at
+/// the end of each tick. The contract this gives a process crash: the
+/// records of an unfinished slot are lost together, never in part, and
+/// a completed commit has handed the whole slot to the OS.
+/// [`JournalWriter::sync`] additionally fsyncs for machine-crash
+/// durability and is called at every checkpoint.
+///
+/// A failed commit poisons the writer: the file may now end in torn
+/// bytes that any later record would be stranded behind, so every later
+/// commit or sync fails without writing, and the counters stay at the
+/// last good commit.
+///
+/// [`RecoverableStation`]: crate::RecoverableStation
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
+    pending: Vec<u8>,
+    pending_records: u64,
     records: u64,
+    bytes: u64,
+    poisoned: Option<String>,
 }
 
 impl JournalWriter {
     /// Opens `path` for appending, creating it if absent. `existing`
     /// is the count of valid records already in the file (0 for a
-    /// fresh journal).
+    /// fresh journal); the file's length must be exactly their bytes.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn open(path: &Path, existing: u64) -> io::Result<Self> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
+        let bytes = file.metadata()?.len();
         Ok(Self {
             file,
+            pending: Vec::new(),
+            pending_records: 0,
             records: existing,
+            bytes,
+            poisoned: None,
         })
     }
 
-    /// Appends one framed record.
+    /// Encodes one framed record into the pending buffer. Nothing
+    /// reaches the file until the next [`JournalWriter::commit`].
+    pub fn append(&mut self, record: &JournalRecord) {
+        record.encode_framed_into(&mut self.pending);
+        self.pending_records += 1;
+    }
+
+    /// Writes every pending record with one `write_all` and clears the
+    /// buffer, keeping its capacity.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures; the record counter only advances on
-    /// success.
-    pub fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
-        self.file.write_all(&record.encode_framed())?;
-        self.records += 1;
-        Ok(())
+    /// Propagates the write's I/O failure and poisons the writer; on a
+    /// poisoned writer, an error naming the original failure. Either
+    /// way the pending records are discarded and the counters do not
+    /// advance.
+    pub fn commit(&mut self) -> io::Result<()> {
+        let records = std::mem::take(&mut self.pending_records);
+        if let Some(cause) = &self.poisoned {
+            self.pending.clear();
+            return Err(io::Error::other(format!(
+                "journal writer is poisoned by an earlier failed write: {cause}"
+            )));
+        }
+        let written = self.file.write_all(&self.pending);
+        let len = self.pending.len() as u64;
+        self.pending.clear();
+        match written {
+            Ok(()) => {
+                self.records += records;
+                self.bytes += len;
+                Ok(())
+            }
+            Err(e) => {
+                self.poisoned = Some(e.to_string());
+                Err(e)
+            }
+        }
     }
 
-    /// Total valid records in the journal (pre-existing + appended).
+    /// Committed records in the journal (pre-existing + committed).
     #[must_use]
     pub fn records(&self) -> u64 {
         self.records
     }
 
-    /// Fsyncs the journal.
+    /// Committed bytes in the journal — the offset the next commit
+    /// writes at.
+    #[must_use]
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Commits, then fsyncs the journal.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures.
-    pub fn sync(&self) -> io::Result<()> {
-        self.file.sync_all()
+    /// Everything [`JournalWriter::commit`] raises, plus the fsync's
+    /// I/O failure, which poisons the writer too.
+    pub fn sync(&mut self) -> io::Result<()> {
+        self.commit()?;
+        self.file.sync_all().inspect_err(|e| {
+            self.poisoned = Some(e.to_string());
+        })
     }
 }
 
@@ -304,34 +383,42 @@ impl JournalWriter {
 /// torn/corrupt tail was dropped to get there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalReadOutcome {
-    /// Every record of the valid prefix, in append order.
+    /// Every record of the valid prefix from the read's start offset,
+    /// in append order.
     pub records: Vec<JournalRecord>,
-    /// Byte offset where the valid prefix ends (where an appender must
-    /// resume to avoid stranding new records behind garbage).
+    /// Byte offset in the file where the valid prefix ends (where an
+    /// appender must resume to avoid stranding new records behind
+    /// garbage).
     pub valid_bytes: u64,
     /// Bytes dropped after the last valid record (0 for a clean file).
     pub dropped_bytes: u64,
 }
 
-/// Reads the journal at `path`, dropping any torn or corrupt tail. A
+/// Reads the journal at `path` from byte offset `from` — 0 for the
+/// whole file, a checkpoint's `journal_offset` for the records it does
+/// not cover — dropping any torn or corrupt tail. Nothing before `from`
+/// is read, so recovery cost is bounded by the tail, not by uptime. A
 /// missing file reads as an empty journal — a station that crashed
-/// before its first append.
+/// before its first commit.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures other than the file not existing.
-pub fn read_journal(path: &Path) -> Result<JournalReadOutcome, RecoverError> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == ErrorKind::NotFound => {
-            return Ok(JournalReadOutcome {
-                records: Vec::new(),
-                valid_bytes: 0,
-                dropped_bytes: 0,
-            })
+/// [`RecoverError::Corrupt`] if the file (or its absence) is shorter
+/// than `from`; other I/O failures propagate.
+pub fn read_journal(path: &Path, from: u64) -> Result<JournalReadOutcome, RecoverError> {
+    let mut bytes = Vec::new();
+    match File::open(path) {
+        Ok(mut file) => {
+            if file.metadata()?.len() < from {
+                return Err(shorter_than_cursor());
+            }
+            file.seek(SeekFrom::Start(from))?;
+            file.read_to_end(&mut bytes)?;
         }
+        Err(e) if e.kind() == ErrorKind::NotFound && from == 0 => {}
+        Err(e) if e.kind() == ErrorKind::NotFound => return Err(shorter_than_cursor()),
         Err(e) => return Err(RecoverError::Io(e)),
-    };
+    }
     // Stop at the first torn, corrupt or alien frame: the journal
     // recovers to the last valid record.
     let mut records = Vec::new();
@@ -342,9 +429,16 @@ pub fn read_journal(path: &Path) -> Result<JournalReadOutcome, RecoverError> {
     }
     Ok(JournalReadOutcome {
         records,
-        valid_bytes: pos as u64,
+        valid_bytes: from + pos as u64,
         dropped_bytes: (bytes.len() - pos) as u64,
     })
+}
+
+fn shorter_than_cursor() -> RecoverError {
+    RecoverError::Corrupt {
+        what: "journal",
+        reason: "journal is shorter than the checkpoint's cursor",
+    }
 }
 
 #[cfg(test)]
@@ -393,11 +487,13 @@ mod tests {
         let path = temp_path("roundtrip");
         let mut w = JournalWriter::open(&path, 0).unwrap();
         for r in sample_records() {
-            w.append(&r).unwrap();
+            w.append(&r);
         }
+        w.commit().unwrap();
         assert_eq!(w.records(), 9);
+        assert_eq!(w.bytes(), std::fs::metadata(&path).unwrap().len());
         drop(w);
-        let out = read_journal(&path).unwrap();
+        let out = read_journal(&path, 0).unwrap();
         assert_eq!(out.records, sample_records());
         assert_eq!(out.dropped_bytes, 0);
         std::fs::remove_file(&path).unwrap();
@@ -408,8 +504,9 @@ mod tests {
         let path = temp_path("corrupt");
         let mut w = JournalWriter::open(&path, 0).unwrap();
         for r in sample_records() {
-            w.append(&r).unwrap();
+            w.append(&r);
         }
+        w.commit().unwrap();
         drop(w);
         let clean = std::fs::read(&path).unwrap();
         // Flip a bit inside the final record's body.
@@ -417,13 +514,13 @@ mod tests {
         let last = tampered.len() - 3;
         tampered[last] ^= 0x40;
         std::fs::write(&path, &tampered).unwrap();
-        let out = read_journal(&path).unwrap();
+        let out = read_journal(&path, 0).unwrap();
         assert_eq!(out.records, sample_records()[..8].to_vec());
         assert!(out.dropped_bytes > 0);
         // A torn final frame (half-written record) is likewise dropped.
         let torn = &clean[..clean.len() - 2];
         std::fs::write(&path, torn).unwrap();
-        let out = read_journal(&path).unwrap();
+        let out = read_journal(&path, 0).unwrap();
         assert_eq!(out.records, sample_records()[..8].to_vec());
         assert_eq!(out.valid_bytes + out.dropped_bytes, torn.len() as u64);
         std::fs::remove_file(&path).unwrap();
@@ -431,8 +528,44 @@ mod tests {
 
     #[test]
     fn missing_journal_reads_as_empty() {
-        let out = read_journal(&temp_path("missing")).unwrap();
+        let out = read_journal(&temp_path("missing"), 0).unwrap();
         assert!(out.records.is_empty());
         assert_eq!(out.dropped_bytes, 0);
+    }
+
+    #[test]
+    fn append_leaves_the_file_untouched_until_commit() {
+        let path = temp_path("pending");
+        let mut w = JournalWriter::open(&path, 0).unwrap();
+        for r in sample_records() {
+            w.append(&r);
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        }
+        assert_eq!((w.records(), w.bytes()), (0, 0));
+        w.commit().unwrap();
+        let expected: Vec<u8> = sample_records()
+            .iter()
+            .flat_map(JournalRecord::encode_framed)
+            .collect();
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        assert_eq!((w.records(), w.bytes()), (9, expected.len() as u64));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_commit_poisons_the_writer() {
+        let mut w = JournalWriter::open(Path::new("/dev/full"), 0).unwrap();
+        w.append(&JournalRecord::Tick { slot: 0 });
+        let err = w.commit().unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::StorageFull);
+        assert_eq!((w.records(), w.bytes()), (0, 0));
+        // Later commits name the first failure instead of writing again.
+        w.append(&JournalRecord::Tick { slot: 1 });
+        let err = w.commit().unwrap_err();
+        assert_ne!(err.kind(), ErrorKind::StorageFull);
+        assert!(err.to_string().contains("poisoned"), "{err}");
+        assert!(w.sync().unwrap_err().to_string().contains("poisoned"));
+        assert_eq!((w.records(), w.bytes()), (0, 0));
     }
 }

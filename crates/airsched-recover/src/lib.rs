@@ -60,7 +60,7 @@ use airsched_server::StationError;
 pub use checkpoint::{Checkpoint, CHECKPOINT_FILE, CHECKPOINT_SHADOW};
 pub use journal::{read_journal, JournalReadOutcome, JournalRecord, JournalWriter, JOURNAL_FILE};
 pub use store::{
-    replay, restore, CrashInjector, CrashPoint, RecoverableStation, RecoveryOptions, RecoveryReport,
+    replay, CrashInjector, CrashPoint, RecoverableStation, RecoveryOptions, RecoveryReport,
 };
 
 /// Everything that can go wrong persisting or recovering a station.

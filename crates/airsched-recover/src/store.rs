@@ -3,12 +3,13 @@
 //!
 //! [`RecoverableStation`] wraps a [`Station`] and a state directory.
 //! Every externally-driven mutation goes through the wrapper, which
-//! appends a journal record before (ticks) or after (subscriptions,
-//! catalogue edits) applying it; every `checkpoint_every` slots — and
-//! once at creation — the full station state is checkpointed
-//! atomically. After a crash, [`RecoverableStation::resume`] rebuilds
-//! the station from checkpoint + journal replay; the result's
-//! subsequent `TickOutcome` stream is bit-identical to the
+//! buffers a journal record for it (subscriptions, catalogue edits and
+//! the slot advance itself); the end of each tick commits the slot's
+//! records with one write. Every `checkpoint_every` slots — and once at
+//! creation — the full station state is checkpointed atomically. After
+//! a crash, [`RecoverableStation::resume`] rebuilds the station from the
+//! checkpoint plus a replay of the journal tail after its byte cursor;
+//! the result's subsequent `TickOutcome` stream is bit-identical to the
 //! never-crashed twin's, which the crash-at-every-slot sweep test
 //! enforces.
 //!
@@ -37,8 +38,8 @@ use crate::RecoverError;
 /// Where a scripted crash fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
-    /// Die immediately before ticking this slot (the slot is never
-    /// journaled or served).
+    /// Die immediately before ticking this slot: the slot is never
+    /// served, and its buffered inputs never reach the journal.
     AtSlot(u64),
     /// Die half-way through writing the `n`-th checkpoint of the
     /// process (1-based; the checkpoint taken at creation is #1),
@@ -237,31 +238,6 @@ pub fn replay(station: &mut Station, records: &[JournalRecord]) -> Result<u64, R
     Ok(replayed)
 }
 
-/// Pure in-memory recovery: rebuilds a station from a decoded
-/// `checkpoint` and the *full* journal record sequence (the checkpoint's
-/// own cursor says how many leading records to skip).
-///
-/// # Errors
-///
-/// [`RecoverError::Corrupt`] if the journal is shorter than the
-/// checkpoint's cursor, plus everything [`replay`] and
-/// [`Station::from_snapshot`] can raise.
-pub fn restore(
-    checkpoint: &Checkpoint,
-    journal: &[JournalRecord],
-) -> Result<Station, RecoverError> {
-    let mut station = Station::from_snapshot(&checkpoint.snapshot, checkpoint.fault_plan.as_ref())?;
-    let skip = usize::try_from(checkpoint.journal_skip).expect("journal cursor fits in usize");
-    let Some(tail) = journal.get(skip..) else {
-        return Err(RecoverError::Corrupt {
-            what: "journal",
-            reason: "journal is shorter than the checkpoint's cursor",
-        });
-    };
-    replay(&mut station, tail)?;
-    Ok(station)
-}
-
 #[derive(Debug)]
 struct ObsHooks {
     obs: Obs,
@@ -288,9 +264,22 @@ impl ObsHooks {
 }
 
 /// A [`Station`] whose every mutation is journaled to a state directory
-/// and whose state is periodically checkpointed, so a crash at any point
-/// loses nothing: [`RecoverableStation::resume`] rebuilds a bit-identical
-/// continuation.
+/// and whose state is periodically checkpointed, so a crash loses at
+/// most the slot in progress: [`RecoverableStation::resume`] rebuilds a
+/// bit-identical continuation from the last completed tick.
+///
+/// The journal is committed once per slot. The mutators only buffer
+/// their records; [`RecoverableStation::tick`] commits the slot's
+/// inputs, tick and assertion records with one write. The inputs of an
+/// unfinished slot are therefore lost together, never in part, and a
+/// completed `tick()` has handed the whole slot to the OS. Fsync still
+/// happens only at checkpoints. Dropping the wrapper models process
+/// death: it does not flush.
+///
+/// If a commit fails, the in-memory station is ahead of its journal and
+/// the journal writer is poisoned, so every later tick and checkpoint
+/// fails too. The only way forward is to drop this value and
+/// [`RecoverableStation::resume`] from disk.
 #[derive(Debug)]
 pub struct RecoverableStation {
     station: Station,
@@ -349,7 +338,9 @@ impl RecoverableStation {
     }
 
     /// Rebuilds the station a previous process left in `dir` and
-    /// resumes journaling where the valid journal prefix ends.
+    /// resumes journaling where the valid journal prefix ends. Only the
+    /// journal tail after the checkpoint's byte cursor is read and
+    /// decoded.
     ///
     /// If `obs` is given it is attached to the restored station *before*
     /// replay, so the replayed ticks regenerate the flight-recorder
@@ -373,15 +364,8 @@ impl RecoverableStation {
             station.attach_obs(obs);
         }
         let journal_path = dir.join(JOURNAL_FILE);
-        let journal = read_journal(&journal_path)?;
-        let skip = usize::try_from(ck.journal_skip).expect("journal cursor fits in usize");
-        let Some(tail) = journal.records.get(skip..) else {
-            return Err(RecoverError::Corrupt {
-                what: "journal",
-                reason: "journal is shorter than the checkpoint's cursor",
-            });
-        };
-        let replayed = replay(&mut station, tail)?;
+        let journal = read_journal(&journal_path, ck.journal_offset)?;
+        let replayed = replay(&mut station, &journal.records)?;
         // Drop the torn tail on disk too, or the next append would be
         // stranded behind unreadable bytes.
         if journal.dropped_bytes > 0 {
@@ -409,7 +393,7 @@ impl RecoverableStation {
                 .observe(duration_us);
             obs.capture_postmortem(report.resumed_at, "recovery");
         }
-        let records = u64::try_from(journal.records.len()).expect("record count fits in u64");
+        let records = ck.journal_skip + replayed;
         let mut this = Self {
             station,
             plan: ck.fault_plan,
@@ -447,8 +431,9 @@ impl RecoverableStation {
     /// Attaches intra-slot tracing to the wrapped station *and* the
     /// persistence machinery: on sampled slots the station captures its
     /// pipeline phases, and the wrapper appends `journal` spans (the
-    /// slot's record appends, measured around the station tick) and
-    /// `checkpoint` spans (checkpoint writes) to the same slot trees.
+    /// tick's record appends plus the slot's one commit write, measured
+    /// around the station tick) and `checkpoint` spans (checkpoint
+    /// writes) to the same slot trees.
     /// Unsampled slots stay clock-free here exactly as in
     /// [`Station::attach_trace`].
     pub fn attach_trace(&mut self, trace: &Trace) {
@@ -480,90 +465,86 @@ impl RecoverableStation {
         self.station.stats()
     }
 
-    /// Journal records not yet covered by a checkpoint — the amount of
-    /// replay a crash right now would cost.
+    /// Committed journal records not yet covered by a checkpoint — the
+    /// amount of replay a crash right now would cost.
     #[must_use]
     pub fn journal_lag(&self) -> u64 {
         self.journal.records() - self.checkpoint_skip
     }
 
-    /// Journaled [`Station::subscribe`].
+    /// Journaled [`Station::subscribe`]; the record is buffered until
+    /// the slot's tick commits it.
     ///
     /// # Errors
     ///
-    /// The station's own rejections, or an I/O failure appending the
-    /// record.
+    /// The station's own rejections.
     pub fn subscribe(&mut self, page: PageId) -> Result<ClientId, RecoverError> {
         let client = self.station.subscribe(page)?;
         self.journal.append(&JournalRecord::Subscribe {
             page: page.index(),
             client: client.raw(),
-        })?;
+        });
         Ok(client)
     }
 
-    /// Journaled [`Station::publish`].
+    /// Journaled [`Station::publish`]; the record is buffered until the
+    /// slot's tick commits it.
     ///
     /// # Errors
     ///
-    /// The station's own rejections, or an I/O failure appending the
-    /// record.
+    /// The station's own rejections.
     pub fn publish(&mut self, page: PageId, expected: u64) -> Result<(), RecoverError> {
         self.station.publish(page, expected)?;
         self.journal.append(&JournalRecord::Publish {
             page: page.index(),
             expected,
-        })?;
+        });
         Ok(())
     }
 
-    /// Journaled [`Station::expire`].
+    /// Journaled [`Station::expire`]; the record is buffered until the
+    /// slot's tick commits it.
     ///
     /// # Errors
     ///
-    /// The station's own rejections, or an I/O failure appending the
-    /// record.
+    /// The station's own rejections.
     pub fn expire(&mut self, page: PageId) -> Result<(), RecoverError> {
         self.station.expire(page)?;
         self.journal
-            .append(&JournalRecord::Expire { page: page.index() })?;
+            .append(&JournalRecord::Expire { page: page.index() });
         Ok(())
     }
 
-    /// Journaled [`Station::fail_channel`].
-    ///
-    /// # Errors
-    ///
-    /// An I/O failure appending the record.
-    pub fn fail_channel(&mut self, channel: ChannelId) -> Result<Mode, RecoverError> {
+    /// Journaled [`Station::fail_channel`]; the record is buffered
+    /// until the slot's tick commits it.
+    pub fn fail_channel(&mut self, channel: ChannelId) -> Mode {
         let mode = self.station.fail_channel(channel);
         self.journal.append(&JournalRecord::FailChannel {
             channel: channel.index(),
-        })?;
-        Ok(mode)
+        });
+        mode
     }
 
-    /// Journaled [`Station::restore_channel`].
-    ///
-    /// # Errors
-    ///
-    /// An I/O failure appending the record.
-    pub fn restore_channel(&mut self, channel: ChannelId) -> Result<Mode, RecoverError> {
+    /// Journaled [`Station::restore_channel`]; the record is buffered
+    /// until the slot's tick commits it.
+    pub fn restore_channel(&mut self, channel: ChannelId) -> Mode {
         let mode = self.station.restore_channel(channel);
         self.journal.append(&JournalRecord::RestoreChannel {
             channel: channel.index(),
-        })?;
-        Ok(mode)
+        });
+        mode
     }
 
-    /// Journaled [`Station::tick`]: appends the slot advance, ticks,
-    /// appends the outcome's assertion records, and checkpoints if the
-    /// cadence is due.
+    /// Journaled [`Station::tick`]: buffers the slot advance, ticks,
+    /// buffers the outcome's assertion records, commits the whole slot
+    /// with one write, and checkpoints if the cadence is due.
     ///
     /// # Errors
     ///
-    /// [`RecoverError::Crashed`] when a scripted crash fires, or an I/O
-    /// failure.
+    /// [`RecoverError::Crashed`] when a scripted crash fires (the
+    /// slot's buffered inputs die with the process), or an I/O failure
+    /// committing the slot, after which the station is ahead of its
+    /// journal (see the type docs).
     pub fn tick(&mut self) -> Result<TickOutcome, RecoverError> {
         let slot = self.station.now();
         if let Some(crash) = &mut self.crash {
@@ -571,14 +552,14 @@ impl RecoverableStation {
                 return Err(RecoverError::Crashed { slot });
             }
         }
-        // On a sampled slot, clock the journal appends around the
-        // station tick and fold them into the slot's span tree as one
-        // `journal` phase. The station commits its tree during
+        // On a sampled slot, clock the journal appends and the commit
+        // around the station tick and fold them into the slot's span
+        // tree as one `journal` phase. The station commits its tree during
         // `tick()`, so the wrapper's spans merge into the same ring
         // entry. Unsampled slots never read the clock.
         let traced = self.station.trace().filter(|t| t.sample_due(slot)).cloned();
         let journal_from = traced.as_ref().map(Trace::now_ns);
-        self.journal.append(&JournalRecord::Tick { slot })?;
+        self.journal.append(&JournalRecord::Tick { slot });
         let mut journal_ns =
             journal_from.map_or(0, |from| traced.as_ref().map_or(0, |t| t.now_ns() - from));
         let before = self.station.mode();
@@ -587,10 +568,10 @@ impl RecoverableStation {
         let tail_from = traced.as_ref().map(Trace::now_ns);
         if after != before {
             self.journal
-                .append(&JournalRecord::ModeChange { slot, to: after })?;
+                .append(&JournalRecord::ModeChange { slot, to: after });
             if matches!(after, Mode::Repacked | Mode::BestEffort) {
                 self.journal
-                    .append(&JournalRecord::PlanSwap { slot, mode: after })?;
+                    .append(&JournalRecord::PlanSwap { slot, mode: after });
             }
         }
         if !outcome.deliveries.is_empty() {
@@ -600,8 +581,9 @@ impl RecoverableStation {
                 delivered: stats.delivered,
                 on_time: stats.on_time,
                 total_wait: stats.total_wait,
-            })?;
+            });
         }
+        self.journal.commit()?;
         if let Some(t) = &traced {
             journal_ns += tail_from.map_or(0, |from| t.now_ns() - from);
             let start = journal_from.unwrap_or(0);
@@ -619,9 +601,9 @@ impl RecoverableStation {
         Ok(outcome)
     }
 
-    /// Writes a checkpoint now, fsyncing the journal first so the
-    /// cursor it stores is durable. Returns the checkpoint size in
-    /// bytes.
+    /// Writes a checkpoint now, committing and fsyncing the journal
+    /// first so the cursor it stores is durable. Returns the checkpoint
+    /// size in bytes.
     ///
     /// # Errors
     ///
@@ -650,9 +632,11 @@ impl RecoverableStation {
     }
 
     fn checkpoint_inner(&mut self) -> Result<u64, RecoverError> {
+        self.journal.commit()?;
         self.checkpoints_written += 1;
         let ck = Checkpoint {
             journal_skip: self.journal.records(),
+            journal_offset: self.journal.bytes(),
             snapshot: self.station.snapshot(),
             fault_plan: self.plan.clone(),
         };

@@ -1,7 +1,8 @@
 //! Property tests for the durability decoders against hostile bytes:
 //! [`Checkpoint::decode`], journal frame decoding
 //! ([`JournalRecord::decode_framed`]) and [`read_journal`] on arbitrary
-//! file contents. Each decoder is held to three properties:
+//! file contents, from the start or from a checkpoint's byte cursor.
+//! Each decoder is held to three properties:
 //!
 //! 1. it never panics, whatever the bytes;
 //! 2. it never sizes an allocation from an untrusted length field — a
@@ -24,7 +25,7 @@ use proptest::prelude::*;
 use airsched_core::types::{ChannelId, PageId};
 use airsched_proto::crc16;
 use airsched_recover::codec::ByteReader;
-use airsched_recover::{read_journal, Checkpoint, JournalRecord};
+use airsched_recover::{read_journal, Checkpoint, JournalRecord, RecoverError};
 use airsched_server::faults::{FaultEvent, FaultPlan};
 use airsched_server::station::Mode;
 use airsched_server::Station;
@@ -59,6 +60,7 @@ fn valid_checkpoint() -> &'static [u8] {
         s.fail_channel(ChannelId::new(2));
         Checkpoint {
             journal_skip: 17,
+            journal_offset: 340,
             snapshot: s.snapshot(),
             fault_plan: Some(plan),
         }
@@ -314,12 +316,69 @@ proptest! {
         file.extend_from_slice(&garbage);
         let path = temp_journal();
         std::fs::write(&path, &file).expect("write journal");
-        let out = read_journal(&path).expect("a readable file never errors");
+        let out = read_journal(&path, 0).expect("a readable file never errors");
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(&out.records[..prefix.len()], &prefix[..]);
         prop_assert!(out.valid_bytes as usize >= prefix_bytes);
         prop_assert_eq!(out.valid_bytes + out.dropped_bytes, file.len() as u64);
         let reencoded: Vec<u8> = out.records.iter().flat_map(JournalRecord::encode_framed).collect();
         prop_assert_eq!(&reencoded[..], &file[..out.valid_bytes as usize]);
+    }
+
+    /// `encode_framed_into` appends exactly `encode_framed`'s bytes
+    /// after whatever the buffer already holds, for every record kind.
+    #[test]
+    fn framing_into_a_buffer_appends_the_framed_record(
+        prefix in prop::collection::vec(any::<u8>(), 0..64),
+        record in arb_record(),
+    ) {
+        let mut buf = prefix.clone();
+        record.encode_framed_into(&mut buf);
+        let mut expected = prefix;
+        expected.extend_from_slice(&record.encode_framed());
+        prop_assert_eq!(buf, expected);
+    }
+
+    /// Both journal cursors round-trip through the checkpoint frame.
+    #[test]
+    fn journal_cursors_round_trip(skip in any::<u64>(), offset in any::<u64>()) {
+        let mut ck = Checkpoint::decode(valid_checkpoint()).expect("valid");
+        ck.journal_skip = skip;
+        ck.journal_offset = offset;
+        let bytes = ck.encode();
+        prop_assert_eq!(Checkpoint::decode(&bytes).expect("round-trips"), ck);
+    }
+
+    /// A read from a checkpoint's byte cursor yields exactly the records
+    /// after it, whatever garbage sits in the covered prefix or after
+    /// the tail, and reports offsets in whole-file terms.
+    #[test]
+    fn read_journal_from_a_cursor_decodes_only_the_tail(
+        covered in prop::collection::vec(any::<u8>(), 0..64),
+        tail in prop::collection::vec(arb_record(), 0..6),
+        garbage in prop::collection::vec(any::<u8>(), 0..32),
+    ) {
+        let mut file = covered.clone();
+        for r in &tail {
+            r.encode_framed_into(&mut file);
+        }
+        let tail_end = file.len() as u64;
+        file.extend_from_slice(&garbage);
+        let path = temp_journal();
+        std::fs::write(&path, &file).expect("write journal");
+        let out = read_journal(&path, covered.len() as u64).expect("cursor inside the file");
+        let past_end = read_journal(&path, file.len() as u64 + 1);
+        std::fs::remove_file(&path).ok();
+        let missing = read_journal(&path, 1);
+        prop_assert_eq!(&out.records[..tail.len()], &tail[..]);
+        prop_assert!(out.valid_bytes >= tail_end);
+        prop_assert_eq!(out.valid_bytes + out.dropped_bytes, file.len() as u64);
+        // A cursor past the end of the file, or into a missing file, is
+        // corruption, not an empty tail.
+        for refused in [past_end, missing] {
+            let is_corrupt_journal =
+                matches!(refused, Err(RecoverError::Corrupt { what: "journal", .. }));
+            prop_assert!(is_corrupt_journal);
+        }
     }
 }

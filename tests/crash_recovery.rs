@@ -10,8 +10,8 @@ use airsched_core::types::{ChannelId, PageId};
 use airsched_obs::events::Event;
 use airsched_obs::Obs;
 use airsched_recover::{
-    CrashInjector, RecoverError, RecoverableStation, RecoveryOptions, CHECKPOINT_FILE,
-    CHECKPOINT_SHADOW, JOURNAL_FILE,
+    read_journal, Checkpoint, CrashInjector, JournalRecord, RecoverError, RecoverableStation,
+    RecoveryOptions, CHECKPOINT_FILE, CHECKPOINT_SHADOW, JOURNAL_FILE,
 };
 use airsched_server::faults::{FaultEvent, FaultPlan};
 use airsched_server::{Station, StationStats, TickOutcome};
@@ -90,6 +90,40 @@ fn run_until_crash(run: &mut RecoverableStation) -> u64 {
     }
 }
 
+/// Drives the twin's whole history through a crash-free recoverable
+/// station (checkpoint every 8 slots) and returns its state directory.
+fn journaled_twin_history(tag: &str) -> PathBuf {
+    let dir = state_dir(tag);
+    let opts = RecoveryOptions::new().checkpoint_every(8);
+    let mut run = RecoverableStation::create(&dir, fresh_station(), Some(plan()), opts)
+        .expect("create succeeds");
+    for t in 0..SLOTS {
+        if let Some(p) = sub_page(t) {
+            run.subscribe(p).expect("subscribes");
+        }
+        run.tick().expect("ticks");
+    }
+    dir
+}
+
+/// The journal of the twin history is pinned byte for byte in
+/// `tests/golden/journal_history.bin`, written by the per-record journal
+/// writer that preceded group commit: how records are batched into
+/// writes must never change what lands on disk.
+#[test]
+fn journal_bytes_match_the_pinned_golden() {
+    let dir = journaled_twin_history("golden");
+    let got = fs::read(dir.join(JOURNAL_FILE)).expect("journal exists");
+    let golden = include_bytes!("golden/journal_history.bin");
+    assert!(
+        got == golden,
+        "journal drifted from tests/golden/journal_history.bin ({} bytes, golden {})",
+        got.len(),
+        golden.len()
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn crash_at_every_slot_recovers_bit_identically() {
     let (twin, twin_stats) = twin_outcomes();
@@ -111,13 +145,11 @@ fn crash_at_every_slot_recovers_bit_identically() {
         assert_eq!(report.resumed_at, crash_at);
 
         for t in crash_at..SLOTS {
-            // The crash fired *before* ticking `crash_at`, but after that
-            // slot's subscription was journaled — replay already applied
-            // it, so only later slots subscribe afresh.
-            if t != crash_at {
-                if let Some(p) = sub_page(t) {
-                    resumed.subscribe(p).expect("subscribes");
-                }
+            // The crash fired *before* ticking `crash_at`, so that slot's
+            // buffered subscription died with the process: the
+            // continuation issues it again.
+            if let Some(p) = sub_page(t) {
+                resumed.subscribe(p).expect("subscribes");
             }
             let got = resumed.tick().expect("post-recovery ticks");
             assert_eq!(
@@ -176,12 +208,10 @@ fn state_files_are_a_function_of_the_serving_history_alone() {
     .expect("resume succeeds");
     assert_eq!(report.resumed_at, crash_at);
     for t in crash_at..SLOTS {
-        // As in the crash sweep: slot `crash_at`'s subscription was
-        // journaled before the crash, so replay already applied it.
-        if t != crash_at {
-            if let Some(p) = sub_page(t) {
-                resumed.subscribe(p).expect("subscribes");
-            }
+        // As in the crash sweep: slot `crash_at`'s subscription was lost
+        // with the unfinished slot, so the continuation issues it again.
+        if let Some(p) = sub_page(t) {
+            resumed.subscribe(p).expect("subscribes");
         }
         let got = resumed.tick().expect("post-recovery ticks");
         assert_eq!(
@@ -193,6 +223,124 @@ fn state_files_are_a_function_of_the_serving_history_alone() {
     assert_eq!(resumed.stats(), twin_stats);
     fs::remove_dir_all(&first_dir).ok();
     fs::remove_dir_all(&second_dir).ok();
+}
+
+/// The journal is committed once per slot, so a crash between a slot's
+/// subscriptions and its tick loses all of them together: the state
+/// directory is exactly as the previous tick left it, and the resumed
+/// continuation, re-issuing that slot's inputs, matches the twin.
+#[test]
+fn crash_between_subscribe_and_tick_loses_the_whole_slot() {
+    let (twin, twin_stats) = twin_outcomes();
+    let crash_at = 43;
+    let dir = state_dir("unfinished");
+    let opts = RecoveryOptions::new()
+        .checkpoint_every(8)
+        .with_crash(CrashInjector::at_slot(crash_at));
+    let mut run =
+        RecoverableStation::create(&dir, fresh_station(), Some(plan()), opts).expect("create");
+    for t in 0..crash_at {
+        if let Some(p) = sub_page(t) {
+            run.subscribe(p).expect("subscribes");
+        }
+        run.tick().expect("ticks");
+    }
+    let stats_before = run.stats();
+    let journal_before = fs::read(dir.join(JOURNAL_FILE)).expect("journal exists");
+    for page in 0..4 {
+        run.subscribe(PageId::new(page)).expect("subscribes");
+    }
+    assert!(matches!(
+        run.tick(),
+        Err(RecoverError::Crashed { slot }) if slot == crash_at
+    ));
+    drop(run); // the "process" dies with the slot's inputs still buffered
+
+    let journal = fs::read(dir.join(JOURNAL_FILE)).expect("journal exists");
+    assert_eq!(journal, journal_before, "the unfinished slot reached disk");
+    let records = read_journal(&dir.join(JOURNAL_FILE), 0)
+        .expect("journal reads")
+        .records;
+    let last_tick = records
+        .iter()
+        .rev()
+        .find_map(|r| match r {
+            JournalRecord::Tick { slot } => Some(*slot),
+            _ => None,
+        })
+        .expect("the journal holds ticks");
+    assert_eq!(last_tick, crash_at - 1);
+    assert!(
+        !matches!(records.last(), Some(JournalRecord::Subscribe { .. })),
+        "the journal must end with the previous slot's records"
+    );
+
+    let (mut resumed, report) =
+        RecoverableStation::resume(&dir, RecoveryOptions::new().checkpoint_every(8), None)
+            .expect("resume succeeds");
+    assert_eq!(report.resumed_at, crash_at);
+    assert_eq!(resumed.stats(), stats_before);
+    for t in crash_at..SLOTS {
+        if let Some(p) = sub_page(t) {
+            resumed.subscribe(p).expect("subscribes");
+        }
+        let got = resumed.tick().expect("post-recovery ticks");
+        assert_eq!(
+            got,
+            twin[usize::try_from(t).expect("small")],
+            "outcome diverged at slot {t}"
+        );
+    }
+    assert_eq!(resumed.stats(), twin_stats);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Resume seeks to the checkpoint's byte cursor and never reads the
+/// records the checkpoint already covers, so bit rot inside that prefix
+/// does not block recovery.
+#[test]
+fn corruption_inside_the_checkpointed_prefix_does_not_block_recovery() {
+    let (twin, twin_stats) = twin_outcomes();
+    let crash_at = 43;
+    let dir = state_dir("prefix");
+    let opts = RecoveryOptions::new()
+        .checkpoint_every(8)
+        .with_crash(CrashInjector::at_slot(crash_at));
+    let mut run =
+        RecoverableStation::create(&dir, fresh_station(), Some(plan()), opts).expect("create");
+    assert_eq!(run_until_crash(&mut run), crash_at);
+    drop(run);
+
+    let ck = Checkpoint::read(&dir).expect("checkpoint reads");
+    assert!(ck.journal_offset > 0);
+    let journal_path = dir.join(JOURNAL_FILE);
+    let mut bytes = fs::read(&journal_path).expect("journal exists");
+    bytes[2] ^= 0x40; // inside the first record's body
+    fs::write(&journal_path, &bytes).expect("rewrite");
+    let whole = read_journal(&journal_path, 0).expect("journal reads");
+    assert!(
+        (whole.records.len() as u64) < ck.journal_skip,
+        "a read from the start stops at the flipped byte"
+    );
+
+    let (mut resumed, report) =
+        RecoverableStation::resume(&dir, RecoveryOptions::new().checkpoint_every(8), None)
+            .expect("prefix corruption must not refuse recovery");
+    assert_eq!(report.resumed_at, crash_at);
+    assert_eq!(report.dropped_bytes, 0);
+    for t in crash_at..SLOTS {
+        if let Some(p) = sub_page(t) {
+            resumed.subscribe(p).expect("subscribes");
+        }
+        let got = resumed.tick().expect("post-recovery ticks");
+        assert_eq!(
+            got,
+            twin[usize::try_from(t).expect("small")],
+            "outcome diverged at slot {t}"
+        );
+    }
+    assert_eq!(resumed.stats(), twin_stats);
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
