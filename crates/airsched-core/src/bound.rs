@@ -105,22 +105,28 @@ pub fn minimum_channels_per_group(ladder: &GroupLadder) -> u32 {
 /// # Ok::<(), airsched_core::error::ScheduleError>(())
 /// ```
 pub fn minimum_channels_for_times(times: &[u64]) -> Result<u32, ScheduleError> {
-    // Running sum num/den, reduced by gcd after every step so the
+    // Theorem 3.1 is a sum over groups, `sum_i P_i / t_i`: pages that share
+    // an expected time form one term, so the exact fraction costs two gcds
+    // per distinct time rather than per page.
+    let mut sorted = times.to_vec();
+    sorted.sort_unstable();
+    if sorted.first() == Some(&0) {
+        return Err(ScheduleError::InvalidFrequencies {
+            reason: "expected times must be positive",
+        });
+    }
+    // Running sum num/den, reduced by gcd after every group so the
     // denominator stays the lcm of the distinct times seen so far.
     let mut num: u128 = 0;
     let mut den: u128 = 1;
-    for &t in times {
-        if t == 0 {
-            return Err(ScheduleError::InvalidFrequencies {
-                reason: "expected times must be positive",
-            });
-        }
-        let t = u128::from(t);
+    for group in sorted.chunk_by(|a, b| a == b) {
+        let t = u128::from(group[0]);
+        let count = group.len() as u128;
         let g = gcd(den, t);
         let scale = t / g;
         num = num
             .checked_mul(scale)
-            .and_then(|n| n.checked_add(den / g))
+            .and_then(|n| n.checked_add(count.checked_mul(den / g)?))
             .ok_or(ScheduleError::WorkloadTooLarge {
                 reason: "channel-demand fraction overflows 128 bits",
             })?;
@@ -161,6 +167,70 @@ pub fn channel_demand(ladder: &GroupLadder) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use proptest::prelude::*;
+
+    /// The per-page fold the grouped sum replaced, kept as its reference:
+    /// one `1/t` term (two gcds) per page, in input order.
+    fn per_page_reference(times: &[u64]) -> Result<u32, ScheduleError> {
+        let mut num: u128 = 0;
+        let mut den: u128 = 1;
+        for &t in times {
+            if t == 0 {
+                return Err(ScheduleError::InvalidFrequencies {
+                    reason: "expected times must be positive",
+                });
+            }
+            let t = u128::from(t);
+            let g = gcd(den, t);
+            let scale = t / g;
+            num = num
+                .checked_mul(scale)
+                .and_then(|n| n.checked_add(den / g))
+                .ok_or(ScheduleError::WorkloadTooLarge {
+                    reason: "channel-demand fraction overflows 128 bits",
+                })?;
+            den = den
+                .checked_mul(scale)
+                .ok_or(ScheduleError::WorkloadTooLarge {
+                    reason: "channel-demand denominator overflows 128 bits",
+                })?;
+            let g = gcd(num, den);
+            num /= g;
+            den /= g;
+        }
+        u32::try_from(num.div_ceil(den)).map_err(|_| ScheduleError::WorkloadTooLarge {
+            reason: "minimum channel count exceeds u32",
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Summing per distinct time gives the per-page result and error
+        /// on catalogues in any order, harmonic or not, with or without
+        /// zero times mixed in.
+        #[test]
+        fn catalogue_bound_matches_the_per_page_reference(
+            groups in prop::collection::vec((1u64..=48, 1usize..=40), 0..8),
+            zeros in prop::collection::vec(any::<u64>(), 0..3),
+            keys in prop::collection::vec(any::<u64>(), 320),
+        ) {
+            let mut times: Vec<u64> = groups
+                .iter()
+                .flat_map(|&(t, count)| std::iter::repeat_n(t, count))
+                .collect();
+            times.extend(std::iter::repeat_n(0, zeros.len()));
+            // Shuffle by sorting on random keys.
+            let mut keyed: Vec<(u64, u64)> = times.into_iter().zip(keys).map(|(t, k)| (k, t)).collect();
+            keyed.sort_unstable();
+            let shuffled: Vec<u64> = keyed.into_iter().map(|(_, t)| t).collect();
+            prop_assert_eq!(
+                minimum_channels_for_times(&shuffled),
+                per_page_reference(&shuffled)
+            );
+        }
+    }
 
     #[test]
     fn paper_example_needs_two_channels() {

@@ -26,6 +26,10 @@
 //! starting from the first slot of every channel", made exact for an
 //! online grid. `remove_page` frees cells, so it forgets every resume
 //! point; a rebuild starts a fresh grid without any.
+//!
+//! A repack ([`OnlineScheduler::program_on_channels`] and the rebuilds)
+//! runs the same first-fit straight into a fresh [`BroadcastProgram`],
+//! so it costs the cells it places: no scratch scheduler, no page map.
 
 use std::collections::BTreeMap;
 
@@ -55,10 +59,61 @@ pub struct OnlineScheduler {
     program: BroadcastProgram,
     /// Expected time of each live page.
     pages: BTreeMap<PageId, u64>,
-    /// First-fit resume point per expected time: where the last search
-    /// for that period stopped (see the module docs). A cache, valid only
-    /// until the next removal.
-    resume: BTreeMap<u64, (u32, u64)>,
+    /// Where the last first-fit search for each period stopped.
+    fit: FirstFit,
+}
+
+/// First-fit resume points, one per expected time: where the last search
+/// for that period stopped (see the module docs). A cache, valid only
+/// until the next removal. A catalogue has a handful of distinct times,
+/// so a linear scan of a small vector beats any map.
+#[derive(Debug, Clone, Default)]
+struct FirstFit {
+    resume: Vec<(u64, (u32, u64))>,
+}
+
+impl FirstFit {
+    /// Places `page` on the first `(channel, offset)` whose whole periodic
+    /// family of period `expected` is free, resuming where the last search
+    /// for this period stopped. `false` when no family is free.
+    fn place(&mut self, program: &mut BroadcastProgram, page: PageId, expected: u64) -> bool {
+        let channels = program.channels();
+        let at = match self.resume.iter().position(|&(t, _)| t == expected) {
+            Some(at) => at,
+            None => {
+                self.resume.push((expected, (0, 0)));
+                self.resume.len() - 1
+            }
+        };
+        let (first_ch, first_y) = self.resume[at].1;
+        let found = (first_ch..channels).find_map(|ch| {
+            let from = if ch == first_ch { first_y } else { 0 };
+            (from..expected)
+                .find(|&y| program.family_is_free(ch, y, expected))
+                .map(|y| (ch, y))
+        });
+        self.resume[at].1 = found.unwrap_or((channels, 0));
+        if let Some((ch, y)) = found {
+            program.place_family(ch, y, expected, page);
+        }
+        found.is_some()
+    }
+}
+
+/// Rejects an expected time that cannot be placed periodically in `cycle`.
+fn check_expected(cycle: u64, expected: u64) -> Result<(), ScheduleError> {
+    if expected == 0 || !cycle.is_multiple_of(expected) {
+        return Err(ScheduleError::InvalidFrequencies {
+            reason: "expected time must divide the cycle length",
+        });
+    }
+    Ok(())
+}
+
+fn already_scheduled() -> ScheduleError {
+    ScheduleError::InvalidFrequencies {
+        reason: "page id is already scheduled",
+    }
 }
 
 /// Equality is the grid and the live pages; the resume points are a
@@ -89,7 +144,7 @@ impl OnlineScheduler {
         Ok(Self {
             program: BroadcastProgram::new(channels, max_time),
             pages: BTreeMap::new(),
-            resume: BTreeMap::new(),
+            fit: FirstFit::default(),
         })
     }
 
@@ -122,44 +177,15 @@ impl OnlineScheduler {
     ///   free — retry after [`OnlineScheduler::rebuild`], or treat as
     ///   capacity exhaustion if that also fails.
     pub fn add_page(&mut self, page: PageId, expected: u64) -> Result<(), ScheduleError> {
-        let cycle = self.program.cycle_len();
-        if expected == 0 || !cycle.is_multiple_of(expected) {
-            return Err(ScheduleError::InvalidFrequencies {
-                reason: "expected time must divide the cycle length",
-            });
-        }
+        check_expected(self.program.cycle_len(), expected)?;
         if self.pages.contains_key(&page) {
-            return Err(ScheduleError::InvalidFrequencies {
-                reason: "page id is already scheduled",
-            });
+            return Err(already_scheduled());
         }
-        let repeats = cycle / expected;
-        let channels = self.program.channels();
-        // Find the first channel and offset whose whole periodic family is
-        // free, resuming where the last search for this period stopped.
-        let (first_ch, first_y) = self.resume.get(&expected).copied().unwrap_or((0, 0));
-        for ch in first_ch..channels {
-            let from = if ch == first_ch { first_y } else { 0 };
-            'offset: for y in from..expected {
-                for k in 0..repeats {
-                    let pos = GridPos::new(ChannelId::new(ch), SlotIndex::new(y + k * expected));
-                    if !self.program.is_free(pos) {
-                        continue 'offset;
-                    }
-                }
-                for k in 0..repeats {
-                    let pos = GridPos::new(ChannelId::new(ch), SlotIndex::new(y + k * expected));
-                    self.program
-                        .place(pos, page)
-                        .expect("family was checked to be free");
-                }
-                self.pages.insert(page, expected);
-                self.resume.insert(expected, (ch, y));
-                return Ok(());
-            }
+        if !self.fit.place(&mut self.program, page, expected) {
+            return Err(ScheduleError::PlacementFailed { page });
         }
-        self.resume.insert(expected, (channels, 0));
-        Err(ScheduleError::PlacementFailed { page })
+        self.pages.insert(page, expected);
+        Ok(())
     }
 
     /// Removes `page`, freeing its slots.
@@ -176,7 +202,7 @@ impl OnlineScheduler {
         }
         self.program.clear_page(page);
         // Freed cells can open families before any resume point.
-        self.resume.clear();
+        self.fit = FirstFit::default();
         Ok(())
     }
 
@@ -234,7 +260,7 @@ impl OnlineScheduler {
     ///
     /// As [`OnlineScheduler::rebuild_on_channels`].
     pub fn program_on_channels(&self, channels: u32) -> Result<BroadcastProgram, ScheduleError> {
-        Ok(self.repacked(channels, &[])?.program)
+        Ok(self.pack(channels, &[])?.0)
     }
 
     /// Captures the scheduler's exact state — the grid cell by cell plus
@@ -303,7 +329,7 @@ impl OnlineScheduler {
         Ok(Self {
             program,
             pages: snapshot.pages.iter().copied().collect(),
-            resume: BTreeMap::new(),
+            fit: FirstFit::default(),
         })
     }
 
@@ -314,21 +340,37 @@ impl OnlineScheduler {
         channels: u32,
         pending: &[(PageId, u64)],
     ) -> Result<(), ScheduleError> {
-        *self = self.repacked(channels, pending)?;
+        (self.program, self.fit) = self.pack(channels, pending)?;
+        self.pages.extend(pending.iter().copied());
         Ok(())
     }
 
-    /// A fresh scheduler holding the live pages plus `pending` on
-    /// `channels`, placed tightest-first as SUSC does.
-    fn repacked(&self, channels: u32, pending: &[(PageId, u64)]) -> Result<Self, ScheduleError> {
-        let mut order: Vec<(PageId, u64)> = self.pages.iter().map(|(p, t)| (*p, *t)).collect();
-        order.extend_from_slice(pending);
-        order.sort_by_key(|&(p, t)| (t, p));
-        let mut fresh = Self::new(channels, self.program.cycle_len())?;
-        for (page, t) in order {
-            fresh.add_page(page, t)?;
+    /// A fresh program holding the live pages plus `pending` on
+    /// `channels`, placed tightest-first as SUSC does, with the first-fit
+    /// state the placement left behind.
+    fn pack(
+        &self,
+        channels: u32,
+        pending: &[(PageId, u64)],
+    ) -> Result<(BroadcastProgram, FirstFit), ScheduleError> {
+        if channels == 0 {
+            return Err(ScheduleError::NoChannels);
         }
-        Ok(fresh)
+        let mut order: Vec<(PageId, u64)> = self.pages.iter().map(|(&p, &t)| (p, t)).collect();
+        order.extend_from_slice(pending);
+        order.sort_unstable_by_key(|&(p, t)| (t, p));
+        let mut program = BroadcastProgram::new(channels, self.program.cycle_len());
+        let mut fit = FirstFit::default();
+        for (page, t) in order {
+            check_expected(program.cycle_len(), t)?;
+            if program.frequency(page) > 0 {
+                return Err(already_scheduled());
+            }
+            if !fit.place(&mut program, page, t) {
+                return Err(ScheduleError::PlacementFailed { page });
+            }
+        }
+        Ok((program, fit))
     }
 }
 

@@ -16,10 +16,25 @@ use crate::types::{ChannelId, GridPos, PageId, SlotIndex};
 
 /// A source of per-page occurrence columns over a cyclic schedule.
 ///
-/// Implemented by [`BroadcastProgram`] (live placement tables) and
-/// [`OccurrenceIndex`] (a compact, detached snapshot of the same tables), so
-/// consumers such as `validity::check` and the simulator's access paths run
-/// unchanged against either.
+/// Implemented by [`BroadcastProgram`], whose column table is already one
+/// flat arena, so consumers such as `validity::check` and the simulator's
+/// access paths query the program directly. Generic consumers accept any
+/// other source with the same sorted-columns contract.
+///
+/// # Examples
+///
+/// ```
+/// use airsched_core::program::{BroadcastProgram, Occurrences};
+/// use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex};
+///
+/// let mut program = BroadcastProgram::new(1, 4);
+/// program.place(GridPos::new(ChannelId::new(0), SlotIndex::new(2)), PageId::new(0))?;
+/// assert_eq!(program.next_broadcast(PageId::new(0), 0), Some(2));
+/// assert_eq!(program.next_broadcast(PageId::new(0), 3), Some(6)); // wraps
+/// let mut cursor = program.occurrence_cursor(PageId::new(0)).unwrap();
+/// assert_eq!(cursor.next_after(7), 10);
+/// # Ok::<(), airsched_core::program::SlotOccupied>(())
+/// ```
 pub trait Occurrences {
     /// Cycle length in slots.
     fn cycle_len(&self) -> u64;
@@ -71,83 +86,6 @@ pub fn cyclic_gaps_over(cols: &[u64], cycle: u64) -> impl Iterator<Item = u64> +
             cycle - cols[n - 1] + cols[0]
         }
     })
-}
-
-/// A precomputed, immutable next-broadcast index over one program: per-page
-/// sorted slot offsets flattened into a single arena, built once per
-/// [`BroadcastProgram`] and then queried lock-step with the serving path.
-///
-/// [`Occurrences::next_broadcast`] answers "when does page `p` next air at or
-/// after slot `t`?" in `O(log f_p)`; [`OccurrenceIndex::cursor`] amortizes a
-/// monotone query stream to `O(1)` per query.
-///
-/// # Examples
-///
-/// ```
-/// use airsched_core::program::{BroadcastProgram, Occurrences};
-/// use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex};
-///
-/// let mut program = BroadcastProgram::new(1, 4);
-/// program.place(GridPos::new(ChannelId::new(0), SlotIndex::new(2)), PageId::new(0))?;
-/// let index = program.occurrence_index();
-/// assert_eq!(index.next_broadcast(PageId::new(0), 0), Some(2));
-/// assert_eq!(index.next_broadcast(PageId::new(0), 3), Some(6)); // wraps
-/// assert_eq!(index.wait_from(PageId::new(0), 3), program.wait_from(PageId::new(0), 3));
-/// # Ok::<(), airsched_core::program::SlotOccupied>(())
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OccurrenceIndex {
-    cycle_len: u64,
-    /// All per-page column lists, concatenated page-major.
-    offsets: Vec<u64>,
-    /// Per-page half-open `(start, end)` ranges into `offsets`, indexed
-    /// densely by `PageId::index()`.
-    ranges: Vec<(usize, usize)>,
-}
-
-impl OccurrenceIndex {
-    /// Builds the index by flattening `program`'s occurrence tables.
-    #[must_use]
-    pub fn build(program: &BroadcastProgram) -> Self {
-        let total: usize = program.columns.iter().map(Vec::len).sum();
-        let mut offsets = Vec::with_capacity(total);
-        let mut ranges = Vec::with_capacity(program.columns.len());
-        for cols in &program.columns {
-            let start = offsets.len();
-            offsets.extend_from_slice(cols);
-            ranges.push((start, offsets.len()));
-        }
-        Self {
-            cycle_len: program.cycle_len,
-            offsets,
-            ranges,
-        }
-    }
-
-    /// Number of logical occurrences (distinct columns) of `page`.
-    #[must_use]
-    pub fn frequency(&self, page: PageId) -> u64 {
-        self.occurrence_columns(page).len() as u64
-    }
-
-    /// An amortized-O(1) cursor over `page`'s occurrences for non-decreasing
-    /// query times, or `None` if the page is never broadcast.
-    #[must_use]
-    pub fn cursor(&self, page: PageId) -> Option<OccurrenceCursor<'_>> {
-        OccurrenceCursor::over(self.occurrence_columns(page), self.cycle_len)
-    }
-}
-
-impl Occurrences for OccurrenceIndex {
-    fn cycle_len(&self) -> u64 {
-        self.cycle_len
-    }
-
-    fn occurrence_columns(&self, page: PageId) -> &[u64] {
-        self.ranges
-            .get(page.index() as usize)
-            .map_or(&[], |&(start, end)| &self.offsets[start..end])
-    }
 }
 
 /// A forward-only cursor over one page's occurrences. For a stream of
@@ -236,24 +174,199 @@ impl<'a> OccurrenceCursor<'a> {
 /// assert_eq!(program.occupied_slots(), 1);
 /// # Ok::<(), airsched_core::program::SlotOccupied>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct BroadcastProgram {
     channels: u32,
     cycle_len: u64,
     /// Row-major: `grid[channel * cycle_len + slot]`.
     grid: Vec<Option<PageId>>,
-    /// Columns (deduplicated, sorted) in which each page appears, indexed
+    /// Columns (deduplicated, sorted) in which each page appears, keyed
     /// densely by `PageId::index()` — page ids are dense by construction
     /// ([`crate::group::GroupLadder`] numbers them contiguously from 0), so
-    /// a direct table beats the seed's `BTreeMap` on every lookup the hot
-    /// paths make (`occurrence_columns`, `wait_from`, validity sweeps).
-    /// Entries for never-placed pages are empty vectors.
-    columns: Vec<Vec<u64>>,
-    /// Every cell holding each page (same dense indexing), kept sorted
-    /// row-major so that equality and [`BroadcastProgram::occurrences`] are
-    /// independent of placement order.
-    cells: Vec<Vec<GridPos>>,
+    /// a direct table beats a map on every lookup the hot paths make
+    /// (`occurrence_columns`, `wait_from`, validity sweeps). A never-placed
+    /// page has an empty span.
+    columns: SpanArena<u64>,
+    /// Every cell holding each page (same dense keying), kept sorted
+    /// row-major so that [`BroadcastProgram::occurrences`] is independent
+    /// of placement order.
+    cells: SpanArena<GridPos>,
     occupied: u64,
+}
+
+/// Equality is the dimensions and the grid: both occurrence tables are
+/// functions of the grid, and their arena layout depends on placement
+/// order, so comparing them would add cost and no information.
+impl PartialEq for BroadcastProgram {
+    fn eq(&self, other: &Self) -> bool {
+        self.channels == other.channels
+            && self.cycle_len == other.cycle_len
+            && self.grid == other.grid
+    }
+}
+
+impl Eq for BroadcastProgram {}
+
+/// One page's run inside a [`SpanArena`]: `len` live entries at `off`,
+/// in a reservation of `cap` entries (`cap == 0`: no reservation).
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    off: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// Per-page sorted runs of `T` in one entry vector: the discipline of the
+/// station's waiting set (DESIGN §12.1) applied to the program's
+/// occurrence tables (DESIGN §8.5).
+///
+/// A run that ends at the arena tail grows in place by exactly what it
+/// gains, so a page placed in one go (a SUSC family) takes no slack. A
+/// full run elsewhere relocates to the tail with twice its reservation,
+/// stranding the old one. Freed and stranded entries are reclaimed by a
+/// compaction once the arena exceeds twice the reserved total, so the
+/// arena stays within twice what its runs reserve.
+#[derive(Debug, Clone)]
+struct SpanArena<T> {
+    items: Vec<T>,
+    spans: Vec<Span>,
+    /// Sum of every span's `cap`.
+    reserved: usize,
+}
+
+fn arena_offset(n: usize) -> u32 {
+    u32::try_from(n).expect("program occurrence arena fits in u32 offsets")
+}
+
+impl<T: Copy + Ord> SpanArena<T> {
+    fn new() -> Self {
+        Self {
+            items: Vec::new(),
+            spans: Vec::new(),
+            reserved: 0,
+        }
+    }
+
+    fn get(&self, key: usize) -> &[T] {
+        self.spans.get(key).map_or(&[], |s| {
+            &self.items[s.off as usize..s.off as usize + s.len as usize]
+        })
+    }
+
+    /// Inserts `value` into `key`'s sorted run; `false` (and no change)
+    /// when the run already holds it.
+    fn insert(&mut self, key: usize, value: T) -> bool {
+        if self.spans.len() <= key {
+            self.spans.resize(key + 1, Span::default());
+        }
+        let s = self.spans[key];
+        let (off, len, cap) = (s.off as usize, s.len as usize, s.cap as usize);
+        let run = &self.items[off..off + len];
+        let at = if run.last().is_none_or(|&last| last < value) {
+            len
+        } else {
+            match run.binary_search(&value) {
+                Ok(_) => return false,
+                Err(at) => at,
+            }
+        };
+        if len < cap {
+            self.items.copy_within(off + at..off + len, off + at + 1);
+            self.items[off + at] = value;
+            self.spans[key].len += 1;
+        } else if cap == 0 || off + cap == self.items.len() {
+            // A new run, or one ending at the tail: grow by exactly one.
+            let off = if cap == 0 { self.items.len() } else { off };
+            self.items.insert(off + at, value);
+            self.spans[key] = Span {
+                off: arena_offset(off),
+                len: s.len + 1,
+                cap: s.cap + 1,
+            };
+            self.reserved += 1;
+        } else {
+            // Relocate to the tail with double the reservation; the old
+            // one is stranded until the next compaction.
+            let tail = self.items.len();
+            self.items.extend_from_within(off..off + at);
+            self.items.push(value);
+            self.items.extend_from_within(off + at..off + len);
+            self.items.resize(tail + 2 * cap, value);
+            self.spans[key] = Span {
+                off: arena_offset(tail),
+                len: s.len + 1,
+                cap: 2 * s.cap,
+            };
+            self.reserved += cap;
+            self.compact_if_sparse();
+        }
+        true
+    }
+
+    /// Gives the empty run at `key` exactly the ascending `values`, sized
+    /// once at the arena tail. A non-empty run falls back to insertion.
+    fn append_run(&mut self, key: usize, values: impl ExactSizeIterator<Item = T>) {
+        if self.get(key).is_empty() {
+            // An empty run holds no reservation (`release` returns it).
+            debug_assert_eq!(self.spans.get(key).map_or(0, |s| s.cap), 0);
+            if self.spans.len() <= key {
+                self.spans.resize(key + 1, Span::default());
+            }
+            let n = values.len();
+            let off = self.items.len();
+            self.items.extend(values);
+            self.spans[key] = Span {
+                off: arena_offset(off),
+                len: arena_offset(n),
+                cap: arena_offset(n),
+            };
+            self.reserved += n;
+        } else {
+            for v in values {
+                self.insert(key, v);
+            }
+        }
+    }
+
+    /// Empties `key`'s run and gives back its reservation. A reservation
+    /// at the arena tail is truncated away, and trailing empty spans are
+    /// trimmed.
+    fn release(&mut self, key: usize) {
+        let Some(s) = self.spans.get_mut(key) else {
+            return;
+        };
+        let (off, cap) = (s.off as usize, s.cap as usize);
+        *s = Span::default();
+        self.reserved -= cap;
+        if cap > 0 && off + cap == self.items.len() {
+            self.items.truncate(off);
+        }
+        while self.spans.last().is_some_and(|s| s.cap == 0) {
+            self.spans.pop();
+        }
+        self.compact_if_sparse();
+    }
+
+    /// Packs every run tightly (`cap = len`) once stranded entries
+    /// outnumber reserved ones.
+    fn compact_if_sparse(&mut self) {
+        if self.items.len() <= 2 * self.reserved {
+            return;
+        }
+        let mut items = Vec::with_capacity(self.spans.iter().map(|s| s.len as usize).sum());
+        for s in self.spans.iter_mut().filter(|s| s.cap > 0) {
+            let off = s.off as usize;
+            let new_off = arena_offset(items.len());
+            items.extend_from_slice(&self.items[off..off + s.len as usize]);
+            *s = Span {
+                off: new_off,
+                len: s.len,
+                cap: s.len,
+            };
+        }
+        self.reserved = items.len();
+        self.items = items;
+    }
 }
 
 /// Error returned by [`BroadcastProgram::place`] when the slot is taken.
@@ -292,8 +405,8 @@ impl BroadcastProgram {
             channels,
             cycle_len,
             grid: vec![None; cells],
-            columns: Vec::new(),
-            cells: Vec::new(),
+            columns: SpanArena::new(),
+            cells: SpanArena::new(),
             occupied: 0,
         }
     }
@@ -383,42 +496,64 @@ impl BroadcastProgram {
         self.grid[idx] = Some(page);
         self.occupied += 1;
         let p = page.index() as usize;
-        if p >= self.columns.len() {
-            // Dense page ids: the tables never grow past the catalogue size.
-            self.columns.resize_with(p + 1, Vec::new);
-            self.cells.resize_with(p + 1, Vec::new);
-        }
-        let cols = &mut self.columns[p];
-        match cols.binary_search(&pos.slot.index()) {
-            Ok(_) => {} // same column on another channel: one logical occurrence
-            Err(at) => cols.insert(at, pos.slot.index()),
-        }
-        let cells = &mut self.cells[p];
-        let at = cells.partition_point(|c| *c < pos);
-        cells.insert(at, pos);
+        // Same column on another channel is one logical occurrence.
+        self.columns.insert(p, pos.slot.index());
+        self.cells.insert(p, pos);
         Ok(())
+    }
+
+    /// Whether every cell of the periodic family `y, y + t, y + 2t, …` on
+    /// channel `ch` is free. `t` must divide the cycle and `y < t`.
+    pub(crate) fn family_is_free(&self, ch: u32, y: u64, t: u64) -> bool {
+        self.grid[self.row(ch)][y as usize..]
+            .iter()
+            .step_by(t as usize)
+            .all(Option::is_none)
+    }
+
+    /// Places `page` on the periodic family `y, y + t, …` of channel `ch`
+    /// — the SUSC placement — sizing the page's table spans once. The
+    /// family must be free ([`BroadcastProgram::family_is_free`]).
+    pub(crate) fn place_family(&mut self, ch: u32, y: u64, t: u64, page: PageId) {
+        let row = self.row(ch);
+        let mut placed = 0;
+        for cell in self.grid[row][y as usize..].iter_mut().step_by(t as usize) {
+            debug_assert!(cell.is_none(), "family was checked to be free");
+            *cell = Some(page);
+            placed += 1;
+        }
+        self.occupied += placed as u64;
+        let slots = (0..placed).map(move |k| y + k as u64 * t);
+        let p = page.index() as usize;
+        let channel = ChannelId::new(ch);
+        let cells = slots
+            .clone()
+            .map(|slot| GridPos::new(channel, SlotIndex::new(slot)));
+        self.cells.append_run(p, cells);
+        self.columns.append_run(p, slots);
+    }
+
+    /// The grid range of channel `ch`'s row.
+    fn row(&self, ch: u32) -> core::ops::Range<usize> {
+        assert!(ch < self.channels, "channel {ch} out of range");
+        let len = self.cycle_len as usize;
+        ch as usize * len..(ch as usize + 1) * len
     }
 
     /// Frees every cell holding `page`, at the cost of the page's own
     /// cells. Crate-private so [`BroadcastProgram::place`] stays
     /// write-once in the public API; the online scheduler's removal is the
-    /// one caller. The dense tables end trimmed to the highest page still
-    /// placed, exactly as placing the survivors alone would leave them.
+    /// one caller.
     pub(crate) fn clear_page(&mut self, page: PageId) {
         let p = page.index() as usize;
-        let Some(cells) = self.cells.get_mut(p) else {
-            return;
-        };
-        for pos in std::mem::take(cells) {
-            let idx = self.cell_index(pos);
-            self.grid[idx] = None;
-            self.occupied -= 1;
+        let cells = self.cells.get(p);
+        for pos in cells {
+            let idx = u64::from(pos.channel.index()) * self.cycle_len + pos.slot.index();
+            self.grid[idx as usize] = None;
         }
-        self.columns[p].clear();
-        while self.columns.last().is_some_and(Vec::is_empty) {
-            self.columns.pop();
-            self.cells.pop();
-        }
+        self.occupied -= cells.len() as u64;
+        self.cells.release(p);
+        self.columns.release(p);
     }
 
     /// The sorted, deduplicated columns in which `page` appears (a page
@@ -426,9 +561,7 @@ impl BroadcastProgram {
     /// only needs one of them).
     #[must_use]
     pub fn occurrence_columns(&self, page: PageId) -> &[u64] {
-        self.columns
-            .get(page.index() as usize)
-            .map_or(&[], Vec::as_slice)
+        self.columns.get(page.index() as usize)
     }
 
     /// All `(channel, slot)` cells holding `page`, sorted row-major.
@@ -441,17 +574,7 @@ impl BroadcastProgram {
     /// multiget path walks these per candidate slot and must not clone.
     #[must_use]
     pub fn occurrence_cells(&self, page: PageId) -> &[GridPos] {
-        self.cells
-            .get(page.index() as usize)
-            .map_or(&[], Vec::as_slice)
-    }
-
-    /// A precomputed [`OccurrenceIndex`] snapshot of this program's
-    /// occurrence tables. Build once, query many: the index is immutable and
-    /// does not track later [`BroadcastProgram::place`] calls.
-    #[must_use]
-    pub fn occurrence_index(&self) -> OccurrenceIndex {
-        OccurrenceIndex::build(self)
+        self.cells.get(page.index() as usize)
     }
 
     /// An amortized-O(1) cursor over `page`'s occurrences borrowing this
@@ -464,9 +587,10 @@ impl BroadcastProgram {
     /// Every distinct page that appears at least once, in ascending id order.
     pub fn pages(&self) -> impl Iterator<Item = PageId> + '_ {
         self.columns
+            .spans
             .iter()
             .enumerate()
-            .filter(|(_, cols)| !cols.is_empty())
+            .filter(|(_, span)| span.len > 0)
             .map(|(i, _)| PageId::new(u32::try_from(i).expect("dense table index fits in u32")))
     }
 
@@ -572,6 +696,10 @@ impl fmt::Display for BroadcastProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use proptest::prelude::*;
+
+    use crate::dynamic::OnlineScheduler;
 
     fn pos(ch: u32, slot: u64) -> GridPos {
         GridPos::new(ChannelId::new(ch), SlotIndex::new(slot))
@@ -758,23 +886,27 @@ mod tests {
     }
 
     #[test]
-    fn occurrence_index_matches_program_waits() {
+    fn occurrences_trait_matches_program_waits() {
         let mut p = BroadcastProgram::new(2, 12);
         for slot in [0, 3, 4, 9] {
             p.place(pos(0, slot), PageId::new(1)).unwrap();
         }
         p.place(pos(1, 7), PageId::new(3)).unwrap();
-        let index = p.occurrence_index();
-        assert_eq!(Occurrences::cycle_len(&index), 12);
+        assert_eq!(Occurrences::cycle_len(&p), 12);
         for page in [PageId::new(1), PageId::new(3), PageId::new(2)] {
-            assert_eq!(index.occurrence_columns(page), p.occurrence_columns(page));
-            assert_eq!(index.frequency(page), p.frequency(page));
+            assert_eq!(
+                Occurrences::occurrence_columns(&p, page),
+                p.occurrence_columns(page)
+            );
             for from in 0..36 {
-                assert_eq!(index.wait_from(page, from), p.wait_from(page, from));
+                assert_eq!(
+                    Occurrences::wait_from(&p, page, from),
+                    p.wait_from(page, from)
+                );
             }
         }
         // Unknown (out-of-table) pages are simply never broadcast.
-        assert_eq!(index.next_broadcast(PageId::new(99), 5), None);
+        assert_eq!(p.next_broadcast(PageId::new(99), 5), None);
     }
 
     #[test]
@@ -782,13 +914,12 @@ mod tests {
         let mut p = BroadcastProgram::new(1, 6);
         p.place(pos(0, 2), PageId::new(0)).unwrap();
         p.place(pos(0, 5), PageId::new(0)).unwrap();
-        let index = p.occurrence_index();
-        assert_eq!(index.next_broadcast(PageId::new(0), 0), Some(2));
-        assert_eq!(index.next_broadcast(PageId::new(0), 2), Some(2));
-        assert_eq!(index.next_broadcast(PageId::new(0), 3), Some(5));
-        assert_eq!(index.next_broadcast(PageId::new(0), 6), Some(8));
+        assert_eq!(p.next_broadcast(PageId::new(0), 0), Some(2));
+        assert_eq!(p.next_broadcast(PageId::new(0), 2), Some(2));
+        assert_eq!(p.next_broadcast(PageId::new(0), 3), Some(5));
+        assert_eq!(p.next_broadcast(PageId::new(0), 6), Some(8));
         // Arrivals many cycles out still land on the right column.
-        assert_eq!(index.next_broadcast(PageId::new(0), 601), Some(602));
+        assert_eq!(p.next_broadcast(PageId::new(0), 601), Some(602));
     }
 
     #[test]
@@ -797,22 +928,20 @@ mod tests {
         for slot in [1, 4, 8] {
             p.place(pos(0, slot), PageId::new(0)).unwrap();
         }
-        let index = p.occurrence_index();
-        let mut cursor = index.cursor(PageId::new(0)).unwrap();
+        let mut cursor = p.occurrence_cursor(PageId::new(0)).unwrap();
         for from in 0..120 {
             assert_eq!(
                 cursor.next_after(from),
-                index.next_broadcast(PageId::new(0), from).unwrap(),
+                p.next_broadcast(PageId::new(0), from).unwrap(),
                 "diverged at from={from}"
             );
         }
         // A far jump (>= one full cycle) re-syncs via binary search.
-        let mut cursor = index.cursor(PageId::new(0)).unwrap();
+        let mut cursor = p.occurrence_cursor(PageId::new(0)).unwrap();
         assert_eq!(cursor.next_after(3), 4);
         assert_eq!(cursor.next_after(1_000_005), 1_000_008);
         assert_eq!(cursor.wait_after(1_000_008), 1);
-        assert!(index.cursor(PageId::new(9)).is_none());
-        assert!(p.occurrence_cursor(PageId::new(0)).is_some());
+        assert!(p.occurrence_cursor(PageId::new(9)).is_none());
     }
 
     #[test]
@@ -833,5 +962,155 @@ mod tests {
         p.place(pos(0, 0), PageId::new(0)).unwrap();
         p.place(pos(0, 1), PageId::new(1)).unwrap();
         assert!((p.utilization() - 0.5).abs() < 1e-12);
+    }
+
+    /// The arena bound: every table holds at most twice what its spans
+    /// reserve, and `reserved` is the sum of the reservations.
+    fn assert_arena_bound<T: Copy + Ord>(arena: &SpanArena<T>) {
+        let reserved: usize = arena.spans.iter().map(|s| s.cap as usize).sum();
+        assert_eq!(arena.reserved, reserved);
+        assert!(
+            arena.items.len() <= 2 * reserved,
+            "arena {} > 2 x {reserved}",
+            arena.items.len()
+        );
+        for s in &arena.spans {
+            assert!(s.len <= s.cap);
+            assert!(s.off as usize + s.cap as usize <= arena.items.len());
+        }
+    }
+
+    /// Pages of the model-checked programs: few, so placements collide.
+    const MODEL_PAGES: u32 = 6;
+
+    #[derive(Debug, Clone)]
+    enum TableOp {
+        Place(u32, u64, u32),
+        Family(u32, u64, u32),
+        Clear(u32),
+        Clone,
+    }
+
+    fn arb_table_op() -> impl Strategy<Value = TableOp> {
+        prop_oneof![
+            (0u32..3, 0u64..16, 0..MODEL_PAGES).prop_map(|(c, s, p)| TableOp::Place(c, s, p)),
+            (0u32..3, 0u64..16, 0..MODEL_PAGES).prop_map(|(c, s, p)| TableOp::Place(c, s, p)),
+            (0u32..3, 0u64..16, 0..MODEL_PAGES).prop_map(|(c, y, p)| TableOp::Family(c, y, p)),
+            (0..MODEL_PAGES).prop_map(TableOp::Clear),
+            Just(TableOp::Clone),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The span-arena tables answer exactly what per-page vectors
+        /// would, through any mix of single placements, SUSC family
+        /// placements, clears and clones.
+        #[test]
+        fn program_tables_match_a_plain_model(
+            ops in prop::collection::vec(arb_table_op(), 1..80),
+        ) {
+            let mut program = BroadcastProgram::new(3, 16);
+            // The model: one sorted cell list per page.
+            let mut model: Vec<Vec<GridPos>> = vec![Vec::new(); MODEL_PAGES as usize];
+            for op in &ops {
+                match *op {
+                    TableOp::Place(ch, slot, p) => {
+                        let placed = program.place(pos(ch, slot), PageId::new(p)).is_ok();
+                        let free = model.iter().all(|cells| !cells.contains(&pos(ch, slot)));
+                        prop_assert_eq!(placed, free);
+                        if free {
+                            model[p as usize].push(pos(ch, slot));
+                        }
+                    }
+                    TableOp::Family(ch, y, p) => {
+                        // Period 4 on the 16-slot cycle: offsets 0..4.
+                        let (t, y) = (4, y % 4);
+                        let family: Vec<GridPos> = (0..4).map(|k| pos(ch, y + k * t)).collect();
+                        let free = family
+                            .iter()
+                            .all(|c| model.iter().all(|cells| !cells.contains(c)));
+                        prop_assert_eq!(program.family_is_free(ch, y, t), free);
+                        if free {
+                            program.place_family(ch, y, t, PageId::new(p));
+                            model[p as usize].extend(family);
+                        }
+                    }
+                    TableOp::Clear(p) => {
+                        program.clear_page(PageId::new(p));
+                        model[p as usize].clear();
+                    }
+                    TableOp::Clone => {
+                        let copy = program.clone();
+                        prop_assert_eq!(&copy, &program);
+                        program = copy;
+                    }
+                }
+                assert_arena_bound(&program.columns);
+                assert_arena_bound(&program.cells);
+                let mut fresh = BroadcastProgram::new(3, 16);
+                let mut occupied = 0;
+                for (p, cells) in model.iter_mut().enumerate() {
+                    cells.sort_unstable();
+                    let page = PageId::new(p as u32);
+                    let mut cols: Vec<u64> = cells.iter().map(|c| c.slot.index()).collect();
+                    cols.sort_unstable();
+                    cols.dedup();
+                    prop_assert_eq!(program.occurrence_cells(page), &cells[..]);
+                    prop_assert_eq!(program.occurrence_columns(page), &cols[..]);
+                    prop_assert_eq!(program.frequency(page), cols.len() as u64);
+                    for &c in cells.iter() {
+                        fresh.place(c, page).unwrap();
+                    }
+                    occupied += cells.len() as u64;
+                }
+                let pages: Vec<PageId> = (0..MODEL_PAGES)
+                    .filter(|&p| !model[p as usize].is_empty())
+                    .map(PageId::new)
+                    .collect();
+                prop_assert_eq!(program.pages().collect::<Vec<_>>(), pages);
+                prop_assert_eq!(program.occupied_slots(), occupied);
+                prop_assert_eq!(&program, &fresh);
+            }
+        }
+    }
+
+    /// The churn shape a publish/expire station produces: pages arrive
+    /// with ever-rising ids and the oldest expire, so freed spans never
+    /// come back. The arena must reclaim them and stay within twice the
+    /// live cells.
+    #[test]
+    fn program_arena_stays_under_twice_the_live_capacity() {
+        let times = [4u64, 8, 16, 32, 64];
+        let mut sched = OnlineScheduler::new(2, 64).unwrap();
+        let mut live = std::collections::VecDeque::new();
+        let mut peak = 0;
+        for id in 0..5_000u32 {
+            let t = times[id as usize % times.len()];
+            // Expire the oldest pages until the newcomer fits.
+            while sched.add_page(PageId::new(id), t).is_err() {
+                let oldest = live.pop_front().expect("an empty grid fits any page");
+                sched.remove_page(oldest).unwrap();
+            }
+            live.push_back(PageId::new(id));
+            if id % 7 == 0 {
+                let oldest = live.pop_front().unwrap();
+                sched.remove_page(oldest).unwrap();
+            }
+            let program = sched.program();
+            assert_arena_bound(&program.columns);
+            assert_arena_bound(&program.cells);
+            // Family placement leaves no slack: the reservations are the
+            // live cells, so the arena is bounded by the grid it indexes.
+            let occupied = program.occupied_slots() as usize;
+            assert_eq!(program.cells.reserved, occupied);
+            assert!(program.cells.items.len() <= 2 * occupied.max(1));
+            peak = peak.max(program.cells.items.len());
+        }
+        assert!(
+            peak <= 2 * 128,
+            "arena peaked at {peak} entries for a 128-cell grid"
+        );
     }
 }

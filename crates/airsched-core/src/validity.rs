@@ -131,8 +131,8 @@ impl fmt::Display for ValidityReport {
     }
 }
 
-/// Checks an occurrence source (a [`crate::program::BroadcastProgram`] or a
-/// prebuilt [`crate::program::OccurrenceIndex`]) against `ladder` and reports
+/// Checks an occurrence source (a [`crate::program::BroadcastProgram`], or
+/// any other [`Occurrences`] implementation) against `ladder` and reports
 /// every violation.
 ///
 /// # Examples
@@ -145,7 +145,6 @@ impl fmt::Display for ValidityReport {
 /// let ladder = GroupLadder::new(vec![(2, 2), (4, 3)])?;
 /// let program = susc::schedule(&ladder, 2)?;
 /// assert!(check(&program, &ladder).is_valid());
-/// assert!(check(&program.occurrence_index(), &ladder).is_valid());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[must_use]

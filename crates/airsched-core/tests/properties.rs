@@ -195,7 +195,10 @@ proptest! {
 
     /// The online scheduler's resumed first-fit lands every page exactly
     /// where a scan from `(0, 0)` would, through any mix of additions,
-    /// removals and rebuilds.
+    /// removals and rebuilds. After every step the repack probe
+    /// `program_on_channels(n)` must also equal what `rebuild_on_channels(n)`
+    /// installs on a clone and what the reference repack lays out, for
+    /// every `n` up to one past the current channels, refusals included.
     #[test]
     fn online_first_fit_is_exact(
         channels in 1u32..=4,
@@ -220,6 +223,25 @@ proptest! {
             let snap = sched.snapshot();
             prop_assert_eq!(snap.channels, naive.channels, "{:?}", op);
             prop_assert_eq!(&snap.grid, &naive.grid, "{:?}", op);
+            for n in 1..=snap.channels + 1 {
+                let probe = sched.program_on_channels(n);
+                let mut rebuilt = sched.clone();
+                let installed = rebuilt.rebuild_on_channels(n);
+                let mut reference = naive.clone();
+                let fits = reference.rebuild(n, &[]);
+                prop_assert_eq!(probe.is_ok(), fits, "{:?} onto {}", op, n);
+                prop_assert_eq!(installed.is_ok(), fits, "{:?} onto {}", op, n);
+                match probe {
+                    Ok(program) => {
+                        prop_assert_eq!(&program, rebuilt.program(), "{:?} onto {}", op, n);
+                        prop_assert_eq!(&rebuilt.snapshot().grid, &reference.grid);
+                    }
+                    Err(err) => {
+                        prop_assert_eq!(Err(err), installed, "{:?} onto {}", op, n);
+                        prop_assert_eq!(&rebuilt, &sched, "a refused rebuild changed state");
+                    }
+                }
+            }
         }
     }
 

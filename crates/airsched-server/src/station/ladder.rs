@@ -20,19 +20,28 @@ use super::observe::Stage;
 use super::{ActivePlan, Mode, Station};
 
 impl Station {
-    /// The deep-verify half of the pre-swap gate: asks the solver for a
-    /// feasibility verdict on `candidate` against the live catalogue.
-    fn certify_candidate(&mut self, candidate: &BroadcastProgram) -> bool {
-        let deadlines: Vec<(PageId, u64)> = self
-            .scheduler
+    /// The live catalogue as `(page, expected time)` pairs, ascending by
+    /// page id: collected once per ladder re-evaluation and handed to
+    /// every stage that needs it.
+    fn catalogue_pairs(&self) -> Vec<(PageId, u64)> {
+        self.scheduler
             .pages()
             .iter()
             .map(|(&p, &t)| (p, t))
-            .collect();
+            .collect()
+    }
+
+    /// The deep-verify half of the pre-swap gate: asks the solver for a
+    /// feasibility verdict on `candidate` against the live catalogue.
+    fn certify_candidate(
+        &mut self,
+        candidate: &BroadcastProgram,
+        deadlines: &[(PageId, u64)],
+    ) -> bool {
         // The solver's wall time is noted like the repack/pamad stages
         // (clocked only when observed).
         let started = self.observer.is_some().then(Instant::now);
-        let verdict = airsched_solve::check_observed(candidate, &deadlines);
+        let verdict = airsched_solve::check_observed(candidate, deadlines);
         self.record
             .replan(Stage::Solve, deadlines.len() as u64, started);
         match verdict {
@@ -54,19 +63,21 @@ impl Station {
     /// rung).
     #[must_use]
     pub fn propose_plan(&self, candidate: &BroadcastProgram, config: &LintConfig) -> LintReport {
-        let catalogue: Vec<(PageId, u64)> = self
-            .scheduler
-            .pages()
-            .iter()
-            .map(|(&p, &t)| (p, t))
-            .collect();
-        lint(&LintInput::for_catalogue(candidate, &catalogue), config)
+        lint(
+            &LintInput::for_catalogue(candidate, &self.catalogue_pairs()),
+            config,
+        )
     }
 
-    /// The pre-swap gate: accepts or refuses one replan candidate,
-    /// recording the verdict in [`super::StationStats`].
-    fn gate_candidate(&mut self, candidate: &BroadcastProgram, config: &LintConfig) -> bool {
-        let report = self.propose_plan(candidate, config);
+    /// The pre-swap gate: accepts or refuses one replan candidate against
+    /// `catalogue`, recording the verdict in [`super::StationStats`].
+    fn gate_candidate(
+        &mut self,
+        candidate: &BroadcastProgram,
+        config: &LintConfig,
+        catalogue: &[(PageId, u64)],
+    ) -> bool {
+        let report = lint(&LintInput::for_catalogue(candidate, catalogue), config);
         let warnings = report.count_at(Severity::Warn) as u64;
         self.stats.plan_warnings += warnings;
         let refused = report.has_deny();
@@ -141,7 +152,8 @@ impl Station {
     /// pre-swap lint gate; `None` means a candidate existed but was
     /// refused, so the caller must keep the previous plan on the air.
     fn reduced_plan(&mut self, n_up: u32) -> Option<(ActivePlan, Mode)> {
-        let times: Vec<u64> = self.scheduler.pages().values().copied().collect();
+        let catalogue = self.catalogue_pairs();
+        let times: Vec<u64> = catalogue.iter().map(|&(_, t)| t).collect();
         // An overflowing demand fraction cannot possibly be met by any
         // physical channel count; treat it as insufficient.
         let minimum = minimum_channels_for_times(&times).unwrap_or(u32::MAX);
@@ -161,8 +173,8 @@ impl Station {
                 // complete deadline rule set — and, under deep-verify,
                 // the solver's independent certification as well. Both
                 // checks always run so their verdicts can be compared.
-                let lint_ok = self.gate_candidate(&candidate, &LintConfig::default());
-                let solve_ok = !self.deep_verify || self.certify_candidate(&candidate);
+                let lint_ok = self.gate_candidate(&candidate, &LintConfig::default(), &catalogue);
+                let solve_ok = !self.deep_verify || self.certify_candidate(&candidate, &catalogue);
                 if lint_ok && solve_ok {
                     return Some((ActivePlan::Reduced(candidate), Mode::Repacked));
                 }
@@ -173,19 +185,13 @@ impl Station {
         }
         if self.policy.best_effort {
             let started = self.observer.is_some().then(Instant::now);
-            let catalogue: Vec<(PageId, u64)> = self
-                .scheduler
-                .pages()
-                .iter()
-                .map(|(&p, &t)| (p, t))
-                .collect();
             if let Ok(plan) = degrade::replan(&catalogue, n_up) {
                 let evals = plan.stage_evaluations();
                 let candidate = self.maybe_corrupt(plan.into_program());
                 self.record.replan(Stage::Pamad, evals, started);
                 // Best-effort misses deadlines by design; hold it to the
                 // structural rules only.
-                if self.gate_candidate(&candidate, &LintConfig::structural()) {
+                if self.gate_candidate(&candidate, &LintConfig::structural(), &catalogue) {
                     return Some((ActivePlan::BestEffort(candidate), Mode::BestEffort));
                 }
                 refused = true;

@@ -23,8 +23,8 @@ pub struct Access {
     pub delay: u64,
 }
 
-/// Resolves one request against an occurrence source (a program or its
-/// prebuilt [`airsched_core::program::OccurrenceIndex`]).
+/// Resolves one request against an occurrence source (a program, or any
+/// other [`Occurrences`] implementation).
 ///
 /// Returns `None` if the page is never broadcast or unknown to the ladder.
 ///
@@ -393,28 +393,6 @@ mod tests {
         assert_eq!(stats.never_broadcast, 1);
         assert_eq!(stats.total(), 2);
         assert_eq!(split_summary, summary);
-    }
-
-    #[test]
-    fn occurrence_index_source_matches_program_source() {
-        let ladder = fig2_ladder();
-        let program = pamad::schedule(&ladder, 2).unwrap().into_program();
-        let index = program.occurrence_index();
-        let requests = RequestGenerator::new(&ladder, AccessPattern::Uniform, 11)
-            .take(5000, program.cycle_len());
-        let from_program = measure_split(&program, &ladder, &requests);
-        let from_index = measure_split(&index, &ladder, &requests);
-        assert_eq!(from_program, from_index);
-        assert_eq!(
-            exact_avg_delay(&program, &ladder),
-            exact_avg_delay(&index, &ladder)
-        );
-        for &req in requests.iter().take(64) {
-            assert_eq!(
-                access_one(&program, &ladder, req),
-                access_one(&index, &ladder, req)
-            );
-        }
     }
 
     #[test]

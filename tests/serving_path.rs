@@ -3,10 +3,10 @@
 //! Two families of properties pin the fast paths to their slow, obviously
 //! correct counterparts:
 //!
-//! * [`Occurrences::next_broadcast`] through an [`OccurrenceIndex`] (and
-//!   its amortized cursor) must be **bit-identical** to a naive forward
-//!   column scan — on scheduler-produced valid programs and on arbitrary
-//!   hand-mutilated grids the schedulers would never emit;
+//! * [`Occurrences::next_broadcast`] over a program's flat column arena
+//!   (and its amortized cursor) must be **bit-identical** to a naive
+//!   forward grid scan — on scheduler-produced valid programs and on
+//!   arbitrary hand-mutilated grids the schedulers would never emit;
 //! * [`Station::tick_into`] driving one reused [`TickBuf`] must produce
 //!   exactly the same outcome stream, deliveries, events and statistics
 //!   as the allocating [`Station::tick`] and the seed station replica
@@ -27,7 +27,7 @@ use proptest::prelude::*;
 
 /// The page universe for mutilated grids: small enough that pages collide
 /// across channels, pages with zero occurrences stay common, and the
-/// dense index's never-broadcast path gets exercised.
+/// dense column table's never-broadcast path gets exercised.
 const PAGE_UNIVERSE: u32 = 7;
 
 /// First slot `s >= from` whose column carries `page`, by scanning every
@@ -152,8 +152,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// On scheduler-produced valid programs (both SUSC and PAMAD), the
-    /// index answers `next_broadcast` bit-identically to the naive
-    /// forward scan, for every page at every phase of the cycle.
+    /// program's column arena answers `next_broadcast` bit-identically to
+    /// the naive forward scan, for every page at every phase of the cycle.
     #[test]
     fn index_matches_naive_scan_on_valid_programs(
         ladder in arb_ladder(),
@@ -166,14 +166,13 @@ proptest! {
         } else {
             pamad::schedule(&ladder, n).unwrap().into_program()
         };
-        let index = program.occurrence_index();
-        prop_assert_eq!(index.cycle_len(), program.cycle_len());
+        prop_assert_eq!(Occurrences::cycle_len(&program), program.cycle_len());
         let cycle = program.cycle_len();
         for p in 0..u32::try_from(ladder.total_pages()).unwrap() {
             let page = PageId::new(p);
             for from in (0..cycle).chain([cycle, 3 * cycle + 1]) {
                 prop_assert_eq!(
-                    index.next_broadcast(page, from),
+                    program.next_broadcast(page, from),
                     naive_next_broadcast(&program, page, from),
                     "page {} from {}", p, from
                 );
@@ -183,21 +182,20 @@ proptest! {
 
     /// Same bit-identity on mutilated grids: arbitrary occurrence
     /// structures, absent pages, and queries far past the first cycle.
-    /// The program's own trait impl, the prebuilt index and the
+    /// The program's trait impl, its inherent `wait_from` and the
     /// amortized cursor must all agree with the scan.
     #[test]
     fn index_matches_naive_scan_on_mutilated_programs(
         program in arb_mutilated_program(),
         phase in 0u64..64,
     ) {
-        let index = program.occurrence_index();
         let cycle = program.cycle_len();
         for p in 0..PAGE_UNIVERSE {
             let page = PageId::new(p);
-            let mut cursor = index.cursor(page);
+            let mut cursor = program.occurrence_cursor(page);
             prop_assert_eq!(
                 cursor.is_some(),
-                !index.occurrence_columns(page).is_empty()
+                !program.occurrence_columns(page).is_empty()
             );
             for step in 0..2 * cycle {
                 let from = phase + step;
@@ -208,9 +206,9 @@ proptest! {
                     "program trait: page {} from {}", p, from
                 );
                 prop_assert_eq!(
-                    index.next_broadcast(page, from),
-                    naive,
-                    "index: page {} from {}", p, from
+                    program.wait_from(page, from),
+                    naive.map(|s| s - from + 1),
+                    "inherent wait: page {} from {}", p, from
                 );
                 if let Some(cursor) = cursor.as_mut() {
                     // The cursor consumes a monotone query stream.
