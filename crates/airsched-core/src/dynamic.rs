@@ -30,12 +30,14 @@
 //! A repack ([`OnlineScheduler::program_on_channels`] and the rebuilds)
 //! runs the same first-fit straight into a fresh [`BroadcastProgram`],
 //! so it costs the cells it places: no scratch scheduler, no page map.
+//! [`crate::susc::schedule`] is that same pass over a ladder's pages, so
+//! this first-fit is the one SUSC placement in the library.
 
 use std::collections::BTreeMap;
 
 use crate::error::ScheduleError;
 use crate::program::BroadcastProgram;
-use crate::types::{ChannelId, GridPos, PageId, SlotIndex};
+use crate::types::PageId;
 
 /// An incrementally maintained, always-valid broadcast program.
 ///
@@ -68,7 +70,7 @@ pub struct OnlineScheduler {
 /// until the next removal. A catalogue has a handful of distinct times,
 /// so a linear scan of a small vector beats any map.
 #[derive(Debug, Clone, Default)]
-struct FirstFit {
+pub(crate) struct FirstFit {
     resume: Vec<(u64, (u32, u64))>,
 }
 
@@ -98,6 +100,36 @@ impl FirstFit {
         }
         found.is_some()
     }
+}
+
+/// Packs `pages`, in the order given, onto a fresh `channels x cycle`
+/// grid, each on the first free periodic family of its expected time —
+/// SUSC's placement (§3.2, Algorithms 1 and 2). Returns the program and
+/// the first-fit state the placement left behind.
+///
+/// `cycle` must be positive. Callers order the pages tightest expected
+/// time first; that order is why placement cannot fail at or above
+/// Theorem 3.1's bound (see [`crate::susc`]).
+pub(crate) fn first_fit(
+    channels: u32,
+    cycle: u64,
+    pages: impl IntoIterator<Item = (PageId, u64)>,
+) -> Result<(BroadcastProgram, FirstFit), ScheduleError> {
+    if channels == 0 {
+        return Err(ScheduleError::NoChannels);
+    }
+    let mut program = BroadcastProgram::new(channels, cycle);
+    let mut fit = FirstFit::default();
+    for (page, t) in pages {
+        check_expected(cycle, t)?;
+        if program.frequency(page) > 0 {
+            return Err(already_scheduled());
+        }
+        if !fit.place(&mut program, page, t) {
+            return Err(ScheduleError::PlacementFailed { page });
+        }
+    }
+    Ok((program, fit))
 }
 
 /// Rejects an expected time that cannot be placed periodically in `cycle`.
@@ -272,21 +304,10 @@ impl OnlineScheduler {
     /// which would break the bit-identical replay contract.
     #[must_use]
     pub fn snapshot(&self) -> SchedulerSnapshot {
-        let channels = self.program.channels();
-        let cycle = self.program.cycle_len();
-        let mut grid = Vec::with_capacity((channels as usize) * (cycle as usize));
-        for ch in 0..channels {
-            for slot in 0..cycle {
-                grid.push(
-                    self.program
-                        .page_at(GridPos::new(ChannelId::new(ch), SlotIndex::new(slot))),
-                );
-            }
-        }
         SchedulerSnapshot {
-            channels,
-            cycle,
-            grid,
+            channels: self.program.channels(),
+            cycle: self.program.cycle_len(),
+            grid: self.program.cells().to_vec(),
             pages: self.pages.iter().map(|(&p, &t)| (p, t)).collect(),
         }
     }
@@ -296,38 +317,16 @@ impl OnlineScheduler {
     ///
     /// # Errors
     ///
-    /// * [`ScheduleError::NoChannels`] / [`ScheduleError::InvalidFrequencies`]
-    ///   if the snapshot's dimensions are malformed.
-    /// * [`ScheduleError::PlacementFailed`] if the grid data is internally
-    ///   inconsistent (wrong length — a corrupt snapshot).
+    /// As [`BroadcastProgram::from_cells`]: malformed or oversized
+    /// dimensions, or a grid whose length does not match them (a corrupt
+    /// snapshot).
     pub fn from_snapshot(snapshot: &SchedulerSnapshot) -> Result<Self, ScheduleError> {
-        if snapshot.channels == 0 {
-            return Err(ScheduleError::NoChannels);
-        }
-        if snapshot.cycle == 0 {
-            return Err(ScheduleError::InvalidFrequencies {
-                reason: "cycle length must be positive",
-            });
-        }
-        let expected_cells = (snapshot.channels as usize) * (snapshot.cycle as usize);
-        if snapshot.grid.len() != expected_cells {
-            return Err(ScheduleError::InvalidFrequencies {
-                reason: "snapshot grid length does not match its dimensions",
-            });
-        }
-        let mut program = BroadcastProgram::new(snapshot.channels, snapshot.cycle);
-        let mut cells = snapshot.grid.iter();
-        for ch in 0..snapshot.channels {
-            for slot in 0..snapshot.cycle {
-                if let Some(page) = cells.next().copied().flatten() {
-                    program
-                        .place(GridPos::new(ChannelId::new(ch), SlotIndex::new(slot)), page)
-                        .expect("fresh grid cells are free");
-                }
-            }
-        }
         Ok(Self {
-            program,
+            program: BroadcastProgram::from_cells(
+                snapshot.channels,
+                snapshot.cycle,
+                &snapshot.grid,
+            )?,
             pages: snapshot.pages.iter().copied().collect(),
             fit: FirstFit::default(),
         })
@@ -353,24 +352,10 @@ impl OnlineScheduler {
         channels: u32,
         pending: &[(PageId, u64)],
     ) -> Result<(BroadcastProgram, FirstFit), ScheduleError> {
-        if channels == 0 {
-            return Err(ScheduleError::NoChannels);
-        }
         let mut order: Vec<(PageId, u64)> = self.pages.iter().map(|(&p, &t)| (p, t)).collect();
         order.extend_from_slice(pending);
         order.sort_unstable_by_key(|&(p, t)| (t, p));
-        let mut program = BroadcastProgram::new(channels, self.program.cycle_len());
-        let mut fit = FirstFit::default();
-        for (page, t) in order {
-            check_expected(program.cycle_len(), t)?;
-            if program.frequency(page) > 0 {
-                return Err(already_scheduled());
-            }
-            if !fit.place(&mut program, page, t) {
-                return Err(ScheduleError::PlacementFailed { page });
-            }
-        }
-        Ok((program, fit))
+        first_fit(channels, self.program.cycle_len(), order)
     }
 }
 
@@ -548,6 +533,22 @@ mod tests {
         snap.cycle = 0;
         snap.grid.clear();
         assert!(OnlineScheduler::from_snapshot(&snap).is_err());
+    }
+
+    #[test]
+    fn overflowing_snapshot_dimensions_are_an_error() {
+        // 2 x 2^63 cells wraps to 0 in a 64-bit product, which an empty
+        // grid would match.
+        let snap = SchedulerSnapshot {
+            channels: 2,
+            cycle: 1 << 63,
+            grid: Vec::new(),
+            pages: Vec::new(),
+        };
+        assert!(matches!(
+            OnlineScheduler::from_snapshot(&snap),
+            Err(ScheduleError::WorkloadTooLarge { .. })
+        ));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use core::fmt;
 
+use crate::error::ScheduleError;
 use crate::types::{ChannelId, GridPos, PageId, SlotIndex};
 
 /// A source of per-page occurrence columns over a cyclic schedule.
@@ -411,6 +412,75 @@ impl BroadcastProgram {
         }
     }
 
+    /// A program holding exactly `cells`, a channel-major grid image
+    /// (`cells[ch * cycle_len + slot]`) as [`BroadcastProgram::cells`]
+    /// returns it — the inverse of that accessor, for restoring a
+    /// checkpointed grid.
+    ///
+    /// # Errors
+    ///
+    /// * [`ScheduleError::NoChannels`] if `channels == 0`.
+    /// * [`ScheduleError::InvalidFrequencies`] if `cycle_len == 0` or
+    ///   `cells.len() != channels * cycle_len`.
+    /// * [`ScheduleError::WorkloadTooLarge`] if `channels * cycle_len`
+    ///   overflows.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use airsched_core::program::BroadcastProgram;
+    /// use airsched_core::types::PageId;
+    ///
+    /// let cells = [Some(PageId::new(0)), None, None, Some(PageId::new(1))];
+    /// let program = BroadcastProgram::from_cells(2, 2, &cells)?;
+    /// assert_eq!(program.cells(), &cells);
+    /// assert!(BroadcastProgram::from_cells(2, 1 << 63, &[]).is_err());
+    /// # Ok::<(), airsched_core::error::ScheduleError>(())
+    /// ```
+    pub fn from_cells(
+        channels: u32,
+        cycle_len: u64,
+        cells: &[Option<PageId>],
+    ) -> Result<Self, ScheduleError> {
+        if channels == 0 {
+            return Err(ScheduleError::NoChannels);
+        }
+        if cycle_len == 0 {
+            return Err(ScheduleError::InvalidFrequencies {
+                reason: "cycle length must be positive",
+            });
+        }
+        let len =
+            u64::from(channels)
+                .checked_mul(cycle_len)
+                .ok_or(ScheduleError::WorkloadTooLarge {
+                    reason: "grid dimensions overflow",
+                })?;
+        if u64::try_from(cells.len()) != Ok(len) {
+            return Err(ScheduleError::InvalidFrequencies {
+                reason: "grid length does not match its dimensions",
+            });
+        }
+        let mut program = Self::new(channels, cycle_len);
+        let cols = usize::try_from(cycle_len).expect("a row is no longer than the grid");
+        for (ch, row) in (0..channels).zip(cells.chunks(cols)) {
+            for (slot, page) in (0..).zip(row) {
+                if let Some(page) = *page {
+                    let pos = GridPos::new(ChannelId::new(ch), SlotIndex::new(slot));
+                    program.place(pos, page).expect("fresh grid cells are free");
+                }
+            }
+        }
+        Ok(program)
+    }
+
+    /// The whole grid, channel-major: `cells()[ch * cycle_len + slot]` is
+    /// the page at `(ch, slot)`.
+    #[must_use]
+    pub fn cells(&self) -> &[Option<PageId>] {
+        &self.grid
+    }
+
     /// Number of channels (rows).
     #[must_use]
     pub fn channels(&self) -> u32 {
@@ -655,11 +725,10 @@ impl BroadcastProgram {
             .last()
             .map_or(1, |p| p.index().to_string().len())
             .max(1);
-        for ch in 0..self.channels {
+        for (ch, row) in self.grid.chunks(self.cycle_len as usize).enumerate() {
             out.push_str(&format!("ch{ch}: "));
-            for slot in 0..self.cycle_len {
-                let pos = GridPos::new(ChannelId::new(ch), SlotIndex::new(slot));
-                match self.page_at(pos) {
+            for cell in row {
+                match cell {
                     Some(p) => out.push_str(&format!("{:>width$} ", p.index())),
                     None => out.push_str(&format!("{:>width$} ", ".")),
                 }
@@ -954,6 +1023,37 @@ mod tests {
             &p.occurrences(PageId::new(7))[..]
         );
         assert!(p.occurrence_cells(PageId::new(42)).is_empty());
+    }
+
+    #[test]
+    fn from_cells_round_trips_and_checks_dimensions() {
+        let mut p = BroadcastProgram::new(2, 3);
+        p.place(pos(0, 1), PageId::new(4)).unwrap();
+        p.place(pos(1, 0), PageId::new(4)).unwrap();
+        p.place(pos(1, 2), PageId::new(0)).unwrap();
+        let back = BroadcastProgram::from_cells(2, 3, p.cells()).unwrap();
+        assert_eq!(back, p);
+        assert_eq!(
+            back.occurrences(PageId::new(4)),
+            p.occurrences(PageId::new(4))
+        );
+        assert_eq!(back.occupied_slots(), 3);
+        let err = |channels, cycle, cells: &[Option<PageId>]| {
+            BroadcastProgram::from_cells(channels, cycle, cells).unwrap_err()
+        };
+        assert_eq!(err(0, 3, &[]), ScheduleError::NoChannels);
+        assert!(matches!(
+            err(2, 0, &[]),
+            ScheduleError::InvalidFrequencies { .. }
+        ));
+        assert!(matches!(
+            err(2, 3, &p.cells()[1..]),
+            ScheduleError::InvalidFrequencies { .. }
+        ));
+        assert!(matches!(
+            err(2, 1 << 63, &[]),
+            ScheduleError::WorkloadTooLarge { .. }
+        ));
     }
 
     #[test]

@@ -105,9 +105,7 @@ pub fn build_program(ladder: &GroupLadder, n_real: u32) -> Result<ScheduleOutcom
     }
     let min = minimum_channels(ladder);
     if n_real >= min {
-        // The cursor-optimized variant is bit-identical to the plain
-        // Algorithm 1 (tested) and ~3x faster at paper scale.
-        let program = susc::schedule_fast(ladder, n_real)?;
+        let program = susc::schedule(ladder, n_real)?;
         let frequencies = ladder
             .times()
             .iter()

@@ -10,16 +10,30 @@
 //!    `k = 0 .. t_h/t_i - 1` (Theorem 3.3: all appearances share a channel
 //!    and are exactly `t_i` apart).
 //!
-//! Theorem 3.2 guarantees step 2 always succeeds when
-//! `N >= ceil(sum P_i/t_i)`; the implementation still returns
+//! The placement is the online scheduler's first-fit
+//! ([`crate::dynamic`]): the first `(x, y)` whose whole periodic family is
+//! free, resuming each period's search where the last one stopped — §3.2's
+//! remark that the search "need not be always starting from the first
+//! slot of every channel". It lands exactly where the paper's cell scan
+//! does, because of the residue-class argument behind Theorem 3.2:
+//!
+//! **Why placement cannot fail.** When a page of time `t` is placed, every
+//! page already on the grid has a time `t'` dividing `t`, and a stride-`t'`
+//! family fills a whole residue class mod `t'` — a union of residue
+//! classes mod `t`. So each channel's free set is a union of residue
+//! classes mod `t`: the first free cell below column `t` starts a free
+//! family, and a channel's free-cell count is a multiple of `t_h / t`. If
+//! no channel could take the page, every channel's free count would be
+//! zero, so all `N * t_h` cells would be full before the last page — which
+//! `N >= ceil(sum P_i/t_i)` rules out. The implementation still returns
 //! [`ScheduleError::PlacementFailed`] rather than panicking if the
 //! invariant were ever broken.
 
 use crate::bound::minimum_channels;
+use crate::dynamic;
 use crate::error::ScheduleError;
 use crate::group::GroupLadder;
 use crate::program::BroadcastProgram;
-use crate::types::{ChannelId, GridPos, SlotIndex};
 
 /// Builds a valid broadcast program on `channels` channels.
 ///
@@ -58,27 +72,14 @@ pub fn schedule(ladder: &GroupLadder, channels: u32) -> Result<BroadcastProgram,
         });
     }
 
-    let cycle = ladder.max_time();
-    let mut program = BroadcastProgram::new(channels, cycle);
-
     // Groups are stored in ascending expected-time order already, and pages
     // within a group are interchangeable (paper: "their order is
     // unimportant").
-    for info in ladder.groups() {
+    let pages = ladder.groups().flat_map(|info| {
         let t = info.expected_time.slots();
-        let repeats = cycle / t; // exact: t_i | t_h by ladder invariant
-        for page in info.page_ids() {
-            let (x, y) =
-                get_available_slot(&program, t).ok_or(ScheduleError::PlacementFailed { page })?;
-            for k in 0..repeats {
-                let pos = GridPos::new(ChannelId::new(x), SlotIndex::new(y + k * t));
-                program
-                    .place(pos, page)
-                    .map_err(|_| ScheduleError::PlacementFailed { page })?;
-            }
-        }
-    }
-    Ok(program)
+        info.page_ids().map(move |page| (page, t))
+    });
+    Ok(dynamic::first_fit(channels, ladder.max_time(), pages)?.0)
 }
 
 /// Convenience: computes the Theorem 3.1 minimum and schedules at exactly
@@ -105,110 +106,6 @@ pub fn schedule_minimum(ladder: &GroupLadder) -> Result<(BroadcastProgram, u32),
     let n = minimum_channels(ladder);
     let program = schedule(ladder, n)?;
     Ok((program, n))
-}
-
-/// Algorithm 2, `GetAvailableSlot`: the first free `(channel, column)` with
-/// `column < t_i`, scanning columns within each channel before moving to the
-/// next channel.
-fn get_available_slot(program: &BroadcastProgram, t: u64) -> Option<(u32, u64)> {
-    let window = t.min(program.cycle_len());
-    for x in 0..program.channels() {
-        for y in 0..window {
-            let pos = GridPos::new(ChannelId::new(x), SlotIndex::new(y));
-            if program.is_free(pos) {
-                return Some((x, y));
-            }
-        }
-    }
-    None
-}
-
-/// The optimized SUSC the paper alludes to in §3.2 ("the search of an
-/// available slot ... need not be always starting from the first slot of
-/// every channel"): per-channel cursors remember how far each channel has
-/// been filled, so the total slot-search work is linear in the grid instead
-/// of quadratic.
-///
-/// Produces **exactly** the same program as [`schedule`] — pages are placed
-/// in the same order and every channel is filled left to right, so the
-/// first free slot is always at or after the cursor. The equivalence is
-/// pinned by unit and property tests, and the `schedulers` bench measures
-/// the speedup.
-///
-/// # Errors
-///
-/// As [`schedule`].
-///
-/// # Examples
-///
-/// ```
-/// use airsched_core::group::GroupLadder;
-/// use airsched_core::susc;
-///
-/// let ladder = GroupLadder::new(vec![(2, 3), (4, 5), (8, 3)])?;
-/// assert_eq!(
-///     susc::schedule_fast(&ladder, 4)?,
-///     susc::schedule(&ladder, 4)?,
-/// );
-/// # Ok::<(), airsched_core::error::ScheduleError>(())
-/// ```
-pub fn schedule_fast(
-    ladder: &GroupLadder,
-    channels: u32,
-) -> Result<BroadcastProgram, ScheduleError> {
-    if channels == 0 {
-        return Err(ScheduleError::NoChannels);
-    }
-    let required = minimum_channels(ladder);
-    if channels < required {
-        return Err(ScheduleError::InsufficientChannels {
-            supplied: channels,
-            required,
-        });
-    }
-
-    let cycle = ladder.max_time();
-    let mut program = BroadcastProgram::new(channels, cycle);
-    // cursor[x]: first column of channel x that might still be free.
-    // Invariant: every column left of the cursor is occupied. It holds
-    // because pages are placed in ascending expected-time order: a page
-    // placed at (x, y) with period t fills y and nothing left of it stays
-    // free — plain SUSC scans left-to-right too and never frees cells.
-    let mut cursor = vec![0u64; channels as usize];
-
-    for info in ladder.groups() {
-        let t = info.expected_time.slots();
-        let window = t.min(cycle);
-        let repeats = cycle / t;
-        for page in info.page_ids() {
-            let mut placed = false;
-            for x in 0..channels {
-                // Advance this channel's cursor over filled cells.
-                let c = &mut cursor[x as usize];
-                while *c < window
-                    && !program.is_free(GridPos::new(ChannelId::new(x), SlotIndex::new(*c)))
-                {
-                    *c += 1;
-                }
-                if *c >= window {
-                    continue;
-                }
-                let y = *c;
-                for k in 0..repeats {
-                    let pos = GridPos::new(ChannelId::new(x), SlotIndex::new(y + k * t));
-                    program
-                        .place(pos, page)
-                        .map_err(|_| ScheduleError::PlacementFailed { page })?;
-                }
-                placed = true;
-                break;
-            }
-            if !placed {
-                return Err(ScheduleError::PlacementFailed { page });
-            }
-        }
-    }
-    Ok(program)
 }
 
 #[cfg(test)]
@@ -316,30 +213,6 @@ mod tests {
         let ladder = GroupLadder::geometric(2, 2, &[4, 6, 9, 5, 3]).unwrap();
         let (program, _) = schedule_minimum(&ladder).unwrap();
         assert!(validity::check(&program, &ladder).is_valid());
-    }
-
-    #[test]
-    fn fast_variant_is_bit_identical() {
-        let ladders = [
-            GroupLadder::new(vec![(2, 2), (4, 3)]).unwrap(),
-            GroupLadder::new(vec![(2, 3), (4, 5), (8, 3)]).unwrap(),
-            GroupLadder::geometric(2, 2, &[4, 6, 9, 5, 3]).unwrap(),
-            GroupLadder::new(vec![(2, 3), (4, 2), (12, 7)]).unwrap(),
-        ];
-        for ladder in &ladders {
-            let min = minimum_channels(ladder);
-            for n in min..min + 2 {
-                assert_eq!(
-                    schedule_fast(ladder, n).unwrap(),
-                    schedule(ladder, n).unwrap(),
-                    "{ladder} at {n} channels"
-                );
-            }
-        }
-        // And the same errors.
-        let ladder = &ladders[1];
-        assert_eq!(schedule_fast(ladder, 0), schedule(ladder, 0));
-        assert_eq!(schedule_fast(ladder, 1), schedule(ladder, 1));
     }
 
     #[test]

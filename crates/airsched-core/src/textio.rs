@@ -148,14 +148,13 @@ pub fn write_program(program: &BroadcastProgram) -> String {
     out.push_str(&format!("channels {}\n", program.channels()));
     out.push_str(&format!("cycle {}\n", program.cycle_len()));
     out.push_str("grid\n");
-    for ch in 0..program.channels() {
-        let mut first = true;
-        for slot in 0..program.cycle_len() {
-            if !first {
+    let cols = usize::try_from(program.cycle_len()).expect("a row fits in memory");
+    for row in program.cells().chunks(cols) {
+        for (slot, cell) in row.iter().enumerate() {
+            if slot > 0 {
                 out.push(' ');
             }
-            first = false;
-            match program.page_at(GridPos::new(ChannelId::new(ch), SlotIndex::new(slot))) {
+            match cell {
                 Some(p) => out.push_str(&p.index().to_string()),
                 None => out.push('.'),
             }

@@ -54,7 +54,7 @@
 //! bytes.
 
 use airsched_core::program::BroadcastProgram;
-use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex};
+use airsched_core::types::{ChannelId, PageId};
 use bytes::{Bytes, BytesMut};
 
 use crate::frame::{
@@ -395,16 +395,12 @@ impl FrameTemplateCache {
         program: &BroadcastProgram,
         payloads: &mut P,
     ) -> Result<Self, EncodeError> {
-        let channels = program.channels();
-        let cycle_len = program.cycle_len();
-        let mut cells =
-            Vec::with_capacity(usize::try_from(program.capacity()).expect("grid fits in memory"));
-        for ch in 0..channels {
-            for col in 0..cycle_len {
-                cells.push(program.page_at(GridPos::new(ChannelId::new(ch), SlotIndex::new(col))));
-            }
-        }
-        Self::from_cells(channels, cycle_len, &cells, payloads)
+        Self::from_cells(
+            program.channels(),
+            program.cycle_len(),
+            program.cells(),
+            payloads,
+        )
     }
 
     /// Pre-encodes an explicit channel-major grid (`cells[ch * cycle_len +
@@ -699,6 +695,7 @@ mod tests {
     use crate::transmitter::{encode_slot_into, FrameStream};
     use airsched_core::group::GroupLadder;
     use airsched_core::susc;
+    use airsched_core::types::{GridPos, SlotIndex};
 
     /// Deterministic per-page payload with per-page lengths (so several
     /// delta tables coexist).

@@ -22,12 +22,15 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use airsched_core::dynamic::SchedulerSnapshot;
 use airsched_core::types::{ChannelId, PageId};
 use airsched_proto::crc16;
 use airsched_recover::codec::ByteReader;
-use airsched_recover::{read_journal, Checkpoint, JournalRecord, RecoverError};
+use airsched_recover::{
+    read_journal, Checkpoint, JournalRecord, RecoverError, RecoverableStation, RecoveryOptions,
+};
 use airsched_server::faults::{FaultEvent, FaultPlan};
-use airsched_server::station::Mode;
+use airsched_server::station::{ActivePlanSnapshot, Mode, ProgramSnapshot};
 use airsched_server::Station;
 
 /// Checkpoint header: magic (4), version (2), body length (4).
@@ -222,6 +225,37 @@ fn every_inflated_length_field_is_refused_without_allocating() {
             overwrite(&mut inflated, at, huge);
             check_checkpoint(&frame_checkpoint(&inflated));
         }
+    }
+}
+
+/// A CRC-valid checkpoint whose grid claims `2 x 2^63` cells while
+/// holding none — for the scheduler and for a degraded plan in turn. The
+/// cell count overflows, so `resume` must refuse the checkpoint rather
+/// than panic.
+#[test]
+fn overflowing_grid_dimensions_make_resume_an_error() {
+    let valid = Checkpoint::decode(valid_checkpoint()).expect("valid");
+    let hostile = ProgramSnapshot {
+        channels: 2,
+        cycle: 1 << 63,
+        grid: Vec::new(),
+    };
+    let mut on_scheduler = valid.clone();
+    on_scheduler.snapshot.scheduler = SchedulerSnapshot {
+        channels: hostile.channels,
+        cycle: hostile.cycle,
+        grid: Vec::new(),
+        pages: Vec::new(),
+    };
+    let mut on_plan = valid;
+    on_plan.snapshot.active = ActivePlanSnapshot::Reduced(hostile);
+    for ck in [on_scheduler, on_plan] {
+        let dir = temp_journal();
+        std::fs::create_dir_all(&dir).expect("state dir");
+        ck.write_atomic(&dir).expect("writes");
+        let resumed = RecoverableStation::resume(&dir, RecoveryOptions::new(), None);
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(resumed.is_err(), "{:?}", ck.snapshot.active);
     }
 }
 

@@ -846,59 +846,38 @@ impl Station {
     pub fn plan_cells(&self) -> PlanCells {
         let configured = self.channel_up.len();
         let channels = u32::try_from(configured).expect("channel count fits in u32");
-        match &self.active {
-            ActivePlan::Full => {
-                let program = self.scheduler.program();
-                let cycle_len = program.cycle_len();
-                let cols = usize::try_from(cycle_len).expect("cycle fits in usize");
-                let mut cells = Vec::with_capacity(configured * cols);
-                for (ch, &up) in self.channel_up.iter().enumerate() {
-                    let channel = ChannelId::new(u32::try_from(ch).expect("fits in u32"));
-                    for col in 0..cycle_len {
-                        cells.push(if up {
-                            program.page_at(GridPos::new(channel, SlotIndex::new(col)))
-                        } else {
-                            None
-                        });
-                    }
-                }
-                PlanCells {
+        let (program, reduced) = match &self.active {
+            ActivePlan::Full => (self.scheduler.program(), false),
+            ActivePlan::Reduced(program) | ActivePlan::BestEffort(program) => (program, true),
+            ActivePlan::Offline => {
+                return PlanCells {
                     channels,
-                    cycle_len,
-                    cells,
+                    cycle_len: 1,
+                    cells: vec![None; configured],
                 }
             }
-            ActivePlan::Reduced(program) | ActivePlan::BestEffort(program) => {
-                let cycle_len = program.cycle_len();
-                let cols = usize::try_from(cycle_len).expect("cycle fits in usize");
-                let mut cells = Vec::with_capacity(configured * cols);
-                let mut row = 0u32;
-                for &up in &self.channel_up {
-                    if up && row < program.channels() {
-                        for col in 0..cycle_len {
-                            cells.push(
-                                program.page_at(GridPos::new(
-                                    ChannelId::new(row),
-                                    SlotIndex::new(col),
-                                )),
-                            );
-                        }
-                        row += 1;
-                    } else {
-                        cells.extend(std::iter::repeat_n(None, cols));
-                    }
-                }
-                PlanCells {
-                    channels,
-                    cycle_len,
-                    cells,
-                }
+        };
+        let cycle_len = program.cycle_len();
+        let cols = usize::try_from(cycle_len).expect("cycle fits in usize");
+        let mut rows = program.cells().chunks(cols);
+        let mut cells = Vec::with_capacity(configured * cols);
+        for &up in &self.channel_up {
+            // The full plan airs row `ch` on physical channel `ch`; a
+            // reduced plan's rows fill the live channels in order.
+            let row = match (reduced, up) {
+                (true, true) => rows.next(),
+                (true, false) => None,
+                (false, _) => rows.next().filter(|_| up),
+            };
+            match row {
+                Some(row) => cells.extend_from_slice(row),
+                None => cells.extend(std::iter::repeat_n(None, cols)),
             }
-            ActivePlan::Offline => PlanCells {
-                channels,
-                cycle_len: 1,
-                cells: vec![None; configured],
-            },
+        }
+        PlanCells {
+            channels,
+            cycle_len,
+            cells,
         }
     }
 

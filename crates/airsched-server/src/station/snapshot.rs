@@ -4,7 +4,7 @@
 
 use airsched_core::dynamic::{OnlineScheduler, SchedulerSnapshot};
 use airsched_core::program::BroadcastProgram;
-use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex};
+use airsched_core::types::PageId;
 
 use crate::faults::{FaultInjector, FaultInjectorSnapshot, FaultPlan};
 use crate::health::{ChannelEvent, HealthMonitor, HealthSnapshot};
@@ -147,18 +147,10 @@ impl ProgramSnapshot {
     /// Serializes `program` cell by cell.
     #[must_use]
     pub fn capture(program: &BroadcastProgram) -> Self {
-        let channels = program.channels();
-        let cycle = program.cycle_len();
-        let mut grid = Vec::with_capacity((channels as usize) * (cycle as usize));
-        for ch in 0..channels {
-            for slot in 0..cycle {
-                grid.push(program.page_at(GridPos::new(ChannelId::new(ch), SlotIndex::new(slot))));
-            }
-        }
         Self {
-            channels,
-            cycle,
-            grid,
+            channels: program.channels(),
+            cycle: program.cycle_len(),
+            grid: program.cells().to_vec(),
         }
     }
 
@@ -166,30 +158,14 @@ impl ProgramSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns [`StationError::CorruptSnapshot`] on malformed dimensions.
+    /// Returns [`StationError::CorruptSnapshot`] on malformed or oversized
+    /// dimensions, or a grid whose length does not match them.
     pub fn rebuild(&self) -> Result<BroadcastProgram, StationError> {
-        if self.channels == 0 || self.cycle == 0 {
-            return Err(StationError::CorruptSnapshot {
-                reason: "program snapshot has zero channels or cycle",
-            });
-        }
-        if self.grid.len() != (self.channels as usize) * (self.cycle as usize) {
-            return Err(StationError::CorruptSnapshot {
-                reason: "program snapshot grid length does not match its dimensions",
-            });
-        }
-        let mut program = BroadcastProgram::new(self.channels, self.cycle);
-        let mut cells = self.grid.iter();
-        for ch in 0..self.channels {
-            for slot in 0..self.cycle {
-                if let Some(page) = cells.next().copied().flatten() {
-                    program
-                        .place(GridPos::new(ChannelId::new(ch), SlotIndex::new(slot)), page)
-                        .expect("fresh grid cells are free");
-                }
+        BroadcastProgram::from_cells(self.channels, self.cycle, &self.grid).map_err(|_| {
+            StationError::CorruptSnapshot {
+                reason: "program snapshot has malformed dimensions or grid length",
             }
-        }
-        Ok(program)
+        })
     }
 }
 

@@ -812,6 +812,21 @@ fn snapshot_restore_rejects_inconsistencies() {
     ));
 }
 
+#[test]
+fn overflowing_program_snapshot_dimensions_are_corrupt() {
+    // 2 x 2^63 cells wraps to 0 in a 64-bit product, which an empty grid
+    // would match.
+    let hostile = ProgramSnapshot {
+        channels: 2,
+        cycle: 1 << 63,
+        grid: Vec::new(),
+    };
+    assert!(matches!(
+        hostile.rebuild(),
+        Err(StationError::CorruptSnapshot { .. })
+    ));
+}
+
 fn every_slot_trace() -> Trace {
     Trace::new(airsched_trace::TraceConfig {
         sample_every: 1,

@@ -15,10 +15,11 @@
 //! rebuild retargets the cache in place and encodes only pages new to the
 //! grid. Per slot stalls need no rebuild (a `None` carrier patches the
 //! idle template), and drift that slips through anyway (a column computed
-//! just before a swap) is caught by the cache's plan-drift check,
-//! answered with one rebuild-and-retry, and — if the column still
-//! disagrees — a fresh encode, so the emitted bytes are *always* exactly
-//! what the fresh encoder would produce.
+//! just before a swap) is caught by the cache's plan-drift check and
+//! answered with a fresh encode, so the emitted bytes are *always* exactly
+//! what the fresh encoder would produce. Drift is never answered with a
+//! rebuild: the cache already holds the current epoch's plan, and
+//! rebuilding at the same epoch reads the same plan again.
 //!
 //! A broadcaster is bound to one station instance: the epoch is not
 //! snapshotted, so after [`Station::from_snapshot`] bind a fresh
@@ -150,15 +151,8 @@ impl<P: CyclicPayloads> SlotBroadcaster<P> {
         if let Ok(written) = cache.encode_slot_into(on_air, slot_time, buf) {
             return Ok(written);
         }
-        // The column disagrees with the cached plan (drift the epoch did
-        // not cover, e.g. a column captured just before a swap): rebuild
-        // once and retry, then encode fresh if it still disagrees. Either
-        // way the emitted bytes match the fresh encoder's.
-        self.rebuild(station)?;
-        let cache = self.cache.as_mut().expect("rebuild installs a cache");
-        if let Ok(written) = cache.encode_slot_into(on_air, slot_time, buf) {
-            return Ok(written);
-        }
+        // The column disagrees with the current epoch's plan (e.g. it was
+        // captured just before a swap): encode it fresh.
         self.fresh_fallbacks += 1;
         encode_slot_into(
             on_air,
@@ -197,9 +191,8 @@ impl<P: CyclicPayloads> SlotBroadcaster<P> {
         self.rebuilds
     }
 
-    /// Slots that fell all the way back to the fresh encoder (cache
-    /// disagreed with the column even after a rebuild). Zero in any
-    /// steady pipeline.
+    /// Slots that fell back to the fresh encoder (the column disagreed
+    /// with the current epoch's cache). Zero in any steady pipeline.
     #[must_use]
     pub fn fresh_fallbacks(&self) -> u64 {
         self.fresh_fallbacks
@@ -422,14 +415,18 @@ mod tests {
         let mut wire = BytesMut::new();
         tx.encode_slot(&station, &stale, stale_time, &mut wire)
             .expect("pre-change slot encodes");
+        assert_eq!(tx.rebuilds(), 1);
         station.expire(PageId::new(0)).expect("expires");
         station.publish(PageId::new(7), 2).expect("publishes");
         wire.clear();
         tx.encode_slot(&station, &stale, stale_time, &mut wire)
             .expect("stale column still encodes");
         assert_eq!(&wire[..], &fresh_bytes(&stale, stale_time)[..]);
-        assert!(
-            tx.fresh_fallbacks() >= 1,
+        // One rebuild for the new epoch, none for the drift itself.
+        assert_eq!(tx.rebuilds(), 2);
+        assert_eq!(
+            tx.fresh_fallbacks(),
+            1,
             "a genuinely stale column exercises the fallback"
         );
     }

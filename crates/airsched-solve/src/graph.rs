@@ -122,43 +122,6 @@ impl DiffGraph {
         None
     }
 
-    /// Shortest distances from the origin, or `None` if a negative cycle
-    /// makes them unbounded. `dist[x]` is the tightest upper bound the
-    /// closed DBM places on `x - origin`; unreachable variables are
-    /// unconstrained from above and report `i64::MAX`.
-    pub fn shortest_from_origin(&self) -> Option<Vec<i64>> {
-        let n = self.names.len();
-        let (first, next) = self.adjacency();
-        let mut dist = vec![i64::MAX; n];
-        let mut len = vec![0u32; n];
-        let mut in_queue = vec![false; n];
-        dist[ORIGIN as usize] = 0;
-        in_queue[ORIGIN as usize] = true;
-        let mut queue: VecDeque<u32> = VecDeque::from([ORIGIN]);
-        let limit = u32::try_from(n).expect("var count fits u32");
-        while let Some(u) = queue.pop_front() {
-            in_queue[u as usize] = false;
-            let mut ei = first[u as usize];
-            while ei != usize::MAX {
-                let e = &self.edges[ei];
-                let cand = dist[u as usize].saturating_add(e.weight);
-                if cand < dist[e.dst as usize] {
-                    dist[e.dst as usize] = cand;
-                    len[e.dst as usize] = len[u as usize] + 1;
-                    if len[e.dst as usize] >= limit {
-                        return None;
-                    }
-                    if !in_queue[e.dst as usize] {
-                        in_queue[e.dst as usize] = true;
-                        queue.push_back(e.dst);
-                    }
-                }
-                ei = next[ei];
-            }
-        }
-        Some(dist)
-    }
-
     /// Builds per-vertex singly-linked adjacency (insertion order).
     fn adjacency(&self) -> (Vec<usize>, Vec<usize>) {
         let mut first = vec![usize::MAX; self.names.len()];
@@ -224,9 +187,6 @@ mod tests {
         g.constrain(b, a, 3, ConstraintKind::TokenStart);
         g.constrain(ORIGIN, b, -2, ConstraintKind::TokenStart);
         assert!(g.negative_cycle().is_none());
-        let dist = g.shortest_from_origin().unwrap();
-        assert_eq!(dist[a as usize], 5);
-        assert_eq!(dist[b as usize], 8);
     }
 
     #[test]
@@ -238,7 +198,6 @@ mod tests {
         let cycle = g.negative_cycle().expect("cycle expected");
         assert_eq!(cycle.len(), 2);
         assert_eq!(check(&cycle), -1);
-        assert!(g.shortest_from_origin().is_none());
     }
 
     #[test]
@@ -276,6 +235,5 @@ mod tests {
         g.constrain(a, ORIGIN, 2, ConstraintKind::TokenStart);
         g.constrain(ORIGIN, a, -2, ConstraintKind::TokenStart);
         assert!(g.negative_cycle().is_none());
-        assert_eq!(g.shortest_from_origin().unwrap()[a as usize], 2);
     }
 }

@@ -11,9 +11,9 @@
 //! detection over the constraint graph then yields, for every question,
 //! an artifact a third party can check without trusting the solver:
 //!
-//! * **`Feasible`** carries a concrete witness schedule, synthesized from
-//!   the closed DBM's first-occurrence windows and guaranteed to pass
-//!   [`airsched_core::validity::check`] and the strict lint set;
+//! * **`Feasible`** carries a concrete witness schedule: the SUSC program
+//!   ([`airsched_core::susc::schedule`]) at the certified budget, which
+//!   passes [`airsched_core::validity::check`] and the strict lint set;
 //! * **`Infeasible`** carries a [`Certificate`]: the exact negative cycle,
 //!   as a list of constraint edges whose bounds telescope below zero.
 //!   [`Certificate::replay`] (or a dozen lines of python over the JSON
@@ -36,12 +36,12 @@ mod encode;
 mod graph;
 pub mod ptas;
 pub mod render;
-mod synth;
 
 use airsched_core::bound::{minimum_channels, minimum_channels_for_times};
 use airsched_core::error::ScheduleError;
 use airsched_core::group::GroupLadder;
 use airsched_core::program::BroadcastProgram;
+use airsched_core::susc;
 use airsched_core::types::PageId;
 
 pub use certificate::{CertEdge, Certificate, ConstraintKind, ReplayError, Subject, VarName};
@@ -82,13 +82,22 @@ impl Verdict {
 }
 
 /// Decides whether any valid program for `ladder` fits `channels`
-/// channels, returning a synthesized witness or a negative-cycle
+/// channels, returning a witness schedule or a negative-cycle
 /// certificate.
+///
+/// The verdict is the constraint system's alone. On a divisible ladder a
+/// budget without a negative cycle is at least Theorem 3.1's bound, where
+/// SUSC's tightest-first placement provably succeeds (the residue-class
+/// argument in [`airsched_core::susc`]), so the witness is
+/// [`susc::schedule`]'s program: every page aired exactly `T / t_p` times,
+/// `t_p` apart, first inside its window.
 ///
 /// # Errors
 ///
 /// Returns [`ScheduleError::WorkloadTooLarge`] when the constraint
-/// system would exceed the solver's size budget.
+/// system would exceed the solver's size budget, and passes on
+/// [`susc::schedule`]'s error should the witness fail to place (which
+/// the argument above rules out).
 ///
 /// # Examples
 ///
@@ -105,16 +114,15 @@ impl Verdict {
 /// # Ok::<(), airsched_core::error::ScheduleError>(())
 /// ```
 pub fn check_ladder(ladder: &GroupLadder, channels: u32) -> Result<Verdict, ScheduleError> {
-    let system = encode::ladder_system(ladder, channels)?;
-    if let Some(edges) = system.graph.negative_cycle() {
+    if let Some(edges) = encode::ladder_system(ladder, channels)?.negative_cycle() {
         return Ok(Verdict::Infeasible(Box::new(Certificate::new(
             ladder_subject(ladder, channels),
             edges,
         ))));
     }
-    Ok(Verdict::Feasible(Box::new(synth::extract(
-        &system, ladder, channels,
-    ))))
+    Ok(Verdict::Feasible(Box::new(susc::schedule(
+        ladder, channels,
+    )?)))
 }
 
 /// Checks a concrete `program` against the `ladder` it was scheduled
@@ -150,10 +158,10 @@ pub fn check_observed(program: &BroadcastProgram, deadlines: &[(PageId, u64)]) -
 ///
 /// This is the convenience form of [`check_ladder`] for callers that
 /// only want the schedule; the certificate is folded into an error.
-/// Unlike [`airsched_core::susc::schedule`] preceded by
-/// [`airsched_core::rearrange`], no geometric rounding happens, so
-/// irregular (divisibility-only) ladders keep their true expected times
-/// and often fit fewer channels.
+/// The ladder is packed as given: unlike the paper's pipeline, which
+/// rounds a catalogue onto a geometric ladder ([`airsched_core::rearrange`])
+/// before SUSC, irregular (divisibility-only) ladders keep their true
+/// expected times and often fit fewer channels.
 ///
 /// # Errors
 ///
@@ -181,10 +189,7 @@ pub fn synthesize(ladder: &GroupLadder, channels: u32) -> Result<BroadcastProgra
 /// system exceeds the solver's size budget.
 pub fn minimal_feasible_channels(ladder: &GroupLadder) -> Result<u32, ScheduleError> {
     let infeasible = |n: u32| -> Result<bool, ScheduleError> {
-        Ok(encode::ladder_system(ladder, n)?
-            .graph
-            .negative_cycle()
-            .is_some())
+        Ok(encode::ladder_system(ladder, n)?.negative_cycle().is_some())
     };
     let mut hi = 1u32;
     while infeasible(hi)? {
@@ -255,7 +260,7 @@ fn ladder_subject(ladder: &GroupLadder, channels: u32) -> Subject {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use airsched_core::{pamad, susc, validity};
+    use airsched_core::{pamad, validity};
     use airsched_lint::{lint, LintConfig, LintInput};
 
     fn paper_ladder() -> GroupLadder {
@@ -312,6 +317,47 @@ mod tests {
                 required: 2
             })
         ));
+    }
+
+    #[test]
+    fn geometric_ladder_synthesizes_valid_at_minimum() {
+        let ladder = paper_ladder();
+        let program = synthesize(&ladder, minimum_channels(&ladder)).unwrap();
+        let report = validity::check(&program, &ladder);
+        assert!(report.is_valid(), "{report:?}");
+    }
+
+    #[test]
+    fn irregular_ladder_synthesizes_valid_at_minimum() {
+        // 2 | 4 | 12 but no uniform ratio: rearrangement would round 12
+        // down to 8 and waste bandwidth; the witness packs it as-is.
+        let ladder = GroupLadder::new(vec![(2, 1), (4, 2), (12, 6)]).unwrap();
+        assert!(ladder.uniform_ratio().is_none());
+        let min = minimum_channels(&ladder);
+        let program = synthesize(&ladder, min).unwrap();
+        assert!(validity::check(&program, &ladder).is_valid());
+        assert_eq!(program.channels(), min);
+    }
+
+    #[test]
+    fn synthesized_airings_are_exactly_canonical() {
+        let ladder = GroupLadder::new(vec![(2, 2), (4, 3), (8, 5)]).unwrap();
+        let program = synthesize(&ladder, minimum_channels(&ladder)).unwrap();
+        for (page, group) in ladder.pages() {
+            let t = ladder.time_of(group).slots();
+            assert_eq!(
+                program.frequency(page),
+                ladder.max_time() / t,
+                "page {page:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn extra_channels_are_tolerated() {
+        let ladder = GroupLadder::new(vec![(2, 1), (4, 1)]).unwrap();
+        let program = synthesize(&ladder, minimum_channels(&ladder) + 3).unwrap();
+        assert!(validity::check(&program, &ladder).is_valid());
     }
 
     #[test]

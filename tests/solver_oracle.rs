@@ -112,7 +112,8 @@ proptest! {
 
     /// Ladder-mode verdicts flip from infeasible (with a replayable
     /// certificate) to feasible (with a validity-clean witness) exactly
-    /// at the minimum.
+    /// at the minimum, and the witness is the SUSC program at that
+    /// budget.
     #[test]
     fn ladder_verdicts_bracket_the_minimum(ladder in arb_ladder()) {
         let min = minimum_channels(&ladder);
@@ -122,6 +123,7 @@ proptest! {
             match (verdict.witness(), verdict.certificate()) {
                 (Some(witness), None) => {
                     prop_assert!(validity::check(witness, &ladder).is_valid());
+                    prop_assert_eq!(witness, &susc::schedule(&ladder, n).unwrap());
                 }
                 (None, Some(cert)) => {
                     prop_assert!(independent_replay(cert).unwrap() < 0);
@@ -193,6 +195,7 @@ fn irregular_ladder_verdicts_agree() {
         }
         if let Some(witness) = verdict.witness() {
             assert!(validity::check(witness, &ladder).is_valid());
+            assert_eq!(witness, &susc::schedule(&ladder, n).unwrap());
             let report = lint(
                 &LintInput::for_program(witness, &ladder),
                 &LintConfig::default(),
