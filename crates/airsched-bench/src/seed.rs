@@ -6,9 +6,10 @@
 //! allocates its buffers fresh, and expected times are read from its own
 //! [`OnlineScheduler`]'s catalogue. Only the building blocks below the
 //! serving loop (scheduler, fault injector, health monitor, PAMAD
-//! replanner) are shared. The `serving_path` property tests drive it in
-//! lockstep with the optimized station under randomized chaos. It is
-//! deliberately left unoptimized.
+//! replanner) are shared; the relocation of a degraded plan is written
+//! here again, with a literal cell scan and plain `place` calls. The
+//! `serving_path` property tests drive it in lockstep with the optimized
+//! station under randomized chaos. It is deliberately left unoptimized.
 //!
 //! The replica has no lint gate, deep verify or degradation policy, so it
 //! matches a station running with the defaults and no plan corruptor.
@@ -160,7 +161,8 @@ impl SeedStation {
         u32::try_from(self.channel_up.iter().filter(|&&u| u).count()).expect("fits in u32")
     }
 
-    fn refresh_plan(&mut self) {
+    /// Re-derives the plan after the channel mask changed from `before`.
+    fn refresh_plan(&mut self, before: &[bool]) {
         let configured = u32::try_from(self.channel_up.len()).expect("fits in u32");
         let n_up = self.channels_up();
         let (active, mode) = if n_up == 0 {
@@ -168,7 +170,7 @@ impl SeedStation {
         } else if n_up == configured {
             (SeedPlan::Full, Mode::Valid)
         } else {
-            self.reduced_plan(n_up)
+            self.reduced_plan(before, n_up)
         };
         self.active = active;
         if mode != self.mode {
@@ -182,10 +184,13 @@ impl SeedStation {
         }
     }
 
-    fn reduced_plan(&mut self, n_up: u32) -> (SeedPlan, Mode) {
+    fn reduced_plan(&mut self, before: &[bool], n_up: u32) -> (SeedPlan, Mode) {
         let times: Vec<u64> = self.scheduler.pages().values().copied().collect();
         let minimum = minimum_channels_for_times(&times).unwrap_or(u32::MAX);
         if n_up >= minimum {
+            if let Some(program) = self.relocate(before, n_up) {
+                return (SeedPlan::Reduced(program), Mode::Repacked);
+            }
             let mut probe = self.scheduler.clone();
             if probe.rebuild_on_channels(n_up).is_ok() {
                 return (SeedPlan::Reduced(probe.program().clone()), Mode::Repacked);
@@ -203,6 +208,91 @@ impl SeedStation {
         (SeedPlan::Offline, Mode::Offline)
     }
 
+    /// The plan on the air moved onto `n_up` live channels: every channel
+    /// that stays up keeps the row it aired, cell for cell, and a channel
+    /// that comes back starts empty. Pages that lost cells with a row are
+    /// wiped, then placed one by one, tightest first, on the first
+    /// `(channel, offset)` whose cells `offset, offset + t, …` are all
+    /// free. `None` when the plan is not a SUSC layout or a page finds no
+    /// room.
+    fn relocate(&self, before: &[bool], n_up: u32) -> Option<BroadcastProgram> {
+        let (base, full) = match &self.active {
+            SeedPlan::Full => (self.scheduler.program(), true),
+            SeedPlan::Reduced(program) => (program, false),
+            SeedPlan::BestEffort(_) | SeedPlan::Offline => return None,
+        };
+        let cycle = base.cycle_len();
+        let mut grid: Vec<Option<PageId>> = Vec::new();
+        let mut rank = 0;
+        for (ch, &was) in before.iter().enumerate() {
+            // The row this channel aired: its own in the full plan, its
+            // rank among the live channels in a reduced one.
+            let row = if full { ch } else { rank };
+            if was {
+                rank += 1;
+            }
+            if !self.channel_up[ch] {
+                continue;
+            }
+            for slot in 0..cycle {
+                let cell = if was {
+                    let pos = GridPos::new(
+                        ChannelId::new(u32::try_from(row).expect("fits in u32")),
+                        SlotIndex::new(slot),
+                    );
+                    base.page_at(pos)
+                } else {
+                    None
+                };
+                grid.push(cell);
+            }
+        }
+        // A live page keeps its cells only if all of them survived.
+        let mut cells: BTreeMap<PageId, u64> = BTreeMap::new();
+        for page in grid.iter().flatten() {
+            *cells.entry(*page).or_default() += 1;
+        }
+        let catalogue = self.scheduler.pages();
+        for cell in &mut grid {
+            if let Some(page) = *cell {
+                if catalogue
+                    .get(&page)
+                    .is_none_or(|&t| cells[&page] * t != cycle)
+                {
+                    *cell = None;
+                }
+            }
+        }
+        let mut program = BroadcastProgram::new(n_up, cycle);
+        for (i, cell) in grid.iter().enumerate() {
+            if let Some(page) = *cell {
+                let ch = u32::try_from(i as u64 / cycle).expect("fits in u32");
+                let pos = GridPos::new(ChannelId::new(ch), SlotIndex::new(i as u64 % cycle));
+                program.place(pos, page).expect("cells are distinct");
+            }
+        }
+        let mut missing: Vec<(u64, PageId)> = catalogue
+            .iter()
+            .filter(|&(page, _)| program.frequency(*page) == 0)
+            .map(|(&page, &t)| (t, page))
+            .collect();
+        missing.sort_unstable();
+        for (t, page) in missing {
+            let free = |ch: u32, y: u64| {
+                (y..cycle).step_by(t as usize).all(|slot| {
+                    program.is_free(GridPos::new(ChannelId::new(ch), SlotIndex::new(slot)))
+                })
+            };
+            let (ch, y) =
+                (0..n_up).find_map(|ch| (0..t).find(|&y| free(ch, y)).map(|y| (ch, y)))?;
+            for slot in (y..cycle).step_by(t as usize) {
+                let pos = GridPos::new(ChannelId::new(ch), SlotIndex::new(slot));
+                program.place(pos, page).expect("the family is free");
+            }
+        }
+        Some(program)
+    }
+
     /// Transmits one slot: samples faults, walks the ladder, airs one
     /// column, and serves the waiters of every intact frame.
     pub fn tick(&mut self) -> SeedOutcome {
@@ -213,6 +303,7 @@ impl SeedStation {
 
         if let Some(injector) = self.injector.as_mut() {
             let faults = injector.sample(self.time);
+            let before = self.channel_up.clone();
             let mut changed = false;
             for channel in faults.went_down {
                 let ch = channel.index() as usize;
@@ -240,7 +331,7 @@ impl SeedStation {
             stalled = faults.stalled;
             corrupt_wanted = faults.corrupted;
             if changed {
-                self.refresh_plan();
+                self.refresh_plan(&before);
             }
         }
 

@@ -84,6 +84,13 @@ pub fn minimum_channels_per_group(ladder: &GroupLadder) -> u32 {
 /// SUSC rebuild exists; below it the station must fall back to PAMAD
 /// best-effort.
 ///
+/// Pages that share an expected time form one term, so the times are
+/// counted per distinct value, by linear search, and folded by
+/// [`minimum_channels_for_groups`]. The cost is pages × distinct times;
+/// a station's catalogue has at most as many distinct times as its cycle
+/// has divisors, a handful in practice, so nothing is copied or sorted
+/// per page.
+///
 /// An empty catalogue needs zero channels.
 ///
 /// # Errors
@@ -105,23 +112,51 @@ pub fn minimum_channels_per_group(ladder: &GroupLadder) -> u32 {
 /// # Ok::<(), airsched_core::error::ScheduleError>(())
 /// ```
 pub fn minimum_channels_for_times(times: &[u64]) -> Result<u32, ScheduleError> {
-    // Theorem 3.1 is a sum over groups, `sum_i P_i / t_i`: pages that share
-    // an expected time form one term, so the exact fraction costs two gcds
-    // per distinct time rather than per page.
-    let mut sorted = times.to_vec();
+    let mut groups: Vec<(u64, u64)> = Vec::new();
+    for &t in times {
+        match groups.iter_mut().find(|g| g.0 == t) {
+            Some(group) => group.1 += 1,
+            None => groups.push((t, 1)),
+        }
+    }
+    minimum_channels_for_groups(&groups)
+}
+
+/// Theorem 3.1 over `(expected time, page count)` pairs, in any order and
+/// with repeated times allowed: `ceil(sum P / t)` in exact rational
+/// arithmetic, folded in ascending time order so that the result (and
+/// any overflow) does not depend on how the pairs were listed. Pairs
+/// with no pages add nothing.
+///
+/// # Errors
+///
+/// As [`minimum_channels_for_times`]: a zero time with pages, or an
+/// overflowing fraction.
+///
+/// # Examples
+///
+/// ```
+/// use airsched_core::bound::minimum_channels_for_groups;
+///
+/// // The paper's example, P = (2, 3) at t = (2, 4).
+/// assert_eq!(minimum_channels_for_groups(&[(4, 3), (2, 2)])?, 2);
+/// # Ok::<(), airsched_core::error::ScheduleError>(())
+/// ```
+pub fn minimum_channels_for_groups(groups: &[(u64, u64)]) -> Result<u32, ScheduleError> {
+    let mut sorted: Vec<(u64, u64)> = groups.iter().copied().filter(|g| g.1 > 0).collect();
     sorted.sort_unstable();
-    if sorted.first() == Some(&0) {
+    if sorted.first().is_some_and(|g| g.0 == 0) {
         return Err(ScheduleError::InvalidFrequencies {
             reason: "expected times must be positive",
         });
     }
-    // Running sum num/den, reduced by gcd after every group so the
+    // Running sum num/den, reduced by gcd after every distinct time so the
     // denominator stays the lcm of the distinct times seen so far.
     let mut num: u128 = 0;
     let mut den: u128 = 1;
-    for group in sorted.chunk_by(|a, b| a == b) {
-        let t = u128::from(group[0]);
-        let count = group.len() as u128;
+    for run in sorted.chunk_by(|a, b| a.0 == b.0) {
+        let t = u128::from(run[0].0);
+        let count: u128 = run.iter().map(|g| u128::from(g.1)).sum();
         let g = gcd(den, t);
         let scale = t / g;
         num = num

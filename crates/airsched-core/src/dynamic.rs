@@ -32,12 +32,23 @@
 //! so it costs the cells it places: no scratch scheduler, no page map.
 //! [`crate::susc::schedule`] is that same pass over a ladder's pages, so
 //! this first-fit is the one SUSC placement in the library.
+//!
+//! # Relocation
+//!
+//! [`OnlineScheduler::relocate`] derives a program from one already on
+//! the air instead of packing afresh: it keeps the rows the caller names
+//! verbatim, drops every page that lost a cell with a dropped row, is no
+//! longer live, or whose frequency × expected time is not the cycle, and
+//! first-fits only the live pages left without a place — tightest first,
+//! with the same resumed first-fit. A lost channel then moves the pages
+//! of its own row and no others, and every surviving page keeps its
+//! exact columns.
 
 use std::collections::BTreeMap;
 
-use crate::error::ScheduleError;
+use crate::error::{ScheduleError, PAGE_ID_TOO_LARGE};
 use crate::program::BroadcastProgram;
-use crate::types::PageId;
+use crate::types::{PageId, PAGE_ID_LIMIT};
 
 /// An incrementally maintained, always-valid broadcast program.
 ///
@@ -132,6 +143,14 @@ pub(crate) fn first_fit(
     Ok((program, fit))
 }
 
+/// Rejects a page id the dense per-page tables must not be sized for.
+fn check_id(page: PageId) -> Result<(), ScheduleError> {
+    if page.index() >= PAGE_ID_LIMIT {
+        return Err(PAGE_ID_TOO_LARGE);
+    }
+    Ok(())
+}
+
 /// Rejects an expected time that cannot be placed periodically in `cycle`.
 fn check_expected(cycle: u64, expected: u64) -> Result<(), ScheduleError> {
     if expected == 0 || !cycle.is_multiple_of(expected) {
@@ -205,10 +224,13 @@ impl OnlineScheduler {
     ///
     /// * [`ScheduleError::InvalidFrequencies`] if `expected` is zero, does
     ///   not divide the cycle, or the page id is already live.
+    /// * [`ScheduleError::WorkloadTooLarge`] if the page id is at or above
+    ///   [`PAGE_ID_LIMIT`].
     /// * [`ScheduleError::PlacementFailed`] if no periodic slot family is
     ///   free — retry after [`OnlineScheduler::rebuild`], or treat as
     ///   capacity exhaustion if that also fails.
     pub fn add_page(&mut self, page: PageId, expected: u64) -> Result<(), ScheduleError> {
+        check_id(page)?;
         check_expected(self.program.cycle_len(), expected)?;
         if self.pages.contains_key(&page) {
             return Err(already_scheduled());
@@ -262,8 +284,13 @@ impl OnlineScheduler {
     ///
     /// * [`ScheduleError::InvalidFrequencies`] if a pending page is
     ///   malformed (zero/non-dividing time, or a duplicate id).
+    /// * [`ScheduleError::WorkloadTooLarge`] if a pending page id is at or
+    ///   above [`PAGE_ID_LIMIT`].
     /// * [`ScheduleError::PlacementFailed`] on true capacity exhaustion.
     pub fn rebuild_with(&mut self, pending: &[(PageId, u64)]) -> Result<(), ScheduleError> {
+        for &(page, _) in pending {
+            check_id(page)?;
+        }
         self.rebuild_onto(self.program.channels(), pending)
     }
 
@@ -293,6 +320,103 @@ impl OnlineScheduler {
     /// As [`OnlineScheduler::rebuild_on_channels`].
     pub fn program_on_channels(&self, channels: u32) -> Result<BroadcastProgram, ScheduleError> {
         Ok(self.pack(channels, &[])?.0)
+    }
+
+    /// The live pages placed on `rows.len()` channels starting from
+    /// `base`, a valid program already on the air: row `i` of the result
+    /// is `base` row `rows[i]`, verbatim, or an empty row for `None` (a
+    /// restored channel). One merge walk of `base`'s pages against the
+    /// catalogue drops every page that is no longer live, that has a cell
+    /// on a dropped row, or whose frequency × expected time is not the
+    /// cycle. Only the live pages left without a place are first-fitted,
+    /// tightest expected time first. Every other page keeps its exact
+    /// cells, and this scheduler is untouched.
+    ///
+    /// A kept page is trusted to be one periodic family because `base`
+    /// is valid: with every gap at most `t` and `cycle / t` occurrences,
+    /// the gaps are all exactly `t`. The station's pre-swap gate lints
+    /// every candidate, relocated or not.
+    ///
+    /// The ladder's cheap rung: a channel loss moves only the lost row's
+    /// pages, and a catalogue edit places only the new page. A
+    /// [`ScheduleError::PlacementFailed`] asks for a fresh
+    /// [`OnlineScheduler::program_on_channels`] instead.
+    ///
+    /// # Errors
+    ///
+    /// * [`ScheduleError::NoChannels`] if `rows` is empty.
+    /// * [`ScheduleError::InvalidFrequencies`] if `base`'s cycle differs
+    ///   from this scheduler's, or the kept rows are out of range or do
+    ///   not strictly ascend.
+    /// * [`ScheduleError::PlacementFailed`] if a page left without a place
+    ///   finds no free periodic family.
+    pub fn relocate(
+        &self,
+        base: &BroadcastProgram,
+        rows: &[Option<u32>],
+    ) -> Result<BroadcastProgram, ScheduleError> {
+        if rows.is_empty() {
+            return Err(ScheduleError::NoChannels);
+        }
+        let cycle = self.program.cycle_len();
+        if base.cycle_len() != cycle {
+            return Err(ScheduleError::InvalidFrequencies {
+                reason: "relocation base has a different cycle",
+            });
+        }
+        let mut kept = vec![false; base.channels() as usize];
+        let mut last = None;
+        for &from in rows.iter().flatten() {
+            if from >= base.channels() || last.is_some_and(|l| from <= l) {
+                return Err(ScheduleError::InvalidFrequencies {
+                    reason: "kept rows must be in range and strictly ascend",
+                });
+            }
+            kept[from as usize] = true;
+            last = Some(from);
+        }
+        // One merge walk, the base's pages against the catalogue (both
+        // ascending): a page keeps its place when it is live, whole
+        // (frequency × t is the cycle) and on kept rows only. Every other
+        // page is dropped, and the live pages without a place are missing.
+        let all_kept = kept.iter().all(|&k| k);
+        let mut missing: Vec<(PageId, u64)> = Vec::new();
+        let mut dropped = Vec::new();
+        let mut live = self.pages.iter().map(|(&p, &t)| (p, t)).peekable();
+        for page in base.pages() {
+            while let Some(new) = live.next_if(|&(p, _)| p < page) {
+                missing.push(new);
+            }
+            let on_kept_rows = || {
+                all_kept
+                    || base
+                        .occurrence_cells(page)
+                        .iter()
+                        .all(|c| kept[c.channel.index() as usize])
+            };
+            match live.next_if(|&(p, _)| p == page) {
+                Some((_, t)) if base.frequency(page) * t == cycle && on_kept_rows() => {}
+                Some(moved) => {
+                    dropped.push(page);
+                    missing.push(moved);
+                }
+                None => dropped.push(page),
+            }
+        }
+        missing.extend(live);
+        missing.sort_unstable_by_key(|&(page, t)| (t, page));
+        let room = missing.iter().map(|&(_, t)| cycle / t).sum::<u64>();
+        let room = usize::try_from(room).expect("the catalogue's cells fit in memory");
+        let mut program = base.with_rows(rows, &dropped, room);
+        // Cells only fill from here on, so one fresh set of resume points
+        // finds exactly what a scan from (0, 0) would.
+        let mut fit = FirstFit::default();
+        for (page, t) in missing {
+            if !fit.place(&mut program, page, t) {
+                return Err(ScheduleError::PlacementFailed { page });
+            }
+        }
+        Ok(program)
     }
 
     /// Captures the scheduler's exact state — the grid cell by cell plus
@@ -425,6 +549,71 @@ mod tests {
         assert!(sched.remove_page(PageId::new(9)).is_err());
         assert!(OnlineScheduler::new(0, 8).is_err());
         assert!(OnlineScheduler::new(1, 0).is_err());
+    }
+
+    #[test]
+    fn page_ids_at_the_limit_are_refused() {
+        let mut sched = OnlineScheduler::new(1, 8).unwrap();
+        for id in [PAGE_ID_LIMIT, u32::MAX] {
+            let page = PageId::new(id);
+            assert_eq!(sched.add_page(page, 8), Err(PAGE_ID_TOO_LARGE));
+            assert_eq!(sched.rebuild_with(&[(page, 8)]), Err(PAGE_ID_TOO_LARGE));
+            let mut cells = vec![None; 8];
+            cells[3] = Some(page);
+            assert_eq!(
+                BroadcastProgram::from_cells(1, 8, &cells),
+                Err(PAGE_ID_TOO_LARGE)
+            );
+        }
+        assert!(sched.pages().is_empty());
+    }
+
+    #[test]
+    fn relocation_keeps_rows_and_places_only_the_missing() {
+        // Four t=4 pages fill channel 0, four more channel 1.
+        let mut sched = OnlineScheduler::new(3, 8).unwrap();
+        for p in 0..8 {
+            sched.add_page(PageId::new(p), 4).unwrap();
+        }
+        let base = sched.program().clone();
+        // Channel 0 is lost: channel 1 becomes row 0 verbatim, and the
+        // lost row's pages land on channel 2, now row 1.
+        let moved = sched.relocate(&base, &[Some(1), Some(2)]).unwrap();
+        let cols = 8;
+        assert_eq!(&moved.cells()[..cols], &base.cells()[cols..2 * cols]);
+        assert_eq!(&moved.cells()[cols..], &base.cells()[..cols]);
+        // A restored channel gets an empty row, where first-fit puts a new
+        // page; an expired page is cleared.
+        sched.remove_page(PageId::new(5)).unwrap();
+        sched.add_page(PageId::new(9), 8).unwrap();
+        let grown = sched.relocate(&moved, &[None, Some(0), Some(1)]).unwrap();
+        let mut restored = vec![None; cols];
+        restored[0] = Some(PageId::new(9));
+        assert_eq!(&grown.cells()[..cols], &restored[..]);
+        assert_eq!(grown.frequency(PageId::new(5)), 0);
+        assert_eq!(grown.frequency(PageId::new(9)), 1);
+        for p in [0, 1, 2, 3, 4, 6, 7] {
+            let page = PageId::new(p);
+            let was: Vec<u64> = moved
+                .occurrence_cells(page)
+                .iter()
+                .map(|c| c.slot.index())
+                .collect();
+            let now: Vec<u64> = grown
+                .occurrence_cells(page)
+                .iter()
+                .map(|c| c.slot.index())
+                .collect();
+            assert_eq!(now, was, "{page}");
+        }
+        // No room: the caller packs afresh.
+        assert!(matches!(
+            sched.relocate(&base, &[Some(0)]),
+            Err(ScheduleError::PlacementFailed { .. })
+        ));
+        assert!(sched.relocate(&base, &[Some(1), Some(0)]).is_err());
+        assert!(sched.relocate(&base, &[Some(3)]).is_err());
+        assert_eq!(sched.relocate(&base, &[]), Err(ScheduleError::NoChannels));
     }
 
     #[test]

@@ -109,6 +109,11 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
+/// The refusal of a page id at or above [`crate::types::PAGE_ID_LIMIT`].
+pub(crate) const PAGE_ID_TOO_LARGE: ScheduleError = ScheduleError::WorkloadTooLarge {
+    reason: "page id at or above the page-id limit",
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;

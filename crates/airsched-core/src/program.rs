@@ -12,8 +12,8 @@
 
 use core::fmt;
 
-use crate::error::ScheduleError;
-use crate::types::{ChannelId, GridPos, PageId, SlotIndex};
+use crate::error::{ScheduleError, PAGE_ID_TOO_LARGE};
+use crate::types::{ChannelId, GridPos, PageId, SlotIndex, PAGE_ID_LIMIT};
 
 /// A source of per-page occurrence columns over a cyclic schedule.
 ///
@@ -348,6 +348,31 @@ impl<T: Copy + Ord> SpanArena<T> {
         self.compact_if_sparse();
     }
 
+    /// A copy without the runs of `dropped` (distinct keys), with every
+    /// entry passed through `map` and room for `room` more entries. The
+    /// entry vector is copied whole, so the dropped runs stay behind as
+    /// stranded entries until a compaction reclaims them.
+    fn copy_without(&self, dropped: &[usize], room: usize, map: impl Fn(T) -> T) -> Self {
+        let mut items = Vec::with_capacity(self.items.len() + room);
+        items.extend(self.items.iter().map(|&v| map(v)));
+        let mut copy = Self {
+            items,
+            spans: self.spans.clone(),
+            reserved: self.reserved,
+        };
+        for &key in dropped {
+            copy.reserved -= copy.spans[key].cap as usize;
+            copy.spans[key] = Span::default();
+        }
+        while copy.spans.last().is_some_and(|s| s.cap == 0) {
+            copy.spans.pop();
+        }
+        copy.compact_if_sparse();
+        // A compaction packs the vector to its live entries.
+        copy.items.reserve(room);
+        copy
+    }
+
     /// Packs every run tightly (`cap = len`) once stranded entries
     /// outnumber reserved ones.
     fn compact_if_sparse(&mut self) {
@@ -423,7 +448,8 @@ impl BroadcastProgram {
     /// * [`ScheduleError::InvalidFrequencies`] if `cycle_len == 0` or
     ///   `cells.len() != channels * cycle_len`.
     /// * [`ScheduleError::WorkloadTooLarge`] if `channels * cycle_len`
-    ///   overflows.
+    ///   overflows, or a cell holds a page id at or above
+    ///   [`PAGE_ID_LIMIT`].
     ///
     /// # Examples
     ///
@@ -460,6 +486,9 @@ impl BroadcastProgram {
             return Err(ScheduleError::InvalidFrequencies {
                 reason: "grid length does not match its dimensions",
             });
+        }
+        if cells.iter().flatten().any(|p| p.index() >= PAGE_ID_LIMIT) {
+            return Err(PAGE_ID_TOO_LARGE);
         }
         let mut program = Self::new(channels, cycle_len);
         let cols = usize::try_from(cycle_len).expect("a row is no longer than the grid");
@@ -601,6 +630,57 @@ impl BroadcastProgram {
             .map(|slot| GridPos::new(channel, SlotIndex::new(slot)));
         self.cells.append_run(p, cells);
         self.columns.append_run(p, slots);
+    }
+
+    /// This program re-shaped to `rows.len()` channels and cut down to
+    /// the pages not in `dropped`: row `i` is this program's row
+    /// `rows[i]`, or an empty row for `None`, without the cells of the
+    /// dropped pages. The occurrence tables are copied whole, with each
+    /// cell renumbered to its new row and the dropped runs left stranded
+    /// (a compaction reclaims them once they outnumber the live entries),
+    /// and hold room for `room` more cells.
+    ///
+    /// The kept rows must be in range and strictly ascend, so every
+    /// page's cells stay row-major; `dropped` must hold distinct placed
+    /// pages, every page with a cell on a row that is not kept among them
+    /// (the relocating scheduler ensures all of this).
+    pub(crate) fn with_rows(&self, rows: &[Option<u32>], dropped: &[PageId], room: usize) -> Self {
+        let mut row_map = vec![None; self.channels as usize];
+        for (to, &from) in (0u32..).zip(rows) {
+            if let Some(from) = from {
+                row_map[from as usize] = Some(to);
+            }
+        }
+        let width = self.cycle_len as usize;
+        let mut grid = Vec::with_capacity(rows.len() * width);
+        for &from in rows {
+            match from {
+                Some(from) => grid.extend_from_slice(&self.grid[self.row(from)]),
+                None => grid.resize(grid.len() + width, None),
+            }
+        }
+        for &page in dropped {
+            for pos in self.occurrence_cells(page) {
+                if let Some(row) = row_map[pos.channel.index() as usize] {
+                    grid[row as usize * width + pos.slot.index() as usize] = None;
+                }
+            }
+        }
+        let dropped: Vec<usize> = dropped.iter().map(|p| p.index() as usize).collect();
+        // Stranded entries, the dropped pages' among them, are never read
+        // again, so any channel does for those off the kept rows.
+        let cells = self.cells.copy_without(&dropped, room, |pos| {
+            let row = row_map.get(pos.channel.index() as usize).copied().flatten();
+            GridPos::new(ChannelId::new(row.unwrap_or(u32::MAX)), pos.slot)
+        });
+        Self {
+            channels: u32::try_from(rows.len()).expect("row count fits in u32"),
+            cycle_len: self.cycle_len,
+            grid,
+            columns: self.columns.copy_without(&dropped, room, |col| col),
+            occupied: cells.spans.iter().map(|s| u64::from(s.len)).sum(),
+            cells,
+        }
     }
 
     /// The grid range of channel `ch`'s row.

@@ -22,7 +22,7 @@ use core::fmt;
 use crate::error::ScheduleError;
 use crate::group::GroupLadder;
 use crate::program::BroadcastProgram;
-use crate::types::{ChannelId, GridPos, PageId, SlotIndex};
+use crate::types::{ChannelId, GridPos, PageId, SlotIndex, PAGE_ID_LIMIT};
 
 /// Magic first line of the program format.
 const MAGIC: &str = "airsched-program v1";
@@ -195,7 +195,7 @@ pub fn parse_program_with_map(text: &str) -> Result<(BroadcastProgram, SourceMap
     // Reject absurd header dimensions before allocating the grid: the
     // allocation is `channels * cycle` cells and must not be driven into a
     // capacity-overflow panic (or an OOM) by hostile input.
-    const MAX_PARSE_CELLS: u128 = 1 << 24;
+    const MAX_PARSE_CELLS: u128 = PAGE_ID_LIMIT as u128;
     if u128::from(channels) * u128::from(cycle) > MAX_PARSE_CELLS {
         return Err(err(2, "program dimensions too large"));
     }
@@ -231,9 +231,8 @@ pub fn parse_program_with_map(text: &str) -> Result<(BroadcastProgram, SourceMap
                 .parse()
                 .map_err(|_| err_at(line_no + 1, column, format!("bad page id '{cell}'")))?;
             // Page ids index dense per-page tables; a hostile id like
-            // u32::MAX would make the program allocate a table that large,
-            // so bound ids by the same budget as the grid itself.
-            if u128::from(page) >= MAX_PARSE_CELLS {
+            // u32::MAX would make the program allocate a table that large.
+            if page >= PAGE_ID_LIMIT {
                 return Err(err_at(
                     line_no + 1,
                     column,
@@ -404,7 +403,7 @@ mod tests {
 
     #[test]
     fn oversized_dimensions_hit_the_cell_budget_guard() {
-        // channels * cycle beyond MAX_PARSE_CELLS (1 << 24) must be refused
+        // channels * cycle beyond PAGE_ID_LIMIT (1 << 24) cells must be refused
         // before any allocation happens.
         let text = "airsched-program v1\nchannels 4096\ncycle 4097\ngrid\n";
         let e = parse_program(text).unwrap_err();

@@ -24,6 +24,19 @@ use core::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageId(u32);
 
+/// The bound every admitted page id stays below, and the cell budget of a
+/// parsed program grid.
+///
+/// Page ids index dense per-page tables (the program's occurrence
+/// arenas, the station's waiting set), so one id near `u32::MAX` would
+/// size each table at ~4G entries. Every path that admits an id —
+/// [`crate::dynamic::OnlineScheduler::add_page`] and
+/// [`crate::dynamic::OnlineScheduler::rebuild_with`],
+/// [`crate::program::BroadcastProgram::from_cells`] (checkpoint
+/// restores) and [`crate::textio::parse_program`] — refuses ids at or
+/// above it with an error.
+pub const PAGE_ID_LIMIT: u32 = 1 << 24;
+
 impl PageId {
     /// Creates a page id from its dense index.
     #[must_use]

@@ -128,6 +128,83 @@ impl NaiveFirstFit {
     }
 }
 
+/// One change under a relocated plan: a live channel lost or a down one
+/// restored (each by its rank), a page published, the k-th live page
+/// expired, or the k-th live page re-published under another time.
+#[derive(Debug, Clone)]
+enum Move {
+    Lose(usize),
+    Restore(usize),
+    Publish(PageId, u64),
+    Expire(usize),
+    Retime(usize, u64),
+}
+
+/// Cycle of the relocation grids: its divisors mix factors 2 and 3, so
+/// catalogues are divisible but not always harmonic.
+const RELOCATE_CYCLE: u64 = 24;
+const RELOCATE_TIMES: [u64; 6] = [2, 3, 4, 6, 8, 24];
+
+fn arb_move() -> impl Strategy<Value = Move> {
+    prop_oneof![
+        (0usize..8).prop_map(Move::Lose),
+        (0usize..8).prop_map(Move::Restore),
+        (0u32..30, 0usize..6).prop_map(|(p, i)| Move::Publish(PageId::new(p), RELOCATE_TIMES[i])),
+        (0usize..40).prop_map(Move::Expire),
+        (0usize..40, 0usize..6).prop_map(|(k, i)| Move::Retime(k, RELOCATE_TIMES[i])),
+    ]
+}
+
+/// Checks `program` as the station's gate would, on its grid: every
+/// live page airs as one periodic family of its expected time, so every
+/// gap is at most that time, and nothing else airs. The occurrence
+/// tables must be exactly what the grid holds.
+fn assert_valid_for(program: &BroadcastProgram, sched: &OnlineScheduler) {
+    let grid =
+        BroadcastProgram::from_cells(program.channels(), program.cycle_len(), program.cells())
+            .expect("a well-formed grid");
+    prop_assert_eq!(program.occupied_slots(), grid.occupied_slots());
+    prop_assert_eq!(
+        program.pages().collect::<Vec<_>>(),
+        grid.pages().collect::<Vec<_>>()
+    );
+    for page in grid.pages() {
+        prop_assert_eq!(
+            program.occurrence_cells(page),
+            grid.occurrence_cells(page),
+            "{}",
+            page
+        );
+        prop_assert_eq!(
+            program.occurrence_columns(page),
+            grid.occurrence_columns(page),
+            "{}",
+            page
+        );
+    }
+    let catalogue = sched.pages();
+    for page in grid.pages() {
+        prop_assert!(
+            catalogue.contains_key(&page),
+            "{} airs but is not live",
+            page
+        );
+    }
+    for (&page, &t) in catalogue {
+        prop_assert_eq!(grid.frequency(page) * t, grid.cycle_len(), "{}", page);
+        prop_assert!(
+            grid.cyclic_gaps_iter(page).all(|g| g <= t),
+            "{} gap above {}",
+            page,
+            t
+        );
+        prop_assert_eq!(
+            grid.occurrence_cells(page).len() as u64,
+            grid.frequency(page)
+        );
+    }
+}
+
 /// The paper's SUSC taken literally (§3.2, Algorithms 1 and 2): pages in
 /// group order, each at the first free cell `(x, y)` with `y < t_i`
 /// (`GetAvailableSlot`), then replicated every `t_i` slots. `None` where
@@ -280,6 +357,122 @@ proptest! {
                         prop_assert_eq!(Err(err), installed, "{:?} onto {}", op, n);
                         prop_assert_eq!(&rebuilt, &sched, "a refused rebuild changed state");
                     }
+                }
+            }
+        }
+    }
+
+    /// Relocation under random channel loss and restore, publish and
+    /// expire — one change or several between relocations — either
+    /// refuses with `PlacementFailed` or returns a program valid for the
+    /// live catalogue in which every page that survived the changes (all
+    /// cells on kept rows, still one family of its current expected
+    /// time) keeps its exact cells, moved to its row's new index, and
+    /// only the pages left without a place were placed. A refusal is
+    /// followed by a fresh pack, as the station does.
+    #[test]
+    fn relocation_keeps_survivors_and_places_only_the_missing(
+        channels in 2u32..=5,
+        pages in prop::collection::vec(0usize..6, 1..30),
+        moves in prop::collection::vec((arb_move(), any::<bool>()), 1..24),
+    ) {
+        let mut sched = OnlineScheduler::new(channels, RELOCATE_CYCLE).expect("valid dimensions");
+        for (id, &i) in (0u32..).zip(&pages) {
+            // Tight pages may not fit; the catalogue is what was admitted.
+            let _ = sched.add_page(PageId::new(id), RELOCATE_TIMES[i]);
+        }
+        let mut up = vec![true; channels as usize];
+        // The plan on the air, whose rows fill the live channels of
+        // `plan_up` in order.
+        let mut plan = Some(sched.program().clone());
+        let mut plan_up = up.clone();
+        for (mv, relocate_now) in moves {
+            match &mv {
+                Move::Lose(k) => {
+                    let live: Vec<usize> = (0..up.len()).filter(|&c| up[c]).collect();
+                    if live.len() > 1 {
+                        up[live[k % live.len()]] = false;
+                    }
+                }
+                Move::Restore(k) => {
+                    let down: Vec<usize> = (0..up.len()).filter(|&c| !up[c]).collect();
+                    if !down.is_empty() {
+                        up[down[k % down.len()]] = true;
+                    }
+                }
+                Move::Publish(page, t) => {
+                    if sched.add_page(*page, *t).is_err() {
+                        let _ = sched.rebuild_with(&[(*page, *t)]);
+                    }
+                }
+                Move::Expire(k) => {
+                    let live: Vec<PageId> = sched.pages().keys().copied().collect();
+                    if !live.is_empty() {
+                        sched.remove_page(live[k % live.len()]).expect("live page");
+                    }
+                }
+                Move::Retime(k, t) => {
+                    let live: Vec<PageId> = sched.pages().keys().copied().collect();
+                    if !live.is_empty() {
+                        let page = live[k % live.len()];
+                        sched.remove_page(page).expect("live page");
+                        if sched.add_page(page, *t).is_err() {
+                            let _ = sched.rebuild_with(&[(page, *t)]);
+                        }
+                    }
+                }
+            }
+            if !relocate_now {
+                continue;
+            }
+            let n_up = u32::try_from(up.iter().filter(|&&u| u).count()).unwrap();
+            let Some(base) = plan.take() else {
+                plan = sched.program_on_channels(n_up).ok();
+                plan_up.clone_from(&up);
+                continue;
+            };
+            // Row i of the candidate is the row its channel aired before.
+            let mut rank = 0u32;
+            let mut rows = Vec::new();
+            for (&was, &is) in plan_up.iter().zip(&up) {
+                let aired = was.then(|| { rank += 1; rank - 1 });
+                if is {
+                    rows.push(aired);
+                }
+            }
+            plan_up.clone_from(&up);
+            match sched.relocate(&base, &rows) {
+                Err(err) => {
+                    prop_assert!(
+                        matches!(err, airsched_core::error::ScheduleError::PlacementFailed { .. }),
+                        "{:?}: {:?}", mv, err
+                    );
+                    plan = sched.program_on_channels(n_up).ok();
+                }
+                Ok(program) => {
+                    prop_assert_eq!(program.channels(), n_up);
+                    assert_valid_for(&program, &sched);
+                    let cycle = RELOCATE_CYCLE;
+                    for (&page, &t) in sched.pages() {
+                        let cells = base.occurrence_cells(page);
+                        let kept: Option<Vec<GridPos>> = cells
+                            .iter()
+                            .map(|c| {
+                                let row = rows.iter().position(|&r| r == Some(c.channel.index()))?;
+                                Some(GridPos::new(ChannelId::new(u32::try_from(row).unwrap()), c.slot))
+                            })
+                            .collect();
+                        let family = !cells.is_empty()
+                            && cells.len() as u64 * t == cycle
+                            && cells.iter().all(|c| c.slot.index() % t == cells[0].slot.index() % t);
+                        if let (Some(kept), true) = (kept, family) {
+                            prop_assert_eq!(
+                                program.occurrence_cells(page), &kept[..],
+                                "{:?}: survivor {} moved", mv, page
+                            );
+                        }
+                    }
+                    plan = Some(program);
                 }
             }
         }

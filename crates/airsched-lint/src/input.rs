@@ -106,9 +106,14 @@ impl<'a> LintInput<'a> {
     /// skipped because the grouping is not a user artifact.
     #[must_use]
     pub fn for_catalogue(program: &'a BroadcastProgram, catalogue: &[(PageId, u64)]) -> Self {
-        let mut times: Vec<u64> = catalogue.iter().map(|&(_, t)| t).collect();
-        times.sort_unstable();
-        times.dedup();
+        // The distinct times, ascending, gathered without sorting the
+        // catalogue: a catalogue holds a handful of distinct times.
+        let mut times: Vec<u64> = Vec::new();
+        for &(_, t) in catalogue {
+            if let Err(at) = times.binary_search(&t) {
+                times.insert(at, t);
+            }
+        }
         let deadlines = catalogue
             .iter()
             .map(|&(page, limit)| {

@@ -15,7 +15,7 @@
 
 use airsched_core::bound;
 use airsched_core::program::{cyclic_gaps_over, BroadcastProgram};
-use airsched_core::types::{ChannelId, GridPos, GroupId, SlotIndex};
+use airsched_core::types::{ChannelId, GridPos, GroupId, PageId, SlotIndex};
 
 use crate::config::LintConfig;
 use crate::diagnostic::{Diagnostic, LintReport, Severity, Span, Witness};
@@ -181,6 +181,11 @@ impl RuleId {
 
 /// Runs every configured rule over `input` and collects the findings.
 ///
+/// The per-page program rules (`AP01`, `AP02`, `AP03`, `AP06`, `AP07`
+/// and `AL04`) share one walk over each page's occurrence columns; the
+/// grid-wide and plan rules run after it. The report sorts its
+/// diagnostics, so the order in which rules emit does not reach it.
+///
 /// # Examples
 ///
 /// ```
@@ -195,14 +200,43 @@ impl RuleId {
 /// ```
 #[must_use]
 pub fn lint(input: &LintInput<'_>, config: &LintConfig) -> LintReport {
-    let mut diagnostics = Vec::new();
-    for rule in RuleId::ALL {
-        let severity = config.level(rule);
-        if severity == Severity::Allow {
-            continue;
+    let mut out = Sink::new(config);
+    if let Some(program) = input.program {
+        page_rules(program, input, &mut out);
+        dead_air(program, &mut out);
+        duplicate_in_column(program, &mut out);
+    }
+    non_geometric_ladder(input, &mut out);
+    absurd_expected_time(input, &mut out);
+    frequency_non_monotone(input, &mut out);
+    LintReport::new(out.diagnostics)
+}
+
+/// Where rules report: the configured severities and the findings so
+/// far. Rules ask [`Sink::on`] before building a message, so a rule set
+/// to allow costs no formatting.
+struct Sink<'c> {
+    config: &'c LintConfig,
+    diagnostics: Vec<Diagnostic>,
+}
+
+impl<'c> Sink<'c> {
+    fn new(config: &'c LintConfig) -> Self {
+        Self {
+            config,
+            diagnostics: Vec::new(),
         }
-        let mut emit = |span: Span, message: String, witness: Witness| {
-            diagnostics.push(Diagnostic {
+    }
+
+    /// Whether `rule` reports at all (warn or deny).
+    fn on(&self, rule: RuleId) -> bool {
+        self.config.level(rule) != Severity::Allow
+    }
+
+    fn emit(&mut self, rule: RuleId, span: Span, message: String, witness: Witness) {
+        let severity = self.config.level(rule);
+        if severity != Severity::Allow {
+            self.diagnostics.push(Diagnostic {
                 rule,
                 severity,
                 span,
@@ -210,29 +244,13 @@ pub fn lint(input: &LintInput<'_>, config: &LintConfig) -> LintReport {
                 witness,
                 suggestion: rule.suggestion(),
             });
-        };
-        match rule {
-            RuleId::ExpectedTimeGap => expected_time_gap(input, &mut emit),
-            RuleId::FirstAppearanceLate => first_appearance_late(input, &mut emit),
-            RuleId::NeverBroadcast => never_broadcast(input, &mut emit),
-            RuleId::DeadAir => dead_air(input, &mut emit),
-            RuleId::DuplicateInColumn => duplicate_in_column(input, &mut emit),
-            RuleId::FrequencyDeficit => frequency_deficit(input, &mut emit),
-            RuleId::ChannelsBelowMinimum => channels_below_minimum(input, &mut emit),
-            RuleId::NonGeometricLadder => non_geometric_ladder(input, &mut emit),
-            RuleId::AbsurdExpectedTime => absurd_expected_time(input, config, &mut emit),
-            RuleId::FrequencyNonMonotone => frequency_non_monotone(input, &mut emit),
-            RuleId::StretchExceeded => stretch_exceeded(input, config, &mut emit),
         }
     }
-    LintReport::new(diagnostics)
 }
-
-type Emit<'e> = dyn FnMut(Span, String, Witness) + 'e;
 
 /// The grid cell holding `page`'s occurrence at `column` (lowest channel
 /// wins when the page is duplicated across channels in that column).
-fn cell_at(program: &BroadcastProgram, page: airsched_core::types::PageId, column: u64) -> Span {
+fn cell_at(program: &BroadcastProgram, page: PageId, column: u64) -> Span {
     program
         .occurrence_cells(page)
         .iter()
@@ -240,29 +258,76 @@ fn cell_at(program: &BroadcastProgram, page: airsched_core::types::PageId, colum
         .map_or(Span::Page(page), |&c| Span::Cell(c))
 }
 
-/// `AP01`: every cyclic gap must be at most the page's expected time. The
-/// witness is the concrete tune-in instant right after the occurrence that
-/// opens the oversized gap; arriving there, a client waits exactly `gap`
-/// slots.
-fn expected_time_gap(input: &LintInput<'_>, emit: &mut Emit<'_>) {
-    let Some(program) = input.program else { return };
+/// The deadline rules, from one walk over each page's occurrence
+/// columns. The walk yields the page's first column, its occurrence
+/// count and its cyclic gaps, and counts the pages of each group:
+///
+/// * `AP01` — every cyclic gap must be at most the page's expected time.
+///   The witness is the tune-in instant right after the occurrence that
+///   opens the oversized gap; arriving there, a client waits exactly
+///   `gap` slots.
+/// * `AP02` — the first appearance must land within the first `t_i`
+///   columns.
+/// * `AP03` — every page under deadline must appear at least once.
+/// * `AP06` — a page with fewer than `ceil(cycle / t_i)` occurrences
+///   cannot avoid an oversized gap (the gaps sum to the cycle), so the
+///   deficit is reported as the cause-level diagnostic next to `AP01`'s
+///   symptoms.
+/// * `AP07` — Theorem 3.1: `N >= ceil(sum over pages of 1/t_p)` channels
+///   are necessary for any valid program; the sum is taken per group.
+/// * `AL04` — per-group delay factor: the worst wait of any page of the
+///   group, divided by `t_i`, must stay within `max_stretch`.
+///
+/// Zero deadlines belong to `AL02`: they count only for `AP03`, and they
+/// leave the Theorem 3.1 bound undefined.
+fn page_rules(program: &BroadcastProgram, input: &LintInput<'_>, out: &mut Sink<'_>) {
     let cycle = program.cycle_len();
-    if cycle == 0 {
-        return;
-    }
+    let gap_on = out.on(RuleId::ExpectedTimeGap);
+    let late_on = out.on(RuleId::FirstAppearanceLate);
+    let never_on = out.on(RuleId::NeverBroadcast);
+    let deficit_on = out.on(RuleId::FrequencyDeficit);
+    let groups = input.group_times.len();
+    let mut group_pages = vec![0u64; groups];
+    let mut worst: Vec<Option<(PageId, u64)>> = vec![None; groups];
+    let mut zero_limit = false;
     for d in &input.deadlines {
+        let idx = d.group.index() as usize;
         if d.limit == 0 {
-            continue; // AL02 owns zero deadlines.
+            zero_limit = true;
+        } else if let Some(n) = group_pages.get_mut(idx) {
+            *n += 1;
         }
         let cols = program.occurrence_columns(d.page);
-        if cols.is_empty() {
-            continue; // AP03 owns missing pages.
+        let Some(&first) = cols.first() else {
+            if never_on {
+                let required = if d.limit == 0 {
+                    1
+                } else {
+                    cycle.div_ceil(d.limit)
+                };
+                out.emit(
+                    RuleId::NeverBroadcast,
+                    Span::Page(d.page),
+                    format!("{} never appears in the program", d.page),
+                    Witness::Frequency {
+                        page: d.page,
+                        observed: 0,
+                        required: required.max(1),
+                    },
+                );
+            }
+            continue;
+        };
+        if d.limit == 0 {
+            continue;
         }
+        let mut max_gap = 0;
         for (i, gap) in cyclic_gaps_over(cols, cycle).enumerate() {
-            if gap > d.limit {
+            max_gap = max_gap.max(gap);
+            if gap > d.limit && gap_on {
                 let start = cols[i];
-                let arrival = (start + 1) % cycle;
-                emit(
+                out.emit(
+                    RuleId::ExpectedTimeGap,
                     cell_at(program, d.page, start),
                     format!(
                         "{} leaves a {gap}-slot gap after column {start}, above its \
@@ -271,27 +336,16 @@ fn expected_time_gap(input: &LintInput<'_>, emit: &mut Emit<'_>) {
                     ),
                     Witness::TuneIn {
                         page: d.page,
-                        arrival,
+                        arrival: (start + 1) % cycle,
                         wait: gap,
                         limit: d.limit,
                     },
                 );
             }
         }
-    }
-}
-
-/// `AP02`: the first appearance must land within the first `t_i` columns.
-fn first_appearance_late(input: &LintInput<'_>, emit: &mut Emit<'_>) {
-    let Some(program) = input.program else { return };
-    for d in &input.deadlines {
-        if d.limit == 0 {
-            continue;
-        }
-        let cols = program.occurrence_columns(d.page);
-        let Some(&first) = cols.first() else { continue };
-        if first >= d.limit {
-            emit(
+        if first >= d.limit && late_on {
+            out.emit(
+                RuleId::FirstAppearanceLate,
                 cell_at(program, d.page, first),
                 format!(
                     "{} first appears in column {first}, past its expected time \
@@ -306,104 +360,11 @@ fn first_appearance_late(input: &LintInput<'_>, emit: &mut Emit<'_>) {
                 },
             );
         }
-    }
-}
-
-/// `AP03`: every page under deadline must appear at least once.
-fn never_broadcast(input: &LintInput<'_>, emit: &mut Emit<'_>) {
-    let Some(program) = input.program else { return };
-    let cycle = program.cycle_len();
-    for d in &input.deadlines {
-        if program.occurrence_columns(d.page).is_empty() {
-            let required = if d.limit == 0 {
-                1
-            } else {
-                cycle.div_ceil(d.limit)
-            };
-            emit(
-                Span::Page(d.page),
-                format!("{} never appears in the program", d.page),
-                Witness::Frequency {
-                    page: d.page,
-                    observed: 0,
-                    required: required.max(1),
-                },
-            );
-        }
-    }
-}
-
-/// `AP04`: flags empty cells. One diagnostic for the whole grid, spanning
-/// the first empty cell.
-fn dead_air(input: &LintInput<'_>, emit: &mut Emit<'_>) {
-    let Some(program) = input.program else { return };
-    let mut empty = 0u64;
-    let mut first: Option<GridPos> = None;
-    for ch in 0..program.channels() {
-        for slot in 0..program.cycle_len() {
-            let pos = GridPos::new(ChannelId::new(ch), SlotIndex::new(slot));
-            if program.is_free(pos) {
-                empty += 1;
-                first.get_or_insert(pos);
-            }
-        }
-    }
-    if let Some(pos) = first {
-        emit(
-            Span::Cell(pos),
-            format!("{empty} of {} grid cells are dead air", program.capacity()),
-            Witness::DeadAir {
-                empty,
-                capacity: program.capacity(),
-            },
-        );
-    }
-}
-
-/// `AP05`: a page placed on several channels in the same column counts as
-/// one logical occurrence; the extras are wasted capacity.
-fn duplicate_in_column(input: &LintInput<'_>, emit: &mut Emit<'_>) {
-    let Some(program) = input.program else { return };
-    for page in program.pages() {
-        let cells = program.occurrence_cells(page);
-        if cells.len() == program.occurrence_columns(page).len() {
-            continue; // No column holds the page twice.
-        }
-        for &column in program.occurrence_columns(page) {
-            let in_column: Vec<GridPos> = cells
-                .iter()
-                .filter(|c| c.slot.index() == column)
-                .copied()
-                .collect();
-            if in_column.len() > 1 {
-                emit(
-                    Span::Cell(in_column[1]),
-                    format!(
-                        "{page} airs {} times in column {column}; parallel copies \
-                         in one column serve no additional client",
-                        in_column.len()
-                    ),
-                    Witness::Cells(in_column),
-                );
-            }
-        }
-    }
-}
-
-/// `AP06`: a page with fewer than `ceil(cycle / t_i)` occurrences cannot
-/// avoid an oversized gap (the gaps sum to the cycle), so the deficit is
-/// reported as the cause-level diagnostic next to `AP01`'s symptoms.
-fn frequency_deficit(input: &LintInput<'_>, emit: &mut Emit<'_>) {
-    let Some(program) = input.program else { return };
-    let cycle = program.cycle_len();
-    for d in &input.deadlines {
-        if d.limit == 0 {
-            continue;
-        }
-        let observed = program.frequency(d.page);
+        let observed = cols.len() as u64;
         let required = cycle.div_ceil(d.limit);
-        if observed > 0 && observed < required {
-            emit(
+        if observed < required && deficit_on {
+            out.emit(
+                RuleId::FrequencyDeficit,
                 Span::Page(d.page),
                 format!(
                     "{} airs {observed} time(s) per {cycle}-slot cycle; at least \
@@ -417,26 +378,40 @@ fn frequency_deficit(input: &LintInput<'_>, emit: &mut Emit<'_>) {
                 },
             );
         }
+        if let Some(w) = worst.get_mut(idx) {
+            if w.is_none_or(|(_, g)| max_gap > g) {
+                *w = Some((d.page, max_gap));
+            }
+        }
+    }
+    if out.on(RuleId::ChannelsBelowMinimum) && !input.deadlines.is_empty() && !zero_limit {
+        channels_below_minimum(program, input, &group_pages, out);
+    }
+    if out.on(RuleId::StretchExceeded) {
+        stretch_exceeded(input, &worst, out);
     }
 }
 
-/// `AP07`: Theorem 3.1 — `N >= ceil(sum over pages of 1/t_p)` channels are
-/// necessary for any valid program.
-fn channels_below_minimum(input: &LintInput<'_>, emit: &mut Emit<'_>) {
-    let Some(program) = input.program else { return };
-    if input.deadlines.is_empty() {
-        return;
-    }
-    let times: Vec<u64> = input.deadlines.iter().map(|d| d.limit).collect();
-    if times.contains(&0) {
-        return; // AL02 owns zero deadlines; the bound is undefined.
-    }
-    let Ok(minimum) = bound::minimum_channels_for_times(&times) else {
+/// `AP07` from the per-group page counts of [`page_rules`]' walk.
+fn channels_below_minimum(
+    program: &BroadcastProgram,
+    input: &LintInput<'_>,
+    group_pages: &[u64],
+    out: &mut Sink<'_>,
+) {
+    let groups: Vec<(u64, u64)> = input
+        .group_times
+        .iter()
+        .copied()
+        .zip(group_pages.iter().copied())
+        .collect();
+    let Ok(minimum) = bound::minimum_channels_for_groups(&groups) else {
         return;
     };
     let configured = program.channels();
     if configured < minimum {
-        emit(
+        out.emit(
+            RuleId::ChannelsBelowMinimum,
             Span::Program,
             format!(
                 "program has {configured} channel(s); Theorem 3.1 requires at \
@@ -450,13 +425,110 @@ fn channels_below_minimum(input: &LintInput<'_>, emit: &mut Emit<'_>) {
     }
 }
 
+/// `AL04` from each group's worst page and wait, as [`page_rules`]' walk
+/// found them.
+fn stretch_exceeded(input: &LintInput<'_>, worst: &[Option<(PageId, u64)>], out: &mut Sink<'_>) {
+    let max_stretch = out.config.max_stretch();
+    for (idx, entry) in worst.iter().enumerate() {
+        let Some((page, worst_wait)) = *entry else {
+            continue;
+        };
+        let limit = input.group_times[idx];
+        #[allow(clippy::cast_precision_loss)]
+        let stretch = worst_wait as f64 / limit as f64;
+        if stretch > max_stretch {
+            let group = GroupId::new(u32::try_from(idx).unwrap_or(u32::MAX));
+            out.emit(
+                RuleId::StretchExceeded,
+                Span::Group(group),
+                format!(
+                    "group {group} has a delay factor of {stretch:.2} (worst \
+                     wait {worst_wait} slots for {page} against t={limit}), \
+                     above the threshold {max_stretch:.2}"
+                ),
+                Witness::Stretch {
+                    page,
+                    worst_wait,
+                    limit,
+                },
+            );
+        }
+    }
+}
+
+/// `AP04`: flags empty cells. One diagnostic for the whole grid, spanning
+/// the first empty cell.
+fn dead_air(program: &BroadcastProgram, out: &mut Sink<'_>) {
+    if !out.on(RuleId::DeadAir) {
+        return;
+    }
+    let mut empty = 0u64;
+    let mut first: Option<GridPos> = None;
+    for ch in 0..program.channels() {
+        for slot in 0..program.cycle_len() {
+            let pos = GridPos::new(ChannelId::new(ch), SlotIndex::new(slot));
+            if program.is_free(pos) {
+                empty += 1;
+                first.get_or_insert(pos);
+            }
+        }
+    }
+    if let Some(pos) = first {
+        out.emit(
+            RuleId::DeadAir,
+            Span::Cell(pos),
+            format!("{empty} of {} grid cells are dead air", program.capacity()),
+            Witness::DeadAir {
+                empty,
+                capacity: program.capacity(),
+            },
+        );
+    }
+}
+
+/// `AP05`: a page placed on several channels in the same column counts as
+/// one logical occurrence; the extras are wasted capacity.
+fn duplicate_in_column(program: &BroadcastProgram, out: &mut Sink<'_>) {
+    if !out.on(RuleId::DuplicateInColumn) {
+        return;
+    }
+    for page in program.pages() {
+        let cells = program.occurrence_cells(page);
+        if cells.len() == program.occurrence_columns(page).len() {
+            continue; // No column holds the page twice.
+        }
+        for &column in program.occurrence_columns(page) {
+            let in_column: Vec<GridPos> = cells
+                .iter()
+                .filter(|c| c.slot.index() == column)
+                .copied()
+                .collect();
+            if in_column.len() > 1 {
+                out.emit(
+                    RuleId::DuplicateInColumn,
+                    Span::Cell(in_column[1]),
+                    format!(
+                        "{page} airs {} times in column {column}; parallel copies \
+                         in one column serve no additional client",
+                        in_column.len()
+                    ),
+                    Witness::Cells(in_column),
+                );
+            }
+        }
+    }
+}
+
 /// `AL01`: the paper's ladder assumption `t_{i+1} = c * t_i` for a constant
 /// integer `c >= 2`. Non-ascending steps, non-divisible steps, and
 /// divisible-but-varying ratios all fire here.
-fn non_geometric_ladder(input: &LintInput<'_>, emit: &mut Emit<'_>) {
+fn non_geometric_ladder(input: &LintInput<'_>, out: &mut Sink<'_>) {
     let Some(groups) = &input.raw_groups else {
         return;
     };
+    if !out.on(RuleId::NonGeometricLadder) {
+        return;
+    }
     let times: Vec<u64> = groups.iter().map(|&(t, _)| t).collect();
     let mut ratio: Option<u64> = None;
     for i in 1..times.len() {
@@ -467,7 +539,8 @@ fn non_geometric_ladder(input: &LintInput<'_>, emit: &mut Emit<'_>) {
         let group = GroupId::new(u32::try_from(i).unwrap_or(u32::MAX));
         let required = prev.saturating_mul(ratio.unwrap_or(2));
         if next <= prev {
-            emit(
+            out.emit(
+                RuleId::NonGeometricLadder,
                 Span::Group(group),
                 format!(
                     "expected times must strictly ascend: group {group} has \
@@ -482,7 +555,8 @@ fn non_geometric_ladder(input: &LintInput<'_>, emit: &mut Emit<'_>) {
             continue;
         }
         if next % prev != 0 {
-            emit(
+            out.emit(
+                RuleId::NonGeometricLadder,
                 Span::Group(group),
                 format!("t={next} is not an integer multiple of the preceding t={prev}"),
                 Witness::LadderStep {
@@ -497,7 +571,8 @@ fn non_geometric_ladder(input: &LintInput<'_>, emit: &mut Emit<'_>) {
         match ratio {
             None => ratio = Some(c),
             Some(r) if r == c => {}
-            Some(r) => emit(
+            Some(r) => out.emit(
+                RuleId::NonGeometricLadder,
                 Span::Group(group),
                 format!(
                     "ladder ratio changes from {r} to {c} at group {group}; the \
@@ -515,8 +590,11 @@ fn non_geometric_ladder(input: &LintInput<'_>, emit: &mut Emit<'_>) {
 
 /// `AL02`: zero expected times (no client can ever be served in time) and
 /// times beyond the configured sanity bound.
-fn absurd_expected_time(input: &LintInput<'_>, config: &LintConfig, emit: &mut Emit<'_>) {
-    let max = config.max_expected_time();
+fn absurd_expected_time(input: &LintInput<'_>, out: &mut Sink<'_>) {
+    if !out.on(RuleId::AbsurdExpectedTime) {
+        return;
+    }
+    let max = out.config.max_expected_time();
     let times: Vec<u64> = input.raw_groups.as_ref().map_or_else(
         || input.group_times.clone(),
         |groups| groups.iter().map(|&(t, _)| t).collect(),
@@ -524,7 +602,8 @@ fn absurd_expected_time(input: &LintInput<'_>, config: &LintConfig, emit: &mut E
     for (idx, &t) in times.iter().enumerate() {
         let group = GroupId::new(u32::try_from(idx).unwrap_or(u32::MAX));
         if t == 0 {
-            emit(
+            out.emit(
+                RuleId::AbsurdExpectedTime,
                 Span::Group(group),
                 format!(
                     "group {group} has a zero expected time; no broadcast can \
@@ -536,7 +615,8 @@ fn absurd_expected_time(input: &LintInput<'_>, config: &LintConfig, emit: &mut E
                 },
             );
         } else if t > max {
-            emit(
+            out.emit(
+                RuleId::AbsurdExpectedTime,
                 Span::Group(group),
                 format!(
                     "group {group} has an expected time of {t} slots, beyond \
@@ -553,15 +633,19 @@ fn absurd_expected_time(input: &LintInput<'_>, config: &LintConfig, emit: &mut E
 
 /// `AL03`: PAMAD's invariant `S_1 >= S_2 >= ... >= S_h` — pages with tight
 /// deadlines must air at least as often as looser ones.
-fn frequency_non_monotone(input: &LintInput<'_>, emit: &mut Emit<'_>) {
+fn frequency_non_monotone(input: &LintInput<'_>, out: &mut Sink<'_>) {
     let Some(frequencies) = &input.frequencies else {
         return;
     };
+    if !out.on(RuleId::FrequencyNonMonotone) {
+        return;
+    }
     for i in 1..frequencies.len() {
         let (prev, next) = (frequencies[i - 1], frequencies[i]);
         if next > prev {
             let group = GroupId::new(u32::try_from(i).unwrap_or(u32::MAX));
-            emit(
+            out.emit(
+                RuleId::FrequencyNonMonotone,
                 Span::Group(group),
                 format!(
                     "group {group} broadcasts S={next} times per cycle, more \
@@ -573,61 +657,15 @@ fn frequency_non_monotone(input: &LintInput<'_>, emit: &mut Emit<'_>) {
     }
 }
 
-/// `AL04`: per-group delay factor — the worst wait of any page of the
-/// group, divided by `t_i`, must stay within `max_stretch`.
-fn stretch_exceeded(input: &LintInput<'_>, config: &LintConfig, emit: &mut Emit<'_>) {
-    let Some(program) = input.program else { return };
-    let cycle = program.cycle_len();
-    if cycle == 0 {
-        return;
-    }
-    let max_stretch = config.max_stretch();
-    let mut worst: Vec<Option<(airsched_core::types::PageId, u64)>> =
-        vec![None; input.group_times.len()];
-    for d in &input.deadlines {
-        let idx = d.group.index() as usize;
-        if d.limit == 0 || idx >= worst.len() {
-            continue;
-        }
-        let Some(gap) = cyclic_gaps_over(program.occurrence_columns(d.page), cycle).max() else {
-            continue; // AP03 owns missing pages.
-        };
-        if worst[idx].is_none_or(|(_, w)| gap > w) {
-            worst[idx] = Some((d.page, gap));
-        }
-    }
-    for (idx, entry) in worst.iter().enumerate() {
-        let Some((page, worst_wait)) = *entry else {
-            continue;
-        };
-        let limit = input.group_times[idx];
-        #[allow(clippy::cast_precision_loss)]
-        let stretch = worst_wait as f64 / limit as f64;
-        if stretch > max_stretch {
-            let group = GroupId::new(u32::try_from(idx).unwrap_or(u32::MAX));
-            emit(
-                Span::Group(group),
-                format!(
-                    "group {group} has a delay factor of {stretch:.2} (worst \
-                     wait {worst_wait} slots for {page} against t={limit}), \
-                     above the threshold {max_stretch:.2}"
-                ),
-                Witness::Stretch {
-                    page,
-                    worst_wait,
-                    limit,
-                },
-            );
-        }
-    }
-}
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use airsched_core::group::GroupLadder;
-    use airsched_core::types::PageId;
     use airsched_core::{pamad, susc};
+    use proptest::prelude::*;
 
     fn pos(ch: u32, slot: u64) -> GridPos {
         GridPos::new(ChannelId::new(ch), SlotIndex::new(slot))
@@ -987,5 +1025,94 @@ mod tests {
         codes.sort_unstable();
         codes.dedup();
         assert_eq!(codes.len(), RuleId::ALL.len());
+    }
+
+    /// A random harmonic ladder and a valid program for it: SUSC at or
+    /// above the bound, or PAMAD on any channel count.
+    fn arb_program() -> impl Strategy<Value = (GroupLadder, BroadcastProgram)> {
+        (
+            1u64..=4,
+            2u64..=3,
+            prop::collection::vec(1u64..=6, 1..=4),
+            0u32..3,
+            any::<bool>(),
+        )
+            .prop_map(|(t1, c, counts, extra, use_susc)| {
+                let ladder = GroupLadder::geometric(t1, c, &counts).unwrap();
+                let minimum = airsched_core::bound::minimum_channels(&ladder);
+                let program = if use_susc {
+                    susc::schedule(&ladder, minimum + extra).unwrap()
+                } else {
+                    let n = minimum.saturating_sub(1).max(1) + extra;
+                    pamad::schedule(&ladder, n).unwrap().into_program()
+                };
+                (ladder, program)
+            })
+    }
+
+    /// `program` with one cell rewritten: emptied, or given a page that
+    /// may or may not be in the catalogue.
+    fn corrupt(program: &BroadcastProgram, cell: usize, page: Option<u32>) -> BroadcastProgram {
+        let mut cells = program.cells().to_vec();
+        let at = cell % cells.len();
+        cells[at] = page.map(PageId::new);
+        BroadcastProgram::from_cells(program.channels(), program.cycle_len(), &cells).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The one-pass lint reports exactly what the per-rule reference
+        /// does — same diagnostics, same order, same rendered bytes — on
+        /// valid programs with one corrupted cell, for ladder, raw-group
+        /// and catalogue inputs under several configurations.
+        #[test]
+        fn one_pass_lint_matches_the_per_rule_reference(
+            built in arb_program(),
+            cell in any::<usize>(),
+            page in prop::option::of(0u32..32),
+            zero_group in any::<bool>(),
+            stretch in 1.0f64..2.0,
+        ) {
+            let (ladder, program) = built;
+            let program = corrupt(&program, cell, page);
+            let catalogue: Vec<(PageId, u64)> = ladder
+                .pages()
+                .map(|(p, g)| (p, ladder.time_of(g).slots()))
+                .collect();
+            let mut raw: Vec<(u64, u64)> = ladder
+                .times()
+                .iter()
+                .copied()
+                .zip(ladder.page_counts().iter().copied())
+                .collect();
+            if zero_group {
+                raw.insert(0, (0, 1));
+            }
+            let inputs = [
+                LintInput::for_program(&program, &ladder),
+                LintInput::for_raw_groups(Some(&program), &raw),
+                LintInput::for_catalogue(&program, &catalogue),
+            ];
+            let all_warn = RuleId::ALL
+                .into_iter()
+                .fold(LintConfig::default(), |c, r| c.with_level(r, Severity::Warn));
+            let configs = [
+                LintConfig::default(),
+                LintConfig::structural(),
+                all_warn.with_max_stretch(stretch),
+            ];
+            for input in &inputs {
+                for config in &configs {
+                    let got = lint(input, config);
+                    let want = reference::lint(input, config);
+                    prop_assert_eq!(
+                        crate::render::render_text(&got, None),
+                        crate::render::render_text(&want, None)
+                    );
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
     }
 }

@@ -98,7 +98,7 @@ pub enum Event {
     },
     /// One stage of a replan ran.
     ReplanTiming {
-        /// Stage name (`"repack"`, `"pamad"`, `"opt"`).
+        /// Stage name (`"repack"`, `"relocate"`, `"pamad"`, `"solve"`).
         stage: String,
         /// Slot at which the replan ran.
         slot: u64,

@@ -23,7 +23,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use airsched_core::dynamic::SchedulerSnapshot;
-use airsched_core::types::{ChannelId, PageId};
+use airsched_core::types::{ChannelId, PageId, PAGE_ID_LIMIT};
 use airsched_proto::crc16;
 use airsched_recover::codec::ByteReader;
 use airsched_recover::{
@@ -256,6 +256,32 @@ fn overflowing_grid_dimensions_make_resume_an_error() {
         let resumed = RecoverableStation::resume(&dir, RecoveryOptions::new(), None);
         std::fs::remove_dir_all(&dir).ok();
         assert!(resumed.is_err(), "{:?}", ck.snapshot.active);
+    }
+}
+
+/// A CRC-valid checkpoint whose grid names a page id at or above
+/// `PAGE_ID_LIMIT` — in the scheduler's grid and in a degraded plan's in
+/// turn. Restoring either would size the program's dense per-page tables
+/// by the id, so `resume` must refuse it as an error.
+#[test]
+fn forged_page_ids_make_resume_an_error() {
+    let valid = Checkpoint::decode(valid_checkpoint()).expect("valid");
+    for id in [PAGE_ID_LIMIT, u32::MAX] {
+        let mut on_scheduler = valid.clone();
+        on_scheduler.snapshot.scheduler.grid[0] = Some(PageId::new(id));
+        let mut on_plan = valid.clone();
+        let ActivePlanSnapshot::Reduced(plan) = &mut on_plan.snapshot.active else {
+            panic!("the fixture is degraded: {:?}", on_plan.snapshot.active);
+        };
+        plan.grid[0] = Some(PageId::new(id));
+        for ck in [on_scheduler, on_plan] {
+            let dir = temp_journal();
+            std::fs::create_dir_all(&dir).expect("state dir");
+            ck.write_atomic(&dir).expect("writes");
+            let resumed = RecoverableStation::resume(&dir, RecoveryOptions::new(), None);
+            std::fs::remove_dir_all(&dir).ok();
+            assert!(resumed.is_err(), "id {id} restored");
+        }
     }
 }
 

@@ -128,6 +128,9 @@ impl Station {
         } else {
             self.reduced_plan(n_up)
         };
+        // Whatever the verdict, the on-air plan's rows now map onto the
+        // current live channels.
+        self.plan_up.clone_from(&self.channel_up);
         let Some((active, mode)) = decision else {
             return;
         };
@@ -146,9 +149,40 @@ impl Station {
         }
     }
 
-    /// The ladder decision for `0 < n_up < configured` survivors: a SUSC
-    /// re-pack while the survivors meet the catalogue's Theorem 3.1
-    /// minimum, PAMAD best-effort below it. Every candidate passes the
+    /// The on-air plan relocated onto the current live channels
+    /// ([`airsched_core::dynamic::OnlineScheduler::relocate`]): each live
+    /// channel keeps the row it aired under the previous channel mask,
+    /// and a channel that was down gets an empty row. `None` when the
+    /// plan on the air is not a valid SUSC layout to start from
+    /// (best-effort or offline), or when a page finds no room.
+    fn relocated(&self) -> Option<BroadcastProgram> {
+        let (base, full) = match &self.active {
+            ActivePlan::Full => (self.scheduler.program(), true),
+            ActivePlan::Reduced(program) => (program, false),
+            ActivePlan::BestEffort(_) | ActivePlan::Offline => return None,
+        };
+        // The full plan airs row `ch` on physical channel `ch`; a reduced
+        // plan's rows fill the live channels in ascending order — the
+        // mapping `tick_into` applies.
+        let mut rank = 0u32;
+        let mut rows = Vec::with_capacity(self.channel_up.len());
+        for (ch, (&was, &is)) in (0u32..).zip(self.plan_up.iter().zip(&self.channel_up)) {
+            let aired = was.then(|| {
+                let row = if full { ch } else { rank };
+                rank += 1;
+                row
+            });
+            if is {
+                rows.push(aired.filter(|&row| row < base.channels()));
+            }
+        }
+        self.scheduler.relocate(base, &rows).ok()
+    }
+
+    /// The ladder decision for `0 < n_up < configured` survivors: a valid
+    /// SUSC plan while the survivors meet the catalogue's Theorem 3.1
+    /// minimum — the on-air plan relocated, or a fresh pack when that
+    /// fails — and PAMAD best-effort below it. Every candidate passes the
     /// pre-swap lint gate; `None` means a candidate existed but was
     /// refused, so the caller must keep the previous plan on the air.
     fn reduced_plan(&mut self, n_up: u32) -> Option<(ActivePlan, Mode)> {
@@ -163,13 +197,21 @@ impl Station {
             // out of the unobserved path (and out of the registry, so
             // metric exposition remains deterministic either way).
             let started = self.observer.is_some().then(Instant::now);
-            if let Ok(program) = self.scheduler.program_on_channels(n_up) {
+            let packed = match self.relocated() {
+                Some(program) => Some((program, Stage::Relocate)),
+                // Fragmentation, or no valid base: pack afresh.
+                None => self
+                    .scheduler
+                    .program_on_channels(n_up)
+                    .ok()
+                    .map(|program| (program, Stage::Repack)),
+            };
+            if let Some((program, stage)) = packed {
                 let candidate = self.maybe_corrupt(program);
-                // SUSC places each page once: the sweep size is the
+                // Both walk the catalogue once: the sweep size is the
                 // catalogue.
-                self.record
-                    .replan(Stage::Repack, times.len() as u64, started);
-                // A re-pack claims full validity, so it must survive the
+                self.record.replan(stage, times.len() as u64, started);
+                // A SUSC plan claims full validity, so it must survive the
                 // complete deadline rule set — and, under deep-verify,
                 // the solver's independent certification as well. Both
                 // checks always run so their verdicts can be compared.

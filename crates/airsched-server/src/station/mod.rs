@@ -27,9 +27,13 @@
 //!   program airs.
 //! * **[`Mode::Repacked`]** — some channels down, but the survivors still
 //!   meet Theorem 3.1's minimum
-//!   ([`airsched_core::bound::minimum_channels_for_times`]); the
-//!   catalogue is re-packed into a *valid* program on the survivors via
-//!   SUSC ([`OnlineScheduler::program_on_channels`]).
+//!   ([`airsched_core::bound::minimum_channels_for_times`]); the plan on
+//!   the air is relocated onto the survivors
+//!   ([`OnlineScheduler::relocate`]): every live channel keeps its row,
+//!   and only the pages that lost their place are first-fitted. When a
+//!   page finds no room, the catalogue is re-packed afresh via SUSC
+//!   ([`OnlineScheduler::program_on_channels`]). Either way the result
+//!   is a *valid* program.
 //! * **[`Mode::BestEffort`]** — survivors fall below the minimum; no
 //!   valid program exists, so the station fails over to PAMAD
 //!   ([`airsched_core::degrade::replan`]) and spreads the unavoidable
@@ -557,6 +561,11 @@ pub struct Station {
     stats: StationStats,
     /// Physical channel up/down state; length is the configured count.
     channel_up: Vec<bool>,
+    /// `channel_up` as of the last ladder re-evaluation: the channels the
+    /// on-air plan's rows were mapped onto until the change now being
+    /// re-evaluated. Equal to `channel_up` between public calls, so it is
+    /// derived on restore rather than snapshotted.
+    plan_up: Vec<bool>,
     injector: Option<FaultInjector>,
     health: HealthMonitor,
     policy: DegradationPolicy,
@@ -603,6 +612,7 @@ impl Station {
             next_client: 0,
             stats: StationStats::default(),
             channel_up: vec![true; channels as usize],
+            plan_up: vec![true; channels as usize],
             injector: None,
             health: HealthMonitor::new(channels, HealthThresholds::default()),
             policy: DegradationPolicy::default(),

@@ -45,10 +45,13 @@ pub(super) enum Stage {
     Pamad,
     /// The deep-verify solver certification.
     Solve,
+    /// The relocation of the on-air plan: surviving rows kept, only the
+    /// pages left without a place first-fitted.
+    Relocate,
 }
 
 /// Replan stage names indexed by `Stage as usize`.
-const STAGE_NAMES: [&str; 3] = ["repack", "pamad", "solve"];
+const STAGE_NAMES: [&str; 4] = ["repack", "pamad", "solve", "relocate"];
 
 /// Health-transition labels indexed by [`transition_index`].
 const TRANSITION_NAMES: [&str; 4] = ["down", "up", "degraded", "healthy"];
@@ -220,8 +223,8 @@ struct Metrics {
     stalled_frames: Counter,
     corrupt_frames: Counter,
     health_transitions: [Counter; 4],
-    replan_runs: [Counter; 3],
-    replan_evals: [Counter; 3],
+    replan_runs: [Counter; 4],
+    replan_evals: [Counter; 4],
     /// Re-pack candidates the difference-constraint solver rejected
     /// under deep verify.
     solve_rejections: Counter,

@@ -99,6 +99,7 @@ impl Station {
             next_client: snapshot.next_client,
             stats: snapshot.stats,
             channel_up: snapshot.channel_up.clone(),
+            plan_up: snapshot.channel_up.clone(),
             injector,
             health: HealthMonitor::from_snapshot(&snapshot.health),
             policy: snapshot.policy,

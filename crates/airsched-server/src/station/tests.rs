@@ -496,6 +496,157 @@ fn propose_plan_is_the_gates_dry_run() {
 }
 
 #[test]
+fn publish_refuses_ids_at_the_page_id_limit() {
+    use airsched_core::types::PAGE_ID_LIMIT;
+    let mut s = station_with_catalogue();
+    let epoch = s.plan_epoch();
+    for id in [PAGE_ID_LIMIT, u32::MAX] {
+        assert!(matches!(
+            s.publish(PageId::new(id), 4),
+            Err(StationError::Schedule(
+                ScheduleError::WorkloadTooLarge { .. }
+            ))
+        ));
+    }
+    assert_eq!(s.catalogue().len(), 3);
+    assert_eq!(s.plan_epoch(), epoch, "a refused publish changes no plan");
+}
+
+/// Every `(channel, column)` a page airs on, physical channels.
+fn airings(cells: &PlanCells, page: PageId) -> Vec<(u32, u64)> {
+    let cols = usize::try_from(cells.cycle_len).unwrap();
+    (0u32..)
+        .zip(cells.cells.chunks(cols))
+        .flat_map(|(ch, row)| {
+            (0u64..)
+                .zip(row)
+                .filter(move |&(_, &p)| p == Some(page))
+                .map(move |(col, _)| (ch, col))
+        })
+        .collect()
+}
+
+#[test]
+fn a_channel_loss_moves_only_the_lost_channels_pages() {
+    // Eight t=4 pages fill channels 0 and 1 of four (Theorem 3.1 needs 2).
+    let mut s = Station::new(4, 8).unwrap();
+    for p in 0..8 {
+        s.publish(PageId::new(p), 4).unwrap();
+    }
+    let before = s.plan_cells();
+    assert_eq!(s.fail_channel(ChannelId::new(1)), Mode::Repacked);
+    let after = s.plan_cells();
+    for p in 0..8 {
+        let page = PageId::new(p);
+        let was = airings(&before, page);
+        if was.iter().all(|&(ch, _)| ch != 1) {
+            assert_eq!(airings(&after, page), was, "{page} moved");
+        } else {
+            assert!(airings(&after, page).iter().all(|&(ch, _)| ch != 1));
+        }
+    }
+    // A restore that leaves the station degraded moves nothing: the
+    // restored channel starts empty.
+    s.fail_channel(ChannelId::new(3));
+    let degraded = s.plan_cells();
+    assert_eq!(s.restore_channel(ChannelId::new(3)), Mode::Repacked);
+    assert_eq!(s.plan_cells(), degraded);
+    // An expire under the degraded plan clears only the expired page, and
+    // a publish places only the new one.
+    s.expire(PageId::new(0)).unwrap();
+    s.publish(PageId::new(9), 8).unwrap();
+    let edited = s.plan_cells();
+    for p in 1..8 {
+        let page = PageId::new(p);
+        assert_eq!(airings(&edited, page), airings(&degraded, page), "{page}");
+    }
+    assert!(airings(&edited, PageId::new(0)).is_empty());
+    assert_eq!(airings(&edited, PageId::new(9)).len(), 1);
+}
+
+thread_local! {
+    /// Which filled cell [`corrupt_one_cell`] rewrites (taken modulo the
+    /// filled count), and whether it empties it or gives it another page.
+    static CORRUPTION: std::cell::Cell<(usize, bool)> = const { std::cell::Cell::new((0, false)) };
+}
+
+/// A corruptor that rewrites one filled cell as [`CORRUPTION`] says: its
+/// page loses one occurrence of an exact periodic family, so the
+/// candidate misses a deadline.
+fn corrupt_one_cell(program: &BroadcastProgram) -> BroadcastProgram {
+    let (k, emptied) = CORRUPTION.get();
+    let mut cells = program.cells().to_vec();
+    let filled: Vec<usize> = (0..cells.len()).filter(|&i| cells[i].is_some()).collect();
+    let at = filled[k % filled.len()];
+    cells[at] = if emptied {
+        None
+    } else {
+        cells[at].map(|p| PageId::new(p.index() ^ 1))
+    };
+    BroadcastProgram::from_cells(program.channels(), program.cycle_len(), &cells).unwrap()
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+    /// The gate refuses every single-cell corruption of a relocated
+    /// candidate, whether the base is the full plan (first loss) or a
+    /// relocated one (second loss), while the same loss uncorrupted is
+    /// accepted as a relocation.
+    #[test]
+    fn the_gate_refuses_every_single_cell_corruption_of_a_relocation(
+        counts in proptest::collection::vec(1u64..=6, 1..=3),
+        lost in proptest::collection::vec(0u32..8, 2),
+        cell in 0usize..4096,
+        emptied in proptest::prelude::any::<bool>(),
+        second in proptest::prelude::any::<bool>(),
+    ) {
+        let ladder = airsched_core::group::GroupLadder::geometric(2, 2, &counts).unwrap();
+        let channels = airsched_core::bound::minimum_channels(&ladder) + 2;
+        let build = || {
+            let mut s = Station::new(channels, ladder.max_time()).unwrap();
+            s.set_degradation_policy(DegradationPolicy { repack: true, best_effort: false });
+            for (page, group) in ladder.pages() {
+                s.publish(page, ladder.time_of(group).slots()).unwrap();
+            }
+            s
+        };
+        let first = ChannelId::new(lost[0] % channels);
+        let next = ChannelId::new((lost[0] + 1 + lost[1] % (channels - 1)) % channels);
+        CORRUPTION.set((cell, emptied));
+        for corrupted in [false, true] {
+            let mut s = build();
+            let obs = Obs::new();
+            s.attach_obs(&obs);
+            let hook = |s: &mut Station, on: bool| {
+                s.set_plan_corruptor((corrupted && on).then_some(corrupt_one_cell as PlanCorruptor));
+            };
+            hook(&mut s, !second);
+            let mode_first = s.fail_channel(first);
+            hook(&mut s, second);
+            let mode = s.fail_channel(next);
+            let stages: Vec<String> = obs
+                .recent_events(64)
+                .into_iter()
+                .filter_map(|e| match e {
+                    ObsEvent::ReplanTiming { stage, .. } => Some(stage),
+                    _ => None,
+                })
+                .collect();
+            proptest::prop_assert_eq!(stages, vec!["relocate".to_string(); 2]);
+            proptest::prop_assert_eq!(s.stats().plan_rejections, u64::from(corrupted));
+            // A refusal keeps the last vetted plan and its mode.
+            let refused_first = corrupted && !second;
+            proptest::prop_assert_eq!(
+                mode_first,
+                if refused_first { Mode::Valid } else { Mode::Repacked }
+            );
+            proptest::prop_assert_eq!(mode, Mode::Repacked);
+        }
+    }
+}
+
+#[test]
 fn publish_and_expire_refresh_a_degraded_plan() {
     let mut s = Station::new(2, 8).unwrap();
     s.publish(PageId::new(0), 4).unwrap();
@@ -721,7 +872,8 @@ fn gate_refusals_record_rule_ids() {
     for ids in &refusals {
         assert!(ids.contains(&"AP03".to_string()), "{ids:?}");
     }
-    // Replan timings were recorded for both attempted stages.
+    // Replan timings were recorded for both attempted stages: the full
+    // plan relocated onto the survivors, then PAMAD.
     let stages: Vec<String> = obs
         .recent_events(64)
         .into_iter()
@@ -733,7 +885,7 @@ fn gate_refusals_record_rule_ids() {
             _ => None,
         })
         .collect();
-    assert_eq!(stages, vec!["repack".to_string(), "pamad".to_string()]);
+    assert_eq!(stages, vec!["relocate".to_string(), "pamad".to_string()]);
 }
 
 #[test]

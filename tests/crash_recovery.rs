@@ -107,9 +107,10 @@ fn journaled_twin_history(tag: &str) -> PathBuf {
 }
 
 /// The journal of the twin history is pinned byte for byte in
-/// `tests/golden/journal_history.bin`, written by the per-record journal
-/// writer that preceded group commit: how records are batched into
-/// writes must never change what lands on disk.
+/// `tests/golden/journal_history.bin`, the concatenation of each record's
+/// own `encode_framed` frame — what the per-record journal writer that
+/// preceded group commit wrote: how records are batched into writes must
+/// never change what lands on disk.
 #[test]
 fn journal_bytes_match_the_pinned_golden() {
     let dir = journaled_twin_history("golden");
