@@ -1130,7 +1130,7 @@ fn cmd_checkpoint(args: &Args) -> Result<String, ArgError> {
          \x20 catalogue: {pages} page(s); {waiting} waiting client(s)\n\
          \x20 stats: {delivered} deliveries, {changes} mode changes over {slots} slots\n",
         time = snap.time,
-        mode = snap.mode,
+        mode = snap.active.mode(),
         channels = snap.channel_up.len(),
         pages = snap.expected.len(),
         delivered = snap.stats.delivered,

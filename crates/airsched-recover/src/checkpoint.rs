@@ -489,7 +489,8 @@ fn put_station_snapshot(w: &mut ByteWriter, s: &StationSnapshot) {
     put_health(w, &s.health);
     w.bool(s.policy.repack);
     w.bool(s.policy.best_effort);
-    w.u8(mode_to_u8(s.mode));
+    // Derived from the plan; the decoder refuses a byte that disagrees.
+    w.u8(mode_to_u8(s.active.mode()));
     match &s.active {
         ActivePlanSnapshot::Full => w.u8(0),
         ActivePlanSnapshot::Reduced(p) => {
@@ -562,6 +563,9 @@ fn get_station_snapshot(r: &mut ByteReader<'_>) -> Result<StationSnapshot, Reaso
         3 => ActivePlanSnapshot::Offline,
         _ => return Err("unknown active-plan kind"),
     };
+    if mode != active.mode() {
+        return Err("mode byte disagrees with the plan on the air");
+    }
     let n = r.seq_len(13)?;
     let mut pending_events = Vec::with_capacity(n);
     for _ in 0..n {
@@ -578,7 +582,6 @@ fn get_station_snapshot(r: &mut ByteReader<'_>) -> Result<StationSnapshot, Reaso
         injector,
         health,
         policy,
-        mode,
         active,
         pending_events,
     })

@@ -259,6 +259,83 @@ fn overflowing_grid_dimensions_make_resume_an_error() {
     }
 }
 
+/// A CRC-valid checkpoint whose channel mask (and the injector's, so the
+/// two agree) claims one channel more than the scheduler has. Ticking it
+/// would index the full program's grid past its last row, so `resume`
+/// must refuse it as an error rather than panic on the first replayed
+/// tick.
+#[test]
+fn a_forged_channel_mask_makes_resume_an_error() {
+    let mut ck = Checkpoint::decode(valid_checkpoint()).expect("valid");
+    ck.snapshot.channel_up.push(true);
+    ck.snapshot
+        .injector
+        .as_mut()
+        .expect("the fixture has an injector")
+        .up
+        .push(true);
+    let dir = temp_journal();
+    std::fs::create_dir_all(&dir).expect("state dir");
+    ck.write_atomic(&dir).expect("writes");
+    let resumed = RecoverableStation::resume(&dir, RecoveryOptions::new(), None);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        matches!(resumed, Err(RecoverError::Station(_))),
+        "{:?}",
+        resumed.err()
+    );
+}
+
+/// The checkpoint's mode byte is derived from the plan tag that follows
+/// it, so of all 16 (mode byte, tag) pairs in a CRC-valid checkpoint
+/// exactly the 4 that agree decode.
+#[test]
+fn a_mode_byte_that_contradicts_the_plan_is_refused() {
+    let valid = Checkpoint::decode(valid_checkpoint()).expect("valid");
+    let ActivePlanSnapshot::Reduced(program) = &valid.snapshot.active else {
+        panic!("the fixture is degraded: {:?}", valid.snapshot.active);
+    };
+    let plans = [
+        ActivePlanSnapshot::Full,
+        ActivePlanSnapshot::Reduced(program.clone()),
+        ActivePlanSnapshot::BestEffort(program.clone()),
+        ActivePlanSnapshot::Offline,
+    ];
+    let encode = |active: &ActivePlanSnapshot| {
+        let mut ck = valid.clone();
+        ck.snapshot.active = active.clone();
+        ck.encode()
+    };
+    // Everything before the mode byte is the same in every encoding, so
+    // the first byte where the full and the offline encodings differ is
+    // the mode byte, and the tag follows it.
+    let (full, offline) = (encode(&plans[0]), encode(&plans[3]));
+    let at = full
+        .iter()
+        .zip(&offline)
+        .position(|(a, b)| a != b)
+        .expect("differ")
+        - HEADER_LEN;
+    for (tag, active) in (0u8..).zip(&plans) {
+        let bytes = encode(active);
+        let body = &bytes[HEADER_LEN..bytes.len() - 2];
+        assert_eq!((body[at], body[at + 1]), (tag, tag), "{active:?}");
+        for byte in 0..4u8 {
+            let mut forged = body.to_vec();
+            forged[at] = byte;
+            let decoded = Checkpoint::decode(&frame_checkpoint(&forged));
+            assert_eq!(
+                decoded.is_ok(),
+                byte == tag,
+                "mode byte {byte} with plan tag {tag}"
+            );
+            if let Ok(ck) = decoded {
+                assert_eq!(ck.snapshot.active.mode(), mode(byte));
+            }
+        }
+    }
+}
+
 /// A CRC-valid checkpoint whose grid names a page id at or above
 /// `PAGE_ID_LIMIT` — in the scheduler's grid and in a degraded plan's in
 /// turn. Restoring either would size the program's dense per-page tables

@@ -1,6 +1,6 @@
-//! The degradation ladder and its pre-swap gate: re-deriving the on-air
-//! plan from channel state, catalogue and policy, and vetting every
-//! replan candidate before it reaches the air.
+//! The swap seam, the degradation ladder and its pre-swap gate:
+//! re-deriving the on-air plan from channel state, catalogue and policy,
+//! and vetting every replan candidate before it reaches the air.
 //!
 //! What happens here is noted into the station's per-call record (replan
 //! stage costs, gate verdicts, mode changes); the observer, if any,
@@ -105,77 +105,68 @@ impl Station {
         }
     }
 
-    /// Re-derives the on-air plan and ladder mode from the current
-    /// channel state, catalogue and policy. When the lint gate refuses
-    /// every replan candidate, the previous plan (and mode) stay in
-    /// force — a vetted stale program beats a fresh corrupt one.
+    /// The swap seam: every change that may move the on-air grid ends
+    /// here, the only place `plan_epoch` moves (once per call). A
+    /// catalogue edit under the full plan re-derives nothing; any other
+    /// change re-derives the plan from the channel state, catalogue and
+    /// policy, then maps its rows onto the live channels. If the lint
+    /// gate refuses every candidate, the previous plan and mode stay in
+    /// force — a vetted stale program beats a fresh corrupt one — but its
+    /// rows still move onto the live channels.
     ///
-    /// `cause` names what triggered the re-evaluation (`"channel_down"`,
+    /// `cause` names what triggered the call (`"channel_down"`,
     /// `"channel_up"`, `"fault"`, `"catalogue"`, `"policy"`); it is
     /// carried on the `ModeChange` flight-recorder event.
-    pub(super) fn refresh_plan(&mut self, cause: &'static str) {
-        // Even a refused swap can follow a channel_up change, which moves
-        // the logical-row → physical-channel mapping: any re-evaluation
-        // invalidates cached frame templates. Spurious bumps cost one
-        // rebuild, never correctness.
+    pub(super) fn swap(&mut self, cause: &'static str) {
         self.plan_epoch += 1;
+        if cause == "catalogue" && matches!(self.active, ActivePlan::Full) {
+            return;
+        }
         let configured = u32::try_from(self.channel_up.len()).expect("channel count fits in u32");
         let n_up = self.channels_up();
         let decision = if n_up == 0 {
-            Some((ActivePlan::Offline, Mode::Offline))
+            Some(ActivePlan::Offline)
         } else if n_up == configured {
-            Some((ActivePlan::Full, Mode::Valid))
+            Some(ActivePlan::Full)
         } else {
             self.reduced_plan(n_up)
         };
-        // Whatever the verdict, the on-air plan's rows now map onto the
-        // current live channels.
-        self.plan_up.clone_from(&self.channel_up);
-        let Some((active, mode)) = decision else {
-            return;
-        };
-        self.active = active;
-        if mode != self.mode {
-            match mode {
-                Mode::BestEffort => self.stats.failovers += 1,
-                Mode::Repacked => self.stats.repacks += 1,
-                Mode::Valid => self.stats.recoveries += 1,
-                Mode::Offline => {}
+        if let Some(active) = decision {
+            let (from, to) = (self.active.mode(), active.mode());
+            self.active = active;
+            if to != from {
+                match to {
+                    Mode::BestEffort => self.stats.failovers += 1,
+                    Mode::Repacked => self.stats.repacks += 1,
+                    Mode::Valid => self.stats.recoveries += 1,
+                    Mode::Offline => {}
+                }
+                self.stats.mode_changes += 1;
+                self.stats.last_mode_change_slot = Some(self.time);
+                self.record.mode_change(from, to, cause);
             }
-            self.stats.mode_changes += 1;
-            self.stats.last_mode_change_slot = Some(self.time);
-            self.record.mode_change(self.mode, mode, cause);
-            self.mode = mode;
         }
+        self.air_rows = self.active.channel_rows(&self.channel_up);
     }
 
     /// The on-air plan relocated onto the current live channels
     /// ([`airsched_core::dynamic::OnlineScheduler::relocate`]): each live
-    /// channel keeps the row it aired under the previous channel mask,
-    /// and a channel that was down gets an empty row. `None` when the
-    /// plan on the air is not a valid SUSC layout to start from
+    /// channel keeps the row the channel → row map gave it before this
+    /// change, and a channel that was down gets an empty row. `None` when
+    /// the plan on the air is not a valid SUSC layout to start from
     /// (best-effort or offline), or when a page finds no room.
     fn relocated(&self) -> Option<BroadcastProgram> {
-        let (base, full) = match &self.active {
-            ActivePlan::Full => (self.scheduler.program(), true),
-            ActivePlan::Reduced(program) => (program, false),
+        let base = match &self.active {
+            ActivePlan::Full => self.scheduler.program(),
+            ActivePlan::Reduced(program) => program,
             ActivePlan::BestEffort(_) | ActivePlan::Offline => return None,
         };
-        // The full plan airs row `ch` on physical channel `ch`; a reduced
-        // plan's rows fill the live channels in ascending order — the
-        // mapping `tick_into` applies.
-        let mut rank = 0u32;
-        let mut rows = Vec::with_capacity(self.channel_up.len());
-        for (ch, (&was, &is)) in (0u32..).zip(self.plan_up.iter().zip(&self.channel_up)) {
-            let aired = was.then(|| {
-                let row = if full { ch } else { rank };
-                rank += 1;
-                row
-            });
-            if is {
-                rows.push(aired.filter(|&row| row < base.channels()));
-            }
-        }
+        let rows: Vec<Option<u32>> = self
+            .air_rows
+            .iter()
+            .zip(&self.channel_up)
+            .filter_map(|(&row, &up)| up.then_some(row))
+            .collect();
         self.scheduler.relocate(base, &rows).ok()
     }
 
@@ -185,7 +176,7 @@ impl Station {
     /// fails — and PAMAD best-effort below it. Every candidate passes the
     /// pre-swap lint gate; `None` means a candidate existed but was
     /// refused, so the caller must keep the previous plan on the air.
-    fn reduced_plan(&mut self, n_up: u32) -> Option<(ActivePlan, Mode)> {
+    fn reduced_plan(&mut self, n_up: u32) -> Option<ActivePlan> {
         let catalogue = self.catalogue_pairs();
         let times: Vec<u64> = catalogue.iter().map(|&(_, t)| t).collect();
         // An overflowing demand fraction cannot possibly be met by any
@@ -218,7 +209,7 @@ impl Station {
                 let lint_ok = self.gate_candidate(&candidate, &LintConfig::default(), &catalogue);
                 let solve_ok = !self.deep_verify || self.certify_candidate(&candidate, &catalogue);
                 if lint_ok && solve_ok {
-                    return Some((ActivePlan::Reduced(candidate), Mode::Repacked));
+                    return Some(ActivePlan::Reduced(candidate));
                 }
                 refused = true;
             }
@@ -234,7 +225,7 @@ impl Station {
                 // Best-effort misses deadlines by design; hold it to the
                 // structural rules only.
                 if self.gate_candidate(&candidate, &LintConfig::structural(), &catalogue) {
-                    return Some((ActivePlan::BestEffort(candidate), Mode::BestEffort));
+                    return Some(ActivePlan::BestEffort(candidate));
                 }
                 refused = true;
             }
@@ -242,7 +233,7 @@ impl Station {
         if refused {
             None
         } else {
-            Some((ActivePlan::Offline, Mode::Offline))
+            Some(ActivePlan::Offline)
         }
     }
 }

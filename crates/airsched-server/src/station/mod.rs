@@ -45,7 +45,12 @@
 //! [`Station::with_faults`]) or from the manual
 //! [`Station::fail_channel`] / [`Station::restore_channel`] API; a
 //! [`HealthMonitor`] watches windowed error/stall rates on top and
-//! surfaces typed [`ChannelEvent`]s through every tick.
+//! surfaces typed [`ChannelEvent`]s through every tick. Every change
+//! that may move the on-air grid — a catalogue edit, a channel flip, a
+//! policy change — goes through one swap seam: it re-runs the ladder
+//! (not for a catalogue edit under the full plan), maps the plan's rows
+//! onto the live channels once for every tick to read, and moves
+//! [`Station::plan_epoch`]. The mode is a function of the plan.
 //!
 //! ## The pre-swap lint gate
 //!
@@ -518,6 +523,38 @@ enum ActivePlan {
     Offline,
 }
 
+impl ActivePlan {
+    /// The ladder rung this plan is on.
+    fn mode(&self) -> Mode {
+        match self {
+            Self::Full => Mode::Valid,
+            Self::Reduced(_) => Mode::Repacked,
+            Self::BestEffort(_) => Mode::BestEffort,
+            Self::Offline => Mode::Offline,
+        }
+    }
+
+    /// The channel → row map: which row of this plan each physical
+    /// channel airs (`None`: nothing). The full plan airs row `ch` on
+    /// channel `ch`; a degraded plan's rows fill the live channels in
+    /// ascending order, up to its row count.
+    fn channel_rows(&self, channel_up: &[bool]) -> Vec<Option<u32>> {
+        let mut ranks = match self {
+            Self::Full => None,
+            Self::Reduced(program) | Self::BestEffort(program) => Some(0..program.channels()),
+            Self::Offline => Some(0..0),
+        };
+        (0u32..)
+            .zip(channel_up)
+            .map(|(ch, &up)| match &mut ranks {
+                _ if !up => None,
+                None => Some(ch),
+                Some(ranks) => ranks.next(),
+            })
+            .collect()
+    }
+}
+
 /// A live broadcast station.
 ///
 /// # Examples
@@ -552,24 +589,23 @@ pub struct Station {
     /// DESIGN.md §12). Spans are emptied in place rather than freed, so
     /// steady-state ticking reuses their capacity.
     waits: WaitingSet,
-    /// Bumped whenever the effective on-air grid may change (publish,
-    /// expire, any ladder re-evaluation); frame-template caches key
-    /// their validity on it. Not snapshotted: a restored station
-    /// restarts at 0 with a fresh [`crate::SlotBroadcaster`].
+    /// Bumped once per call through the swap seam, its only writer;
+    /// frame-template caches key their validity on it. Not snapshotted:
+    /// a restored station restarts at 0 with a fresh
+    /// [`crate::SlotBroadcaster`].
     plan_epoch: u64,
     next_client: u64,
     stats: StationStats,
     /// Physical channel up/down state; length is the configured count.
     channel_up: Vec<bool>,
-    /// `channel_up` as of the last ladder re-evaluation: the channels the
-    /// on-air plan's rows were mapped onto until the change now being
-    /// re-evaluated. Equal to `channel_up` between public calls, so it is
-    /// derived on restore rather than snapshotted.
-    plan_up: Vec<bool>,
+    /// [`ActivePlan::channel_rows`] of `active` and `channel_up`,
+    /// recomputed only by the swap seam and on restore: while the ladder
+    /// runs it still holds the rows aired before the change.
+    air_rows: Vec<Option<u32>>,
     injector: Option<FaultInjector>,
     health: HealthMonitor,
     policy: DegradationPolicy,
-    mode: Mode,
+    /// The plan on the air; the ladder mode is [`ActivePlan::mode`].
     active: ActivePlan,
     /// Events produced outside `tick` (manual fail/restore), surfaced on
     /// the next tick.
@@ -604,6 +640,7 @@ impl Station {
     /// waiting, nothing attached.
     fn fresh(scheduler: OnlineScheduler) -> Self {
         let channels = scheduler.program().channels();
+        let channel_up = vec![true; channels as usize];
         Self {
             scheduler,
             time: 0,
@@ -611,12 +648,11 @@ impl Station {
             plan_epoch: 0,
             next_client: 0,
             stats: StationStats::default(),
-            channel_up: vec![true; channels as usize],
-            plan_up: vec![true; channels as usize],
+            air_rows: ActivePlan::Full.channel_rows(&channel_up),
+            channel_up,
             injector: None,
             health: HealthMonitor::new(channels, HealthThresholds::default()),
             policy: DegradationPolicy::default(),
-            mode: Mode::Valid,
             active: ActivePlan::Full,
             pending_events: Vec::new(),
             corruptor: None,
@@ -685,7 +721,7 @@ impl Station {
     /// The current degradation-ladder mode.
     #[must_use]
     pub fn mode(&self) -> Mode {
-        self.mode
+        self.active.mode()
     }
 
     /// The per-channel health monitor.
@@ -719,43 +755,48 @@ impl Station {
     /// re-evaluating the degradation ladder. Returns the resulting mode.
     /// A no-op for channels already down or out of range.
     pub fn fail_channel(&mut self, channel: ChannelId) -> Mode {
-        let ch = channel.index() as usize;
-        if ch < self.channel_up.len() && self.channel_up[ch] {
-            self.channel_up[ch] = false;
+        if let Some(event) = self.set_channel(channel, false) {
             if let Some(injector) = &mut self.injector {
                 injector.force_down(channel);
             }
-            let event = ChannelEvent::Down {
-                channel,
-                at: self.time,
-            };
-            self.record.health(event);
             self.pending_events.push(event);
             self.replan("channel_down");
         }
-        self.mode
+        self.mode()
     }
 
     /// Manually restores a channel, climbing back up the ladder. Returns
     /// the resulting mode. A no-op for channels already up or out of
     /// range.
     pub fn restore_channel(&mut self, channel: ChannelId) -> Mode {
-        let ch = channel.index() as usize;
-        if ch < self.channel_up.len() && !self.channel_up[ch] {
-            self.channel_up[ch] = true;
+        if let Some(event) = self.set_channel(channel, true) {
             if let Some(injector) = &mut self.injector {
                 injector.force_up(channel);
             }
-            self.health.reset(channel);
-            let event = ChannelEvent::Up {
-                channel,
-                at: self.time,
-            };
-            self.record.health(event);
             self.pending_events.push(event);
             self.replan("channel_up");
         }
-        self.mode
+        self.mode()
+    }
+
+    /// Marks `channel` up or down and notes the health event, resetting
+    /// the health window of a channel that comes back. `None` when the
+    /// channel already was in that state or is out of range.
+    fn set_channel(&mut self, channel: ChannelId, up: bool) -> Option<ChannelEvent> {
+        let state = self.channel_up.get_mut(channel.index() as usize)?;
+        if *state == up {
+            return None;
+        }
+        *state = up;
+        let at = self.time;
+        let event = if up {
+            self.health.reset(channel);
+            ChannelEvent::Up { channel, at }
+        } else {
+            ChannelEvent::Down { channel, at }
+        };
+        self.record.health(event);
+        Some(event)
     }
 
     /// Publishes a page with an expected time, compacting the schedule if
@@ -785,11 +826,7 @@ impl Station {
             // Pre-sizes the page's waiting span too, so steady-state
             // subscribes hit no resize branch at all.
             self.waits.publish(page.index() as usize, expected);
-            // The full program changed even when no ladder move follows.
-            self.plan_epoch += 1;
-            if !matches!(self.active, ActivePlan::Full) {
-                self.replan("catalogue");
-            }
+            self.replan("catalogue");
         }
         result
     }
@@ -805,10 +842,7 @@ impl Station {
             .remove_page(page)
             .map_err(|_| StationError::UnknownPage { page })?;
         self.waits.expire(page.index() as usize);
-        self.plan_epoch += 1;
-        if !matches!(self.active, ActivePlan::Full) {
-            self.replan("catalogue");
-        }
+        self.replan("catalogue");
         Ok(())
     }
 
@@ -833,11 +867,11 @@ impl Station {
 
     /// A counter that moves whenever the effective on-air grid may have
     /// changed: publish, expire, manual fail/restore, a policy change,
-    /// or any in-tick ladder re-evaluation. [`crate::SlotBroadcaster`]
-    /// compares it against the epoch its frame-template cache was built
-    /// at and rebuilds on mismatch. Not snapshotted — a restored station
-    /// restarts at 0, so bind a fresh broadcaster to each station
-    /// instance.
+    /// or any in-tick ladder re-evaluation (once per call, at the swap
+    /// seam). [`crate::SlotBroadcaster`] compares it against the epoch
+    /// its frame-template cache was built at and rebuilds on mismatch.
+    /// Not snapshotted — a restored station restarts at 0, so bind a
+    /// fresh broadcaster to each station instance.
     #[must_use]
     pub fn plan_epoch(&self) -> u64 {
         self.plan_epoch
@@ -846,48 +880,40 @@ impl Station {
     /// Materializes the effective on-air grid: for every physical
     /// channel and every slot-in-cycle column, the page a tick at that
     /// column would put on the air (before per-slot stalls, which idle a
-    /// carrier without changing the plan). Down channels are all-`None`
-    /// rows, and the reduced rungs' logical rows fill the live channels
-    /// in ascending physical order — exactly the mapping
-    /// [`Station::tick_into`] applies. This is the input a frame-template
-    /// cache is built from; it is stale as soon as
-    /// [`Station::plan_epoch`] moves.
+    /// carrier without changing the plan). Each channel's row is the one
+    /// the station's channel → row map assigns it — the map
+    /// [`Station::tick_into`] airs from — and a channel with no row is
+    /// all-`None`. This is the input a frame-template cache is built
+    /// from; it is stale as soon as [`Station::plan_epoch`] moves.
     #[must_use]
     pub fn plan_cells(&self) -> PlanCells {
-        let configured = self.channel_up.len();
-        let channels = u32::try_from(configured).expect("channel count fits in u32");
-        let (program, reduced) = match &self.active {
-            ActivePlan::Full => (self.scheduler.program(), false),
-            ActivePlan::Reduced(program) | ActivePlan::BestEffort(program) => (program, true),
-            ActivePlan::Offline => {
-                return PlanCells {
-                    channels,
-                    cycle_len: 1,
-                    cells: vec![None; configured],
-                }
-            }
-        };
-        let cycle_len = program.cycle_len();
+        let program = self.on_air_program();
+        let cycle_len = program.map_or(1, BroadcastProgram::cycle_len);
         let cols = usize::try_from(cycle_len).expect("cycle fits in usize");
-        let mut rows = program.cells().chunks(cols);
-        let mut cells = Vec::with_capacity(configured * cols);
-        for &up in &self.channel_up {
-            // The full plan airs row `ch` on physical channel `ch`; a
-            // reduced plan's rows fill the live channels in order.
-            let row = match (reduced, up) {
-                (true, true) => rows.next(),
-                (true, false) => None,
-                (false, _) => rows.next().filter(|_| up),
-            };
-            match row {
-                Some(row) => cells.extend_from_slice(row),
+        let mut cells = Vec::with_capacity(self.air_rows.len() * cols);
+        for &row in &self.air_rows {
+            match program.zip(row) {
+                Some((program, row)) => {
+                    let start = row as usize * cols;
+                    cells.extend_from_slice(&program.cells()[start..start + cols]);
+                }
                 None => cells.extend(std::iter::repeat_n(None, cols)),
             }
         }
         PlanCells {
-            channels,
+            channels: u32::try_from(self.air_rows.len()).expect("channel count fits in u32"),
             cycle_len,
             cells,
+        }
+    }
+
+    /// The program on the air: the scheduler's own under the full plan,
+    /// the degraded rung's otherwise, `None` offline.
+    fn on_air_program(&self) -> Option<&BroadcastProgram> {
+        match &self.active {
+            ActivePlan::Full => Some(self.scheduler.program()),
+            ActivePlan::Reduced(program) | ActivePlan::BestEffort(program) => Some(program),
+            ActivePlan::Offline => None,
         }
     }
 
@@ -920,11 +946,11 @@ impl Station {
         self.deep_verify
     }
 
-    /// A mutator's re-plan: re-evaluates the ladder, then lets the
+    /// A mutator's re-plan: goes through the swap seam, then lets the
     /// observer consume everything the call noted — so rare-path
     /// counters are exact between ticks.
     fn replan(&mut self, cause: &'static str) {
-        self.refresh_plan(cause);
+        self.swap(cause);
         self.flush();
     }
 
@@ -966,67 +992,30 @@ impl Station {
             injector.sample_into(self.time, &mut buf.faults);
             buf.have_faults = true;
             let mut changed = false;
-            for &channel in &buf.faults.went_down {
-                let ch = channel.index() as usize;
-                if ch < configured && self.channel_up[ch] {
-                    self.channel_up[ch] = false;
-                    let event = ChannelEvent::Down {
-                        channel,
-                        at: self.time,
-                    };
-                    self.record.health(event);
-                    buf.events.push(event);
-                    changed = true;
-                }
-            }
-            for &channel in &buf.faults.came_up {
-                let ch = channel.index() as usize;
-                if ch < configured && !self.channel_up[ch] {
-                    self.channel_up[ch] = true;
-                    self.health.reset(channel);
-                    let event = ChannelEvent::Up {
-                        channel,
-                        at: self.time,
-                    };
-                    self.record.health(event);
-                    buf.events.push(event);
-                    changed = true;
+            for (channels, up) in [(&buf.faults.went_down, false), (&buf.faults.came_up, true)] {
+                for &channel in channels {
+                    if let Some(event) = self.set_channel(channel, up) {
+                        buf.events.push(event);
+                        changed = true;
+                    }
                 }
             }
             if changed {
-                self.refresh_plan("fault");
+                self.swap("fault");
             }
         }
         self.record.mark(); // faults end
 
-        // One column of the active plan, mapped onto physical channels
-        // (the reduced plans' logical rows fill the live channels in
-        // ascending physical order).
+        // One column of the plan on the air: each physical channel airs
+        // the row the channel → row map assigns it.
         buf.on_air.clear();
         buf.on_air.resize(configured, None);
-        match &self.active {
-            ActivePlan::Full => {
-                let program = self.scheduler.program();
-                let column = self.time % program.cycle_len();
-                for (ch, slot) in buf.on_air.iter_mut().enumerate() {
-                    if self.channel_up[ch] {
-                        let channel = ChannelId::new(u32::try_from(ch).expect("fits in u32"));
-                        *slot = program.page_at(GridPos::new(channel, SlotIndex::new(column)));
-                    }
-                }
+        if let Some(program) = self.on_air_program() {
+            let column = SlotIndex::new(self.time % program.cycle_len());
+            for (slot, &row) in buf.on_air.iter_mut().zip(&self.air_rows) {
+                *slot =
+                    row.and_then(|row| program.page_at(GridPos::new(ChannelId::new(row), column)));
             }
-            ActivePlan::Reduced(program) | ActivePlan::BestEffort(program) => {
-                let column = self.time % program.cycle_len();
-                let mut row = 0u32;
-                for (ch, slot) in buf.on_air.iter_mut().enumerate() {
-                    if self.channel_up[ch] && row < program.channels() {
-                        *slot = program
-                            .page_at(GridPos::new(ChannelId::new(row), SlotIndex::new(column)));
-                        row += 1;
-                    }
-                }
-            }
-            ActivePlan::Offline => {}
         }
 
         // Apply stalls and corruption, feeding the health monitor one
@@ -1034,11 +1023,8 @@ impl Station {
         // channel can stall or corrupt, so the flags are never consulted.
         buf.corrupted.clear();
         buf.corrupted.resize(configured, false);
+        // A down channel has no row, so it airs `None` and is skipped.
         for ch in 0..configured {
-            if !self.channel_up[ch] {
-                continue;
-            }
-            let channel = ChannelId::new(u32::try_from(ch).expect("fits in u32"));
             let observation = if buf.have_faults && buf.faults.stalled[ch] {
                 if buf.on_air[ch].take().is_none() {
                     continue;
@@ -1056,6 +1042,7 @@ impl Station {
             } else {
                 continue;
             };
+            let channel = ChannelId::new(u32::try_from(ch).expect("fits in u32"));
             if let Some(e) = self.health.record(channel, observation, self.time) {
                 self.record.health(e);
                 buf.events.push(e);
@@ -1087,17 +1074,18 @@ impl Station {
         self.stats.on_time += delta.on_time;
         self.stats.total_wait = self.stats.total_wait.wrapping_add(delta.total_wait);
         self.stats.waiting -= delta.delivered;
-        let tally = &mut self.stats.per_mode[self.mode.index()];
+        let mode = self.active.mode();
+        let tally = &mut self.stats.per_mode[mode.index()];
         tally.delivered += delta.delivered;
         tally.on_time += delta.on_time;
         self.record.delta = delta;
 
-        if self.mode != Mode::Valid {
+        if mode != Mode::Valid {
             self.stats.degraded_slots += 1;
         }
 
         buf.time = self.time;
-        buf.mode = self.mode;
+        buf.mode = mode;
         self.time += 1;
         self.stats.slots_elapsed += 1;
         self.flush_tick(buf);

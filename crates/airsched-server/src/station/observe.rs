@@ -459,7 +459,6 @@ impl Observer {
         buf: &TickBuf,
         stats: &StationStats,
         waits: &WaitingSet,
-        mode: Mode,
         channel_up: &[bool],
     ) {
         let slot = buf.time;
@@ -516,7 +515,7 @@ impl Observer {
         if let Some(m) = &mut self.metrics {
             m.handle.record_batch(&mut m.miss_scratch);
             let up = channel_up.iter().filter(|&&u| u).count() as u64;
-            m.sync_tick(stats, mode.index(), up);
+            m.sync_tick(stats, buf.mode.index(), up);
             m.arena_bytes.set(waits.arena_bytes());
         }
         // Sampled slot: close the pipeline, assemble the preorder span
@@ -565,7 +564,7 @@ impl Station {
         let mut metrics = Metrics::new(obs);
         metrics.base_delivered = self.stats.delivered;
         metrics.base_wait = self.stats.total_wait;
-        metrics.mode.set(self.mode.index() as u64);
+        metrics.mode.set(self.mode().index() as u64);
         metrics.sync_full(&self.stats, u64::from(self.channels_up()));
         metrics.arena_bytes.set(self.waits.arena_bytes());
         self.observer.get_or_insert_with(Observer::default).metrics = Some(metrics);
@@ -628,7 +627,6 @@ impl Station {
                 buf,
                 &self.stats,
                 &self.waits,
-                self.mode,
                 &self.channel_up,
             );
         }

@@ -35,7 +35,6 @@ impl Station {
             injector: self.injector.as_ref().map(FaultInjector::snapshot),
             health: self.health.snapshot(),
             policy: self.policy,
-            mode: self.mode,
             active: match &self.active {
                 ActivePlan::Full => ActivePlanSnapshot::Full,
                 ActivePlan::Reduced(p) => ActivePlanSnapshot::Reduced(ProgramSnapshot::capture(p)),
@@ -69,6 +68,11 @@ impl Station {
         snapshot: &StationSnapshot,
         fault_plan: Option<&FaultPlan>,
     ) -> Result<Self, StationError> {
+        if snapshot.channel_up.len() != snapshot.scheduler.channels as usize {
+            return Err(StationError::CorruptSnapshot {
+                reason: "channel mask length disagrees with the scheduler's channel count",
+            });
+        }
         let injector = match (&snapshot.injector, fault_plan) {
             (Some(inj), Some(plan)) => {
                 if inj.up.len() != snapshot.channel_up.len() {
@@ -99,11 +103,10 @@ impl Station {
             next_client: snapshot.next_client,
             stats: snapshot.stats,
             channel_up: snapshot.channel_up.clone(),
-            plan_up: snapshot.channel_up.clone(),
+            air_rows: active.channel_rows(&snapshot.channel_up),
             injector,
             health: HealthMonitor::from_snapshot(&snapshot.health),
             policy: snapshot.policy,
-            mode: snapshot.mode,
             active,
             pending_events: snapshot.pending_events.clone(),
             ..Self::fresh(OnlineScheduler::from_snapshot(&snapshot.scheduler)?)
@@ -185,6 +188,19 @@ pub enum ActivePlanSnapshot {
     Offline,
 }
 
+impl ActivePlanSnapshot {
+    /// The ladder mode this plan airs in.
+    #[must_use]
+    pub fn mode(&self) -> Mode {
+        match self {
+            Self::Full => Mode::Valid,
+            Self::Reduced(_) => Mode::Repacked,
+            Self::BestEffort(_) => Mode::BestEffort,
+            Self::Offline => Mode::Offline,
+        }
+    }
+}
+
 /// Plain-data capture of a [`Station`]'s complete serving state, produced
 /// by [`Station::snapshot`] and consumed by [`Station::from_snapshot`].
 /// The crash-recovery checkpoint format (`airsched-recover`) is a binary
@@ -211,9 +227,8 @@ pub struct StationSnapshot {
     pub health: HealthSnapshot,
     /// The degradation policy.
     pub policy: DegradationPolicy,
-    /// The ladder mode.
-    pub mode: Mode,
-    /// The plan on the air.
+    /// The plan on the air (the ladder mode is
+    /// [`ActivePlanSnapshot::mode`]).
     pub active: ActivePlanSnapshot,
     /// Events produced outside `tick`, not yet surfaced.
     pub pending_events: Vec<ChannelEvent>,

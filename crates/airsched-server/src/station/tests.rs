@@ -564,6 +564,47 @@ fn a_channel_loss_moves_only_the_lost_channels_pages() {
     assert_eq!(airings(&edited, PageId::new(9)).len(), 1);
 }
 
+#[test]
+fn a_refused_swap_moves_the_old_rows_onto_the_new_live_set() {
+    // Eight t=4 pages need 2 of 4 channels (Theorem 3.1).
+    let mut s = Station::new(4, 8).unwrap();
+    for p in 0..8 {
+        s.publish(PageId::new(p), 4).unwrap();
+    }
+    s.fail_channel(ChannelId::new(1));
+    assert_eq!(s.fail_channel(ChannelId::new(2)), Mode::Repacked);
+    let before = s.plan_cells();
+    let epoch = s.plan_epoch();
+    // Both candidates come out missing page 3, so the gate refuses them
+    // and the two-row plan keeps airing, its rows now filling channels
+    // 0 and 1 of the live set {0, 1, 3}.
+    s.set_plan_corruptor(Some(drop_page3));
+    assert_eq!(s.restore_channel(ChannelId::new(1)), Mode::Repacked);
+    assert_eq!(s.stats().plan_rejections, 2);
+    assert_eq!(s.stats().repacks, 1);
+    assert!(
+        s.plan_epoch() > epoch,
+        "a refused swap still moves the rows"
+    );
+    let cells = s.plan_cells();
+    let cols = usize::try_from(cells.cycle_len).unwrap();
+    let row = |grid: &PlanCells, ch: usize| grid.cells[ch * cols..(ch + 1) * cols].to_vec();
+    assert_eq!(row(&cells, 0), row(&before, 0));
+    assert_eq!(
+        row(&cells, 1),
+        row(&before, 3),
+        "row 1 moved onto channel 1"
+    );
+    assert!(row(&cells, 3).iter().all(Option::is_none));
+    for _ in 0..cells.cycle_len {
+        let tick = s.tick();
+        let col = usize::try_from(tick.time % cells.cycle_len).unwrap();
+        let column: Vec<_> = (0..4).map(|ch| cells.cells[ch * cols + col]).collect();
+        assert_eq!(tick.on_air, column, "slot {}", tick.time);
+        assert_eq!(tick.mode, Mode::Repacked);
+    }
+}
+
 thread_local! {
     /// Which filled cell [`corrupt_one_cell`] rewrites (taken modulo the
     /// filled count), and whether it empties it or gives it another page.
@@ -962,6 +1003,24 @@ fn snapshot_restore_rejects_inconsistencies() {
         Station::from_snapshot(&bad, Some(&plan)),
         Err(StationError::CorruptSnapshot { .. })
     ));
+}
+
+#[test]
+fn a_channel_mask_of_the_wrong_length_is_corrupt() {
+    let mut s = Station::new(2, 8).unwrap();
+    s.publish(PageId::new(0), 2).unwrap();
+    let snap = s.snapshot();
+    for len in [0, 1, 3] {
+        let mut bad = snap.clone();
+        bad.channel_up = vec![true; len];
+        assert!(
+            matches!(
+                Station::from_snapshot(&bad, None),
+                Err(StationError::CorruptSnapshot { .. })
+            ),
+            "a {len}-channel mask restored"
+        );
+    }
 }
 
 #[test]

@@ -14,7 +14,7 @@ use airsched_recover::{
     RecoveryOptions, CHECKPOINT_FILE, CHECKPOINT_SHADOW, JOURNAL_FILE,
 };
 use airsched_server::faults::{FaultEvent, FaultPlan};
-use airsched_server::{Station, StationStats, TickOutcome};
+use airsched_server::{Mode, Station, StationStats, TickOutcome};
 
 const CHANNELS: u32 = 3;
 const CYCLE: u64 = 8;
@@ -123,6 +123,61 @@ fn journal_bytes_match_the_pinned_golden() {
         golden.len()
     );
     fs::remove_dir_all(&dir).ok();
+}
+
+/// The twin history's checkpoint files in the order they were written:
+/// the one `create` writes, then one every 8 slots.
+fn twin_checkpoints() -> Vec<Vec<u8>> {
+    let dir = state_dir("checkpoints");
+    let opts = RecoveryOptions::new().checkpoint_every(8);
+    let mut run = RecoverableStation::create(&dir, fresh_station(), Some(plan()), opts)
+        .expect("create succeeds");
+    let read = || fs::read(dir.join(CHECKPOINT_FILE)).expect("checkpoint exists");
+    let mut files = vec![read()];
+    for t in 0..SLOTS {
+        if let Some(p) = sub_page(t) {
+            run.subscribe(p).expect("subscribes");
+        }
+        run.tick().expect("ticks");
+        let file = read();
+        if files.last() != Some(&file) {
+            files.push(file);
+        }
+    }
+    fs::remove_dir_all(&dir).ok();
+    files
+}
+
+/// Every checkpoint of the twin history is pinned byte for byte in
+/// `tests/golden/checkpoint_history.bin`, the files concatenated in the
+/// order they were written. The history airs the full plan, relocated
+/// plans and no plan at all, so each of those plan encodings (and the
+/// mode byte derived from it) is pinned.
+#[test]
+fn checkpoint_bytes_match_the_pinned_golden() {
+    let files = twin_checkpoints();
+    assert_eq!(files.len(), 13, "one checkpoint at create, one per 8 slots");
+    let got = files.concat();
+    let golden = include_bytes!("golden/checkpoint_history.bin");
+    assert!(
+        got == golden,
+        "checkpoints drifted from tests/golden/checkpoint_history.bin ({} bytes, golden {})",
+        got.len(),
+        golden.len()
+    );
+    let modes: Vec<Mode> = files
+        .iter()
+        .map(|f| {
+            Checkpoint::decode(f)
+                .expect("decodes")
+                .snapshot
+                .active
+                .mode()
+        })
+        .collect();
+    for mode in [Mode::Valid, Mode::Repacked, Mode::Offline] {
+        assert!(modes.contains(&mode), "{mode} missing from {modes:?}");
+    }
 }
 
 #[test]
