@@ -22,7 +22,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use airsched_core::types::{ChannelId, PageId};
+use airsched_core::types::{ChannelId, PageId, PAGE_ID_LIMIT};
 
 /// Frame magic: `"AIRS"`.
 pub const MAGIC: u32 = 0x4149_5253;
@@ -37,7 +37,13 @@ pub const MAX_PAYLOAD: usize = u16::MAX as usize;
 /// channel as a `u16`).
 pub const MAX_CHANNEL_INDEX: u32 = u16::MAX as u32;
 
-pub(crate) const FLAG_IDLE: u8 = 0b0000_0001;
+const FLAG_IDLE: u8 = 0b0000_0001;
+/// Byte offset of the channel field in a frame header.
+pub(crate) const CHANNEL_OFFSET: usize = 6;
+/// Byte offset of the `slot_time` field in a frame header.
+pub(crate) const SLOT_TIME_OFFSET: usize = 8;
+/// Byte offset of the CRC field in a frame header.
+pub(crate) const CRC_OFFSET: usize = HEADER_LEN - 2;
 
 /// One slot transmission on one channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,6 +126,12 @@ pub enum EncodeError {
         /// The payload length found.
         len: usize,
     },
+    /// A page id at or above [`PAGE_ID_LIMIT`] was offered to the template
+    /// cache, whose per-page table it would size at up to ~4G entries.
+    PageOutOfRange {
+        /// The offending page.
+        page: PageId,
+    },
 }
 
 impl core::fmt::Display for EncodeError {
@@ -131,6 +143,12 @@ impl core::fmt::Display for EncodeError {
             ),
             Self::PayloadTooLarge { len } => {
                 write!(f, "payload of {len} byte(s) exceeds the frame limit")
+            }
+            Self::PageOutOfRange { page } => {
+                write!(
+                    f,
+                    "page {page} exceeds the page id limit of {PAGE_ID_LIMIT}"
+                )
             }
         }
     }
@@ -215,29 +233,10 @@ impl Frame {
     /// Returns [`EncodeError`] when the channel index or payload length does
     /// not fit its wire field. On error nothing is appended.
     pub fn encode_into(&self, buf: &mut BytesMut) -> Result<usize, EncodeError> {
-        let Ok(channel) = u16::try_from(self.channel.index()) else {
-            return Err(EncodeError::ChannelOutOfRange {
-                channel: self.channel,
-            });
-        };
-        let Ok(payload_len) = u16::try_from(self.payload.len()) else {
-            return Err(EncodeError::PayloadTooLarge {
-                len: self.payload.len(),
-            });
-        };
-        let start = buf.len();
-        buf.put_u32(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(if self.is_idle() { FLAG_IDLE } else { 0 });
-        buf.put_u16(channel);
-        buf.put_u64(self.slot_time);
-        buf.put_u32(self.page.map_or(0, PageId::index));
-        buf.put_u16(payload_len);
-        // CRC over the header so far + payload.
-        let crc = crc16(&buf[start..], &self.payload);
-        buf.put_u16(crc);
-        buf.extend_from_slice(&self.payload);
-        Ok(buf.len() - start)
+        let (channel, payload) = (self.channel.index(), &self.payload);
+        write_frame(buf, channel, self.slot_time, self.page, |out| {
+            out.extend_from_slice(payload);
+        })
     }
 
     /// Decodes one frame from `bytes` (which must contain exactly one
@@ -292,7 +291,7 @@ impl Frame {
             });
         }
         let payload = &bytes[HEADER_LEN..total];
-        let crc_actual = crc16(&bytes[..HEADER_LEN - 2], payload);
+        let crc_actual = crc16(&bytes[..CRC_OFFSET], payload);
         if crc_actual != crc_stored {
             return Err(DecodeError::BadChecksum);
         }
@@ -311,6 +310,51 @@ impl Frame {
             total,
         ))
     }
+}
+
+/// Appends one frame to `buf`: the header for `channel`, `slot_time` and
+/// `page` (`None`: an idle carrier), then whatever `payload` appends, and
+/// last the payload length and the CRC, patched into the header. This is
+/// the only code that lays out a header: [`Frame::encode_into`], the fresh
+/// [`crate::transmitter::encode_slot_into`] and the template builder all
+/// call it. Returns the bytes appended.
+///
+/// # Errors
+///
+/// Returns [`EncodeError`] when the channel index or the payload does not
+/// fit its wire field; nothing is appended then.
+pub(crate) fn write_frame(
+    buf: &mut BytesMut,
+    channel: u32,
+    slot_time: u64,
+    page: Option<PageId>,
+    payload: impl FnOnce(&mut BytesMut),
+) -> Result<usize, EncodeError> {
+    let Ok(wire_ch) = u16::try_from(channel) else {
+        return Err(EncodeError::ChannelOutOfRange {
+            channel: ChannelId::new(channel),
+        });
+    };
+    let at = buf.len();
+    buf.put_u32(MAGIC);
+    buf.put_u8(VERSION);
+    buf.put_u8(if page.is_none() { FLAG_IDLE } else { 0 });
+    buf.put_u16(wire_ch);
+    buf.put_u64(slot_time);
+    buf.put_u32(page.map_or(0, PageId::index));
+    // The payload length and CRC are not known yet: reserve their fields.
+    buf.put_u32(0);
+    payload(buf);
+    let len = buf.len() - at - HEADER_LEN;
+    let Ok(wire_len) = u16::try_from(len) else {
+        buf.truncate(at);
+        return Err(EncodeError::PayloadTooLarge { len });
+    };
+    let frame = &mut buf[at..];
+    frame[CRC_OFFSET - 2..CRC_OFFSET].copy_from_slice(&wire_len.to_be_bytes());
+    let crc = crc16(&frame[..CRC_OFFSET], &frame[HEADER_LEN..]);
+    frame[CRC_OFFSET..HEADER_LEN].copy_from_slice(&crc.to_be_bytes());
+    Ok(buf.len() - at)
 }
 
 /// Decodes a buffer of concatenated frames, stopping at the first error.

@@ -5,6 +5,9 @@
 //! ([`transmitter::FrameStream`] produces them from a
 //! [`airsched_core::program::BroadcastProgram`]; [`receiver::Receiver`]
 //! reassembles a client's wanted pages and tracks slot gaps after dozing).
+//! Payloads come from one trait, [`template::CyclicPayloads`]: a page's
+//! bytes are the same every time it airs, so the fresh encoders and the
+//! pre-encoded [`template::FrameTemplateCache`] serve identical frames.
 //!
 //! ```
 //! use airsched_core::group::GroupLadder;
@@ -19,7 +22,9 @@
 //! for frame in FrameStream::new(&program, DebugPayloads).take(16) {
 //!     // Over the wire and back.
 //!     let decoded = airsched_proto::frame::Frame::decode(&frame.encode())?;
-//!     if rx.consume(&decoded).is_some() {
+//!     if let Some(reception) = rx.consume(&decoded) {
+//!         // A page's payload is a function of the page alone.
+//!         assert_eq!(&reception.payload[..], b"p4");
 //!         break;
 //!     }
 //! }
@@ -34,9 +39,5 @@ pub mod transmitter;
 
 pub use frame::{crc16, decode_stream, DecodeError, EncodeError, Frame};
 pub use receiver::{Receiver, ReceiverStats, Reception};
-pub use template::{
-    CyclicPayloads, CyclicSource, DeltaTable, FrameTemplateCache, TemplateError, TemplateStats,
-};
-pub use transmitter::{
-    encode_slot_into, frames_for_slot, DebugPayloads, FixedPayloads, FrameStream, PayloadSource,
-};
+pub use template::{CyclicPayloads, DeltaTable, FrameTemplateCache};
+pub use transmitter::{encode_slot_into, DebugPayloads, FixedPayloads, FrameStream};

@@ -38,49 +38,45 @@
 //! is identical bit-for-bit to re-encoding (the fresh
 //! [`crate::transmitter::encode_slot_into`] stays as the reference, and
 //! this module's tests, `wire_properties` and `serving_path` compare the
-//! two byte-for-byte).
+//! two byte-for-byte). Both build a header with the one frame writer in
+//! [`crate::frame`].
 //!
 //! # Invalidation
 //!
-//! The cache maps the cells of one plan to page templates. Callers must
+//! The cache maps the cells of one plan to page templates. Callers
 //! retarget it ([`FrameTemplateCache::retarget`]) whenever the plan
 //! changes shape: plan swap/publish, a degradation-ladder repack (channel
 //! failure or recovery), or recovery `restore()`. A retarget remaps the
 //! cells and encodes only pages new to the grid. Stalls need no retarget
-//! — a stalled or down channel airs the idle template.
-//! [`FrameTemplateCache::encode_slot_into`] detects a stale cache
-//! (`on_air` naming a page the cached plan does not have in that cell)
-//! and returns [`TemplateError::PlanDrift`] instead of emitting wrong
-//! bytes.
+//! — a stalled or down channel airs the idle template. A column that
+//! disagrees with the cached plan (a page outside its cell, or a
+//! different width) is still served from templates: a template is a
+//! function of its page alone, so [`FrameTemplateCache::encode_slot_into`]
+//! first encodes, through the same admit loop a retarget uses, any page
+//! of the column that has none, and counts the slot in
+//! [`FrameTemplateCache::off_plan_slots`].
 
 use airsched_core::program::BroadcastProgram;
-use airsched_core::types::{ChannelId, PageId};
-use bytes::{Bytes, BytesMut};
+use airsched_core::types::{ChannelId, PageId, PAGE_ID_LIMIT};
+use bytes::BytesMut;
 
 use crate::frame::{
-    crc16, crc16_advance_zero, EncodeError, CRC16_TABLE, FLAG_IDLE, HEADER_LEN, MAGIC,
-    MAX_CHANNEL_INDEX, MAX_PAYLOAD, VERSION,
+    crc16_advance_zero, write_frame, EncodeError, CHANNEL_OFFSET, CRC16_TABLE, CRC_OFFSET,
+    HEADER_LEN, MAX_CHANNEL_INDEX, SLOT_TIME_OFFSET,
 };
-use crate::transmitter::PayloadSource;
 
-/// Byte offset of the channel field in a frame header.
-const CHANNEL_OFFSET: usize = 6;
-/// Byte offset of the `slot_time` field in a frame header.
-const SLOT_TIME_OFFSET: usize = 8;
-/// Byte offset of the CRC field in a frame header.
-const CRC_OFFSET: usize = HEADER_LEN - 2;
 /// Header bytes after the `slot_time` field that feed the CRC
 /// (page id + payload length).
 const HEADER_TAIL: usize = CRC_OFFSET - (SLOT_TIME_OFFSET + 8);
 
-/// Supplies the payload bytes for a page when its template is built.
+/// Supplies the payload bytes for a page: to a template when it is built,
+/// and to the fresh encoders ([`crate::transmitter::FrameStream`],
+/// [`crate::transmitter::encode_slot_into`]).
 ///
-/// Unlike [`PayloadSource`], the payload may not depend on the slot time:
-/// the same bytes air every time the page's cell comes around in the
-/// cycle, which is exactly what makes the template reusable. (This matches
-/// the paper's model — a page is one fixed unit of content rebroadcast
-/// periodically.) Use [`CyclicSource`] to drive the fresh encoder from the
-/// same payloads when comparing the two paths.
+/// The payload may not depend on the slot time: the same bytes air every
+/// time the page's cell comes around in the cycle, which is exactly what
+/// makes the template reusable. (This matches the paper's model — a page
+/// is one fixed unit of content rebroadcast periodically.)
 ///
 /// The payload must be a pure function of the page for the whole
 /// lifetime of the cache it feeds, not just of one plan: a template
@@ -90,34 +86,6 @@ const HEADER_TAIL: usize = CRC_OFFSET - (SLOT_TIME_OFFSET + 8);
 pub trait CyclicPayloads {
     /// Appends the payload for `page` to `out`.
     fn page_payload(&mut self, page: PageId, out: &mut BytesMut);
-}
-
-/// Adapts a [`CyclicPayloads`] to the slot-aware [`PayloadSource`] trait so
-/// the fresh encoder ([`crate::transmitter::encode_slot_into`]) can be run
-/// on the exact payloads a template cache was built from — the basis of
-/// every template-vs-fresh lockstep gate.
-#[derive(Debug)]
-pub struct CyclicSource<'a, P> {
-    inner: &'a mut P,
-}
-
-impl<'a, P> CyclicSource<'a, P> {
-    /// Wraps a cyclic payload supplier.
-    pub fn new(inner: &'a mut P) -> Self {
-        Self { inner }
-    }
-}
-
-impl<P: CyclicPayloads> PayloadSource for CyclicSource<'_, P> {
-    fn payload(&mut self, page: PageId, _slot_time: u64) -> Bytes {
-        let mut buf = BytesMut::new();
-        self.inner.page_payload(page, &mut buf);
-        buf.freeze()
-    }
-
-    fn payload_into(&mut self, page: PageId, _slot_time: u64, out: &mut BytesMut) {
-        self.inner.page_payload(page, out);
-    }
 }
 
 /// The linear delta operator `L` for one message shape: maps the XOR of
@@ -131,10 +99,10 @@ impl<P: CyclicPayloads> PayloadSource for CyclicSource<'_, P> {
 /// the next. Linearity of `T` lets the base row be assembled from the 8
 /// single-bit columns instead of advancing all 256 entries.
 ///
-/// `DeltaTable::new(0)` is the operator the sliced [`crc16`] folds each
-/// 8-byte chunk with: row `pos` is the CRC of a byte followed by `7 - pos`
-/// zero bytes, which is slice table `7 - pos` (a unit test pins them
-/// equal).
+/// `DeltaTable::new(0)` is the operator the sliced [`crate::frame::crc16`]
+/// folds each 8-byte chunk with: row `pos` is the CRC of a byte followed
+/// by `7 - pos` zero bytes, which is slice table `7 - pos` (a unit test
+/// pins them equal).
 #[derive(Debug, Clone)]
 pub struct DeltaTable {
     tbl: Box<[[u16; 256]; 8]>,
@@ -235,16 +203,17 @@ fn channel_deltas(tail_len: usize, channels: u32) -> Vec<u16> {
 /// Pre-encodes one wire image for `page` (`None`: the idle frame) on
 /// channel 0 at `slot_time = 0`, so the XOR against any real frame is the
 /// channel and slot bytes themselves. Finds or adds the delta table for
-/// the frame's length in `tables`.
+/// the frame's length in `tables`. `img` is scratch, reused across pages
+/// so the image grows in one buffer and is copied out once.
 fn encode_template(
     tables: &mut Vec<LengthDeltas>,
+    img: &mut BytesMut,
     page: Option<PageId>,
-    payload: &[u8],
+    payload: impl FnOnce(&mut BytesMut),
 ) -> Result<Template, EncodeError> {
-    if payload.len() > MAX_PAYLOAD {
-        return Err(EncodeError::PayloadTooLarge { len: payload.len() });
-    }
-    let tail_len = HEADER_TAIL + payload.len();
+    img.clear();
+    write_frame(img, 0, 0, page, payload)?;
+    let tail_len = HEADER_TAIL + img.len() - HEADER_LEN;
     let table = match tables.iter().position(|t| t.tail_len == tail_len) {
         Some(i) => i,
         None => {
@@ -256,82 +225,12 @@ fn encode_template(
             tables.len() - 1
         }
     };
-    let mut img = Vec::with_capacity(HEADER_LEN + payload.len());
-    img.extend_from_slice(&MAGIC.to_be_bytes());
-    img.push(VERSION);
-    img.push(if page.is_none() { FLAG_IDLE } else { 0 });
-    img.extend_from_slice(&0u16.to_be_bytes());
-    img.extend_from_slice(&0u64.to_be_bytes());
-    img.extend_from_slice(&page.map_or(0, PageId::index).to_be_bytes());
-    let payload_len = u16::try_from(payload.len()).expect("length checked above");
-    img.extend_from_slice(&payload_len.to_be_bytes());
-    let base_crc = crc16(&img, payload);
-    img.extend_from_slice(&base_crc.to_be_bytes());
-    img.extend_from_slice(payload);
     Ok(Template {
-        bytes: img.into_boxed_slice(),
-        base_crc,
+        bytes: Box::from(&img[..]),
+        base_crc: u16::from_be_bytes([img[CRC_OFFSET], img[CRC_OFFSET + 1]]),
         table: u32::try_from(table).expect("table count fits in u32"),
     })
 }
-
-/// Frame counters for the template emit path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TemplateStats {
-    /// Data frames emitted by patching a cached template.
-    pub data_frames: u64,
-    /// Idle frames emitted by patching a cached idle template.
-    pub idle_frames: u64,
-}
-
-/// Why a template emit was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum TemplateError {
-    /// The on-air column names a page the cached plan does not have in
-    /// that cell — the plan changed under the cache. Retarget and retry.
-    PlanDrift {
-        /// The channel whose cell disagreed.
-        channel: u32,
-        /// The slot being encoded.
-        slot_time: u64,
-        /// What the cached plan has in the cell.
-        expected: Option<PageId>,
-        /// What the on-air column asked for.
-        found: PageId,
-    },
-    /// The on-air column width differs from the cached channel count.
-    ChannelMismatch {
-        /// Channels the cache was built for.
-        cached: u32,
-        /// Channels in the on-air column.
-        found: usize,
-    },
-}
-
-impl core::fmt::Display for TemplateError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Self::PlanDrift {
-                channel,
-                slot_time,
-                expected,
-                found,
-            } => write!(
-                f,
-                "plan drift on channel {channel} at slot {slot_time}: \
-                 cache holds {expected:?}, on-air wants {found}"
-            ),
-            Self::ChannelMismatch { cached, found } => write!(
-                f,
-                "on-air column has {found} channel(s) but the cache was \
-                 built for {cached}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TemplateError {}
 
 /// Pre-encoded wire images for every page of one broadcast plan, emitted
 /// per slot by patching the channel and `slot_time` and fixing the CRC
@@ -356,8 +255,9 @@ impl std::error::Error for TemplateError {}
 /// let ladder = GroupLadder::new(vec![(2, 2), (4, 3)])?;
 /// let program = susc::schedule(&ladder, 2)?;
 /// let mut cache = FrameTemplateCache::build(&program, &mut Fixed)?;
+/// let on_air: Vec<_> = (0..program.channels()).map(|ch| cache.page_at(ch, 7)).collect();
 /// let mut buf = BytesMut::new();
-/// let written = cache.encode_cycle_slot(7, &mut buf);
+/// let written = cache.encode_slot_into(&on_air, 7, &mut Fixed, &mut buf)?;
 /// assert_eq!(written, buf.len());
 /// // Every emitted frame decodes — the patched CRC is valid.
 /// let (frames, used) = airsched_proto::decode_stream(&buf);
@@ -380,7 +280,8 @@ pub struct FrameTemplateCache {
     pages: Vec<Option<PageId>>,
     /// Per-table slot delta for the slot being emitted.
     delta_scratch: Vec<u16>,
-    stats: TemplateStats,
+    /// Slots whose column disagreed with the cached plan.
+    off_plan_slots: u64,
 }
 
 impl FrameTemplateCache {
@@ -424,7 +325,8 @@ impl FrameTemplateCache {
         payloads: &mut P,
     ) -> Result<Self, EncodeError> {
         let mut tables = Vec::new();
-        let idle = encode_template(&mut tables, None, &[]).expect("an idle frame always fits");
+        let idle = encode_template(&mut tables, &mut BytesMut::new(), None, |_| {})
+            .expect("an idle frame always fits");
         let mut cache = Self {
             channels: 0,
             cycle_len: 1,
@@ -433,7 +335,7 @@ impl FrameTemplateCache {
             tables,
             pages: Vec::new(),
             delta_scratch: Vec::new(),
-            stats: TemplateStats::default(),
+            off_plan_slots: 0,
         };
         cache.retarget(channels, cycle_len, cells, payloads)?;
         Ok(cache)
@@ -469,31 +371,9 @@ impl FrameTemplateCache {
             n,
             "cells must be channel-major, channels x cycle_len"
         );
-        if let Some(top) = channels.checked_sub(1).filter(|&c| c > MAX_CHANNEL_INDEX) {
-            return Err(EncodeError::ChannelOutOfRange {
-                channel: ChannelId::new(top),
-            });
-        }
         // Encode the pages new to the grid before touching the plan, so a
-        // refused payload leaves the cache as it was.
-        let mut live = vec![false; self.templates.len()];
-        let mut payload = BytesMut::new();
-        for &page in cells.iter().flatten() {
-            let p = page.index() as usize;
-            if p >= live.len() {
-                live.resize(p + 1, false);
-                self.templates.resize_with(p + 1, || None);
-            }
-            if live[p] {
-                continue;
-            }
-            live[p] = true;
-            if self.templates[p].is_none() {
-                payload.clear();
-                payloads.page_payload(page, &mut payload);
-                self.templates[p] = Some(encode_template(&mut self.tables, Some(page), &payload)?);
-            }
-        }
+        // refused payload leaves the cache on its previous plan.
+        let live = self.admit(cells, channels, payloads)?;
         for (template, live) in self.templates.iter_mut().zip(live) {
             if !live {
                 *template = None;
@@ -503,16 +383,63 @@ impl FrameTemplateCache {
             self.templates.pop();
         }
         self.drop_unused_tables();
-        for table in &mut self.tables {
-            if table.channel.len() != channels as usize {
-                table.channel = channel_deltas(table.tail_len, channels);
-            }
-        }
         self.channels = channels;
         self.cycle_len = cycle_len;
         self.pages.clear();
         self.pages.extend_from_slice(cells);
         Ok(())
+    }
+
+    /// The admit loop: encodes a template for every page in `pages` that
+    /// has none yet, pulling its payload once, and sizes every delta
+    /// table's channel patches for at least `channels` channels. Returns
+    /// which page ids `pages` names, indexed by id and as long as the
+    /// template table. Templates encoded before a refusal stay: each is a
+    /// function of its page alone.
+    fn admit<P: CyclicPayloads>(
+        &mut self,
+        pages: &[Option<PageId>],
+        channels: u32,
+        payloads: &mut P,
+    ) -> Result<Vec<bool>, EncodeError> {
+        if let Some(top) = channels.checked_sub(1).filter(|&c| c > MAX_CHANNEL_INDEX) {
+            return Err(EncodeError::ChannelOutOfRange {
+                channel: ChannelId::new(top),
+            });
+        }
+        // The marks grow in step with the template table. Built in a
+        // separate pass instead, they let glibc trim the heap between
+        // airbench `wide-wire` rounds, and each set-up page-faulted its
+        // ~3.6 MB of templates back in (`setup_s` +27% on a shared
+        // 2-vCPU x86-64 host).
+        let mut live = vec![false; self.templates.len()];
+        let mut img = BytesMut::new();
+        for &page in pages.iter().flatten() {
+            let p = page.index() as usize;
+            if p >= live.len() {
+                if page.index() >= PAGE_ID_LIMIT {
+                    return Err(EncodeError::PageOutOfRange { page });
+                }
+                live.resize(p + 1, false);
+                self.templates.resize_with(p + 1, || None);
+            }
+            if live[p] {
+                continue;
+            }
+            live[p] = true;
+            if self.templates[p].is_none() {
+                let template = encode_template(&mut self.tables, &mut img, Some(page), |out| {
+                    payloads.page_payload(page, out);
+                })?;
+                self.templates[p] = Some(template);
+            }
+        }
+        for table in &mut self.tables {
+            if table.channel.len() < channels as usize {
+                table.channel = channel_deltas(table.tail_len, channels);
+            }
+        }
+        Ok(live)
     }
 
     /// Drops the delta tables no template uses any more: payload lengths
@@ -551,7 +478,8 @@ impl FrameTemplateCache {
         self.cycle_len
     }
 
-    /// Wire images held: one per page on the grid plus the idle template.
+    /// Wire images held: one per page on the grid (and per page an off-plan
+    /// column admitted since the last retarget) plus the idle template.
     #[must_use]
     pub fn template_count(&self) -> usize {
         self.templates.iter().flatten().count() + 1
@@ -563,10 +491,12 @@ impl FrameTemplateCache {
         self.tables.len()
     }
 
-    /// Frame counters for the emit path.
+    /// Slots whose column disagreed with the cached plan (a page outside
+    /// its cell, or a different width). Each was served from templates
+    /// once the pages it lacked were admitted, unless one was refused.
     #[must_use]
-    pub fn stats(&self) -> TemplateStats {
-        self.stats
+    pub fn off_plan_slots(&self) -> u64 {
+        self.off_plan_slots
     }
 
     /// The cached plan's page for `channel` at `slot_time`.
@@ -596,7 +526,7 @@ impl FrameTemplateCache {
         page.map_or(&self.idle, |p| {
             self.templates[p.index() as usize]
                 .as_ref()
-                .expect("every page on the grid has a template")
+                .expect("every page on the air has a template")
         })
     }
 
@@ -606,12 +536,23 @@ impl FrameTemplateCache {
         let at = buf.len();
         buf.extend_from_slice(&t.bytes);
         let out = &mut buf[at..];
-        let wire_ch = u16::try_from(ch).expect("retarget bounds the channel count");
+        let wire_ch = u16::try_from(ch).expect("admit bounds the channel count");
         out[CHANNEL_OFFSET..CHANNEL_OFFSET + 2].copy_from_slice(&wire_ch.to_be_bytes());
         out[SLOT_TIME_OFFSET..SLOT_TIME_OFFSET + 8].copy_from_slice(&slot_bytes);
         let table = t.table as usize;
         let crc = t.base_crc ^ self.delta_scratch[table] ^ self.tables[table].channel[ch];
         out[CRC_OFFSET..CRC_OFFSET + 2].copy_from_slice(&crc.to_be_bytes());
+    }
+
+    /// Whether every page `on_air` names is the cached plan's page in its
+    /// cell. A `None` cell always agrees.
+    fn on_plan(&self, on_air: &[Option<PageId>], slot_time: u64) -> bool {
+        let col = slot_time % self.cycle_len;
+        on_air.len() == self.channels as usize
+            && on_air
+                .iter()
+                .enumerate()
+                .all(|(ch, &page)| page.is_none() || self.pages[self.cell_index(ch, col)] == page)
     }
 
     /// Encodes one live slot (e.g. a station's `TickOutcome::on_air`) by
@@ -621,67 +562,46 @@ impl FrameTemplateCache {
     ///
     /// A `None` cell airs the idle template whatever the plan holds there
     /// — that is exactly what a stalled or down channel transmits — so
-    /// stalls and outages need no retarget.
+    /// stalls and outages need no retarget. A column that disagrees with
+    /// the cached plan is served too: its pages that have no template are
+    /// encoded first, pulling each payload once, and the slot is counted
+    /// in [`FrameTemplateCache::off_plan_slots`].
     ///
     /// # Errors
     ///
-    /// Returns [`TemplateError`] when `on_air` does not fit the cached
-    /// plan (wrong width, or a page not in the cached cell — i.e. the
-    /// plan was swapped or repacked without a retarget). On error nothing
-    /// is appended.
-    pub fn encode_slot_into(
+    /// Returns [`EncodeError`] when a page the column needs cannot be
+    /// encoded (its payload is too large, or its id is at or above
+    /// [`PAGE_ID_LIMIT`]) or the column is wider than the wire's channel
+    /// field. The refusal comes before anything is appended.
+    pub fn encode_slot_into<P: CyclicPayloads>(
+        &mut self,
+        on_air: &[Option<PageId>],
+        slot_time: u64,
+        payloads: &mut P,
+        buf: &mut BytesMut,
+    ) -> Result<usize, EncodeError> {
+        if !self.on_plan(on_air, slot_time) {
+            self.off_plan_slots += 1;
+            let width = u32::try_from(on_air.len()).expect("channel fits in u32");
+            self.admit(on_air, width, payloads)?;
+        }
+        Ok(self.emit_column(on_air, slot_time, buf))
+    }
+
+    /// Appends every frame of `on_air`, each page's from its template.
+    /// Returns the bytes appended. Kept apart from the generic
+    /// [`FrameTemplateCache::encode_slot_into`] so the per-frame loop is
+    /// compiled once, in this crate.
+    fn emit_column(
         &mut self,
         on_air: &[Option<PageId>],
         slot_time: u64,
         buf: &mut BytesMut,
-    ) -> Result<usize, TemplateError> {
-        if on_air.len() != self.channels as usize {
-            return Err(TemplateError::ChannelMismatch {
-                cached: self.channels,
-                found: on_air.len(),
-            });
-        }
+    ) -> usize {
         self.prepare_slot(slot_time);
         let slot_bytes = slot_time.to_be_bytes();
-        let col = slot_time % self.cycle_len;
         let start = buf.len();
-        let mut data_frames = 0u64;
         for (ch, &page) in on_air.iter().enumerate() {
-            if let Some(p) = page {
-                let cell = self.cell_index(ch, col);
-                if self.pages[cell] != page {
-                    buf.truncate(start);
-                    return Err(TemplateError::PlanDrift {
-                        channel: u32::try_from(ch).expect("channel fits in u32"),
-                        slot_time,
-                        expected: self.pages[cell],
-                        found: p,
-                    });
-                }
-                data_frames += 1;
-            }
-            self.emit(self.template_of(page), ch, slot_bytes, buf);
-        }
-        self.stats.data_frames += data_frames;
-        self.stats.idle_frames += on_air.len() as u64 - data_frames;
-        Ok(buf.len() - start)
-    }
-
-    /// Encodes the plan's own column for `slot_time` — the template
-    /// counterpart of walking [`crate::transmitter::FrameStream`] for one
-    /// slot and encoding each frame. Returns the bytes appended.
-    pub fn encode_cycle_slot(&mut self, slot_time: u64, buf: &mut BytesMut) -> usize {
-        self.prepare_slot(slot_time);
-        let slot_bytes = slot_time.to_be_bytes();
-        let col = slot_time % self.cycle_len;
-        let start = buf.len();
-        for ch in 0..self.channels as usize {
-            let page = self.pages[self.cell_index(ch, col)];
-            if page.is_some() {
-                self.stats.data_frames += 1;
-            } else {
-                self.stats.idle_frames += 1;
-            }
             self.emit(self.template_of(page), ch, slot_bytes, buf);
         }
         buf.len() - start
@@ -691,7 +611,7 @@ impl FrameTemplateCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{Frame, CRC16_SLICES};
+    use crate::frame::{crc16, Frame, CRC16_SLICES, MAX_PAYLOAD};
     use crate::transmitter::{encode_slot_into, FrameStream};
     use airsched_core::group::GroupLadder;
     use airsched_core::susc;
@@ -816,17 +736,31 @@ mod tests {
         }
     }
 
+    /// The plan's own column for `slot_time`.
+    fn column(p: &BroadcastProgram, slot_time: u64) -> Vec<Option<PageId>> {
+        let col = SlotIndex::new(slot_time % p.cycle_len());
+        (0..p.channels())
+            .map(|ch| p.page_at(GridPos::new(ChannelId::new(ch), col)))
+            .collect()
+    }
+
     #[test]
     fn cycle_slots_match_fresh_framestream_encoding() {
         let p = program();
         let mut cache = FrameTemplateCache::build(&p, &mut TestPayloads).unwrap();
         let slots = 3 * p.cycle_len();
-        let mut payloads = TestPayloads;
-        let mut stream = FrameStream::new(&p, CyclicSource::new(&mut payloads));
+        let mut stream = FrameStream::new(&p, TestPayloads);
         let mut buf = BytesMut::new();
         for slot_time in 0..slots {
             buf.clear();
-            let written = cache.encode_cycle_slot(slot_time, &mut buf);
+            let written = cache
+                .encode_slot_into(
+                    &column(&p, slot_time),
+                    slot_time,
+                    &mut TestPayloads,
+                    &mut buf,
+                )
+                .unwrap();
             assert_eq!(written, buf.len());
             let mut expected = Vec::new();
             for _ in 0..p.channels() {
@@ -836,12 +770,7 @@ mod tests {
             }
             assert_eq!(&buf[..], &expected[..], "slot {slot_time}");
         }
-        let stats = cache.stats();
-        assert!(stats.data_frames > 0);
-        assert_eq!(
-            stats.data_frames + stats.idle_frames,
-            slots * u64::from(p.channels())
-        );
+        assert_eq!(cache.off_plan_slots(), 0);
     }
 
     #[test]
@@ -852,24 +781,15 @@ mod tests {
         let mut fresh = BytesMut::new();
         // Far-future slot times exercise all 8 slot bytes.
         for slot_time in [0u64, 1, 7, 1 << 35, u64::MAX - 1, u64::MAX] {
-            let col = slot_time % p.cycle_len();
-            let mut on_air: Vec<Option<PageId>> = (0..p.channels())
-                .map(|ch| p.page_at(GridPos::new(ChannelId::new(ch), SlotIndex::new(col))))
-                .collect();
+            let mut on_air = column(&p, slot_time);
             // A stalled channel airs idle regardless of the plan.
             on_air[1] = None;
             buf.clear();
             cache
-                .encode_slot_into(&on_air, slot_time, &mut buf)
+                .encode_slot_into(&on_air, slot_time, &mut TestPayloads, &mut buf)
                 .unwrap();
             fresh.clear();
-            encode_slot_into(
-                &on_air,
-                slot_time,
-                &mut CyclicSource::new(&mut TestPayloads),
-                &mut fresh,
-            )
-            .unwrap();
+            encode_slot_into(&on_air, slot_time, &mut TestPayloads, &mut fresh).unwrap();
             assert_eq!(&buf[..], &fresh[..], "slot {slot_time}");
             // Each frame decodes with a valid checksum.
             let (frames, used) = crate::frame::decode_stream(&buf);
@@ -879,24 +799,34 @@ mod tests {
     }
 
     #[test]
-    fn plan_drift_is_detected_and_appends_nothing() {
+    fn a_column_of_another_width_is_served_from_templates() {
         let p = program();
         let mut cache = FrameTemplateCache::build(&p, &mut TestPayloads).unwrap();
-        let col = 0;
-        let mut on_air: Vec<Option<PageId>> = (0..p.channels())
-            .map(|ch| p.page_at(GridPos::new(ChannelId::new(ch), SlotIndex::new(col))))
-            .collect();
-        // Swap in a page the plan does not have in that cell.
-        let wrong = PageId::new(9_999);
-        on_air[0] = Some(wrong);
+        let (a, b) = (Some(PageId::new(1)), Some(PageId::new(40)));
         let mut buf = BytesMut::new();
-        let err = cache.encode_slot_into(&on_air, 0, &mut buf).unwrap_err();
-        assert!(matches!(err, TemplateError::PlanDrift { channel: 0, .. }));
-        assert!(buf.is_empty(), "a refused emit must append nothing");
-        assert!(err.to_string().contains("plan drift"));
-        // Wrong width is also refused.
-        let err = cache.encode_slot_into(&[None], 0, &mut buf).unwrap_err();
-        assert!(matches!(err, TemplateError::ChannelMismatch { .. }));
+        let mut fresh = BytesMut::new();
+        for on_air in [vec![a, None, b], vec![b], vec![None; 3]] {
+            buf.clear();
+            cache
+                .encode_slot_into(&on_air, 1 << 20, &mut TestPayloads, &mut buf)
+                .unwrap();
+            fresh.clear();
+            encode_slot_into(&on_air, 1 << 20, &mut TestPayloads, &mut fresh).unwrap();
+            assert_eq!(&buf[..], &fresh[..], "column {on_air:?}");
+        }
+        assert_eq!(cache.off_plan_slots(), 3);
+        // A narrower or wider column leaves the cached plan as it was.
+        assert_eq!(cache.channels(), p.channels());
+        // An id beyond the limit would size the page table at ~4G entries:
+        // it is refused, and nothing is appended.
+        buf.clear();
+        let huge = PageId::new(u32::MAX);
+        let err = cache
+            .encode_slot_into(&[None, Some(huge)], 0, &mut TestPayloads, &mut buf)
+            .unwrap_err();
+        assert_eq!(err, EncodeError::PageOutOfRange { page: huge });
+        assert!(err.to_string().contains("page id limit"));
+        assert!(buf.is_empty());
     }
 
     #[test]
@@ -905,7 +835,12 @@ mod tests {
             FrameTemplateCache::from_cells(3, 4, &[None; 12], &mut TestPayloads).unwrap();
         let mut buf = BytesMut::new();
         let written = cache
-            .encode_slot_into(&[None, None, None], 123_456_789, &mut buf)
+            .encode_slot_into(
+                &[None, None, None],
+                123_456_789,
+                &mut TestPayloads,
+                &mut buf,
+            )
             .unwrap();
         assert_eq!(written, 3 * HEADER_LEN);
         let (frames, used) = crate::frame::decode_stream(&buf);
@@ -915,7 +850,6 @@ mod tests {
             assert_eq!(frame.slot_time, 123_456_789);
             assert_eq!(frame.channel, ChannelId::new(u32::try_from(ch).unwrap()));
         }
-        assert_eq!(cache.stats().idle_frames, 3);
         assert_eq!(cache.template_count(), 1); // one idle template for all channels
         assert_eq!(cache.delta_table_count(), 1);
     }
@@ -964,18 +898,13 @@ mod tests {
             let on_air: Vec<Option<PageId>> = (0..3).map(|ch| swapped[ch * 2 + col]).collect();
             buf.clear();
             cache
-                .encode_slot_into(&on_air, slot_time, &mut buf)
+                .encode_slot_into(&on_air, slot_time, &mut payloads, &mut buf)
                 .unwrap();
             fresh.clear();
-            encode_slot_into(
-                &on_air,
-                slot_time,
-                &mut CyclicSource::new(&mut TestPayloads),
-                &mut fresh,
-            )
-            .unwrap();
+            encode_slot_into(&on_air, slot_time, &mut TestPayloads, &mut fresh).unwrap();
             assert_eq!(&buf[..], &fresh[..], "slot {slot_time}");
         }
+        assert_eq!(payloads.0, 3, "an on-plan column pulls nothing");
     }
 
     #[test]
@@ -1000,15 +929,11 @@ mod tests {
         assert!(matches!(err, EncodeError::PayloadTooLarge { .. }));
         assert_eq!((cache.cycle_len(), cache.page_at(0, 0)), (2, cells[0]));
         let mut buf = BytesMut::new();
-        cache.encode_slot_into(&cells[..1], 0, &mut buf).unwrap();
+        cache
+            .encode_slot_into(&cells[..1], 0, &mut payloads, &mut buf)
+            .unwrap();
         let mut fresh = BytesMut::new();
-        encode_slot_into(
-            &cells[..1],
-            0,
-            &mut CyclicSource::new(&mut payloads),
-            &mut fresh,
-        )
-        .unwrap();
+        encode_slot_into(&cells[..1], 0, &mut payloads, &mut fresh).unwrap();
         assert_eq!(&buf[..], &fresh[..]);
     }
 
@@ -1050,10 +975,12 @@ mod tests {
         let mut cache = FrameTemplateCache::from_cells(1, 2, &cells, &mut MaxPayload).unwrap();
         let mut buf = BytesMut::new();
         for slot_time in [1u64, u64::MAX] {
-            buf.clear();
-            cache.encode_cycle_slot(slot_time, &mut buf);
             let col = slot_time % 2;
             let page = cells[usize::try_from(col).unwrap()].unwrap();
+            buf.clear();
+            cache
+                .encode_slot_into(&[Some(page)], slot_time, &mut MaxPayload, &mut buf)
+                .unwrap();
             let mut payload = BytesMut::new();
             MaxPayload.page_payload(page, &mut payload);
             let expected =

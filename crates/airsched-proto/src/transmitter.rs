@@ -2,72 +2,40 @@
 //!
 //! [`FrameStream`] walks a [`BroadcastProgram`] slot by slot and emits one
 //! [`Frame`] per channel per slot (idle frames included, so receivers stay
-//! slot-synchronized), pulling payloads from a caller-supplied source.
+//! slot-synchronized); [`encode_slot_into`] puts one live column straight
+//! onto the wire. Both pull payloads from a [`CyclicPayloads`]: a page's
+//! bytes are the same every time it airs.
 
 use airsched_core::program::BroadcastProgram;
 use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 
-use crate::frame::{EncodeError, Frame, FLAG_IDLE, HEADER_LEN, MAGIC, VERSION};
+use crate::frame::{write_frame, EncodeError, Frame};
 use crate::template::CyclicPayloads;
 
-/// Supplies the payload bytes for a page each time it airs.
-pub trait PayloadSource {
-    /// The bytes to transmit for `page` at `slot_time`.
-    fn payload(&mut self, page: PageId, slot_time: u64) -> Bytes;
-
-    /// Appends the bytes for `page` at `slot_time` directly to `out` — the
-    /// allocation-free sibling of [`PayloadSource::payload`], used by
-    /// [`encode_slot_into`] so the steady-state transmit loop never
-    /// round-trips payloads through an owned [`Bytes`]. The default
-    /// delegates to [`PayloadSource::payload`]; sources that can render in
-    /// place should override it.
-    fn payload_into(&mut self, page: PageId, slot_time: u64, out: &mut BytesMut) {
-        out.extend_from_slice(&self.payload(page, slot_time));
-    }
-}
-
-/// A payload source that renders a deterministic text payload — handy for
+/// Payloads that render each page's name as text (`p12`) — handy for
 /// demos and tests.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DebugPayloads;
 
-impl PayloadSource for DebugPayloads {
-    fn payload(&mut self, page: PageId, slot_time: u64) -> Bytes {
-        Bytes::from(format!("{page}@t{slot_time}"))
-    }
-
-    fn payload_into(&mut self, page: PageId, slot_time: u64, out: &mut BytesMut) {
-        use core::fmt::Write;
-        // Render straight into the frame buffer: same bytes as
-        // `format!`, none of its per-frame `String` + `Bytes` churn.
-        write!(WriteBytes(out), "{page}@t{slot_time}").expect("writing to a buffer is infallible");
+impl CyclicPayloads for DebugPayloads {
+    fn page_payload(&mut self, page: PageId, out: &mut BytesMut) {
+        out.extend_from_slice(page.to_string().as_bytes());
     }
 }
 
-/// `fmt::Write` adapter appending UTF-8 to a [`BytesMut`].
-struct WriteBytes<'a>(&'a mut BytesMut);
-
-impl core::fmt::Write for WriteBytes<'_> {
-    fn write_str(&mut self, s: &str) -> core::fmt::Result {
-        self.0.extend_from_slice(s.as_bytes());
-        Ok(())
-    }
-}
-
-/// A payload source that serves one fixed byte pattern for every page —
-/// the borrowing workhorse for benchmarks and load tests, where payload
+/// Payloads that serve one fixed byte pattern for every page — the
+/// borrowing workhorse for benchmarks and load tests, where payload
 /// *content* is irrelevant but payload *cost* must not include the
-/// allocator. Also usable as [`CyclicPayloads`] (the bytes never vary by
-/// slot), so one instance can drive both the template cache and the fresh
-/// encoder in lockstep gates.
+/// allocator. One instance drives the template cache and a clone the
+/// fresh encoder in lockstep gates.
 #[derive(Debug, Clone)]
 pub struct FixedPayloads {
     data: Bytes,
 }
 
 impl FixedPayloads {
-    /// A source serving `data` for every page.
+    /// Payloads serving `data` for every page.
     #[must_use]
     pub fn new(data: Bytes) -> Self {
         Self { data }
@@ -77,16 +45,6 @@ impl FixedPayloads {
     #[must_use]
     pub fn data(&self) -> &[u8] {
         &self.data
-    }
-}
-
-impl PayloadSource for FixedPayloads {
-    fn payload(&mut self, _page: PageId, _slot_time: u64) -> Bytes {
-        self.data.clone()
-    }
-
-    fn payload_into(&mut self, _page: PageId, _slot_time: u64, out: &mut BytesMut) {
-        out.extend_from_slice(&self.data);
     }
 }
 
@@ -113,26 +71,26 @@ impl CyclicPayloads for FixedPayloads {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
-pub struct FrameStream<'a, S> {
+pub struct FrameStream<'a, P> {
     program: &'a BroadcastProgram,
-    source: S,
+    payloads: P,
     time: u64,
     channel: u32,
 }
 
-impl<'a, S: PayloadSource> FrameStream<'a, S> {
+impl<'a, P: CyclicPayloads> FrameStream<'a, P> {
     /// Starts the stream at slot 0, channel 0.
-    pub fn new(program: &'a BroadcastProgram, source: S) -> Self {
+    pub fn new(program: &'a BroadcastProgram, payloads: P) -> Self {
         Self {
             program,
-            source,
+            payloads,
             time: 0,
             channel: 0,
         }
     }
 }
 
-impl<S: PayloadSource> Iterator for FrameStream<'_, S> {
+impl<P: CyclicPayloads> Iterator for FrameStream<'_, P> {
     type Item = Frame;
 
     fn next(&mut self) -> Option<Frame> {
@@ -140,12 +98,11 @@ impl<S: PayloadSource> Iterator for FrameStream<'_, S> {
         let channel = ChannelId::new(self.channel);
         let pos = GridPos::new(channel, SlotIndex::new(column));
         let frame = match self.program.page_at(pos) {
-            Some(page) => Frame::data(
-                channel,
-                self.time,
-                page,
-                self.source.payload(page, self.time),
-            ),
+            Some(page) => {
+                let mut payload = BytesMut::new();
+                self.payloads.page_payload(page, &mut payload);
+                Frame::data(channel, self.time, page, payload.freeze())
+            }
             None => Frame::idle(channel, self.time),
         };
         self.channel += 1;
@@ -157,92 +114,49 @@ impl<S: PayloadSource> Iterator for FrameStream<'_, S> {
     }
 }
 
-/// Encodes one slot's worth of per-channel payloads (e.g. a live station's
-/// `TickOutcome::on_air`) into frames — the adapter between a dynamic
-/// server and the wire.
+/// Encodes one slot's per-channel pages (e.g. a live station's
+/// `TickOutcome::on_air`) straight onto the wire, appending every frame
+/// (idle carriers included) to one reused `buf`. Returns the number of
+/// bytes appended. Payloads are rendered in place, with no intermediate
+/// [`Frame`] or [`Bytes`], and the bytes equal [`Frame::encode_into`] over
+/// the same frames. This is the fresh reference the patched
+/// [`crate::template::FrameTemplateCache`] is held bit-identical to.
 ///
 /// # Examples
 ///
 /// ```
-/// use airsched_core::types::PageId;
-/// use airsched_proto::transmitter::{frames_for_slot, DebugPayloads};
+/// use airsched_core::types::{ChannelId, PageId};
+/// use airsched_proto::frame::Frame;
+/// use airsched_proto::transmitter::{encode_slot_into, DebugPayloads};
+/// use bytes::{Bytes, BytesMut};
 ///
 /// let on_air = [Some(PageId::new(3)), None];
-/// let frames = frames_for_slot(&on_air, 17, &mut DebugPayloads);
-/// assert_eq!(frames.len(), 2);
-/// assert_eq!(frames[0].page, Some(PageId::new(3)));
-/// assert!(frames[1].is_idle());
+/// let mut wire = BytesMut::new();
+/// encode_slot_into(&on_air, 17, &mut DebugPayloads, &mut wire)?;
+/// let data = Frame::data(ChannelId::new(0), 17, PageId::new(3), Bytes::from("p3"));
+/// let idle = Frame::idle(ChannelId::new(1), 17);
+/// assert_eq!(&wire[..], [&data.encode()[..], &idle.encode()[..]].concat());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn frames_for_slot<S: PayloadSource>(
-    on_air: &[Option<PageId>],
-    slot_time: u64,
-    source: &mut S,
-) -> Vec<Frame> {
-    on_air
-        .iter()
-        .enumerate()
-        .map(|(ch, page)| {
-            let channel = ChannelId::new(u32::try_from(ch).expect("channel fits in u32"));
-            match page {
-                Some(p) => Frame::data(channel, slot_time, *p, source.payload(*p, slot_time)),
-                None => Frame::idle(channel, slot_time),
-            }
-        })
-        .collect()
-}
-
-/// Encodes one slot's per-channel pages straight onto the wire, appending
-/// every frame (idle carriers included) to one reused `buf`. Returns the
-/// number of bytes appended. This is the zero-allocation sibling of
-/// [`frames_for_slot`]: the station's steady-state transmit loop clears and
-/// refills the same buffer every slot. Payloads are rendered in place via
-/// [`PayloadSource::payload_into`] — no intermediate [`Frame`] or
-/// [`Bytes`] is built — and the payload length and CRC are patched into
-/// the header afterwards, producing bytes identical to
-/// [`Frame::encode_into`]. (This fresh path is also the bit-identity
-/// reference for the patched [`crate::template::FrameTemplateCache`].)
 ///
 /// # Errors
 ///
 /// Returns [`EncodeError`] if a channel index or payload does not fit its
 /// wire field; frames encoded before the failure remain in `buf`.
-pub fn encode_slot_into<S: PayloadSource>(
+pub fn encode_slot_into<P: CyclicPayloads>(
     on_air: &[Option<PageId>],
     slot_time: u64,
-    source: &mut S,
+    payloads: &mut P,
     buf: &mut BytesMut,
 ) -> Result<usize, EncodeError> {
     let start = buf.len();
-    for (ch, page) in on_air.iter().enumerate() {
+    for (ch, &page) in on_air.iter().enumerate() {
         let channel = u32::try_from(ch).expect("channel fits in u32");
-        let Ok(wire_ch) = u16::try_from(channel) else {
-            return Err(EncodeError::ChannelOutOfRange {
-                channel: ChannelId::new(channel),
-            });
-        };
-        let at = buf.len();
-        buf.put_u32(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(if page.is_none() { FLAG_IDLE } else { 0 });
-        buf.put_u16(wire_ch);
-        buf.put_u64(slot_time);
-        buf.put_u32(page.map_or(0, PageId::index));
-        // Payload length and CRC are not known yet; reserve their fields
-        // and patch them once the payload is in place.
-        buf.put_u16(0);
-        buf.put_u16(0);
-        if let Some(p) = page {
-            source.payload_into(*p, slot_time, buf);
-        }
-        let payload_len = buf.len() - at - HEADER_LEN;
-        let Ok(wire_len) = u16::try_from(payload_len) else {
-            buf.truncate(at);
-            return Err(EncodeError::PayloadTooLarge { len: payload_len });
-        };
-        let frame = &mut buf[at..];
-        frame[HEADER_LEN - 4..HEADER_LEN - 2].copy_from_slice(&wire_len.to_be_bytes());
-        let crc = crate::frame::crc16(&frame[..HEADER_LEN - 2], &frame[HEADER_LEN..]);
-        frame[HEADER_LEN - 2..HEADER_LEN].copy_from_slice(&crc.to_be_bytes());
+        write_frame(buf, channel, slot_time, page, |out| {
+            if let Some(p) = page {
+                payloads.page_payload(p, out);
+            }
+        })?;
     }
     Ok(buf.len() - start)
 }
@@ -284,8 +198,7 @@ mod tests {
             );
             assert_eq!(p.page_at(pos), frame.page);
             if let Some(page) = frame.page {
-                let text = String::from_utf8(frame.payload.to_vec()).unwrap();
-                assert!(text.starts_with(&page.to_string()), "{text}");
+                assert_eq!(&frame.payload[..], page.to_string().as_bytes());
             } else {
                 assert!(frame.payload.is_empty());
             }
@@ -297,50 +210,31 @@ mod tests {
         let on_air = [Some(PageId::new(3)), None, Some(PageId::new(1))];
         let mut buf = BytesMut::with_capacity(512);
         let mut expected = Vec::new();
-        for slot_time in 0..4u64 {
+        for slot_time in [0u64, 1, 3, u64::MAX] {
             buf.clear();
             let written =
                 encode_slot_into(&on_air, slot_time, &mut DebugPayloads, &mut buf).unwrap();
             assert_eq!(written, buf.len());
             expected.clear();
-            for f in frames_for_slot(&on_air, slot_time, &mut DebugPayloads) {
-                expected.extend_from_slice(&f.encode());
+            for (ch, &page) in (0u32..).zip(&on_air) {
+                let channel = ChannelId::new(ch);
+                let frame = match page {
+                    Some(p) => Frame::data(channel, slot_time, p, Bytes::from(p.to_string())),
+                    None => Frame::idle(channel, slot_time),
+                };
+                expected.extend_from_slice(&frame.encode());
             }
-            assert_eq!(&buf[..], &expected[..]);
+            assert_eq!(&buf[..], &expected[..], "slot {slot_time}");
         }
-    }
-
-    #[test]
-    fn debug_payload_into_matches_format() {
-        let mut out = BytesMut::new();
-        DebugPayloads.payload_into(PageId::new(12), 345, &mut out);
-        assert_eq!(
-            &out[..],
-            DebugPayloads.payload(PageId::new(12), 345).as_ref()
-        );
-        assert_eq!(&out[..], b"p12@t345");
-    }
-
-    #[test]
-    fn fixed_payloads_serve_the_same_bytes_on_every_path() {
-        let mut src = FixedPayloads::new(Bytes::from_static(b"tick"));
-        assert_eq!(src.data(), b"tick");
-        let owned = src.payload(PageId::new(3), 9);
-        let mut appended = BytesMut::new();
-        src.payload_into(PageId::new(3), 9, &mut appended);
-        let mut cyclic = BytesMut::new();
-        crate::template::CyclicPayloads::page_payload(&mut src, PageId::new(3), &mut cyclic);
-        assert_eq!(&owned[..], &appended[..]);
-        assert_eq!(&owned[..], &cyclic[..]);
     }
 
     #[test]
     fn encode_slot_into_rejects_oversize_and_keeps_earlier_frames() {
         use crate::frame::MAX_PAYLOAD;
         struct Huge;
-        impl PayloadSource for Huge {
-            fn payload(&mut self, _page: PageId, _slot_time: u64) -> Bytes {
-                Bytes::from(vec![0u8; MAX_PAYLOAD + 1])
+        impl CyclicPayloads for Huge {
+            fn page_payload(&mut self, _page: PageId, out: &mut BytesMut) {
+                out.extend_from_slice(&vec![0u8; MAX_PAYLOAD + 1]);
             }
         }
         let on_air = [None, Some(PageId::new(1))];

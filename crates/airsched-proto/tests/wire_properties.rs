@@ -10,7 +10,7 @@ use airsched_core::retry::RetryPolicy;
 use airsched_core::types::{ChannelId, PageId};
 use airsched_proto::frame::{decode_stream, Frame, HEADER_LEN};
 use airsched_proto::receiver::Receiver;
-use airsched_proto::template::{CyclicPayloads, CyclicSource, DeltaTable, FrameTemplateCache};
+use airsched_proto::template::{CyclicPayloads, DeltaTable, FrameTemplateCache};
 use airsched_proto::transmitter::encode_slot_into;
 use bytes::{Bytes, BytesMut};
 
@@ -128,13 +128,18 @@ proptest! {
     }
 }
 
-/// Payload per page id, fixed across slots (the template-cache contract).
+/// Payload per page id, fixed across slots (the template-cache contract),
+/// counting the payloads pulled per page.
 #[derive(Debug, Default)]
-struct MapPayloads(BTreeMap<u32, Vec<u8>>);
+struct MapPayloads {
+    bytes: BTreeMap<u32, Vec<u8>>,
+    pulls: BTreeMap<u32, u32>,
+}
 
 impl CyclicPayloads for MapPayloads {
     fn page_payload(&mut self, page: PageId, out: &mut BytesMut) {
-        if let Some(bytes) = self.0.get(&page.index()) {
+        *self.pulls.entry(page.index()).or_default() += 1;
+        if let Some(bytes) = self.bytes.get(&page.index()) {
             out.extend_from_slice(bytes);
         }
     }
@@ -175,66 +180,90 @@ proptest! {
     /// Template-patched frames are byte-identical to fresh encoding for
     /// arbitrary grids, payload lengths, slot times, and stall patterns
     /// (stalled cells air idle frames on both paths). Grids wider than 256
-    /// channels patch the channel field's high byte too.
+    /// channels patch the channel field's high byte too. Some columns put
+    /// a page off the cached grid, pages 6..10 among them, which no cell
+    /// holds: such a column is still served from templates, and each page
+    /// the cache had never seen is pulled exactly once.
     #[test]
     fn template_patching_matches_fresh_encoding(
         channels in prop_oneof![1u32..4, 256u32..=300],
         cycle_len in 1u64..5,
         cell_seed in prop::collection::vec(prop::option::of(0u32..6), 16),
-        payload_lens in prop::collection::vec(0usize..300, 6),
+        payload_lens in prop::collection::vec(0usize..300, 10),
         slot_times in prop::collection::vec(any::<u64>(), 1..5),
         stall_mask in any::<u16>(),
+        off_grid in prop::collection::vec((any::<prop::sample::Index>(), 0u32..10), 0..4),
     ) {
         let n = (channels as usize) * (cycle_len as usize);
         let cells: Vec<Option<PageId>> = (0..n)
             .map(|i| cell_seed[i % cell_seed.len()].map(PageId::new))
             .collect();
-        let mut payloads = MapPayloads(
-            payload_lens
-                .iter()
-                .enumerate()
-                .map(|(page, &len)| {
-                    (
-                        page as u32,
-                        (0..len).map(|i| (i as u8) ^ (page as u8).wrapping_mul(37)).collect(),
-                    )
-                })
-                .collect(),
-        );
+        let bytes: BTreeMap<u32, Vec<u8>> = payload_lens
+            .iter()
+            .enumerate()
+            .map(|(page, &len)| {
+                (
+                    page as u32,
+                    (0..len).map(|i| (i as u8) ^ (page as u8).wrapping_mul(37)).collect(),
+                )
+            })
+            .collect();
+        let mut payloads = MapPayloads { bytes: bytes.clone(), pulls: BTreeMap::new() };
+        let mut fresh_payloads = MapPayloads { bytes, pulls: BTreeMap::new() };
         let mut cache =
             FrameTemplateCache::from_cells(channels, cycle_len, &cells, &mut payloads)
                 .expect("grid encodes");
+        let built_pulls = std::mem::take(&mut payloads.pulls);
         let mut patched = BytesMut::new();
         let mut fresh = BytesMut::new();
-        for &slot_time in &slot_times {
+        let mut unseen_on_air = std::collections::BTreeSet::new();
+        let mut off_plan = 0;
+        for (k, &slot_time) in slot_times.iter().enumerate() {
             let col = (slot_time % cycle_len) as usize;
-            let on_air: Vec<Option<PageId>> = (0..channels as usize)
+            let plan = |ch: usize| cells[ch * cycle_len as usize + col];
+            let mut on_air: Vec<Option<PageId>> = (0..channels as usize)
                 .map(|ch| {
                     if stall_mask & (1 << (ch % 16)) != 0 {
                         None // stalled channel: idle carrier, no rebuild
                     } else {
-                        cells[ch * cycle_len as usize + col]
+                        plan(ch)
                     }
                 })
                 .collect();
+            // Every other slot airs the drawn off-grid pages.
+            if k % 2 == 1 {
+                for (at, page) in &off_grid {
+                    on_air[at.index(channels as usize)] = Some(PageId::new(*page));
+                }
+            }
+            if on_air.iter().enumerate().any(|(ch, &page)| page.is_some() && page != plan(ch)) {
+                off_plan += 1;
+            }
+            for page in on_air.iter().flatten() {
+                if !cells.contains(&Some(*page)) {
+                    unseen_on_air.insert(page.index());
+                }
+            }
             patched.clear();
             let wrote = cache
-                .encode_slot_into(&on_air, slot_time, &mut patched)
-                .expect("on-air column matches the cached plan");
+                .encode_slot_into(&on_air, slot_time, &mut payloads, &mut patched)
+                .expect("every page fits the wire");
             fresh.clear();
-            encode_slot_into(
-                &on_air,
-                slot_time,
-                &mut CyclicSource::new(&mut payloads),
-                &mut fresh,
-            )
-            .expect("fresh encoding succeeds");
+            encode_slot_into(&on_air, slot_time, &mut fresh_payloads, &mut fresh)
+                .expect("fresh encoding succeeds");
             prop_assert_eq!(wrote, patched.len());
             prop_assert_eq!(&patched[..], &fresh[..], "slot {}", slot_time);
             // Patched CRCs are valid end to end: every frame decodes.
             let (frames, used) = decode_stream(&patched);
             prop_assert_eq!(used, patched.len());
             prop_assert_eq!(frames.len(), channels as usize);
+        }
+        prop_assert_eq!(cache.off_plan_slots(), off_plan);
+        let unseen_pulls: BTreeMap<u32, u32> =
+            unseen_on_air.iter().map(|&page| (page, 1)).collect();
+        prop_assert_eq!(&payloads.pulls, &unseen_pulls, "pulls after the build");
+        for page in cells.iter().flatten() {
+            prop_assert_eq!(built_pulls.get(&page.index()), Some(&1));
         }
     }
 }

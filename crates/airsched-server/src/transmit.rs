@@ -14,10 +14,12 @@
 //! epoch, and the broadcaster rebuilds its cache on the next slot. A
 //! rebuild retargets the cache in place and encodes only pages new to the
 //! grid. Per slot stalls need no rebuild (a `None` carrier patches the
-//! idle template), and drift that slips through anyway (a column computed
-//! just before a swap) is caught by the cache's plan-drift check and
-//! answered with a fresh encode, so the emitted bytes are *always* exactly
-//! what the fresh encoder would produce. Drift is never answered with a
+//! idle template). A column that disagrees with the cached plan anyway (a
+//! column computed just before a swap) is served from the same page-keyed
+//! templates: a template is a function of its page alone, so the cache
+//! first encodes any page of the column it has no template for, and the
+//! emitted bytes are *always* exactly what the fresh encoder would
+//! produce. There is one encoder, and drift is never answered with a
 //! rebuild: the cache already holds the current epoch's plan, and
 //! rebuilding at the same epoch reads the same plan again.
 //!
@@ -28,15 +30,13 @@
 
 use airsched_core::types::PageId;
 use airsched_proto::frame::EncodeError;
-use airsched_proto::template::{CyclicPayloads, CyclicSource, FrameTemplateCache};
-use airsched_proto::transmitter::encode_slot_into;
+use airsched_proto::template::{CyclicPayloads, FrameTemplateCache};
 use bytes::BytesMut;
 
 use crate::station::Station;
 
-/// Encodes one slot of air time per call, serving frames from a
-/// plan-epoch-keyed [`FrameTemplateCache`] and falling back to fresh
-/// encoding only when the cache provably disagrees with the column.
+/// Encodes one slot of air time per call, serving every frame from a
+/// plan-epoch-keyed [`FrameTemplateCache`].
 ///
 /// ```
 /// use airsched_core::types::PageId;
@@ -61,10 +61,9 @@ pub struct SlotBroadcaster<P> {
     /// the first slot.
     built_epoch: Option<u64>,
     rebuilds: u64,
-    fresh_fallbacks: u64,
-    /// Registry mirrors for the two counters above (single-writer
-    /// `store` after each encode), installed by
-    /// [`SlotBroadcaster::attach_obs`].
+    /// Registry mirrors for `rebuilds` and
+    /// [`SlotBroadcaster::fresh_fallbacks`] (single-writer `store` after
+    /// each encode), installed by [`SlotBroadcaster::attach_obs`].
     obs_counters: Option<(
         airsched_obs::metrics::Counter,
         airsched_obs::metrics::Counter,
@@ -76,7 +75,10 @@ impl<P> std::fmt::Debug for SlotBroadcaster<P> {
         f.debug_struct("SlotBroadcaster")
             .field("built_epoch", &self.built_epoch)
             .field("rebuilds", &self.rebuilds)
-            .field("fresh_fallbacks", &self.fresh_fallbacks)
+            .field(
+                "off_plan_slots",
+                &self.cache.as_ref().map(FrameTemplateCache::off_plan_slots),
+            )
             .finish_non_exhaustive()
     }
 }
@@ -90,7 +92,6 @@ impl<P: CyclicPayloads> SlotBroadcaster<P> {
             cache: None,
             built_epoch: None,
             rebuilds: 0,
-            fresh_fallbacks: 0,
             obs_counters: None,
         }
     }
@@ -105,7 +106,7 @@ impl<P: CyclicPayloads> SlotBroadcaster<P> {
         let rebuilds = reg.counter("airsched_transmit_template_rebuilds_total", &[]);
         let fallbacks = reg.counter("airsched_transmit_fresh_fallbacks_total", &[]);
         rebuilds.store(self.rebuilds);
-        fallbacks.store(self.fresh_fallbacks);
+        fallbacks.store(self.fresh_fallbacks());
         self.obs_counters = Some((rebuilds, fallbacks));
     }
 
@@ -114,13 +115,14 @@ impl<P: CyclicPayloads> SlotBroadcaster<P> {
     /// written. `on_air` is the tick's post-stall column
     /// ([`crate::TickBuf::on_air`]) and `slot_time` its slot
     /// ([`crate::TickBuf::time`]); the output is byte-identical to
-    /// running the fresh encoder over the same column.
+    /// running the fresh encoder over the same column, whether or not the
+    /// column agrees with the cached plan.
     ///
     /// # Errors
     ///
-    /// Propagates [`EncodeError`] from a cache rebuild or fresh-encode
-    /// fallback (a channel index or payload too wide for the wire
-    /// format) with nothing appended for the offending slot.
+    /// Propagates [`EncodeError`] from a cache rebuild or from encoding a
+    /// page the column needs (a channel index or payload too wide for the
+    /// wire format) with nothing appended for the offending slot.
     pub fn encode_slot(
         &mut self,
         station: &Station,
@@ -131,7 +133,7 @@ impl<P: CyclicPayloads> SlotBroadcaster<P> {
         let result = self.encode_slot_inner(station, on_air, slot_time, buf);
         if let Some((rebuilds, fallbacks)) = &self.obs_counters {
             rebuilds.store(self.rebuilds);
-            fallbacks.store(self.fresh_fallbacks);
+            fallbacks.store(self.fresh_fallbacks());
         }
         result
     }
@@ -148,18 +150,7 @@ impl<P: CyclicPayloads> SlotBroadcaster<P> {
             self.rebuild(station)?;
         }
         let cache = self.cache.as_mut().expect("rebuild installs a cache");
-        if let Ok(written) = cache.encode_slot_into(on_air, slot_time, buf) {
-            return Ok(written);
-        }
-        // The column disagrees with the current epoch's plan (e.g. it was
-        // captured just before a swap): encode it fresh.
-        self.fresh_fallbacks += 1;
-        encode_slot_into(
-            on_air,
-            slot_time,
-            &mut CyclicSource::new(&mut self.payloads),
-            buf,
-        )
+        cache.encode_slot_into(on_air, slot_time, &mut self.payloads, buf)
     }
 
     /// Retargets the template cache onto the station's current effective
@@ -191,11 +182,16 @@ impl<P: CyclicPayloads> SlotBroadcaster<P> {
         self.rebuilds
     }
 
-    /// Slots that fell back to the fresh encoder (the column disagreed
-    /// with the current epoch's cache). Zero in any steady pipeline.
+    /// Slots whose column disagreed with the current epoch's cached plan
+    /// ([`FrameTemplateCache::off_plan_slots`]); each was served from
+    /// page templates, not by a second encoder. The name is the one the metric
+    /// (`airsched_transmit_fresh_fallbacks_total`) has always had. Zero in
+    /// any steady pipeline.
     #[must_use]
     pub fn fresh_fallbacks(&self) -> u64 {
-        self.fresh_fallbacks
+        self.cache
+            .as_ref()
+            .map_or(0, FrameTemplateCache::off_plan_slots)
     }
 
     /// The live cache, if one has been built.
@@ -215,6 +211,7 @@ mod tests {
     use super::*;
     use crate::station::TickBuf;
     use airsched_core::types::ChannelId;
+    use airsched_proto::transmitter::encode_slot_into;
 
     /// Per-page deterministic payloads, page-keyed (the template
     /// contract) with distinct lengths so delta tables are exercised.
@@ -257,13 +254,8 @@ mod tests {
     /// One tick's wire bytes from the fresh encoder, for comparison.
     fn fresh_bytes(on_air: &[Option<PageId>], slot_time: u64) -> BytesMut {
         let mut buf = BytesMut::new();
-        encode_slot_into(
-            on_air,
-            slot_time,
-            &mut CyclicSource::new(&mut PagePayloads),
-            &mut buf,
-        )
-        .expect("fresh encoding succeeds");
+        encode_slot_into(on_air, slot_time, &mut PagePayloads, &mut buf)
+            .expect("fresh encoding succeeds");
         buf
     }
 
@@ -401,11 +393,12 @@ mod tests {
     }
 
     #[test]
-    fn stale_column_falls_back_without_wrong_bytes() {
+    fn a_stale_column_is_served_from_page_templates() {
         // Encode a column captured *before* a plan change with the
         // post-change station: the epoch rebuild makes the cache disagree
-        // with the stale column, so the broadcaster must take the fresh
-        // path — and still emit exactly what the fresh encoder does.
+        // with the stale column, so the broadcaster admits the pages the
+        // column lacks a template for — and still emits exactly what the
+        // fresh encoder does.
         let mut station = build_station();
         let mut tx = SlotBroadcaster::new(PagePayloads);
         let mut buf = TickBuf::default();
@@ -427,7 +420,36 @@ mod tests {
         assert_eq!(
             tx.fresh_fallbacks(),
             1,
-            "a genuinely stale column exercises the fallback"
+            "a genuinely stale column is counted"
         );
+    }
+
+    #[test]
+    fn a_refused_stale_column_appends_nothing() {
+        /// [`PagePayloads`], except page 9's payload does not fit a frame.
+        struct HugeNine;
+        impl CyclicPayloads for HugeNine {
+            fn page_payload(&mut self, page: PageId, out: &mut BytesMut) {
+                if page.index() == 9 {
+                    out.extend_from_slice(&[0; airsched_proto::frame::MAX_PAYLOAD + 1]);
+                } else {
+                    PagePayloads.page_payload(page, out);
+                }
+            }
+        }
+        let mut station = build_station();
+        let mut tx = SlotBroadcaster::new(HugeNine);
+        let mut buf = TickBuf::default();
+        let mut wire = BytesMut::new();
+        station.tick_into(&mut buf);
+        tx.encode_slot(&station, buf.on_air(), buf.time(), &mut wire)
+            .expect("an on-plan slot encodes");
+        // Page 9 is on no plan, so its cell disagrees with the cache.
+        wire.clear();
+        let err = tx
+            .encode_slot(&station, &[None, Some(PageId::new(9)), None], 1, &mut wire)
+            .unwrap_err();
+        assert!(matches!(err, EncodeError::PayloadTooLarge { .. }));
+        assert!(wire.is_empty(), "a refused slot appends nothing");
     }
 }

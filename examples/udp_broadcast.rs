@@ -2,9 +2,11 @@
 //! loopback, received and decoded by a client that wants a few pages.
 //!
 //! The transmitter thread plays the schedule in (accelerated) real time,
-//! one datagram per channel per slot; the receiver listens, verifies
-//! checksums, and reports when its want-set is satisfied — demonstrating
-//! `airsched-proto` end to end over an actual network path.
+//! one datagram per channel per slot, each page carrying its own name as
+//! its payload (`DebugPayloads`: page 4 airs `p4` every time it airs);
+//! the receiver listens, verifies checksums, and reports when its
+//! want-set is satisfied — demonstrating `airsched-proto` end to end over
+//! an actual network path.
 //!
 //! Run with: `cargo run -p airsched-cli --example udp_broadcast`
 

@@ -23,6 +23,54 @@ const SLOTS: u64 = 96;
 /// times on a few pages.
 const TIMES: [(u32, u64); 4] = [(0, 2), (1, 4), (2, 8), (3, 8)];
 
+/// A catalogue on a channel count, served under [`plan`]'s faults.
+#[derive(Debug, Clone, Copy)]
+struct History {
+    channels: u32,
+    times: &'static [(u32, u64)],
+}
+
+/// The twin history every test replays and both goldens pin. Its
+/// catalogue sums to exactly 1 channel (Theorem 3.1), so any survivor
+/// count repacks and it never airs a best-effort plan.
+const TWIN: History = History {
+    channels: CHANNELS,
+    times: &TIMES,
+};
+
+/// A catalogue whose Theorem 3.1 minimum (1/2 + 1/2 + 1/4 + 1/4 = 1.5,
+/// so 2 channels) exceeds the one channel the scripted outage leaves:
+/// from slot 24 it airs a best-effort (PAMAD) plan.
+const BEST_EFFORT: History = History {
+    channels: 2,
+    times: &[(0, 2), (1, 2), (2, 4), (3, 4)],
+};
+
+impl History {
+    fn station(self) -> Station {
+        let mut s = Station::with_faults(self.channels, CYCLE, &plan()).expect("station builds");
+        for &(page, expected) in self.times {
+            s.publish(PageId::new(page), expected).expect("publishes");
+        }
+        s
+    }
+
+    /// Drives an uninterrupted station through all `SLOTS`, returning
+    /// every outcome and the final stats — the ground truth every
+    /// crashed-and-recovered run must match exactly.
+    fn outcomes(self) -> (Vec<TickOutcome>, StationStats) {
+        let mut s = self.station();
+        let mut out = Vec::with_capacity(usize::try_from(SLOTS).expect("small"));
+        for t in 0..SLOTS {
+            if let Some(p) = sub_page(t) {
+                s.subscribe(p).expect("subscribes");
+            }
+            out.push(s.tick());
+        }
+        (out, s.stats())
+    }
+}
+
 fn plan() -> FaultPlan {
     FaultPlan::seeded(0xC4A5)
         .with_outage(0.04)
@@ -42,11 +90,7 @@ fn plan() -> FaultPlan {
 }
 
 fn fresh_station() -> Station {
-    let mut s = Station::with_faults(CHANNELS, CYCLE, &plan()).expect("station builds");
-    for (page, expected) in TIMES {
-        s.publish(PageId::new(page), expected).expect("publishes");
-    }
-    s
+    TWIN.station()
 }
 
 /// The deterministic subscription schedule both twins follow.
@@ -55,19 +99,8 @@ fn sub_page(t: u64) -> Option<PageId> {
         .then(|| PageId::new(u32::try_from(t % 4).expect("small")))
 }
 
-/// Drives an uninterrupted station through all `SLOTS`, returning every
-/// outcome and the final stats — the ground truth every crashed-and-
-/// recovered run must match exactly.
 fn twin_outcomes() -> (Vec<TickOutcome>, StationStats) {
-    let mut s = fresh_station();
-    let mut out = Vec::with_capacity(usize::try_from(SLOTS).expect("small"));
-    for t in 0..SLOTS {
-        if let Some(p) = sub_page(t) {
-            s.subscribe(p).expect("subscribes");
-        }
-        out.push(s.tick());
-    }
-    (out, s.stats())
+    TWIN.outcomes()
 }
 
 fn state_dir(tag: &str) -> PathBuf {
@@ -180,19 +213,26 @@ fn checkpoint_bytes_match_the_pinned_golden() {
     }
 }
 
-#[test]
-fn crash_at_every_slot_recovers_bit_identically() {
-    let (twin, twin_stats) = twin_outcomes();
+/// Crashes `history` at every slot and requires each resumed
+/// continuation to match the never-crashed run. Returns the modes of the
+/// checkpoints the resumes started from and of the outcomes some crash
+/// follows (every slot before the last crash).
+fn crash_sweep(history: History) -> (Vec<Mode>, Vec<Mode>) {
+    let (twin, twin_stats) = history.outcomes();
+    let mut checkpoint_modes = Vec::new();
     for crash_at in 1..SLOTS {
-        let dir = state_dir(&format!("slot{crash_at}"));
+        let dir = state_dir(&format!("{}ch-slot{crash_at}", history.channels));
         let opts = RecoveryOptions::new()
             .checkpoint_every(8)
             .with_crash(CrashInjector::at_slot(crash_at));
-        let mut run = RecoverableStation::create(&dir, fresh_station(), Some(plan()), opts)
+        let mut run = RecoverableStation::create(&dir, history.station(), Some(plan()), opts)
             .expect("create succeeds");
         let crashed = run_until_crash(&mut run);
         assert_eq!(crashed, crash_at);
         drop(run); // the "process" dies; only the state directory survives
+        let checkpoint = fs::read(dir.join(CHECKPOINT_FILE)).expect("checkpoint exists");
+        let checkpoint = Checkpoint::decode(&checkpoint).expect("checkpoint decodes");
+        checkpoint_modes.push(checkpoint.snapshot.active.mode());
 
         let (mut resumed, report) =
             RecoverableStation::resume(&dir, RecoveryOptions::new().checkpoint_every(8), None)
@@ -221,6 +261,24 @@ fn crash_at_every_slot_recovers_bit_identically() {
         );
         fs::remove_dir_all(&dir).ok();
     }
+    let pre_crash_modes = twin[..twin.len() - 1].iter().map(|o| o.mode).collect();
+    (checkpoint_modes, pre_crash_modes)
+}
+
+/// The sweep runs over the twin history and over [`BEST_EFFORT`], so a
+/// crash and resume cross a best-effort plan and its checkpoint encoding.
+#[test]
+fn crash_at_every_slot_recovers_bit_identically() {
+    crash_sweep(TWIN);
+    let (checkpoint_modes, pre_crash_modes) = crash_sweep(BEST_EFFORT);
+    assert!(
+        checkpoint_modes.contains(&Mode::BestEffort),
+        "no resume started from a best-effort checkpoint: {checkpoint_modes:?}"
+    );
+    assert!(
+        pre_crash_modes.contains(&Mode::BestEffort),
+        "no crash followed a best-effort slot"
+    );
 }
 
 /// The persisted state is a pure function of the serving history: two

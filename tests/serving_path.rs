@@ -231,8 +231,9 @@ proptest! {
     /// tallies and mode changes are derived from its outcome stream.
     /// Every slot is also encoded through a [`SlotBroadcaster`], whose
     /// template-patched bytes must equal the fresh encoder's over the
-    /// same column without ever falling back to fresh encoding, while
-    /// outages and recoveries swap the plan under its cache.
+    /// same column with no column ever off the cached plan
+    /// (`fresh_fallbacks` 0), while outages and recoveries swap the plan
+    /// under its cache.
     #[test]
     fn tick_into_matches_tick_under_chaos(chaos in arb_chaos()) {
         let mut fresh = chaos_station(&chaos);
