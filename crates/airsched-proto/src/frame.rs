@@ -381,7 +381,7 @@ pub fn decode_stream(bytes: &[u8]) -> (Vec<Frame>, usize) {
 /// computed at compile time. Entry `i` is the CRC of the single byte `i`
 /// folded through the 8 bitwise steps, so one table hit replaces eight
 /// shift/xor rounds. It is row 0 of [`CRC16_SLICES`], and [`crc16`] uses it
-/// on its own for the bytes left over after the last 8-byte chunk.
+/// on its own for the bytes left over after the last 16-byte chunk.
 pub(crate) const CRC16_TABLE: [u16; 256] = {
     let mut table = [0u16; 256];
     let mut i = 0usize;
@@ -402,21 +402,22 @@ pub(crate) const CRC16_TABLE: [u16; 256] = {
     table
 };
 
-/// Slicing-by-8 tables for [`crc16`] (8 × 256 entries, 4 KiB), computed
+/// Slicing-by-16 tables for [`crc16`] (16 × 256 entries, 8 KiB), computed
 /// at compile time from [`CRC16_TABLE`]. Row `k` entry `x` is the CRC,
 /// from a zero state, of byte `x` followed by `k` zero bytes: `T_0 =
 /// CRC16_TABLE` and `T_k[x] = (T_{k-1}[x] << 8) ^ T_0[T_{k-1}[x] >> 8]`,
 /// one [`crc16_advance_zero`] step per row.
 ///
-/// These are the `tail_len = 0` delta operator of the template path: row
-/// `pos` of [`DeltaTable::new(0)`](crate::template::DeltaTable::new) is
-/// row `7 - pos` here (a byte followed by `7 - pos` zero bytes), and a unit
-/// test pins the two equal.
-pub(crate) const CRC16_SLICES: [[u16; 256]; 8] = {
-    let mut slices = [[0u16; 256]; 8];
+/// These are delta operators of the template path: row `pos` of
+/// [`DeltaTable::new(0)`](crate::template::DeltaTable::new) is row
+/// `7 - pos` here and row `pos` of `DeltaTable::new(8)` is row `15 - pos`
+/// (a byte followed by that many zero bytes), and a unit test pins them
+/// equal.
+pub(crate) const CRC16_SLICES: [[u16; 256]; 16] = {
+    let mut slices = [[0u16; 256]; 16];
     slices[0] = CRC16_TABLE;
     let mut k = 1usize;
-    while k < 8 {
+    while k < 16 {
         let mut x = 0usize;
         while x < 256 {
             slices[k][x] = crc16_advance_zero(slices[k - 1][x]);
@@ -427,14 +428,47 @@ pub(crate) const CRC16_SLICES: [[u16; 256]; 8] = {
     slices
 };
 
+/// Bytes each of the two lanes of [`crc16`] folds per block. A multiple of
+/// the 16-byte chunk; a frame's 512-byte payload is two whole blocks.
+pub(crate) const LANE: usize = 128;
+
+const _: () = assert!(LANE.is_multiple_of(16) && LANE >= 16);
+
+/// The merge operator of the two lanes: the state `x` left by the first
+/// lane, advanced over the second lane's `LANE` bytes, is
+/// `CRC16_LANE_SHIFT[0][x >> 8] ^ CRC16_LANE_SHIFT[1][x & 0xFF]`. Row 0
+/// entry `v` is the CRC, from a zero state, of byte `v` followed by
+/// `LANE - 1` zero bytes, row 1 of `v` followed by `LANE - 2`: entries 0
+/// and 1 of [`DeltaTable::new(LANE - 8)`](crate::template::DeltaTable::new),
+/// which a unit test pins equal.
+pub(crate) const CRC16_LANE_SHIFT: [[u16; 256]; 2] = {
+    let mut shift = [[0u16; 256]; 2];
+    let mut x = 0usize;
+    while x < 256 {
+        let mut s = CRC16_TABLE[x];
+        let mut zeros = 0;
+        while zeros < LANE - 2 {
+            s = crc16_advance_zero(s);
+            zeros += 1;
+        }
+        shift[1][x] = s;
+        shift[0][x] = crc16_advance_zero(s);
+        x += 1;
+    }
+    shift
+};
+
 /// CRC-16/CCITT-FALSE (init `0xFFFF`, polynomial `0x1021`, no reflection)
 /// over the header prefix followed by the payload.
 ///
-/// Slicing-by-8: each 8-byte chunk costs eight independent lookups in
-/// `CRC16_SLICES` (8 × 256 entries, 4 KiB) instead of eight dependent
-/// steps through one table. The bitwise original is retained as
-/// `crc16_bitwise`, and the golden-vector tests and a proptest over every
-/// chunk boundary pin the two equal.
+/// Two lanes of slicing-by-16: each block of `2 × LANE` bytes is split in
+/// halves that fold independently, 16 bytes at a time through
+/// `CRC16_SLICES` (16 × 256 entries, 8 KiB), and merge once through
+/// `CRC16_LANE_SHIFT`. The two dependency chains overlap; one chain alone
+/// waits on each chunk's lookups before it can start the next. The
+/// bitwise original is retained as `crc16_bitwise`, and the golden-vector
+/// tests and a proptest over every chunk and block boundary pin the two
+/// equal.
 ///
 /// Public so other on-disk formats (the recovery subsystem's checkpoint
 /// and journal framing) share the exact same checksum as the wire.
@@ -443,29 +477,49 @@ pub fn crc16(header: &[u8], payload: &[u8]) -> u16 {
     crc16_update(crc16_update(0xFFFF, header), payload)
 }
 
-/// Folds `bytes` into the CRC state `crc`.
+/// Folds `bytes` into the CRC state `crc`: whole two-lane blocks first,
+/// then 16-byte chunks, then the remaining bytes one at a time.
 ///
-/// The state enters an 8-byte chunk as if XORed into its first two bytes
-/// with the state reset to zero. From a zero state, byte `j` of the chunk
-/// contributes `CRC16_SLICES[7 - j]` of its value, since `7 - j` bytes
-/// follow it, and the eight contributions XOR together.
+/// The CRC is linear, so the state after both halves of a block is the
+/// first lane's state advanced over `LANE` zero bytes, XORed with the
+/// second lane's state from zero.
 fn crc16_update(mut crc: u16, bytes: &[u8]) -> u16 {
-    let (chunks, rest) = bytes.as_chunks::<8>();
-    for &[b0, b1, b2, b3, b4, b5, b6, b7] in chunks {
-        let [hi, lo] = crc.to_be_bytes();
-        crc = CRC16_SLICES[7][usize::from(b0 ^ hi)]
-            ^ CRC16_SLICES[6][usize::from(b1 ^ lo)]
-            ^ CRC16_SLICES[5][usize::from(b2)]
-            ^ CRC16_SLICES[4][usize::from(b3)]
-            ^ CRC16_SLICES[3][usize::from(b4)]
-            ^ CRC16_SLICES[2][usize::from(b5)]
-            ^ CRC16_SLICES[1][usize::from(b6)]
-            ^ CRC16_SLICES[0][usize::from(b7)];
+    let (blocks, rest) = bytes.as_chunks::<{ 2 * LANE }>();
+    for block in blocks {
+        let (first, second) = block.split_at(LANE);
+        let (x, y) = first
+            .as_chunks::<16>()
+            .0
+            .iter()
+            .zip(second.as_chunks::<16>().0)
+            .fold((crc, 0), |(x, y), (a, b)| (fold16(x, a), fold16(y, b)));
+        let [hi, lo] = x.to_be_bytes();
+        crc = CRC16_LANE_SHIFT[0][usize::from(hi)] ^ CRC16_LANE_SHIFT[1][usize::from(lo)] ^ y;
+    }
+    let (chunks, rest) = rest.as_chunks::<16>();
+    for chunk in chunks {
+        crc = fold16(crc, chunk);
     }
     for &byte in rest {
         crc = (crc << 8) ^ CRC16_TABLE[usize::from((crc >> 8) as u8 ^ byte)];
     }
     crc
+}
+
+/// Folds one 16-byte chunk into `crc`. The state enters the chunk as if
+/// XORed into its first two bytes with the state reset to zero. From a
+/// zero state, byte `j` contributes `CRC16_SLICES[15 - j]` of its value,
+/// since `15 - j` bytes follow it, and the sixteen contributions XOR
+/// together.
+#[inline(always)]
+fn fold16(crc: u16, chunk: &[u8; 16]) -> u16 {
+    let [hi, lo] = crc.to_be_bytes();
+    let mut out =
+        CRC16_SLICES[15][usize::from(chunk[0] ^ hi)] ^ CRC16_SLICES[14][usize::from(chunk[1] ^ lo)];
+    for (j, &byte) in chunk.iter().enumerate().skip(2) {
+        out ^= CRC16_SLICES[15 - j][usize::from(byte)];
+    }
+    out
 }
 
 /// Advances a CRC state by one *zero* input byte: `s → (s << 8) ^
@@ -797,14 +851,15 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
-            /// The sliced kernel equals the bitwise reference for every
-            /// split: header lengths 0..=40 and payloads up to 1,100 bytes
-            /// reach every remainder 0..8 on both halves, the frame's
-            /// 22-byte checksummed header among them.
+            /// The two-lane kernel equals the bitwise reference for every
+            /// split: header lengths 0..=40 and payloads of 0 to 4 whole
+            /// merge blocks plus 40 bytes reach every block count and every
+            /// chunk remainder on both halves, the frame's 22-byte
+            /// checksummed header among them.
             #[test]
             fn sliced_crc_matches_bitwise(
                 header in prop::collection::vec(any::<u8>(), 0..=40),
-                payload in arb_bytes(1101),
+                payload in arb_bytes(8 * LANE + 41),
             ) {
                 prop_assert_eq!(crc16(&header, &payload), crc16_bitwise(&header, &payload));
             }

@@ -15,6 +15,12 @@
 //! policy's backoff window. [`Receiver::new`] keeps the legacy
 //! behaviour — unlimited patience — via [`RetryPolicy::unlimited`].
 //!
+//! A receiver keeps one state per page id in a table indexed by the id —
+//! not wanted, wanted with some attempts burned, or abandoned — so a frame
+//! costs one indexed read. The table grows only when a page is wanted:
+//! frames naming any `u32` page only read it, and an id at or above
+//! [`PAGE_ID_LIMIT`] cannot be wanted, so hostile bytes never size it.
+//!
 //! Receivers can optionally export their counters to an
 //! [`airsched_obs::Obs`] handle via [`Receiver::attach_obs`]. All
 //! receivers attached to the same handle share one set of
@@ -23,10 +29,8 @@
 //! available through [`Receiver::stats`]. An unattached receiver pays
 //! nothing.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use airsched_core::retry::RetryPolicy;
-use airsched_core::types::PageId;
+use airsched_core::types::{PageId, PAGE_ID_LIMIT};
 use airsched_obs::metrics::Counter;
 use airsched_obs::Obs;
 use bytes::Bytes;
@@ -106,7 +110,7 @@ impl ReceiverObs {
 /// let frame = Frame::data(ChannelId::new(0), 5, PageId::new(3), Bytes::from_static(b"hi"));
 /// let got = rx.consume(&frame).unwrap();
 /// assert_eq!(got.page, PageId::new(3));
-/// assert!(rx.wanted().is_empty()); // satisfied
+/// assert_eq!(rx.wanted().next(), None); // satisfied
 /// ```
 ///
 /// Bounded retries over a noisy link:
@@ -123,17 +127,17 @@ impl ReceiverObs {
 /// let frame = Frame::data(ChannelId::new(0), 0, PageId::new(3), Bytes::new());
 /// assert_eq!(rx.consume_corrupt(&frame), None);           // one attempt left
 /// assert_eq!(rx.consume_corrupt(&frame), Some(PageId::new(3))); // abandoned
-/// assert!(rx.wanted().is_empty());
-/// assert!(rx.abandoned().contains(&PageId::new(3)));
+/// assert_eq!(rx.wanted().next(), None);
+/// assert!(rx.abandoned().eq([PageId::new(3)]));
 /// # Ok::<(), airsched_core::retry::RetryError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Receiver {
-    wanted: BTreeSet<PageId>,
-    /// Corrupt occurrences burned per still-wanted page.
-    attempts: BTreeMap<PageId, u32>,
-    /// Pages given up on (budget exhausted).
-    abandoned: BTreeSet<PageId>,
+    /// The state of each page, indexed by page id; ids past the end are
+    /// not wanted.
+    pages: Vec<PageState>,
+    /// Pages in the [`PageState::Wanted`] state.
+    wanted: usize,
     policy: RetryPolicy,
     /// Length of the current run of consecutive corrupt frames.
     corrupt_run: u32,
@@ -144,26 +148,50 @@ pub struct Receiver {
     obs: Option<ReceiverObs>,
 }
 
+/// What a receiver knows about one page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PageState {
+    /// Not wanted: never asked for, or received.
+    Idle,
+    /// Wanted, with this many corrupt occurrences burned.
+    Wanted(u32),
+    /// Given up on after exhausting its attempt budget.
+    Abandoned,
+}
+
 impl Receiver {
     /// Creates a receiver wanting the given pages, with unlimited retries
     /// (the legacy behaviour).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a page id is at or above [`PAGE_ID_LIMIT`], as
+    /// [`Receiver::want`] does.
     pub fn new(wanted: impl IntoIterator<Item = PageId>) -> Self {
         Self::with_policy(wanted, RetryPolicy::unlimited())
     }
 
     /// Creates a receiver with a bounded [`RetryPolicy`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a page id is at or above [`PAGE_ID_LIMIT`], as
+    /// [`Receiver::want`] does.
     pub fn with_policy(wanted: impl IntoIterator<Item = PageId>, policy: RetryPolicy) -> Self {
-        Self {
-            wanted: wanted.into_iter().collect(),
-            attempts: BTreeMap::new(),
-            abandoned: BTreeSet::new(),
+        let mut rx = Self {
+            pages: Vec::new(),
+            wanted: 0,
             policy,
             corrupt_run: 0,
             backoff_until: None,
             last_slot: None,
             stats: ReceiverStats::default(),
             obs: None,
+        };
+        for page in wanted {
+            rx.want(page);
         }
+        rx
     }
 
     /// Exports this receiver's counters through `obs` as
@@ -173,16 +201,40 @@ impl Receiver {
         self.obs = Some(ReceiverObs::new(obs));
     }
 
-    /// Pages still outstanding.
-    #[must_use]
-    pub fn wanted(&self) -> &BTreeSet<PageId> {
-        &self.wanted
+    /// Pages still outstanding, in id order.
+    pub fn wanted(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.pages_in(|state| matches!(state, PageState::Wanted(_)))
     }
 
-    /// Pages given up on after exhausting their attempt budget.
-    #[must_use]
-    pub fn abandoned(&self) -> &BTreeSet<PageId> {
-        &self.abandoned
+    /// Pages given up on after exhausting their attempt budget, in id
+    /// order.
+    pub fn abandoned(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.pages_in(|state| state == PageState::Abandoned)
+    }
+
+    fn pages_in(&self, keep: fn(PageState) -> bool) -> impl Iterator<Item = PageId> + '_ {
+        (0u32..)
+            .zip(&self.pages)
+            .filter(move |&(_, &state)| keep(state))
+            .map(|(id, _)| PageId::new(id))
+    }
+
+    /// The state of `page`; ids past the table are not wanted. Only reads:
+    /// a frame naming any page never grows the table.
+    fn state(&self, page: PageId) -> PageState {
+        self.pages
+            .get(page.index() as usize)
+            .copied()
+            .unwrap_or(PageState::Idle)
+    }
+
+    /// Moves `page`, which must be within the table, to `state`, keeping
+    /// the count of wanted pages.
+    fn set_state(&mut self, page: PageId, state: PageState) {
+        let slot = &mut self.pages[page.index() as usize];
+        self.wanted -= usize::from(matches!(*slot, PageState::Wanted(_)));
+        self.wanted += usize::from(matches!(state, PageState::Wanted(_)));
+        *slot = state;
     }
 
     /// The retry policy in force.
@@ -194,7 +246,10 @@ impl Receiver {
     /// Corrupt occurrences burned so far for a still-wanted page.
     #[must_use]
     pub fn attempts_for(&self, page: PageId) -> u32 {
-        self.attempts.get(&page).copied().unwrap_or(0)
+        match self.state(page) {
+            PageState::Wanted(burned) => burned,
+            PageState::Idle | PageState::Abandoned => 0,
+        }
     }
 
     /// Whether the receiver is tuned away from the air at `slot_time`.
@@ -205,10 +260,22 @@ impl Receiver {
 
     /// Adds a page to the want set (clearing any previous abandonment —
     /// re-wanting a page restarts its budget).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page id is at or above [`PAGE_ID_LIMIT`]: the
+    /// receiver's table is indexed by page id, and no station airs such a
+    /// page (admission rejects it).
     pub fn want(&mut self, page: PageId) {
-        self.abandoned.remove(&page);
-        self.attempts.remove(&page);
-        self.wanted.insert(page);
+        assert!(
+            page.index() < PAGE_ID_LIMIT,
+            "page {page} exceeds the page id limit of {PAGE_ID_LIMIT}"
+        );
+        let at = page.index() as usize;
+        if at >= self.pages.len() {
+            self.pages.resize(at + 1, PageState::Idle);
+        }
+        self.set_state(page, PageState::Wanted(0));
     }
 
     /// Statistics so far.
@@ -240,8 +307,8 @@ impl Receiver {
         self.corrupt_run = 0;
 
         let page = frame.page?;
-        if self.wanted.remove(&page) {
-            self.attempts.remove(&page);
+        if let PageState::Wanted(_) = self.state(page) {
+            self.set_state(page, PageState::Idle);
             self.stats.hits += 1;
             if let Some(o) = &self.obs {
                 o.hits.inc();
@@ -285,18 +352,17 @@ impl Receiver {
 
         let mut gave_up = None;
         if let Some(page) = frame.page {
-            if self.wanted.contains(&page) {
-                let burned = self.attempts.entry(page).or_insert(0);
-                *burned = burned.saturating_add(1);
-                if *burned >= self.policy.max_attempts() {
-                    self.wanted.remove(&page);
-                    self.attempts.remove(&page);
-                    self.abandoned.insert(page);
+            if let PageState::Wanted(burned) = self.state(page) {
+                let burned = burned.saturating_add(1);
+                if burned >= self.policy.max_attempts() {
+                    self.set_state(page, PageState::Abandoned);
                     self.stats.abandoned += 1;
                     if let Some(o) = &self.obs {
                         o.abandoned.inc();
                     }
                     gave_up = Some(page);
+                } else {
+                    self.set_state(page, PageState::Wanted(burned));
                 }
             }
         }
@@ -323,7 +389,7 @@ impl Receiver {
     /// on-demand path for them).
     #[must_use]
     pub fn is_satisfied(&self) -> bool {
-        self.wanted.is_empty()
+        self.wanted == 0
     }
 
     fn track_slot(&mut self, slot_time: u64) {
@@ -366,7 +432,11 @@ mod tests {
                 break;
             }
         }
-        assert!(rx.is_satisfied(), "missing: {:?}", rx.wanted());
+        assert!(
+            rx.is_satisfied(),
+            "missing: {:?}",
+            rx.wanted().collect::<Vec<_>>()
+        );
         assert_eq!(receptions.len(), wanted.len());
         assert_eq!(rx.stats().hits, wanted.len() as u64);
         // Every page within one cycle: a valid SUSC program airs all pages
@@ -447,8 +517,8 @@ mod tests {
         assert_eq!(rx.attempts_for(PageId::new(1)), 2);
         // Third corruption exhausts the budget.
         assert_eq!(rx.consume_corrupt(&data(4, 1)), Some(PageId::new(1)));
-        assert!(rx.wanted().is_empty());
-        assert!(rx.abandoned().contains(&PageId::new(1)));
+        assert_eq!(rx.wanted().next(), None);
+        assert!(rx.abandoned().eq([PageId::new(1)]));
         assert!(rx.is_satisfied()); // fell back to on-demand
         assert_eq!(rx.stats().abandoned, 1);
         assert_eq!(rx.stats().corrupt, 4);
@@ -540,13 +610,40 @@ mod tests {
     }
 
     #[test]
+    fn frames_naming_any_page_never_grow_the_table() {
+        let policy = RetryPolicy::new(1).unwrap();
+        let mut rx = Receiver::with_policy([PageId::new(2)], policy);
+        assert_eq!(rx.pages.len(), 3);
+        for page in [3, PAGE_ID_LIMIT - 1, PAGE_ID_LIMIT, u32::MAX] {
+            assert!(rx.consume(&data(0, page)).is_none());
+            assert_eq!(rx.consume_corrupt(&data(1, page)), None);
+            assert_eq!(rx.attempts_for(PageId::new(page)), 0);
+        }
+        assert_eq!(rx.pages.len(), 3);
+        assert!(rx.wanted().eq([PageId::new(2)]));
+        assert_eq!(rx.stats().frames, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "page id limit")]
+    fn wanting_a_page_past_the_limit_panics() {
+        Receiver::new([]).want(PageId::new(PAGE_ID_LIMIT));
+    }
+
+    #[test]
+    #[should_panic(expected = "page id limit")]
+    fn a_receiver_built_for_a_page_past_the_limit_panics() {
+        let _ = Receiver::new([PageId::new(u32::MAX)]);
+    }
+
+    #[test]
     fn unlimited_policy_never_abandons() {
         let mut rx = Receiver::new([PageId::new(1)]);
         for slot in 0..100 {
             assert_eq!(rx.consume_corrupt(&data(slot, 1)), None);
         }
-        assert!(rx.wanted().contains(&PageId::new(1)));
-        assert!(rx.abandoned().is_empty());
+        assert!(rx.wanted().eq([PageId::new(1)]));
+        assert_eq!(rx.abandoned().next(), None);
         assert_eq!(rx.stats().tune_aways, 0);
     }
 }

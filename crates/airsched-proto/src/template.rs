@@ -99,10 +99,12 @@ pub trait CyclicPayloads {
 /// the next. Linearity of `T` lets the base row be assembled from the 8
 /// single-bit columns instead of advancing all 256 entries.
 ///
-/// `DeltaTable::new(0)` is the operator the sliced [`crate::frame::crc16`]
-/// folds each 8-byte chunk with: row `pos` is the CRC of a byte followed
-/// by `7 - pos` zero bytes, which is slice table `7 - pos` (a unit test
-/// pins them equal).
+/// The two-lane [`crate::frame::crc16`] runs on the same operator: row
+/// `pos` of `DeltaTable::new(0)` is the CRC of a byte followed by `7 - pos`
+/// zero bytes, which is slice table `7 - pos`, and of `DeltaTable::new(8)`
+/// slice table `15 - pos`, together the 16 rows each 16-byte chunk is
+/// folded with; rows 0 and 1 of `DeltaTable::new(LANE - 8)` are the table
+/// that merges the lanes (a unit test pins all three equal).
 #[derive(Debug, Clone)]
 pub struct DeltaTable {
     tbl: Box<[[u16; 256]; 8]>,
@@ -611,7 +613,7 @@ impl FrameTemplateCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{crc16, Frame, CRC16_SLICES, MAX_PAYLOAD};
+    use crate::frame::{crc16, Frame, CRC16_LANE_SHIFT, CRC16_SLICES, LANE, MAX_PAYLOAD};
     use crate::transmitter::{encode_slot_into, FrameStream};
     use airsched_core::group::GroupLadder;
     use airsched_core::susc;
@@ -722,15 +724,24 @@ mod tests {
 
     #[test]
     fn zero_tail_operator_is_the_crc_slice_tables() {
-        // Row `pos` is a byte followed by `7 - pos` zero bytes: the same
-        // operator the sliced `crc16` folds each 8-byte chunk with.
-        let table = DeltaTable::new(0);
-        for pos in 0..8 {
-            for v in 0..=255u8 {
+        // Row `pos` of the operator over `tail` bytes is a byte followed
+        // by `7 - pos + tail` zero bytes: the same operator the two-lane
+        // `crc16` folds each 16-byte chunk with (tails 0 and 8) and merges
+        // its lanes through (tail `LANE - 8`, rows 0 and 1).
+        let (low, high) = (DeltaTable::new(0), DeltaTable::new(8));
+        let shift = DeltaTable::new(LANE - 8);
+        for v in 0..=255u8 {
+            let x = usize::from(v);
+            for pos in 0..8 {
+                let at = format!("pos {pos} value {v:#04x}");
+                assert_eq!(low.entry(pos, v), CRC16_SLICES[7 - pos][x], "{at}");
+                assert_eq!(high.entry(pos, v), CRC16_SLICES[15 - pos][x], "{at}");
+            }
+            for (row, merge) in CRC16_LANE_SHIFT.iter().enumerate() {
                 assert_eq!(
-                    table.entry(pos, v),
-                    CRC16_SLICES[7 - pos][usize::from(v)],
-                    "pos {pos} value {v:#04x}"
+                    shift.entry(row, v),
+                    merge[x],
+                    "merge row {row} value {v:#04x}"
                 );
             }
         }

@@ -1,15 +1,16 @@
 //! Property tests for the wire format: round-trip fidelity, decoder
-//! robustness against arbitrary and corrupted bytes, and bit-identity of
-//! the incremental-CRC template path against full re-encoding.
+//! robustness against arbitrary and corrupted bytes, the receiver against
+//! a set-based reference model, and bit-identity of the incremental-CRC
+//! template path against full re-encoding.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
 use airsched_core::retry::RetryPolicy;
-use airsched_core::types::{ChannelId, PageId};
+use airsched_core::types::{ChannelId, PageId, PAGE_ID_LIMIT};
 use airsched_proto::frame::{decode_stream, Frame, HEADER_LEN};
-use airsched_proto::receiver::Receiver;
+use airsched_proto::receiver::{Receiver, ReceiverStats, Reception};
 use airsched_proto::template::{CyclicPayloads, DeltaTable, FrameTemplateCache};
 use airsched_proto::transmitter::encode_slot_into;
 use bytes::{Bytes, BytesMut};
@@ -124,6 +125,210 @@ proptest! {
                 rx.consume(&frame);
             }
             prop_assert_eq!(rx.stats().frames, i as u64 + 1);
+        }
+    }
+}
+
+/// The receiver as it was written over ordered sets and maps, kept as the
+/// reference the page-indexed [`Receiver`] is checked against. It models
+/// the counters, not the metrics export.
+#[derive(Debug)]
+struct ModelReceiver {
+    wanted: BTreeSet<PageId>,
+    attempts: BTreeMap<PageId, u32>,
+    abandoned: BTreeSet<PageId>,
+    policy: RetryPolicy,
+    corrupt_run: u32,
+    backoff_until: Option<u64>,
+    last_slot: Option<u64>,
+    stats: ReceiverStats,
+}
+
+impl ModelReceiver {
+    fn new(wanted: &[u32], policy: RetryPolicy) -> Self {
+        Self {
+            wanted: wanted.iter().copied().map(PageId::new).collect(),
+            attempts: BTreeMap::new(),
+            abandoned: BTreeSet::new(),
+            policy,
+            corrupt_run: 0,
+            backoff_until: None,
+            last_slot: None,
+            stats: ReceiverStats::default(),
+        }
+    }
+
+    fn attempts_for(&self, page: PageId) -> u32 {
+        self.attempts.get(&page).copied().unwrap_or(0)
+    }
+
+    fn want(&mut self, page: PageId) {
+        self.abandoned.remove(&page);
+        self.attempts.remove(&page);
+        self.wanted.insert(page);
+    }
+
+    /// Counts the frame; `false` when it falls inside a backoff window.
+    fn listen(&mut self, slot_time: u64) -> bool {
+        self.stats.frames += 1;
+        if self.backoff_until.is_some_and(|until| slot_time < until) {
+            self.stats.ignored += 1;
+            return false;
+        }
+        self.backoff_until = None;
+        if let Some(last) = self.last_slot {
+            if slot_time > last.saturating_add(1) {
+                self.stats.gaps += 1;
+            }
+        }
+        self.last_slot = Some(self.last_slot.map_or(slot_time, |l| l.max(slot_time)));
+        true
+    }
+
+    fn consume(&mut self, frame: &Frame) -> Option<Reception> {
+        if !self.listen(frame.slot_time) {
+            return None;
+        }
+        self.corrupt_run = 0;
+        let page = frame.page?;
+        if !self.wanted.remove(&page) {
+            return None;
+        }
+        self.attempts.remove(&page);
+        self.stats.hits += 1;
+        Some(Reception {
+            page,
+            slot_time: frame.slot_time,
+            payload: frame.payload.clone(),
+        })
+    }
+
+    fn consume_corrupt(&mut self, frame: &Frame) -> Option<PageId> {
+        if !self.listen(frame.slot_time) {
+            return None;
+        }
+        self.stats.corrupt += 1;
+        let mut gave_up = None;
+        if let Some(page) = frame.page.filter(|p| self.wanted.contains(p)) {
+            let burned = self.attempts.entry(page).or_insert(0);
+            *burned = burned.saturating_add(1);
+            if *burned >= self.policy.max_attempts() {
+                self.wanted.remove(&page);
+                self.attempts.remove(&page);
+                self.abandoned.insert(page);
+                self.stats.abandoned += 1;
+                gave_up = Some(page);
+            }
+        }
+        self.corrupt_run = self.corrupt_run.saturating_add(1);
+        if self.corrupt_run >= self.policy.tune_away_after() {
+            self.corrupt_run = 0;
+            self.backoff_until = Some(
+                self.policy
+                    .backoff_deadline(frame.slot_time.saturating_add(1)),
+            );
+            self.stats.tune_aways += 1;
+        }
+        gave_up
+    }
+}
+
+/// One step of a receiver model run.
+#[derive(Debug, Clone)]
+enum RxOp {
+    Want(u32),
+    Consume(u64, Option<u32>),
+    Corrupt(u64, Option<u32>),
+}
+
+/// Page ids a frame may name: a few small ones that receivers want, and
+/// hostile ones at and past the id limit.
+fn arb_frame_page() -> impl Strategy<Value = Option<u32>> {
+    prop::option::of(prop_oneof![
+        0u32..8,
+        0u32..8,
+        Just(PAGE_ID_LIMIT),
+        Just(u32::MAX),
+        any::<u32>(),
+    ])
+}
+
+fn arb_rx_op() -> impl Strategy<Value = RxOp> {
+    let slot = || {
+        prop_oneof![
+            Just(0u64),
+            Just(1),
+            Just(u64::MAX - 1),
+            Just(u64::MAX),
+            any::<u64>()
+        ]
+    };
+    prop_oneof![
+        (0u32..8).prop_map(RxOp::Want),
+        (slot(), arb_frame_page()).prop_map(|(t, p)| RxOp::Consume(t, p)),
+        (slot(), arb_frame_page()).prop_map(|(t, p)| RxOp::Corrupt(t, p)),
+        (slot(), arb_frame_page()).prop_map(|(t, p)| RxOp::Corrupt(t, p)),
+    ]
+}
+
+/// A bounded policy, or `None` for unlimited patience.
+fn arb_policy() -> impl Strategy<Value = RetryPolicy> {
+    prop::option::of((
+        1u32..4,
+        1u32..4,
+        prop_oneof![Just(0u64), 1u64..8, Just(u64::MAX)],
+    ))
+    .prop_map(|bounded| match bounded {
+        Some((attempts, tune_away, backoff)) => RetryPolicy::new(attempts)
+            .and_then(|p| p.with_tune_away(tune_away, backoff))
+            .expect("bounded policy is valid"),
+        None => RetryPolicy::unlimited(),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The page-indexed receiver agrees with the set-based model after
+    /// every step: return values, counters, per-page attempts, the wanted
+    /// and abandoned pages in id order, and satisfaction.
+    #[test]
+    fn receiver_matches_the_set_model(
+        wanted in prop::collection::vec(0u32..8, 0..6),
+        policy in arb_policy(),
+        ops in prop::collection::vec(arb_rx_op(), 1..64),
+    ) {
+        let mut rx = Receiver::with_policy(wanted.iter().copied().map(PageId::new), policy);
+        let mut model = ModelReceiver::new(&wanted, policy);
+        let mut seen: BTreeSet<u32> = (0..8).collect();
+        for op in &ops {
+            let frame = |slot_time: u64, page: Option<u32>| match page {
+                Some(p) => Frame::data(ChannelId::new(0), slot_time, PageId::new(p), Bytes::from_static(b"pg")),
+                None => Frame::idle(ChannelId::new(0), slot_time),
+            };
+            match *op {
+                RxOp::Want(p) => {
+                    rx.want(PageId::new(p));
+                    model.want(PageId::new(p));
+                }
+                RxOp::Consume(t, p) => {
+                    seen.extend(p);
+                    let f = frame(t, p);
+                    prop_assert_eq!(rx.consume(&f), model.consume(&f), "{:?}", op);
+                }
+                RxOp::Corrupt(t, p) => {
+                    seen.extend(p);
+                    let f = frame(t, p);
+                    prop_assert_eq!(rx.consume_corrupt(&f), model.consume_corrupt(&f), "{:?}", op);
+                }
+            }
+            prop_assert_eq!(rx.stats(), model.stats, "{:?}", op);
+            for &p in &seen {
+                prop_assert_eq!(rx.attempts_for(PageId::new(p)), model.attempts_for(PageId::new(p)));
+            }
+            prop_assert_eq!(rx.wanted().collect::<Vec<_>>(), model.wanted.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(rx.abandoned().collect::<Vec<_>>(), model.abandoned.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(rx.is_satisfied(), model.wanted.is_empty());
         }
     }
 }
