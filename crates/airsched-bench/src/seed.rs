@@ -3,13 +3,15 @@
 //!
 //! [`SeedStation`] shares no serving code with the station it checks:
 //! waiting lists live in a `BTreeMap` keyed by `PageId`, every tick
-//! allocates its buffers fresh, and expected times are read from its own
-//! [`OnlineScheduler`]'s catalogue. Only the building blocks below the
-//! serving loop (scheduler, fault injector, health monitor, PAMAD
-//! replanner) are shared; the relocation of a degraded plan is written
-//! here again, with a literal cell scan and plain `place` calls. The
-//! `serving_path` property tests drive it in lockstep with the optimized
-//! station under randomized chaos. It is deliberately left unoptimized.
+//! allocates its buffers fresh, and expected times live in a `BTreeMap`
+//! of its own, from which Theorem 3.1's minimum is taken per page
+//! ([`minimum_channels_for_times`]), not from the scheduler's catalogue
+//! table. Only the building blocks below the serving loop (scheduler,
+//! fault injector, health monitor, PAMAD replanner) are shared; the
+//! relocation of a degraded plan is written here again, with a literal
+//! cell scan and plain `place` calls. The `serving_path` property tests
+//! drive it in lockstep with the optimized station under randomized
+//! chaos. It is deliberately left unoptimized.
 //!
 //! The replica has no lint gate, deep verify or degradation policy, so it
 //! matches a station running with the defaults and no plan corruptor.
@@ -68,6 +70,8 @@ pub struct SeedOutcome {
 #[derive(Debug)]
 pub struct SeedStation {
     scheduler: OnlineScheduler,
+    /// Expected time of each published page.
+    times: BTreeMap<PageId, u64>,
     time: u64,
     waiting: BTreeMap<PageId, Vec<(u64, u64)>>,
     next_client: u64,
@@ -119,6 +123,7 @@ impl SeedStation {
         }
         Self {
             scheduler,
+            times: catalogue.iter().copied().collect(),
             time: 0,
             waiting: BTreeMap::new(),
             next_client: 0,
@@ -146,10 +151,7 @@ impl SeedStation {
     ///
     /// Panics if `page` is not published.
     pub fn subscribe(&mut self, page: PageId) -> u64 {
-        assert!(
-            self.scheduler.pages().contains_key(&page),
-            "page is published"
-        );
+        assert!(self.times.contains_key(&page), "page is published");
         let id = self.next_client;
         self.next_client += 1;
         self.waiting.entry(page).or_default().push((id, self.time));
@@ -185,7 +187,7 @@ impl SeedStation {
     }
 
     fn reduced_plan(&mut self, before: &[bool], n_up: u32) -> (SeedPlan, Mode) {
-        let times: Vec<u64> = self.scheduler.pages().values().copied().collect();
+        let times: Vec<u64> = self.times.values().copied().collect();
         let minimum = minimum_channels_for_times(&times).unwrap_or(u32::MAX);
         if n_up >= minimum {
             if let Some(program) = self.relocate(before, n_up) {
@@ -196,12 +198,7 @@ impl SeedStation {
                 return (SeedPlan::Reduced(probe.program().clone()), Mode::Repacked);
             }
         }
-        let catalogue: Vec<(PageId, u64)> = self
-            .scheduler
-            .pages()
-            .iter()
-            .map(|(&p, &t)| (p, t))
-            .collect();
+        let catalogue: Vec<(PageId, u64)> = self.times.iter().map(|(&p, &t)| (p, t)).collect();
         if let Ok(plan) = degrade::replan(&catalogue, n_up) {
             return (SeedPlan::BestEffort(plan.into_program()), Mode::BestEffort);
         }
@@ -252,7 +249,7 @@ impl SeedStation {
         for page in grid.iter().flatten() {
             *cells.entry(*page).or_default() += 1;
         }
-        let catalogue = self.scheduler.pages();
+        let catalogue = &self.times;
         for cell in &mut grid {
             if let Some(page) = *cell {
                 if catalogue
@@ -396,7 +393,7 @@ impl SeedStation {
             }
             let Some(page) = on_air[ch] else { continue };
             if let Some(waiters) = self.waiting.remove(&page) {
-                let expected = self.scheduler.pages().get(&page).copied();
+                let expected = self.times.get(&page).copied();
                 for (client, since) in waiters {
                     let wait = self.time - since + 1;
                     let within = expected.is_some_and(|t| wait <= t);

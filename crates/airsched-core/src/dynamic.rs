@@ -43,9 +43,16 @@
 //! with the same resumed first-fit. A lost channel then moves the pages
 //! of its own row and no others, and every surviving page keeps its
 //! exact columns.
+//!
+//! # The catalogue table
+//!
+//! The live pages are one page-indexed table of expected times (0 = not
+//! live) plus the number of live pages per distinct time, both kept up
+//! to date by every edit. A replan reads them in place
+//! ([`OnlineScheduler::pages`]): liveness is an index, and Theorem 3.1's
+//! minimum is a fold over the handful of per-time counts.
 
-use std::collections::BTreeMap;
-
+use crate::bound::minimum_channels_for_groups;
 use crate::error::{ScheduleError, PAGE_ID_TOO_LARGE};
 use crate::program::BroadcastProgram;
 use crate::types::{PageId, PAGE_ID_LIMIT};
@@ -70,10 +77,123 @@ use crate::types::{PageId, PAGE_ID_LIMIT};
 #[derive(Debug, Clone)]
 pub struct OnlineScheduler {
     program: BroadcastProgram,
-    /// Expected time of each live page.
-    pages: BTreeMap<PageId, u64>,
+    /// The live catalogue.
+    catalogue: CatalogueTable,
     /// Where the last first-fit search for each period stopped.
     fit: FirstFit,
+}
+
+/// The live pages: each page's expected time at its id's index, 0 for a
+/// page that is not live, with no trailing zeros (so two tables of the
+/// same catalogue are equal), and the live pages per distinct expected
+/// time, ascending by time, without empty entries.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct CatalogueTable {
+    times: Vec<u64>,
+    groups: Vec<(u64, u64)>,
+}
+
+impl CatalogueTable {
+    fn view(&self) -> Catalogue<'_> {
+        Catalogue {
+            times: &self.times,
+            groups: &self.groups,
+        }
+    }
+
+    /// Records `page` as live with expected time `t > 0`; the page must
+    /// not be live and its id must be below [`PAGE_ID_LIMIT`].
+    fn insert(&mut self, page: PageId, t: u64) {
+        let p = page.index() as usize;
+        if p >= self.times.len() {
+            self.times.resize(p + 1, 0);
+        }
+        debug_assert_eq!(self.times[p], 0, "{page} is already live");
+        self.times[p] = t;
+        match self.groups.binary_search_by_key(&t, |g| g.0) {
+            Ok(at) => self.groups[at].1 += 1,
+            Err(at) => self.groups.insert(at, (t, 1)),
+        }
+    }
+
+    /// Forgets `page`, returning its expected time, or `None` when it was
+    /// not live.
+    fn remove(&mut self, page: PageId) -> Option<u64> {
+        let slot = self.times.get_mut(page.index() as usize)?;
+        let t = std::mem::take(slot);
+        if t == 0 {
+            return None;
+        }
+        let at = self
+            .groups
+            .binary_search_by_key(&t, |g| g.0)
+            .expect("a live page's time has a group");
+        self.groups[at].1 -= 1;
+        if self.groups[at].1 == 0 {
+            self.groups.remove(at);
+        }
+        while self.times.last() == Some(&0) {
+            self.times.pop();
+        }
+        Some(t)
+    }
+}
+
+/// The live catalogue of an [`OnlineScheduler`], read in place: every
+/// live page with its expected time, in ascending id order, and Theorem
+/// 3.1's minimum from the page count of each distinct time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Catalogue<'a> {
+    times: &'a [u64],
+    groups: &'a [(u64, u64)],
+}
+
+impl<'a> Catalogue<'a> {
+    /// The live pages and their expected times, ascending by page id.
+    pub fn iter(self) -> impl Iterator<Item = (PageId, u64)> + 'a {
+        (0u32..)
+            .zip(self.times)
+            .filter(|&(_, &t)| t > 0)
+            .map(|(p, &t)| (PageId::new(p), t))
+    }
+
+    /// Number of live pages.
+    #[must_use]
+    pub fn len(self) -> usize {
+        let n: u64 = self.groups.iter().map(|g| g.1).sum();
+        usize::try_from(n).expect("live pages fit in memory")
+    }
+
+    /// Whether no page is live.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.groups.is_empty()
+    }
+
+    /// `page`'s expected time, or `None` when it is not live.
+    #[must_use]
+    pub fn get(self, page: PageId) -> Option<u64> {
+        self.times
+            .get(page.index() as usize)
+            .copied()
+            .filter(|&t| t > 0)
+    }
+
+    /// Whether `page` is live.
+    #[must_use]
+    pub fn contains(self, page: PageId) -> bool {
+        self.get(page).is_some()
+    }
+
+    /// Theorem 3.1's minimum channel count for the live pages, folded
+    /// from the per-time counts by [`minimum_channels_for_groups`].
+    ///
+    /// # Errors
+    ///
+    /// As [`minimum_channels_for_groups`]: an overflowing fraction.
+    pub fn minimum_channels(self) -> Result<u32, ScheduleError> {
+        minimum_channels_for_groups(self.groups)
+    }
 }
 
 /// First-fit resume points, one per expected time: where the last search
@@ -101,8 +221,8 @@ impl FirstFit {
         let (first_ch, first_y) = self.resume[at].1;
         let found = (first_ch..channels).find_map(|ch| {
             let from = if ch == first_ch { first_y } else { 0 };
-            (from..expected)
-                .find(|&y| program.family_is_free(ch, y, expected))
+            program
+                .first_free_family(ch, from, expected)
                 .map(|y| (ch, y))
         });
         self.resume[at].1 = found.unwrap_or((channels, 0));
@@ -171,7 +291,7 @@ fn already_scheduled() -> ScheduleError {
 /// cache that never changes where a page lands.
 impl PartialEq for OnlineScheduler {
     fn eq(&self, other: &Self) -> bool {
-        self.program == other.program && self.pages == other.pages
+        self.program == other.program && self.catalogue == other.catalogue
     }
 }
 
@@ -194,7 +314,7 @@ impl OnlineScheduler {
         }
         Ok(Self {
             program: BroadcastProgram::new(channels, max_time),
-            pages: BTreeMap::new(),
+            catalogue: CatalogueTable::default(),
             fit: FirstFit::default(),
         })
     }
@@ -205,10 +325,10 @@ impl OnlineScheduler {
         &self.program
     }
 
-    /// The live pages and their expected times.
+    /// The live pages and their expected times, read in place.
     #[must_use]
-    pub fn pages(&self) -> &BTreeMap<PageId, u64> {
-        &self.pages
+    pub fn pages(&self) -> Catalogue<'_> {
+        self.catalogue.view()
     }
 
     /// Fraction of grid cells in use.
@@ -232,13 +352,13 @@ impl OnlineScheduler {
     pub fn add_page(&mut self, page: PageId, expected: u64) -> Result<(), ScheduleError> {
         check_id(page)?;
         check_expected(self.program.cycle_len(), expected)?;
-        if self.pages.contains_key(&page) {
+        if self.pages().contains(page) {
             return Err(already_scheduled());
         }
         if !self.fit.place(&mut self.program, page, expected) {
             return Err(ScheduleError::PlacementFailed { page });
         }
-        self.pages.insert(page, expected);
+        self.catalogue.insert(page, expected);
         Ok(())
     }
 
@@ -249,7 +369,7 @@ impl OnlineScheduler {
     /// Returns [`ScheduleError::InvalidFrequencies`] if the page is not
     /// live.
     pub fn remove_page(&mut self, page: PageId) -> Result<(), ScheduleError> {
-        if self.pages.remove(&page).is_none() {
+        if self.catalogue.remove(page).is_none() {
             return Err(ScheduleError::InvalidFrequencies {
                 reason: "page is not scheduled",
             });
@@ -325,8 +445,9 @@ impl OnlineScheduler {
     /// The live pages placed on `rows.len()` channels starting from
     /// `base`, a valid program already on the air: row `i` of the result
     /// is `base` row `rows[i]`, verbatim, or an empty row for `None` (a
-    /// restored channel). One merge walk of `base`'s pages against the
-    /// catalogue drops every page that is no longer live, that has a cell
+    /// restored channel). A scan of the dropped rows and one walk of
+    /// `base`'s pages, each page's liveness read from the catalogue table
+    /// by index, drop every page that is no longer live, that has a cell
     /// on a dropped row, or whose frequency × expected time is not the
     /// cycle. Only the live pages left without a place are first-fitted,
     /// tightest expected time first. Every other page keeps its exact
@@ -375,36 +496,45 @@ impl OnlineScheduler {
             kept[from as usize] = true;
             last = Some(from);
         }
-        // One merge walk, the base's pages against the catalogue (both
-        // ascending): a page keeps its place when it is live, whole
-        // (frequency × t is the cycle) and on kept rows only. Every other
-        // page is dropped, and the live pages without a place are missing.
-        let all_kept = kept.iter().all(|&k| k);
-        let mut missing: Vec<(PageId, u64)> = Vec::new();
-        let mut dropped = Vec::new();
-        let mut live = self.pages.iter().map(|(&p, &t)| (p, t)).peekable();
-        for page in base.pages() {
-            while let Some(new) = live.next_if(|&(p, _)| p < page) {
-                missing.push(new);
-            }
-            let on_kept_rows = || {
-                all_kept
-                    || base
-                        .occurrence_cells(page)
-                        .iter()
-                        .all(|c| kept[c.channel.index() as usize])
-            };
-            match live.next_if(|&(p, _)| p == page) {
-                Some((_, t)) if base.frequency(page) * t == cycle && on_kept_rows() => {}
-                Some(moved) => {
-                    dropped.push(page);
-                    missing.push(moved);
+        // One mark per catalogue entry. A scan of the dropped rows first
+        // marks the live pages that lose a cell with them; one walk of
+        // the base's pages then turns each mark into whether the page
+        // keeps its place: live, whole (frequency × t is the cycle) and
+        // not on a dropped row. Every other base page is dropped, and
+        // the live pages left unmarked are missing.
+        let times = self.catalogue.times.as_slice();
+        let mut mark = vec![false; times.len()];
+        let width = usize::try_from(cycle).expect("a row is no longer than the grid");
+        for (row, _) in base.cells().chunks(width).zip(&kept).filter(|&(_, &k)| !k) {
+            for page in row.iter().flatten() {
+                if let Some(m) = mark.get_mut(page.index() as usize) {
+                    *m = true;
                 }
-                None => dropped.push(page),
             }
         }
-        missing.extend(live);
-        missing.sort_unstable_by_key(|&(page, t)| (t, page));
+        let mut dropped = Vec::new();
+        for page in base.pages() {
+            let p = page.index() as usize;
+            let t = times.get(p).copied().unwrap_or(0);
+            let stays = t > 0 && !mark[p] && base.frequency(page) * t == cycle;
+            if t > 0 {
+                mark[p] = stays;
+            }
+            if !stays {
+                dropped.push(page);
+            }
+        }
+        let unplaced: Vec<(PageId, u64)> = (0u32..)
+            .zip(times.iter().zip(&mark))
+            .filter(|&(_, (&t, &stays))| t > 0 && !stays)
+            .map(|(p, (&t, _))| (PageId::new(p), t))
+            .collect();
+        // Tightest first, ascending id within a time: one pass per
+        // distinct time over the id-ordered list.
+        let mut missing = Vec::with_capacity(unplaced.len());
+        for &(t, _) in &self.catalogue.groups {
+            missing.extend(unplaced.iter().filter(|m| m.1 == t));
+        }
         let room = missing.iter().map(|&(_, t)| cycle / t).sum::<u64>();
         let room = usize::try_from(room).expect("the catalogue's cells fit in memory");
         let mut program = base.with_rows(rows, &dropped, room);
@@ -432,7 +562,7 @@ impl OnlineScheduler {
             channels: self.program.channels(),
             cycle: self.program.cycle_len(),
             grid: self.program.cells().to_vec(),
-            pages: self.pages.iter().map(|(&p, &t)| (p, t)).collect(),
+            pages: self.pages().iter().collect(),
         }
     }
 
@@ -441,17 +571,28 @@ impl OnlineScheduler {
     ///
     /// # Errors
     ///
-    /// As [`BroadcastProgram::from_cells`]: malformed or oversized
-    /// dimensions, or a grid whose length does not match them (a corrupt
-    /// snapshot).
+    /// * As [`BroadcastProgram::from_cells`]: malformed or oversized
+    ///   dimensions, or a grid whose length does not match them (a
+    ///   corrupt snapshot).
+    /// * [`ScheduleError::WorkloadTooLarge`] if a page id is at or above
+    ///   [`PAGE_ID_LIMIT`].
+    /// * [`ScheduleError::InvalidFrequencies`] if a page's expected time
+    ///   is zero or does not divide the cycle, or a page id repeats.
     pub fn from_snapshot(snapshot: &SchedulerSnapshot) -> Result<Self, ScheduleError> {
+        let program =
+            BroadcastProgram::from_cells(snapshot.channels, snapshot.cycle, &snapshot.grid)?;
+        let mut catalogue = CatalogueTable::default();
+        for &(page, t) in &snapshot.pages {
+            check_id(page)?;
+            check_expected(snapshot.cycle, t)?;
+            if catalogue.view().contains(page) {
+                return Err(already_scheduled());
+            }
+            catalogue.insert(page, t);
+        }
         Ok(Self {
-            program: BroadcastProgram::from_cells(
-                snapshot.channels,
-                snapshot.cycle,
-                &snapshot.grid,
-            )?,
-            pages: snapshot.pages.iter().copied().collect(),
+            program,
+            catalogue,
             fit: FirstFit::default(),
         })
     }
@@ -464,7 +605,9 @@ impl OnlineScheduler {
         pending: &[(PageId, u64)],
     ) -> Result<(), ScheduleError> {
         (self.program, self.fit) = self.pack(channels, pending)?;
-        self.pages.extend(pending.iter().copied());
+        for &(page, t) in pending {
+            self.catalogue.insert(page, t);
+        }
         Ok(())
     }
 
@@ -476,7 +619,7 @@ impl OnlineScheduler {
         channels: u32,
         pending: &[(PageId, u64)],
     ) -> Result<(BroadcastProgram, FirstFit), ScheduleError> {
-        let mut order: Vec<(PageId, u64)> = self.pages.iter().map(|(&p, &t)| (p, t)).collect();
+        let mut order: Vec<(PageId, u64)> = self.pages().iter().collect();
         order.extend_from_slice(pending);
         order.sort_unstable_by_key(|&(p, t)| (t, p));
         first_fit(channels, self.program.cycle_len(), order)
@@ -505,7 +648,7 @@ mod tests {
 
     /// Checks the invariant against a synthesized ladder for the live set.
     fn assert_valid(sched: &OnlineScheduler) {
-        for (&page, &t) in sched.pages() {
+        for (page, t) in sched.pages().iter() {
             let gaps = sched.program().cyclic_gaps(page);
             assert!(!gaps.is_empty(), "{page} missing");
             assert!(gaps.iter().all(|&g| g <= t), "{page} (t={t}) gaps {gaps:?}");
@@ -768,7 +911,7 @@ mod tests {
                 }
             }
             if round % 2 == 0 && !sched.pages().is_empty() {
-                let victim = *sched.pages().keys().next().unwrap();
+                let (victim, _) = sched.pages().iter().next().unwrap();
                 sched.remove_page(victim).unwrap();
             }
             assert_valid(&sched);

@@ -601,18 +601,28 @@ impl BroadcastProgram {
         Ok(())
     }
 
-    /// Whether every cell of the periodic family `y, y + t, y + 2t, …` on
-    /// channel `ch` is free. `t` must divide the cycle and `y < t`.
-    pub(crate) fn family_is_free(&self, ch: u32, y: u64, t: u64) -> bool {
-        self.grid[self.row(ch)][y as usize..]
-            .iter()
-            .step_by(t as usize)
-            .all(Option::is_none)
+    /// The first offset `y` in `from..t` whose periodic family `y, y + t,
+    /// y + 2t, …` on channel `ch` is wholly free, or `None`. `t` must
+    /// divide the cycle. The row is scanned for the next free cell before
+    /// a family is checked, so a run of taken offsets costs one pass over
+    /// contiguous cells.
+    pub(crate) fn first_free_family(&self, ch: u32, from: u64, t: u64) -> Option<u64> {
+        let row = &self.grid[self.row(ch)];
+        let t = usize::try_from(t).expect("a period is no longer than the row");
+        let mut y = usize::try_from(from).expect("an offset is within the row");
+        while y < t {
+            y += row[y..t].iter().position(Option::is_none)?;
+            if row[y..].iter().step_by(t).all(Option::is_none) {
+                return Some(y as u64);
+            }
+            y += 1;
+        }
+        None
     }
 
     /// Places `page` on the periodic family `y, y + t, …` of channel `ch`
     /// — the SUSC placement — sizing the page's table spans once. The
-    /// family must be free ([`BroadcastProgram::family_is_free`]).
+    /// family must be free ([`BroadcastProgram::first_free_family`]).
     pub(crate) fn place_family(&mut self, ch: u32, y: u64, t: u64, page: PageId) {
         let row = self.row(ch);
         let mut placed = 0;
@@ -645,10 +655,11 @@ impl BroadcastProgram {
     /// pages, every page with a cell on a row that is not kept among them
     /// (the relocating scheduler ensures all of this).
     pub(crate) fn with_rows(&self, rows: &[Option<u32>], dropped: &[PageId], room: usize) -> Self {
-        let mut row_map = vec![None; self.channels as usize];
+        // The new row of each old one; `u32::MAX` for a dropped row.
+        let mut row_map = vec![u32::MAX; self.channels as usize];
         for (to, &from) in (0u32..).zip(rows) {
             if let Some(from) = from {
-                row_map[from as usize] = Some(to);
+                row_map[from as usize] = to;
             }
         }
         let width = self.cycle_len as usize;
@@ -661,7 +672,8 @@ impl BroadcastProgram {
         }
         for &page in dropped {
             for pos in self.occurrence_cells(page) {
-                if let Some(row) = row_map[pos.channel.index() as usize] {
+                let row = row_map[pos.channel.index() as usize];
+                if row != u32::MAX {
                     grid[row as usize * width + pos.slot.index() as usize] = None;
                 }
             }
@@ -670,7 +682,7 @@ impl BroadcastProgram {
         // Stranded entries, the dropped pages' among them, are never read
         // again, so any channel does for those off the kept rows.
         let cells = self.cells.copy_without(&dropped, room, |pos| {
-            let row = row_map.get(pos.channel.index() as usize).copied().flatten();
+            let row = row_map.get(pos.channel.index() as usize).copied();
             GridPos::new(ChannelId::new(row.unwrap_or(u32::MAX)), pos.slot)
         });
         Self {
@@ -742,6 +754,18 @@ impl BroadcastProgram {
             .enumerate()
             .filter(|(_, span)| span.len > 0)
             .map(|(i, _)| PageId::new(u32::try_from(i).expect("dense table index fits in u32")))
+    }
+
+    /// Every page that airs more than once in some column (on several
+    /// channels), in ascending id order: its cell count exceeds its
+    /// column count. One walk of both tables' span lengths side by side.
+    pub fn pages_doubled_in_a_column(&self) -> impl Iterator<Item = PageId> + '_ {
+        let cells = self.cells.spans.iter().map(|s| s.len);
+        let columns = self.columns.spans.iter().map(|s| s.len);
+        (0u32..)
+            .zip(cells.zip(columns.chain(std::iter::repeat(0))))
+            .filter(|&(_, (cells, columns))| cells > columns)
+            .map(|(p, _)| PageId::new(p))
     }
 
     /// Number of logical occurrences (distinct columns) of `page`.
@@ -1211,7 +1235,7 @@ mod tests {
                         let free = family
                             .iter()
                             .all(|c| model.iter().all(|cells| !cells.contains(c)));
-                        prop_assert_eq!(program.family_is_free(ch, y, t), free);
+                        prop_assert_eq!(program.first_free_family(ch, y, t) == Some(y), free);
                         if free {
                             program.place_family(ch, y, t, PageId::new(p));
                             model[p as usize].extend(family);

@@ -168,12 +168,12 @@ proptest! {
             if sched.pages().is_empty() {
                 break;
             }
-            let keys: Vec<PageId> = sched.pages().keys().copied().collect();
+            let keys: Vec<PageId> = sched.pages().iter().map(|(p, _)| p).collect();
             let victim = keys[idx.index(keys.len())];
             sched.remove_page(victim).unwrap();
         }
         // Validity of the survivors.
-        for (&page, &t) in sched.pages() {
+        for (page, t) in sched.pages().iter() {
             let gaps = sched.program().cyclic_gaps(page);
             prop_assert!(!gaps.is_empty());
             prop_assert!(gaps.iter().all(|&g| g <= t), "page {} gaps {:?}", page, gaps);

@@ -5,14 +5,17 @@
 
 use proptest::prelude::*;
 
-use airsched_core::bound::{channel_demand, minimum_channels, minimum_channels_per_group};
+use airsched_core::bound::{
+    channel_demand, minimum_channels, minimum_channels_for_times, minimum_channels_per_group,
+};
 use std::collections::BTreeMap;
 
 use airsched_core::delay::{expected_program_delay, group_objective, major_cycle, Weighting};
 use airsched_core::dynamic::OnlineScheduler;
+use airsched_core::error::ScheduleError;
 use airsched_core::group::GroupLadder;
 use airsched_core::program::BroadcastProgram;
-use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex};
+use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex, PAGE_ID_LIMIT};
 use airsched_core::{mpb, opt, pamad, susc, validity};
 
 /// A random harmonic ladder: 1-5 groups, base time 1-6, ratio 2-4,
@@ -67,6 +70,29 @@ fn arb_op() -> impl Strategy<Value = Op> {
         Just(Op::Rebuild),
         prop::collection::vec(arb_page_time(), 0..3).prop_map(Op::RebuildWith),
         (1u32..=4).prop_map(Op::RebuildOnChannels),
+    ]
+}
+
+/// One step of the catalogue-table model test.
+#[derive(Debug, Clone)]
+enum CatalogueOp {
+    Fit(Op),
+    /// A snapshot taken and restored in place of the scheduler.
+    Snapshot,
+    /// The `k`-th live page expired and re-published with time `t`.
+    Retime(usize, u64),
+    /// A publish of the id `PAGE_ID_LIMIT + k`, which must be refused.
+    Oversized(u32, u64),
+}
+
+fn arb_catalogue_op() -> impl Strategy<Value = CatalogueOp> {
+    prop_oneof![
+        arb_op().prop_map(CatalogueOp::Fit),
+        arb_op().prop_map(CatalogueOp::Fit),
+        arb_op().prop_map(CatalogueOp::Fit),
+        Just(CatalogueOp::Snapshot),
+        (0usize..40, 0u32..=4).prop_map(|(k, e)| CatalogueOp::Retime(k, 1 << e)),
+        (any::<u32>(), 0u32..=4).prop_map(|(k, e)| CatalogueOp::Oversized(k, 1 << e)),
     ]
 }
 
@@ -184,13 +210,9 @@ fn assert_valid_for(program: &BroadcastProgram, sched: &OnlineScheduler) {
     }
     let catalogue = sched.pages();
     for page in grid.pages() {
-        prop_assert!(
-            catalogue.contains_key(&page),
-            "{} airs but is not live",
-            page
-        );
+        prop_assert!(catalogue.contains(page), "{} airs but is not live", page);
     }
-    for (&page, &t) in catalogue {
+    for (page, t) in catalogue.iter() {
         prop_assert_eq!(grid.frequency(page) * t, grid.cycle_len(), "{}", page);
         prop_assert!(
             grid.cyclic_gaps_iter(page).all(|g| g <= t),
@@ -406,13 +428,13 @@ proptest! {
                     }
                 }
                 Move::Expire(k) => {
-                    let live: Vec<PageId> = sched.pages().keys().copied().collect();
+                    let live: Vec<PageId> = sched.pages().iter().map(|(p, _)| p).collect();
                     if !live.is_empty() {
                         sched.remove_page(live[k % live.len()]).expect("live page");
                     }
                 }
                 Move::Retime(k, t) => {
-                    let live: Vec<PageId> = sched.pages().keys().copied().collect();
+                    let live: Vec<PageId> = sched.pages().iter().map(|(p, _)| p).collect();
                     if !live.is_empty() {
                         let page = live[k % live.len()];
                         sched.remove_page(page).expect("live page");
@@ -453,7 +475,7 @@ proptest! {
                     prop_assert_eq!(program.channels(), n_up);
                     assert_valid_for(&program, &sched);
                     let cycle = RELOCATE_CYCLE;
-                    for (&page, &t) in sched.pages() {
+                    for (page, t) in sched.pages().iter() {
                         let cells = base.occurrence_cells(page);
                         let kept: Option<Vec<GridPos>> = cells
                             .iter()
@@ -475,6 +497,87 @@ proptest! {
                     plan = Some(program);
                 }
             }
+        }
+    }
+
+    /// The scheduler's page-indexed catalogue table reads exactly like a
+    /// `BTreeMap` kept beside it, through random additions, removals,
+    /// rebuilds, snapshot round trips, pages expired and re-published
+    /// with another time, and refused ids at or above the limit: the
+    /// same pages in id order, length, expected times, Theorem 3.1
+    /// minimum and snapshot pages, and a scheduler equal to
+    /// its own snapshot's restoration (so trailing expired ids do not
+    /// count).
+    #[test]
+    fn catalogue_table_matches_a_map_model(
+        channels in 1u32..=4,
+        ops in prop::collection::vec(arb_catalogue_op(), 1..60),
+    ) {
+        let mut sched = OnlineScheduler::new(channels, FIT_CYCLE).expect("valid dimensions");
+        let mut model: BTreeMap<PageId, u64> = BTreeMap::new();
+        for op in &ops {
+            match op {
+                CatalogueOp::Fit(Op::Add(p, t)) => {
+                    if sched.add_page(*p, *t).is_ok() {
+                        model.insert(*p, *t);
+                    }
+                }
+                CatalogueOp::Fit(Op::Remove(p)) => {
+                    prop_assert_eq!(sched.remove_page(*p).is_ok(), model.remove(p).is_some());
+                }
+                CatalogueOp::Fit(Op::Rebuild) => {
+                    let _ = sched.rebuild();
+                }
+                CatalogueOp::Fit(Op::RebuildWith(pending)) => {
+                    if sched.rebuild_with(pending).is_ok() {
+                        model.extend(pending.iter().copied());
+                    }
+                }
+                CatalogueOp::Fit(Op::RebuildOnChannels(n)) => {
+                    let _ = sched.rebuild_on_channels(*n);
+                }
+                CatalogueOp::Snapshot => {
+                    sched = OnlineScheduler::from_snapshot(&sched.snapshot()).expect("round trip");
+                }
+                CatalogueOp::Retime(k, t) => {
+                    let Some((&page, _)) = model.iter().nth(k % model.len().max(1)) else {
+                        continue;
+                    };
+                    sched.remove_page(page).expect("live page");
+                    model.remove(&page);
+                    if sched.add_page(page, *t).is_ok() || sched.rebuild_with(&[(page, *t)]).is_ok() {
+                        model.insert(page, *t);
+                    }
+                }
+                CatalogueOp::Oversized(k, t) => {
+                    let page = PageId::new(PAGE_ID_LIMIT.saturating_add(*k));
+                    let before = sched.clone();
+                    let too_large = |r: Result<(), ScheduleError>| {
+                        matches!(r, Err(ScheduleError::WorkloadTooLarge { .. }))
+                    };
+                    prop_assert!(too_large(sched.add_page(page, *t)));
+                    prop_assert!(too_large(sched.rebuild_with(&[(page, *t)])));
+                    let mut snap = sched.snapshot();
+                    snap.pages.push((page, *t));
+                    prop_assert!(too_large(OnlineScheduler::from_snapshot(&snap).map(|_| ())));
+                    prop_assert_eq!(&sched, &before);
+                }
+            }
+            let catalogue = sched.pages();
+            let pairs: Vec<(PageId, u64)> = model.iter().map(|(&p, &t)| (p, t)).collect();
+            prop_assert_eq!(catalogue.iter().collect::<Vec<_>>(), pairs.clone(), "{:?}", op);
+            prop_assert_eq!(catalogue.len(), model.len());
+            prop_assert_eq!(catalogue.is_empty(), model.is_empty());
+            for id in 0..45 {
+                let page = PageId::new(id);
+                prop_assert_eq!(catalogue.get(page), model.get(&page).copied(), "{}", page);
+                prop_assert_eq!(catalogue.contains(page), model.contains_key(&page));
+            }
+            let times: Vec<u64> = model.values().copied().collect();
+            prop_assert_eq!(catalogue.minimum_channels(), minimum_channels_for_times(&times));
+            prop_assert_eq!(&sched.snapshot().pages, &pairs);
+            let restored = OnlineScheduler::from_snapshot(&sched.snapshot()).expect("round trip");
+            prop_assert_eq!(&restored, &sched, "{:?}", op);
         }
     }
 

@@ -106,18 +106,20 @@ impl<'a> LintInput<'a> {
     /// skipped because the grouping is not a user artifact.
     #[must_use]
     pub fn for_catalogue(program: &'a BroadcastProgram, catalogue: &[(PageId, u64)]) -> Self {
-        // The distinct times, ascending, gathered without sorting the
-        // catalogue: a catalogue holds a handful of distinct times.
+        // The distinct times, ascending: a catalogue holds a handful, so
+        // a linear check per page finds them, and a page's group is the
+        // count of distinct times below its own.
         let mut times: Vec<u64> = Vec::new();
         for &(_, t) in catalogue {
-            if let Err(at) = times.binary_search(&t) {
-                times.insert(at, t);
+            if !times.contains(&t) {
+                times.push(t);
             }
         }
+        times.sort_unstable();
         let deadlines = catalogue
             .iter()
             .map(|&(page, limit)| {
-                let rank = times.partition_point(|&t| t < limit);
+                let rank = times.iter().filter(|&&t| t < limit).count();
                 PageDeadline {
                     page,
                     limit,

@@ -287,6 +287,12 @@ fn page_rules(program: &BroadcastProgram, input: &LintInput<'_>, out: &mut Sink<
     let never_on = out.on(RuleId::NeverBroadcast);
     let deficit_on = out.on(RuleId::FrequencyDeficit);
     let groups = input.group_times.len();
+    // `ceil(cycle / t)` once per group rather than one division per page.
+    let group_required: Vec<u64> = input
+        .group_times
+        .iter()
+        .map(|&t| if t == 0 { 0 } else { cycle.div_ceil(t) })
+        .collect();
     let mut group_pages = vec![0u64; groups];
     let mut worst: Vec<Option<(PageId, u64)>> = vec![None; groups];
     let mut zero_limit = false;
@@ -321,26 +327,30 @@ fn page_rules(program: &BroadcastProgram, input: &LintInput<'_>, out: &mut Sink<
         if d.limit == 0 {
             continue;
         }
-        let mut max_gap = 0;
-        for (i, gap) in cyclic_gaps_over(cols, cycle).enumerate() {
-            max_gap = max_gap.max(gap);
-            if gap > d.limit && gap_on {
-                let start = cols[i];
-                out.emit(
-                    RuleId::ExpectedTimeGap,
-                    cell_at(program, d.page, start),
-                    format!(
-                        "{} leaves a {gap}-slot gap after column {start}, above its \
-                         expected time of {} slots",
-                        d.page, d.limit
-                    ),
-                    Witness::TuneIn {
-                        page: d.page,
-                        arrival: (start + 1) % cycle,
-                        wait: gap,
-                        limit: d.limit,
-                    },
-                );
+        // The largest gap first: only a page with a gap above its limit
+        // walks its gaps again to report them.
+        let wrap = cycle - cols[cols.len() - 1] + first;
+        let max_gap = cols.windows(2).map(|w| w[1] - w[0]).fold(wrap, u64::max);
+        if max_gap > d.limit && gap_on {
+            for (i, gap) in cyclic_gaps_over(cols, cycle).enumerate() {
+                if gap > d.limit {
+                    let start = cols[i];
+                    out.emit(
+                        RuleId::ExpectedTimeGap,
+                        cell_at(program, d.page, start),
+                        format!(
+                            "{} leaves a {gap}-slot gap after column {start}, above its \
+                             expected time of {} slots",
+                            d.page, d.limit
+                        ),
+                        Witness::TuneIn {
+                            page: d.page,
+                            arrival: (start + 1) % cycle,
+                            wait: gap,
+                            limit: d.limit,
+                        },
+                    );
+                }
             }
         }
         if first >= d.limit && late_on {
@@ -361,7 +371,10 @@ fn page_rules(program: &BroadcastProgram, input: &LintInput<'_>, out: &mut Sink<
             );
         }
         let observed = cols.len() as u64;
-        let required = cycle.div_ceil(d.limit);
+        let required = match input.group_times.get(idx) {
+            Some(&t) if t == d.limit => group_required[idx],
+            _ => cycle.div_ceil(d.limit),
+        };
         if observed < required && deficit_on {
             out.emit(
                 RuleId::FrequencyDeficit,
@@ -487,16 +500,15 @@ fn dead_air(program: &BroadcastProgram, out: &mut Sink<'_>) {
 }
 
 /// `AP05`: a page placed on several channels in the same column counts as
-/// one logical occurrence; the extras are wasted capacity.
+/// one logical occurrence; the extras are wasted capacity. Only the pages
+/// with more cells than columns are looked at, found by one walk of the
+/// program's span lengths.
 fn duplicate_in_column(program: &BroadcastProgram, out: &mut Sink<'_>) {
     if !out.on(RuleId::DuplicateInColumn) {
         return;
     }
-    for page in program.pages() {
+    for page in program.pages_doubled_in_a_column() {
         let cells = program.occurrence_cells(page);
-        if cells.len() == program.occurrence_columns(page).len() {
-            continue; // No column holds the page twice.
-        }
         for &column in program.occurrence_columns(page) {
             let in_column: Vec<GridPos> = cells
                 .iter()
@@ -1114,5 +1126,57 @@ mod tests {
                 }
             }
         }
+
+        /// The counted catalogue ranks and the span-length walk of `AP05`
+        /// report exactly what the search-based ranks and the per-page
+        /// `AP05` loop they replaced do, on catalogues with repeated
+        /// times and zero deadlines among them, over programs with
+        /// injected same-column duplicates.
+        #[test]
+        fn catalogue_ranks_and_ap05_match_their_references(
+            built in arb_program(),
+            times in prop::collection::vec(0usize..6, 1..24),
+            reversed in any::<bool>(),
+            duplicates in prop::collection::vec((any::<usize>(), 0u32..32), 0..4),
+        ) {
+            let program = with_column_duplicates(&built.1, &duplicates);
+            let mut catalogue: Vec<(PageId, u64)> = (0u32..)
+                .zip(&times)
+                .map(|(p, &i)| (PageId::new(p), [0, 2, 4, 4, 8, 16][i]))
+                .collect();
+            if reversed {
+                catalogue.reverse();
+            }
+            let got = LintInput::for_catalogue(&program, &catalogue);
+            let want = reference::for_catalogue(&program, &catalogue);
+            prop_assert_eq!(got.deadlines(), want.deadlines());
+            prop_assert_eq!(&got.group_times, &want.group_times);
+            let all_warn = RuleId::ALL
+                .into_iter()
+                .fold(LintConfig::default(), |c, r| c.with_level(r, Severity::Warn));
+            for config in [LintConfig::default(), LintConfig::structural(), all_warn] {
+                prop_assert_eq!(lint(&got, &config), reference::lint(&want, &config));
+            }
+        }
+    }
+
+    /// `program` with each `(cell, page)` written over one cell: the page
+    /// some other channel airs in that cell's column, so the column holds
+    /// it twice, or `page` when no other channel airs anything there.
+    fn with_column_duplicates(
+        program: &BroadcastProgram,
+        duplicates: &[(usize, u32)],
+    ) -> BroadcastProgram {
+        let mut cells = program.cells().to_vec();
+        let cycle = program.cycle_len() as usize;
+        for &(cell, page) in duplicates {
+            let at = cell % cells.len();
+            let twin = (at % cycle..cells.len())
+                .step_by(cycle)
+                .filter(|&other| other != at)
+                .find_map(|other| cells[other]);
+            cells[at] = Some(twin.unwrap_or(PageId::new(page)));
+        }
+        BroadcastProgram::from_cells(program.channels(), program.cycle_len(), &cells).unwrap()
     }
 }

@@ -1,19 +1,20 @@
 //! The per-rule lint the one-pass [`super::lint`] replaced, kept in test
 //! code as its reference: each deadline rule walks the catalogue on its
-//! own, and `AP07` bounds the channels from a list of every page's time.
-//! The grid-wide and plan rules did not change and are shared.
+//! own, `AP07` bounds the channels from a list of every page's time, and
+//! `AP05` looks up every page's spans. The catalogue input built by
+//! searches is kept here too. The other grid-wide rules and the plan
+//! rules did not change and are shared.
 
 use airsched_core::bound;
 use airsched_core::program::{cyclic_gaps_over, BroadcastProgram};
-use airsched_core::types::{GroupId, PageId};
+use airsched_core::types::{GridPos, GroupId, PageId};
 
 use super::{
-    absurd_expected_time, dead_air, duplicate_in_column, frequency_non_monotone,
-    non_geometric_ladder, RuleId, Sink,
+    absurd_expected_time, dead_air, frequency_non_monotone, non_geometric_ladder, RuleId, Sink,
 };
 use crate::config::LintConfig;
 use crate::diagnostic::{LintReport, Span, Witness};
-use crate::input::LintInput;
+use crate::input::{LintInput, PageDeadline};
 
 /// Runs every configured rule, one at a time, in registry order.
 pub(super) fn lint(input: &LintInput<'_>, config: &LintConfig) -> LintReport {
@@ -38,7 +39,7 @@ pub(super) fn lint(input: &LintInput<'_>, config: &LintConfig) -> LintReport {
             }
             RuleId::DuplicateInColumn => {
                 if let Some(program) = input.program {
-                    duplicate_in_column(program, &mut out);
+                    duplicate_in_column(program, &mut emit);
                 }
             }
             RuleId::NonGeometricLadder => non_geometric_ladder(input, &mut out),
@@ -50,6 +51,68 @@ pub(super) fn lint(input: &LintInput<'_>, config: &LintConfig) -> LintReport {
 }
 
 type Emit<'e> = dyn FnMut(Span, String, Witness) + 'e;
+
+/// The catalogue input as it was built before the ranks were counted:
+/// the distinct times gathered by binary-search insertion, and each
+/// deadline's group ranked by a partition-point search.
+pub(super) fn for_catalogue<'a>(
+    program: &'a BroadcastProgram,
+    catalogue: &[(PageId, u64)],
+) -> LintInput<'a> {
+    let mut times: Vec<u64> = Vec::new();
+    for &(_, t) in catalogue {
+        if let Err(at) = times.binary_search(&t) {
+            times.insert(at, t);
+        }
+    }
+    let deadlines = catalogue
+        .iter()
+        .map(|&(page, limit)| {
+            let rank = times.partition_point(|&t| t < limit);
+            PageDeadline {
+                page,
+                limit,
+                group: GroupId::new(u32::try_from(rank).unwrap_or(u32::MAX)),
+            }
+        })
+        .collect();
+    LintInput {
+        program: Some(program),
+        deadlines,
+        group_times: times,
+        raw_groups: None,
+        frequencies: None,
+    }
+}
+
+/// `AP05` as it was: every page's cell and column spans looked up, and
+/// the columns of a page with more cells than columns searched.
+fn duplicate_in_column(program: &BroadcastProgram, emit: &mut Emit<'_>) {
+    for page in program.pages() {
+        let cells = program.occurrence_cells(page);
+        if cells.len() == program.occurrence_columns(page).len() {
+            continue; // No column holds the page twice.
+        }
+        for &column in program.occurrence_columns(page) {
+            let in_column: Vec<GridPos> = cells
+                .iter()
+                .filter(|c| c.slot.index() == column)
+                .copied()
+                .collect();
+            if in_column.len() > 1 {
+                emit(
+                    Span::Cell(in_column[1]),
+                    format!(
+                        "{page} airs {} times in column {column}; parallel copies \
+                         in one column serve no additional client",
+                        in_column.len()
+                    ),
+                    Witness::Cells(in_column),
+                );
+            }
+        }
+    }
+}
 
 /// The grid cell holding `page`'s occurrence at `column` (lowest channel
 /// wins when the page is duplicated across channels in that column).

@@ -16,10 +16,11 @@
 //! behaviour — unlimited patience — via [`RetryPolicy::unlimited`].
 //!
 //! A receiver keeps one state per page id in a table indexed by the id —
-//! not wanted, wanted with some attempts burned, or abandoned — so a frame
-//! costs one indexed read. The table grows only when a page is wanted:
-//! frames naming any `u32` page only read it, and an id at or above
-//! [`PAGE_ID_LIMIT`] cannot be wanted, so hostile bytes never size it.
+//! not wanted, wanted with some attempts burned, or abandoned, packed in
+//! one `u32` — so a frame costs one indexed read of 4 bytes. The table
+//! grows only when a page is wanted: frames naming any `u32` page only
+//! read it, and an id at or above [`PAGE_ID_LIMIT`] cannot be wanted, so
+//! hostile bytes never size it.
 //!
 //! Receivers can optionally export their counters to an
 //! [`airsched_obs::Obs`] handle via [`Receiver::attach_obs`]. All
@@ -136,7 +137,7 @@ pub struct Receiver {
     /// The state of each page, indexed by page id; ids past the end are
     /// not wanted.
     pages: Vec<PageState>,
-    /// Pages in the [`PageState::Wanted`] state.
+    /// Pages in a wanted state ([`PageState::burned`] is `Some`).
     wanted: usize,
     policy: RetryPolicy,
     /// Length of the current run of consecutive corrupt frames.
@@ -148,15 +149,31 @@ pub struct Receiver {
     obs: Option<ReceiverObs>,
 }
 
-/// What a receiver knows about one page.
+/// What a receiver knows about one page, in 4 bytes: two reserved
+/// values stand for not wanted ([`PageState::IDLE`]) and abandoned
+/// ([`PageState::ABANDONED`]); any smaller value is a wanted page with
+/// that many corrupt occurrences burned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PageState {
+struct PageState(u32);
+
+impl PageState {
     /// Not wanted: never asked for, or received.
-    Idle,
-    /// Wanted, with this many corrupt occurrences burned.
-    Wanted(u32),
+    const IDLE: Self = Self(u32::MAX);
     /// Given up on after exhausting its attempt budget.
-    Abandoned,
+    const ABANDONED: Self = Self(u32::MAX - 1);
+    /// The most burned attempts a wanted page records; more saturate
+    /// here, below both reserved values.
+    const MAX_BURNED: u32 = u32::MAX - 2;
+
+    /// Wanted, with `burned` corrupt occurrences burned (saturating).
+    fn wanted(burned: u32) -> Self {
+        Self(burned.min(Self::MAX_BURNED))
+    }
+
+    /// The attempts burned, or `None` when the page is not wanted.
+    fn burned(self) -> Option<u32> {
+        (self.0 <= Self::MAX_BURNED).then_some(self.0)
+    }
 }
 
 impl Receiver {
@@ -188,6 +205,16 @@ impl Receiver {
             stats: ReceiverStats::default(),
             obs: None,
         };
+        // The table is sized once, to the largest wanted id: growing it
+        // want by want leaves a trail of freed blocks on the heap.
+        let wanted: Vec<PageId> = wanted.into_iter().collect();
+        let len = wanted
+            .iter()
+            .map(|p| p.index())
+            .filter(|&id| id < PAGE_ID_LIMIT)
+            .max()
+            .map_or(0, |id| id as usize + 1);
+        rx.pages.reserve_exact(len);
         for page in wanted {
             rx.want(page);
         }
@@ -203,13 +230,13 @@ impl Receiver {
 
     /// Pages still outstanding, in id order.
     pub fn wanted(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.pages_in(|state| matches!(state, PageState::Wanted(_)))
+        self.pages_in(|state| state.burned().is_some())
     }
 
     /// Pages given up on after exhausting their attempt budget, in id
     /// order.
     pub fn abandoned(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.pages_in(|state| state == PageState::Abandoned)
+        self.pages_in(|state| state == PageState::ABANDONED)
     }
 
     fn pages_in(&self, keep: fn(PageState) -> bool) -> impl Iterator<Item = PageId> + '_ {
@@ -225,15 +252,15 @@ impl Receiver {
         self.pages
             .get(page.index() as usize)
             .copied()
-            .unwrap_or(PageState::Idle)
+            .unwrap_or(PageState::IDLE)
     }
 
     /// Moves `page`, which must be within the table, to `state`, keeping
     /// the count of wanted pages.
     fn set_state(&mut self, page: PageId, state: PageState) {
         let slot = &mut self.pages[page.index() as usize];
-        self.wanted -= usize::from(matches!(*slot, PageState::Wanted(_)));
-        self.wanted += usize::from(matches!(state, PageState::Wanted(_)));
+        self.wanted -= usize::from(slot.burned().is_some());
+        self.wanted += usize::from(state.burned().is_some());
         *slot = state;
     }
 
@@ -246,10 +273,7 @@ impl Receiver {
     /// Corrupt occurrences burned so far for a still-wanted page.
     #[must_use]
     pub fn attempts_for(&self, page: PageId) -> u32 {
-        match self.state(page) {
-            PageState::Wanted(burned) => burned,
-            PageState::Idle | PageState::Abandoned => 0,
-        }
+        self.state(page).burned().unwrap_or(0)
     }
 
     /// Whether the receiver is tuned away from the air at `slot_time`.
@@ -273,9 +297,9 @@ impl Receiver {
         );
         let at = page.index() as usize;
         if at >= self.pages.len() {
-            self.pages.resize(at + 1, PageState::Idle);
+            self.pages.resize(at + 1, PageState::IDLE);
         }
-        self.set_state(page, PageState::Wanted(0));
+        self.set_state(page, PageState::wanted(0));
     }
 
     /// Statistics so far.
@@ -307,8 +331,8 @@ impl Receiver {
         self.corrupt_run = 0;
 
         let page = frame.page?;
-        if let PageState::Wanted(_) = self.state(page) {
-            self.set_state(page, PageState::Idle);
+        if self.state(page).burned().is_some() {
+            self.set_state(page, PageState::IDLE);
             self.stats.hits += 1;
             if let Some(o) = &self.obs {
                 o.hits.inc();
@@ -352,17 +376,19 @@ impl Receiver {
 
         let mut gave_up = None;
         if let Some(page) = frame.page {
-            if let PageState::Wanted(burned) = self.state(page) {
-                let burned = burned.saturating_add(1);
+            if let Some(burned) = self.state(page).burned() {
+                // At most `MAX_BURNED + 1`, so no overflow; the stored
+                // count saturates below the reserved values.
+                let burned = burned + 1;
                 if burned >= self.policy.max_attempts() {
-                    self.set_state(page, PageState::Abandoned);
+                    self.set_state(page, PageState::ABANDONED);
                     self.stats.abandoned += 1;
                     if let Some(o) = &self.obs {
                         o.abandoned.inc();
                     }
                     gave_up = Some(page);
                 } else {
-                    self.set_state(page, PageState::Wanted(burned));
+                    self.set_state(page, PageState::wanted(burned));
                 }
             }
         }
@@ -634,6 +660,33 @@ mod tests {
     #[should_panic(expected = "page id limit")]
     fn a_receiver_built_for_a_page_past_the_limit_panics() {
         let _ = Receiver::new([PageId::new(u32::MAX)]);
+    }
+
+    #[test]
+    fn an_unlimited_count_saturates_below_the_reserved_states() {
+        let page = PageId::new(1);
+        let mut rx = Receiver::new([page]);
+        rx.pages[1] = PageState::wanted(PageState::MAX_BURNED - 2);
+        for slot in 0..4 {
+            assert_eq!(rx.consume_corrupt(&data(slot, 1)), None);
+        }
+        assert_eq!(rx.attempts_for(page), PageState::MAX_BURNED);
+        assert_eq!(rx.pages[1], PageState::wanted(u32::MAX));
+        assert!(rx.wanted().eq([page]));
+        assert_eq!(rx.abandoned().next(), None);
+        assert!(!rx.is_satisfied());
+        assert!(rx.consume(&data(4, 1)).is_some());
+        assert_eq!(rx.attempts_for(page), 0);
+        assert!(rx.is_satisfied());
+        // A budget just below the reserved values still abandons.
+        let policy = RetryPolicy::new(PageState::MAX_BURNED + 1).unwrap();
+        let mut rx = Receiver::with_policy([page], policy);
+        rx.pages[1] = PageState::wanted(PageState::MAX_BURNED - 1);
+        assert_eq!(rx.consume_corrupt(&data(0, 1)), None);
+        assert_eq!(rx.consume_corrupt(&data(1, 1)), Some(page));
+        assert!(rx.abandoned().eq([page]));
+        assert_eq!(rx.wanted().next(), None);
+        assert!(rx.is_satisfied());
     }
 
     #[test]

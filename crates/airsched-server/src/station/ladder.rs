@@ -10,7 +10,6 @@
 
 use std::time::Instant;
 
-use airsched_core::bound::minimum_channels_for_times;
 use airsched_core::degrade;
 use airsched_core::program::BroadcastProgram;
 use airsched_core::types::PageId;
@@ -24,11 +23,7 @@ impl Station {
     /// page id: collected once per ladder re-evaluation and handed to
     /// every stage that needs it.
     fn catalogue_pairs(&self) -> Vec<(PageId, u64)> {
-        self.scheduler
-            .pages()
-            .iter()
-            .map(|(&p, &t)| (p, t))
-            .collect()
+        self.scheduler.pages().iter().collect()
     }
 
     /// The deep-verify half of the pre-swap gate: asks the solver for a
@@ -178,10 +173,14 @@ impl Station {
     /// refused, so the caller must keep the previous plan on the air.
     fn reduced_plan(&mut self, n_up: u32) -> Option<ActivePlan> {
         let catalogue = self.catalogue_pairs();
-        let times: Vec<u64> = catalogue.iter().map(|&(_, t)| t).collect();
-        // An overflowing demand fraction cannot possibly be met by any
+        // Theorem 3.1 from the scheduler's per-time page counts. An
+        // overflowing demand fraction cannot possibly be met by any
         // physical channel count; treat it as insufficient.
-        let minimum = minimum_channels_for_times(&times).unwrap_or(u32::MAX);
+        let minimum = self
+            .scheduler
+            .pages()
+            .minimum_channels()
+            .unwrap_or(u32::MAX);
         let mut refused = false;
         if self.policy.repack && n_up >= minimum {
             // The Instant exists only when observed: wall-clock stays
@@ -201,7 +200,7 @@ impl Station {
                 let candidate = self.maybe_corrupt(program);
                 // Both walk the catalogue once: the sweep size is the
                 // catalogue.
-                self.record.replan(stage, times.len() as u64, started);
+                self.record.replan(stage, catalogue.len() as u64, started);
                 // A SUSC plan claims full validity, so it must survive the
                 // complete deadline rule set — and, under deep-verify,
                 // the solver's independent certification as well. Both

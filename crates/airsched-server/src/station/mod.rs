@@ -26,9 +26,9 @@
 //! * **[`Mode::Valid`]** — all channels up; the primary always-valid
 //!   program airs.
 //! * **[`Mode::Repacked`]** — some channels down, but the survivors still
-//!   meet Theorem 3.1's minimum
-//!   ([`airsched_core::bound::minimum_channels_for_times`]); the plan on
-//!   the air is relocated onto the survivors
+//!   meet Theorem 3.1's minimum, folded from the catalogue's per-time
+//!   page counts ([`airsched_core::dynamic::Catalogue::minimum_channels`]);
+//!   the plan on the air is relocated onto the survivors
 //!   ([`OnlineScheduler::relocate`]): every live channel keeps its row,
 //!   and only the pages that lost their place are first-fitted. When a
 //!   page finds no room, the catalogue is re-packed afresh via SUSC
@@ -89,9 +89,7 @@ mod ladder;
 mod observe;
 mod snapshot;
 
-use std::collections::BTreeMap;
-
-use airsched_core::dynamic::OnlineScheduler;
+use airsched_core::dynamic::{Catalogue, OnlineScheduler};
 use airsched_core::error::ScheduleError;
 use airsched_core::program::BroadcastProgram;
 use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex};
@@ -745,9 +743,10 @@ impl Station {
             .unwrap_or(false)
     }
 
-    /// The current catalogue: page → expected time.
+    /// The current catalogue: every live page and its expected time,
+    /// ascending by page id.
     #[must_use]
-    pub fn catalogue(&self) -> &BTreeMap<PageId, u64> {
+    pub fn catalogue(&self) -> Catalogue<'_> {
         self.scheduler.pages()
     }
 

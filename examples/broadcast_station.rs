@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         } else {
             PageId::new(1 + step % 15)
         };
-        if station.catalogue().contains_key(&page) {
+        if station.catalogue().contains(page) {
             station.subscribe(page)?;
         }
         station.tick();

@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The invariant held throughout: every live page's gaps fit its
     // expected time.
-    for (&page, &t) in sched.pages() {
+    for (page, t) in sched.pages().iter() {
         let gaps = sched.program().cyclic_gaps(page);
         assert!(gaps.iter().all(|&g| g <= t), "{page} violated t={t}");
     }

@@ -58,15 +58,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (mut late_fail, mut late_restore, mut late_other) = (0u64, 0u64, 0u64);
     let mut worst_overrun = 0u64;
     for slot in 0..SLOTS {
-        let live: Vec<PageId> = station.catalogue().keys().copied().collect();
+        let live: Vec<PageId> = station.catalogue().iter().map(|(p, _)| p).collect();
         for page in live {
             let client = station.subscribe(page)?;
             debug_assert_eq!(client.raw(), subscribed_at.len() as u64);
             subscribed_at.push(slot);
         }
         if slot % 29 == 5 {
-            let live: Vec<(PageId, u64)> =
-                station.catalogue().iter().map(|(&p, &t)| (p, t)).collect();
+            let live: Vec<(PageId, u64)> = station.catalogue().iter().collect();
             let k = usize::try_from(slot * 7919)? % live.len();
             let (page, t) = live[k];
             station.expire(page)?;
@@ -89,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             late += 1;
             let since = subscribed_at[usize::try_from(d.client.raw())?];
-            let t = station.catalogue().get(&d.page).copied().unwrap_or(0);
+            let t = station.catalogue().get(d.page).unwrap_or(0);
             worst_overrun = worst_overrun.max(d.wait.saturating_sub(t));
             // Clients subscribe before the slot's swap, so a swap in the
             // subscribe slot is spanned too.

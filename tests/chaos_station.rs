@@ -41,7 +41,7 @@ fn storm_station(plan: &FaultPlan) -> Station {
 }
 
 fn catalogue_minimum(station: &Station) -> u32 {
-    let times: Vec<u64> = station.catalogue().values().copied().collect();
+    let times: Vec<u64> = station.catalogue().iter().map(|(_, t)| t).collect();
     minimum_channels_for_times(&times).unwrap()
 }
 
