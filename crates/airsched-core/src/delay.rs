@@ -82,13 +82,12 @@ pub fn expected_page_delay(
     page: PageId,
 ) -> Option<f64> {
     let t = ladder.expected_time_of(page)?.slots() as f64;
-    let gaps = program.cyclic_gaps(page);
-    if gaps.is_empty() {
+    if program.frequency(page) == 0 {
         return None;
     }
     let cycle = program.cycle_len() as f64;
     let mut total = 0.0;
-    for g in gaps {
+    for g in program.cyclic_gaps(page) {
         let g = g as f64;
         if g > t {
             total += (g - t) * (g - t) / (2.0 * cycle);

@@ -649,7 +649,7 @@ mod tests {
     /// Checks the invariant against a synthesized ladder for the live set.
     fn assert_valid(sched: &OnlineScheduler) {
         for (page, t) in sched.pages().iter() {
-            let gaps = sched.program().cyclic_gaps(page);
+            let gaps: Vec<u64> = sched.program().cyclic_gaps(page).collect();
             assert!(!gaps.is_empty(), "{page} missing");
             assert!(gaps.iter().all(|&g| g <= t), "{page} (t={t}) gaps {gaps:?}");
         }
@@ -737,16 +737,8 @@ mod tests {
         assert_eq!(grown.frequency(PageId::new(9)), 1);
         for p in [0, 1, 2, 3, 4, 6, 7] {
             let page = PageId::new(p);
-            let was: Vec<u64> = moved
-                .occurrence_cells(page)
-                .iter()
-                .map(|c| c.slot.index())
-                .collect();
-            let now: Vec<u64> = grown
-                .occurrence_cells(page)
-                .iter()
-                .map(|c| c.slot.index())
-                .collect();
+            let was: Vec<u64> = moved.occurrences(page).map(|c| c.slot.index()).collect();
+            let now: Vec<u64> = grown.occurrences(page).map(|c| c.slot.index()).collect();
             assert_eq!(now, was, "{page}");
         }
         // No room: the caller packs afresh.

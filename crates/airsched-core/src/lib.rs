@@ -92,5 +92,5 @@ pub mod validity;
 
 pub use error::ScheduleError;
 pub use group::GroupLadder;
-pub use program::{BroadcastProgram, OccurrenceCursor, Occurrences};
+pub use program::BroadcastProgram;
 pub use schedule::{build_program, Algorithm, ScheduleOutcome};

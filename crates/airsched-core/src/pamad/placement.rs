@@ -323,12 +323,8 @@ mod tests {
         let program = placement.program();
         for (page, _) in ladder.pages() {
             let cols = program.occurrence_columns(page);
-            let cells = program.occurrences(page);
-            assert_eq!(
-                cols.len(),
-                cells.len(),
-                "page {page} duplicated in a column"
-            );
+            let cells = program.occurrences(page).count();
+            assert_eq!(cols.len(), cells, "page {page} duplicated in a column");
         }
     }
 

@@ -15,53 +15,9 @@ use core::fmt;
 use crate::error::{ScheduleError, PAGE_ID_TOO_LARGE};
 use crate::types::{ChannelId, GridPos, PageId, SlotIndex, PAGE_ID_LIMIT};
 
-/// A source of per-page occurrence columns over a cyclic schedule.
-///
-/// Implemented by [`BroadcastProgram`], whose column table is already one
-/// flat arena, so consumers such as `validity::check` and the simulator's
-/// access paths query the program directly. Generic consumers accept any
-/// other source with the same sorted-columns contract.
-///
-/// # Examples
-///
-/// ```
-/// use airsched_core::program::{BroadcastProgram, Occurrences};
-/// use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex};
-///
-/// let mut program = BroadcastProgram::new(1, 4);
-/// program.place(GridPos::new(ChannelId::new(0), SlotIndex::new(2)), PageId::new(0))?;
-/// assert_eq!(program.next_broadcast(PageId::new(0), 0), Some(2));
-/// assert_eq!(program.next_broadcast(PageId::new(0), 3), Some(6)); // wraps
-/// let mut cursor = program.occurrence_cursor(PageId::new(0)).unwrap();
-/// assert_eq!(cursor.next_after(7), 10);
-/// # Ok::<(), airsched_core::program::SlotOccupied>(())
-/// ```
-pub trait Occurrences {
-    /// Cycle length in slots.
-    fn cycle_len(&self) -> u64;
-
-    /// The sorted, deduplicated columns in which `page` appears; empty for a
-    /// page never broadcast.
-    fn occurrence_columns(&self, page: PageId) -> &[u64];
-
-    /// The first slot `s >= from` whose column carries `page` (the page is
-    /// fully received at the end of that slot), or `None` if the page is
-    /// never broadcast. `O(log f_p)` via binary search.
-    fn next_broadcast(&self, page: PageId, from: u64) -> Option<u64> {
-        next_in_columns(self.occurrence_columns(page), self.cycle_len(), from)
-    }
-
-    /// The wait, in whole slots, from a tune-in at the start of slot
-    /// `arrival` until `page` is fully received (`>= 1`), or `None` if the
-    /// page is never broadcast.
-    fn wait_from(&self, page: PageId, arrival: u64) -> Option<u64> {
-        self.next_broadcast(page, arrival).map(|s| s - arrival + 1)
-    }
-}
-
 /// The first absolute slot `s >= from` congruent to one of the sorted cycle
-/// columns `cols`, or `None` when `cols` is empty. Shared kernel behind
-/// [`Occurrences::next_broadcast`] and [`BroadcastProgram::wait_from`].
+/// columns `cols`, or `None` when `cols` is empty. The kernel behind
+/// [`BroadcastProgram::next_broadcast`] and [`BroadcastProgram::wait_from`].
 #[must_use]
 pub fn next_in_columns(cols: &[u64], cycle: u64, from: u64) -> Option<u64> {
     if cols.is_empty() {
@@ -87,77 +43,6 @@ pub fn cyclic_gaps_over(cols: &[u64], cycle: u64) -> impl Iterator<Item = u64> +
             cycle - cols[n - 1] + cols[0]
         }
     })
-}
-
-/// A forward-only cursor over one page's occurrences. For a stream of
-/// non-decreasing `from` values it answers [`OccurrenceCursor::next_after`]
-/// in amortized O(1): the cursor steps at most once per occurrence passed,
-/// and re-syncs with a single binary search when the stream jumps a whole
-/// cycle or more.
-#[derive(Debug, Clone)]
-pub struct OccurrenceCursor<'a> {
-    cols: &'a [u64],
-    cycle: u64,
-    /// Cycle base (a multiple of `cycle`) of the occurrence at `idx`.
-    base: u64,
-    idx: usize,
-    /// Last query time, for the monotonicity debug check.
-    last: u64,
-}
-
-impl<'a> OccurrenceCursor<'a> {
-    /// A cursor over explicit sorted `cols`; `None` when `cols` is empty.
-    #[must_use]
-    pub fn over(cols: &'a [u64], cycle: u64) -> Option<Self> {
-        if cols.is_empty() {
-            None
-        } else {
-            Some(Self {
-                cols,
-                cycle,
-                base: 0,
-                idx: 0,
-                last: 0,
-            })
-        }
-    }
-
-    /// The first absolute slot `s >= from` carrying the page. Queries must be
-    /// non-decreasing; for random access use [`Occurrences::next_broadcast`].
-    pub fn next_after(&mut self, from: u64) -> u64 {
-        debug_assert!(from >= self.last, "cursor queries must be non-decreasing");
-        self.last = from;
-        let mut next = self.base + self.cols[self.idx];
-        if from > next {
-            if from - next >= self.cycle {
-                // Far jump: re-sync with one binary search instead of
-                // stepping occurrence by occurrence.
-                let a = from % self.cycle;
-                self.base = from - a;
-                self.idx = self.cols.partition_point(|&c| c < a);
-                if self.idx == self.cols.len() {
-                    self.idx = 0;
-                    self.base += self.cycle;
-                }
-                next = self.base + self.cols[self.idx];
-            }
-            while next < from {
-                self.idx += 1;
-                if self.idx == self.cols.len() {
-                    self.idx = 0;
-                    self.base += self.cycle;
-                }
-                next = self.base + self.cols[self.idx];
-            }
-        }
-        next
-    }
-
-    /// The wait in whole slots from `from` until the page is fully received
-    /// (`next_after(from) - from + 1`). Same monotonicity contract.
-    pub fn wait_after(&mut self, from: u64) -> u64 {
-        self.next_after(from) - from + 1
-    }
 }
 
 /// A rectangular, cyclic broadcast schedule.
@@ -188,16 +73,16 @@ pub struct BroadcastProgram {
     /// (`occurrence_columns`, `wait_from`, validity sweeps). A never-placed
     /// page has an empty span.
     columns: SpanArena<u64>,
-    /// Every cell holding each page (same dense keying), kept sorted
-    /// row-major so that [`BroadcastProgram::occurrences`] is independent
-    /// of placement order.
-    cells: SpanArena<GridPos>,
-    occupied: u64,
+    /// How many cells hold each page (same dense keying): its column
+    /// count, plus one for every extra channel it airs on in a column.
+    /// The cells themselves are read off the grid at the page's columns.
+    cell_counts: Vec<u32>,
 }
 
-/// Equality is the dimensions and the grid: both occurrence tables are
-/// functions of the grid, and their arena layout depends on placement
-/// order, so comparing them would add cost and no information.
+/// Equality is the dimensions and the grid: the column table and the
+/// cell counts are functions of the grid, and the arena layout depends
+/// on placement order, so comparing them would add cost and no
+/// information.
 impl PartialEq for BroadcastProgram {
     fn eq(&self, other: &Self) -> bool {
         self.channels == other.channels
@@ -218,8 +103,8 @@ struct Span {
 }
 
 /// Per-page sorted runs of `T` in one entry vector: the discipline of the
-/// station's waiting set (DESIGN §12.1) applied to the program's
-/// occurrence tables (DESIGN §8.5).
+/// station's waiting set (DESIGN §12.1) applied to the program's column
+/// table (DESIGN §8.5).
 ///
 /// A run that ends at the arena tail grows in place by exactly what it
 /// gains, so a page placed in one go (a SUSC family) takes no slack. A
@@ -236,7 +121,7 @@ struct SpanArena<T> {
 }
 
 fn arena_offset(n: usize) -> u32 {
-    u32::try_from(n).expect("program occurrence arena fits in u32 offsets")
+    u32::try_from(n).expect("program column arena fits in u32 offsets")
 }
 
 impl<T: Copy + Ord> SpanArena<T> {
@@ -348,13 +233,13 @@ impl<T: Copy + Ord> SpanArena<T> {
         self.compact_if_sparse();
     }
 
-    /// A copy without the runs of `dropped` (distinct keys), with every
-    /// entry passed through `map` and room for `room` more entries. The
-    /// entry vector is copied whole, so the dropped runs stay behind as
-    /// stranded entries until a compaction reclaims them.
-    fn copy_without(&self, dropped: &[usize], room: usize, map: impl Fn(T) -> T) -> Self {
+    /// A copy without the runs of `dropped` (distinct keys), with room
+    /// for `room` more entries. The entry vector is copied whole, so the
+    /// dropped runs stay behind as stranded entries until a compaction
+    /// reclaims them.
+    fn copy_without(&self, dropped: &[usize], room: usize) -> Self {
         let mut items = Vec::with_capacity(self.items.len() + room);
-        items.extend(self.items.iter().map(|&v| map(v)));
+        items.extend_from_slice(&self.items);
         let mut copy = Self {
             items,
             spans: self.spans.clone(),
@@ -395,6 +280,18 @@ impl<T: Copy + Ord> SpanArena<T> {
     }
 }
 
+/// Frees `page`'s cells in `grid`, a channel-major image `width` columns
+/// wide, looking only at the page's columns `cols`.
+fn clear_cells(grid: &mut [Option<PageId>], width: usize, cols: &[u64], page: PageId) {
+    for &col in cols {
+        for cell in grid[col as usize..].iter_mut().step_by(width) {
+            if *cell == Some(page) {
+                *cell = None;
+            }
+        }
+    }
+}
+
 /// Error returned by [`BroadcastProgram::place`] when the slot is taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotOccupied {
@@ -432,8 +329,7 @@ impl BroadcastProgram {
             cycle_len,
             grid: vec![None; cells],
             columns: SpanArena::new(),
-            cells: SpanArena::new(),
-            occupied: 0,
+            cell_counts: Vec::new(),
         }
     }
 
@@ -528,16 +424,17 @@ impl BroadcastProgram {
         u64::from(self.channels) * self.cycle_len
     }
 
-    /// Number of filled cells.
+    /// Number of filled cells: the per-page cell counts summed, so
+    /// `O(pages)`.
     #[must_use]
     pub fn occupied_slots(&self) -> u64 {
-        self.occupied
+        self.cell_counts.iter().map(|&n| u64::from(n)).sum()
     }
 
     /// Fraction of cells filled, in `[0, 1]`.
     #[must_use]
     pub fn utilization(&self) -> f64 {
-        self.occupied as f64 / self.capacity() as f64
+        self.occupied_slots() as f64 / self.capacity() as f64
     }
 
     fn cell_index(&self, pos: GridPos) -> usize {
@@ -593,12 +490,19 @@ impl BroadcastProgram {
             return Err(SlotOccupied { pos, existing });
         }
         self.grid[idx] = Some(page);
-        self.occupied += 1;
         let p = page.index() as usize;
         // Same column on another channel is one logical occurrence.
         self.columns.insert(p, pos.slot.index());
-        self.cells.insert(p, pos);
+        self.count_cells(p, 1);
         Ok(())
+    }
+
+    /// Adds `n` cells to page `p`'s count.
+    fn count_cells(&mut self, p: usize, n: u32) {
+        if self.cell_counts.len() <= p {
+            self.cell_counts.resize(p + 1, 0);
+        }
+        self.cell_counts[p] += n;
     }
 
     /// The first offset `y` in `from..t` whose periodic family `y, y + t,
@@ -621,7 +525,7 @@ impl BroadcastProgram {
     }
 
     /// Places `page` on the periodic family `y, y + t, …` of channel `ch`
-    /// — the SUSC placement — sizing the page's table spans once. The
+    /// — the SUSC placement — sizing the page's column span once. The
     /// family must be free ([`BroadcastProgram::first_free_family`]).
     pub(crate) fn place_family(&mut self, ch: u32, y: u64, t: u64, page: PageId) {
         let row = self.row(ch);
@@ -631,37 +535,24 @@ impl BroadcastProgram {
             *cell = Some(page);
             placed += 1;
         }
-        self.occupied += placed as u64;
-        let slots = (0..placed).map(move |k| y + k as u64 * t);
         let p = page.index() as usize;
-        let channel = ChannelId::new(ch);
-        let cells = slots
-            .clone()
-            .map(|slot| GridPos::new(channel, SlotIndex::new(slot)));
-        self.cells.append_run(p, cells);
-        self.columns.append_run(p, slots);
+        self.columns
+            .append_run(p, (0..placed).map(move |k| y + k as u64 * t));
+        self.count_cells(p, u32::try_from(placed).expect("a family fits in a row"));
     }
 
     /// This program re-shaped to `rows.len()` channels and cut down to
     /// the pages not in `dropped`: row `i` is this program's row
     /// `rows[i]`, or an empty row for `None`, without the cells of the
-    /// dropped pages. The occurrence tables are copied whole, with each
-    /// cell renumbered to its new row and the dropped runs left stranded
-    /// (a compaction reclaims them once they outnumber the live entries),
-    /// and hold room for `room` more cells.
+    /// dropped pages. The column table does not depend on rows, so it is
+    /// copied whole, with the dropped runs left stranded (a compaction
+    /// reclaims them once they outnumber the live entries) and room for
+    /// `room` more columns.
     ///
-    /// The kept rows must be in range and strictly ascend, so every
-    /// page's cells stay row-major; `dropped` must hold distinct placed
-    /// pages, every page with a cell on a row that is not kept among them
-    /// (the relocating scheduler ensures all of this).
+    /// The kept rows must be in range and distinct; `dropped` must hold
+    /// distinct placed pages, every page with a cell on a row that is not
+    /// kept among them (the relocating scheduler ensures all of this).
     pub(crate) fn with_rows(&self, rows: &[Option<u32>], dropped: &[PageId], room: usize) -> Self {
-        // The new row of each old one; `u32::MAX` for a dropped row.
-        let mut row_map = vec![u32::MAX; self.channels as usize];
-        for (to, &from) in (0u32..).zip(rows) {
-            if let Some(from) = from {
-                row_map[from as usize] = to;
-            }
-        }
         let width = self.cycle_len as usize;
         let mut grid = Vec::with_capacity(rows.len() * width);
         for &from in rows {
@@ -670,28 +561,18 @@ impl BroadcastProgram {
                 None => grid.resize(grid.len() + width, None),
             }
         }
+        let mut cell_counts = self.cell_counts.clone();
         for &page in dropped {
-            for pos in self.occurrence_cells(page) {
-                let row = row_map[pos.channel.index() as usize];
-                if row != u32::MAX {
-                    grid[row as usize * width + pos.slot.index() as usize] = None;
-                }
-            }
+            clear_cells(&mut grid, width, self.occurrence_columns(page), page);
+            cell_counts[page.index() as usize] = 0;
         }
         let dropped: Vec<usize> = dropped.iter().map(|p| p.index() as usize).collect();
-        // Stranded entries, the dropped pages' among them, are never read
-        // again, so any channel does for those off the kept rows.
-        let cells = self.cells.copy_without(&dropped, room, |pos| {
-            let row = row_map.get(pos.channel.index() as usize).copied();
-            GridPos::new(ChannelId::new(row.unwrap_or(u32::MAX)), pos.slot)
-        });
         Self {
             channels: u32::try_from(rows.len()).expect("row count fits in u32"),
             cycle_len: self.cycle_len,
             grid,
-            columns: self.columns.copy_without(&dropped, room, |col| col),
-            occupied: cells.spans.iter().map(|s| u64::from(s.len)).sum(),
-            cells,
+            columns: self.columns.copy_without(&dropped, room),
+            cell_counts,
         }
     }
 
@@ -702,19 +583,17 @@ impl BroadcastProgram {
         ch as usize * len..(ch as usize + 1) * len
     }
 
-    /// Frees every cell holding `page`, at the cost of the page's own
-    /// cells. Crate-private so [`BroadcastProgram::place`] stays
-    /// write-once in the public API; the online scheduler's removal is the
-    /// one caller.
+    /// Frees every cell holding `page`, at the cost of the page's columns
+    /// times the channels. Crate-private so [`BroadcastProgram::place`]
+    /// stays write-once in the public API; the online scheduler's removal
+    /// is the one caller.
     pub(crate) fn clear_page(&mut self, page: PageId) {
         let p = page.index() as usize;
-        let cells = self.cells.get(p);
-        for pos in cells {
-            let idx = u64::from(pos.channel.index()) * self.cycle_len + pos.slot.index();
-            self.grid[idx as usize] = None;
+        let width = self.cycle_len as usize;
+        clear_cells(&mut self.grid, width, self.columns.get(p), page);
+        if let Some(count) = self.cell_counts.get_mut(p) {
+            *count = 0;
         }
-        self.occupied -= cells.len() as u64;
-        self.cells.release(p);
         self.columns.release(p);
     }
 
@@ -726,24 +605,34 @@ impl BroadcastProgram {
         self.columns.get(page.index() as usize)
     }
 
-    /// All `(channel, slot)` cells holding `page`, sorted row-major.
-    #[must_use]
-    pub fn occurrences(&self, page: PageId) -> Vec<GridPos> {
-        self.occurrence_cells(page).to_vec()
-    }
-
-    /// Borrowing variant of [`BroadcastProgram::occurrences`] — the hot
-    /// multiget path walks these per candidate slot and must not clone.
-    #[must_use]
-    pub fn occurrence_cells(&self, page: PageId) -> &[GridPos] {
-        self.cells.get(page.index() as usize)
-    }
-
-    /// An amortized-O(1) cursor over `page`'s occurrences borrowing this
-    /// program's tables directly, or `None` if the page is never broadcast.
-    #[must_use]
-    pub fn occurrence_cursor(&self, page: PageId) -> Option<OccurrenceCursor<'_>> {
-        OccurrenceCursor::over(self.occurrence_columns(page), self.cycle_len)
+    /// All `(channel, slot)` cells holding `page`, row-major: each row
+    /// read at the page's columns, so a walk costs the channels times the
+    /// page's frequency. Empty for a page never broadcast.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use airsched_core::program::BroadcastProgram;
+    /// use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex};
+    ///
+    /// let cell = |ch, slot| GridPos::new(ChannelId::new(ch), SlotIndex::new(slot));
+    /// let mut program = BroadcastProgram::new(2, 4);
+    /// program.place(cell(1, 0), PageId::new(7))?;
+    /// program.place(cell(0, 2), PageId::new(7))?;
+    /// let cells: Vec<GridPos> = program.occurrences(PageId::new(7)).collect();
+    /// assert_eq!(cells, [cell(0, 2), cell(1, 0)]);
+    /// # Ok::<(), airsched_core::program::SlotOccupied>(())
+    /// ```
+    pub fn occurrences(&self, page: PageId) -> impl Iterator<Item = GridPos> + '_ {
+        let cols = self.occurrence_columns(page);
+        let width = self.cycle_len as usize;
+        (0..self.channels)
+            .zip(self.grid.chunks(width))
+            .flat_map(move |(ch, row)| {
+                cols.iter()
+                    .filter(move |&&col| row[col as usize] == Some(page))
+                    .map(move |&col| GridPos::new(ChannelId::new(ch), SlotIndex::new(col)))
+            })
     }
 
     /// Every distinct page that appears at least once, in ascending id order.
@@ -758,13 +647,14 @@ impl BroadcastProgram {
 
     /// Every page that airs more than once in some column (on several
     /// channels), in ascending id order: its cell count exceeds its
-    /// column count. One walk of both tables' span lengths side by side.
+    /// column count. One walk of the cell counts and the column span
+    /// lengths side by side.
     pub fn pages_doubled_in_a_column(&self) -> impl Iterator<Item = PageId> + '_ {
-        let cells = self.cells.spans.iter().map(|s| s.len);
         let columns = self.columns.spans.iter().map(|s| s.len);
+        let columns = columns.chain(std::iter::repeat(0));
         (0u32..)
-            .zip(cells.zip(columns.chain(std::iter::repeat(0))))
-            .filter(|&(_, (cells, columns))| cells > columns)
+            .zip(self.cell_counts.iter().zip(columns))
+            .filter(|&(_, (&cells, columns))| cells > columns)
             .map(|(p, _)| PageId::new(p))
     }
 
@@ -772,6 +662,27 @@ impl BroadcastProgram {
     #[must_use]
     pub fn frequency(&self, page: PageId) -> u64 {
         self.occurrence_columns(page).len() as u64
+    }
+
+    /// The first slot `s >= from` whose column carries `page` (the page is
+    /// fully received at the end of that slot), or `None` if the page is
+    /// never broadcast. `O(log f_p)` via binary search.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use airsched_core::program::BroadcastProgram;
+    /// use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex};
+    ///
+    /// let mut program = BroadcastProgram::new(1, 4);
+    /// program.place(GridPos::new(ChannelId::new(0), SlotIndex::new(2)), PageId::new(0))?;
+    /// assert_eq!(program.next_broadcast(PageId::new(0), 0), Some(2));
+    /// assert_eq!(program.next_broadcast(PageId::new(0), 3), Some(6)); // wraps
+    /// # Ok::<(), airsched_core::program::SlotOccupied>(())
+    /// ```
+    #[must_use]
+    pub fn next_broadcast(&self, page: PageId, from: u64) -> Option<u64> {
+        next_in_columns(self.occurrence_columns(page), self.cycle_len, from)
     }
 
     /// The wait, in whole slots, from a tune-in at the *start* of slot
@@ -796,8 +707,7 @@ impl BroadcastProgram {
     /// ```
     #[must_use]
     pub fn wait_from(&self, page: PageId, arrival: u64) -> Option<u64> {
-        next_in_columns(self.occurrence_columns(page), self.cycle_len, arrival)
-            .map(|s| s - arrival + 1)
+        self.next_broadcast(page, arrival).map(|s| s - arrival + 1)
     }
 
     /// The cyclic gaps, in slots, between consecutive logical occurrences of
@@ -808,14 +718,8 @@ impl BroadcastProgram {
     /// The gaps always sum to the cycle length. Allocation-free — this is
     /// what [`crate::validity::check`] and the closed-form exact-delay path
     /// iterate per page.
-    pub fn cyclic_gaps_iter(&self, page: PageId) -> impl Iterator<Item = u64> + '_ {
+    pub fn cyclic_gaps(&self, page: PageId) -> impl Iterator<Item = u64> + '_ {
         cyclic_gaps_over(self.occurrence_columns(page), self.cycle_len)
-    }
-
-    /// [`BroadcastProgram::cyclic_gaps_iter`], collected.
-    #[must_use]
-    pub fn cyclic_gaps(&self, page: PageId) -> Vec<u64> {
-        self.cyclic_gaps_iter(page).collect()
     }
 
     /// Renders the grid as an ASCII table, one row per channel. Intended for
@@ -843,16 +747,6 @@ impl BroadcastProgram {
     }
 }
 
-impl Occurrences for BroadcastProgram {
-    fn cycle_len(&self) -> u64 {
-        self.cycle_len
-    }
-
-    fn occurrence_columns(&self, page: PageId) -> &[u64] {
-        BroadcastProgram::occurrence_columns(self, page)
-    }
-}
-
 impl fmt::Display for BroadcastProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -860,7 +754,7 @@ impl fmt::Display for BroadcastProgram {
             "program[{} channels x {} slots, {}/{} filled]",
             self.channels,
             self.cycle_len,
-            self.occupied,
+            self.occupied_slots(),
             self.capacity()
         )
     }
@@ -939,7 +833,7 @@ mod tests {
         p.place(pos(0, 3), PageId::new(5)).unwrap();
         assert_eq!(p.occurrence_columns(PageId::new(5)), &[1, 3]);
         assert_eq!(p.frequency(PageId::new(5)), 2);
-        assert_eq!(p.occurrences(PageId::new(5)).len(), 3);
+        assert_eq!(p.occurrences(PageId::new(5)).count(), 3);
     }
 
     #[test]
@@ -977,7 +871,7 @@ mod tests {
         for slot in [0, 3, 4, 9] {
             p.place(pos(0, slot), PageId::new(1)).unwrap();
         }
-        let gaps = p.cyclic_gaps(PageId::new(1));
+        let gaps: Vec<u64> = p.cyclic_gaps(PageId::new(1)).collect();
         assert_eq!(gaps, vec![3, 1, 5, 1]);
         assert_eq!(gaps.iter().sum::<u64>(), 10);
     }
@@ -986,14 +880,13 @@ mod tests {
     fn cyclic_gaps_single_occurrence_is_whole_cycle() {
         let mut p = BroadcastProgram::new(1, 7);
         p.place(pos(0, 4), PageId::new(2)).unwrap();
-        assert_eq!(p.cyclic_gaps(PageId::new(2)), vec![7]);
+        assert!(p.cyclic_gaps(PageId::new(2)).eq([7]));
     }
 
     #[test]
     fn cyclic_gaps_absent_page_is_empty() {
         let p = BroadcastProgram::new(1, 7);
-        assert!(p.cyclic_gaps(PageId::new(0)).is_empty());
-        assert_eq!(p.cyclic_gaps_iter(PageId::new(0)).count(), 0);
+        assert_eq!(p.cyclic_gaps(PageId::new(0)).count(), 0);
     }
 
     #[test]
@@ -1004,10 +897,13 @@ mod tests {
         }
         p.place(pos(1, 7), PageId::new(3)).unwrap();
         for page in [PageId::new(1), PageId::new(3), PageId::new(2)] {
-            let collected: Vec<u64> = p.cyclic_gaps_iter(page).collect();
-            assert_eq!(collected, p.cyclic_gaps(page));
+            // Consecutive column differences, then the wrap-around gap.
+            let cols = p.occurrence_columns(page);
+            let wrap = cols.first().map(|&first| 12 - cols[cols.len() - 1] + first);
+            let by_hand: Vec<u64> = cols.windows(2).map(|w| w[1] - w[0]).chain(wrap).collect();
+            assert!(p.cyclic_gaps(page).eq(by_hand));
         }
-        assert_eq!(p.cyclic_gaps_iter(PageId::new(1)).sum::<u64>(), 12);
+        assert_eq!(p.cyclic_gaps(PageId::new(1)).sum::<u64>(), 12);
     }
 
     #[test]
@@ -1020,7 +916,7 @@ mod tests {
         let pages: Vec<PageId> = p.pages().collect();
         assert_eq!(pages, vec![PageId::new(2), PageId::new(6)]);
         assert!(p.occurrence_columns(PageId::new(4)).is_empty());
-        assert!(p.occurrences(PageId::new(99)).is_empty());
+        assert!(p.occurrences(PageId::new(99)).next().is_none());
     }
 
     #[test]
@@ -1053,33 +949,11 @@ mod tests {
         b.place(pos(0, 2), PageId::new(7)).unwrap();
         b.place(pos(1, 0), PageId::new(7)).unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.occurrences(PageId::new(7)), b.occurrences(PageId::new(7)));
+        assert!(a
+            .occurrences(PageId::new(7))
+            .eq(b.occurrences(PageId::new(7))));
         // Occurrences are row-major regardless of placement order.
-        assert_eq!(a.occurrences(PageId::new(7)), vec![pos(0, 2), pos(1, 0)]);
-    }
-
-    #[test]
-    fn occurrences_trait_matches_program_waits() {
-        let mut p = BroadcastProgram::new(2, 12);
-        for slot in [0, 3, 4, 9] {
-            p.place(pos(0, slot), PageId::new(1)).unwrap();
-        }
-        p.place(pos(1, 7), PageId::new(3)).unwrap();
-        assert_eq!(Occurrences::cycle_len(&p), 12);
-        for page in [PageId::new(1), PageId::new(3), PageId::new(2)] {
-            assert_eq!(
-                Occurrences::occurrence_columns(&p, page),
-                p.occurrence_columns(page)
-            );
-            for from in 0..36 {
-                assert_eq!(
-                    Occurrences::wait_from(&p, page, from),
-                    p.wait_from(page, from)
-                );
-            }
-        }
-        // Unknown (out-of-table) pages are simply never broadcast.
-        assert_eq!(p.next_broadcast(PageId::new(99), 5), None);
+        assert!(a.occurrences(PageId::new(7)).eq([pos(0, 2), pos(1, 0)]));
     }
 
     #[test]
@@ -1093,40 +967,8 @@ mod tests {
         assert_eq!(p.next_broadcast(PageId::new(0), 6), Some(8));
         // Arrivals many cycles out still land on the right column.
         assert_eq!(p.next_broadcast(PageId::new(0), 601), Some(602));
-    }
-
-    #[test]
-    fn cursor_tracks_binary_search_over_monotone_sweep() {
-        let mut p = BroadcastProgram::new(1, 10);
-        for slot in [1, 4, 8] {
-            p.place(pos(0, slot), PageId::new(0)).unwrap();
-        }
-        let mut cursor = p.occurrence_cursor(PageId::new(0)).unwrap();
-        for from in 0..120 {
-            assert_eq!(
-                cursor.next_after(from),
-                p.next_broadcast(PageId::new(0), from).unwrap(),
-                "diverged at from={from}"
-            );
-        }
-        // A far jump (>= one full cycle) re-syncs via binary search.
-        let mut cursor = p.occurrence_cursor(PageId::new(0)).unwrap();
-        assert_eq!(cursor.next_after(3), 4);
-        assert_eq!(cursor.next_after(1_000_005), 1_000_008);
-        assert_eq!(cursor.wait_after(1_000_008), 1);
-        assert!(p.occurrence_cursor(PageId::new(9)).is_none());
-    }
-
-    #[test]
-    fn occurrence_cells_borrow_matches_cloning_accessor() {
-        let mut p = BroadcastProgram::new(2, 4);
-        p.place(pos(1, 0), PageId::new(7)).unwrap();
-        p.place(pos(0, 2), PageId::new(7)).unwrap();
-        assert_eq!(
-            p.occurrence_cells(PageId::new(7)),
-            &p.occurrences(PageId::new(7))[..]
-        );
-        assert!(p.occurrence_cells(PageId::new(42)).is_empty());
+        // Unknown (out-of-table) pages are simply never broadcast.
+        assert_eq!(p.next_broadcast(PageId::new(99), 5), None);
     }
 
     #[test]
@@ -1137,10 +979,9 @@ mod tests {
         p.place(pos(1, 2), PageId::new(0)).unwrap();
         let back = BroadcastProgram::from_cells(2, 3, p.cells()).unwrap();
         assert_eq!(back, p);
-        assert_eq!(
-            back.occurrences(PageId::new(4)),
-            p.occurrences(PageId::new(4))
-        );
+        assert!(back
+            .occurrences(PageId::new(4))
+            .eq(p.occurrences(PageId::new(4))));
         assert_eq!(back.occupied_slots(), 3);
         let err = |channels, cycle, cells: &[Option<PageId>]| {
             BroadcastProgram::from_cells(channels, cycle, cells).unwrap_err()
@@ -1193,44 +1034,57 @@ mod tests {
         Family(u32, u64, u32),
         Clear(u32),
         Clone,
+        /// `with_rows`: one new row per layout entry, `true` taking the
+        /// next old row in the keep mask (ascending) and `false` an empty
+        /// row; placed pages in the drop mask are dropped too.
+        Rows(Vec<bool>, u8, u8),
     }
 
     fn arb_table_op() -> impl Strategy<Value = TableOp> {
         prop_oneof![
-            (0u32..3, 0u64..16, 0..MODEL_PAGES).prop_map(|(c, s, p)| TableOp::Place(c, s, p)),
-            (0u32..3, 0u64..16, 0..MODEL_PAGES).prop_map(|(c, s, p)| TableOp::Place(c, s, p)),
-            (0u32..3, 0u64..16, 0..MODEL_PAGES).prop_map(|(c, y, p)| TableOp::Family(c, y, p)),
+            (0u32..4, 0u64..16, 0..MODEL_PAGES).prop_map(|(c, s, p)| TableOp::Place(c, s, p)),
+            (0u32..4, 0u64..16, 0..MODEL_PAGES).prop_map(|(c, s, p)| TableOp::Place(c, s, p)),
+            (0u32..4, 0u64..16, 0..MODEL_PAGES).prop_map(|(c, y, p)| TableOp::Family(c, y, p)),
             (0..MODEL_PAGES).prop_map(TableOp::Clear),
             Just(TableOp::Clone),
+            (
+                prop::collection::vec(any::<bool>(), 1..=4),
+                any::<u8>(),
+                any::<u8>()
+            )
+                .prop_map(|(layout, keep, drop)| TableOp::Rows(layout, keep, drop)),
         ]
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The span-arena tables answer exactly what per-page vectors
-        /// would, through any mix of single placements, SUSC family
-        /// placements, clears and clones.
+        /// The column table and the cell counts answer exactly what
+        /// per-page cell vectors would, through any mix of single
+        /// placements, SUSC family placements, clears, clones and
+        /// re-shapes to other rows.
         #[test]
         fn program_tables_match_a_plain_model(
             ops in prop::collection::vec(arb_table_op(), 1..80),
         ) {
             let mut program = BroadcastProgram::new(3, 16);
-            // The model: one sorted cell list per page.
+            // The model: one cell list per page, sorted row-major below.
             let mut model: Vec<Vec<GridPos>> = vec![Vec::new(); MODEL_PAGES as usize];
             for op in &ops {
-                match *op {
-                    TableOp::Place(ch, slot, p) => {
-                        let placed = program.place(pos(ch, slot), PageId::new(p)).is_ok();
-                        let free = model.iter().all(|cells| !cells.contains(&pos(ch, slot)));
+                let channels = program.channels();
+                match op {
+                    &TableOp::Place(ch, slot, p) => {
+                        let at = pos(ch % channels, slot);
+                        let placed = program.place(at, PageId::new(p)).is_ok();
+                        let free = model.iter().all(|cells| !cells.contains(&at));
                         prop_assert_eq!(placed, free);
                         if free {
-                            model[p as usize].push(pos(ch, slot));
+                            model[p as usize].push(at);
                         }
                     }
-                    TableOp::Family(ch, y, p) => {
+                    &TableOp::Family(ch, y, p) => {
                         // Period 4 on the 16-slot cycle: offsets 0..4.
-                        let (t, y) = (4, y % 4);
+                        let (ch, t, y) = (ch % channels, 4, y % 4);
                         let family: Vec<GridPos> = (0..4).map(|k| pos(ch, y + k * t)).collect();
                         let free = family
                             .iter()
@@ -1241,7 +1095,7 @@ mod tests {
                             model[p as usize].extend(family);
                         }
                     }
-                    TableOp::Clear(p) => {
+                    &TableOp::Clear(p) => {
                         program.clear_page(PageId::new(p));
                         model[p as usize].clear();
                     }
@@ -1250,30 +1104,72 @@ mod tests {
                         prop_assert_eq!(&copy, &program);
                         program = copy;
                     }
+                    TableOp::Rows(layout, keep, drop) => {
+                        let mut kept = (0..channels).filter(|&ch| keep >> ch & 1 == 1);
+                        let rows: Vec<Option<u32>> = layout
+                            .iter()
+                            .map(|&take| if take { kept.next() } else { None })
+                            .collect();
+                        let new_row = |ch: u32| {
+                            let row = rows.iter().position(|&r| r == Some(ch))?;
+                            Some(u32::try_from(row).unwrap())
+                        };
+                        let dropped: Vec<PageId> = (0..MODEL_PAGES)
+                            .filter(|&p| {
+                                let cells = &model[p as usize];
+                                let lost = cells.iter().any(|c| new_row(c.channel.index()).is_none());
+                                lost || (drop >> p & 1 == 1 && !cells.is_empty())
+                            })
+                            .map(PageId::new)
+                            .collect();
+                        program = program.with_rows(&rows, &dropped, 4);
+                        for (p, cells) in (0u32..).zip(model.iter_mut()) {
+                            if dropped.contains(&PageId::new(p)) {
+                                cells.clear();
+                            }
+                            for c in cells.iter_mut() {
+                                let row = new_row(c.channel.index()).expect("dropped above");
+                                *c = pos(row, c.slot.index());
+                            }
+                        }
+                    }
                 }
                 assert_arena_bound(&program.columns);
-                assert_arena_bound(&program.cells);
-                let mut fresh = BroadcastProgram::new(3, 16);
+                let mut fresh = BroadcastProgram::new(program.channels(), 16);
                 let mut occupied = 0;
+                let mut doubled = Vec::new();
                 for (p, cells) in model.iter_mut().enumerate() {
                     cells.sort_unstable();
                     let page = PageId::new(p as u32);
                     let mut cols: Vec<u64> = cells.iter().map(|c| c.slot.index()).collect();
                     cols.sort_unstable();
                     cols.dedup();
-                    prop_assert_eq!(program.occurrence_cells(page), &cells[..]);
+                    prop_assert!(program.occurrences(page).eq(cells.iter().copied()));
                     prop_assert_eq!(program.occurrence_columns(page), &cols[..]);
                     prop_assert_eq!(program.frequency(page), cols.len() as u64);
+                    prop_assert!(program
+                        .cyclic_gaps(page)
+                        .eq(cyclic_gaps_over(&cols, 16)));
+                    for from in [0, 5, 15, 16, 37] {
+                        prop_assert_eq!(
+                            program.next_broadcast(page, from),
+                            next_in_columns(&cols, 16, from)
+                        );
+                    }
                     for &c in cells.iter() {
                         fresh.place(c, page).unwrap();
                     }
                     occupied += cells.len() as u64;
+                    if cells.len() > cols.len() {
+                        doubled.push(page);
+                    }
                 }
                 let pages: Vec<PageId> = (0..MODEL_PAGES)
                     .filter(|&p| !model[p as usize].is_empty())
                     .map(PageId::new)
                     .collect();
                 prop_assert_eq!(program.pages().collect::<Vec<_>>(), pages);
+                prop_assert_eq!(program.pages_doubled_in_a_column().collect::<Vec<_>>(), doubled);
                 prop_assert_eq!(program.occupied_slots(), occupied);
                 prop_assert_eq!(&program, &fresh);
             }
@@ -1282,8 +1178,8 @@ mod tests {
 
     /// The churn shape a publish/expire station produces: pages arrive
     /// with ever-rising ids and the oldest expire, so freed spans never
-    /// come back. The arena must reclaim them and stay within twice the
-    /// live cells.
+    /// come back. The column arena must reclaim them and stay within
+    /// twice the live cells.
     #[test]
     fn program_arena_stays_under_twice_the_live_capacity() {
         let times = [4u64, 8, 16, 32, 64];
@@ -1304,13 +1200,14 @@ mod tests {
             }
             let program = sched.program();
             assert_arena_bound(&program.columns);
-            assert_arena_bound(&program.cells);
-            // Family placement leaves no slack: the reservations are the
-            // live cells, so the arena is bounded by the grid it indexes.
+            // Family placement leaves no slack, and each family sits on
+            // one channel, so a page has as many columns as cells: the
+            // reservations are the live cells, and the arena is bounded
+            // by the grid it indexes.
             let occupied = program.occupied_slots() as usize;
-            assert_eq!(program.cells.reserved, occupied);
-            assert!(program.cells.items.len() <= 2 * occupied.max(1));
-            peak = peak.max(program.cells.items.len());
+            assert_eq!(program.columns.reserved, occupied);
+            assert!(program.columns.items.len() <= 2 * occupied.max(1));
+            peak = peak.max(program.columns.items.len());
         }
         assert!(
             peak <= 2 * 128,

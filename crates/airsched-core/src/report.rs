@@ -117,12 +117,11 @@ pub fn analyze(program: &BroadcastProgram, ladder: &GroupLadder) -> ProgramRepor
         let mut delay_sum = 0.0;
         let mut present = 0u64;
         for page in info.page_ids() {
-            let gaps = program.cyclic_gaps(page);
-            if gaps.is_empty() {
+            if program.frequency(page) == 0 {
                 continue;
             }
             present += 1;
-            for &g in &gaps {
+            for g in program.cyclic_gaps(page) {
                 min_gap = min_gap.min(g);
                 max_gap = max_gap.max(g);
                 gap_sum += g;

@@ -154,7 +154,7 @@ mod tests {
             assert_eq!(program.frequency(page), expected_freq, "page {page}");
             // All appearances of one page stay on a single channel and are
             // exactly t_i apart (Theorem 3.3).
-            let occ = program.occurrences(page);
+            let occ: Vec<_> = program.occurrences(page).collect();
             let ch = occ[0].channel;
             assert!(occ.iter().all(|p| p.channel == ch));
             let t = ladder.time_of(group).slots();
@@ -202,7 +202,7 @@ mod tests {
         let ladder = GroupLadder::new(vec![(2, 2), (4, 3)]).unwrap();
         let program = schedule(&ladder, 2).unwrap();
         // Page 0 (first of G1) lands at (ch0, slot0) and repeats at slot 2.
-        let occ = program.occurrences(PageId::new(0));
+        let occ: Vec<_> = program.occurrences(PageId::new(0)).collect();
         assert_eq!(occ[0].channel.index(), 0);
         assert_eq!(occ[0].slot.index(), 0);
         assert_eq!(occ[1].slot.index(), 2);

@@ -16,7 +16,7 @@
 use core::fmt;
 
 use crate::group::GroupLadder;
-use crate::program::{cyclic_gaps_over, Occurrences};
+use crate::program::{cyclic_gaps_over, BroadcastProgram};
 use crate::types::PageId;
 
 /// One way a program can fail validity for one page.
@@ -131,9 +131,8 @@ impl fmt::Display for ValidityReport {
     }
 }
 
-/// Checks an occurrence source (a [`crate::program::BroadcastProgram`], or
-/// any other [`Occurrences`] implementation) against `ladder` and reports
-/// every violation.
+/// Checks `program` against `ladder` and reports every violation.
+/// Validity depends only on each page's occurrence columns.
 ///
 /// # Examples
 ///
@@ -148,12 +147,12 @@ impl fmt::Display for ValidityReport {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[must_use]
-pub fn check<S: Occurrences + ?Sized>(source: &S, ladder: &GroupLadder) -> ValidityReport {
-    let cycle = source.cycle_len();
+pub fn check(program: &BroadcastProgram, ladder: &GroupLadder) -> ValidityReport {
+    let cycle = program.cycle_len();
     let mut report = ValidityReport::default();
     for (page, group) in ladder.pages() {
         let limit = ladder.time_of(group).slots();
-        let cols = source.occurrence_columns(page);
+        let cols = program.occurrence_columns(page);
         if cols.is_empty() {
             report.violations.push(Violation::NeverBroadcast { page });
             continue;
@@ -185,7 +184,6 @@ pub fn check<S: Occurrences + ?Sized>(source: &S, ladder: &GroupLadder) -> Valid
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::BroadcastProgram;
     use crate::types::{ChannelId, GridPos, SlotIndex};
 
     fn pos(ch: u32, slot: u64) -> GridPos {

@@ -174,7 +174,7 @@ proptest! {
         }
         // Validity of the survivors.
         for (page, t) in sched.pages().iter() {
-            let gaps = sched.program().cyclic_gaps(page);
+            let gaps: Vec<u64> = sched.program().cyclic_gaps(page).collect();
             prop_assert!(!gaps.is_empty());
             prop_assert!(gaps.iter().all(|&g| g <= t), "page {} gaps {:?}", page, gaps);
         }

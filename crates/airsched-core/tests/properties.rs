@@ -195,9 +195,8 @@ fn assert_valid_for(program: &BroadcastProgram, sched: &OnlineScheduler) {
         grid.pages().collect::<Vec<_>>()
     );
     for page in grid.pages() {
-        prop_assert_eq!(
-            program.occurrence_cells(page),
-            grid.occurrence_cells(page),
+        prop_assert!(
+            program.occurrences(page).eq(grid.occurrences(page)),
             "{}",
             page
         );
@@ -215,15 +214,12 @@ fn assert_valid_for(program: &BroadcastProgram, sched: &OnlineScheduler) {
     for (page, t) in catalogue.iter() {
         prop_assert_eq!(grid.frequency(page) * t, grid.cycle_len(), "{}", page);
         prop_assert!(
-            grid.cyclic_gaps_iter(page).all(|g| g <= t),
+            grid.cyclic_gaps(page).all(|g| g <= t),
             "{} gap above {}",
             page,
             t
         );
-        prop_assert_eq!(
-            grid.occurrence_cells(page).len() as u64,
-            grid.frequency(page)
-        );
+        prop_assert_eq!(grid.occurrences(page).count() as u64, grid.frequency(page));
     }
 }
 
@@ -303,7 +299,7 @@ proptest! {
         let (program, _) = susc::schedule_minimum(&ladder).unwrap();
         for (page, group) in ladder.pages() {
             let t = ladder.time_of(group).slots();
-            let occ = program.occurrences(page);
+            let occ: Vec<GridPos> = program.occurrences(page).collect();
             prop_assert!(!occ.is_empty());
             prop_assert!(occ[0].slot.index() < t);
             let ch = occ[0].channel;
@@ -476,7 +472,7 @@ proptest! {
                     assert_valid_for(&program, &sched);
                     let cycle = RELOCATE_CYCLE;
                     for (page, t) in sched.pages().iter() {
-                        let cells = base.occurrence_cells(page);
+                        let cells: Vec<GridPos> = base.occurrences(page).collect();
                         let kept: Option<Vec<GridPos>> = cells
                             .iter()
                             .map(|c| {
@@ -488,8 +484,8 @@ proptest! {
                             && cells.len() as u64 * t == cycle
                             && cells.iter().all(|c| c.slot.index() % t == cells[0].slot.index() % t);
                         if let (Some(kept), true) = (kept, family) {
-                            prop_assert_eq!(
-                                program.occurrence_cells(page), &kept[..],
+                            prop_assert!(
+                                program.occurrences(page).eq(kept),
                                 "{:?}: survivor {} moved", mv, page
                             );
                         }
@@ -631,7 +627,7 @@ proptest! {
         let mut cells = 0u64;
         for (page, _) in ladder.pages() {
             logical += outcome.program().occurrence_columns(page).len() as u64;
-            cells += outcome.program().occurrences(page).len() as u64;
+            cells += outcome.program().occurrences(page).count() as u64;
         }
         prop_assert_eq!(cells, planned);
         prop_assert_eq!(cells - logical, stats.duplicated);
@@ -693,7 +689,7 @@ proptest! {
         for (page, _) in ladder.pages() {
             let gaps = outcome.program().cyclic_gaps(page);
             prop_assert_eq!(
-                gaps.iter().sum::<u64>(),
+                gaps.sum::<u64>(),
                 outcome.program().cycle_len()
             );
         }

@@ -252,10 +252,9 @@ impl<'c> Sink<'c> {
 /// wins when the page is duplicated across channels in that column).
 fn cell_at(program: &BroadcastProgram, page: PageId, column: u64) -> Span {
     program
-        .occurrence_cells(page)
-        .iter()
+        .occurrences(page)
         .find(|c| c.slot.index() == column)
-        .map_or(Span::Page(page), |&c| Span::Cell(c))
+        .map_or(Span::Page(page), Span::Cell)
 }
 
 /// The deadline rules, from one walk over each page's occurrence
@@ -502,13 +501,13 @@ fn dead_air(program: &BroadcastProgram, out: &mut Sink<'_>) {
 /// `AP05`: a page placed on several channels in the same column counts as
 /// one logical occurrence; the extras are wasted capacity. Only the pages
 /// with more cells than columns are looked at, found by one walk of the
-/// program's span lengths.
+/// program's cell counts and column span lengths.
 fn duplicate_in_column(program: &BroadcastProgram, out: &mut Sink<'_>) {
     if !out.on(RuleId::DuplicateInColumn) {
         return;
     }
     for page in program.pages_doubled_in_a_column() {
-        let cells = program.occurrence_cells(page);
+        let cells: Vec<GridPos> = program.occurrences(page).collect();
         for &column in program.occurrence_columns(page) {
             let in_column: Vec<GridPos> = cells
                 .iter()

@@ -85,11 +85,11 @@ pub(super) fn for_catalogue<'a>(
     }
 }
 
-/// `AP05` as it was: every page's cell and column spans looked up, and
-/// the columns of a page with more cells than columns searched.
+/// `AP05` as it was: every page's cells and columns looked up, and the
+/// columns of a page with more cells than columns searched.
 fn duplicate_in_column(program: &BroadcastProgram, emit: &mut Emit<'_>) {
     for page in program.pages() {
-        let cells = program.occurrence_cells(page);
+        let cells: Vec<GridPos> = program.occurrences(page).collect();
         if cells.len() == program.occurrence_columns(page).len() {
             continue; // No column holds the page twice.
         }
@@ -118,10 +118,9 @@ fn duplicate_in_column(program: &BroadcastProgram, emit: &mut Emit<'_>) {
 /// wins when the page is duplicated across channels in that column).
 fn cell_at(program: &BroadcastProgram, page: PageId, column: u64) -> Span {
     program
-        .occurrence_cells(page)
-        .iter()
+        .occurrences(page)
         .find(|c| c.slot.index() == column)
-        .map_or(Span::Page(page), |&c| Span::Cell(c))
+        .map_or(Span::Page(page), Span::Cell)
 }
 
 /// `AP01`: every cyclic gap must be at most the page's expected time. The

@@ -8,7 +8,7 @@
 //! exactly `t_i`, so delays are zero — matching §3's guarantee.
 
 use airsched_core::group::GroupLadder;
-use airsched_core::program::{cyclic_gaps_over, Occurrences};
+use airsched_core::program::{cyclic_gaps_over, BroadcastProgram};
 use airsched_core::types::PageId;
 use airsched_workload::requests::Request;
 
@@ -23,8 +23,7 @@ pub struct Access {
     pub delay: u64,
 }
 
-/// Resolves one request against an occurrence source (a program, or any
-/// other [`Occurrences`] implementation).
+/// Resolves one request against `program`.
 ///
 /// Returns `None` if the page is never broadcast or unknown to the ladder.
 ///
@@ -49,13 +48,13 @@ pub struct Access {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[must_use]
-pub fn access_one<S: Occurrences + ?Sized>(
-    source: &S,
+pub fn access_one(
+    program: &BroadcastProgram,
     ladder: &GroupLadder,
     request: Request,
 ) -> Option<Access> {
     let t = ladder.expected_time_of(request.page)?.slots();
-    let wait = source.wait_from(request.page, request.arrival)?;
+    let wait = program.wait_from(request.page, request.arrival)?;
     Some(Access {
         wait,
         delay: wait.saturating_sub(t),
@@ -115,8 +114,8 @@ impl MissStats {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[must_use]
-pub fn measure_split<S: Occurrences + ?Sized>(
-    source: &S,
+pub fn measure_split(
+    program: &BroadcastProgram,
     ladder: &GroupLadder,
     requests: &[Request],
 ) -> (DelaySummary, MissStats) {
@@ -127,12 +126,12 @@ pub fn measure_split<S: Occurrences + ?Sized>(
             misses.unknown_page += 1;
             continue;
         };
-        match access_one(source, ladder, req) {
+        match access_one(program, ladder, req) {
             Some(a) => acc.record(group, a.wait, a.delay),
             None => {
                 misses.never_broadcast += 1;
                 let t = ladder.time_of(group).slots();
-                acc.record(group, t + source.cycle_len(), source.cycle_len());
+                acc.record(group, t + program.cycle_len(), program.cycle_len());
             }
         }
     }
@@ -163,12 +162,12 @@ pub fn measure_split<S: Occurrences + ?Sized>(
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[must_use]
-pub fn measure<S: Occurrences + ?Sized>(
-    source: &S,
+pub fn measure(
+    program: &BroadcastProgram,
     ladder: &GroupLadder,
     requests: &[Request],
 ) -> (DelaySummary, u64) {
-    let (summary, misses) = measure_split(source, ladder, requests);
+    let (summary, misses) = measure_split(program, ladder, requests);
     (summary, misses.total())
 }
 
@@ -188,12 +187,12 @@ pub fn measure<S: Occurrences + ?Sized>(
 ///
 /// Returns `None` if any ladder page is never broadcast.
 #[must_use]
-pub fn exact_avg_delay<S: Occurrences + ?Sized>(source: &S, ladder: &GroupLadder) -> Option<f64> {
-    let cycle = source.cycle_len();
+pub fn exact_avg_delay(program: &BroadcastProgram, ladder: &GroupLadder) -> Option<f64> {
+    let cycle = program.cycle_len();
     let mut total: u128 = 0;
     let mut count: u128 = 0;
     for (page, group) in ladder.pages() {
-        let cols = source.occurrence_columns(page);
+        let cols = program.occurrence_columns(page);
         if cols.is_empty() {
             return None;
         }
@@ -213,9 +212,7 @@ pub fn exact_avg_delay<S: Occurrences + ?Sized>(source: &S, ladder: &GroupLadder
 /// in `tests/cross_algorithms.rs` asserts the closed-form paths equal these
 /// exactly.
 pub mod reference {
-    use airsched_core::program::BroadcastProgram;
-
-    use super::GroupLadder;
+    use super::{BroadcastProgram, GroupLadder};
 
     /// The seed implementation of [`super::exact_avg_delay`]: a per-arrival
     /// scan costing `O(pages × cycle)` binary searches.
@@ -241,8 +238,8 @@ pub mod reference {
 /// Returns the wait (slots until received) for `page` from `arrival`, or
 /// `None` if the page never airs.
 #[must_use]
-pub fn wait_for<S: Occurrences + ?Sized>(source: &S, page: PageId, arrival: u64) -> Option<u64> {
-    source.wait_from(page, arrival)
+pub fn wait_for(program: &BroadcastProgram, page: PageId, arrival: u64) -> Option<u64> {
+    program.wait_from(page, arrival)
 }
 
 #[cfg(test)]

@@ -151,10 +151,10 @@ fn earliest_reception(
 ) -> Option<(u64, ChannelId)> {
     let cycle = program.cycle_len();
     let mut best: Option<(u64, ChannelId)> = None;
-    // Borrow the cells in place: this runs once per remaining page per greedy
-    // step, so the seed's per-call `occurrences` clone was O(k²) allocations
-    // per request.
-    for &pos in program.occurrence_cells(page) {
+    // Walk the cells in place: this runs once per remaining page per greedy
+    // step, so collecting them would cost an allocation per call. The walk
+    // reads each row at the page's columns.
+    for pos in program.occurrences(page) {
         // Earliest instant we can be listening on that channel.
         let ready = match tuned {
             Some(current) if current != pos.channel => time + switch_cost,

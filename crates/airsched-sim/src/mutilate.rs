@@ -54,12 +54,21 @@ pub fn drop_page(source: &BroadcastProgram, victim: PageId) -> BroadcastProgram 
     rebuild_filtered(source, |_, page| page != victim)
 }
 
+/// `victim`'s earliest occurrence: the lowest channel at its first
+/// column, or `None` for a page never broadcast.
+fn earliest_cell(source: &BroadcastProgram, victim: PageId) -> Option<GridPos> {
+    let &first = source.occurrence_columns(victim).first()?;
+    source
+        .occurrences(victim)
+        .find(|pos| pos.slot.index() == first)
+}
+
 /// Keeps only `victim`'s earliest occurrence, wiping its repeats. The
 /// single survivor leaves a full-cycle gap (`AP01`), with the frequency
 /// deficit (`AP06`) as the cause-level companion.
 #[must_use]
 pub fn thin_to_first_occurrence(source: &BroadcastProgram, victim: PageId) -> BroadcastProgram {
-    let first = source.occurrence_cells(victim).first().copied();
+    let first = earliest_cell(source, victim);
     rebuild_filtered(source, |pos, page| page != victim || Some(pos) == first)
 }
 
@@ -68,7 +77,7 @@ pub fn thin_to_first_occurrence(source: &BroadcastProgram, victim: PageId) -> Br
 /// (`AP01`) and the frequency deficit (`AP06`) ride along as companions.
 #[must_use]
 pub fn delay_first_appearance(source: &BroadcastProgram, victim: PageId) -> BroadcastProgram {
-    let first = source.occurrence_cells(victim).first().copied();
+    let first = earliest_cell(source, victim);
     rebuild_filtered(source, |pos, page| page != victim || Some(pos) != first)
 }
 
@@ -132,14 +141,32 @@ mod tests {
     fn thin_and_delay_keep_exactly_one_end() {
         let (_, program) = clean();
         let victim = PageId::new(0);
-        let cells = program.occurrence_cells(victim);
+        let cells: Vec<GridPos> = program.occurrences(victim).collect();
         assert!(cells.len() >= 2, "test page needs repeats");
 
         let thinned = thin_to_first_occurrence(&program, victim);
-        assert_eq!(thinned.occurrence_cells(victim), &cells[..1]);
+        assert!(thinned.occurrences(victim).eq(cells[..1].iter().copied()));
 
         let delayed = delay_first_appearance(&program, victim);
-        assert_eq!(delayed.occurrence_cells(victim), &cells[1..]);
+        assert!(delayed.occurrences(victim).eq(cells[1..].iter().copied()));
+    }
+
+    #[test]
+    fn earliest_occurrence_is_the_first_column_on_any_channel() {
+        // Row-major, (ch 0, col 5) comes first; in time, (ch 1, col 1) does.
+        let cell = |ch, slot| GridPos::new(ChannelId::new(ch), SlotIndex::new(slot));
+        let victim = PageId::new(0);
+        let mut program = BroadcastProgram::new(2, 8);
+        program.place(cell(0, 5), victim).unwrap();
+        program.place(cell(1, 1), victim).unwrap();
+
+        let thinned = thin_to_first_occurrence(&program, victim);
+        assert!(thinned.occurrences(victim).eq([cell(1, 1)]));
+
+        // The first appearance slides from column 1 to column 5.
+        let delayed = delay_first_appearance(&program, victim);
+        assert!(delayed.occurrences(victim).eq([cell(0, 5)]));
+        assert_eq!(delayed.occurrence_columns(victim), &[5]);
     }
 
     #[test]
@@ -150,8 +177,8 @@ mod tests {
         let victim = PageId::new(0);
         let doubled = duplicate_in_column(&program, victim).expect("spare channel has room");
         assert_eq!(
-            doubled.occurrence_cells(victim).len(),
-            program.occurrence_cells(victim).len() + 1
+            doubled.occurrences(victim).count(),
+            program.occurrences(victim).count() + 1
         );
         // A parallel copy is one *logical* occurrence: the column set — and
         // hence the frequency — must not change.

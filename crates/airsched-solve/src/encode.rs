@@ -36,7 +36,7 @@
 
 use airsched_core::error::ScheduleError;
 use airsched_core::group::GroupLadder;
-use airsched_core::program::Occurrences;
+use airsched_core::program::BroadcastProgram;
 use airsched_core::types::PageId;
 
 use crate::certificate::{ConstraintKind, VarName};
@@ -147,17 +147,17 @@ pub(crate) fn ladder_system(
     Ok(graph)
 }
 
-/// Builds the observed-mode system for `source` against per-page
+/// Builds the observed-mode system for `program` against per-page
 /// `deadlines` (`(page, expected_time)` pairs, as the station's catalogue
 /// keeps them).
-pub(crate) fn observed_system<S: Occurrences + ?Sized>(
-    source: &S,
+pub(crate) fn observed_system(
+    program: &BroadcastProgram,
     deadlines: &[(PageId, u64)],
 ) -> DiffGraph {
-    let cycle = source.cycle_len();
+    let cycle = program.cycle_len();
     let mut graph = DiffGraph::new();
     for &(page, t) in deadlines {
-        let cols = source.occurrence_columns(page);
+        let cols = program.occurrence_columns(page);
         if cols.is_empty() {
             let x = graph.var(VarName::Occurrence { page, occ: 0 });
             graph.constrain(x, ORIGIN, bound(t) - 1, ConstraintKind::First { limit: t });
@@ -216,7 +216,6 @@ pub(crate) fn observed_system<S: Occurrences + ?Sized>(
 mod tests {
     use super::*;
     use airsched_core::bound::minimum_channels;
-    use airsched_core::program::BroadcastProgram;
     use airsched_core::susc;
     use airsched_core::types::{ChannelId, GridPos, SlotIndex};
 

@@ -61,8 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The invariant held throughout: every live page's gaps fit its
     // expected time.
     for (page, t) in sched.pages().iter() {
-        let gaps = sched.program().cyclic_gaps(page);
-        assert!(gaps.iter().all(|&g| g <= t), "{page} violated t={t}");
+        let fits = sched.program().cyclic_gaps(page).all(|g| g <= t);
+        assert!(fits, "{page} violated t={t}");
     }
     println!(
         "all {} live pages meet their deadlines",

@@ -3,10 +3,10 @@
 //! Two families of properties pin the fast paths to their slow, obviously
 //! correct counterparts:
 //!
-//! * [`Occurrences::next_broadcast`] over a program's flat column arena
-//!   (and its amortized cursor) must be **bit-identical** to a naive
-//!   forward grid scan — on scheduler-produced valid programs and on
-//!   arbitrary hand-mutilated grids the schedulers would never emit;
+//! * [`BroadcastProgram::next_broadcast`] over the program's flat column
+//!   arena must be **bit-identical** to a naive forward grid scan — on
+//!   scheduler-produced valid programs and on arbitrary hand-mutilated
+//!   grids the schedulers would never emit;
 //! * [`Station::tick_into`] driving one reused [`TickBuf`] must produce
 //!   exactly the same outcome stream, deliveries, events and statistics
 //!   as the allocating [`Station::tick`] and the seed station replica
@@ -16,7 +16,7 @@
 
 use airsched_bench::seed::SeedStation;
 use airsched_core::group::GroupLadder;
-use airsched_core::program::{BroadcastProgram, Occurrences};
+use airsched_core::program::BroadcastProgram;
 use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex};
 use airsched_core::{pamad, susc};
 use airsched_proto::transmitter::{encode_slot_into, FixedPayloads};
@@ -166,7 +166,6 @@ proptest! {
         } else {
             pamad::schedule(&ladder, n).unwrap().into_program()
         };
-        prop_assert_eq!(Occurrences::cycle_len(&program), program.cycle_len());
         let cycle = program.cycle_len();
         for p in 0..u32::try_from(ladder.total_pages()).unwrap() {
             let page = PageId::new(p);
@@ -182,8 +181,8 @@ proptest! {
 
     /// Same bit-identity on mutilated grids: arbitrary occurrence
     /// structures, absent pages, and queries far past the first cycle.
-    /// The program's trait impl, its inherent `wait_from` and the
-    /// amortized cursor must all agree with the scan.
+    /// The program's `next_broadcast` and `wait_from` must both agree
+    /// with the scan.
     #[test]
     fn index_matches_naive_scan_on_mutilated_programs(
         program in arb_mutilated_program(),
@@ -192,32 +191,19 @@ proptest! {
         let cycle = program.cycle_len();
         for p in 0..PAGE_UNIVERSE {
             let page = PageId::new(p);
-            let mut cursor = program.occurrence_cursor(page);
-            prop_assert_eq!(
-                cursor.is_some(),
-                !program.occurrence_columns(page).is_empty()
-            );
             for step in 0..2 * cycle {
                 let from = phase + step;
                 let naive = naive_next_broadcast(&program, page, from);
                 prop_assert_eq!(
-                    Occurrences::next_broadcast(&program, page, from),
+                    program.next_broadcast(page, from),
                     naive,
-                    "program trait: page {} from {}", p, from
+                    "next broadcast: page {} from {}", p, from
                 );
                 prop_assert_eq!(
                     program.wait_from(page, from),
                     naive.map(|s| s - from + 1),
-                    "inherent wait: page {} from {}", p, from
+                    "wait: page {} from {}", p, from
                 );
-                if let Some(cursor) = cursor.as_mut() {
-                    // The cursor consumes a monotone query stream.
-                    prop_assert_eq!(
-                        Some(cursor.next_after(from)),
-                        naive,
-                        "cursor: page {} from {}", p, from
-                    );
-                }
             }
         }
     }
