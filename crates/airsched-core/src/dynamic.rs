@@ -164,6 +164,13 @@ impl<'a> Catalogue<'a> {
         usize::try_from(n).expect("live pages fit in memory")
     }
 
+    /// The live pages per distinct expected time: `(time, pages)`,
+    /// ascending by time, with no empty entries.
+    #[must_use]
+    pub fn groups(self) -> &'a [(u64, u64)] {
+        self.groups
+    }
+
     /// Whether no page is live.
     #[must_use]
     pub fn is_empty(self) -> bool {
@@ -496,32 +503,39 @@ impl OnlineScheduler {
             kept[from as usize] = true;
             last = Some(from);
         }
-        // One mark per catalogue entry. A scan of the dropped rows first
-        // marks the live pages that lose a cell with them; one walk of
-        // the base's pages then turns each mark into whether the page
-        // keeps its place: live, whole (frequency × t is the cycle) and
-        // not on a dropped row. Every other base page is dropped, and
-        // the live pages left unmarked are missing.
+        // One count and one mark per catalogue entry. A scan of the
+        // dropped rows first counts the cells each page loses with them;
+        // one walk of the base's pages then marks whether the page keeps
+        // its place: live, whole (frequency × t is the cycle) and not on
+        // a dropped row. Every other base page is dropped, and the live
+        // pages left unmarked are missing. A dropped page that lost every
+        // cell with the dropped rows has none left to clear.
         let times = self.catalogue.times.as_slice();
-        let mut mark = vec![false; times.len()];
+        let mut lost = vec![0u32; times.len()];
         let width = usize::try_from(cycle).expect("a row is no longer than the grid");
         for (row, _) in base.cells().chunks(width).zip(&kept).filter(|&(_, &k)| !k) {
             for page in row.iter().flatten() {
-                if let Some(m) = mark.get_mut(page.index() as usize) {
-                    *m = true;
+                if let Some(n) = lost.get_mut(page.index() as usize) {
+                    *n += 1;
                 }
             }
         }
+        let mut mark = vec![false; times.len()];
         let mut dropped = Vec::new();
+        let mut stranded = Vec::new();
         for page in base.pages() {
             let p = page.index() as usize;
             let t = times.get(p).copied().unwrap_or(0);
-            let stays = t > 0 && !mark[p] && base.frequency(page) * t == cycle;
+            let lost = lost.get(p).copied().unwrap_or(0);
+            let stays = t > 0 && lost == 0 && base.frequency(page) * t == cycle;
             if t > 0 {
                 mark[p] = stays;
             }
             if !stays {
                 dropped.push(page);
+                if lost < base.cell_count(page) {
+                    stranded.push(page);
+                }
             }
         }
         let unplaced: Vec<(PageId, u64)> = (0u32..)
@@ -537,7 +551,7 @@ impl OnlineScheduler {
         }
         let room = missing.iter().map(|&(_, t)| cycle / t).sum::<u64>();
         let room = usize::try_from(room).expect("the catalogue's cells fit in memory");
-        let mut program = base.with_rows(rows, &dropped, room);
+        let mut program = base.with_rows(rows, &dropped, &stranded, room);
         // Cells only fill from here on, so one fresh set of resume points
         // finds exactly what a scan from (0, 0) would.
         let mut fit = FirstFit::default();

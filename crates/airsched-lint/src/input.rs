@@ -1,8 +1,8 @@
 //! What the analyzer looks at: a program grid, per-page deadlines, and the
 //! plan shape they came from.
 //!
-//! The three construction paths correspond to the three places the linter
-//! is wired in:
+//! The construction paths correspond to the places the linter is wired
+//! in:
 //!
 //! * [`LintInput::for_program`] — a program plus the [`GroupLadder`] it was
 //!   scheduled from (CLI on well-formed inputs, analysis sweeps);
@@ -10,8 +10,12 @@
 //!   exactly as a user typed them, so plan rules can flag ladders that
 //!   [`GroupLadder::new`] would reject outright (CLI `--groups`);
 //! * [`LintInput::for_catalogue`] — per-page `(page, expected_time)`
-//!   deadlines as the station's live catalogue keeps them (plan-swap gate).
+//!   deadlines, listed;
+//! * [`LintInput::for_live_catalogue`] and
+//!   [`LintInput::for_catalogue_change`] — a scheduler's live
+//!   [`Catalogue`], read in place (the station's plan-swap gate).
 
+use airsched_core::dynamic::Catalogue;
 use airsched_core::group::GroupLadder;
 use airsched_core::program::BroadcastProgram;
 use airsched_core::types::{GroupId, PageId};
@@ -27,11 +31,24 @@ pub struct PageDeadline {
     pub group: GroupId,
 }
 
+/// Where the per-page deadlines come from.
+#[derive(Debug, Clone)]
+pub(crate) enum Deadlines<'a> {
+    /// Every page's deadline, listed.
+    Listed(Vec<PageDeadline>),
+    /// A live catalogue read in place. With `touched`, the per-page
+    /// rules look only at those pages (ascending ids).
+    Live {
+        catalogue: Catalogue<'a>,
+        touched: Option<&'a [PageId]>,
+    },
+}
+
 /// Everything one lint run analyzes.
 #[derive(Debug, Clone)]
 pub struct LintInput<'a> {
     pub(crate) program: Option<&'a BroadcastProgram>,
-    pub(crate) deadlines: Vec<PageDeadline>,
+    pub(crate) deadlines: Deadlines<'a>,
     /// Expected time per group, indexed by [`PageDeadline::group`].
     pub(crate) group_times: Vec<u64>,
     /// The plan's `(time, count)` pairs in input order, when the input
@@ -56,7 +73,7 @@ impl<'a> LintInput<'a> {
             .collect();
         Self {
             program: Some(program),
-            deadlines,
+            deadlines: Deadlines::Listed(deadlines),
             group_times: ladder.times().to_vec(),
             raw_groups: Some(
                 ladder
@@ -93,7 +110,7 @@ impl<'a> LintInput<'a> {
         }
         Self {
             program,
-            deadlines,
+            deadlines: Deadlines::Listed(deadlines),
             group_times: groups.iter().map(|&(t, _)| t).collect(),
             raw_groups: Some(groups.to_vec()),
             frequencies: None,
@@ -129,8 +146,54 @@ impl<'a> LintInput<'a> {
             .collect();
         Self {
             program: Some(program),
-            deadlines,
+            deadlines: Deadlines::Listed(deadlines),
             group_times: times,
+            raw_groups: None,
+            frequencies: None,
+        }
+    }
+
+    /// Lints `program` against a scheduler's live catalogue, read in
+    /// place: the same findings as [`LintInput::for_catalogue`] over the
+    /// catalogue's `(page, expected time)` pairs, with no per-page list
+    /// built. Groups are the catalogue's distinct times, ascending, and
+    /// Theorem 3.1's bound is taken from its per-time page counts.
+    #[must_use]
+    pub fn for_live_catalogue(program: &'a BroadcastProgram, catalogue: Catalogue<'a>) -> Self {
+        Self::live(program, catalogue, None)
+    }
+
+    /// As [`LintInput::for_live_catalogue`], with the per-page deadline
+    /// rules (`AP01`–`AP03`, `AP06` and `AL04`'s per-page waits) run only
+    /// for `touched`, in ascending id order. The grid-wide rules and
+    /// Theorem 3.1's bound still cover the whole program.
+    ///
+    /// The caller vouches for every other catalogue page: it is aired by
+    /// `program` with every cyclic gap at most its expected time. Then
+    /// none of those pages can raise a per-page finding (`AL04` fires
+    /// only above `max_stretch · t`, and a gap within `t` is within that
+    /// when `max_stretch >= 1`), and the report equals the full lint's.
+    /// The station's pre-swap gate vouches with row versions: the
+    /// untouched pages sit on rows a clean base certified unchanged.
+    #[must_use]
+    pub fn for_catalogue_change(
+        program: &'a BroadcastProgram,
+        catalogue: Catalogue<'a>,
+        touched: &'a [PageId],
+    ) -> Self {
+        debug_assert!(touched.windows(2).all(|w| w[0] < w[1]));
+        Self::live(program, catalogue, Some(touched))
+    }
+
+    fn live(
+        program: &'a BroadcastProgram,
+        catalogue: Catalogue<'a>,
+        touched: Option<&'a [PageId]>,
+    ) -> Self {
+        Self {
+            program: Some(program),
+            deadlines: Deadlines::Live { catalogue, touched },
+            group_times: catalogue.groups().iter().map(|&(t, _)| t).collect(),
             raw_groups: None,
             frequencies: None,
         }
@@ -156,9 +219,66 @@ impl<'a> LintInput<'a> {
         self.program
     }
 
-    /// The per-page deadlines under analysis.
+    /// The per-page deadlines under analysis, in input order: every
+    /// listed or live page, or only the touched ones of a
+    /// [`LintInput::for_catalogue_change`] input.
     #[must_use]
-    pub fn deadlines(&self) -> &[PageDeadline] {
-        &self.deadlines
+    pub fn deadlines(&self) -> Vec<PageDeadline> {
+        let mut out = Vec::new();
+        self.for_each_deadline(|d| out.push(d));
+        out
+    }
+
+    /// Calls `visit` with each deadline [`LintInput::deadlines`] lists,
+    /// in the same order, without collecting them: the rules' walk.
+    pub(crate) fn for_each_deadline(&self, mut visit: impl FnMut(PageDeadline)) {
+        match &self.deadlines {
+            Deadlines::Listed(list) => list.iter().for_each(|&d| visit(d)),
+            Deadlines::Live {
+                catalogue,
+                touched: None,
+            } => catalogue
+                .iter()
+                .for_each(|(page, t)| visit(self.live_deadline(page, t))),
+            Deadlines::Live {
+                catalogue,
+                touched: Some(pages),
+            } => {
+                for &page in *pages {
+                    if let Some(t) = catalogue.get(page) {
+                        visit(self.live_deadline(page, t));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whether the input carries no deadline at all (a change set does
+    /// not count: this is the whole catalogue).
+    pub(crate) fn has_no_deadlines(&self) -> bool {
+        match &self.deadlines {
+            Deadlines::Listed(list) => list.is_empty(),
+            Deadlines::Live { catalogue, .. } => catalogue.is_empty(),
+        }
+    }
+
+    /// A live page's deadline: its group is its time's rank among the
+    /// catalogue's distinct times.
+    fn live_deadline(&self, page: PageId, limit: u64) -> PageDeadline {
+        let rank = self.group_times.partition_point(|&t| t < limit);
+        PageDeadline {
+            page,
+            limit,
+            group: GroupId::new(u32::try_from(rank).unwrap_or(u32::MAX)),
+        }
+    }
+
+    /// The live catalogue's pages per distinct time, ascending by time,
+    /// or `None` for listed deadlines.
+    pub(crate) fn live_groups(&self) -> Option<&'a [(u64, u64)]> {
+        match &self.deadlines {
+            Deadlines::Listed(_) => None,
+            Deadlines::Live { catalogue, .. } => Some(catalogue.groups()),
+        }
     }
 }

@@ -295,7 +295,7 @@ fn page_rules(program: &BroadcastProgram, input: &LintInput<'_>, out: &mut Sink<
     let mut group_pages = vec![0u64; groups];
     let mut worst: Vec<Option<(PageId, u64)>> = vec![None; groups];
     let mut zero_limit = false;
-    for d in &input.deadlines {
+    input.for_each_deadline(|d| {
         let idx = d.group.index() as usize;
         if d.limit == 0 {
             zero_limit = true;
@@ -321,10 +321,10 @@ fn page_rules(program: &BroadcastProgram, input: &LintInput<'_>, out: &mut Sink<
                     },
                 );
             }
-            continue;
+            return;
         };
         if d.limit == 0 {
-            continue;
+            return;
         }
         // The largest gap first: only a page with a gap above its limit
         // walks its gaps again to report them.
@@ -395,29 +395,32 @@ fn page_rules(program: &BroadcastProgram, input: &LintInput<'_>, out: &mut Sink<
                 *w = Some((d.page, max_gap));
             }
         }
-    }
-    if out.on(RuleId::ChannelsBelowMinimum) && !input.deadlines.is_empty() && !zero_limit {
-        channels_below_minimum(program, input, &group_pages, out);
+    });
+    if out.on(RuleId::ChannelsBelowMinimum) && !input.has_no_deadlines() && !zero_limit {
+        // A live catalogue counts its pages per time itself, so a change
+        // set still bounds the whole catalogue.
+        match input.live_groups() {
+            Some(groups) => channels_below_minimum(program, groups, out),
+            None => {
+                let groups: Vec<(u64, u64)> = input
+                    .group_times
+                    .iter()
+                    .copied()
+                    .zip(group_pages.iter().copied())
+                    .collect();
+                channels_below_minimum(program, &groups, out);
+            }
+        }
     }
     if out.on(RuleId::StretchExceeded) {
         stretch_exceeded(input, &worst, out);
     }
 }
 
-/// `AP07` from the per-group page counts of [`page_rules`]' walk.
-fn channels_below_minimum(
-    program: &BroadcastProgram,
-    input: &LintInput<'_>,
-    group_pages: &[u64],
-    out: &mut Sink<'_>,
-) {
-    let groups: Vec<(u64, u64)> = input
-        .group_times
-        .iter()
-        .copied()
-        .zip(group_pages.iter().copied())
-        .collect();
-    let Ok(minimum) = bound::minimum_channels_for_groups(&groups) else {
+/// `AP07` from the `(time, pages)` counts of each group: [`page_rules`]'
+/// walk, or the live catalogue's own.
+fn channels_below_minimum(program: &BroadcastProgram, groups: &[(u64, u64)], out: &mut Sink<'_>) {
+    let Ok(minimum) = bound::minimum_channels_for_groups(groups) else {
         return;
     };
     let configured = program.channels();
@@ -674,6 +677,7 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use airsched_core::dynamic::OnlineScheduler;
     use airsched_core::group::GroupLadder;
     use airsched_core::{pamad, susc};
     use proptest::prelude::*;
@@ -1155,6 +1159,39 @@ mod tests {
                 .fold(LintConfig::default(), |c, r| c.with_level(r, Severity::Warn));
             for config in [LintConfig::default(), LintConfig::structural(), all_warn] {
                 prop_assert_eq!(lint(&got, &config), reference::lint(&want, &config));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A live catalogue read in place lints exactly like its listed
+        /// `(page, time)` pairs, and a change set naming every live page
+        /// (and some that are not) lints like the whole catalogue.
+        #[test]
+        fn live_catalogue_lints_like_the_listed_catalogue(
+            times in prop::collection::vec(0usize..5, 1..24),
+            cell in any::<usize>(),
+            page in prop::option::of(0u32..32),
+        ) {
+            let mut sched = OnlineScheduler::new(3, 16).unwrap();
+            for (p, &i) in (0u32..).zip(&times) {
+                // Ids with holes; a page that does not fit is skipped.
+                let _ = sched.add_page(PageId::new(2 * p), [2, 4, 8, 16, 16][i]);
+            }
+            let program = corrupt(sched.program(), cell, page);
+            let pairs: Vec<(PageId, u64)> = sched.pages().iter().collect();
+            let every: Vec<PageId> = (0..2 * times.len() as u32).map(PageId::new).collect();
+            let all_warn = RuleId::ALL
+                .into_iter()
+                .fold(LintConfig::default(), |c, r| c.with_level(r, Severity::Warn));
+            for config in [LintConfig::default(), LintConfig::structural(), all_warn] {
+                let want = lint(&LintInput::for_catalogue(&program, &pairs), &config);
+                let live = LintInput::for_live_catalogue(&program, sched.pages());
+                prop_assert_eq!(&lint(&live, &config), &want);
+                let change = LintInput::for_catalogue_change(&program, sched.pages(), &every);
+                prop_assert_eq!(&lint(&change, &config), &want);
             }
         }
     }

@@ -14,7 +14,7 @@ use super::{
 };
 use crate::config::LintConfig;
 use crate::diagnostic::{LintReport, Span, Witness};
-use crate::input::{LintInput, PageDeadline};
+use crate::input::{Deadlines, LintInput, PageDeadline};
 
 /// Runs every configured rule, one at a time, in registry order.
 pub(super) fn lint(input: &LintInput<'_>, config: &LintConfig) -> LintReport {
@@ -78,7 +78,7 @@ pub(super) fn for_catalogue<'a>(
         .collect();
     LintInput {
         program: Some(program),
-        deadlines,
+        deadlines: Deadlines::Listed(deadlines),
         group_times: times,
         raw_groups: None,
         frequencies: None,
@@ -133,7 +133,7 @@ fn expected_time_gap(input: &LintInput<'_>, emit: &mut Emit<'_>) {
     if cycle == 0 {
         return;
     }
-    for d in &input.deadlines {
+    for d in input.deadlines() {
         if d.limit == 0 {
             continue; // AL02 owns zero deadlines.
         }
@@ -167,7 +167,7 @@ fn expected_time_gap(input: &LintInput<'_>, emit: &mut Emit<'_>) {
 /// `AP02`: the first appearance must land within the first `t_i` columns.
 fn first_appearance_late(input: &LintInput<'_>, emit: &mut Emit<'_>) {
     let Some(program) = input.program else { return };
-    for d in &input.deadlines {
+    for d in input.deadlines() {
         if d.limit == 0 {
             continue;
         }
@@ -196,7 +196,7 @@ fn first_appearance_late(input: &LintInput<'_>, emit: &mut Emit<'_>) {
 fn never_broadcast(input: &LintInput<'_>, emit: &mut Emit<'_>) {
     let Some(program) = input.program else { return };
     let cycle = program.cycle_len();
-    for d in &input.deadlines {
+    for d in input.deadlines() {
         if program.occurrence_columns(d.page).is_empty() {
             let required = if d.limit == 0 {
                 1
@@ -222,7 +222,7 @@ fn never_broadcast(input: &LintInput<'_>, emit: &mut Emit<'_>) {
 fn frequency_deficit(input: &LintInput<'_>, emit: &mut Emit<'_>) {
     let Some(program) = input.program else { return };
     let cycle = program.cycle_len();
-    for d in &input.deadlines {
+    for d in input.deadlines() {
         if d.limit == 0 {
             continue;
         }
@@ -250,10 +250,10 @@ fn frequency_deficit(input: &LintInput<'_>, emit: &mut Emit<'_>) {
 /// necessary for any valid program.
 fn channels_below_minimum(input: &LintInput<'_>, emit: &mut Emit<'_>) {
     let Some(program) = input.program else { return };
-    if input.deadlines.is_empty() {
+    if input.deadlines().is_empty() {
         return;
     }
-    let times: Vec<u64> = input.deadlines.iter().map(|d| d.limit).collect();
+    let times: Vec<u64> = input.deadlines().iter().map(|d| d.limit).collect();
     if times.contains(&0) {
         return; // AL02 owns zero deadlines; the bound is undefined.
     }
@@ -286,7 +286,7 @@ fn stretch_exceeded(input: &LintInput<'_>, config: &LintConfig, emit: &mut Emit<
     }
     let max_stretch = config.max_stretch();
     let mut worst: Vec<Option<(PageId, u64)>> = vec![None; input.group_times.len()];
-    for d in &input.deadlines {
+    for d in input.deadlines() {
         let idx = d.group.index() as usize;
         if d.limit == 0 || idx >= worst.len() {
             continue;

@@ -1,7 +1,7 @@
 //! The station's wire side: template-cached slot encoding.
 //!
 //! [`SlotBroadcaster`] owns a [`FrameTemplateCache`] built from the
-//! station's effective on-air grid ([`Station::plan_cells`]) and keyed on
+//! station's effective on-air grid ([`Station::plan_rows`]) and keyed on
 //! [`Station::plan_epoch`]: in steady state each slot is emitted by
 //! memcpy-ing pre-encoded per-page wire images and patching only the
 //! channel and `slot_time` bytes plus an incrementally-corrected CRC,
@@ -12,8 +12,9 @@
 //! what a column puts on the air — publish, expire, manual fail/restore,
 //! a policy change, any in-tick ladder move — bumps the station's plan
 //! epoch, and the broadcaster rebuilds its cache on the next slot. A
-//! rebuild retargets the cache in place and encodes only pages new to the
-//! grid. Per slot stalls need no rebuild (a `None` carrier patches the
+//! rebuild retargets the cache in place: it re-reads only the channels
+//! whose row version moved and encodes only pages new to the grid. Per
+//! slot stalls need no rebuild (a `None` carrier patches the
 //! idle template). A column that disagrees with the cached plan anyway (a
 //! column computed just before a swap) is served from the same page-keyed
 //! templates: a template is a function of its page alone, so the cache
@@ -30,7 +31,7 @@
 
 use airsched_core::types::PageId;
 use airsched_proto::frame::EncodeError;
-use airsched_proto::template::{CyclicPayloads, FrameTemplateCache};
+use airsched_proto::template::{CyclicPayloads, FrameTemplateCache, PlanRow};
 use bytes::BytesMut;
 
 use crate::station::Station;
@@ -155,17 +156,17 @@ impl<P: CyclicPayloads> SlotBroadcaster<P> {
 
     /// Retargets the template cache onto the station's current effective
     /// grid (building it on the first slot) and records the epoch it
-    /// captured. Only pages new to the grid are encoded.
+    /// captured. Only the channels whose row version moved are re-read,
+    /// and only pages new to the grid are encoded.
     fn rebuild(&mut self, station: &Station) -> Result<(), EncodeError> {
-        let plan = station.plan_cells();
-        let (channels, cycle_len, cells) = (plan.channels, plan.cycle_len, &plan.cells);
+        let (cycle_len, rows) = station.plan_rows();
+        let rows: Vec<PlanRow<'_>> = rows.collect();
         match &mut self.cache {
-            Some(cache) => cache.retarget(channels, cycle_len, cells, &mut self.payloads)?,
+            Some(cache) => cache.retarget_rows(cycle_len, &rows, &mut self.payloads)?,
             None => {
-                self.cache = Some(FrameTemplateCache::from_cells(
-                    channels,
+                self.cache = Some(FrameTemplateCache::from_rows(
                     cycle_len,
-                    cells,
+                    &rows,
                     &mut self.payloads,
                 )?);
             }
@@ -451,5 +452,64 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, EncodeError::PayloadTooLarge { .. }));
         assert!(wire.is_empty(), "a refused slot appends nothing");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// A broadcaster that re-reads only the rows whose version moved
+        /// emits, at every slot of every epoch, the bytes of a cache built
+        /// fresh from [`Station::plan_cells`] at that epoch, holding as
+        /// many templates and delta tables and counting the same off-plan
+        /// slots — through random failures, restores, publishes and
+        /// expiries, without a corruptor and with one switched on and off
+        /// that rewrites one cell of a candidate through the program's
+        /// own writes.
+        #[test]
+        fn transmit_row_retarget_matches_a_fresh_cache_at_every_epoch(
+            ops in proptest::collection::vec(crate::station::tests::arb_churn_op(), 1..48),
+            corrupting in proptest::prelude::any::<bool>(),
+        ) {
+            use crate::station::tests::{apply_churn, churn_station};
+            let mut station = churn_station();
+            let mut tx = SlotBroadcaster::new(PagePayloads);
+            let mut reference: Option<(u64, FrameTemplateCache)> = None;
+            let mut earlier_off_plan = 0;
+            let mut buf = TickBuf::default();
+            let (mut wire, mut fresh) = (BytesMut::new(), BytesMut::new());
+            for op in &ops {
+                for _ in 0..apply_churn(&mut station, op, corrupting) {
+                    station.tick_into(&mut buf);
+                    wire.clear();
+                    tx.encode_slot(&station, buf.on_air(), buf.time(), &mut wire)
+                        .expect("every page fits the wire");
+                    let epoch = station.plan_epoch();
+                    if reference.as_ref().is_none_or(|(built, _)| *built != epoch) {
+                        earlier_off_plan += reference.map_or(0, |(_, c)| c.off_plan_slots());
+                        let plan = station.plan_cells();
+                        let cache = FrameTemplateCache::from_cells(
+                            plan.channels,
+                            plan.cycle_len,
+                            &plan.cells,
+                            &mut PagePayloads,
+                        )
+                        .expect("every page fits the wire");
+                        reference = Some((epoch, cache));
+                    }
+                    let (_, want) = reference.as_mut().expect("built above");
+                    fresh.clear();
+                    want.encode_slot_into(buf.on_air(), buf.time(), &mut PagePayloads, &mut fresh)
+                        .expect("every page fits the wire");
+                    proptest::prop_assert_eq!(&wire[..], &fresh[..], "slot {}", buf.time());
+                    let got = tx.cache().expect("built by the first slot");
+                    proptest::prop_assert_eq!(got.template_count(), want.template_count());
+                    proptest::prop_assert_eq!(got.delta_table_count(), want.delta_table_count());
+                    proptest::prop_assert_eq!(
+                        tx.fresh_fallbacks(),
+                        earlier_off_plan + want.off_plan_slots()
+                    );
+                }
+            }
+        }
     }
 }

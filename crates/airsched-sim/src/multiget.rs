@@ -19,7 +19,7 @@
 //! the multi-tuner model for single pages).
 
 use airsched_core::program::BroadcastProgram;
-use airsched_core::types::{ChannelId, PageId};
+use airsched_core::types::{ChannelId, GridPos, PageId, SlotIndex};
 
 /// One multi-page request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,7 +141,15 @@ pub fn retrieve_fixed_order(
 
 /// The earliest completion time (absolute) at which `page` can be fully
 /// received when the receiver is free from `time` onward, currently tuned
-/// to `tuned`. Returns the completion and the channel used.
+/// to `tuned`. Returns the completion and the channel used; on a tie, the
+/// lower channel (the first cell in row-major order).
+///
+/// The probe is column-major. Every channel but the tuned one is ready
+/// at the same instant, so within a column only the tuned channel and
+/// the lowest other channel carrying the page can win, and each of the
+/// two wins at the first column, in cyclic order from the instant it is
+/// ready, that it carries. So a call reads the page's columns from there
+/// and stops at the first hit, instead of every row at every column.
 fn earliest_reception(
     program: &BroadcastProgram,
     page: PageId,
@@ -150,31 +158,41 @@ fn earliest_reception(
     switch_cost: u64,
 ) -> Option<(u64, ChannelId)> {
     let cycle = program.cycle_len();
-    let mut best: Option<(u64, ChannelId)> = None;
-    // Walk the cells in place: this runs once per remaining page per greedy
-    // step, so collecting them would cost an allocation per call. The walk
-    // reads each row at the page's columns.
-    for pos in program.occurrences(page) {
-        // Earliest instant we can be listening on that channel.
-        let ready = match tuned {
-            Some(current) if current != pos.channel => time + switch_cost,
-            _ => time,
-        };
-        // First time >= ready at which this cell's column comes around; we
-        // must be tuned at the *start* of the slot to capture it.
-        let col = pos.slot.index();
+    let cols = program.occurrence_columns(page);
+    let carries = |ch: u32, col: u64| {
+        program.page_at(GridPos::new(ChannelId::new(ch), SlotIndex::new(col))) == Some(page)
+    };
+    // The first column at or after `ready` (cyclically) on which `on`
+    // names a channel, and the instant its slot completes there.
+    let first = |ready: u64, on: &dyn Fn(u64) -> Option<u32>| {
         let phase = ready % cycle;
-        let wait_to_col = if col >= phase {
-            col - phase
-        } else {
-            cycle - phase + col
-        };
-        let completion = ready + wait_to_col + 1;
-        if best.is_none_or(|(c, _)| completion < c) {
-            best = Some((completion, pos.channel));
-        }
-    }
-    best
+        let start = cols.partition_point(|&c| c < phase);
+        cols[start..].iter().chain(&cols[..start]).find_map(|&col| {
+            let ch = on(col)?;
+            let wait = if col >= phase {
+                col - phase
+            } else {
+                cycle - phase + col
+            };
+            Some((ready + wait + 1, ch))
+        })
+    };
+    let stay = tuned.and_then(|t| {
+        let t = t.index();
+        first(time, &|col| carries(t, col).then_some(t))
+    });
+    let hop_ready = if tuned.is_some() {
+        time + switch_cost
+    } else {
+        time
+    };
+    let hop = first(hop_ready, &|col| {
+        (0..program.channels()).find(|&ch| tuned != Some(ChannelId::new(ch)) && carries(ch, col))
+    });
+    stay.into_iter()
+        .chain(hop)
+        .min()
+        .map(|(completion, ch)| (completion, ChannelId::new(ch)))
 }
 
 fn dedup_pages(pages: &[PageId]) -> Vec<PageId> {
@@ -192,7 +210,68 @@ mod tests {
     use super::*;
     use airsched_core::group::GroupLadder;
     use airsched_core::susc;
-    use airsched_core::types::{GridPos, SlotIndex};
+    use proptest::prelude::*;
+
+    /// The row-major walk the column-major probe replaced: every cell of
+    /// the page, the first strictly earliest completion winning.
+    fn earliest_reception_reference(
+        program: &BroadcastProgram,
+        page: PageId,
+        time: u64,
+        tuned: Option<ChannelId>,
+        switch_cost: u64,
+    ) -> Option<(u64, ChannelId)> {
+        let cycle = program.cycle_len();
+        let mut best: Option<(u64, ChannelId)> = None;
+        for pos in program.occurrences(page) {
+            let ready = match tuned {
+                Some(current) if current != pos.channel => time + switch_cost,
+                _ => time,
+            };
+            let col = pos.slot.index();
+            let phase = ready % cycle;
+            let wait_to_col = if col >= phase {
+                col - phase
+            } else {
+                cycle - phase + col
+            };
+            let completion = ready + wait_to_col + 1;
+            if best.is_none_or(|(c, _)| completion < c) {
+                best = Some((completion, pos.channel));
+            }
+        }
+        best
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The column-major probe picks exactly the cell the row-major
+        /// walk picks, ties to the lower channel included, on grids
+        /// where pages share columns across channels.
+        #[test]
+        fn column_probe_matches_the_row_major_walk(
+            cells in prop::collection::vec(prop::option::of(0u32..5), 1..=48),
+            channels in 1u32..=4,
+            time in 0u64..40,
+            tuned in prop::option::of(0u32..4),
+            switch_cost in 0u64..4,
+        ) {
+            let cycle = (cells.len() as u64).div_ceil(u64::from(channels));
+            let mut grid = vec![None; (u64::from(channels) * cycle) as usize];
+            for (cell, page) in grid.iter_mut().zip(&cells) {
+                *cell = page.map(PageId::new);
+            }
+            let program = BroadcastProgram::from_cells(channels, cycle, &grid).unwrap();
+            let tuned = tuned.filter(|&t| t < channels).map(ChannelId::new);
+            for page in (0..6).map(PageId::new) {
+                prop_assert_eq!(
+                    earliest_reception(&program, page, time, tuned, switch_cost),
+                    earliest_reception_reference(&program, page, time, tuned, switch_cost)
+                );
+            }
+        }
+    }
 
     fn fig2_program() -> (GroupLadder, BroadcastProgram) {
         let ladder = GroupLadder::new(vec![(2, 3), (4, 5), (8, 3)]).unwrap();

@@ -1,9 +1,7 @@
 //! Deliberate corruption of broadcast programs, for tests and chaos drills.
 //!
-//! [`BroadcastProgram`] grids are write-once — cells can be placed but never
-//! cleared — so every helper here *rebuilds* a fresh grid of the same
-//! dimensions from the source, filtering or augmenting occurrences along
-//! the way. Each helper manufactures one specific failure shape and names
+//! Every helper here *rebuilds* a fresh grid of the same dimensions from
+//! the source, filtering or augmenting occurrences along the way. Each helper manufactures one specific failure shape and names
 //! the `airsched-lint` rule it provokes, which makes them natural
 //! generators for "the analyzer must catch this" and "the station's swap
 //! gate must refuse this" tests.
@@ -12,7 +10,7 @@
 //! |---|---|---|
 //! | [`drop_page`] | a page vanishes from the air | `AP03` never-broadcast |
 //! | [`thin_to_first_occurrence`] | all repeats removed | `AP01` expected-time-gap |
-//! | [`delay_first_appearance`] | earliest occurrence removed | `AP02` first-appearance-late |
+//! | [`delay_first_appearance`] | first column's occurrences removed | `AP02` first-appearance-late |
 //! | [`duplicate_in_column`] | a parallel same-column copy | `AP05` duplicate-in-column |
 //!
 //! The helpers are total and deterministic; they never panic on any input
@@ -72,13 +70,16 @@ pub fn thin_to_first_occurrence(source: &BroadcastProgram, victim: PageId) -> Br
     rebuild_filtered(source, |pos, page| page != victim || Some(pos) == first)
 }
 
-/// Removes `victim`'s earliest occurrence, so its first appearance slides
-/// one period later — past the expected time (`AP02`). The doubled gap
-/// (`AP01`) and the frequency deficit (`AP06`) ride along as companions.
+/// Removes `victim` from its first column, on every channel that airs
+/// it there, so its first appearance slides one period later — past the
+/// expected time (`AP02`). The doubled gap (`AP01`) and the frequency
+/// deficit (`AP06`) ride along as companions.
 #[must_use]
 pub fn delay_first_appearance(source: &BroadcastProgram, victim: PageId) -> BroadcastProgram {
-    let first = earliest_cell(source, victim);
-    rebuild_filtered(source, |pos, page| page != victim || Some(pos) != first)
+    let first = source.occurrence_columns(victim).first().copied();
+    rebuild_filtered(source, |pos, page| {
+        page != victim || Some(pos.slot.index()) != first
+    })
 }
 
 /// Places a second copy of `victim` on a free channel inside a column it
@@ -164,6 +165,21 @@ mod tests {
         assert!(thinned.occurrences(victim).eq([cell(1, 1)]));
 
         // The first appearance slides from column 1 to column 5.
+        let delayed = delay_first_appearance(&program, victim);
+        assert!(delayed.occurrences(victim).eq([cell(0, 5)]));
+        assert_eq!(delayed.occurrence_columns(victim), &[5]);
+    }
+
+    #[test]
+    fn delay_clears_the_first_column_on_every_channel() {
+        // Doubled in its first column: removing one copy would leave the
+        // first appearance at column 1.
+        let cell = |ch, slot| GridPos::new(ChannelId::new(ch), SlotIndex::new(slot));
+        let victim = PageId::new(0);
+        let mut program = BroadcastProgram::new(2, 8);
+        for (ch, slot) in [(0, 1), (1, 1), (0, 5)] {
+            program.place(cell(ch, slot), victim).unwrap();
+        }
         let delayed = delay_first_appearance(&program, victim);
         assert!(delayed.occurrences(victim).eq([cell(0, 5)]));
         assert_eq!(delayed.occurrence_columns(victim), &[5]);
