@@ -18,10 +18,10 @@
 //! products `R_j = prod_{k=j}^{g-2} r_k` are computed once per stage
 //! (`O(g)`), and the trial frequency vector is updated in place per `r`
 //! (`freqs[j] = r * R_j`), so a candidate evaluation costs `O(g)` instead
-//! of the seed's `O(g²)` rebuild. Trace retention is bounded by
-//! [`TraceDetail`] — the stage bound can reach [`MAX_STAGE_RANGE`]
-//! (`1 << 20`), and pre-allocating a `Candidate` per trial would reserve
-//! ~16 MiB per stage on degenerate ladders.
+//! of the seed's `O(g²)` rebuild. Each stage's trace keeps at most
+//! [`DEFAULT_TRACE_WINDOW`] candidates — the stage bound can reach
+//! [`MAX_STAGE_RANGE`] (`1 << 20`), and pre-allocating a `Candidate` per
+//! trial would reserve ~16 MiB per stage on degenerate ladders.
 
 use crate::delay::{group_objective, Weighting};
 use crate::group::GroupLadder;
@@ -32,49 +32,17 @@ use crate::types::GroupId;
 /// degenerate configuration rather than a meaningful optimum.
 pub const MAX_STAGE_RANGE: u64 = 1 << 20;
 
-/// Candidates retained per stage by the default trace detail
-/// ([`TraceDetail::Window`]). Large enough to keep every realistic stage's
-/// full trace (the paper workloads' bounds are in the tens), small enough
-/// that a degenerate `MAX_STAGE_RANGE` stage holds ~64 KiB, not ~16 MiB.
+/// Candidates each [`StageTrace`] retains, in ascending `r`. Large enough
+/// to keep every realistic stage's full trace (the paper workloads'
+/// bounds are in the tens), small enough that a degenerate
+/// `MAX_STAGE_RANGE` stage holds ~64 KiB, not ~16 MiB. Retention is
+/// diagnostic only: the chosen ratio, the best objective and the
+/// evaluated count are always recorded.
 pub const DEFAULT_TRACE_WINDOW: usize = 4096;
 
 /// Two stage objectives within this distance are considered tied; the
 /// tie-break (closeness to the group-time ratio) then applies.
 const TIE_EPS: f64 = 1e-12;
-
-/// How much of each stage's candidate sweep to retain in [`StageTrace`].
-///
-/// Retention is diagnostic only: the chosen ratio, the best objective, and
-/// the evaluated count are always recorded, so the *plan* is identical
-/// under every detail level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceDetail {
-    /// Record no per-candidate data (fastest, zero trace allocation).
-    Off,
-    /// Record the first `n` candidates of each stage, in ascending `r`.
-    Window(usize),
-    /// Record every candidate (up to [`MAX_STAGE_RANGE`] per stage — can
-    /// reserve ~16 MiB on degenerate ladders; opt-in for that reason).
-    Full,
-}
-
-impl Default for TraceDetail {
-    /// [`TraceDetail::Window`] at [`DEFAULT_TRACE_WINDOW`].
-    fn default() -> Self {
-        TraceDetail::Window(DEFAULT_TRACE_WINDOW)
-    }
-}
-
-impl TraceDetail {
-    /// The retention cap this detail level implies for a stage.
-    fn cap(self) -> usize {
-        match self {
-            TraceDetail::Off => 0,
-            TraceDetail::Window(n) => n,
-            TraceDetail::Full => MAX_STAGE_RANGE as usize,
-        }
-    }
-}
 
 /// One candidate evaluated during a stage search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,9 +58,9 @@ pub struct Candidate {
 pub struct StageTrace {
     /// The group `G_i` being added at this stage.
     pub group: GroupId,
-    /// The retained `(r, D'_i)` pairs, in ascending `r` — all of them under
-    /// [`TraceDetail::Full`], a prefix window otherwise (see
-    /// [`StageTrace::evaluated`] for the true sweep size).
+    /// The retained `(r, D'_i)` pairs, in ascending `r`: the first
+    /// [`DEFAULT_TRACE_WINDOW`] (see [`StageTrace::evaluated`] for the
+    /// true sweep size).
     pub candidates: Vec<Candidate>,
     /// Total candidates evaluated at this stage (>= `candidates.len()`).
     pub evaluated: u64,
@@ -153,8 +121,8 @@ impl FrequencyPlan {
     }
 }
 
-/// Runs Algorithm 3 for `ladder` on `n_real` channels with the default
-/// trace retention ([`TraceDetail::Window`] at [`DEFAULT_TRACE_WINDOW`]).
+/// Runs Algorithm 3 for `ladder` on `n_real` channels, each stage's trace
+/// retaining at most [`DEFAULT_TRACE_WINDOW`] candidates.
 ///
 /// Works for any positive `n_real`; with sufficient channels every stage
 /// finds a zero-delay `r` and the result reproduces the SUSC frequencies.
@@ -183,31 +151,10 @@ pub fn derive_frequencies(
     n_real: u32,
     weighting: Weighting,
 ) -> FrequencyPlan {
-    derive_frequencies_with_trace(ladder, n_real, weighting, TraceDetail::default())
-}
-
-/// [`derive_frequencies`] with explicit control over how many candidates
-/// each [`StageTrace`] retains.
-///
-/// The returned frequencies, ratios, chosen values, and objectives are
-/// identical for every [`TraceDetail`]; only `StageTrace::candidates`
-/// differs.
-///
-/// # Panics
-///
-/// Panics if `n_real == 0`.
-#[must_use]
-pub fn derive_frequencies_with_trace(
-    ladder: &GroupLadder,
-    n_real: u32,
-    weighting: Weighting,
-    detail: TraceDetail,
-) -> FrequencyPlan {
     assert!(n_real > 0, "n_real must be non-zero");
     let h = ladder.group_count();
     let times = ladder.times();
     let pages = ladder.page_counts();
-    let trace_cap = detail.cap();
 
     let mut ratios: Vec<u64> = Vec::with_capacity(h.saturating_sub(1));
     let mut stages: Vec<StageTrace> = Vec::with_capacity(h.saturating_sub(1));
@@ -245,7 +192,7 @@ pub fn derive_frequencies_with_trace(
         // stay zero-delay through later stages.
         let c_i = times[g] / times[g - 1];
 
-        let retain = (upper as usize).min(trace_cap);
+        let retain = (upper as usize).min(DEFAULT_TRACE_WINDOW);
         let mut candidates = Vec::with_capacity(retain);
         let mut best: Option<Candidate> = None;
         freqs.clear();
@@ -399,36 +346,9 @@ mod tests {
         assert_eq!(*plan.frequencies().last().unwrap(), 1);
     }
 
-    #[test]
-    fn trace_detail_levels_agree_on_the_plan() {
-        let ladder = GroupLadder::geometric(2, 2, &[10, 20, 15, 8]).unwrap();
-        let full =
-            derive_frequencies_with_trace(&ladder, 5, Weighting::PaperEq2, TraceDetail::Full);
-        for detail in [
-            TraceDetail::Off,
-            TraceDetail::Window(1),
-            TraceDetail::default(),
-        ] {
-            let plan = derive_frequencies_with_trace(&ladder, 5, Weighting::PaperEq2, detail);
-            assert_eq!(plan.frequencies(), full.frequencies(), "{detail:?}");
-            assert_eq!(plan.ratios(), full.ratios());
-            assert_eq!(plan.final_objective(), full.final_objective());
-            for (a, b) in plan.stages().iter().zip(full.stages()) {
-                assert_eq!(a.chosen, b.chosen);
-                assert_eq!(a.best_objective, b.best_objective);
-                assert_eq!(a.evaluated, b.evaluated);
-                assert!(a.candidates.len() <= detail.cap());
-            }
-        }
-        assert!(full
-            .stages()
-            .iter()
-            .all(|s| s.candidates.len() as u64 == s.evaluated));
-    }
-
     /// Regression for the pre-allocation hazard: a degenerate ladder whose
     /// stage bound hits [`MAX_STAGE_RANGE`] must not materialize a
-    /// `Candidate` per trial under the default trace detail.
+    /// `Candidate` per trial, while a realistic ladder keeps every one.
     #[test]
     fn degenerate_ladder_keeps_trace_bounded() {
         // One page due every slot followed by one due in ~2M slots: the
@@ -439,6 +359,13 @@ mod tests {
         assert_eq!(stage.evaluated, MAX_STAGE_RANGE);
         assert!(stage.candidates.len() <= DEFAULT_TRACE_WINDOW);
         assert_eq!(*plan.frequencies().last().unwrap(), 1);
+        // A realistic ladder's stages fit the window whole.
+        let ladder = GroupLadder::geometric(2, 2, &[10, 20, 15, 8]).unwrap();
+        let plan = derive_frequencies(&ladder, 5, Weighting::PaperEq2);
+        assert!(plan
+            .stages()
+            .iter()
+            .all(|s| s.candidates.len() as u64 == s.evaluated));
     }
 
     #[test]

@@ -22,8 +22,7 @@ mod frequency;
 mod placement;
 
 pub use frequency::{
-    derive_frequencies, derive_frequencies_with_trace, Candidate, FrequencyPlan, StageTrace,
-    TraceDetail, DEFAULT_TRACE_WINDOW, MAX_STAGE_RANGE,
+    derive_frequencies, Candidate, FrequencyPlan, StageTrace, DEFAULT_TRACE_WINDOW, MAX_STAGE_RANGE,
 };
 pub use placement::{place_frequencies, Placement, PlacementStats};
 

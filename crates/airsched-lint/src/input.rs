@@ -9,8 +9,6 @@
 //! * [`LintInput::for_raw_groups`] — unvalidated `(time, count)` pairs,
 //!   exactly as a user typed them, so plan rules can flag ladders that
 //!   [`GroupLadder::new`] would reject outright (CLI `--groups`);
-//! * [`LintInput::for_catalogue`] — per-page `(page, expected_time)`
-//!   deadlines, listed;
 //! * [`LintInput::for_live_catalogue`] and
 //!   [`LintInput::for_catalogue_change`] — a scheduler's live
 //!   [`Catalogue`], read in place (the station's plan-swap gate).
@@ -22,7 +20,7 @@ use airsched_core::types::{GroupId, PageId};
 
 /// One page's service obligation: meet `limit` slots from any tune-in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PageDeadline {
+pub(crate) struct PageDeadline {
     /// The page.
     pub page: PageId,
     /// Its expected time, in slots.
@@ -117,47 +115,12 @@ impl<'a> LintInput<'a> {
         }
     }
 
-    /// Lints `program` against a live catalogue of per-page deadlines, as
-    /// the station's plan-swap gate sees them. Groups are synthesized from
-    /// the distinct expected times (ascending); plan-shape rules are
-    /// skipped because the grouping is not a user artifact.
-    #[must_use]
-    pub fn for_catalogue(program: &'a BroadcastProgram, catalogue: &[(PageId, u64)]) -> Self {
-        // The distinct times, ascending: a catalogue holds a handful, so
-        // a linear check per page finds them, and a page's group is the
-        // count of distinct times below its own.
-        let mut times: Vec<u64> = Vec::new();
-        for &(_, t) in catalogue {
-            if !times.contains(&t) {
-                times.push(t);
-            }
-        }
-        times.sort_unstable();
-        let deadlines = catalogue
-            .iter()
-            .map(|&(page, limit)| {
-                let rank = times.iter().filter(|&&t| t < limit).count();
-                PageDeadline {
-                    page,
-                    limit,
-                    group: GroupId::new(u32::try_from(rank).unwrap_or(u32::MAX)),
-                }
-            })
-            .collect();
-        Self {
-            program: Some(program),
-            deadlines: Deadlines::Listed(deadlines),
-            group_times: times,
-            raw_groups: None,
-            frequencies: None,
-        }
-    }
-
-    /// Lints `program` against a scheduler's live catalogue, read in
-    /// place: the same findings as [`LintInput::for_catalogue`] over the
-    /// catalogue's `(page, expected time)` pairs, with no per-page list
-    /// built. Groups are the catalogue's distinct times, ascending, and
-    /// Theorem 3.1's bound is taken from its per-time page counts.
+    /// Lints `program` against a scheduler's live catalogue of per-page
+    /// deadlines, read in place, as the station's plan-swap gate sees
+    /// them. Groups are the catalogue's distinct times, ascending, and
+    /// Theorem 3.1's bound is taken from its per-time page counts;
+    /// plan-shape rules are skipped because the grouping is not a user
+    /// artifact.
     #[must_use]
     pub fn for_live_catalogue(program: &'a BroadcastProgram, catalogue: Catalogue<'a>) -> Self {
         Self::live(program, catalogue, None)
@@ -174,7 +137,7 @@ impl<'a> LintInput<'a> {
     /// only above `max_stretch · t`, and a gap within `t` is within that
     /// when `max_stretch >= 1`), and the report equals the full lint's.
     /// The station's pre-swap gate vouches with row versions: the
-    /// untouched pages sit on rows a clean base certified unchanged.
+    /// untouched pages sit on rows unchanged from a base that passed.
     #[must_use]
     pub fn for_catalogue_change(
         program: &'a BroadcastProgram,
@@ -221,16 +184,18 @@ impl<'a> LintInput<'a> {
 
     /// The per-page deadlines under analysis, in input order: every
     /// listed or live page, or only the touched ones of a
-    /// [`LintInput::for_catalogue_change`] input.
-    #[must_use]
-    pub fn deadlines(&self) -> Vec<PageDeadline> {
+    /// [`LintInput::for_catalogue_change`] input. The per-rule reference
+    /// lint reads them.
+    #[cfg(test)]
+    pub(crate) fn deadlines(&self) -> Vec<PageDeadline> {
         let mut out = Vec::new();
         self.for_each_deadline(|d| out.push(d));
         out
     }
 
-    /// Calls `visit` with each deadline [`LintInput::deadlines`] lists,
-    /// in the same order, without collecting them: the rules' walk.
+    /// Calls `visit` with each per-page deadline under analysis, in input
+    /// order: every listed or live page, or only the touched ones of a
+    /// [`LintInput::for_catalogue_change`] input. The rules' walk.
     pub(crate) fn for_each_deadline(&self, mut visit: impl FnMut(PageDeadline)) {
         match &self.deadlines {
             Deadlines::Listed(list) => list.iter().for_each(|&d| visit(d)),

@@ -984,7 +984,7 @@ mod tests {
         place(&mut p, &[(0, 0, 7), (0, 2, 7), (0, 1, 9), (0, 3, 9)]);
         let catalogue = [(PageId::new(7), 2), (PageId::new(9), 2)];
         let report = lint(
-            &LintInput::for_catalogue(&p, &catalogue),
+            &reference::for_catalogue(&p, &catalogue),
             &LintConfig::default(),
         );
         assert!(report.is_clean(), "{report}");
@@ -997,7 +997,7 @@ mod tests {
         );
         let catalogue = [(PageId::new(1), 2), (PageId::new(2), 3)];
         let report = lint(
-            &LintInput::for_catalogue(&p, &catalogue),
+            &reference::for_catalogue(&p, &catalogue),
             &LintConfig::default(),
         );
         assert!(report.is_clean(), "{report}");
@@ -1107,7 +1107,7 @@ mod tests {
             let inputs = [
                 LintInput::for_program(&program, &ladder),
                 LintInput::for_raw_groups(Some(&program), &raw),
-                LintInput::for_catalogue(&program, &catalogue),
+                reference::for_catalogue(&program, &catalogue),
             ];
             let all_warn = RuleId::ALL
                 .into_iter()
@@ -1130,11 +1130,11 @@ mod tests {
             }
         }
 
-        /// The counted catalogue ranks and the span-length walk of `AP05`
-        /// report exactly what the search-based ranks and the per-page
-        /// `AP05` loop they replaced do, on catalogues with repeated
-        /// times and zero deadlines among them, over programs with
-        /// injected same-column duplicates.
+        /// The span-length walk of `AP05`, and the one-pass lint around
+        /// it, report exactly what the per-page `AP05` loop and the
+        /// per-rule lint do, on catalogues with repeated times and zero
+        /// deadlines among them, over programs with injected same-column
+        /// duplicates.
         #[test]
         fn catalogue_ranks_and_ap05_match_their_references(
             built in arb_program(),
@@ -1150,15 +1150,12 @@ mod tests {
             if reversed {
                 catalogue.reverse();
             }
-            let got = LintInput::for_catalogue(&program, &catalogue);
-            let want = reference::for_catalogue(&program, &catalogue);
-            prop_assert_eq!(got.deadlines(), want.deadlines());
-            prop_assert_eq!(&got.group_times, &want.group_times);
+            let input = reference::for_catalogue(&program, &catalogue);
             let all_warn = RuleId::ALL
                 .into_iter()
                 .fold(LintConfig::default(), |c, r| c.with_level(r, Severity::Warn));
             for config in [LintConfig::default(), LintConfig::structural(), all_warn] {
-                prop_assert_eq!(lint(&got, &config), reference::lint(&want, &config));
+                prop_assert_eq!(lint(&input, &config), reference::lint(&input, &config));
             }
         }
     }
@@ -1167,8 +1164,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// A live catalogue read in place lints exactly like its listed
-        /// `(page, time)` pairs, and a change set naming every live page
-        /// (and some that are not) lints like the whole catalogue.
+        /// `(page, time)` pairs through the reference input, and a change
+        /// set naming every live page (and some that are not) lints like
+        /// the whole catalogue.
         #[test]
         fn live_catalogue_lints_like_the_listed_catalogue(
             times in prop::collection::vec(0usize..5, 1..24),
@@ -1187,7 +1185,7 @@ mod tests {
                 .into_iter()
                 .fold(LintConfig::default(), |c, r| c.with_level(r, Severity::Warn));
             for config in [LintConfig::default(), LintConfig::structural(), all_warn] {
-                let want = lint(&LintInput::for_catalogue(&program, &pairs), &config);
+                let want = lint(&reference::for_catalogue(&program, &pairs), &config);
                 let live = LintInput::for_live_catalogue(&program, sched.pages());
                 prop_assert_eq!(&lint(&live, &config), &want);
                 let change = LintInput::for_catalogue_change(&program, sched.pages(), &every);

@@ -1,9 +1,9 @@
 //! The per-rule lint the one-pass [`super::lint`] replaced, kept in test
 //! code as its reference: each deadline rule walks the catalogue on its
 //! own, `AP07` bounds the channels from a list of every page's time, and
-//! `AP05` looks up every page's spans. The catalogue input built by
-//! searches is kept here too. The other grid-wide rules and the plan
-//! rules did not change and are shared.
+//! `AP05` looks up every page's spans. A listed-catalogue input, which
+//! the library does not have, is kept here too. The other grid-wide
+//! rules and the plan rules did not change and are shared.
 
 use airsched_core::bound;
 use airsched_core::program::{cyclic_gaps_over, BroadcastProgram};
@@ -52,9 +52,11 @@ pub(super) fn lint(input: &LintInput<'_>, config: &LintConfig) -> LintReport {
 
 type Emit<'e> = dyn FnMut(Span, String, Witness) + 'e;
 
-/// The catalogue input as it was built before the ranks were counted:
-/// the distinct times gathered by binary-search insertion, and each
-/// deadline's group ranked by a partition-point search.
+/// `program` against a listed catalogue of `(page, expected time)`
+/// pairs, in the pairs' order: the distinct times gathered by
+/// binary-search insertion, and each deadline's group ranked by a
+/// partition-point search. The library reads a live catalogue in place
+/// ([`LintInput::for_live_catalogue`]); the tests hold it to this.
 pub(super) fn for_catalogue<'a>(
     program: &'a BroadcastProgram,
     catalogue: &[(PageId, u64)],

@@ -43,14 +43,16 @@
 //!
 //! # Invalidation
 //!
-//! The cache maps the cells of one plan to page templates. Callers
-//! retarget it ([`FrameTemplateCache::retarget_rows`], or
-//! [`FrameTemplateCache::retarget`] for a bare grid) whenever the plan
-//! changes shape: plan swap/publish, a degradation-ladder repack (channel
-//! failure or recovery), or recovery `restore()`. A retarget re-reads
-//! only the rows whose version moved, keeps a cell count per page,
-//! encodes the pages whose count rises from 0 and drops the templates
-//! whose count falls to 0. Stalls need no retarget
+//! The cache maps the cells of one plan to page templates. It starts
+//! with no plan ([`FrameTemplateCache::new`]) and callers retarget it
+//! ([`FrameTemplateCache::retarget`]), one [`PlanRow`] per channel, at
+//! every change of plan: plan swap/publish, a degradation-ladder repack
+//! (channel failure or recovery), or recovery `restore()`. Each row
+//! carries its version ([`row_version`]); a retarget
+//! re-reads only the rows whose version moved (or that turned idle or
+//! stopped being idle), keeps a cell count per page, encodes the pages
+//! whose count rises from 0 and drops the templates whose count falls
+//! to 0. Stalls need no retarget
 //! — a stalled or down channel airs the idle template. A column that
 //! disagrees with the cached plan (a page outside its cell, or a
 //! different width) is still served from templates: a template is a
@@ -58,8 +60,9 @@
 //! first encodes, through the same admit loop a retarget uses, any page
 //! of the column that has none, and counts the slot in
 //! [`FrameTemplateCache::off_plan_slots`].
+//!
+//! [`row_version`]: airsched_core::program::BroadcastProgram::row_version
 
-use airsched_core::program::BroadcastProgram;
 use airsched_core::types::{ChannelId, PageId, PAGE_ID_LIMIT};
 use bytes::BytesMut;
 
@@ -168,34 +171,24 @@ impl DeltaTable {
     }
 }
 
-/// One channel's row of a plan, as [`FrameTemplateCache::retarget_rows`]
-/// reads it.
+/// One channel's row of a plan, as [`FrameTemplateCache::retarget`] reads
+/// it.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanRow<'a> {
     /// The row's page per column; `None` when the channel airs nothing.
     pub cells: Option<&'a [Option<PageId>]>,
-    /// The row's version: two rows with equal `Some` versions hold equal
-    /// cells, as [`BroadcastProgram::row_version`] promises. `None` when
-    /// unknown, so the row is read again.
-    pub version: Option<u64>,
-}
-
-/// What the cache knows of the row a channel airs: a retarget re-reads
-/// a row unless both keys are the same version, or both idle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RowKey {
-    Unknown,
-    Idle,
-    Version(u64),
+    /// The row's version: two rows with equal versions hold equal cells,
+    /// as [`row_version`] promises. Not read when `cells` is `None`.
+    ///
+    /// [`row_version`]: airsched_core::program::BroadcastProgram::row_version
+    pub version: u64,
 }
 
 impl PlanRow<'_> {
-    fn key(&self) -> RowKey {
-        match (self.cells, self.version) {
-            (None, _) => RowKey::Idle,
-            (Some(_), Some(v)) => RowKey::Version(v),
-            (Some(_), None) => RowKey::Unknown,
-        }
+    /// What the cache keys the row on: its version, or `None` when the
+    /// channel airs nothing. A retarget re-reads a row whose key moved.
+    fn key(&self) -> Option<u64> {
+        self.cells.map(|_| self.version)
     }
 }
 
@@ -300,7 +293,7 @@ fn fit_page(templates: &mut Vec<Option<Template>>, counts: &mut Vec<u32>, page: 
 /// use airsched_core::group::GroupLadder;
 /// use airsched_core::susc;
 /// use airsched_core::types::PageId;
-/// use airsched_proto::template::{CyclicPayloads, FrameTemplateCache};
+/// use airsched_proto::template::{CyclicPayloads, FrameTemplateCache, PlanRow};
 /// use bytes::BytesMut;
 ///
 /// struct Fixed;
@@ -312,7 +305,14 @@ fn fit_page(templates: &mut Vec<Option<Template>>, counts: &mut Vec<u32>, page: 
 ///
 /// let ladder = GroupLadder::new(vec![(2, 2), (4, 3)])?;
 /// let program = susc::schedule(&ladder, 2)?;
-/// let mut cache = FrameTemplateCache::build(&program, &mut Fixed)?;
+/// let rows: Vec<PlanRow> = (0..program.channels())
+///     .map(|ch| PlanRow {
+///         cells: Some(program.row_cells(ch)),
+///         version: program.row_version(ch),
+///     })
+///     .collect();
+/// let mut cache = FrameTemplateCache::new();
+/// cache.retarget(program.cycle_len(), &rows, &mut Fixed)?;
 /// let on_air: Vec<_> = (0..program.channels()).map(|ch| cache.page_at(ch, 7)).collect();
 /// let mut buf = BytesMut::new();
 /// let written = cache.encode_slot_into(&on_air, 7, &mut Fixed, &mut buf)?;
@@ -342,8 +342,8 @@ pub struct FrameTemplateCache {
     /// The plan's page per cell, channel-major (`ch * cycle_len +
     /// column`): the template lookup and the drift check.
     pages: Vec<Option<PageId>>,
-    /// What each channel's row of `pages` was read from.
-    row_keys: Vec<RowKey>,
+    /// The [`PlanRow`] key each channel's row of `pages` was read from.
+    row_keys: Vec<Option<u64>>,
     /// Cells of `pages` per page, indexed like `templates` and as long:
     /// a page has a template exactly while its count is above 0, or
     /// while it is a stray.
@@ -358,76 +358,17 @@ pub struct FrameTemplateCache {
     off_plan_slots: u64,
 }
 
+impl Default for FrameTemplateCache {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl FrameTemplateCache {
-    /// Pre-encodes every page of `program`, pulling one payload per
-    /// distinct page from `payloads`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EncodeError`] when a channel index or payload does not
-    /// fit its wire field.
-    pub fn build<P: CyclicPayloads>(
-        program: &BroadcastProgram,
-        payloads: &mut P,
-    ) -> Result<Self, EncodeError> {
-        Self::from_cells(
-            program.channels(),
-            program.cycle_len(),
-            program.cells(),
-            payloads,
-        )
-    }
-
-    /// Pre-encodes an explicit channel-major grid (`cells[ch * cycle_len +
-    /// column]`), for a grid that is not a [`BroadcastProgram`]. This is
-    /// an empty cache retargeted once ([`FrameTemplateCache::retarget`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EncodeError`] when a channel index or payload does not
-    /// fit its wire field.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycle_len` is zero or `cells.len() != channels *
-    /// cycle_len`.
-    pub fn from_cells<P: CyclicPayloads>(
-        channels: u32,
-        cycle_len: u64,
-        cells: &[Option<PageId>],
-        payloads: &mut P,
-    ) -> Result<Self, EncodeError> {
-        let mut cache = Self::empty();
-        cache.retarget(channels, cycle_len, cells, payloads)?;
-        Ok(cache)
-    }
-
-    /// Pre-encodes a plan given row by row — the entry point for a live
-    /// station, whose effective grid under degraded plans is not one
-    /// [`BroadcastProgram`]. This is an empty cache retargeted once
-    /// ([`FrameTemplateCache::retarget_rows`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EncodeError`] when a channel index or payload does not
-    /// fit its wire field.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycle_len` is zero or a row is not `cycle_len` cells
-    /// long.
-    pub fn from_rows<P: CyclicPayloads>(
-        cycle_len: u64,
-        rows: &[PlanRow<'_>],
-        payloads: &mut P,
-    ) -> Result<Self, EncodeError> {
-        let mut cache = Self::empty();
-        cache.retarget_rows(cycle_len, rows, payloads)?;
-        Ok(cache)
-    }
-
-    /// A cache with no plan: only the idle template.
-    fn empty() -> Self {
+    /// A cache with no plan: only the idle template. The first
+    /// [`FrameTemplateCache::retarget`] reads every row.
+    #[must_use]
+    pub fn new() -> Self {
         let (mut tables, mut images) = (Vec::new(), Vec::new());
         let idle = encode_template(&mut tables, &mut BytesMut::new(), &mut images, None, |_| {})
             .expect("an idle frame always fits");
@@ -448,49 +389,6 @@ impl FrameTemplateCache {
         }
     }
 
-    /// Points the cache at a new channel-major grid in place: a
-    /// [`FrameTemplateCache::retarget_rows`] in which every row is read.
-    /// It pulls and encodes a payload only for pages that have no
-    /// template yet and drops the templates of pages no longer on the
-    /// grid, so a repack that only moves pages between cells and channels
-    /// encodes nothing. Templates outlive the plan they were built for,
-    /// which is why a [`CyclicPayloads`] must be a pure function of the
-    /// page.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EncodeError`] when a channel index or payload does not
-    /// fit its wire field; the cache then stays on its previous plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycle_len` is zero or `cells.len() != channels *
-    /// cycle_len`.
-    pub fn retarget<P: CyclicPayloads>(
-        &mut self,
-        channels: u32,
-        cycle_len: u64,
-        cells: &[Option<PageId>],
-        payloads: &mut P,
-    ) -> Result<(), EncodeError> {
-        assert!(cycle_len > 0, "a plan cycle has at least one slot");
-        let n = usize::try_from(u64::from(channels) * cycle_len).expect("grid fits in memory");
-        assert_eq!(
-            cells.len(),
-            n,
-            "cells must be channel-major, channels x cycle_len"
-        );
-        let width = usize::try_from(cycle_len).expect("grid fits in memory");
-        let rows: Vec<PlanRow<'_>> = cells
-            .chunks(width)
-            .map(|row| PlanRow {
-                cells: Some(row),
-                version: None,
-            })
-            .collect();
-        self.retarget_rows(cycle_len, &rows, payloads)
-    }
-
     /// Points the cache at a new plan, one [`PlanRow`] per channel,
     /// reading only the rows that changed: a row whose version (or
     /// idleness) is the one the channel's row was read from is skipped.
@@ -499,7 +397,9 @@ impl FrameTemplateCache {
     /// once, unless it still has one), and a page whose count falls to
     /// 0, or that an off-plan column admitted, loses it. No cell of the
     /// cached grid is written before every new template is encoded. A
-    /// change of channel count or cycle reads every row.
+    /// change of channel count or cycle reads every row. Templates
+    /// outlive the plan they were built for, which is why a
+    /// [`CyclicPayloads`] must be a pure function of the page.
     ///
     /// # Errors
     ///
@@ -510,7 +410,7 @@ impl FrameTemplateCache {
     ///
     /// Panics if `cycle_len` is zero or a row is not `cycle_len` cells
     /// long.
-    pub fn retarget_rows<P: CyclicPayloads>(
+    pub fn retarget<P: CyclicPayloads>(
         &mut self,
         cycle_len: u64,
         rows: &[PlanRow<'_>],
@@ -528,8 +428,7 @@ impl FrameTemplateCache {
                     row.cells.is_none_or(|cells| cells.len() == width),
                     "a row holds cycle_len cells"
                 );
-                let key = row.key();
-                reshape || key == RowKey::Unknown || self.row_keys[ch] != key
+                reshape || self.row_keys[ch] != row.key()
             })
             .collect();
         // Count first, writing no cell: each changed cell moves the
@@ -605,19 +504,8 @@ impl FrameTemplateCache {
                 None => cells.fill(None),
             }
         }
-        if reshape {
-            self.row_keys.clear();
-            self.row_keys.resize(rows.len(), RowKey::Unknown);
-        }
-        for ((key, row), _) in self
-            .row_keys
-            .iter_mut()
-            .zip(rows)
-            .zip(&changed)
-            .filter(|(_, &changed)| changed)
-        {
-            *key = row.key();
-        }
+        self.row_keys.clear();
+        self.row_keys.extend(rows.iter().map(PlanRow::key));
         self.pages = grid;
         // Every template may have lost its cells in a re-shape; otherwise
         // only the strays and the pages whose count fell to 0 can have.
@@ -733,13 +621,13 @@ impl FrameTemplateCache {
         }
     }
 
-    /// Channels the cache was built for.
+    /// Channels of the cached plan.
     #[must_use]
     pub fn channels(&self) -> u32 {
         self.channels
     }
 
-    /// Cycle length the cache was built for.
+    /// Cycle length of the cached plan.
     #[must_use]
     pub fn cycle_len(&self) -> u64 {
         self.cycle_len
@@ -890,6 +778,7 @@ mod tests {
     use crate::frame::{crc16, Frame, CRC16_LANE_SHIFT, CRC16_SLICES, LANE, MAX_PAYLOAD};
     use crate::transmitter::{encode_slot_into, FrameStream};
     use airsched_core::group::GroupLadder;
+    use airsched_core::program::BroadcastProgram;
     use airsched_core::susc;
     use airsched_core::types::{GridPos, SlotIndex};
 
@@ -911,6 +800,50 @@ mod tests {
     fn program() -> BroadcastProgram {
         let ladder = GroupLadder::new(vec![(2, 2), (4, 3)]).unwrap();
         susc::schedule(&ladder, 2).unwrap()
+    }
+
+    /// `program`'s rows with their versions, as a station hands them over.
+    fn rows(program: &BroadcastProgram) -> Vec<PlanRow<'_>> {
+        (0..program.channels())
+            .map(|ch| PlanRow {
+                cells: Some(program.row_cells(ch)),
+                version: program.row_version(ch),
+            })
+            .collect()
+    }
+
+    /// Retargets `cache` onto a hand-made channel-major grid: the rows of
+    /// a program built from it, each under a fresh version.
+    fn retarget_to<P: CyclicPayloads>(
+        cache: &mut FrameTemplateCache,
+        channels: u32,
+        cycle_len: u64,
+        cells: &[Option<PageId>],
+        payloads: &mut P,
+    ) -> Result<(), EncodeError> {
+        let program = BroadcastProgram::from_cells(channels, cycle_len, cells).unwrap();
+        cache.retarget(cycle_len, &rows(&program), payloads)
+    }
+
+    /// A new cache retargeted once onto a hand-made grid.
+    fn grid_cache<P: CyclicPayloads>(
+        channels: u32,
+        cycle_len: u64,
+        cells: &[Option<PageId>],
+        payloads: &mut P,
+    ) -> Result<FrameTemplateCache, EncodeError> {
+        let mut cache = FrameTemplateCache::new();
+        retarget_to(&mut cache, channels, cycle_len, cells, payloads)?;
+        Ok(cache)
+    }
+
+    /// A new cache retargeted once onto `program`.
+    fn program_cache(program: &BroadcastProgram) -> FrameTemplateCache {
+        let mut cache = FrameTemplateCache::new();
+        cache
+            .retarget(program.cycle_len(), &rows(program), &mut TestPayloads)
+            .unwrap();
+        cache
     }
 
     #[test]
@@ -1032,7 +965,7 @@ mod tests {
     #[test]
     fn cycle_slots_match_fresh_framestream_encoding() {
         let p = program();
-        let mut cache = FrameTemplateCache::build(&p, &mut TestPayloads).unwrap();
+        let mut cache = program_cache(&p);
         let slots = 3 * p.cycle_len();
         let mut stream = FrameStream::new(&p, TestPayloads);
         let mut buf = BytesMut::new();
@@ -1061,7 +994,7 @@ mod tests {
     #[test]
     fn live_slots_match_fresh_encoder_including_stalls() {
         let p = program();
-        let mut cache = FrameTemplateCache::build(&p, &mut TestPayloads).unwrap();
+        let mut cache = program_cache(&p);
         let mut buf = BytesMut::new();
         let mut fresh = BytesMut::new();
         // Far-future slot times exercise all 8 slot bytes.
@@ -1086,7 +1019,7 @@ mod tests {
     #[test]
     fn a_column_of_another_width_is_served_from_templates() {
         let p = program();
-        let mut cache = FrameTemplateCache::build(&p, &mut TestPayloads).unwrap();
+        let mut cache = program_cache(&p);
         let (a, b) = (Some(PageId::new(1)), Some(PageId::new(40)));
         let mut buf = BytesMut::new();
         let mut fresh = BytesMut::new();
@@ -1116,8 +1049,7 @@ mod tests {
 
     #[test]
     fn idle_only_column_patches_cleanly() {
-        let mut cache =
-            FrameTemplateCache::from_cells(3, 4, &[None; 12], &mut TestPayloads).unwrap();
+        let mut cache = grid_cache(3, 4, &[None; 12], &mut TestPayloads).unwrap();
         let mut buf = BytesMut::new();
         let written = cache
             .encode_slot_into(
@@ -1142,7 +1074,7 @@ mod tests {
     #[test]
     fn templates_are_deduped_across_the_cycle() {
         let p = program();
-        let cache = FrameTemplateCache::build(&p, &mut TestPayloads).unwrap();
+        let cache = program_cache(&p);
         // One template per page plus one idle template — not one per cell
         // or per channel.
         assert_eq!(cache.template_count(), p.pages().count() + 1);
@@ -1163,17 +1095,16 @@ mod tests {
             Some(PageId::new(3)),
         );
         let mut payloads = Counted(0);
-        let mut cache = FrameTemplateCache::from_cells(2, 2, &[a, b, None, a], &mut payloads)
-            .expect("grid encodes");
+        let mut cache = grid_cache(2, 2, &[a, b, None, a], &mut payloads).expect("grid encodes");
         assert_eq!((payloads.0, cache.template_count()), (2, 3));
         // Pages trade channels and the grid narrows: nothing is encoded.
         let moved = [b, None, a, a, None, b];
-        cache.retarget(3, 2, &moved, &mut payloads).unwrap();
+        retarget_to(&mut cache, 3, 2, &moved, &mut payloads).unwrap();
         assert_eq!((payloads.0, cache.template_count()), (2, 3));
         // A new page is encoded once; a page that left is dropped, and the
         // delta table of its payload length with it.
         let swapped = [c, None, a, c, None, a];
-        cache.retarget(3, 2, &swapped, &mut payloads).unwrap();
+        retarget_to(&mut cache, 3, 2, &swapped, &mut payloads).unwrap();
         assert_eq!((payloads.0, cache.template_count()), (3, 3));
         assert_eq!(cache.delta_table_count(), 3);
         let mut buf = BytesMut::new();
@@ -1197,12 +1128,11 @@ mod tests {
         // Each retarget drops one page's image and encodes the next one's,
         // at lengths that differ page by page.
         let page = |p: u32| Some(PageId::new(p));
-        let mut cache =
-            FrameTemplateCache::from_cells(1, 2, &[page(0), page(1)], &mut TestPayloads).unwrap();
+        let mut cache = grid_cache(1, 2, &[page(0), page(1)], &mut TestPayloads).unwrap();
         let (mut buf, mut fresh) = (BytesMut::new(), BytesMut::new());
         for next in 2u32..64 {
             let cells = [page(next - 1), page(next)];
-            cache.retarget(1, 2, &cells, &mut TestPayloads).unwrap();
+            retarget_to(&mut cache, 1, 2, &cells, &mut TestPayloads).unwrap();
             let held: usize = cache
                 .templates
                 .iter()
@@ -1243,10 +1173,9 @@ mod tests {
         }
         let mut payloads = HugeFor(9);
         let cells = [Some(PageId::new(1)), None];
-        let mut cache = FrameTemplateCache::from_cells(1, 2, &cells, &mut payloads).unwrap();
-        let err = cache
-            .retarget(1, 1, &[Some(PageId::new(9))], &mut payloads)
-            .unwrap_err();
+        let mut cache = grid_cache(1, 2, &cells, &mut payloads).unwrap();
+        let err =
+            retarget_to(&mut cache, 1, 1, &[Some(PageId::new(9))], &mut payloads).unwrap_err();
         assert!(matches!(err, EncodeError::PayloadTooLarge { .. }));
         assert_eq!((cache.cycle_len(), cache.page_at(0, 0)), (2, cells[0]));
         let mut buf = BytesMut::new();
@@ -1267,19 +1196,14 @@ mod tests {
             }
         }
         let cells = vec![Some(PageId::new(0))];
-        let err = FrameTemplateCache::from_cells(1, 1, &cells, &mut Huge).unwrap_err();
+        let err = grid_cache(1, 1, &cells, &mut Huge).unwrap_err();
         assert!(matches!(err, EncodeError::PayloadTooLarge { .. }));
         // Channel 65536 cannot be named on the wire; the grid build fails
         // before any emit can truncate it.
         let wide = u64::from(u16::MAX) + 2;
         let cells = vec![None; usize::try_from(wide).unwrap()];
-        let err = FrameTemplateCache::from_cells(
-            u32::try_from(wide).unwrap(),
-            1,
-            &cells,
-            &mut TestPayloads,
-        )
-        .unwrap_err();
+        let err =
+            grid_cache(u32::try_from(wide).unwrap(), 1, &cells, &mut TestPayloads).unwrap_err();
         assert!(matches!(err, EncodeError::ChannelOutOfRange { .. }));
     }
 
@@ -1293,7 +1217,7 @@ mod tests {
             }
         }
         let cells = vec![Some(PageId::new(1)), Some(PageId::new(2))];
-        let mut cache = FrameTemplateCache::from_cells(1, 2, &cells, &mut MaxPayload).unwrap();
+        let mut cache = grid_cache(1, 2, &cells, &mut MaxPayload).unwrap();
         let mut buf = BytesMut::new();
         for slot_time in [1u64, u64::MAX] {
             let col = slot_time % 2;

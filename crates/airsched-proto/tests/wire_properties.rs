@@ -7,11 +7,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
+use airsched_core::program::BroadcastProgram;
 use airsched_core::retry::RetryPolicy;
 use airsched_core::types::{ChannelId, PageId, PAGE_ID_LIMIT};
 use airsched_proto::frame::{decode_stream, Frame, HEADER_LEN};
 use airsched_proto::receiver::{Receiver, ReceiverStats, Reception};
-use airsched_proto::template::{CyclicPayloads, DeltaTable, FrameTemplateCache};
+use airsched_proto::template::{CyclicPayloads, DeltaTable, FrameTemplateCache, PlanRow};
 use airsched_proto::transmitter::encode_slot_into;
 use bytes::{Bytes, BytesMut};
 
@@ -388,7 +389,12 @@ proptest! {
     /// channels patch the channel field's high byte too. Some columns put
     /// a page off the cached grid, pages 6..10 among them, which no cell
     /// holds: such a column is still served from templates, and each page
-    /// the cache had never seen is pulled exactly once.
+    /// the cache had never seen is pulled exactly once. Then the plan
+    /// moves by a few retargets in which each row either keeps its
+    /// version and cells or takes new cells under a fresh version: after
+    /// each, on-plan and off-plan columns patch to the bytes, template
+    /// and delta-table counts and off-plan count of a new cache
+    /// retargeted once onto the same rows.
     #[test]
     fn template_patching_matches_fresh_encoding(
         channels in prop_oneof![1u32..4, 256u32..=300],
@@ -398,6 +404,10 @@ proptest! {
         slot_times in prop::collection::vec(any::<u64>(), 1..5),
         stall_mask in any::<u16>(),
         off_grid in prop::collection::vec((any::<prop::sample::Index>(), 0u32..10), 0..4),
+        moves in prop::collection::vec(
+            (any::<u16>(), prop::collection::vec(prop::option::of(0u32..8), 7)),
+            1..4,
+        ),
     ) {
         let n = (channels as usize) * (cycle_len as usize);
         let cells: Vec<Option<PageId>> = (0..n)
@@ -415,9 +425,11 @@ proptest! {
             .collect();
         let mut payloads = MapPayloads { bytes: bytes.clone(), pulls: BTreeMap::new() };
         let mut fresh_payloads = MapPayloads { bytes, pulls: BTreeMap::new() };
-        let mut cache =
-            FrameTemplateCache::from_cells(channels, cycle_len, &cells, &mut payloads)
-                .expect("grid encodes");
+        let program = BroadcastProgram::from_cells(channels, cycle_len, &cells).unwrap();
+        let mut cache = FrameTemplateCache::new();
+        cache
+            .retarget(cycle_len, &program_rows(&program), &mut payloads)
+            .expect("grid encodes");
         let built_pulls = std::mem::take(&mut payloads.pulls);
         let mut patched = BytesMut::new();
         let mut fresh = BytesMut::new();
@@ -470,5 +482,64 @@ proptest! {
         for page in cells.iter().flatten() {
             prop_assert_eq!(built_pulls.get(&page.index()), Some(&1));
         }
+
+        // Row by row: a set bit of `keep` keeps the row's version and
+        // cells, a clear one writes the row from `pool` under a fresh
+        // version.
+        let width = cycle_len as usize;
+        let mut rows: Vec<(u64, Vec<Option<PageId>>)> = (0..channels)
+            .map(|ch| (program.row_version(ch), program.row_cells(ch).to_vec()))
+            .collect();
+        let mut next_version = rows.iter().map(|r| r.0).max().unwrap_or(0);
+        for (step, (keep, pool)) in moves.iter().enumerate() {
+            for (ch, row) in rows.iter_mut().enumerate() {
+                if keep & (1 << (ch % 16)) == 0 {
+                    next_version += 1;
+                    let cells = (0..width).map(|col| pool[(ch * width + col + step) % pool.len()]);
+                    *row = (next_version, cells.map(|p| p.map(PageId::new)).collect());
+                }
+            }
+            let plan: Vec<PlanRow<'_>> = rows
+                .iter()
+                .map(|(version, cells)| PlanRow { cells: Some(cells), version: *version })
+                .collect();
+            cache.retarget(cycle_len, &plan, &mut payloads).expect("rows encode");
+            let mut want = FrameTemplateCache::new();
+            want.retarget(cycle_len, &plan, &mut fresh_payloads).expect("rows encode");
+            let off_plan_before = cache.off_plan_slots();
+            for (k, &slot_time) in slot_times.iter().enumerate() {
+                let col = (slot_time % cycle_len) as usize;
+                let mut on_air: Vec<Option<PageId>> = rows.iter().map(|r| r.1[col]).collect();
+                if k % 2 == 0 {
+                    for (at, page) in &off_grid {
+                        on_air[at.index(channels as usize)] = Some(PageId::new(*page));
+                    }
+                }
+                patched.clear();
+                cache
+                    .encode_slot_into(&on_air, slot_time, &mut payloads, &mut patched)
+                    .expect("every page fits the wire");
+                fresh.clear();
+                want.encode_slot_into(&on_air, slot_time, &mut fresh_payloads, &mut fresh)
+                    .expect("every page fits the wire");
+                prop_assert_eq!(&patched[..], &fresh[..], "move {} slot {}", step, slot_time);
+                prop_assert_eq!(cache.template_count(), want.template_count());
+                prop_assert_eq!(cache.delta_table_count(), want.delta_table_count());
+                prop_assert_eq!(
+                    cache.off_plan_slots() - off_plan_before,
+                    want.off_plan_slots()
+                );
+            }
+        }
     }
+}
+
+/// `program`'s rows with their versions, as a station hands them over.
+fn program_rows(program: &BroadcastProgram) -> Vec<PlanRow<'_>> {
+    (0..program.channels())
+        .map(|ch| PlanRow {
+            cells: Some(program.row_cells(ch)),
+            version: program.row_version(ch),
+        })
+        .collect()
 }

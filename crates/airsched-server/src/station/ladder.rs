@@ -115,14 +115,13 @@ impl Station {
     /// [`super::StationStats`]. With `touched`, the per-page deadline
     /// rules run only for those pages, which the caller vouches for
     /// ([`LintInput::for_catalogue_change`]); the report is the full
-    /// lint's either way. Returns whether the candidate passed and
-    /// whether its report held no diagnostic at all.
+    /// lint's either way. Returns whether the candidate passed.
     fn gate_candidate(
         &mut self,
         candidate: &BroadcastProgram,
         config: &LintConfig,
         touched: Option<&[PageId]>,
-    ) -> (bool, bool) {
+    ) -> bool {
         let catalogue = self.scheduler.pages();
         let input = match touched {
             Some(touched) => LintInput::for_catalogue_change(candidate, catalogue, touched),
@@ -133,7 +132,7 @@ impl Station {
         self.gate_log.push(super::tests::GateRecord {
             candidate: candidate.clone(),
             config: config.clone(),
-            catalogue: catalogue.iter().collect(),
+            scheduler: self.scheduler.clone(),
             report: report.clone(),
             by_change_set: touched.is_some(),
         });
@@ -153,7 +152,7 @@ impl Station {
                 .filter(|d| d.severity == Severity::Deny)
                 .map(|d| d.rule.code()),
         );
-        (!refused, report.is_clean())
+        !refused
     }
 
     /// Applies the chaos corruptor (if any) to a replan candidate.
@@ -183,7 +182,7 @@ impl Station {
             return;
         }
         // `certified` holds for the plan on the air until this swap;
-        // only a clean SUSC plan the ladder installs sets it again.
+        // only a SUSC plan the ladder installs sets it again.
         let certified = std::mem::take(&mut self.certified);
         let configured = u32::try_from(self.channel_up.len()).expect("channel count fits in u32");
         let n_up = self.channels_up();
@@ -243,10 +242,10 @@ impl Station {
     /// pre-swap lint gate; `None` means a candidate existed but was
     /// refused, so the caller must keep the previous plan on the air.
     ///
-    /// `certified` says the on-air plan passed its gate clean (the
-    /// station's `certified` field): then a relocation is gated by
-    /// change set, with `edited` touched too. An accepted relocation or
-    /// pack whose report is clean is certified in turn.
+    /// `certified` says the on-air plan is a SUSC plan that passed its
+    /// gate (the station's `certified` field): then a relocation is gated
+    /// by change set, with `edited` touched too. An accepted relocation
+    /// or pack is certified in turn (DESIGN §9.1).
     fn reduced_plan(
         &mut self,
         n_up: u32,
@@ -301,12 +300,10 @@ impl Station {
                     }
                     _ => None,
                 };
-                let (lint_ok, clean) = self.gate_candidate(&candidate, &config, touched.as_deref());
+                let lint_ok = self.gate_candidate(&candidate, &config, touched.as_deref());
                 let solve_ok = !self.deep_verify || self.certify_candidate(&candidate);
                 if lint_ok && solve_ok {
-                    if clean {
-                        self.certified = true;
-                    }
+                    self.certified = true;
                     return Some(ActivePlan::Reduced(candidate));
                 }
                 refused = true;
@@ -323,10 +320,7 @@ impl Station {
                 self.record.replan(Stage::Pamad, evals, started);
                 // Best-effort misses deadlines by design; hold it to the
                 // structural rules only.
-                if self
-                    .gate_candidate(&candidate, &LintConfig::structural(), None)
-                    .0
-                {
+                if self.gate_candidate(&candidate, &LintConfig::structural(), None) {
                     return Some(ActivePlan::BestEffort(candidate));
                 }
                 refused = true;

@@ -611,10 +611,10 @@ pub struct Station {
     pending_events: Vec<ChannelEvent>,
     /// Chaos hook: mutates replan candidates before the lint gate.
     corruptor: Option<PlanCorruptor>,
-    /// Whether the plan on the air is a `Reduced` plan whose gate report
-    /// held no diagnostic at all. The next relocation from such a plan
-    /// is gated by change set; every swap clears it, and only a clean
-    /// gate sets it again. Not snapshotted: a resumed station lints its
+    /// Whether the plan on the air is a `Reduced` plan that passed the
+    /// full deadline rule set. The next relocation from such a plan is
+    /// gated by change set; every swap clears it, and only an installed
+    /// SUSC candidate sets it again. Not snapshotted: a resumed station lints its
     /// first relocation whole.
     certified: bool,
     /// Every gate verdict with what it judged, for the differential
@@ -923,10 +923,10 @@ impl Station {
     /// ([`BroadcastProgram::row_version`]), or no cells when the channel
     /// airs nothing. Equal versions across two calls mean the channel
     /// airs the same cells, which is how a frame-template cache
-    /// ([`FrameTemplateCache::retarget_rows`]) re-reads only the rows a
-    /// plan change moved.
+    /// ([`FrameTemplateCache::retarget`]) re-reads only the rows a plan
+    /// change moved.
     ///
-    /// [`FrameTemplateCache::retarget_rows`]: airsched_proto::template::FrameTemplateCache::retarget_rows
+    /// [`FrameTemplateCache::retarget`]: airsched_proto::template::FrameTemplateCache::retarget
     pub fn plan_rows(&self) -> (u64, impl ExactSizeIterator<Item = PlanRow<'_>> + '_) {
         let program = self.on_air_program();
         let cycle_len = program.map_or(1, BroadcastProgram::cycle_len);
@@ -936,11 +936,11 @@ impl Station {
             .map(move |&row| match program.zip(row) {
                 Some((program, row)) => PlanRow {
                     cells: Some(program.row_cells(row)),
-                    version: Some(program.row_version(row)),
+                    version: program.row_version(row),
                 },
                 None => PlanRow {
                     cells: None,
-                    version: None,
+                    version: 0,
                 },
             });
         (cycle_len, rows)

@@ -1179,13 +1179,13 @@ fn slo_burn_fires_on_late_deliveries_and_captures_postmortem() {
 }
 
 /// One pre-swap gate verdict and what it judged: the candidate, the
-/// configuration, the catalogue at the time, the report, and whether the
-/// gate linted by change set.
+/// configuration, the scheduler (and so the catalogue) at the time, the
+/// report, and whether the gate linted by change set.
 #[derive(Debug, Clone)]
 pub(crate) struct GateRecord {
     pub(crate) candidate: BroadcastProgram,
     pub(crate) config: LintConfig,
-    pub(crate) catalogue: Vec<(PageId, u64)>,
+    pub(crate) scheduler: OnlineScheduler,
     pub(crate) report: airsched_lint::LintReport,
     pub(crate) by_change_set: bool,
 }
@@ -1315,7 +1315,8 @@ proptest::proptest! {
             }
         }
         for record in &s.gate_log {
-            let input = LintInput::for_catalogue(&record.candidate, &record.catalogue);
+            let input =
+                LintInput::for_live_catalogue(&record.candidate, record.scheduler.pages());
             let want = airsched_lint::lint(&input, &record.config);
             proptest::prop_assert_eq!(&record.report, &want);
             proptest::prop_assert_eq!(

@@ -1,7 +1,7 @@
 //! The station's wire side: template-cached slot encoding.
 //!
-//! [`SlotBroadcaster`] owns a [`FrameTemplateCache`] built from the
-//! station's effective on-air grid ([`Station::plan_rows`]) and keyed on
+//! [`SlotBroadcaster`] owns a [`FrameTemplateCache`] retargeted onto the
+//! station's effective on-air grid ([`Station::plan_rows`]) at every
 //! [`Station::plan_epoch`]: in steady state each slot is emitted by
 //! memcpy-ing pre-encoded per-page wire images and patching only the
 //! channel and `slot_time` bytes plus an incrementally-corrected CRC,
@@ -11,7 +11,8 @@
 //! Invalidation is epoch-driven, not guessed: every path that can change
 //! what a column puts on the air — publish, expire, manual fail/restore,
 //! a policy change, any in-tick ladder move — bumps the station's plan
-//! epoch, and the broadcaster rebuilds its cache on the next slot. A
+//! epoch, and the broadcaster rebuilds its cache on the next slot, the
+//! first slot included. A
 //! rebuild retargets the cache in place: it re-reads only the channels
 //! whose row version moved and encodes only pages new to the grid. Per
 //! slot stalls need no rebuild (a `None` carrier patches the
@@ -57,9 +58,9 @@ use crate::station::Station;
 /// ```
 pub struct SlotBroadcaster<P> {
     payloads: P,
-    cache: Option<FrameTemplateCache>,
-    /// The [`Station::plan_epoch`] the cache was built at; `None` until
-    /// the first slot.
+    cache: FrameTemplateCache,
+    /// The [`Station::plan_epoch`] the cache was retargeted at; `None`
+    /// until the first slot.
     built_epoch: Option<u64>,
     rebuilds: u64,
     /// Registry mirrors for `rebuilds` and
@@ -76,21 +77,18 @@ impl<P> std::fmt::Debug for SlotBroadcaster<P> {
         f.debug_struct("SlotBroadcaster")
             .field("built_epoch", &self.built_epoch)
             .field("rebuilds", &self.rebuilds)
-            .field(
-                "off_plan_slots",
-                &self.cache.as_ref().map(FrameTemplateCache::off_plan_slots),
-            )
+            .field("off_plan_slots", &self.cache.off_plan_slots())
             .finish_non_exhaustive()
     }
 }
 
 impl<P: CyclicPayloads> SlotBroadcaster<P> {
-    /// Wraps a payload supplier; the first [`SlotBroadcaster::encode_slot`]
-    /// builds the cache.
+    /// Wraps a payload supplier and a cache with no plan; the first
+    /// [`SlotBroadcaster::encode_slot`] retargets it.
     pub fn new(payloads: P) -> Self {
         Self {
             payloads,
-            cache: None,
+            cache: FrameTemplateCache::new(),
             built_epoch: None,
             rebuilds: 0,
             obs_counters: None,
@@ -146,31 +144,21 @@ impl<P: CyclicPayloads> SlotBroadcaster<P> {
         slot_time: u64,
         buf: &mut BytesMut,
     ) -> Result<usize, EncodeError> {
-        let epoch = station.plan_epoch();
-        if self.built_epoch != Some(epoch) || self.cache.is_none() {
+        if self.built_epoch != Some(station.plan_epoch()) {
             self.rebuild(station)?;
         }
-        let cache = self.cache.as_mut().expect("rebuild installs a cache");
-        cache.encode_slot_into(on_air, slot_time, &mut self.payloads, buf)
+        self.cache
+            .encode_slot_into(on_air, slot_time, &mut self.payloads, buf)
     }
 
     /// Retargets the template cache onto the station's current effective
-    /// grid (building it on the first slot) and records the epoch it
-    /// captured. Only the channels whose row version moved are re-read,
-    /// and only pages new to the grid are encoded.
+    /// grid and records the epoch it captured. Only the channels whose
+    /// row version moved are re-read, and only pages new to the grid are
+    /// encoded.
     fn rebuild(&mut self, station: &Station) -> Result<(), EncodeError> {
         let (cycle_len, rows) = station.plan_rows();
         let rows: Vec<PlanRow<'_>> = rows.collect();
-        match &mut self.cache {
-            Some(cache) => cache.retarget_rows(cycle_len, &rows, &mut self.payloads)?,
-            None => {
-                self.cache = Some(FrameTemplateCache::from_rows(
-                    cycle_len,
-                    &rows,
-                    &mut self.payloads,
-                )?);
-            }
-        }
+        self.cache.retarget(cycle_len, &rows, &mut self.payloads)?;
         self.built_epoch = Some(station.plan_epoch());
         self.rebuilds += 1;
         Ok(())
@@ -190,15 +178,13 @@ impl<P: CyclicPayloads> SlotBroadcaster<P> {
     /// any steady pipeline.
     #[must_use]
     pub fn fresh_fallbacks(&self) -> u64 {
-        self.cache
-            .as_ref()
-            .map_or(0, FrameTemplateCache::off_plan_slots)
+        self.cache.off_plan_slots()
     }
 
-    /// The live cache, if one has been built.
+    /// The live cache, once the first slot has retargeted it.
     #[must_use]
     pub fn cache(&self) -> Option<&FrameTemplateCache> {
-        self.cache.as_ref()
+        self.built_epoch.map(|_| &self.cache)
     }
 
     /// The payload supplier.
@@ -211,6 +197,7 @@ impl<P: CyclicPayloads> SlotBroadcaster<P> {
 mod tests {
     use super::*;
     use crate::station::TickBuf;
+    use airsched_core::program::BroadcastProgram;
     use airsched_core::types::ChannelId;
     use airsched_proto::transmitter::encode_slot_into;
 
@@ -458,8 +445,8 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
         /// A broadcaster that re-reads only the rows whose version moved
-        /// emits, at every slot of every epoch, the bytes of a cache built
-        /// fresh from [`Station::plan_cells`] at that epoch, holding as
+        /// emits, at every slot of every epoch, the bytes of a new cache
+        /// retargeted once onto [`Station::plan_cells`] at that epoch, holding as
         /// many templates and delta tables and counting the same off-plan
         /// slots — through random failures, restores, publishes and
         /// expiries, without a corruptor and with one switched on and off
@@ -487,13 +474,19 @@ mod tests {
                     if reference.as_ref().is_none_or(|(built, _)| *built != epoch) {
                         earlier_off_plan += reference.map_or(0, |(_, c)| c.off_plan_slots());
                         let plan = station.plan_cells();
-                        let cache = FrameTemplateCache::from_cells(
-                            plan.channels,
-                            plan.cycle_len,
-                            &plan.cells,
-                            &mut PagePayloads,
-                        )
-                        .expect("every page fits the wire");
+                        let program =
+                            BroadcastProgram::from_cells(plan.channels, plan.cycle_len, &plan.cells)
+                                .expect("the plan is a grid");
+                        let rows: Vec<PlanRow<'_>> = (0..program.channels())
+                            .map(|ch| PlanRow {
+                                cells: Some(program.row_cells(ch)),
+                                version: program.row_version(ch),
+                            })
+                            .collect();
+                        let mut cache = FrameTemplateCache::new();
+                        cache
+                            .retarget(program.cycle_len(), &rows, &mut PagePayloads)
+                            .expect("every page fits the wire");
                         reference = Some((epoch, cache));
                     }
                     let (_, want) = reference.as_mut().expect("built above");
