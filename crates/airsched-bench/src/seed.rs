@@ -299,7 +299,7 @@ impl SeedStation {
         let mut corrupt_wanted = vec![false; configured];
 
         if let Some(injector) = self.injector.as_mut() {
-            let faults = injector.sample(self.time);
+            let faults = injector.sample(self.time, &self.channel_up);
             let before = self.channel_up.clone();
             let mut changed = false;
             for channel in faults.went_down {

@@ -94,6 +94,7 @@ struct CatalogueTable {
 }
 
 impl CatalogueTable {
+    #[inline]
     fn view(&self) -> Catalogue<'_> {
         Catalogue {
             times: &self.times,
@@ -177,7 +178,9 @@ impl<'a> Catalogue<'a> {
         self.groups.is_empty()
     }
 
-    /// `page`'s expected time, or `None` when it is not live.
+    /// `page`'s expected time, or `None` when it is not live. Inlined
+    /// across crates: a station reads it at every subscribe and drain.
+    #[inline]
     #[must_use]
     pub fn get(self, page: PageId) -> Option<u64> {
         self.times
@@ -187,6 +190,7 @@ impl<'a> Catalogue<'a> {
     }
 
     /// Whether `page` is live.
+    #[inline]
     #[must_use]
     pub fn contains(self, page: PageId) -> bool {
         self.get(page).is_some()

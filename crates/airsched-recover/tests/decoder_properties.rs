@@ -31,7 +31,7 @@ use airsched_recover::{
 };
 use airsched_server::faults::{FaultEvent, FaultPlan};
 use airsched_server::station::{ActivePlanSnapshot, Mode, ProgramSnapshot};
-use airsched_server::Station;
+use airsched_server::{Station, StationError};
 
 /// Checkpoint header: magic (4), version (2), body length (4).
 const HEADER_LEN: usize = 10;
@@ -284,6 +284,97 @@ fn a_forged_channel_mask_makes_resume_an_error() {
         "{:?}",
         resumed.err()
     );
+}
+
+/// An edit of a decoded checkpoint.
+type Forgery = fn(&mut Checkpoint);
+
+/// A state directory holding a real run's checkpoint, edited by `forge`
+/// and re-written CRC-valid, followed by 16 journaled ticks. The fault
+/// plan has no random faults, so no fault the journal records contradicts
+/// a forged mask, and the journal holds no subscribe after the checkpoint:
+/// resuming the untouched directory replays without error.
+fn forged_state_dir(forge: Forgery) -> PathBuf {
+    let plan = FaultPlan::scripted(vec![FaultEvent::Down {
+        at: 10,
+        channel: ChannelId::new(0),
+    }]);
+    let mut s = Station::with_faults(3, 8, &plan).expect("station builds");
+    for (page, expected) in [(0, 2), (1, 4), (2, 8), (3, 8)] {
+        s.publish(PageId::new(page), expected).expect("publishes");
+    }
+    let dir = temp_journal();
+    let mut run =
+        RecoverableStation::create(&dir, s, Some(plan), RecoveryOptions::new()).expect("creates");
+    for t in 0..40u32 {
+        run.subscribe(PageId::new(t % 4)).expect("subscribes");
+        run.tick().expect("ticks");
+    }
+    for page in 0..4 {
+        run.subscribe(PageId::new(page)).expect("subscribes");
+    }
+    run.checkpoint().expect("checkpoints");
+    for _ in 0..16 {
+        run.tick().expect("ticks");
+    }
+    drop(run);
+    let mut ck = Checkpoint::read(&dir).expect("reads");
+    forge(&mut ck);
+    ck.write_atomic(&dir).expect("writes");
+    dir
+}
+
+/// Each fact the checkpoint stores twice — the expected times beside the
+/// scheduler's catalogue, the injector's channel mask beside the
+/// station's, the waiting count beside the waiters — and each waiter's
+/// subscription slot must agree with the station's own. A CRC-valid
+/// checkpoint that breaks one of them must make `resume` an error before
+/// the journal replay, where the waiting count and a future `since`
+/// would underflow on the first drain.
+#[test]
+fn forged_duplicate_facts_make_resume_an_error() {
+    let dir = forged_state_dir(|_| {});
+    let resumed = RecoverableStation::resume(&dir, RecoveryOptions::new(), None);
+    std::fs::remove_dir_all(&dir).ok();
+    let (_, report) = resumed.expect("the untouched directory resumes");
+    assert_eq!(
+        report.resumed_at,
+        40 + 16,
+        "the 16 ticks after the checkpoint"
+    );
+    let forgeries: [(&str, Forgery); 4] = [
+        ("expected times list a page that is not live", |ck| {
+            ck.snapshot.expected.push(Some(8));
+        }),
+        ("injector mask disagrees with the station's", |ck| {
+            let up = &mut ck.snapshot.injector.as_mut().expect("injector").up;
+            up[1] = !up[1];
+        }),
+        ("waiting count below the waiters carried", |ck| {
+            ck.snapshot.stats.waiting = 0;
+        }),
+        ("a waiter subscribed after the snapshot's time", |ck| {
+            let time = ck.snapshot.time;
+            for waiters in &mut ck.snapshot.waiting {
+                if let Some(w) = waiters.first_mut() {
+                    w.1 = time + 1000;
+                }
+            }
+        }),
+    ];
+    for (what, forge) in forgeries {
+        let dir = forged_state_dir(forge);
+        let resumed = RecoverableStation::resume(&dir, RecoveryOptions::new(), None);
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            matches!(
+                resumed,
+                Err(RecoverError::Station(StationError::CorruptSnapshot { .. }))
+            ),
+            "{what}: {:?}",
+            resumed.err()
+        );
+    }
 }
 
 /// The checkpoint's mode byte is derived from the plan tag that follows

@@ -3,8 +3,10 @@
 //! A [`FaultPlan`] describes *what goes wrong*: a scripted list of
 //! [`FaultEvent`]s (channel outages and recoveries, one-slot transmitter
 //! stalls, corrupted frames) plus optional seed-driven random fault rates.
-//! A [`FaultInjector`] executes the plan slot by slot, handing the station
-//! one [`SlotFaults`] per tick.
+//! A [`FaultInjector`] executes the plan slot by slot against the
+//! station's channel mask, handing the station one [`SlotFaults`] per
+//! tick; the station applies the reported transitions to its mask, the
+//! only record of which channels are up.
 //!
 //! Everything here is deterministic: the injector draws a fixed number of
 //! random samples per channel per slot (whether or not each sample is
@@ -275,32 +277,32 @@ impl Default for SlotFaults {
     }
 }
 
-/// Executes a [`FaultPlan`] against a fixed channel count, one slot at a
-/// time.
+/// Executes a [`FaultPlan`] one slot at a time against the caller's
+/// channel mask.
 ///
-/// The injector owns the authoritative up/down state of every channel. The
-/// random phase draws exactly four samples per channel per slot (outage,
-/// recovery, stall, corruption) regardless of whether each applies, so the
-/// random stream never depends on channel state and runs stay reproducible
-/// even when scripts and random faults interleave.
+/// The injector holds no channel state of its own: each slot it reads the
+/// caller's up/down mask and reports the transitions the plan makes from
+/// it. The random phase draws exactly four samples per channel per slot
+/// (outage, recovery, stall, corruption) regardless of whether each
+/// applies, so the random stream never depends on channel state and runs
+/// stay reproducible even when scripts and random faults interleave.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     script: Vec<FaultEvent>,
     cursor: usize,
     rng: SmallRng,
-    up: Vec<bool>,
     outage: f64,
     recovery: f64,
     stall: f64,
     corruption: f64,
-    /// Scratch copy of `up` from the start of the current slot, kept on the
-    /// injector so [`Self::sample_into`] allocates nothing per call.
-    prev: Vec<bool>,
+    /// Scratch: the channel state as the current slot evolves it from the
+    /// caller's mask, kept on the injector so [`Self::sample_into`]
+    /// allocates nothing per call.
+    next: Vec<bool>,
 }
 
 impl FaultInjector {
-    /// Builds an injector for a station with `channels` transmitters, all
-    /// initially up.
+    /// Builds an injector for a station with `channels` transmitters.
     #[must_use]
     pub fn new(plan: &FaultPlan, channels: u32) -> Self {
         let mut script = plan.script.clone();
@@ -310,93 +312,60 @@ impl FaultInjector {
             script,
             cursor: 0,
             rng: SmallRng::seed_from_u64(plan.seed),
-            up: vec![true; channels as usize],
             outage: plan.outage,
             recovery: plan.recovery,
             stall: plan.stall,
             corruption: plan.corruption,
-            prev: Vec::with_capacity(channels as usize),
+            next: Vec::with_capacity(channels as usize),
         }
     }
 
-    /// Number of channels being injected into.
+    /// Captures the injector's evolving state — script cursor and RNG
+    /// state — with the caller's channel mask `up`, for checkpointing.
+    /// The static parts (script, rates) are rebuilt from the plan on
+    /// restore.
     #[must_use]
-    pub fn channels(&self) -> u32 {
-        u32::try_from(self.up.len()).expect("channel count fits in u32")
-    }
-
-    /// Whether `channel` is currently up (out-of-range channels are down).
-    #[must_use]
-    pub fn is_up(&self, channel: ChannelId) -> bool {
-        self.up
-            .get(channel.index() as usize)
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// How many channels are currently up.
-    #[must_use]
-    pub fn up_count(&self) -> u32 {
-        u32::try_from(self.up.iter().filter(|&&u| u).count()).expect("fits in u32")
-    }
-
-    /// Forces `channel` down outside the plan (mirrors a station-side
-    /// manual failure so plan and station agree on channel state).
-    pub fn force_down(&mut self, channel: ChannelId) {
-        if let Some(up) = self.up.get_mut(channel.index() as usize) {
-            *up = false;
-        }
-    }
-
-    /// Forces `channel` up outside the plan.
-    pub fn force_up(&mut self, channel: ChannelId) {
-        if let Some(up) = self.up.get_mut(channel.index() as usize) {
-            *up = true;
-        }
-    }
-
-    /// Captures the injector's evolving state — script cursor, RNG state,
-    /// and per-channel up/down flags — for checkpointing. The static parts
-    /// (script, rates) are rebuilt from the plan on restore.
-    #[must_use]
-    pub fn snapshot(&self) -> FaultInjectorSnapshot {
+    pub fn snapshot(&self, up: &[bool]) -> FaultInjectorSnapshot {
         FaultInjectorSnapshot {
             cursor: u64::try_from(self.cursor).expect("cursor fits in u64"),
             rng_state: self.rng.state(),
-            up: self.up.clone(),
+            up: up.to_vec(),
         }
     }
 
     /// Rebuilds an injector from its originating plan plus a snapshot
-    /// taken by [`Self::snapshot`]. The restored injector's fault stream
-    /// is bit-identical to the continuation of the snapshotted one.
+    /// taken by [`Self::snapshot`]. Fed the snapshot's mask, the restored
+    /// injector's fault stream is bit-identical to the continuation of
+    /// the snapshotted one.
     #[must_use]
     pub fn from_snapshot(plan: &FaultPlan, snapshot: &FaultInjectorSnapshot) -> Self {
         let mut inj = Self::new(plan, u32::try_from(snapshot.up.len()).expect("fits in u32"));
         inj.cursor = usize::try_from(snapshot.cursor).expect("cursor fits in usize");
         inj.rng = SmallRng::seed_from_u64(snapshot.rng_state);
-        inj.up.copy_from_slice(&snapshot.up);
         inj
     }
 
-    /// Produces the faults for slot `time`.
+    /// Produces the faults for slot `time` on channels whose state at the
+    /// start of the slot is `up`.
     ///
     /// `time` must advance monotonically across calls for scripted events
     /// to fire (each is applied the first time `sample` sees a slot at or
-    /// past its `at`).
-    pub fn sample(&mut self, time: u64) -> SlotFaults {
+    /// past its `at`). The caller applies the reported transitions to its
+    /// mask before the next call.
+    pub fn sample(&mut self, time: u64, up: &[bool]) -> SlotFaults {
         let mut out = SlotFaults::empty();
-        self.sample_into(time, &mut out);
+        self.sample_into(time, up, &mut out);
         out
     }
 
     /// Allocation-free sibling of [`Self::sample`]: fills `out` in place,
     /// reusing its buffers across slots. Byte-identical to `sample` for the
-    /// same injector state — the station's hot tick path relies on that.
-    pub fn sample_into(&mut self, time: u64, out: &mut SlotFaults) {
-        let n = self.up.len();
-        self.prev.clear();
-        self.prev.extend_from_slice(&self.up);
+    /// same injector state and mask — the station's hot tick path relies
+    /// on that.
+    pub fn sample_into(&mut self, time: u64, up: &[bool], out: &mut SlotFaults) {
+        let n = up.len();
+        self.next.clear();
+        self.next.extend_from_slice(up);
         out.went_down.clear();
         out.came_up.clear();
         out.stalled.clear();
@@ -410,10 +379,10 @@ impl FaultInjector {
             let recovery_draw: f64 = self.rng.gen();
             let stall_draw: f64 = self.rng.gen();
             let corrupt_draw: f64 = self.rng.gen();
-            if self.up[ch] && outage_draw < self.outage {
-                self.up[ch] = false;
-            } else if !self.up[ch] && recovery_draw < self.recovery {
-                self.up[ch] = true;
+            if self.next[ch] && outage_draw < self.outage {
+                self.next[ch] = false;
+            } else if !self.next[ch] && recovery_draw < self.recovery {
+                self.next[ch] = true;
             }
             out.stalled[ch] = stall_draw < self.stall;
             out.corrupted[ch] = corrupt_draw < self.corruption;
@@ -427,8 +396,8 @@ impl FaultInjector {
             let ch = event.channel().index() as usize;
             if ch < n {
                 match event {
-                    FaultEvent::Down { .. } => self.up[ch] = false,
-                    FaultEvent::Up { .. } => self.up[ch] = true,
+                    FaultEvent::Down { .. } => self.next[ch] = false,
+                    FaultEvent::Up { .. } => self.next[ch] = true,
                     FaultEvent::Stall { at, .. } if *at == time => out.stalled[ch] = true,
                     FaultEvent::Corrupt { at, .. } if *at == time => out.corrupted[ch] = true,
                     // A stall/corrupt slot that was skipped over (the
@@ -439,9 +408,9 @@ impl FaultInjector {
             self.cursor += 1;
         }
 
-        for (ch, &was_up) in self.prev.iter().enumerate() {
+        for (ch, &was_up) in up.iter().enumerate() {
             let id = ChannelId::new(u32::try_from(ch).expect("channel fits in u32"));
-            match (was_up, self.up[ch]) {
+            match (was_up, self.next[ch]) {
                 (true, false) => out.went_down.push(id),
                 (false, true) => out.came_up.push(id),
                 _ => {}
@@ -450,7 +419,7 @@ impl FaultInjector {
         // Down channels transmit nothing, so stall/corrupt flags only
         // matter for live ones; mask them for cleanliness.
         for ch in 0..n {
-            if !self.up[ch] {
+            if !self.next[ch] {
                 out.stalled[ch] = false;
                 out.corrupted[ch] = false;
             }
@@ -466,7 +435,7 @@ pub struct FaultInjectorSnapshot {
     pub cursor: u64,
     /// Internal state of the random-phase generator.
     pub rng_state: u64,
-    /// Per-channel up/down flags at snapshot time.
+    /// The station's channel mask at snapshot time.
     pub up: Vec<bool>,
 }
 
@@ -476,6 +445,33 @@ mod tests {
 
     fn ch(i: u32) -> ChannelId {
         ChannelId::new(i)
+    }
+
+    /// An injector driven over a channel mask it is handed, as the
+    /// station drives it: each slot's transitions are applied to the mask
+    /// before the next slot.
+    struct Driven {
+        inj: FaultInjector,
+        up: Vec<bool>,
+    }
+
+    impl Driven {
+        fn new(plan: &FaultPlan, channels: u32) -> Self {
+            Self {
+                inj: FaultInjector::new(plan, channels),
+                up: vec![true; channels as usize],
+            }
+        }
+
+        fn sample(&mut self, time: u64) -> SlotFaults {
+            let faults = self.inj.sample(time, &self.up);
+            for (channels, up) in [(&faults.went_down, false), (&faults.came_up, true)] {
+                for c in channels {
+                    self.up[c.index() as usize] = up;
+                }
+            }
+            faults
+        }
     }
 
     #[test]
@@ -490,18 +486,17 @@ mod tests {
                 channel: ch(0),
             },
         ]);
-        let mut inj = FaultInjector::new(&plan, 2);
+        let mut inj = Driven::new(&plan, 2);
         assert!(inj.sample(0).is_clean());
         assert!(inj.sample(1).is_clean());
         let f = inj.sample(2);
         assert_eq!(f.went_down, vec![ch(0)]);
-        assert!(!inj.is_up(ch(0)));
-        assert_eq!(inj.up_count(), 1);
+        assert_eq!(inj.up, [false, true]);
         assert!(inj.sample(3).is_clean());
         assert!(inj.sample(4).is_clean());
         let f = inj.sample(5);
         assert_eq!(f.came_up, vec![ch(0)]);
-        assert!(inj.is_up(ch(0)));
+        assert_eq!(inj.up, [true, true]);
     }
 
     #[test]
@@ -516,7 +511,7 @@ mod tests {
                 channel: ch(1),
             },
         ]);
-        let mut inj = FaultInjector::new(&plan, 2);
+        let mut inj = Driven::new(&plan, 2);
         assert!(inj.sample(0).is_clean());
         let f = inj.sample(1);
         assert_eq!(f.stalled, vec![true, false]);
@@ -531,8 +526,8 @@ mod tests {
             .with_recovery(0.3)
             .with_stalls(0.05)
             .with_corruption(0.2);
-        let mut a = FaultInjector::new(&plan, 4);
-        let mut b = FaultInjector::new(&plan, 4);
+        let mut a = Driven::new(&plan, 4);
+        let mut b = Driven::new(&plan, 4);
         for t in 0..500 {
             assert_eq!(a.sample(t), b.sample(t), "diverged at slot {t}");
         }
@@ -541,7 +536,7 @@ mod tests {
     #[test]
     fn random_faults_actually_happen_and_recover() {
         let plan = FaultPlan::seeded(7).with_outage(0.2).with_recovery(0.5);
-        let mut inj = FaultInjector::new(&plan, 3);
+        let mut inj = Driven::new(&plan, 3);
         let mut saw_down = false;
         let mut saw_up = false;
         for t in 0..200 {
@@ -558,21 +553,28 @@ mod tests {
             at: 0,
             channel: ch(9),
         }]);
-        let mut inj = FaultInjector::new(&plan, 2);
+        let mut inj = Driven::new(&plan, 2);
         assert!(inj.sample(0).is_clean());
-        assert_eq!(inj.up_count(), 2);
-        assert!(!inj.is_up(ch(9)));
+        assert_eq!(inj.up, [true, true]);
     }
 
     #[test]
-    fn force_down_and_up_mirror_station_state() {
-        let mut inj = FaultInjector::new(&FaultPlan::seeded(0), 2);
-        inj.force_down(ch(1));
-        assert_eq!(inj.up_count(), 1);
-        inj.force_up(ch(1));
-        assert_eq!(inj.up_count(), 2);
-        inj.force_down(ch(7)); // out of range: no-op
-        assert_eq!(inj.up_count(), 2);
+    fn transitions_are_reported_from_the_callers_mask() {
+        // A channel the caller holds down (say, failed by hand) is not
+        // reported down again, and a scripted `Up` brings it back.
+        let plan = FaultPlan::scripted(vec![
+            FaultEvent::Down {
+                at: 0,
+                channel: ch(1),
+            },
+            FaultEvent::Up {
+                at: 1,
+                channel: ch(1),
+            },
+        ]);
+        let mut inj = FaultInjector::new(&plan, 2);
+        assert!(inj.sample(0, &[true, false]).is_clean());
+        assert_eq!(inj.sample(1, &[true, false]).came_up, vec![ch(1)]);
     }
 
     #[test]
@@ -592,11 +594,11 @@ mod tests {
                     channel: ch(2),
                 },
             ]);
-        let mut fresh = FaultInjector::new(&plan, 4);
+        let mut fresh = Driven::new(&plan, 4);
         let mut reused = FaultInjector::new(&plan, 4);
         let mut buf = SlotFaults::default();
         for t in 0..300 {
-            reused.sample_into(t, &mut buf);
+            reused.sample_into(t, &fresh.up, &mut buf);
             assert_eq!(fresh.sample(t), buf, "diverged at slot {t}");
         }
     }
@@ -618,17 +620,22 @@ mod tests {
                     channel: ch(1),
                 },
             ]);
-        let mut reference = FaultInjector::new(&plan, 3);
+        let mut reference = Driven::new(&plan, 3);
         for t in 0..100 {
             reference.sample(t);
         }
-        let snap = reference.snapshot();
-        let mut restored = FaultInjector::from_snapshot(&plan, &snap);
-        assert_eq!(restored.channels(), 3);
+        let snap = reference.inj.snapshot(&reference.up);
+        let mut restored = Driven {
+            inj: FaultInjector::from_snapshot(&plan, &snap),
+            up: snap.up.clone(),
+        };
         for t in 100..300 {
             assert_eq!(reference.sample(t), restored.sample(t), "slot {t}");
         }
-        assert_eq!(reference.snapshot(), restored.snapshot());
+        assert_eq!(
+            reference.inj.snapshot(&reference.up),
+            restored.inj.snapshot(&restored.up)
+        );
     }
 
     #[test]
@@ -653,7 +660,7 @@ mod tests {
                 channel: ch(0),
             },
         ]);
-        let mut inj = FaultInjector::new(&plan, 1);
+        let mut inj = Driven::new(&plan, 1);
         inj.sample(0);
         let f = inj.sample(1);
         assert_eq!(f.stalled, vec![false]);

@@ -583,10 +583,10 @@ impl ActivePlan {
 pub struct Station {
     scheduler: OnlineScheduler,
     time: u64,
-    /// Waiting clients and the catalogue's dense expected-time mirror, in
-    /// struct-of-arrays form (see the `waiting` module and
-    /// DESIGN.md §12). Spans are emptied in place rather than freed, so
-    /// steady-state ticking reuses their capacity.
+    /// Waiting clients in struct-of-arrays form (see the `waiting` module
+    /// and DESIGN.md §12); their pages' expected times are the
+    /// scheduler's catalogue. Spans are emptied in place rather than
+    /// freed, so steady-state ticking reuses their capacity.
     waits: WaitingSet,
     /// Bumped once per call through the swap seam, its only writer;
     /// frame-template caches key their validity on it. Not snapshotted:
@@ -596,6 +596,7 @@ pub struct Station {
     next_client: u64,
     stats: StationStats,
     /// Physical channel up/down state; length is the configured count.
+    /// The only record of it: the fault injector reads it each slot.
     channel_up: Vec<bool>,
     /// [`ActivePlan::channel_rows`] of `active` and `channel_up`,
     /// recomputed only by the swap seam and on restore: while the ladder
@@ -690,13 +691,7 @@ impl Station {
     /// from the station's *current* channel state.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         let channels = u32::try_from(self.channel_up.len()).expect("channel count fits in u32");
-        let mut injector = FaultInjector::new(plan, channels);
-        for (ch, &up) in self.channel_up.iter().enumerate() {
-            if !up {
-                injector.force_down(ChannelId::new(u32::try_from(ch).expect("fits in u32")));
-            }
-        }
-        self.injector = Some(injector);
+        self.injector = Some(FaultInjector::new(plan, channels));
     }
 
     /// Replaces the health thresholds, resetting all health windows.
@@ -769,9 +764,6 @@ impl Station {
     /// A no-op for channels already down or out of range.
     pub fn fail_channel(&mut self, channel: ChannelId) -> Mode {
         if let Some(event) = self.set_channel(channel, false) {
-            if let Some(injector) = &mut self.injector {
-                injector.force_down(channel);
-            }
             self.pending_events.push(event);
             self.replan("channel_down", None);
         }
@@ -783,9 +775,6 @@ impl Station {
     /// range.
     pub fn restore_channel(&mut self, channel: ChannelId) -> Mode {
         if let Some(event) = self.set_channel(channel, true) {
-            if let Some(injector) = &mut self.injector {
-                injector.force_up(channel);
-            }
             self.pending_events.push(event);
             self.replan("channel_up", None);
         }
@@ -836,9 +825,9 @@ impl Station {
             Err(e) => Err(e.into()),
         };
         if result.is_ok() {
-            // Pre-sizes the page's waiting span too, so steady-state
+            // Pre-sizes the page's waiting span, so steady-state
             // subscribes hit no resize branch at all.
-            self.waits.publish(page.index() as usize, expected);
+            self.waits.publish(page.index() as usize);
             self.replan("catalogue", Some(page));
         }
         result
@@ -854,7 +843,6 @@ impl Station {
         self.scheduler
             .remove_page(page)
             .map_err(|_| StationError::UnknownPage { page })?;
-        self.waits.expire(page.index() as usize);
         self.replan("catalogue", Some(page));
         Ok(())
     }
@@ -868,10 +856,11 @@ impl Station {
     /// on-demand channel).
     #[inline]
     pub fn subscribe(&mut self, page: PageId) -> Result<ClientId, StationError> {
-        let idx = page.index() as usize;
-        if !self.waits.subscribe(idx, self.next_client, self.time) {
+        if !self.scheduler.pages().contains(page) {
             return Err(StationError::UnknownPage { page });
         }
+        self.waits
+            .subscribe(page.index() as usize, self.next_client, self.time);
         let id = ClientId(self.next_client);
         self.next_client += 1;
         self.stats.waiting += 1;
@@ -1029,7 +1018,7 @@ impl Station {
 
         buf.have_faults = false;
         if let Some(injector) = self.injector.as_mut() {
-            injector.sample_into(self.time, &mut buf.faults);
+            injector.sample_into(self.time, &self.channel_up, &mut buf.faults);
             buf.have_faults = true;
             let mut changed = false;
             for (channels, up) in [(&buf.faults.went_down, false), (&buf.faults.came_up, true)] {
@@ -1092,19 +1081,22 @@ impl Station {
 
         // Serve waiters from intact frames only; a corrupted frame shows
         // in `on_air` but delivers nothing. The drain kernel batches the
-        // deadline verdict and wait sums over each page's contiguous
-        // (client, since) columns and reports one `DrainDelta` per page
-        // instead of six stat read-modify-writes per waiter; spans are
-        // emptied in place so their capacity is reused.
+        // deadline verdict (against the page's expected time in the
+        // catalogue, 0 when it is not live) and wait sums over each
+        // page's contiguous (client, since) columns and reports one
+        // `DrainDelta` per page instead of six stat read-modify-writes
+        // per waiter; spans are emptied in place so their capacity is
+        // reused.
         let mut delta = DrainDelta::default();
+        let catalogue = self.scheduler.pages();
         for ch in 0..configured {
             if buf.corrupted[ch] {
                 continue;
             }
             let Some(page) = buf.on_air[ch] else { continue };
             delta.merge(self.waits.drain_page(
-                page.index() as usize,
                 page,
+                || catalogue.get(page).unwrap_or(0),
                 self.time,
                 &mut buf.deliveries,
             ));

@@ -25,6 +25,7 @@
 
 use std::time::Instant;
 
+use airsched_core::dynamic::Catalogue;
 use airsched_obs::events::{Event as ObsEvent, HealthTransition};
 use airsched_obs::metrics::{Counter, Gauge, Histogram};
 use airsched_obs::Obs;
@@ -458,6 +459,7 @@ impl Observer {
         rec: &mut Record,
         buf: &TickBuf,
         stats: &StationStats,
+        catalogue: Catalogue<'_>,
         waits: &WaitingSet,
         channel_up: &[bool],
     ) {
@@ -496,8 +498,7 @@ impl Observer {
                     m.wait_max = d.wait;
                 }
                 if !d.within_deadline {
-                    let expected = waits.deadline(d.page.index() as usize);
-                    if expected != 0 {
+                    if let Some(expected) = catalogue.get(d.page) {
                         m.miss_scratch.push(ObsEvent::DeadlineMiss {
                             page: d.page.index(),
                             slot,
@@ -626,6 +627,7 @@ impl Station {
                 &mut self.record,
                 buf,
                 &self.stats,
+                self.scheduler.pages(),
                 &self.waits,
                 &self.channel_up,
             );

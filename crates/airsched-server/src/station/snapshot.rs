@@ -24,15 +24,21 @@ impl Station {
     /// stream, so the bit-identical replay contract is unaffected.
     #[must_use]
     pub fn snapshot(&self) -> StationSnapshot {
+        // The seed's `expected` vector, as long as the published
+        // high-water, which every live page id is below.
+        let mut expected = vec![None; self.waits.published_len()];
+        for (page, t) in self.catalogue().iter() {
+            expected[page.index() as usize] = Some(t);
+        }
         StationSnapshot {
             scheduler: self.scheduler.snapshot(),
             time: self.time,
             waiting: self.waits.snapshot_waiting(),
-            expected: self.waits.snapshot_expected(),
+            expected,
             next_client: self.next_client,
             stats: self.stats,
             channel_up: self.channel_up.clone(),
-            injector: self.injector.as_ref().map(FaultInjector::snapshot),
+            injector: self.injector.as_ref().map(|i| i.snapshot(&self.channel_up)),
             health: self.health.snapshot(),
             policy: self.policy,
             active: match &self.active {
@@ -63,32 +69,50 @@ impl Station {
     ///
     /// Returns [`StationError::CorruptSnapshot`] (or a schedule error) if
     /// the snapshot is internally inconsistent or the fault plan is
-    /// missing while the snapshot carries injector state.
+    /// missing while the snapshot carries injector state. The snapshot
+    /// stores some facts twice for the format's sake — the expected
+    /// times beside the scheduler's catalogue, the injector's channel
+    /// mask beside the station's, the waiting count beside the waiters —
+    /// and each copy must agree with the one the station keeps.
     pub fn from_snapshot(
         snapshot: &StationSnapshot,
         fault_plan: Option<&FaultPlan>,
     ) -> Result<Self, StationError> {
+        let corrupt = |reason| Err(StationError::CorruptSnapshot { reason });
         if snapshot.channel_up.len() != snapshot.scheduler.channels as usize {
-            return Err(StationError::CorruptSnapshot {
-                reason: "channel mask length disagrees with the scheduler's channel count",
-            });
+            return corrupt("channel mask length disagrees with the scheduler's channel count");
+        }
+        let waiters = snapshot.waiting.iter().flatten();
+        if snapshot.stats.waiting != waiters.clone().count() as u64 {
+            return corrupt("waiting count disagrees with the waiters carried");
+        }
+        if waiters.clone().any(|&(_, since)| since > snapshot.time) {
+            return corrupt("a waiter subscribed after the snapshot's time");
+        }
+        if snapshot.waiting.len() > snapshot.expected.len() {
+            return corrupt("waiters carried for a page id past every published one");
         }
         let injector = match (&snapshot.injector, fault_plan) {
             (Some(inj), Some(plan)) => {
-                if inj.up.len() != snapshot.channel_up.len() {
-                    return Err(StationError::CorruptSnapshot {
-                        reason: "injector channel count disagrees with the station's",
-                    });
+                if inj.up != snapshot.channel_up {
+                    return corrupt("injector channel mask disagrees with the station's");
                 }
                 Some(FaultInjector::from_snapshot(plan, inj))
             }
             (Some(_), None) => {
-                return Err(StationError::CorruptSnapshot {
-                    reason: "snapshot carries fault-injector state but no fault plan was supplied",
-                })
+                return corrupt(
+                    "snapshot carries fault-injector state but no fault plan was supplied",
+                )
             }
             (None, _) => None,
         };
+        let scheduler = OnlineScheduler::from_snapshot(&snapshot.scheduler)?;
+        let listed = (0u32..)
+            .zip(&snapshot.expected)
+            .filter_map(|(p, e)| e.map(|t| (PageId::new(p), t)));
+        if !listed.eq(scheduler.pages().iter()) {
+            return corrupt("expected times disagree with the scheduler's catalogue");
+        }
         let active = match &snapshot.active {
             ActivePlanSnapshot::Full => ActivePlan::Full,
             ActivePlanSnapshot::Reduced(p) => ActivePlan::Reduced(p.rebuild()?),
@@ -109,7 +133,7 @@ impl Station {
             policy: snapshot.policy,
             active,
             pending_events: snapshot.pending_events.clone(),
-            ..Self::fresh(OnlineScheduler::from_snapshot(&snapshot.scheduler)?)
+            ..Self::fresh(scheduler)
         })
     }
 }
@@ -213,7 +237,9 @@ pub struct StationSnapshot {
     pub time: u64,
     /// Waiting clients per dense page index, as `(client id, since)`.
     pub waiting: Vec<Vec<(u64, u64)>>,
-    /// Dense expected-time mirror of the catalogue.
+    /// The catalogue's expected times per dense page index, up to the
+    /// highest page id ever published (`None`: not live). Written from
+    /// the scheduler's catalogue and checked against it on restore.
     pub expected: Vec<Option<u64>>,
     /// The next client id to assign.
     pub next_client: u64,

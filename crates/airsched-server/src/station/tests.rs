@@ -980,30 +980,56 @@ fn snapshot_restore_rejects_inconsistencies() {
     let plan = FaultPlan::seeded(7).with_outage(0.1).with_recovery(0.2);
     let mut s = Station::with_faults(2, 8, &plan).unwrap();
     s.publish(PageId::new(0), 2).unwrap();
+    s.publish(PageId::new(1), 4).unwrap();
     s.run(20);
+    s.subscribe(PageId::new(0)).unwrap();
+    s.subscribe(PageId::new(1)).unwrap();
     let snap = s.snapshot();
+    assert!(Station::from_snapshot(&snap, Some(&plan)).is_ok());
     // Injector state without the plan that explains it.
     let err = Station::from_snapshot(&snap, None).unwrap_err();
     assert!(matches!(err, StationError::CorruptSnapshot { .. }));
     assert!(err.to_string().contains("cannot restore station snapshot"));
-    // Injector channel count out of step with the station's.
-    let mut bad = snap.clone();
-    bad.injector.as_mut().unwrap().up.push(true);
-    assert!(matches!(
-        Station::from_snapshot(&bad, Some(&plan)),
-        Err(StationError::CorruptSnapshot { .. })
-    ));
-    // A degraded-plan grid that lies about its dimensions.
-    let mut bad = snap;
-    bad.active = ActivePlanSnapshot::Reduced(ProgramSnapshot {
-        channels: 2,
-        cycle: 8,
-        grid: vec![None; 3],
-    });
-    assert!(matches!(
-        Station::from_snapshot(&bad, Some(&plan)),
-        Err(StationError::CorruptSnapshot { .. })
-    ));
+    let forgeries: [fn(&mut StationSnapshot); 7] = [
+        // Injector channel count out of step with the station's.
+        |bad| bad.injector.as_mut().unwrap().up.push(true),
+        // An injector mask that disagrees with the station's.
+        |bad| {
+            let up = &mut bad.injector.as_mut().unwrap().up;
+            up[0] = !up[0];
+        },
+        // Expected times that say live page 1 is not live.
+        |bad| bad.expected[1] = None,
+        // A waiting count below the waiters carried.
+        |bad| bad.stats.waiting -= 1,
+        // A waiter that subscribed after the snapshot's time.
+        |bad| bad.waiting[0][0].1 = bad.time + 1,
+        // A waiter on a page id past every published one.
+        |bad| {
+            bad.waiting.resize(bad.expected.len() + 1, Vec::new());
+            bad.waiting.last_mut().unwrap().push((99, 0));
+            bad.stats.waiting += 1;
+        },
+        // A degraded-plan grid that lies about its dimensions.
+        |bad| {
+            bad.active = ActivePlanSnapshot::Reduced(ProgramSnapshot {
+                channels: 2,
+                cycle: 8,
+                grid: vec![None; 3],
+            });
+        },
+    ];
+    for (i, forge) in forgeries.into_iter().enumerate() {
+        let mut bad = snap.clone();
+        forge(&mut bad);
+        assert!(
+            matches!(
+                Station::from_snapshot(&bad, Some(&plan)),
+                Err(StationError::CorruptSnapshot { .. })
+            ),
+            "forgery {i} restored"
+        );
+    }
 }
 
 #[test]

@@ -3,9 +3,9 @@
 //! The seed layout — `Vec<Vec<(ClientId, u64)>>` indexed by dense page id —
 //! collapses past ~100k subscribers: every subscription chases a pointer to
 //! a separately-allocated per-page `Vec`, and the loads it must wait on
-//! (`expected[idx]`, the `Vec` header, the tail line) are scattered across
-//! megabytes, so the subscribe loop serializes on cache-miss latency. This
-//! module replaces it with:
+//! (the `Vec` header, the tail line) are scattered across megabytes, so the
+//! subscribe loop serializes on cache-miss latency. This module replaces it
+//! with:
 //!
 //! * a dense table of 12-byte [`PageMeta`] records (span offset / length /
 //!   capacity) indexed by dense page id — the only per-page metadata the
@@ -14,16 +14,18 @@
 //!   owning a contiguous offset range, so a tick's drain walks plain
 //!   slices and batches the deadline verdict branch-free.
 //!
-//! A subscription therefore costs one load in a dense deadline table
-//! (L1-resident for realistic catalogues), one store at the page's span
-//! tail, and one 12-byte meta update — where the seed paid a pointer
-//! chase through `expected`, the outer `Vec` header, and a separately
-//! allocated per-page `Vec` before reaching the tail.
+//! The set holds waiters only. Whether a page is live, and its expected
+//! time, is the scheduler's catalogue: the station checks it before a
+//! subscribe and hands each drain the page's deadline. A subscription
+//! therefore costs one store at the page's span tail and one 12-byte meta
+//! update — where the seed paid a pointer chase through the outer `Vec`
+//! header and a separately allocated per-page `Vec` before reaching the
+//! tail.
 //!
 //! ## Determinism
 //!
-//! The arena evolves only through `subscribe`, `publish`, `expire`,
-//! restore, and drains — all driven from the station's single thread.
+//! The arena evolves only through `subscribe`, `publish`, restore, and
+//! drains — all driven from the station's single thread.
 //! Drains only zero span lengths, and per-page FIFO (arrival) order is
 //! the only order that reaches any output, so the layout never shows in
 //! a `TickOutcome` or a snapshot (DESIGN.md §12).
@@ -35,9 +37,8 @@ use crate::station::{ClientId, Delivery};
 /// Smallest span capacity handed to a page on publish; doubles on growth.
 const MIN_SPAN_CAP: u32 = 8;
 
-/// Per-page record in the meta table. Liveness is not here — deadline
-/// truth (and the publish/expire state) lives in
-/// [`WaitingSet::deadlines`]; a meta only describes the page's span.
+/// Per-page record in the meta table. Liveness is not here — it is the
+/// scheduler's catalogue; a meta only describes the page's span.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PageMeta {
     /// Start of the page's span in the arena.
@@ -71,28 +72,25 @@ impl DrainDelta {
     }
 }
 
-/// The station's waiting/expected state in struct-of-arrays form: a
-/// deadline table, a meta table and a span arena of `(client, since)`
-/// records, all indexed by dense page id. Spans are reused across drains
-/// (`len` drops to 0, `cap` stays), grow by doubling — extending in place
-/// when the span sits at the arena tail, relocating otherwise. A
-/// relocation strands the old span, but doubling keeps the stranded
-/// records below the live capacity, so the arena stays under twice what
-/// its spans hold and is never compacted (DESIGN.md §12.1).
+/// The station's waiting clients in struct-of-arrays form: a meta table
+/// and a span arena of `(client, since)` records, indexed by dense page
+/// id. The meta table is as long as the highest page id ever published,
+/// plus one. Spans are reused across drains (`len` drops to 0, `cap`
+/// stays), grow by doubling — extending in place when the span sits at
+/// the arena tail, relocating otherwise. A relocation strands the old
+/// span, but doubling keeps the stranded records below the live
+/// capacity, so the arena stays under twice what its spans hold and is
+/// never compacted (DESIGN.md §12.1).
 ///
 /// Publicly (through `Station`) it behaves exactly like the seed's
-/// `waiting: Vec<Vec<(ClientId, u64)>>` + `expected: Vec<Option<u64>>`
-/// pair, including snapshot shape: [`WaitingSet::snapshot_waiting`] /
-/// [`WaitingSet::snapshot_expected`] reproduce those dense vectors
-/// verbatim, so the checkpoint format carries no trace of the arena.
+/// `waiting: Vec<Vec<(ClientId, u64)>>`, including snapshot shape:
+/// [`WaitingSet::snapshot_waiting`] reproduces that dense vector
+/// verbatim, and [`WaitingSet::published_len`] the length of the seed's
+/// `expected` vector, so the checkpoint format carries no trace of the
+/// arena.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WaitingSet {
-    /// `deadlines[idx]` is the page's expected time, 0 when unpublished
-    /// (`publish` rejects a 0 expected time, so 0 is a safe sentinel).
-    /// Grows at publish, never shrinks — mirroring the seed's
-    /// `expected` length semantics. This is the only load on the
-    /// subscribe fast path.
-    deadlines: Vec<u64>,
+    /// Grows at publish, never shrinks — the seed's `expected` length.
     metas: Vec<PageMeta>,
     arena: Vec<(u64, u64)>,
     /// Length the seed's `waiting` vector would have: the largest
@@ -106,47 +104,31 @@ impl WaitingSet {
         Self::default()
     }
 
-    /// The page's expected time, 0 when unpublished.
-    #[inline]
-    pub fn deadline(&self, idx: usize) -> u64 {
-        self.deadlines.get(idx).copied().unwrap_or(0)
+    /// One past the highest page index ever published (or carried by a
+    /// restore): the length of the seed's `expected` vector.
+    pub fn published_len(&self) -> usize {
+        self.metas.len()
     }
 
-    /// Records a publish: sizes the deadline table and the page's meta
-    /// (and minimum span) so steady-state subscribes never resize.
-    pub fn publish(&mut self, idx: usize, expected: u64) {
-        debug_assert!(expected != 0, "publish validates a non-zero expected time");
-        if self.deadlines.len() <= idx {
-            self.deadlines.resize(idx + 1, 0);
-        }
-        self.deadlines[idx] = expected;
+    /// Records a publish: sizes the page's meta (and minimum span) so
+    /// steady-state subscribes never resize. An expire needs no record:
+    /// waiters stay parked, served only if the page returns.
+    pub fn publish(&mut self, idx: usize) {
         self.ensure_page(idx);
     }
 
-    /// Records an expire: the deadline drops to the 0 sentinel, waiters
-    /// stay parked (served only if the page returns).
-    pub fn expire(&mut self, idx: usize) {
-        if let Some(d) = self.deadlines.get_mut(idx) {
-            *d = 0;
-        }
-    }
-
-    /// Appends one waiter. Returns `false` for an unpublished page.
+    /// Appends one waiter for a live page (the caller checks liveness).
     ///
     /// `publish` already sized the page's meta and minimum span, so the
-    /// steady-state path is one deadline load, one store to the span
-    /// tail, and one meta update — no resize branch and no pointer chase
-    /// through a per-page allocation.
+    /// steady-state path is one store to the span tail and one meta
+    /// update — no resize branch and no pointer chase through a per-page
+    /// allocation.
     #[inline]
-    pub fn subscribe(&mut self, idx: usize, client: u64, since: u64) -> bool {
-        if self.deadline(idx) == 0 {
-            return false;
-        }
+    pub fn subscribe(&mut self, idx: usize, client: u64, since: u64) {
         self.append_direct(idx, client, since);
         if idx >= self.dense_len {
             self.dense_len = idx + 1;
         }
-        true
     }
 
     /// Sizes the page's meta slot and a minimum span so steady-state
@@ -214,18 +196,21 @@ impl WaitingSet {
         self.metas[idx].cap = new_cap;
     }
 
-    /// Drains one page's waiters into `out`: the batched serving kernel.
-    /// The deadline verdict and wait sums are computed branch-free over
-    /// the span slice; a deadline of 0 means "not published", which can
-    /// never be within deadline (matching the seed's
-    /// `expected.is_some_and(..)`).
+    /// Drains `page`'s waiters into `out`: the batched serving kernel.
+    /// The verdict against the page's expected time and the wait sums are
+    /// computed branch-free over the span slice. `deadline` yields that
+    /// time, 0 for a page that is not live, which can never be within
+    /// deadline (matching the seed's `expected.is_some_and(..)`); it is
+    /// asked only when the page has waiters, so an idle on-air page costs
+    /// one meta load.
     pub fn drain_page(
         &mut self,
-        idx: usize,
         page: PageId,
+        deadline: impl FnOnce() -> u64,
         now: u64,
         out: &mut Vec<Delivery>,
     ) -> DrainDelta {
+        let idx = page.index() as usize;
         let Some(&m) = self.metas.get(idx) else {
             return DrainDelta::default();
         };
@@ -233,7 +218,7 @@ impl WaitingSet {
         if n == 0 {
             return DrainDelta::default();
         }
-        let deadline = self.deadline(idx);
+        let deadline = deadline();
         let off = m.off as usize;
         let received = now + 1;
         // A waiter is within deadline iff wait = received - since ≤
@@ -290,22 +275,15 @@ impl WaitingSet {
             .collect()
     }
 
-    /// The seed-shaped `expected` vector for [`crate::StationSnapshot`].
-    pub fn snapshot_expected(&self) -> Vec<Option<u64>> {
-        self.deadlines
-            .iter()
-            .map(|&d| if d == 0 { None } else { Some(d) })
-            .collect()
-    }
-
-    /// Rebuilds the set from snapshot vectors. Arena layout is a
-    /// deterministic function of the snapshot alone; per-page FIFO order
+    /// Rebuilds the set from snapshot vectors: the meta table is sized to
+    /// `expected.len()` and every live page gets its span. Arena layout is
+    /// a deterministic function of the snapshot alone; per-page FIFO order
     /// (the only order that reaches any output) is preserved exactly.
     pub fn restore(expected: &[Option<u64>], waiting: &[Vec<(u64, u64)>]) -> Self {
         let mut set = Self::new();
-        set.deadlines = expected.iter().map(|e| e.unwrap_or(0)).collect();
-        for idx in 0..set.deadlines.len() {
-            if set.deadlines[idx] != 0 {
+        set.metas.resize(expected.len(), PageMeta::default());
+        for (idx, e) in expected.iter().enumerate() {
+            if e.is_some() {
                 set.ensure_page(idx);
             }
         }
@@ -330,22 +308,24 @@ mod tests {
         w.metas.iter().map(|m| m.cap as usize).sum()
     }
 
+    fn page(idx: usize) -> PageId {
+        PageId::new(u32::try_from(idx).unwrap())
+    }
+
     /// Drains `idx` at slot 0 and returns the served clients' raw ids in
     /// delivery order.
     fn drain_clients(w: &mut WaitingSet, idx: usize) -> Vec<u64> {
-        let page = PageId::new(u32::try_from(idx).unwrap());
         let mut out = Vec::new();
-        w.drain_page(idx, page, 0, &mut out);
+        w.drain_page(page(idx), || 4, 0, &mut out);
         out.iter().map(|d| d.client.raw()).collect()
     }
 
     #[test]
-    fn subscribe_requires_publish_and_preserves_fifo() {
+    fn subscribe_preserves_fifo() {
         let mut w = WaitingSet::new();
-        assert!(!w.subscribe(5, 1, 0), "unpublished page accepted a waiter");
-        w.publish(5, 4);
+        w.publish(5);
         for c in 0..20u64 {
-            assert!(w.subscribe(5, c, 0));
+            w.subscribe(5, c, 0);
         }
         assert_eq!(
             drain_clients(&mut w, 5),
@@ -361,10 +341,10 @@ mod tests {
     #[test]
     fn fifo_survives_repeated_span_growth() {
         let mut w = WaitingSet::new();
-        w.publish(0, 4);
+        w.publish(0);
         let n = 3 * 4096 + 17;
         for c in 0..n {
-            assert!(w.subscribe(0, c, 0));
+            w.subscribe(0, c, 0);
         }
         assert_eq!(drain_clients(&mut w, 0), (0..n).collect::<Vec<_>>());
     }
@@ -373,16 +353,16 @@ mod tests {
     fn growth_relocation_keeps_other_spans_intact() {
         let mut w = WaitingSet::new();
         // Two adjacent spans: page 1's sits right after page 0's.
-        w.publish(0, 4);
-        w.publish(1, 4);
+        w.publish(0);
+        w.publish(1);
         for c in 0..4u64 {
-            assert!(w.subscribe(0, c, 0));
-            assert!(w.subscribe(1, 100 + c, 0));
+            w.subscribe(0, c, 0);
+            w.subscribe(1, 100 + c, 0);
         }
         // Grow page 0 well past its minimum span, forcing relocation
         // around page 1's span.
         for c in 4..300u64 {
-            assert!(w.subscribe(0, c, 0));
+            w.subscribe(0, c, 0);
         }
         assert!(w.arena.len() > live_cap(&w), "page 0 never relocated");
         assert_eq!(drain_clients(&mut w, 0), (0..300).collect::<Vec<_>>());
@@ -392,13 +372,13 @@ mod tests {
     #[test]
     fn drained_spans_are_reused_without_growth() {
         let mut w = WaitingSet::new();
-        w.publish(0, 4);
+        w.publish(0);
         for round in 0..50u64 {
             for c in 0..8u64 {
-                assert!(w.subscribe(0, round * 8 + c, round));
+                w.subscribe(0, round * 8 + c, round);
             }
             let mut out = Vec::new();
-            let delta = w.drain_page(0, PageId::new(0), round, &mut out);
+            let delta = w.drain_page(PageId::new(0), || 4, round, &mut out);
             assert_eq!(delta.delivered, 8);
             assert_eq!(out.len(), 8);
         }
@@ -410,13 +390,13 @@ mod tests {
     fn batched_verdict_matches_the_scalar_rule() {
         let mut w = WaitingSet::new();
         let now = 100u64;
-        w.publish(0, 7);
+        w.publish(0);
         // Waits 1..=12 straddle the deadline of 7.
         for since in (now + 1 - 12)..=now {
-            assert!(w.subscribe(0, since, since));
+            w.subscribe(0, since, since);
         }
         let mut out = Vec::new();
-        let delta = w.drain_page(0, PageId::new(0), now, &mut out);
+        let delta = w.drain_page(PageId::new(0), || 7, now, &mut out);
         assert_eq!(delta.delivered, 12);
         let mut expected_on_time = 0;
         let mut expected_wait = 0;
@@ -434,15 +414,15 @@ mod tests {
 
     #[test]
     fn expired_pages_park_their_waiters_until_republish() {
+        // An expire only leaves the catalogue; the set keeps the page's
+        // waiters, a republish keeps them too, and they are served at
+        // the next drain.
         let mut w = WaitingSet::new();
-        w.publish(0, 1000);
-        assert!(w.subscribe(0, 7, 0));
-        w.expire(0);
-        assert!(!w.subscribe(0, 8, 0), "expired page accepted a waiter");
-        // The parked waiter survives and is served on republish.
-        w.publish(0, 4);
+        w.publish(0);
+        w.subscribe(0, 7, 0);
+        w.publish(0);
         let mut out = Vec::new();
-        let delta = w.drain_page(0, PageId::new(0), 1, &mut out);
+        let delta = w.drain_page(PageId::new(0), || 4, 1, &mut out);
         assert_eq!(delta.delivered, 1);
         assert_eq!(out[0].client.raw(), 7);
     }
@@ -450,29 +430,34 @@ mod tests {
     #[test]
     fn snapshot_round_trips_through_restore_mid_serving() {
         let mut w = WaitingSet::new();
-        for idx in [0usize, 3, 33, 515, 1200] {
-            w.publish(idx, 16);
+        let pages = [0usize, 3, 33, 515, 1200];
+        for idx in pages {
+            w.publish(idx);
+        }
+        // 1201 published ids, of which page 33 has since expired.
+        let mut expected = vec![None; 1201];
+        for idx in pages {
+            expected[idx] = (idx != 33).then_some(16);
         }
         let mut c = 0u64;
         for round in 0..10u64 {
-            for idx in [0usize, 3, 33, 515, 1200] {
-                assert!(w.subscribe(idx, c, round));
+            for idx in pages {
+                w.subscribe(idx, c, round);
                 c += 1;
             }
         }
-        // Drain one page mid-stream, then expire a page with parked
-        // waiters: the snapshot must capture exactly the residual state.
+        // Drain one page mid-stream: the snapshot must capture exactly
+        // the residual state, parked waiters of page 33 included.
         let mut sink = Vec::new();
-        w.drain_page(515, PageId::new(515), 9, &mut sink);
-        assert!(w.subscribe(515, 999, 10));
-        w.expire(33);
+        w.drain_page(page(515), || 16, 9, &mut sink);
+        w.subscribe(515, 999, 10);
         let waiting = w.snapshot_waiting();
-        let expected = w.snapshot_expected();
         assert_eq!(waiting.len(), 1201);
         assert_eq!(waiting[33].len(), 10, "parked waiters lost from snapshot");
+        assert_eq!(w.published_len(), expected.len());
         let restored = WaitingSet::restore(&expected, &waiting);
         assert_eq!(restored.snapshot_waiting(), waiting);
-        assert_eq!(restored.snapshot_expected(), expected);
+        assert_eq!(restored.published_len(), expected.len());
     }
 
     /// Dense page ids the model tests draw from: few enough that spans
@@ -524,7 +509,9 @@ mod tests {
     /// The obviously correct reference: the seed's dense vectors.
     /// `waiting[idx]` holds `(client, since)` in arrival order and is as
     /// long as the largest subscribed index + 1; `deadlines[idx]` is 0
-    /// while the page is unpublished.
+    /// while the page is not live. The model's deadlines stand in for
+    /// the station's catalogue: they decide which subscribes reach the
+    /// set and which deadline each drain is handed.
     #[derive(Debug, Default)]
     struct Model {
         waiting: Vec<Vec<(u64, u64)>>,
@@ -538,6 +525,14 @@ mod tests {
             self.deadlines.get(idx).copied().unwrap_or(0)
         }
 
+        /// The seed's `expected` vector, as a snapshot carries it.
+        fn expected(&self) -> Vec<Option<u64>> {
+            self.deadlines
+                .iter()
+                .map(|&d| (d != 0).then_some(d))
+                .collect()
+        }
+
         /// Applies `op` to both the model and `w`, checking every value
         /// the set returns along the way.
         fn apply(&mut self, w: &mut WaitingSet, op: &Op) {
@@ -547,30 +542,30 @@ mod tests {
                         self.deadlines.resize(idx + 1, 0);
                     }
                     self.deadlines[idx] = expected;
-                    w.publish(idx, expected);
+                    w.publish(idx);
                 }
                 Op::Expire { idx } => {
                     if let Some(d) = self.deadlines.get_mut(idx) {
                         *d = 0;
                     }
-                    w.expire(idx);
                 }
                 Op::Subscribe { idx, count } => {
+                    if self.deadline(idx) == 0 {
+                        // The station refuses a page that is not live.
+                        return;
+                    }
                     for _ in 0..count {
                         let client = self.next_client;
                         self.next_client += 1;
-                        let accepted = self.deadline(idx) != 0;
-                        assert_eq!(w.subscribe(idx, client, self.now), accepted);
-                        if accepted {
-                            if self.waiting.len() <= idx {
-                                self.waiting.resize(idx + 1, Vec::new());
-                            }
-                            self.waiting[idx].push((client, self.now));
+                        w.subscribe(idx, client, self.now);
+                        if self.waiting.len() <= idx {
+                            self.waiting.resize(idx + 1, Vec::new());
                         }
+                        self.waiting[idx].push((client, self.now));
                     }
                 }
                 Op::Drain { idx } => {
-                    let page = PageId::new(u32::try_from(idx).unwrap());
+                    let page = page(idx);
                     let deadline = self.deadline(idx);
                     let waiters = self.waiting.get_mut(idx).map(std::mem::take);
                     let mut want = Vec::new();
@@ -594,7 +589,7 @@ mod tests {
                         wait: 0,
                         within_deadline: false,
                     }];
-                    let delta = w.drain_page(idx, page, self.now, &mut out);
+                    let delta = w.drain_page(page, || deadline, self.now, &mut out);
                     // Drains append: the sentinel stays in front.
                     assert_eq!(out.remove(0).client.raw(), u64::MAX);
                     assert_eq!(out, want, "drain of page {idx} at slot {}", self.now);
@@ -602,20 +597,16 @@ mod tests {
                 }
                 Op::Advance { slots } => self.now += slots,
                 Op::Restore => {
-                    *w = WaitingSet::restore(&w.snapshot_expected(), &w.snapshot_waiting());
+                    *w = WaitingSet::restore(&self.expected(), &w.snapshot_waiting());
                 }
             }
         }
 
-        /// Checks the set's snapshot vectors against the model.
+        /// Checks the set's snapshot vector and published length against
+        /// the model.
         fn check(&self, w: &WaitingSet) {
             assert_eq!(w.snapshot_waiting(), self.waiting);
-            let expected: Vec<Option<u64>> = self
-                .deadlines
-                .iter()
-                .map(|&d| (d != 0).then_some(d))
-                .collect();
-            assert_eq!(w.snapshot_expected(), expected);
+            assert_eq!(w.published_len(), self.deadlines.len());
         }
     }
 
@@ -625,8 +616,8 @@ mod tests {
         /// Random publish / expire / republish / subscribe-burst / drain /
         /// restore scripts against the plain dense-vector model: every
         /// drain returns the model's deliveries in per-page FIFO order
-        /// with the model's `DrainDelta`, and after every step both
-        /// snapshot vectors equal the model's. Bursts of up to 160
+        /// with the model's `DrainDelta`, and after every step the
+        /// snapshot vector and the published length equal the model's. Bursts of up to 160
         /// subscribes over 12 neighbouring spans make spans double and
         /// relocate around each other many times per script.
         #[test]
@@ -654,12 +645,12 @@ mod tests {
     fn arena_stays_under_twice_the_live_capacity() {
         let mut w = WaitingSet::new();
         for idx in 0..MODEL_PAGES {
-            w.publish(idx, 8);
+            w.publish(idx);
         }
         let mut client = 0u64;
         for _ in 0..512 {
             for idx in 0..MODEL_PAGES {
-                assert!(w.subscribe(idx, client, 0));
+                w.subscribe(idx, client, 0);
                 client += 1;
                 let live = live_cap(&w);
                 assert!(

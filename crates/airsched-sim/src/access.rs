@@ -9,7 +9,6 @@
 
 use airsched_core::group::GroupLadder;
 use airsched_core::program::{cyclic_gaps_over, BroadcastProgram};
-use airsched_core::types::PageId;
 use airsched_workload::requests::Request;
 
 use crate::metrics::{DelayAccumulator, DelaySummary};
@@ -233,18 +232,10 @@ pub mod reference {
     }
 }
 
-/// Convenience: measure with a given page id when the ladder is implied.
-///
-/// Returns the wait (slots until received) for `page` from `arrival`, or
-/// `None` if the page never airs.
-#[must_use]
-pub fn wait_for(program: &BroadcastProgram, page: PageId, arrival: u64) -> Option<u64> {
-    program.wait_from(page, arrival)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use airsched_core::types::PageId;
     use airsched_core::{mpb, pamad, susc};
     use airsched_workload::requests::{AccessPattern, RequestGenerator};
 
@@ -349,7 +340,7 @@ mod tests {
         .unwrap();
         assert_eq!(a.wait, 1);
         assert_eq!(a.delay, 0);
-        assert_eq!(wait_for(&program, PageId::new(0), 3), Some(1));
+        assert_eq!(program.wait_from(PageId::new(0), 3), Some(1));
     }
 
     #[test]
