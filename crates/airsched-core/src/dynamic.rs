@@ -595,7 +595,11 @@ impl OnlineScheduler {
     /// * [`ScheduleError::WorkloadTooLarge`] if a page id is at or above
     ///   [`PAGE_ID_LIMIT`].
     /// * [`ScheduleError::InvalidFrequencies`] if a page's expected time
-    ///   is zero or does not divide the cycle, or a page id repeats.
+    ///   is zero or does not divide the cycle, a page id repeats, or the
+    ///   grid breaks the invariant every edit keeps: a live page whose
+    ///   frequency × expected time is not the cycle or with a cyclic gap
+    ///   above its expected time, or a cell naming a page that is not
+    ///   live.
     pub fn from_snapshot(snapshot: &SchedulerSnapshot) -> Result<Self, ScheduleError> {
         let program =
             BroadcastProgram::from_cells(snapshot.channels, snapshot.cycle, &snapshot.grid)?;
@@ -607,6 +611,23 @@ impl OnlineScheduler {
                 return Err(already_scheduled());
             }
             catalogue.insert(page, t);
+        }
+        // The invariant every other edit keeps: each live page airs as
+        // one periodic family of its expected time, and nothing else airs.
+        let view = catalogue.view();
+        if program.pages().any(|page| !view.contains(page)) {
+            return Err(ScheduleError::InvalidFrequencies {
+                reason: "snapshot grid airs a page that is not live",
+            });
+        }
+        let whole = |(page, t): (PageId, u64)| {
+            program.frequency(page) * t == snapshot.cycle
+                && program.cyclic_gaps(page).all(|g| g <= t)
+        };
+        if !view.iter().all(whole) {
+            return Err(ScheduleError::InvalidFrequencies {
+                reason: "snapshot grid does not air a live page every expected time",
+            });
         }
         Ok(Self {
             program,
@@ -875,6 +896,27 @@ mod tests {
         snap.cycle = 0;
         snap.grid.clear();
         assert!(OnlineScheduler::from_snapshot(&snap).is_err());
+        // Grids that break the invariant: page 0 (t = 4) airs at slots 0
+        // and 4 of 8.
+        let mut sched = OnlineScheduler::new(1, 8).unwrap();
+        sched.add_page(PageId::new(0), 4).unwrap();
+        assert_eq!(sched.program().occurrence_columns(PageId::new(0)), [0, 4]);
+        let forgeries: [fn(&mut SchedulerSnapshot); 3] = [
+            // A live page that lost a cell: one occurrence, a gap of 8.
+            |snap| snap.grid[4] = None,
+            // Both cells, but one slot apart: gaps 1 and 7.
+            |snap| snap.grid.swap(4, 1),
+            // A cell naming a page that is not live.
+            |snap| snap.grid[1] = Some(PageId::new(1)),
+        ];
+        for forge in forgeries {
+            let mut snap = sched.snapshot();
+            forge(&mut snap);
+            assert!(matches!(
+                OnlineScheduler::from_snapshot(&snap),
+                Err(ScheduleError::InvalidFrequencies { .. })
+            ));
+        }
     }
 
     #[test]

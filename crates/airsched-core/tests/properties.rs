@@ -330,10 +330,12 @@ proptest! {
 
     /// The online scheduler's resumed first-fit lands every page exactly
     /// where a scan from `(0, 0)` would, through any mix of additions,
-    /// removals and rebuilds. After every step the repack probe
-    /// `program_on_channels(n)` must also equal what `rebuild_on_channels(n)`
-    /// installs on a clone and what the reference repack lays out, for
-    /// every `n` up to one past the current channels, refusals included.
+    /// removals and rebuilds, and its program stays valid for the live
+    /// pages after every step, refusals included. After every step the
+    /// repack probe `program_on_channels(n)` must also equal what
+    /// `rebuild_on_channels(n)` installs on a clone and what the reference
+    /// repack lays out, for every `n` up to one past the current
+    /// channels, refusals included.
     #[test]
     fn online_first_fit_is_exact(
         channels in 1u32..=4,
@@ -355,6 +357,8 @@ proptest! {
                 }
             };
             prop_assert_eq!(got, want, "{:?}", op);
+            // The invariant the station's gate trusts of the full plan.
+            assert_valid_for(sched.program(), &sched);
             let snap = sched.snapshot();
             prop_assert_eq!(snap.channels, naive.channels, "{:?}", op);
             prop_assert_eq!(&snap.grid, &naive.grid, "{:?}", op);

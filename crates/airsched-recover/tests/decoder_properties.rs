@@ -327,7 +327,8 @@ fn forged_state_dir(forge: Forgery) -> PathBuf {
 /// Each fact the checkpoint stores twice — the expected times beside the
 /// scheduler's catalogue, the injector's channel mask beside the
 /// station's, the waiting count beside the waiters — and each waiter's
-/// subscription slot must agree with the station's own. A CRC-valid
+/// subscription slot must agree with the station's own, and the
+/// scheduler's grid must air every live page. A CRC-valid
 /// checkpoint that breaks one of them must make `resume` an error before
 /// the journal replay, where the waiting count and a future `since`
 /// would underflow on the first drain.
@@ -342,7 +343,7 @@ fn forged_duplicate_facts_make_resume_an_error() {
         40 + 16,
         "the 16 ticks after the checkpoint"
     );
-    let forgeries: [(&str, Forgery); 4] = [
+    let forgeries: [(&str, Forgery); 5] = [
         ("expected times list a page that is not live", |ck| {
             ck.snapshot.expected.push(Some(8));
         }),
@@ -358,6 +359,15 @@ fn forged_duplicate_facts_make_resume_an_error() {
             for waiters in &mut ck.snapshot.waiting {
                 if let Some(w) = waiters.first_mut() {
                     w.1 = time + 1000;
+                }
+            }
+        }),
+        ("the scheduler's grid does not air a live page", |ck| {
+            let scheduler = &mut ck.snapshot.scheduler;
+            let page = scheduler.pages[0].0;
+            for cell in &mut scheduler.grid {
+                if *cell == Some(page) {
+                    *cell = None;
                 }
             }
         }),

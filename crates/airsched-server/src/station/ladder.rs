@@ -242,10 +242,13 @@ impl Station {
     /// pre-swap lint gate; `None` means a candidate existed but was
     /// refused, so the caller must keep the previous plan on the air.
     ///
-    /// `certified` says the on-air plan is a SUSC plan that passed its
-    /// gate (the station's `certified` field): then a relocation is gated
-    /// by change set, with `edited` touched too. An accepted relocation
-    /// or pack is certified in turn (DESIGN §9.1).
+    /// A relocation from a certified base is gated by change set, with
+    /// `edited` touched too. The full plan is always a certified base:
+    /// it is the scheduler's own program, which airs every live page as
+    /// one periodic family of its expected time (the SUSC invariant,
+    /// checked on restore). A `Reduced` plan is one when `certified`
+    /// says it passed its gate (the station's `certified` field). An
+    /// accepted relocation or pack is certified in turn (DESIGN §9.1).
     fn reduced_plan(
         &mut self,
         n_up: u32,
@@ -289,17 +292,19 @@ impl Station {
                 // A relocation from a certified base re-checks only the
                 // pages it may have moved (DESIGN §9.1).
                 let config = LintConfig::default();
-                let touched = match (&self.active, certified) {
-                    (ActivePlan::Reduced(base), true)
-                        if matches!(stage, Stage::Relocate)
-                            && config.max_stretch() >= 1.0
-                            && candidate.channels() as usize == rows.len()
-                            && candidate.cycle_len() == base.cycle_len() =>
-                    {
-                        Some(touched_pages(base, &candidate, &rows, edited))
-                    }
+                let base = match (&self.active, certified) {
+                    (ActivePlan::Full, _) => Some(self.scheduler.program()),
+                    (ActivePlan::Reduced(base), true) => Some(base),
                     _ => None,
                 };
+                let touched = base
+                    .filter(|base| {
+                        matches!(stage, Stage::Relocate)
+                            && config.max_stretch() >= 1.0
+                            && candidate.channels() as usize == rows.len()
+                            && candidate.cycle_len() == base.cycle_len()
+                    })
+                    .map(|base| touched_pages(base, &candidate, &rows, edited));
                 let lint_ok = self.gate_candidate(&candidate, &config, touched.as_deref());
                 let solve_ok = !self.deep_verify || self.certify_candidate(&candidate);
                 if lint_ok && solve_ok {

@@ -615,8 +615,11 @@ pub struct Station {
     /// Whether the plan on the air is a `Reduced` plan that passed the
     /// full deadline rule set. The next relocation from such a plan is
     /// gated by change set; every swap clears it, and only an installed
-    /// SUSC candidate sets it again. Not snapshotted: a resumed station lints its
-    /// first relocation whole.
+    /// SUSC candidate sets it again. The full plan needs no flag: it is
+    /// the scheduler's own program, valid for the live pages by the
+    /// scheduler's invariant (checked on restore), so a relocation from
+    /// it is always gated by change set. Not snapshotted: a resumed
+    /// station lints its first relocation from a `Reduced` plan whole.
     certified: bool,
     /// Every gate verdict with what it judged, for the differential
     /// tests against a full lint.

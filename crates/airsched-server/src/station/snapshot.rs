@@ -3,6 +3,7 @@
 //! on-air grid handed to frame-template caches.
 
 use airsched_core::dynamic::{OnlineScheduler, SchedulerSnapshot};
+use airsched_core::error::ScheduleError;
 use airsched_core::program::BroadcastProgram;
 use airsched_core::types::PageId;
 
@@ -73,7 +74,10 @@ impl Station {
     /// stores some facts twice for the format's sake — the expected
     /// times beside the scheduler's catalogue, the injector's channel
     /// mask beside the station's, the waiting count beside the waiters —
-    /// and each copy must agree with the one the station keeps.
+    /// and each copy must agree with the one the station keeps. The
+    /// scheduler's grid must keep the scheduler's invariant (every live
+    /// page one periodic family of its expected time, nothing else
+    /// aired), which the pre-swap gate trusts of the full plan.
     pub fn from_snapshot(
         snapshot: &StationSnapshot,
         fault_plan: Option<&FaultPlan>,
@@ -106,7 +110,15 @@ impl Station {
             }
             (None, _) => None,
         };
-        let scheduler = OnlineScheduler::from_snapshot(&snapshot.scheduler)?;
+        // A scheduler snapshot that breaks the scheduler's invariant is a
+        // corrupt checkpoint: the gate trusts the full plan as valid.
+        let scheduler =
+            OnlineScheduler::from_snapshot(&snapshot.scheduler).map_err(|e| match e {
+                ScheduleError::InvalidFrequencies { reason } => {
+                    StationError::CorruptSnapshot { reason }
+                }
+                e => e.into(),
+            })?;
         let listed = (0u32..)
             .zip(&snapshot.expected)
             .filter_map(|(p, e)| e.map(|t| (PageId::new(p), t)));

@@ -1363,13 +1363,15 @@ proptest::proptest! {
 
 /// A catalogue edit under a clean relocation is gated by change set, and
 /// only the pages it moved are linted again; a corrupted cell on a row
-/// the edit did not touch is still caught.
+/// the edit did not touch is still caught. The full plan is a certified
+/// base too: a fail swap from it is gated by change set, and a corrupted
+/// cell on a row it kept is refused with the full lint's deny codes.
 #[test]
 fn a_catalogue_edit_under_a_clean_relocation_is_gated_by_change_set() {
     let mut s = churn_station();
     assert_eq!(s.fail_channel(ChannelId::new(0)), Mode::Repacked);
-    // The first relocation's base is the full plan: a whole lint.
-    assert!(!s.gate_log[0].by_change_set && s.gate_log[0].report.is_clean());
+    // The first relocation's base is the full plan: by change set.
+    assert!(s.gate_log[0].by_change_set && s.gate_log[0].report.is_clean());
     s.expire(PageId::new(2)).unwrap();
     s.publish(PageId::new(3), 16).unwrap();
     let edits = &s.gate_log[1..];
@@ -1394,4 +1396,35 @@ fn a_catalogue_edit_under_a_clean_relocation_is_gated_by_change_set() {
     let last = s.gate_log.last().unwrap();
     assert!(!last.by_change_set && last.report.is_clean());
     assert_eq!(s.mode(), Mode::Repacked);
+
+    // From the full plan, the first filled cell of the relocation is on
+    // its row 0, the full plan's row 1, which the loss of channel 0 kept.
+    let mut s = churn_station();
+    CORRUPTION.set((0, true));
+    s.set_plan_corruptor(Some(rewrite_one_cell as PlanCorruptor));
+    s.fail_channel(ChannelId::new(0));
+    let refused = &s.gate_log[0];
+    let clean = refused
+        .scheduler
+        .relocate(refused.scheduler.program(), &[Some(1), Some(2), Some(3)])
+        .unwrap();
+    let differs = |ch| refused.candidate.row_cells(ch) != clean.row_cells(ch);
+    assert_eq!((differs(0), differs(1), differs(2)), (true, false, false));
+    let full = airsched_lint::lint(
+        &LintInput::for_live_catalogue(&refused.candidate, refused.scheduler.pages()),
+        &refused.config,
+    );
+    let deny = |r: &airsched_lint::LintReport| -> Vec<&'static str> {
+        r.diagnostics()
+            .iter()
+            .filter(|d| d.severity == airsched_lint::Severity::Deny)
+            .map(|d| d.rule.code())
+            .collect()
+    };
+    assert!(
+        refused.by_change_set && refused.report.has_deny(),
+        "{refused:?}"
+    );
+    assert_eq!(deny(&refused.report), deny(&full));
+    assert_eq!(s.stats().plan_rejections, 1);
 }
