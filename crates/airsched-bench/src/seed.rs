@@ -208,10 +208,14 @@ impl SeedStation {
     /// The plan on the air moved onto `n_up` live channels: every channel
     /// that stays up keeps the row it aired, cell for cell, and a channel
     /// that comes back starts empty. Pages that lost cells with a row are
-    /// wiped, then placed one by one, tightest first, on the first
-    /// `(channel, offset)` whose cells `offset, offset + t, …` are all
-    /// free. `None` when the plan is not a SUSC layout or a page finds no
-    /// room.
+    /// wiped, then placed one by one, tightest first. A page goes back on
+    /// its old offset when it can: the first column it airs in the plan
+    /// on the air if its columns there are exactly `y, y + t, …`, else its
+    /// first column in the scheduler's own grid. It takes the first
+    /// channel whose cells `y, y + t, …` are all free; failing that, the
+    /// first `(channel, offset)` whose cells `offset, offset + t, …` are
+    /// all free. `None` when the plan is not a SUSC layout or a page
+    /// finds no room.
     fn relocate(&self, before: &[bool], n_up: u32) -> Option<BroadcastProgram> {
         let (base, full) = match &self.active {
             SeedPlan::Full => (self.scheduler.program(), true),
@@ -274,14 +278,45 @@ impl SeedStation {
             .map(|(&page, &t)| (t, page))
             .collect();
         missing.sort_unstable();
+        // Every column each page airs in, read cell by cell.
+        let columns_of = |grid: &BroadcastProgram| {
+            let mut columns: BTreeMap<PageId, Vec<u64>> = BTreeMap::new();
+            for ch in 0..grid.channels() {
+                for slot in 0..cycle {
+                    let pos = GridPos::new(ChannelId::new(ch), SlotIndex::new(slot));
+                    if let Some(page) = grid.page_at(pos) {
+                        let cols = columns.entry(page).or_default();
+                        if !cols.contains(&slot) {
+                            cols.push(slot);
+                        }
+                    }
+                }
+            }
+            for cols in columns.values_mut() {
+                cols.sort_unstable();
+            }
+            columns
+        };
+        let aired = columns_of(base);
+        let own = columns_of(self.scheduler.program());
         for (t, page) in missing {
             let free = |ch: u32, y: u64| {
                 (y..cycle).step_by(t as usize).all(|slot| {
                     program.is_free(GridPos::new(ChannelId::new(ch), SlotIndex::new(slot)))
                 })
             };
-            let (ch, y) =
-                (0..n_up).find_map(|ch| (0..t).find(|&y| free(ch, y)).map(|y| (ch, y)))?;
+            let family = (0..t).find(|&y| {
+                aired
+                    .get(&page)
+                    .is_some_and(|cols| cols.iter().copied().eq((y..cycle).step_by(t as usize)))
+            });
+            let old = family.or_else(|| own.get(&page).and_then(|cols| cols.first().copied()));
+            let (ch, y) = old
+                .filter(|&y| y < t)
+                .and_then(|y| (0..n_up).find(|&ch| free(ch, y)).map(|ch| (ch, y)))
+                .or_else(|| {
+                    (0..n_up).find_map(|ch| (0..t).find(|&y| free(ch, y)).map(|y| (ch, y)))
+                })?;
             for slot in (y..cycle).step_by(t as usize) {
                 let pos = GridPos::new(ChannelId::new(ch), SlotIndex::new(slot));
                 program.place(pos, page).expect("the family is free");

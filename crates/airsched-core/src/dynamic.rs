@@ -39,10 +39,13 @@
 //! the air instead of packing afresh: it keeps the rows the caller names
 //! verbatim, drops every page that lost a cell with a dropped row, is no
 //! longer live, or whose frequency × expected time is not the cycle, and
-//! first-fits only the live pages left without a place — tightest first,
-//! with the same resumed first-fit. A lost channel then moves the pages
-//! of its own row and no others, and every surviving page keeps its
-//! exact columns.
+//! places only the live pages left without a place — tightest first.
+//! Each goes back on its old columns, on the first row where that
+//! periodic family is free, and only a page whose family is taken on
+//! every row falls back to the same resumed first-fit. A lost channel
+//! then moves the pages of its own row and no others, every surviving
+//! page keeps its exact cells, and a moved page keeps its airing
+//! instants whenever some row has room for them.
 //!
 //! # The catalogue table
 //!
@@ -205,6 +208,25 @@ impl<'a> Catalogue<'a> {
     pub fn minimum_channels(self) -> Result<u32, ScheduleError> {
         minimum_channels_for_groups(self.groups)
     }
+}
+
+/// What [`OnlineScheduler::relocate`] may assume of the program it
+/// starts from, and so which pages it looks at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BaseTrust {
+    /// The base airs every page live when it was certified as one whole
+    /// periodic family of its expected time, and the catalogue has
+    /// changed since at most at `edited`. The scheduler's own program is
+    /// one with no edit, and so is a `Reduced` plan that passed the
+    /// station's gate since the last catalogue edit. Only the pages on
+    /// the dropped rows and `edited` are looked at.
+    Certified {
+        /// The one page whose catalogue entry may differ from the base.
+        edited: Option<PageId>,
+    },
+    /// Nothing is assumed: every base page and every live page is looked
+    /// at.
+    Unchecked,
 }
 
 /// First-fit resume points, one per expected time: where the last search
@@ -455,19 +477,38 @@ impl OnlineScheduler {
 
     /// The live pages placed on `rows.len()` channels starting from
     /// `base`, a valid program already on the air: row `i` of the result
-    /// is `base` row `rows[i]`, verbatim, or an empty row for `None` (a
-    /// restored channel). A scan of the dropped rows and one walk of
-    /// `base`'s pages, each page's liveness read from the catalogue table
-    /// by index, drop every page that is no longer live, that has a cell
-    /// on a dropped row, or whose frequency × expected time is not the
-    /// cycle. Only the live pages left without a place are first-fitted,
-    /// tightest expected time first. Every other page keeps its exact
-    /// cells, and this scheduler is untouched.
+    /// is `base` row `rows[i]`, or an empty row for `None` (a restored
+    /// channel). A page keeps its exact cells unless it lost a cell with
+    /// a dropped row, is no longer live, or its frequency × expected
+    /// time is not the cycle; every other live page is placed, tightest
+    /// expected time first, ascending id within a time. This scheduler
+    /// is untouched.
     ///
-    /// A kept page is trusted to be one periodic family because `base`
-    /// is valid: with every gap at most `t` and `cycle / t` occurrences,
-    /// the gaps are all exactly `t`. The station's pre-swap gate lints
-    /// every candidate, relocated or not.
+    /// A page to place keeps its airing columns when it can: its offset
+    /// `y` is its first column in `base` when its base columns are the
+    /// family `y, y + t, …` of its expected time `t`, else its first
+    /// column in this scheduler's own program (a page published or
+    /// retimed since `base` was derived). It goes on the first row whose
+    /// family `y, y + t, …` is wholly free, and first-fits only when no
+    /// row has it. A client receives from any channel, so a page that
+    /// keeps its columns airs at exactly the instants it did: a client
+    /// who tuned in before the swap still gets it within `t` (DESIGN §6).
+    ///
+    /// A page that keeps its columns only changes rows: its column run
+    /// and cell count are carried over from `base` as they are, and only
+    /// its cells are cleared and written. The pages that leave the table
+    /// are the dropped ones and those that are placed afresh.
+    ///
+    /// `trust` says which pages may have to move. With
+    /// [`BaseTrust::Certified`] they are the pages met by one scan of the
+    /// dropped rows, plus the edited page: a certified base airs every
+    /// live page as one whole periodic family on its rows, so no other
+    /// page can have lost its place. With [`BaseTrust::Unchecked`] every
+    /// base page is walked, its liveness read from the catalogue table
+    /// by index. A kept page is trusted to be one periodic family
+    /// because `base` is valid: with every gap at most `t` and `cycle /
+    /// t` occurrences, the gaps are all exactly `t`. The station's
+    /// pre-swap gate lints every candidate, relocated or not.
     ///
     /// The ladder's cheap rung: a channel loss moves only the lost row's
     /// pages, and a catalogue edit places only the new page. A
@@ -486,6 +527,7 @@ impl OnlineScheduler {
         &self,
         base: &BroadcastProgram,
         rows: &[Option<u32>],
+        trust: BaseTrust,
     ) -> Result<BroadcastProgram, ScheduleError> {
         if rows.is_empty() {
             return Err(ScheduleError::NoChannels);
@@ -507,61 +549,113 @@ impl OnlineScheduler {
             kept[from as usize] = true;
             last = Some(from);
         }
-        // One count and one mark per catalogue entry. A scan of the
-        // dropped rows first counts the cells each page loses with them;
-        // one walk of the base's pages then marks whether the page keeps
-        // its place: live, whole (frequency × t is the cycle) and not on
-        // a dropped row. Every other base page is dropped, and the live
-        // pages left unmarked are missing. A dropped page that lost every
-        // cell with the dropped rows has none left to clear.
-        let times = self.catalogue.times.as_slice();
-        let mut lost = vec![0u32; times.len()];
+        // One scan of the dropped rows counts the cells each page loses
+        // with them.
+        let catalogue = self.pages();
+        let mut lost = vec![0u32; self.catalogue.times.len()];
         let width = usize::try_from(cycle).expect("a row is no longer than the grid");
         for (row, _) in base.cells().chunks(width).zip(&kept).filter(|&(_, &k)| !k) {
-            for page in row.iter().flatten() {
-                if let Some(n) = lost.get_mut(page.index() as usize) {
-                    *n += 1;
+            for &page in row.iter().flatten() {
+                let p = page.index() as usize;
+                if lost.len() <= p {
+                    lost.resize(p + 1, 0);
                 }
+                lost[p] += 1;
             }
         }
-        let mut mark = vec![false; times.len()];
-        let mut dropped = Vec::new();
-        let mut stranded = Vec::new();
-        for page in base.pages() {
-            let p = page.index() as usize;
-            let t = times.get(p).copied().unwrap_or(0);
-            let lost = lost.get(p).copied().unwrap_or(0);
-            let stays = t > 0 && lost == 0 && base.frequency(page) * t == cycle;
-            if t > 0 {
-                mark[p] = stays;
+        let lost_by = |page: PageId| lost.get(page.index() as usize).copied().unwrap_or(0);
+        // The pages that may lose their place, in id order: under a
+        // certified base those the scan met and the edited page, else
+        // every base page and every live page.
+        let looked: Vec<PageId> = match trust {
+            BaseTrust::Certified { edited } => {
+                let mut met: Vec<PageId> = (0u32..)
+                    .zip(&lost)
+                    .filter(|&(_, &n)| n > 0)
+                    .map(|(p, _)| PageId::new(p))
+                    .collect();
+                if let Some(edited) = edited {
+                    if let Err(at) = met.binary_search(&edited) {
+                        met.insert(at, edited);
+                    }
+                }
+                met
             }
-            if !stays {
-                dropped.push(page);
-                if lost < base.cell_count(page) {
+            BaseTrust::Unchecked => {
+                let mut on_air = base.pages().peekable();
+                let mut live = catalogue.iter().map(|(p, _)| p).peekable();
+                std::iter::from_fn(|| {
+                    let next = match (on_air.peek(), live.peek()) {
+                        (Some(&a), Some(&b)) => a.min(b),
+                        (a, b) => *a.or(b)?,
+                    };
+                    on_air.next_if_eq(&next);
+                    live.next_if_eq(&next);
+                    Some(next)
+                })
+                .collect()
+            }
+        };
+        // A base page keeps its place when it is live, whole (frequency
+        // × t is the cycle) and lost no cell. A live page without a
+        // place is missing. One whose base cells are a whole family of
+        // its time keeps its table entry, to move rows at the same
+        // columns; every other base page leaves the table. Every such
+        // page's cells come off the kept rows.
+        let (mut cut, mut stranded, mut emptied, mut missing) = (vec![], vec![], vec![], vec![]);
+        let mut room = 0;
+        for page in looked {
+            let t = catalogue.get(page);
+            let (frequency, cells, lost) =
+                (base.frequency(page), base.cell_count(page), lost_by(page));
+            if frequency > 0 && lost == 0 && t.is_some_and(|t| frequency * t == cycle) {
+                continue;
+            }
+            let offset = t.and_then(|t| base.family_offset(page, t));
+            let keep = offset.is_some() && u64::from(cells) == frequency;
+            match (keep, lost < cells) {
+                (true, true) => emptied.push(page),
+                (false, true) => {
+                    cut.push(page);
                     stranded.push(page);
                 }
+                (false, false) if frequency > 0 => cut.push(page),
+                _ => {}
+            }
+            if let Some(t) = t {
+                room += cycle / t;
+                missing.push((page, t, offset, keep));
             }
         }
-        let unplaced: Vec<(PageId, u64)> = (0u32..)
-            .zip(times.iter().zip(&mark))
-            .filter(|&(_, (&t, &stays))| t > 0 && !stays)
-            .map(|(p, (&t, _))| (PageId::new(p), t))
-            .collect();
-        // Tightest first, ascending id within a time: one pass per
-        // distinct time over the id-ordered list.
-        let mut missing = Vec::with_capacity(unplaced.len());
-        for &(t, _) in &self.catalogue.groups {
-            missing.extend(unplaced.iter().filter(|m| m.1 == t));
-        }
-        let room = missing.iter().map(|&(_, t)| cycle / t).sum::<u64>();
         let room = usize::try_from(room).expect("the catalogue's cells fit in memory");
-        let mut program = base.with_rows(rows, &dropped, &stranded, room);
-        // Cells only fill from here on, so one fresh set of resume points
-        // finds exactly what a scan from (0, 0) would.
+        let mut program = base.with_rows(rows, &cut, &stranded, room);
+        for page in emptied {
+            program.clear_cells(page);
+        }
+        // Tightest first, ascending id within a time: one pass per
+        // distinct time over the id-ordered list. Cells only fill from
+        // here on, so one fresh set of resume points finds exactly what
+        // a scan from (0, 0) would.
         let mut fit = FirstFit::default();
-        for (page, t) in missing {
-            if !fit.place(&mut program, page, t) {
-                return Err(ScheduleError::PlacementFailed { page });
+        for &(time, _) in catalogue.groups() {
+            for &(page, t, offset, keep) in missing.iter().filter(|m| m.1 == time) {
+                let own = || self.program.occurrence_columns(page).first().copied();
+                let free = offset.or_else(own).filter(|&y| y < t).and_then(|y| {
+                    let ch = (0..program.channels()).find(|&ch| program.family_is_free(ch, y, t));
+                    ch.map(|ch| (ch, y))
+                });
+                match free {
+                    Some((ch, y)) if keep => program.refill_family(ch, y, t, page),
+                    Some((ch, y)) => program.place_family(ch, y, t, page),
+                    None => {
+                        // A kept entry whose family is taken on every row
+                        // leaves the table; the page first-fits afresh.
+                        program.clear_page(page);
+                        if !fit.place(&mut program, page, t) {
+                            return Err(ScheduleError::PlacementFailed { page });
+                        }
+                    }
+                }
             }
         }
         Ok(program)
@@ -760,17 +854,24 @@ mod tests {
         let base = sched.program().clone();
         // Channel 0 is lost: channel 1 becomes row 0 verbatim, and the
         // lost row's pages land on channel 2, now row 1.
-        let moved = sched.relocate(&base, &[Some(1), Some(2)]).unwrap();
+        let certified = BaseTrust::Certified { edited: None };
+        let moved = sched
+            .relocate(&base, &[Some(1), Some(2)], certified)
+            .unwrap();
         let cols = 8;
         assert_eq!(&moved.cells()[..cols], &base.cells()[cols..2 * cols]);
         assert_eq!(&moved.cells()[cols..], &base.cells()[..cols]);
-        // A restored channel gets an empty row, where first-fit puts a new
-        // page; an expired page is cleared.
+        // A restored channel gets an empty row, where a new page goes on
+        // its column in the scheduler's own program (column 1, freed by
+        // the expired page 5); an expired page is cleared.
         sched.remove_page(PageId::new(5)).unwrap();
         sched.add_page(PageId::new(9), 8).unwrap();
-        let grown = sched.relocate(&moved, &[None, Some(0), Some(1)]).unwrap();
+        assert_eq!(sched.program().occurrence_columns(PageId::new(9)), [1]);
+        let grown = sched
+            .relocate(&moved, &[None, Some(0), Some(1)], BaseTrust::Unchecked)
+            .unwrap();
         let mut restored = vec![None; cols];
-        restored[0] = Some(PageId::new(9));
+        restored[1] = Some(PageId::new(9));
         assert_eq!(&grown.cells()[..cols], &restored[..]);
         assert_eq!(grown.frequency(PageId::new(5)), 0);
         assert_eq!(grown.frequency(PageId::new(9)), 1);
@@ -782,12 +883,17 @@ mod tests {
         }
         // No room: the caller packs afresh.
         assert!(matches!(
-            sched.relocate(&base, &[Some(0)]),
+            sched.relocate(&base, &[Some(0)], certified),
             Err(ScheduleError::PlacementFailed { .. })
         ));
-        assert!(sched.relocate(&base, &[Some(1), Some(0)]).is_err());
-        assert!(sched.relocate(&base, &[Some(3)]).is_err());
-        assert_eq!(sched.relocate(&base, &[]), Err(ScheduleError::NoChannels));
+        assert!(sched
+            .relocate(&base, &[Some(1), Some(0)], certified)
+            .is_err());
+        assert!(sched.relocate(&base, &[Some(3)], certified).is_err());
+        assert_eq!(
+            sched.relocate(&base, &[], certified),
+            Err(ScheduleError::NoChannels)
+        );
     }
 
     #[test]

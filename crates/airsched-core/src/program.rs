@@ -684,6 +684,53 @@ impl BroadcastProgram {
         self.count_cells(p, u32::try_from(placed).expect("a family fits in a row"));
     }
 
+    /// Whether the periodic family `y, y + t, y + 2t, …` of channel `ch`
+    /// is wholly free. `t` must divide the cycle and `y < t`.
+    pub(crate) fn family_is_free(&self, ch: u32, y: u64, t: u64) -> bool {
+        let row = self.row_cells(ch);
+        row[y as usize..]
+            .iter()
+            .step_by(t as usize)
+            .all(Option::is_none)
+    }
+
+    /// `page`'s columns when they are exactly the periodic family `y, y +
+    /// t, …` of some `y < t`: that `y`, or `None`.
+    pub(crate) fn family_offset(&self, page: PageId, t: u64) -> Option<u64> {
+        let cols = self.occurrence_columns(page);
+        let y = *cols.first()?;
+        let whole = cols.len() as u64 * t == self.cycle_len
+            && y < t
+            && cols.windows(2).all(|w| w[1] - w[0] == t);
+        whole.then_some(y)
+    }
+
+    /// Writes `page` back onto the free family `y, y + t, …` of channel
+    /// `ch` after [`BroadcastProgram::clear_cells`] or a re-shape took its
+    /// cells: its column run already is that family and its cell count
+    /// the family's size, so only the row is written. A page that moves
+    /// rows at the same columns costs the cells it moves.
+    pub(crate) fn refill_family(&mut self, ch: u32, y: u64, t: u64, page: PageId) {
+        debug_assert_eq!(self.family_offset(page, t), Some(y));
+        debug_assert_eq!(
+            self.cell_count(page) as usize,
+            self.occurrence_columns(page).len()
+        );
+        let row = self.rows.write(self.row_index(ch));
+        for cell in row[y as usize..].iter_mut().step_by(t as usize) {
+            debug_assert!(cell.is_none(), "family was checked to be free");
+            *cell = Some(page);
+        }
+    }
+
+    /// Frees every cell holding `page` and keeps its column run and cell
+    /// count, for a [`BroadcastProgram::refill_family`] at the same
+    /// columns to follow. Only the rows that held the page are written.
+    pub(crate) fn clear_cells(&mut self, page: PageId) {
+        self.rows
+            .clear(self.columns.get(page.index() as usize), page);
+    }
+
     /// This program re-shaped to `from.len()` channels and cut down to
     /// the pages not in `dropped`: row `i` is this program's row
     /// `from[i]`, or an empty row for `None`, without the cells of the
@@ -693,7 +740,11 @@ impl BroadcastProgram {
     /// The column table does not depend on rows, so it is copied whole,
     /// with the dropped runs left stranded (a compaction reclaims them
     /// once they outnumber the live entries) and room for `room` more
-    /// columns.
+    /// columns. A page that only changes rows is not dropped: it keeps
+    /// its column run and cell count, the caller takes its cells off the
+    /// kept rows with [`BroadcastProgram::clear_cells`] and writes them
+    /// back with [`BroadcastProgram::refill_family`], and so it costs the
+    /// cells it moves.
     ///
     /// The kept rows must be in range and distinct; `dropped` must hold
     /// distinct placed pages, every page with a cell on a row that is not
@@ -934,7 +985,7 @@ mod tests {
 
     use proptest::prelude::*;
 
-    use crate::dynamic::OnlineScheduler;
+    use crate::dynamic::{BaseTrust, OnlineScheduler};
 
     fn pos(ch: u32, slot: u64) -> GridPos {
         GridPos::new(ChannelId::new(ch), SlotIndex::new(slot))
@@ -1316,7 +1367,7 @@ mod tests {
                     }
                     TableOp::Relocate(layout, keep) => {
                         let rows = layout_rows(layout, *keep, channels);
-                        if let Ok(moved) = catalogue.relocate(&program, &rows) {
+                        if let Ok(moved) = catalogue.relocate(&program, &rows, BaseTrust::Unchecked) {
                             // The relocated grid is the model from here on.
                             for cells in &mut model {
                                 cells.clear();

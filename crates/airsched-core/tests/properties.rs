@@ -11,7 +11,7 @@ use airsched_core::bound::{
 use std::collections::BTreeMap;
 
 use airsched_core::delay::{expected_program_delay, group_objective, major_cycle, Weighting};
-use airsched_core::dynamic::OnlineScheduler;
+use airsched_core::dynamic::{BaseTrust, OnlineScheduler};
 use airsched_core::error::ScheduleError;
 use airsched_core::group::GroupLadder;
 use airsched_core::program::BroadcastProgram;
@@ -463,7 +463,7 @@ proptest! {
                 }
             }
             plan_up.clone_from(&up);
-            match sched.relocate(&base, &rows) {
+            match sched.relocate(&base, &rows, BaseTrust::Unchecked) {
                 Err(err) => {
                     prop_assert!(
                         matches!(err, airsched_core::error::ScheduleError::PlacementFailed { .. }),
@@ -495,6 +495,205 @@ proptest! {
                         }
                     }
                     plan = Some(program);
+                }
+            }
+        }
+    }
+
+    /// A relocation from the scheduler's own program, with or without a
+    /// restored empty row, matches a literal cell-scan model: the kept
+    /// rows verbatim, the lost rows' pages wiped, and each of them placed
+    /// tightest first (ascending id within a time) on the first row
+    /// whose family at its old offset is free, else on the first free
+    /// `(row, offset)` of a scan from `(0, 0)`. So a moved page keeps its
+    /// `occurrence_columns` whenever some candidate row has that family
+    /// free when its turn comes.
+    #[test]
+    fn relocation_keeps_a_moved_pages_columns_when_a_row_has_them_free(
+        channels in 2u32..=5,
+        pages in prop::collection::vec(0usize..6, 1..40),
+        expire in prop::collection::vec(any::<bool>(), 40),
+        lose in 1u8..31,
+        restored in any::<bool>(),
+    ) {
+        let cycle = RELOCATE_CYCLE;
+        let mut sched = OnlineScheduler::new(channels, cycle).expect("valid dimensions");
+        for (id, &i) in (0u32..).zip(&pages) {
+            let _ = sched.add_page(PageId::new(id), RELOCATE_TIMES[i]);
+        }
+        // Expiries fragment the grid, so some families are taken.
+        let live: Vec<PageId> = sched.pages().iter().map(|(p, _)| p).collect();
+        for (page, _) in live.iter().zip(&expire).filter(|&(_, &e)| e) {
+            sched.remove_page(*page).expect("live page");
+        }
+        let base = sched.program().clone();
+        let mut rows: Vec<Option<u32>> = (0..channels).filter(|&ch| lose >> ch & 1 == 0).map(Some).collect();
+        if restored {
+            rows.push(None);
+        }
+        prop_assume!(!rows.is_empty());
+        let n = rows.len();
+        let width = cycle as usize;
+        // The model grid: kept rows verbatim, a restored row empty.
+        let mut grid: Vec<Vec<Option<PageId>>> = rows
+            .iter()
+            .map(|r| match r {
+                Some(r) => base.row_cells(*r).to_vec(),
+                None => vec![None; width],
+            })
+            .collect();
+        let mut moved: Vec<(u64, PageId, u64)> = Vec::new();
+        for ch in (0..channels).filter(|ch| !rows.contains(&Some(*ch))) {
+            for (col, cell) in (0u64..).zip(base.row_cells(ch)) {
+                if let Some(page) = *cell {
+                    let t = sched.pages().get(page).expect("only live pages air");
+                    if !moved.iter().any(|m| m.1 == page) {
+                        moved.push((t, page, col % t));
+                    }
+                }
+            }
+        }
+        moved.sort_unstable();
+        let free = |grid: &[Vec<Option<PageId>>], ch: usize, y: u64, t: u64| {
+            (y..cycle).step_by(t as usize).all(|c| grid[ch][c as usize].is_none())
+        };
+        let mut kept_columns = Vec::new();
+        let mut placed = true;
+        for &(t, page, y) in &moved {
+            let at = (0..n).find(|&ch| free(&grid, ch, y, t)).map(|ch| (ch, y));
+            if at.is_some() {
+                kept_columns.push(page);
+            }
+            let at = at.or_else(|| (0..n).find_map(|ch| (0..t).find(|&y| free(&grid, ch, y, t)).map(|y| (ch, y))));
+            let Some((ch, y)) = at else {
+                placed = false;
+                break;
+            };
+            for c in (y..cycle).step_by(t as usize) {
+                grid[ch][c as usize] = Some(page);
+            }
+        }
+        match sched.relocate(&base, &rows, BaseTrust::Certified { edited: None }) {
+            Ok(program) => {
+                prop_assert!(placed, "the model found no room");
+                assert_valid_for(&program, &sched);
+                let cells: Vec<Option<PageId>> = grid.concat();
+                prop_assert_eq!(program.cells(), &cells[..]);
+                for page in kept_columns {
+                    prop_assert_eq!(program.occurrence_columns(page), base.occurrence_columns(page));
+                }
+            }
+            Err(err) => {
+                prop_assert!(!placed, "the model placed every page: {:?}", err);
+                prop_assert!(matches!(err, ScheduleError::PlacementFailed { .. }));
+            }
+        }
+    }
+
+    /// The invariant the dropped-row walk relies on, checked before the
+    /// station relies on it: every program `relocate` accepts, and every
+    /// fresh `program_on_channels`, airs each live page as one whole
+    /// periodic family of its expected time (`cycle / t` cells, one per
+    /// column, `t` apart) and airs nothing else. Each plan here is
+    /// derived from the last with one change between them, as the
+    /// station's swaps are, so each is a certified base for the next
+    /// with the edited page named; and the certified walk, which looks
+    /// only at the dropped rows' pages and the edited page, returns
+    /// exactly what the full walk returns.
+    #[test]
+    fn certified_relocations_keep_every_live_page_one_whole_family(
+        channels in 2u32..=5,
+        pages in prop::collection::vec(0usize..6, 1..30),
+        moves in prop::collection::vec(arb_move(), 1..24),
+    ) {
+        let cycle = RELOCATE_CYCLE;
+        let mut sched = OnlineScheduler::new(channels, cycle).expect("valid dimensions");
+        for (id, &i) in (0u32..).zip(&pages) {
+            let _ = sched.add_page(PageId::new(id), RELOCATE_TIMES[i]);
+        }
+        let whole = |program: &BroadcastProgram, sched: &OnlineScheduler| {
+            for page in program.pages() {
+                prop_assert!(sched.pages().contains(page), "{} airs but is not live", page);
+            }
+            for (page, t) in sched.pages().iter() {
+                let cols = program.occurrence_columns(page);
+                prop_assert_eq!(cols.len() as u64 * t, cycle, "{}", page);
+                prop_assert!(cols.iter().zip(0u64..).all(|(&c, k)| c == cols[0] + k * t), "{}", page);
+                prop_assert_eq!(program.occurrences(page).count(), cols.len(), "{}", page);
+            }
+        };
+        let mut up = vec![true; channels as usize];
+        // The plan on the air (None: the full plan, the scheduler's own)
+        // and the channels whose rows it holds, in order.
+        let mut plan: Option<BroadcastProgram> = None;
+        let mut plan_up = up.clone();
+        for mv in &moves {
+            let mut edited = None;
+            match mv {
+                Move::Lose(k) => {
+                    let live: Vec<usize> = (0..up.len()).filter(|&c| up[c]).collect();
+                    if live.len() > 1 {
+                        up[live[k % live.len()]] = false;
+                    }
+                }
+                Move::Restore(k) => {
+                    let down: Vec<usize> = (0..up.len()).filter(|&c| !up[c]).collect();
+                    if !down.is_empty() {
+                        up[down[k % down.len()]] = true;
+                    }
+                }
+                Move::Publish(page, t) => {
+                    let fits = sched.add_page(*page, *t).is_ok() || sched.rebuild_with(&[(*page, *t)]).is_ok();
+                    edited = fits.then_some(*page);
+                }
+                Move::Expire(k) | Move::Retime(k, _) => {
+                    let live: Vec<PageId> = sched.pages().iter().map(|(p, _)| p).collect();
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let page = live[k % live.len()];
+                    sched.remove_page(page).expect("live page");
+                    if let Move::Retime(_, t) = mv {
+                        if sched.add_page(page, *t).is_err() {
+                            let _ = sched.rebuild_with(&[(page, *t)]);
+                        }
+                    }
+                    edited = Some(page);
+                }
+            }
+            whole(sched.program(), &sched);
+            let n_up = u32::try_from(up.iter().filter(|&&u| u).count()).unwrap();
+            if n_up == channels {
+                plan = None;
+                plan_up.clone_from(&up);
+                continue;
+            }
+            let base = plan.clone().unwrap_or_else(|| sched.program().clone());
+            let mut rank = 0u32;
+            let mut rows = Vec::new();
+            for (&was, &is) in plan_up.iter().zip(&up) {
+                let aired = was.then(|| { rank += 1; rank - 1 });
+                if is {
+                    rows.push(aired);
+                }
+            }
+            // The full plan is the scheduler's own: no edit to name.
+            let edited = if plan.is_some() { edited } else { None };
+            plan_up.clone_from(&up);
+            let certified = sched.relocate(&base, &rows, BaseTrust::Certified { edited });
+            let unchecked = sched.relocate(&base, &rows, BaseTrust::Unchecked);
+            prop_assert_eq!(&certified, &unchecked, "{:?}", mv);
+            plan = match certified {
+                Ok(program) => Some(program),
+                Err(_) => sched.program_on_channels(n_up).ok(),
+            };
+            match &plan {
+                Some(program) => whole(program, &sched),
+                // Below Theorem 3.1's minimum: start over from the full
+                // plan once every channel is back.
+                None => {
+                    up = vec![true; channels as usize];
+                    plan_up.clone_from(&up);
                 }
             }
         }

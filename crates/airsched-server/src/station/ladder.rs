@@ -11,6 +11,7 @@
 use std::time::Instant;
 
 use airsched_core::degrade;
+use airsched_core::dynamic::BaseTrust;
 use airsched_core::program::BroadcastProgram;
 use airsched_core::types::PageId;
 use airsched_lint::{lint, LintConfig, LintInput, LintReport, Severity};
@@ -225,14 +226,27 @@ impl Station {
     /// The on-air plan relocated onto `rows`
     /// ([`airsched_core::dynamic::OnlineScheduler::relocate`]). `None`
     /// when the plan on the air is not a valid SUSC layout to start from
-    /// (best-effort or offline), or when a page finds no room.
-    fn relocated(&self, rows: &[Option<u32>]) -> Option<BroadcastProgram> {
-        let base = match &self.active {
-            ActivePlan::Full => self.scheduler.program(),
-            ActivePlan::Reduced(program) => program,
+    /// (best-effort or offline), or when a page finds no room. The full
+    /// plan, and a `Reduced` plan when `certified`, is a certified base
+    /// whose catalogue changed at most at `edited`, so only the dropped
+    /// rows' pages and `edited` are looked at.
+    fn relocated(
+        &self,
+        rows: &[Option<u32>],
+        certified: bool,
+        edited: Option<PageId>,
+    ) -> Option<BroadcastProgram> {
+        let (base, certified) = match &self.active {
+            ActivePlan::Full => (self.scheduler.program(), true),
+            ActivePlan::Reduced(program) => (program, certified),
             ActivePlan::BestEffort(_) | ActivePlan::Offline => return None,
         };
-        self.scheduler.relocate(base, rows).ok()
+        let trust = if certified {
+            BaseTrust::Certified { edited }
+        } else {
+            BaseTrust::Unchecked
+        };
+        self.scheduler.relocate(base, rows, trust).ok()
     }
 
     /// The ladder decision for `0 < n_up < configured` survivors: a valid
@@ -271,7 +285,7 @@ impl Station {
             // metric exposition remains deterministic either way).
             let started = self.observer.is_some().then(Instant::now);
             let rows = self.relocation_rows();
-            let packed = match self.relocated(&rows) {
+            let packed = match self.relocated(&rows, certified, edited) {
                 Some(program) => Some((program, Stage::Relocate)),
                 // Fragmentation, or no valid base: pack afresh.
                 None => self

@@ -3,6 +3,7 @@
 
 use super::*;
 use crate::faults::FaultEvent;
+use airsched_core::dynamic::BaseTrust;
 use airsched_lint::{LintConfig, LintInput};
 use airsched_obs::events::{Event as ObsEvent, HealthTransition};
 use airsched_obs::Obs;
@@ -36,6 +37,62 @@ fn subscribers_are_served_within_deadline() {
     assert_eq!(s.stats().on_time, s.stats().delivered);
     assert!(s.stats().mean_wait() >= 1.0);
     assert_eq!(s.stats().on_time_rate(), 1.0);
+}
+
+/// The paper's promise across a fail swap and a restore swap: channel
+/// 0's row is full of `t = 4` pages, one per offset. Losing it moves
+/// them onto rows that have their families free at the same columns,
+/// and the restore puts them back where the full plan has them, so a
+/// client who subscribed before either swap still gets its page within
+/// `t`.
+#[test]
+fn a_full_row_keeps_its_columns_across_a_fail_and_a_restore() {
+    let mut s = Station::new(4, 16).unwrap();
+    // Pages 0-3 fill row 0 at offsets 0-3; pages 4 (t = 8) and 5
+    // (t = 16) take columns 0, 8 and 1 of row 1, so pages 0 and 1 cannot
+    // go to row 1 at their columns and pages 2 and 3 can.
+    for (p, t) in [(0, 4), (1, 4), (2, 4), (3, 4), (4, 8), (5, 16)] {
+        s.publish(PageId::new(p), t).unwrap();
+    }
+    let moved: Vec<PageId> = (0..4).map(PageId::new).collect();
+    let full = s.on_air_program().unwrap().clone();
+    assert!(full
+        .row_cells(0)
+        .iter()
+        .all(|c| c.is_some_and(|p| moved.contains(&p))));
+    let mut deliveries = 0;
+    let columns_held = |s: &Station| {
+        let program = s.on_air_program().unwrap();
+        for &page in &moved {
+            assert_eq!(
+                program.occurrence_columns(page),
+                full.occurrence_columns(page),
+                "{page} in {:?}",
+                s.mode()
+            );
+        }
+    };
+    for slot in 0..40 {
+        if slot == 5 {
+            assert_eq!(s.fail_channel(ChannelId::new(0)), Mode::Repacked);
+            columns_held(&s);
+        }
+        if slot == 19 {
+            assert_eq!(s.restore_channel(ChannelId::new(0)), Mode::Valid);
+            columns_held(&s);
+        }
+        if slot < 30 {
+            for &page in &moved {
+                s.subscribe(page).unwrap();
+            }
+        }
+        for d in s.tick().deliveries {
+            assert!(d.within_deadline, "slot {slot}: {d:?}");
+            deliveries += 1;
+        }
+    }
+    assert_eq!(deliveries, 30 * moved.len());
+    assert_eq!(s.stats().waiting, 0);
 }
 
 #[test]
@@ -1406,7 +1463,11 @@ fn a_catalogue_edit_under_a_clean_relocation_is_gated_by_change_set() {
     let refused = &s.gate_log[0];
     let clean = refused
         .scheduler
-        .relocate(refused.scheduler.program(), &[Some(1), Some(2), Some(3)])
+        .relocate(
+            refused.scheduler.program(),
+            &[Some(1), Some(2), Some(3)],
+            BaseTrust::Certified { edited: None },
+        )
         .unwrap();
     let differs = |ch| refused.candidate.row_cells(ch) != clean.row_cells(ch);
     assert_eq!((differs(0), differs(1), differs(2)), (true, false, false));

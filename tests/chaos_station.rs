@@ -116,6 +116,11 @@ fn scripted_storm_walks_the_ladder_and_keeps_promises() {
     let mut subscribed = 0u64;
     let mut delivered = 0u64;
     let mut late_in_valid_epoch = 0u64;
+    // The first slot of the current run of Valid or Repacked slots: a
+    // wait that began at or after it ran under valid plans only, across
+    // any swaps between them.
+    let mut valid_since = 0u64;
+    let mut late_across_valid_swaps = Vec::new();
 
     for t in 0..200u64 {
         if t < 180 && t % 3 == 0 {
@@ -149,11 +154,17 @@ fn scripted_storm_walks_the_ladder_and_keeps_promises() {
             }
         }
 
+        if !out.mode.is_valid() {
+            valid_since = t + 1;
+        }
         for d in &out.deliveries {
             delivered += 1;
             let since = t + 1 - d.wait;
             if since >= epoch_start && out.mode.is_valid() && !d.within_deadline {
                 late_in_valid_epoch += 1;
+            }
+            if since >= valid_since && !d.within_deadline {
+                late_across_valid_swaps.push((t, d.page, d.wait));
             }
         }
     }
@@ -161,6 +172,16 @@ fn scripted_storm_walks_the_ladder_and_keeps_promises() {
     // The core robustness promise: while the station claimed a valid
     // mode, no wait that ran under a single plan missed its deadline.
     assert_eq!(late_in_valid_epoch, 0);
+    // Across swaps between valid plans, one wait is late, and not for
+    // want of a free family. The climb out of best-effort packs two
+    // survivors afresh (slot 100; there is no SUSC plan to relocate
+    // from), which puts page 3 (t = 16) at column 2 where the full plan
+    // has it at column 7. Relocating onto three survivors (slot 120)
+    // keeps column 2, and the restore to the full plan at slot 140 moves
+    // it back to column 7: a client who subscribed at slot 135 waits 17
+    // slots. Only a fresh pack that kept the full plan's columns would
+    // close this.
+    assert_eq!(late_across_valid_swaps, [(151, page(3), 17)]);
 
     // SUSC restored after the last recovery, nobody left behind.
     assert_eq!(station.mode(), Mode::Valid);
